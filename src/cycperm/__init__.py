@@ -30,6 +30,7 @@ from .perm import (
     PermGroup,
     Permutation,
     block_system_valid,
+    conjugation_set,
     group_closure,
     hset_brute,
     is_primitive,
@@ -81,7 +82,8 @@ __all__ = [
     "cyclic_code", "cyclotomic_cosets", "enumerate_cyclic_codes",
     "idempotent", "is_elementary", "is_mds", "min_distance",
     "permute_code", "weight_profile",
-    "PermGroup", "Permutation", "block_system_valid", "group_closure",
+    "PermGroup", "Permutation", "block_system_valid", "conjugation_set",
+    "group_closure",
     "hset_brute", "is_primitive", "is_transitive", "minimal_blocks",
     "normalizer_in_symmetric", "orbits", "sylow_ascend",
     "AutoReport", "BacktrackBudgetExceeded", "GroupClass", "analyze",

@@ -38,6 +38,18 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
+def prime_power(n: int) -> tuple[int, int]:
+    """(p, r) with n = p^r and r >= 1, or ValueError."""
+    factors = prime_factors(n) if n >= 2 else []
+    if len(factors) != 1:
+        raise ValueError(f"{n} is not a prime power")
+    p, r = factors[0], 0
+    while n % p == 0:
+        n //= p
+        r += 1
+    return p, r
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/n)*; a need not be reduced mod n."""
     if n < 1:

@@ -16,7 +16,14 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .algebra import Field, multiplicative_order, z_parameter
+from .algebra import (
+    Field,
+    is_prime,
+    multiplicative_order,
+    prime_factors,
+    prime_power,
+    z_parameter,
+)
 from .codes import (
     ENUMERATION_BOUND,
     DEFAULT_DISTANCE_BUDGET,
@@ -34,7 +41,6 @@ from .perm import (
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
-    _prime_power,
     _reduce_generators,
     block_system_valid,
     group_closure,
@@ -76,7 +82,7 @@ def multiplier_scan(code: CyclicCode, rng: random.Random | None = None,
 
 def check_m_p_plus_1(code: CyclicCode) -> bool:
     """True iff the multiplier by p+1 fixes the code, for length p^r."""
-    p, r = _prime_power(code.n)
+    p, r = prime_power(code.n)
     a = (p + 1) % code.n
     if a == 1:
         return True
@@ -119,7 +125,7 @@ def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     the containment claim rather than a usage error.
     """
     n, q = code.n, code.field.order
-    p, r = _prime_power(n)
+    p, r = prime_power(n)
     if not 1 <= k <= r:
         raise ValueError(f"need 1 <= k <= r = {r}, got k = {k}")
     if z_parameter(q, p) != 1:
@@ -152,7 +158,7 @@ def sylow_exponent_bounds(n: int, q: int, s: int) -> bool:
     """Whether an observed exponent s of the p-part of the automorphism group
     of a length p^r code over GF(q) fits r <= s <= (p^r - 1)/(p - 1), tightened
     to 2r - 1 <= s when ord(q) mod p^2 equals ord(q) mod p."""
-    p, r = _prime_power(n)
+    p, r = prime_power(n)
     upper = (p ** r - 1) // (p - 1)
     ok = r <= s <= upper
     if ok and gcd(q, p) == 1 and z_parameter(q, p) == 1:
@@ -351,7 +357,7 @@ def projective_parameters(n: int, characteristic: int) -> list[tuple[int, int]]:
 
 
 def pgammal_order(d: int, t: int) -> int:
-    p, s = _prime_power(t)
+    p, s = prime_power(t)
     gl = 1
     for i in range(d):
         gl *= t ** d - t ** i
@@ -427,7 +433,7 @@ def classify(code: CyclicCode | LinearCode, report: AutoReport) -> GroupClass:
         return GroupClass("ELEMENTARY_SN", (),
                           "code is invariant under every coordinate permutation")
     proj = projective_parameters(n, char)
-    prime = _is_prime(n)
+    prime = is_prime(n)
 
     if full is not None:
         if n == 11 and full == 660:
@@ -485,7 +491,7 @@ def classify(code: CyclicCode | LinearCode, report: AutoReport) -> GroupClass:
                           "only a full search can separate")
     if not proj:
         # imprimitivity is forced; exhibit blocks
-        p = _least_prime_factor(n)
+        p = prime_factors(n)[0]
         blocks = tuple(tuple(range(i, n, p)) for i in range(p))
         ev = ("no projective point count matches this composite length, so the "
               "group is imprimitive")
@@ -502,26 +508,6 @@ def classify(code: CyclicCode | LinearCode, report: AutoReport) -> GroupClass:
                       "search required to separate")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _least_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 # --- orchestrator ---------------------------------------------------------------
 
 def known_cyclic_subgroup(code: CyclicCode) -> tuple[list[Permutation], frozenset[int]]:
@@ -533,7 +519,7 @@ def known_cyclic_subgroup(code: CyclicCode) -> tuple[list[Permutation], frozense
     gens = [Permutation.shift(n)]
     gens += [Permutation.multiplier(n, a) for a in sorted(mset) if a != 1]
     try:
-        p, r = _prime_power(n)
+        p, r = prime_power(n)
     except ValueError:
         p, r = 0, 0
     if r >= 2 and gcd(code.field.order, p) == 1 \

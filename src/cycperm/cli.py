@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .autgroups import BacktrackBudgetExceeded, NODE_BUDGET_DEFAULT, analyze
-from .algebra import make_field, minimal_polynomial
+from .algebra import make_field, minimal_polynomial, prime_power
 from .codes import (
     DEFAULT_DISTANCE_BUDGET,
     ENUMERATION_BOUND,
@@ -97,15 +97,10 @@ class RunConfig:
 
 
 def _field_from_order(q: int):
-    if q < 2:
-        raise ValueError(f"field order must be at least 2, got {q}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    s, m = 0, q
-    while m % p == 0:
-        m //= p
-        s += 1
-    if m != 1:
-        raise ValueError(f"field order {q} is not a prime power")
+    try:
+        p, s = prime_power(q)
+    except ValueError:
+        raise ValueError(f"field order {q} is not a prime power") from None
     return make_field(p, s)
 
 
@@ -195,7 +190,7 @@ def cmd_equiv(config: RunConfig) -> tuple[dict, int]:
         raise ValueError("equiv needs exactly two --in files")
     c1 = _load_cyclic(config.inputs[0])
     c2 = _load_cyclic(config.inputs[1])
-    verdict = decide_equivalence(c1, c2, config.strategy, seed=config.seed)
+    verdict = decide_equivalence(c1, c2, config.strategy)
     return {"config": config.to_json(), "verdict": verdict.to_json()}, EXIT_OK
 
 

@@ -3,11 +3,13 @@
 Equivalence can be decided without scanning all of S_n: any witness can be
 pushed into H(P) = {sigma : sigma^-1 T sigma in P} for a Sylow p-subgroup P
 of the automorphism group containing the shift.  This module builds P inside
-the discoverable subgroup, materializes H(P) through the certified explicit
-descriptions (affine set, polynomial-map groups, the geometric-series map
-family) or a bounded brute filter, and wraps the strategies behind a single
-decision routine with an honest completeness flag.  A full S_n oracle covers
-small lengths for validation.
+the discoverable subgroup, lists H(P) exactly at every length as the union of
+the cosets C(T) sigma_rho over the n-cycles rho of P (perm.conjugation_set),
+and wraps the strategies behind a single decision routine with an honest
+completeness flag.  The paper's closed forms for H(P) (the affine set, the
+polynomial-map groups, the geometric-series map family) are kept as
+independent checks of that construction.  The BRUTE strategy scans all of
+S_n and covers small lengths for validation.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import multiplicative_order, z_parameter
+from .algebra import multiplicative_order, prime_power, z_parameter
 from .codes import (
     CyclicCode,
     LinearCode,
@@ -30,10 +32,9 @@ from .perm import (
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
-    _prime_power,
     _reduce_generators,
+    conjugation_set,
     group_closure,
-    hset_brute,
     perm_chunks,
     sylow_ascend,
 )
@@ -62,7 +63,7 @@ class QPolyMap:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        p, r = _prime_power(self.modulus)
+        p, r = prime_power(self.modulus)
         cs = self.coefficients
         if len(cs) < 2 or gcd(cs[1], p) != 1:
             raise ValueError("linear coefficient must be a unit")
@@ -84,7 +85,7 @@ class QPolyMap:
         return Permutation(images)
 
     def in_q1(self) -> bool:
-        p, r = _prime_power(self.modulus)
+        p, r = prime_power(self.modulus)
         return (self.coefficients[1] - 1) % p ** (r - 1) == 0
 
 
@@ -92,7 +93,7 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
     """The polynomial-map groups (Q^m, Q_1^m) on Z mod p^r: all degree <= m
     maps with unit linear coefficient (resp. linear coefficient 1 mod p^(r-1))
     and higher coefficients divisible by p^(r-1)."""
-    p, r = _prime_power(n)
+    p, r = prime_power(n)
     if m >= p:
         raise ValueError("degree bound violated")
     if m < 1:
@@ -151,7 +152,7 @@ def gr_formula_set(n: int, q: int) -> frozenset[Permutation]:
     """The geometric-series map family on Z mod p^r: all bijections
     i -> q^(i j) a + c (q^((i-1) j) + ... + q^j + 1) over j < t p^(r-1) and
     a, c in Z mod p^r, deduplicated.  t is the order of q mod p."""
-    p, r = _prime_power(n)
+    p, r = prime_power(n)
     if gcd(q, p) != 1:
         raise ValueError(f"q={q} and p={p} are not coprime")
     t = multiplicative_order(q, p)
@@ -176,39 +177,28 @@ def gr_formula_set(n: int, q: int) -> frozenset[Permutation]:
 
 @dataclass(frozen=True)
 class HPDescriptor:
-    """How H(P) will be materialized, and whether that materialization is
-    certified to be all of H(P) for a true Sylow subgroup."""
+    """Which of the paper's closed forms describes H(P) for the chosen P
+    (PREDICATE: none), and whether P is certified to be a Sylow subgroup of
+    the full automorphism group, which makes H(P) exhaustive."""
     kind: str                     # AG_SET | Q_SET | GR_FORMULA | PREDICATE
     n: int
     sylow_exponent: int
     complete: bool
-    q: int | None = None          # GR_FORMULA
-    degree: int | None = None     # Q_SET: H(P) = Q^degree
 
     def __post_init__(self):
         if self.kind not in ("AG_SET", "Q_SET", "GR_FORMULA", "PREDICATE"):
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
 
 
-def hp_set(descriptor: HPDescriptor, P: PermGroup | None = None) -> frozenset[Permutation]:
-    """Materialize H(P) according to the descriptor.  PREDICATE falls back to
-    an exhaustive S_n filter and is limited to n <= 10."""
-    n = descriptor.n
-    if descriptor.kind == "AG_SET":
-        return ag_set(n)
-    if descriptor.kind == "Q_SET":
-        qg, _ = q_group(n, descriptor.degree)
-        return qg.elements()
-    if descriptor.kind == "GR_FORMULA":
-        return gr_formula_set(n, descriptor.q)
-    if n > BRUTE_DEGREE_BOUND:
-        raise ValueError(f"PREDICATE descriptor needs n <= {BRUTE_DEGREE_BOUND}, got {n}")
-    if P is None:
-        raise ValueError("PREDICATE descriptor needs the enumerated group P")
-    T = Permutation.shift(n)
-    if T not in P.elements():
+def hp_set(descriptor: HPDescriptor, P: PermGroup) -> frozenset[Permutation]:
+    """H(P), listed exactly for every descriptor kind and every length: the
+    union of the cosets C(T) sigma_rho over the n-cycles rho of P.  Raises
+    ClosureBoundExceeded when that union is larger than CLOSURE_BOUND."""
+    T = Permutation.shift(descriptor.n)
+    members = P.elements()
+    if T not in members:
         raise ValueError("P must contain the shift")
-    return hset_brute(T, P)
+    return conjugation_set(T, members)
 
 
 def _vp(x: int, p: int) -> int:
@@ -229,7 +219,7 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     of the full group and makes the H(P) reduction exact.
     """
     n = code.n
-    p, r = _prime_power(n)
+    p, r = prime_power(n)
     gens, _ = known_cyclic_subgroup(code)
     lin = code.linear
     q1_family: PermGroup | None = None
@@ -266,7 +256,7 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     if s > r and s - 1 < p and r == 2:
         _, q1 = q_group(n, s - 2)
         if q1.elements() == P_elems:
-            return P, HPDescriptor("Q_SET", n, s, s == ceiling, degree=s - 1)
+            return P, HPDescriptor("Q_SET", n, s, s == ceiling)
     gr_sylow: frozenset[Permutation] | None = None
     if r >= 2 and gcd(code.field.order, p) == 1 \
             and z_parameter(code.field.order, p) == 1:
@@ -278,11 +268,10 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
         except (RuntimeError, ValueError):
             gr_sylow = None
     if gr_sylow is not None and _vp(len(gr_sylow), p) == 2 * r - 1 \
-            and (s <= 2 * r - 1 or n > BRUTE_DEGREE_BOUND):
+            and s <= 2 * r - 1:
         P_gr = PermGroup(n, tuple(_reduce_generators(gr_sylow)))
         s_gr = 2 * r - 1
-        return P_gr, HPDescriptor("GR_FORMULA", n, s_gr, s_gr == ceiling,
-                                  q=code.field.order)
+        return P_gr, HPDescriptor("GR_FORMULA", n, s_gr, s_gr == ceiling)
     return P, HPDescriptor("PREDICATE", n, s, s == ceiling)
 
 
@@ -369,15 +358,17 @@ def brute_equivalence(c1: CyclicCode | LinearCode,
     return None
 
 
-def decide_equivalence(c1: CyclicCode, c2: CyclicCode, strategy: str = "HP",
-                       seed: int = 0) -> EquivalenceVerdict:
+def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
+                       strategy: str = "HP") -> EquivalenceVerdict:
     """Decide whether two cyclic codes are permutation equivalent.
 
     MULTIPLIER scans the unit maps x -> ax; complete exactly when multiplier
     equivalence is known to decide the length (or certified by a Sylow-order
-    side condition).  HP searches the restricted set H(P).  BRUTE scans S_n
-    (n <= 8 always available, n <= 10 accepted).  An "inequivalent" verdict
-    is only issued under a complete strategy or an invariant separation.
+    side condition).  HP scans the exact H(P), in sorted order, at every
+    length; it is complete when the descriptor certifies P as a Sylow
+    subgroup of the full group.  BRUTE scans S_n and accepts n <= 10.  An
+    "inequivalent" verdict is only issued under a complete strategy or an
+    invariant separation.
     """
     _check_compatible(c1, c2)
     strategy = strategy.upper()
@@ -419,27 +410,15 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode, strategy: str = "HP",
                                   "exhaustive scan found no witness")
 
     # HP
-    p, r = _prime_power(n)
     P, desc = build_sylow_descriptor(c1)
-    fallback = False
-    try:
-        members = hp_set(desc, P)
-        detail = (f"H(P) of size {len(members)} from a {desc.kind} descriptor, "
-                  f"Sylow exponent {desc.sylow_exponent}")
-    except ValueError:
-        # the strongest P found has no explicit H(P) form at this length;
-        # scan H of the shift group instead, which can only miss witnesses
-        members = ag_set(n)
-        fallback = True
-        detail = (f"affine fallback of size {len(members)}, after a {desc.kind} "
-                  f"descriptor at exponent {desc.sylow_exponent} could not be "
-                  "materialized")
+    members = hp_set(desc, P)
+    detail = (f"H(P) of size {len(members)} from a {desc.kind} descriptor, "
+              f"Sylow exponent {desc.sylow_exponent}")
     sigma = _scan_witness(members, c1.linear, c2.linear)
-    complete = desc.complete and not fallback
     if sigma is not None:
-        return EquivalenceVerdict("equivalent", sigma, strategy, complete,
+        return EquivalenceVerdict("equivalent", sigma, strategy, desc.complete,
                                   f"witness found in {detail}")
-    if complete:
+    if desc.complete:
         return EquivalenceVerdict(
             "inequivalent", None, strategy, True,
             f"{detail}; the exponent reaches the theoretical ceiling, so the "

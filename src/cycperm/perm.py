@@ -1,8 +1,16 @@
 """Permutations on {0..n-1}, finite group closure, orbits and block systems,
-brute-force normalizers and conjugation scans over S_n, Sylow ascent.
+conjugation sets and normalizers in S_n, Sylow ascent.
 
-The S_n scans enumerate all n! permutations in lexicographic order, decoded
-from Lehmer ranks in numpy chunks, so n <= 10 stays in the tens of seconds.
+The conjugation set {sigma : sigma^-1 g sigma in P} is built at every degree
+from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the coset
+C(g) sigma_rho, where sigma_rho lines the cycles of rho up with those of g and
+C(g) is the product of the wreath products C_L wr S_m over the cycle lengths
+L of g with multiplicity m (Seress, Permutation Group Algorithms, 2003).
+
+The exhaustive S_n scans enumerate all n! permutations in lexicographic
+order, decoded from Lehmer ranks in numpy chunks, so n <= 10 stays in the
+tens of seconds.  They serve the BRUTE equivalence strategy and the tests'
+oracles only.
 """
 from __future__ import annotations
 
@@ -12,6 +20,8 @@ from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .algebra import prime_power
 
 CLOSURE_BOUND = 1_000_000
 BRUTE_DEGREE_BOUND = 10
@@ -23,25 +33,6 @@ class ClosureBoundExceeded(RuntimeError):
         super().__init__(f"group closure exceeded bound {bound} (reached {reached} elements)")
         self.bound = bound
         self.reached = reached
-
-
-def _prime_power(n: int) -> tuple[int, int]:
-    """(p, r) with n = p^r, or ValueError."""
-    if n < 2:
-        raise ValueError(f"{n} is not a prime power")
-    p = n
-    for d in range(2, int(n ** 0.5) + 1):
-        if n % d == 0:
-            p = d
-            break
-    r = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        r += 1
-    if m != 1:
-        raise ValueError(f"{n} is not a prime power")
-    return p, r
 
 
 @dataclass(frozen=True)
@@ -146,7 +137,7 @@ class Permutation:
     def generalized_multiplier(n: int, k: int, a: int, c: int) -> "Permutation":
         """mu_{a,c}^(p^k) on {0..n-1} for n = p^r: the point i + b*p^k
         (0 <= i < p^k) goes to ((a*i + c) mod p^k) + b*p^k."""
-        p, r = _prime_power(n)
+        p, r = prime_power(n)
         if not 1 <= k <= r:
             raise ValueError(f"need 1 <= k <= r, got k={k}, r={r}")
         pk = p ** k
@@ -379,7 +370,147 @@ def is_primitive(group: PermGroup) -> bool:
     return is_transitive(group.degree, group.generators) and not minimal_blocks(group)
 
 
-# --- exhaustive S_n machinery -------------------------------------------------
+# --- conjugation sets by centralizer cosets -----------------------------------
+
+def _cycle_classes(g: Permutation) -> dict[int, list[tuple[int, ...]]]:
+    """Cycles of g, fixed points included, keyed by length; each cycle starts
+    at its least point and the cycles of one length are in that order."""
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    seen = [False] * g.degree
+    for i in range(g.degree):
+        if seen[i]:
+            continue
+        cyc = [i]
+        j = g.images[i]
+        while j != i:
+            cyc.append(j)
+            j = g.images[j]
+        for x in cyc:
+            seen[x] = True
+        classes.setdefault(len(cyc), []).append(tuple(cyc))
+    return classes
+
+
+def _cycle_type(classes: dict[int, list[tuple[int, ...]]]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((L, len(cs)) for L, cs in classes.items()))
+
+
+def centralizer_order(g: Permutation) -> int:
+    """|C(g)| in S_n: the product of L^m * m! over the cycle lengths L of g
+    (fixed points included) with multiplicity m."""
+    out = 1
+    for L, m in _cycle_type(_cycle_classes(g)):
+        out *= L ** m * factorial(m)
+    return out
+
+
+def _point_map(n: int, pairs: Iterable[tuple[int, int]]) -> Permutation:
+    """The permutation sending x to y for each pair, fixing every other point."""
+    images = list(range(n))
+    for x, y in pairs:
+        images[x] = y
+    return Permutation(tuple(images))
+
+
+def _move_cycles(n: int, cycles: Sequence[tuple[int, ...]], order: Sequence[int]) -> Permutation:
+    """The point cycles[j][i] goes to cycles[order[j]][i]."""
+    return _point_map(n, ((x, y) for j, k in enumerate(order)
+                          for x, y in zip(cycles[j], cycles[k])))
+
+
+def centralizer_generators(g: Permutation) -> list[Permutation]:
+    """Generators of C(g), the product of the wreath products C_L wr S_m:
+    per cycle length L, a rotation of the first L-cycle, and the aligned
+    swap and rotation of the m cycles of that length."""
+    n = g.degree
+    gens = []
+    for L, cycles in sorted(_cycle_classes(g).items()):
+        m = len(cycles)
+        if L > 1:
+            c = cycles[0]
+            gens.append(_point_map(n, zip(c, c[1:] + c[:1])))
+        if m > 1:
+            gens.append(_move_cycles(n, cycles, [1, 0] + list(range(2, m))))
+        if m > 2:
+            gens.append(_move_cycles(n, cycles, list(range(1, m)) + [0]))
+    return gens
+
+
+def _centralizer_array(g: Permutation) -> np.ndarray:
+    """All of C(g) as an (|C(g)|, n) array of images."""
+    out = np.arange(g.degree, dtype=np.int64)[None, :]
+    for L, cycles in sorted(_cycle_classes(g).items()):
+        m = len(cycles)
+        pts = np.array(cycles, dtype=np.int64)                       # (m, L)
+        moves = np.array(list(itertools.permutations(range(m))))    # (m!, m)
+        turns = np.array(list(itertools.product(range(L), repeat=m)))  # (L^m, m)
+        # cycles[j][i] goes to cycles[move[j]][(i + turn[j]) % L]
+        cols = (np.arange(L)[None, None, :] + turns[:, :, None]) % L  # (L^m, m, L)
+        part = pts[moves[:, None, :, None], cols[None, :, :, :]].reshape(-1, m * L)
+        out = np.repeat(out, len(part), axis=0)
+        out[:, pts.ravel()] = np.tile(part, (len(out) // len(part), 1))
+    return out
+
+
+def conjugation_cosets(g: Permutation, P: Iterable[Permutation] | PermGroup) -> list[Permutation]:
+    """One sigma_rho per rho in P with the cycle type of g, in the order of
+    rho's images: sigma_rho lines rho's cycles up with g's, so that
+    sigma_rho^-1 g sigma_rho = rho.  The set {sigma : sigma^-1 g sigma in P}
+    is the disjoint union of the cosets C(g) sigma_rho."""
+    n = g.degree
+    members = P.elements() if isinstance(P, PermGroup) else P
+    target = _cycle_classes(g)
+    key = _cycle_type(target)
+    reps = []
+    for rho in sorted(members, key=lambda x: x.images):
+        classes = _cycle_classes(rho)
+        if _cycle_type(classes) != key:
+            continue
+        reps.append(_point_map(n, ((x, y) for L, cycles in classes.items()
+                                   for src, dst in zip(cycles, target[L])
+                                   for x, y in zip(src, dst))))
+    return reps
+
+
+def conjugation_set(g: Permutation, P: Iterable[Permutation] | PermGroup) -> frozenset[Permutation]:
+    """{sigma in S_n : sigma^-1 * g * sigma in P} for an enumerated P, as the
+    union of the cosets C(g) sigma_rho of conjugation_cosets.  Its size,
+    |C(g)| times the number of cosets, is checked against CLOSURE_BOUND
+    before anything is listed."""
+    reps = conjugation_cosets(g, P)
+    size = centralizer_order(g) * len(reps)
+    if size > CLOSURE_BOUND:
+        raise ClosureBoundExceeded(CLOSURE_BOUND, size)
+    if not reps:
+        return frozenset()
+    C = _centralizer_array(g)
+    # (c * sigma)(i) = c(sigma(i))
+    return frozenset(Permutation(tuple(row)) for sigma in reps
+                     for row in C[:, sigma.images].tolist())
+
+
+def normalizer_in_symmetric(group: Iterable[Permutation] | PermGroup, n: int,
+                            within: Iterable[Permutation] | PermGroup | None = None,
+                            ) -> frozenset[Permutation]:
+    """{sigma : sigma^-1 G sigma = G}, in S_n or inside a supplied enumerated
+    ambient group.  In S_n the candidates are the conjugation set of the
+    generator with the smallest centralizer.  Conjugating each generator
+    into the enumerated G suffices, since |sigma^-1 G sigma| = |G|."""
+    if isinstance(group, PermGroup):
+        elements = group.elements()
+        gens = list(group.generators) or [Permutation.identity(n)]
+    else:
+        elements = frozenset(group)
+        gens = _reduce_generators(elements)
+    if within is not None:
+        pool = within.elements() if isinstance(within, PermGroup) else within
+    else:
+        pool = conjugation_set(min(gens, key=centralizer_order), elements)
+    return frozenset(s for s in pool
+                     if all(s.inverse() * g * s in elements for g in gens))
+
+
+# --- exhaustive S_n scans: the BRUTE strategy and test oracles ------------------
 
 def perm_chunks(n: int, chunk: int = _SCAN_CHUNK) -> Iterator[np.ndarray]:
     """All n! permutations in lexicographic order as (B, n) int8 arrays,
@@ -406,7 +537,8 @@ def perm_chunks(n: int, chunk: int = _SCAN_CHUNK) -> Iterator[np.ndarray]:
 
 
 def conjugation_scan(n: int, conditions: Sequence[tuple[Permutation, Iterable[Permutation]]]) -> list[Permutation]:
-    """All sigma in S_n with sigma^-1 * g * sigma in P for every (g, P) given.
+    """All sigma in S_n with sigma^-1 * g * sigma in P for every (g, P) given,
+    by exhaustive scan: the oracle for conjugation_set.
 
     Scanning identity: sigma^-1 g sigma in P  iff  g.sigma = sigma.rho for
     some rho in P, i.e. g[images] equals images gathered at rho.
@@ -435,30 +567,9 @@ def conjugation_scan(n: int, conditions: Sequence[tuple[Permutation, Iterable[Pe
     return out
 
 
-def normalizer_in_symmetric(group: Iterable[Permutation] | PermGroup, n: int,
-                            within: Iterable[Permutation] | PermGroup | None = None,
-                            ) -> frozenset[Permutation]:
-    """{sigma : sigma^-1 G sigma = G}, in S_n by exhaustive scan (n <= 10) or
-    inside a supplied enumerated ambient group.  Conjugating each generator
-    into the enumerated G suffices, since |sigma^-1 G sigma| = |G|."""
-    if isinstance(group, PermGroup):
-        elements = group.elements()
-        gens = list(group.generators) or [Permutation.identity(n)]
-    else:
-        elements = frozenset(group)
-        gens = _reduce_generators(elements)
-    if within is not None:
-        pool = within.elements() if isinstance(within, PermGroup) else within
-        return frozenset(s for s in pool
-                         if all(s.inverse() * g * s in elements for g in gens))
-    if n > BRUTE_DEGREE_BOUND:
-        raise ValueError("degree too large for exhaustive normalizer")
-    found = conjugation_scan(n, [(g, elements) for g in gens])
-    return frozenset(found)
-
-
 def hset_brute(target: Permutation, P: Iterable[Permutation] | PermGroup) -> frozenset[Permutation]:
-    """{sigma in S_n : sigma^-1 * target * sigma in P} by exhaustive scan."""
+    """{sigma in S_n : sigma^-1 * target * sigma in P} by exhaustive scan: the
+    oracle for conjugation_set."""
     n = target.degree
     members = P.elements() if isinstance(P, PermGroup) else list(P)
     return frozenset(conjugation_scan(n, [(target, members)]))

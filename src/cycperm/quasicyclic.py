@@ -6,31 +6,31 @@ and any equivalence witness between two such codes can be pushed into
 H'(P) = {sigma : sigma^-1 T^l sigma in P} for a Sylow p-subgroup P of the
 automorphism group containing T^l (lengths n = p^r*l, gcd(p,l) = gcd(p,q) = 1).
 
-H'(P) is not known to be a group, so nothing here assumes closure: reports
-always take the generated group of the elements actually found and state how
-the search set was obtained.
+H'(P) is listed exactly at every length as the union of the cosets
+C(T^l) sigma_rho over the rho in P with the cycle type of T^l
+(perm.conjugation_set).  H'(P) is not known to be a group, so nothing here
+assumes closure: reports take the group the cosets generate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gcd
 
+from .algebra import prime_power
 from .codes import LinearCode, permute_code, weight_profile
 from .equivalence import EquivalenceVerdict, ag_set, brute_equivalence
 from .perm import (
-    BRUTE_DEGREE_BOUND,
-    CLOSURE_BOUND,
     BlockSystem,
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
-    _prime_power,
     _reduce_generators,
+    centralizer_generators,
+    centralizer_order,
+    conjugation_cosets,
+    conjugation_set,
     group_closure,
-    hset_brute,
-    is_primitive,
     minimal_blocks,
-    normalizer_in_symmetric,
     sylow_ascend,
 )
 
@@ -144,7 +144,7 @@ def hprime_membership(sigma: Permutation, P: PermGroup, l: int) -> bool:
 
 def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
     """(p, r) with co-index p^r, under the usual coprimality hypotheses."""
-    p, r = _prime_power(code.co_index)
+    p, r = prime_power(code.co_index)
     if gcd(p, code.index) != 1:
         raise ValueError(f"hypothesis violated: gcd(p, l) = {gcd(p, code.index)} != 1")
     if code.field.order % p == 0:
@@ -176,20 +176,6 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     return PermGroup(n, tuple(_reduce_generators(elems)))
 
 
-def _structured_hprime(code: QuasiCyclicCode, P: PermGroup) -> frozenset[Permutation]:
-    """H'(P) members harvested from the families with known containments:
-    AG(n), the cycle group Q, and the normalizer of P when computable."""
-    n, l = code.n, code.index
-    tl = _index_shift(n, l)
-    members = P.elements()
-    pool: set[Permutation] = set()
-    pool.update(ag_set(n))
-    pool.update(PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)]).elements())
-    if n <= BRUTE_DEGREE_BOUND:
-        pool.update(normalizer_in_symmetric(P, n))
-    return frozenset(s for s in pool if s.inverse() * tl * s in members)
-
-
 def _check_compatible(c1: QuasiCyclicCode, c2: QuasiCyclicCode) -> None:
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
@@ -203,9 +189,10 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
                           strategy: str = "STRUCTURED") -> EquivalenceVerdict:
     """Search for a permutation mapping one quasi-cyclic code onto the other.
 
-    STRUCTURED scans the families known to sit inside H'(P) and can never
-    certify inequivalence (membership there is only a necessary condition and
-    the search set is partial).  BRUTE scans all of S_n for n <= 10 and is
+    STRUCTURED scans the exact H'(P) in sorted order, at every length, for
+    the P of qc_sylow.  It never certifies inequivalence: P is a Sylow
+    subgroup only of the discovered part of the automorphism group, so H'(P)
+    may miss every witness.  BRUTE scans all of S_n for n <= 10 and is
     complete.  Invariant separations (dimension, weight profile) short-circuit
     either way.
     """
@@ -233,28 +220,30 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
                                   "exhaustive scan found no witness")
 
     P = qc_sylow(c1)
-    members = _structured_hprime(c1, P)
+    members = conjugation_set(_index_shift(c1.n, c1.index), P)
     for sigma in sorted(members, key=lambda g: g.images):
         if permute_code(c1.linear, sigma) == c2.linear:
             return EquivalenceVerdict(
                 "equivalent", sigma, strategy, False,
-                f"witness among {len(members)} structured members of H'(P), "
+                f"witness among the {len(members)} members of H'(P), "
                 f"|P| = {P.order()}")
     return EquivalenceVerdict(
         "inconclusive", None, strategy, False,
-        f"no witness among {len(members)} structured members of H'(P); the "
-        "families searched do not exhaust the set")
+        f"no witness among the {len(members)} members of H'(P); P is a Sylow "
+        "subgroup only of the discovered automorphisms, so H'(P) may miss "
+        "every witness")
 
 
 @dataclass(frozen=True)
 class HPrimeReport:
-    """What the discovered part of H'(P) generates.
+    """What H'(P) generates.
 
-    Every element counted in `discovered` satisfies the membership test for
-    the recorded P.  The closure is of the discovered elements only; primitive
-    closures carry the cycle-length argument data (a primitive group with a
-    cycle of length m, m < (n-m)!, is alternating or symmetric, and an odd
-    full shift rules the alternating group out for even n).
+    `discovered` is |H'(P)| for the recorded P, counted as |C(T^l)| times the
+    number of cosets; `exhaustive` is always true and kept for the report's
+    JSON shape.  Primitive closures carry the cycle-length argument data (a
+    primitive group with a cycle of length m, m < (n-m)!, is alternating or
+    symmetric, and an odd full shift rules the alternating group out for
+    even n).
     """
     n: int
     index: int
@@ -284,33 +273,37 @@ class HPrimeReport:
 
 
 def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
-    """Generate H'(P) elements, close them, and classify the result.
+    """Count H'(P), close it, and classify the result, at every length.
 
-    For n <= 10 the whole of H'(P) is enumerated; above that only the
-    structured families are harvested, which the report flags.  The closure
-    step never assumes H'(P) is a group.
+    H'(P) is never listed: it is the disjoint union of the cosets
+    C(T^l) sigma_rho, so its size is |C(T^l)| times the number of cosets,
+    and it generates the group generated by C(T^l) and the sigma_rho.  The
+    closure starts from the generators of C(T^l) and adds each sigma_rho
+    that it does not already contain.  It never assumes H'(P) is a group.
     """
     p, r = _qc_prime_power(code)
     n, l = code.n, code.index
     P = qc_sylow(code)
-    exhaustive = n <= BRUTE_DEGREE_BOUND
-    if exhaustive:
-        elements = hset_brute(_index_shift(n, l), P)
-    else:
-        elements = _structured_hprime(code, P)
+    tl = _index_shift(n, l)
+    cosets = conjugation_cosets(tl, P)
+    discovered = centralizer_order(tl) * len(cosets)
+    gens = centralizer_generators(tl)
     try:
-        closure = group_closure(_reduce_generators(elements), CLOSURE_BOUND)
+        closure = PermGroup(n, tuple(gens)).elements()
+        for sigma in cosets:
+            if sigma not in closure:
+                gens.append(sigma)
+                closure = group_closure(gens)
     except ClosureBoundExceeded:
         closure = None
     m = p ** r
     bound = factorial(n - m)
     shift_odd = Permutation.shift(n).parity() == 1
     if closure is None:
-        return HPrimeReport(n, l, P.order(), len(elements), exhaustive, None,
+        return HPrimeReport(n, l, P.order(), discovered, True, None,
                             (), None, m, bound, shift_odd, "UNRESOLVED")
-    carrier = PermGroup(n, tuple(_reduce_generators(closure)))
-    systems = tuple(minimal_blocks(carrier))
-    primitive = is_primitive(carrier)
+    systems = tuple(minimal_blocks(PermGroup(n, tuple(gens))))
+    primitive = not systems
     if not primitive:
         conclusion = "IMPRIMITIVE"
     elif m < bound:
@@ -318,6 +311,6 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
         conclusion = "SYMMETRIC" if n % 2 == 0 and shift_odd else "ALTERNATING_OR_SYMMETRIC"
     else:
         conclusion = "UNRESOLVED"
-    return HPrimeReport(n, l, P.order(), len(elements), exhaustive,
+    return HPrimeReport(n, l, P.order(), discovered, True,
                         len(closure), systems, primitive, m, bound,
                         shift_odd, conclusion)

@@ -40,7 +40,7 @@ from .perm import (
     PermGroup,
     Permutation,
     block_system_valid,
-    hset_brute,
+    conjugation_set,
     normalizer_in_symmetric,
 )
 from .quasicyclic import (
@@ -240,18 +240,19 @@ def _lemmas_rows(seed: int) -> list[VerificationRow]:
                          f"order {order}, affine",
                          f"order {len(norm)}, {'affine' if same else 'other'}", t0))
 
-    # restricted conjugation sets at length 9: of the shift group, and of the
-    # 27-element polynomial-map group; the formula-produced set matches brute
+    # restricted conjugation sets at length 9, built from centralizer cosets:
+    # of the shift group, and of the 27-element polynomial-map group; the
+    # formula-produced set matches the construction
     t0 = time.perf_counter()
     T9 = Permutation.shift(9)
-    h_shift = hset_brute(T9, PermGroup.from_generators(9, [T9]))
+    h_shift = conjugation_set(T9, PermGroup.from_generators(9, [T9]))
     rows.append(_row("h-of-shift-9", "lemmas", "affine group, order 54",
                      f"{'affine group' if h_shift == frozenset(ag_set(9)) else 'other'},"
                      f" order {len(h_shift)}", t0))
     t0 = time.perf_counter()
     q2, q12 = q_group(9, 2)
     _, q11 = q_group(9, 1)
-    h_q11 = hset_brute(T9, q11)
+    h_q11 = conjugation_set(T9, q11)
     rows.append(_row("h-of-q11-equals-q2", "lemmas", "equal, order 162",
                      f"{'equal' if h_q11 == q2.elements() else 'different'},"
                      f" order {len(h_q11)}", t0))
@@ -434,7 +435,7 @@ def _qc_rows(seed: int) -> list[VerificationRow]:
     t0 = time.perf_counter()
     t2 = Permutation.power_shift(10, 2)
     shift_group = PermGroup.from_generators(10, [t2])
-    hprime = hset_brute(t2, shift_group)
+    hprime = conjugation_set(t2, shift_group)
     norm = normalizer_in_symmetric(shift_group, 10)
     rows.append(_row("hprime-of-shift-10", "qc", "equal, order 200",
                      f"{'equal' if hprime == norm else 'different'},"

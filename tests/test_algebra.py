@@ -13,6 +13,7 @@ from cycperm.algebra import (
     poly_divmod,
     poly_gcd,
     prime_factors,
+    prime_power,
     root_system,
     x_pow_minus_one,
     z_parameter,
@@ -28,6 +29,10 @@ def test_prime_factors():
     assert prime_factors(360) == [2, 3, 5]
     assert prime_factors(1) == []
     assert prime_factors(49) == [7]
+    assert [prime_power(m) for m in (2, 9, 27, 49, 1024)] == [(2, 1), (3, 2), (3, 3), (7, 2), (2, 10)]
+    for m in (-4, 0, 1, 12, 45):
+        with pytest.raises(ValueError, match="prime power"):
+            prime_power(m)
 
 
 @pytest.mark.parametrize("a,n,expected", [

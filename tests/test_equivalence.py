@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -111,19 +112,31 @@ def test_hp_membership_requires_shift():
 
 
 def test_hp_set_descriptor_kinds():
-    assert hp_set(HPDescriptor("AG_SET", 9, 2, False)) == ag_set(9)
+    # every kind lists H(P) by the same construction; the closed forms agree
+    T9 = Permutation.shift(9)
+    _, q11 = q_group(9, 1)
     q2 = q_group(9, 2)[0]
-    assert hp_set(HPDescriptor("Q_SET", 9, 3, False, degree=2)) == q2.elements()
-    assert hp_set(HPDescriptor("GR_FORMULA", 9, 3, False, q=2)) == gr_formula_set(9, 2)
+    shift_group = PermGroup.from_generators(9, [T9])
+    assert hp_set(HPDescriptor("AG_SET", 9, 2, False), shift_group) == ag_set(9)
+    assert hp_set(HPDescriptor("Q_SET", 9, 3, False), q11) == q2.elements()
+    assert hp_set(HPDescriptor("GR_FORMULA", 9, 3, False), q11) == gr_formula_set(9, 2)
+    assert [f.name for f in fields(HPDescriptor)] == ["kind", "n", "sylow_exponent", "complete"]
     with pytest.raises(ValueError, match="unknown descriptor kind"):
         HPDescriptor("FANCY", 9, 2, False)
+    no_shift = PermGroup.from_generators(9, [Permutation.multiplier(9, 2)])
+    with pytest.raises(ValueError, match="P must contain the shift"):
+        hp_set(HPDescriptor("AG_SET", 9, 2, False), no_shift)
 
 
 def test_hp_set_predicate_degree_limit():
-    desc = HPDescriptor("PREDICATE", 27, 5, False)
-    _, q12 = q_group(27, 2)
-    with pytest.raises(ValueError, match="n <= 10"):
-        hp_set(desc, q12)
+    # no degree limit: at n = 27, H(P) is |C(T)| = 27 times the 27-cycles of P
+    _, q11 = q_group(27, 1)
+    members = hp_set(HPDescriptor("PREDICATE", 27, 4, False), q11)
+    full_cycles = sum(1 for rho in q11.elements()
+                      if [len(c) for c in rho.cycles()] == [27])
+    assert full_cycles > 0
+    assert len(members) == 27 * full_cycles
+    assert all(hp_membership(s, q11) for s in members)
 
 
 # --- the restricted set for concrete codes --------------------------------------
@@ -151,7 +164,7 @@ def test_hp_containment_chain_nine():
 
 def test_hp_sets_of_certified_kinds_are_groups():
     # the three explicit materializations at n = 9 happen to be closed
-    for got in (ag_set(9), hp_set(HPDescriptor("Q_SET", 9, 3, False, degree=2)),
+    for got in (ag_set(9), hp_set(HPDescriptor("Q_SET", 9, 3, False), q_group(9, 1)[1]),
                 gr_formula_set(9, 2)):
         assert group_closure(list(got)) == got
 
@@ -173,6 +186,8 @@ def test_sylow_descriptor_twentyseven():
     assert len(members) == 4374
     sample = itertools.islice(sorted(members, key=lambda g: g.images), 30)
     assert all(hp_membership(s, P) for s in sample)
+    # the paper's closed form is the same set as the coset construction
+    assert members == gr_formula_set(27, 2)
 
 
 # --- decision strategies ---------------------------------------------------------

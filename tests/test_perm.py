@@ -5,13 +5,18 @@ import random
 import numpy as np
 import pytest
 
+from cycperm import perm
 from cycperm.perm import (
     BRUTE_DEGREE_BOUND,
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
     block_system_valid,
+    centralizer_generators,
+    centralizer_order,
+    conjugation_cosets,
     conjugation_scan,
+    conjugation_set,
     group_closure,
     hset_brute,
     is_primitive,
@@ -174,9 +179,10 @@ def test_normalizer_shift_9_is_ag():
 def test_conjugation_scan_rejects_large_degree():
     with pytest.raises(ValueError):
         conjugation_scan(11, [(Permutation.shift(11), [Permutation.shift(11)])])
+    # the normalizer is built from centralizer cosets and has no degree limit
     G11 = PermGroup.from_generators(11, [Permutation.shift(11)])
-    with pytest.raises(ValueError, match="exhaustive normalizer"):
-        normalizer_in_symmetric(G11, 11)
+    affine = frozenset(Permutation.affine(11, a, b) for a in range(1, 11) for b in range(11))
+    assert normalizer_in_symmetric(G11, 11) == affine
 
 
 def test_normalizer_within_ambient():
@@ -229,3 +235,73 @@ def test_sylow_ascend_validates_seed():
     amb = frozenset(group_closure([Permutation.shift(5)]))
     with pytest.raises(ValueError):
         sylow_ascend(amb, 5, [Permutation((1, 0, 2, 3, 4))])
+
+
+# --- conjugation sets by centralizer cosets, against the S_n scan -----------------
+
+def _random_perm(rng: random.Random, n: int) -> Permutation:
+    images = list(range(n))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
+
+
+def test_conjugation_set_matches_brute_scan():
+    # g of any cycle type, fixed points included; P generated by one or two
+    # random permutations (one at n = 8, where P is often all of S_8 and the
+    # scan would test every element of P against every element of S_8);
+    # half the draws conjugate an element of P, so that the set is not empty
+    rng = random.Random(20100212)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        gens = [_random_perm(rng, n) for _ in range(1 if n == 8 else rng.randint(1, 2))]
+        P = PermGroup.from_generators(n, gens)
+        g = _random_perm(rng, n)
+        if rng.random() < 0.5:
+            rho = rng.choice(sorted(P.elements(), key=lambda x: x.images))
+            g = g * rho * g.inverse()
+        got = conjugation_set(g, P)
+        assert got == hset_brute(g, P), (g, gens)
+        assert len(got) == centralizer_order(g) * len(conjugation_cosets(g, P))
+
+
+def test_centralizer_order_and_generators():
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        g = _random_perm(rng, n)
+        C = PermGroup(n, tuple(centralizer_generators(g))).elements()
+        assert all(c * g == g * c for c in C)
+        brute = [s for s in map(Permutation, itertools.permutations(range(n))) if s * g == g * s]
+        assert len(C) == len(brute) == centralizer_order(g)
+    # a 5-cycle at n = 15: 5 * 10!, computed without listing anything
+    five = Permutation((1, 2, 3, 4, 0) + tuple(range(5, 15)))
+    assert centralizer_order(five) == 5 * math.factorial(10)
+
+
+def test_normalizer_matches_scan_normalizer():
+    # N_{S_n}(G) from the S_n scan: every generator conjugated into G
+    rng = random.Random(3)
+    T9 = Permutation.shift(9)
+    groups = [PermGroup.from_generators(9, [T9]),
+              PermGroup.from_generators(9, [T9, Permutation.multiplier(9, 4)]),
+              PermGroup.from_generators(6, [Permutation.shift(6) ** 2])]
+    for _ in range(8):
+        n = rng.randint(2, 7)
+        groups.append(PermGroup.from_generators(n, [_random_perm(rng, n)]))
+    for G in groups:
+        n, elements = G.degree, G.elements()
+        gens = list(G.generators) or [Permutation.identity(n)]
+        scan = frozenset(conjugation_scan(n, [(g, elements) for g in gens]))
+        assert normalizer_in_symmetric(G, n) == scan
+
+
+def test_conjugation_set_size_guard(monkeypatch):
+    # a transposition at n = 14 has |C| = 2 * 12!, far past CLOSURE_BOUND:
+    # the guard raises from the count, before any centralizer is listed
+    def never(g):
+        raise AssertionError("centralizer listed before the size check")
+    monkeypatch.setattr(perm, "_centralizer_array", never)
+    swap = Permutation((1, 0) + tuple(range(2, 14)))
+    with pytest.raises(ClosureBoundExceeded) as exc:
+        conjugation_set(swap, PermGroup.from_generators(14, [swap]))
+    assert exc.value.reached == 2 * math.factorial(12)

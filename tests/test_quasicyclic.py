@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from cycperm.algebra import make_field
 from cycperm.codes import LinearCode, cyclic_code, permute_code, weight_profile
-from cycperm.perm import PermGroup, Permutation, hset_brute, normalizer_in_symmetric
+from cycperm.perm import (
+    PermGroup,
+    Permutation,
+    centralizer_order,
+    conjugation_cosets,
+    conjugation_set,
+    hset_brute,
+    normalizer_in_symmetric,
+)
 from cycperm.quasicyclic import (
     HPrimeReport,
     QuasiCyclicCode,
@@ -190,6 +198,7 @@ def test_structured_families_inside_brute_hprime():
     P = qc_sylow(REP_PAR)
     t2 = Permutation.power_shift(10, 2)
     brute = hset_brute(t2, P)
+    assert conjugation_set(t2, P) == brute
     q, ag = normalizer_witnesses(10, 2)
     assert ag.elements() <= brute
     shift_group = PermGroup.from_generators(10, [t2])
@@ -280,10 +289,9 @@ def test_qc_equivalence_circulant_pair():
         assert permute_code(c1.linear, v.witness) == c2.linear
 
 
-def test_qc_equivalence_structured_set_is_partial():
-    # multiplier by 3 on the even class only: a genuine witness inside H'(P)
-    # that none of the structured families contain, so the scan stays
-    # inconclusive even though the codes are equivalent
+def test_qc_equivalence_structured_finds_class_multiplier():
+    # multiplier by 3 on the even class only: a witness inside H'(P) that
+    # lies outside AG(n), the cycle group and N(P); the exact H'(P) has it
     ham = cyclic_code(7, GF2, {1, 2, 4}).linear
     mir = cyclic_code(7, GF2, {3, 6, 5}).linear
     c1 = QuasiCyclicCode(interleave(ham, ham), 2)
@@ -295,9 +303,10 @@ def test_qc_equivalence_structured_set_is_partial():
     assert permute_code(c1.linear, tau) == c2.linear
     assert hprime_membership(tau, qc_sylow(c1), 2)
     verdict = qc_equivalence_search(c1, c2, "STRUCTURED")
-    assert verdict.status == "inconclusive"
+    assert verdict.status == "equivalent"
     assert not verdict.complete
-    assert "do not exhaust" in verdict.evidence
+    assert permute_code(c1.linear, verdict.witness) == c2.linear
+    assert hprime_membership(verdict.witness, qc_sylow(c1), 2)
 
 
 def test_qc_equivalence_hypothesis_errors():
@@ -384,10 +393,15 @@ def test_report_williamson_and_parity_fields():
     assert rep.n == 10 and rep.index == 2
 
 
-def test_report_structured_only_above_brute_bound():
+def test_report_exhaustive_above_brute_bound():
     cyc = cyclic_code(15, GF2, {1, 2, 4, 8}).linear
-    rep = imprimitivity_report(QuasiCyclicCode(cyc, 3))
-    assert not rep.exhaustive                 # n = 15 is past the brute bound
+    code = QuasiCyclicCode(cyc, 3)
+    rep = imprimitivity_report(code)
+    assert rep.exhaustive                     # counted exactly past n = 10
+    t3 = Permutation.power_shift(15, 3)
+    cosets = conjugation_cosets(t3, qc_sylow(code))
+    assert rep.discovered == centralizer_order(t3) * len(cosets)
+    assert rep.discovered == 750 * 4          # |C(T^3)| = 5^3 * 3!
     assert not rep.shift_is_odd               # a 15-cycle is even
     assert rep.cycle_length == 5
     assert rep.conclusion in ("IMPRIMITIVE", "UNRESOLVED")
