@@ -7,6 +7,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 
 def is_prime(m: int) -> bool:
     if m < 2:
@@ -349,6 +351,19 @@ def make_field(p: int, s: int = 1) -> Field:
     if s == 1:
         return Field(p)
     return Field(p, s, _lowest_irreducible(p, s))
+
+
+@lru_cache(maxsize=None)
+def multiplication_matrices(field: Field) -> np.ndarray:
+    """GF(p^s) as GF(p)^s: a read-only (q, s, s) array M over GF(p) whose
+    matrix M[b] has the base-p digits of x^i * b as row i, so that
+    digits(a * b) = digits(a) @ M[b] mod p.  Row 0 of M[b] is the digit
+    vector of b itself.  For s = 1, M[b] = [[b]]."""
+    p, s = field.characteristic, field.degree
+    M = np.array([[field._digits(field.mul(p ** i, b)) for i in range(s)]
+                  for b in field.elements()], dtype=np.int64)
+    M.flags.writeable = False
+    return M
 
 
 @dataclass(frozen=True)

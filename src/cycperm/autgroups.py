@@ -33,6 +33,7 @@ from .codes import (
     cyclic_defining_set,
     idempotent,
     is_elementary,
+    maps_onto,
     min_distance,
     permute_code,
 )
@@ -41,10 +42,10 @@ from .perm import (
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
-    _reduce_generators,
     block_system_valid,
     group_closure,
     minimal_blocks,
+    reduce_generators,
 )
 
 NODE_BUDGET_DEFAULT = 5_000_000
@@ -74,8 +75,10 @@ def multiplier_scan(code: CyclicCode, rng: random.Random | None = None,
             and frozenset(a * i % n for i in ds) == ds]
     if rng is None:
         rng = random.Random(0)
-    for a in rng.sample(hits, min(MULTIPLIER_CROSS_CHECKS, len(hits))):
-        if permute_code(code.linear, Permutation.multiplier(n, a)) != code.linear:
+    sample = rng.sample(hits, min(MULTIPLIER_CROSS_CHECKS, len(hits)))
+    images = np.array([Permutation.multiplier(n, a).images for a in sample]).reshape(-1, n)
+    for a, fixed in zip(sample, maps_onto(code.linear, code.linear, images)):
+        if not fixed:
             raise RuntimeError(f"defining-set multiplier {a} failed the matrix test")
     return frozenset(hits), len(hits)
 
@@ -89,31 +92,13 @@ def check_m_p_plus_1(code: CyclicCode) -> bool:
     ds = code.defining_set
     ok = frozenset(a * i % code.n for i in ds) == ds
     if code.n <= 64:
-        assert ok == (permute_code(code.linear, Permutation.multiplier(code.n, a))
-                      == code.linear)
+        mult = Permutation.multiplier(code.n, a)
+        if ok != maps_onto(code.linear, code.linear, [mult.images])[0]:
+            raise RuntimeError(f"multiplier {a}: the defining-set and matrix tests disagree")
     return ok
 
 
 # --- generalized multiplier families ------------------------------------------
-
-def _parity_arrays(code: LinearCode) -> tuple[np.ndarray, np.ndarray] | None:
-    if code.field.degree != 1 or code.k in (0, code.n):
-        return None
-    G = np.array([list(r) for r in code.matrix], dtype=np.int64)
-    H = np.array([list(r) for r in code.dual().matrix], dtype=np.int64)
-    return G, H
-
-
-def _fixes(code: LinearCode, sigma: Permutation,
-           arrays: tuple[np.ndarray, np.ndarray] | None) -> bool:
-    if arrays is None:
-        return permute_code(code, sigma) == code
-    G, H = arrays
-    inv = [0] * code.n
-    for i, v in enumerate(sigma.images):
-        inv[v] = i
-    return not ((H @ G[:, inv].T) % code.field.characteristic).any()
-
 
 def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     """The verified group G_k = {mu_{q^i,c}^{(p^k)}} of order t_k * p^k inside
@@ -141,10 +126,11 @@ def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     gens = [g for g in gens if not g.is_identity()]
     if group_closure(gens) != frozenset(elements):
         raise RuntimeError(f"G_{k} generator closure disagrees with the element set")
-    arrays = _parity_arrays(code.linear)
-    for g in sorted(elements, key=lambda x: x.images):
-        if not _fixes(code.linear, g, arrays):
-            raise RuntimeError(f"element of G_{k} does not fix the code: {g}")
+    ordered = sorted(elements, key=lambda x: x.images)
+    ok = maps_onto(code.linear, code.linear, [g.images for g in ordered])
+    if not ok.all():
+        first = ordered[int(np.argmin(ok))]
+        raise RuntimeError(f"element of G_{k} does not fix the code: {first}")
     hk = [Permutation.generalized_multiplier(n, k, pow(q, i, pk), 0) for i in range(tk)]
     evec = list(idempotent(code).coeffs)
     evec += [0] * (n - len(evec))
@@ -179,19 +165,19 @@ class BacktrackResult:
 def _min_weight_supports(code: LinearCode) -> list[frozenset[int]] | None:
     if code.k == 0 or code.field.order ** code.k > ENUMERATION_BOUND:
         return None
-    best: int | None = None
-    supports: set[frozenset[int]] = set()
+    best = code.n + 1
+    rows: list[np.ndarray] = []
     for chunk in code.codeword_chunks():
-        for word in chunk:
-            w = sum(1 for v in word if v != 0)
-            if w == 0:
-                continue
-            if best is None or w < best:
-                best = w
-                supports = set()
-            if w == best:
-                supports.add(frozenset(i for i, v in enumerate(word) if v))
-    return sorted(supports, key=sorted)
+        nz = chunk != 0
+        w = nz.sum(axis=1)
+        w[w == 0] = code.n + 1
+        low = int(w.min())
+        if low < best:
+            best, rows = low, []
+        if low == best:
+            rows.append(nz[w == low])
+    supports = np.unique(np.concatenate(rows), axis=0)
+    return sorted((frozenset(np.flatnonzero(r).tolist()) for r in supports), key=sorted)
 
 
 def _support_family(code: LinearCode) -> list[frozenset[int]]:
@@ -258,7 +244,6 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
         order.append(nxt)
         chosen.add(nxt)
 
-    arrays = _parity_arrays(lin)
     img = [-1] * n
     used = [False] * n
     sizes = [len(S) for S in W]
@@ -278,9 +263,8 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     def descend(depth: int) -> None:
         nonlocal nodes
         if depth == n:
-            sigma = Permutation(tuple(img))
-            if _fixes(lin, sigma, arrays):
-                found.append(sigma)
+            if maps_onto(lin, lin, [img])[0]:
+                found.append(Permutation(tuple(img)))
             return
         pos = order[depth]
         assigned = order[:depth]
@@ -317,7 +301,7 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
 
     descend(0)
     elements = frozenset(found)
-    gens = tuple(_reduce_generators(elements)) if elements else ()
+    gens = tuple(reduce_generators(elements)) if elements else ()
     return BacktrackResult(order=len(found), generators=gens,
                            nodes=nodes, elements=elements)
 
@@ -385,8 +369,7 @@ def _gl42_witness_order(code: LinearCode) -> int | None:
     frob = perm_of(lambda v: rs.ext.mul(v, v))
     transvection = perm_of(lambda v: v ^ ((v & 1) << 1))
     gens = [singer, frob, transvection]
-    arrays = _parity_arrays(code)
-    if not all(_fixes(code, g, arrays) for g in gens):
+    if not maps_onto(code, code, [g.images for g in gens]).all():
         return None
     return len(group_closure(gens))
 

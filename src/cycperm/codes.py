@@ -1,9 +1,19 @@
 """Cyclic and general linear codes: construction from defining sets, RREF
-canonical forms, duals, idempotents, weight data, minimum distance, MDS tests.
+canonical forms, duals, idempotents, weight data, minimum distance, MDS tests,
+and the one code-action test for every field.
 
 Coordinates are 0-based everywhere.  permute_code follows the convention that
 coordinate i of the image reads coordinate sigma^-1(i) of the source, so
 sigma in Per(C) means permute_code(C, sigma) == C.
+
+GF(p^s) is handled as GF(p)^s: an element is its vector of base-p digits and
+multiplication by b is the s x s matrix algebra.multiplication_matrices gives
+for b.  A matrix over GF(p^s) expands to a matrix over GF(p) with one s x s
+block per entry, so every product of code matrices is one integer matmul mod
+p, and s = 1 is plain prime-field arithmetic.  On that rest the batched test
+maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once),
+the first-hit witness scan first_map, and codeword_chunks.  permute_code is
+the public transform and the independent check of every reported witness.
 """
 from __future__ import annotations
 
@@ -21,6 +31,7 @@ from .algebra import (
     Polynomial,
     make_field,
     minimal_polynomial,
+    multiplication_matrices,
     poly_divmod,
     poly_mod,
     root_system,
@@ -113,57 +124,130 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """Kernel of the generator matrix under the standard inner product."""
-        F, n, k = self.field, self.n, self.k
-        if k == 0:
-            return LinearCode.from_rows(F, n, [[1 if j == i else 0 for j in range(n)] for i in range(n)])
-        pivots = []
-        for row in self.matrix:
-            pivots.append(next(j for j, v in enumerate(row) if v != 0))
-        free = [j for j in range(n) if j not in pivots]
+        return LinearCode.from_rows(self.field, self.n, self._kernel_basis())
+
+    def _kernel_basis(self) -> list[list[int]]:
+        """A basis of the dual, read off the RREF: for each non-pivot column
+        f, the word with 1 at f and minus column f of G at the pivots."""
+        F, n = self.field, self.n
+        pivots = [next(j for j, v in enumerate(row) if v != 0) for row in self.matrix]
         rows = []
-        for f in free:
+        for f in (j for j in range(n) if j not in pivots):
             v = [0] * n
             v[f] = 1
             for i, p in enumerate(pivots):
                 v[p] = F.neg(self.matrix[i][f])
             rows.append(v)
-        return LinearCode.from_rows(F, n, rows)
+        return rows
 
     def codeword_count(self) -> int:
         return self.field.order ** self.k
 
     def codeword_chunks(self, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-        """All q^k codewords as int arrays, in blocks.  Prime fields only take
-        the vectorized path; extension fields fall back to python iteration."""
+        """All q^k codewords as (B, n) int arrays of field elements, in blocks.
+        Message number m is the vector in GF(p)^(k*s) of the base-p digits of
+        m; one matmul mod p with the expanded generator gives the digits of
+        its codeword, read back as field elements."""
         F, k, n = self.field, self.k, self.n
-        if k == 0:
-            yield np.zeros((1, n), dtype=np.int64)
-            return
-        q = F.order
-        if F.is_prime_field:
-            G = np.array(self.matrix, dtype=np.int64)
-            total = q ** k
-            for start in range(0, total, chunk):
-                idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-                msgs = np.empty((idx.size, k), dtype=np.int64)
-                rem = idx.copy()
-                for pos in range(k):
-                    msgs[:, pos] = rem % q
-                    rem //= q
-                yield msgs @ G % q
-        else:
-            buf = []
-            for msg in itertools.product(F.elements(), repeat=k):
-                word = [0] * n
-                for coef, row in zip(msg, self.matrix):
-                    if coef:
-                        word = [F.add(w, F.mul(coef, r)) for w, r in zip(word, row)]
-                buf.append(word)
-                if len(buf) == chunk:
-                    yield np.array(buf, dtype=np.int64)
-                    buf = []
-            if buf:
-                yield np.array(buf, dtype=np.int64)
+        p, s = F.characteristic, F.degree
+        place = p ** np.arange(k * s, dtype=np.int64)
+        total = F.order ** k
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            msgs = idx[:, None] // place
+            msgs %= p
+            digits = msgs @ self.expanded_generator
+            digits %= p
+            digits = digits.reshape(-1, n, s)
+            words = digits[:, :, s - 1]
+            for t in range(s - 2, -1, -1):
+                words = words * p + digits[:, :, t]
+            yield words
+
+    @cached_property
+    def expanded_generator(self) -> np.ndarray:
+        """The generator matrix over GF(p), (k*s, n*s): entry G[i][j] becomes
+        the s x s block of multiplication by it, so digits(m G) =
+        digits(m) @ expanded_generator mod p.  Rows 0, s, 2s, ... are the
+        digit vectors of the rows of G."""
+        return _expand(self.field, np.array(self.matrix, dtype=np.int64).reshape(self.k, self.n))
+
+    @cached_property
+    def expanded_parity(self) -> np.ndarray:
+        """The transposed parity-check matrix over GF(p), (n*s, (n-k)*s): the
+        word w is in the code iff digits(w) @ expanded_parity = 0 mod p."""
+        H = np.array(self._kernel_basis(), dtype=np.int64).reshape(self.n - self.k, self.n)
+        return _expand(self.field, H.T)
+
+
+def _expand(field: Field, matrix: np.ndarray) -> np.ndarray:
+    """A (r, c) matrix over GF(p^s) as the (r*s, c*s) matrix over GF(p) whose
+    block (i, j) is the multiplication matrix of entry (i, j)."""
+    r, c = matrix.shape
+    s = field.degree
+    blocks = multiplication_matrices(field)[matrix]          # (r, c, s, s)
+    out = blocks.transpose(0, 2, 1, 3).reshape(r * s, c * s)
+    out.flags.writeable = False
+    return out
+
+
+def maps_onto(c1: LinearCode, c2: LinearCode,
+              images: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """The code-action test, batched: row b of the (B, n) array `images`
+    holds sigma_b (images[b][i] = sigma_b(i)), and entry b of the boolean
+    result says whether sigma_b maps c1 onto c2, that is whether
+    permute_code(c1, sigma_b) == c2.
+
+    sigma maps c1 onto c2 iff k1 = k2 and G1[:, sigma^-1] H2^T = 0, which is
+    G1 (H2[:, sigma])^T = 0: every generator row g of c1 has
+    sum_i g_i H2[:, sigma(i)] = 0.  It is checked over GF(p) on the expanded
+    matrices, so no inverse is needed.  A single permutation takes one
+    product.  A batch is reduced one generator row at a time over the
+    survivors, summing the gathered parity-check rows in the smallest
+    integer type that holds n*s*(p-1)^2, so temporaries stay at (B, n)
+    small integers.
+    """
+    images = np.asarray(images)
+    B, n = images.shape
+    if n != c1.n or n != c2.n:
+        raise ValueError(f"permutation degree {n} != code lengths {c1.n}, {c2.n}")
+    if c1.k != c2.k:
+        return np.zeros(B, dtype=bool)
+    p, s = c1.field.characteristic, c1.field.degree
+    G = c1.expanded_generator[::s]                # digit rows of G1, (k, n*s)
+    H = c2.expanded_parity
+    m = H.shape[1]
+    if B == 1:
+        moved = H.reshape(n, s * m).take(images[0], axis=0).reshape(n * s, m)
+        return np.array([not np.count_nonzero(G @ moved % p)])
+    H = H.reshape(n, s, m).astype(np.min_scalar_type(n * s * (p - 1) ** 2))
+    alive = np.arange(B)
+    for g in G.reshape(-1, n, s):
+        moved = images[alive]
+        acc = np.zeros((alive.size, m), dtype=H.dtype)
+        for i, t in zip(*np.nonzero(g)):
+            acc += int(g[i, t]) * H[moved[:, i], t]
+        alive = alive[~(acc % p).any(axis=1)]
+        if not alive.size:
+            break
+    mask = np.zeros(B, dtype=bool)
+    mask[alive] = True
+    return mask
+
+
+def first_map(c1: LinearCode, c2: LinearCode,
+              chunks: Iterable[np.ndarray]) -> Permutation | None:
+    """The first permutation mapping c1 onto c2, in the order in which the
+    (B, n) image arrays of `chunks` list the candidates, or None.  Each
+    chunk goes through maps_onto in one call.  Callers that report the hit
+    as a witness confirm it with permute_code."""
+    if c1.k != c2.k:           # no candidate can pass; skip listing them
+        return None
+    for images in chunks:
+        hits = np.flatnonzero(maps_onto(c1, c2, images))
+        if hits.size:
+            return Permutation(tuple(int(v) for v in images[hits[0]]))
+    return None
 
 
 def permute_code(code: LinearCode, sigma: Permutation) -> LinearCode:
@@ -175,7 +259,7 @@ def permute_code(code: LinearCode, sigma: Permutation) -> LinearCode:
 
 
 def is_shift_invariant(code: LinearCode) -> bool:
-    return permute_code(code, Permutation.shift(code.n)) == code
+    return bool(maps_onto(code, code, [Permutation.shift(code.n).images])[0])
 
 
 @dataclass(frozen=True)
@@ -443,7 +527,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
         return DistanceResult(1, n - k + 1, False, "interval")
 
     p = F.order
-    H = np.array(code.dual().matrix, dtype=np.int64)
+    Ht = code.expanded_parity     # over a prime field, exactly H^T
     cyclic = is_shift_invariant(code)
     spent = 0
     w = 1
@@ -462,7 +546,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
         else:
             gen = _subset_chunks(range(n), w, 65536)
         for subs in gen:
-            cols = H.T[subs]          # (B, w, n-k)
+            cols = Ht[subs]           # (B, w, n-k)
             dep = _batch_dependent(cols, p)
             if dep.any():
                 hit = True

@@ -13,16 +13,15 @@ S_n and covers small lengths for validation.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
 
 from .algebra import multiplicative_order, prime_power, z_parameter
 from .codes import (
     CyclicCode,
     LinearCode,
+    first_map,
+    maps_onto,
     permute_code,
     weight_profile,
 )
@@ -32,10 +31,11 @@ from .perm import (
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
-    _reduce_generators,
     conjugation_set,
     group_closure,
     perm_chunks,
+    reduce_generators,
+    sorted_chunks,
     sylow_ascend,
 )
 
@@ -123,8 +123,8 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
         for c in pool:
             rec(idx + 1, coeffs + [c])
     rec(0, [])
-    qg = PermGroup(n, tuple(_reduce_generators(frozenset(q_elems))))
-    q1g = PermGroup(n, tuple(_reduce_generators(frozenset(q1_elems))))
+    qg = PermGroup(n, tuple(reduce_generators(frozenset(q_elems))))
+    q1g = PermGroup(n, tuple(reduce_generators(frozenset(q1_elems))))
     if qg.order() != len(q_elems) or q1g.order() != len(q1_elems):
         raise RuntimeError("polynomial map family is not closed under composition")
     return qg, q1g
@@ -228,7 +228,7 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
             if p ** (r + m) > _Q_FAMILY_BOUND:
                 continue
             _, q1g = q_group(n, m)
-            if all(permute_code(lin, g) == lin for g in q1g.generators):
+            if maps_onto(lin, lin, [g.images for g in q1g.generators]).all():
                 gens = gens + [g for g in q1g.generators if g not in gens]
                 q1_family = q1g
                 break
@@ -248,7 +248,7 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
             except ClosureBoundExceeded:
                 ambient = group_closure([T])
             P_elems = sylow_ascend(ambient, p, [T])
-    P = PermGroup(n, tuple(_reduce_generators(P_elems)))
+    P = PermGroup(n, tuple(reduce_generators(P_elems)))
     s = _vp(len(P_elems), p)
     ceiling = (p ** r - 1) // (p - 1)
     if s == r:
@@ -269,7 +269,7 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
             gr_sylow = None
     if gr_sylow is not None and _vp(len(gr_sylow), p) == 2 * r - 1 \
             and s <= 2 * r - 1:
-        P_gr = PermGroup(n, tuple(_reduce_generators(gr_sylow)))
+        P_gr = PermGroup(n, tuple(reduce_generators(gr_sylow)))
         s_gr = 2 * r - 1
         return P_gr, HPDescriptor("GR_FORMULA", n, s_gr, s_gr == ceiling)
     return P, HPDescriptor("PREDICATE", n, s, s == ceiling)
@@ -313,49 +313,27 @@ def _invariant_separation(c1: CyclicCode, c2: CyclicCode) -> str | None:
     return None
 
 
-def _scan_witness(candidates, c1: LinearCode, c2: LinearCode) -> Permutation | None:
-    for sigma in sorted(candidates, key=lambda g: g.images):
-        if permute_code(c1, sigma) == c2:
-            return sigma
-    return None
+def _confirmed(sigma: Permutation | None, c1: LinearCode,
+               c2: LinearCode) -> Permutation | None:
+    """A witness from the code-action test, checked again with permute_code."""
+    if sigma is not None and permute_code(c1, sigma) != c2:
+        raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
+    return sigma
 
 
 def brute_equivalence(c1: CyclicCode | LinearCode,
                       c2: CyclicCode | LinearCode) -> Permutation | None:
     """Exhaustive S_n scan for the lexicographically least permutation mapping
-    the first code onto the second; None when inequivalent.  n <= 10."""
+    the first code onto the second; None when inequivalent.  n <= 10, every
+    field and dimension: perm_chunks lists S_n in lexicographic order and
+    first_map runs the code-action test on each chunk.  The hit is confirmed
+    with permute_code."""
     l1 = c1.linear if isinstance(c1, CyclicCode) else c1
     l2 = c2.linear if isinstance(c2, CyclicCode) else c2
     n = l1.n
     if n > BRUTE_DEGREE_BOUND:
         raise ValueError(f"exhaustive scan limited to n <= {BRUTE_DEGREE_BOUND}")
-    if l1.k != l2.k:
-        return None
-    if l1.field.degree == 1 and 0 < l1.k < n:
-        G = np.array([list(r) for r in l1.matrix], dtype=np.int64)
-        H = np.array([list(r) for r in l2.dual().matrix], dtype=np.int64)
-        p = l1.field.characteristic
-        for chunk in perm_chunks(n):
-            inv = np.argsort(chunk, axis=1)
-            mask = np.ones(chunk.shape[0], dtype=bool)
-            for row in G:
-                permuted = row[inv]                      # (B, n)
-                mask &= ~((permuted @ H.T) % p).any(axis=1)
-                if not mask.any():
-                    break
-            hits = np.nonzero(mask)[0]
-            if hits.size:
-                sigma = Permutation(tuple(int(v) for v in chunk[hits[0]]))
-                if permute_code(l1, sigma) == l2:
-                    return sigma
-                raise RuntimeError("vectorized scan and matrix test disagree")
-        return None
-    # small-field fallback, including trivial dimensions
-    for images in itertools.permutations(range(n)):
-        sigma = Permutation(images)
-        if permute_code(l1, sigma) == l2:
-            return sigma
-    return None
+    return _confirmed(first_map(l1, l2, perm_chunks(n)), l1, l2)
 
 
 def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
@@ -384,7 +362,7 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
         for a in sorted(a for a in range(1, n) if gcd(a, n) == 1):
             if frozenset(a * i % n for i in ds2) == ds1:
                 sigma = Permutation.multiplier(n, a)
-                if permute_code(c1.linear, sigma) != c2.linear:
+                if not maps_onto(c1.linear, c2.linear, [sigma.images])[0]:
                     raise RuntimeError("defining-set multiplier match failed the matrix test")
                 return EquivalenceVerdict(
                     "equivalent", sigma, strategy, True,
@@ -414,7 +392,8 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     members = hp_set(desc, P)
     detail = (f"H(P) of size {len(members)} from a {desc.kind} descriptor, "
               f"Sylow exponent {desc.sylow_exponent}")
-    sigma = _scan_witness(members, c1.linear, c2.linear)
+    sigma = _confirmed(first_map(c1.linear, c2.linear, sorted_chunks(members)),
+                       c1.linear, c2.linear)
     if sigma is not None:
         return EquivalenceVerdict("equivalent", sigma, strategy, desc.complete,
                                   f"witness found in {detail}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -176,7 +177,8 @@ def group_closure(generators: Iterable[Permutation], bound: int = CLOSURE_BOUND)
 
 @dataclass(frozen=True)
 class PermGroup:
-    """Group given by generators, with a lazily computed bounded element set."""
+    """Group given by generators, with a lazily computed, cached and bounded
+    element set."""
     degree: int
     generators: tuple[Permutation, ...]
 
@@ -191,13 +193,19 @@ class PermGroup:
     def trivial(n: int) -> "PermGroup":
         return PermGroup(n, ())
 
-    def elements(self, bound: int = CLOSURE_BOUND) -> frozenset[Permutation]:
+    @cached_property
+    def _elements(self) -> frozenset[Permutation]:
         if not self.generators:
             return frozenset({Permutation.identity(self.degree)})
-        return group_closure(self.generators, bound)
+        return group_closure(self.generators)
 
-    def order(self, bound: int = CLOSURE_BOUND) -> int:
-        return len(self.elements(bound))
+    def elements(self) -> frozenset[Permutation]:
+        """The element set, closed once and cached; raises
+        ClosureBoundExceeded past CLOSURE_BOUND."""
+        return self._elements
+
+    def order(self) -> int:
+        return len(self._elements)
 
     def __contains__(self, sigma: Permutation) -> bool:
         return sigma in self.elements()
@@ -501,13 +509,22 @@ def normalizer_in_symmetric(group: Iterable[Permutation] | PermGroup, n: int,
         gens = list(group.generators) or [Permutation.identity(n)]
     else:
         elements = frozenset(group)
-        gens = _reduce_generators(elements)
+        gens = reduce_generators(elements)
     if within is not None:
         pool = within.elements() if isinstance(within, PermGroup) else within
     else:
         pool = conjugation_set(min(gens, key=centralizer_order), elements)
     return frozenset(s for s in pool
                      if all(s.inverse() * g * s in elements for g in gens))
+
+
+def sorted_chunks(perms: Iterable[Permutation]) -> Iterator[np.ndarray]:
+    """The permutations in lexicographic order of their images, as (B, n)
+    int arrays: the order in which the witness scans test candidates."""
+    ordered = sorted(g.images for g in perms)
+    for start in range(0, len(ordered), _SCAN_CHUNK):
+        part = ordered[start:start + _SCAN_CHUNK]
+        yield np.array(part, dtype=np.min_scalar_type(len(part[0])))
 
 
 # --- exhaustive S_n scans: the BRUTE strategy and test oracles ------------------
@@ -575,7 +592,7 @@ def hset_brute(target: Permutation, P: Iterable[Permutation] | PermGroup) -> fro
     return frozenset(conjugation_scan(n, [(target, members)]))
 
 
-def _reduce_generators(elements: frozenset[Permutation]) -> list[Permutation]:
+def reduce_generators(elements: frozenset[Permutation]) -> list[Permutation]:
     """Small generating set extracted greedily from an enumerated group."""
     if len(elements) == 1:
         return [next(iter(elements))]
@@ -620,7 +637,7 @@ def sylow_ascend(ambient: frozenset[Permutation], p: int,
     if o != 1:
         raise ValueError("seed is not a p-group")
     while len(cur) < target:
-        gens = _reduce_generators(cur)
+        gens = reduce_generators(cur)
         norm = [s for s in ambient
                 if all(s.inverse() * g * s in cur for g in gens)]
         grew = False

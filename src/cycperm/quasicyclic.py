@@ -16,21 +16,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, gcd
 
+import numpy as np
+
 from .algebra import prime_power
-from .codes import LinearCode, permute_code, weight_profile
+from .codes import LinearCode, first_map, maps_onto, permute_code, weight_profile
 from .equivalence import EquivalenceVerdict, ag_set, brute_equivalence
 from .perm import (
     BlockSystem,
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
-    _reduce_generators,
     centralizer_generators,
     centralizer_order,
     conjugation_cosets,
     conjugation_set,
     group_closure,
     minimal_blocks,
+    reduce_generators,
+    sorted_chunks,
     sylow_ascend,
 )
 
@@ -50,7 +53,7 @@ class QuasiCyclicCode:
         n, l = self.linear.n, self.index
         if not 1 <= l <= n or n % l:
             raise ValueError(f"index {l} does not divide the length {n}")
-        if permute_code(self.linear, _index_shift(n, l)) != self.linear:
+        if not maps_onto(self.linear, self.linear, [_index_shift(n, l).images])[0]:
             raise ValueError(f"code is not invariant under the shift by {l}")
 
     @property
@@ -73,10 +76,10 @@ class QuasiCyclicCode:
         """Smallest divisor l' of n with the code invariant under T^(l');
         1 means the code is cyclic."""
         n = self.n
-        for l in range(1, n + 1):
-            if n % l == 0 and permute_code(self.linear, _index_shift(n, l)) == self.linear:
-                return l
-        raise AssertionError("unreachable: the identity always fixes the code")
+        divisors = [l for l in range(1, n + 1) if n % l == 0]
+        shifts = [_index_shift(n, l).images for l in divisors]
+        # l = n is the identity, which always fixes the code
+        return divisors[int(np.argmax(maps_onto(self.linear, self.linear, shifts)))]
 
     def __repr__(self) -> str:
         return f"QuasiCyclicCode(q={self.field.order}, n={self.n}, k={self.k}, l={self.index})"
@@ -128,7 +131,7 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
             if tau * tl * tau.inverse() != _index_shift(n, l * a % n):
                 raise RuntimeError(f"affine map fails the shift-conjugation law: a={a}, b={b}")
             affine.append(tau)
-    ag_group = PermGroup(n, tuple(_reduce_generators(frozenset(affine))))
+    ag_group = PermGroup(n, tuple(reduce_generators(frozenset(affine))))
     return q_group, ag_group
 
 
@@ -162,18 +165,16 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     tl = _index_shift(n, l)
     gens = [tl]
     q_gens = sigma_cycles(n, l) + [Permutation.shift(n)]
-    for g in PermGroup.from_generators(n, q_gens).elements():
-        if not g.is_identity() and permute_code(lin, g) == lin:
-            gens.append(g)
-    for tau in ag_set(n):
-        if not tau.is_identity() and permute_code(lin, tau) == lin:
-            gens.append(tau)
+    for family in (PermGroup.from_generators(n, q_gens).elements(), ag_set(n)):
+        moving = [g for g in family if not g.is_identity()]
+        fixed = maps_onto(lin, lin, [g.images for g in moving])
+        gens += [g for g, ok in zip(moving, fixed) if ok]
     try:
         ambient = group_closure(gens)
     except ClosureBoundExceeded:
         ambient = group_closure([tl])
     elems = sylow_ascend(ambient, p, [tl])
-    return PermGroup(n, tuple(_reduce_generators(elems)))
+    return PermGroup(n, tuple(reduce_generators(elems)))
 
 
 def _check_compatible(c1: QuasiCyclicCode, c2: QuasiCyclicCode) -> None:
@@ -221,12 +222,14 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
 
     P = qc_sylow(c1)
     members = conjugation_set(_index_shift(c1.n, c1.index), P)
-    for sigma in sorted(members, key=lambda g: g.images):
-        if permute_code(c1.linear, sigma) == c2.linear:
-            return EquivalenceVerdict(
-                "equivalent", sigma, strategy, False,
-                f"witness among the {len(members)} members of H'(P), "
-                f"|P| = {P.order()}")
+    sigma = first_map(c1.linear, c2.linear, sorted_chunks(members))
+    if sigma is not None:
+        if permute_code(c1.linear, sigma) != c2.linear:
+            raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
+        return EquivalenceVerdict(
+            "equivalent", sigma, strategy, False,
+            f"witness among the {len(members)} members of H'(P), "
+            f"|P| = {P.order()}")
     return EquivalenceVerdict(
         "inconclusive", None, strategy, False,
         f"no witness among the {len(members)} members of H'(P); P is a Sylow "

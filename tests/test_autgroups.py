@@ -68,6 +68,14 @@ def test_check_m_p_plus_1():
         check_m_p_plus_1(cyclic_code(15, GF2, {1, 2, 4, 8}))
 
 
+def test_check_m_p_plus_1_raises_when_matrix_test_disagrees(monkeypatch):
+    import cycperm.autgroups as autgroups
+    real = autgroups.maps_onto
+    monkeypatch.setattr(autgroups, "maps_onto", lambda c1, c2, images: ~real(c1, c2, images))
+    with pytest.raises(RuntimeError, match="multiplier 4"):
+        check_m_p_plus_1(cyclic_code(9, GF2, {1, 2, 4, 8, 7, 5}))
+
+
 def test_gk_family_orders():
     code = cyclic_code(9, GF2, {1, 2, 4, 8, 7, 5})
     g2, h2 = gk_family(code, 2)

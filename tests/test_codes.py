@@ -1,5 +1,8 @@
+import itertools
 import json
 import random
+from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from cycperm.codes import (
     is_elementary,
     is_mds,
     is_shift_invariant,
+    maps_onto,
     min_distance,
     permute_code,
     rref,
@@ -28,6 +32,9 @@ from cycperm.perm import Permutation
 
 GF2 = make_field(2)
 GF3 = make_field(3)
+GF4 = make_field(2, 2)
+GF8 = make_field(2, 3)
+GF9 = make_field(3, 2)
 GF11 = make_field(11)
 GF13 = make_field(13)
 
@@ -118,6 +125,50 @@ def test_permute_code_action_axiom():
         lhs = permute_code(permute_code(code, sigma), tau)
         rhs = permute_code(code, tau * sigma)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("field, n", [(GF2, 15), (GF3, 13), (GF4, 9), (GF8, 7), (GF9, 10)])
+def test_maps_onto_agrees_with_permute_code(field, n):
+    rng = random.Random(field.order * 100 + n)
+    codes = [c.linear for c in enumerate_cyclic_codes(n, field)]
+    affine = [Permutation.affine(n, a, b) for a in range(1, n) if gcd(a, n) == 1
+              for b in range(n)]
+
+    def random_code(k):
+        rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(k)]
+        return LinearCode.from_rows(field, n, rows)
+
+    zero = random_code(0)
+    full = LinearCode.from_rows(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
+    pairs = [(zero, zero), (full, full), (zero, full), (full, codes[0])]
+    for _ in range(3):
+        c1 = rng.choice(codes)
+        pairs += [(c1, c1), (c1, permute_code(c1, rng.choice(affine))),
+                  (c1, random_code(c1.k)), (c1, random_code(rng.randrange(n + 1)))]
+    for c1, c2 in pairs:
+        shuffled = [Permutation(tuple(rng.sample(range(n), n))) for _ in range(8)]
+        sigmas = shuffled + affine
+        mask = maps_onto(c1, c2, [g.images for g in sigmas])
+        assert mask.tolist() == [permute_code(c1, g) == c2 for g in sigmas]
+        for i, g in enumerate(shuffled):
+            assert maps_onto(c1, c2, [g.images])[0] == mask[i]
+
+
+@pytest.mark.parametrize("field, n", [(GF4, 5), (GF8, 7), (GF9, 4)])
+def test_codeword_chunks_match_product_reference(field, n):
+    rng = random.Random(n)
+    small = [c.linear for c in enumerate_cyclic_codes(n, field) if field.order ** c.k <= 600]
+    rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(3)]
+    for code in rng.sample(small, 5) + [LinearCode.from_rows(field, n, rows)]:
+        got = Counter(tuple(w.tolist()) for block in code.codeword_chunks(chunk=100)
+                      for w in block)
+        want = Counter()
+        for msg in itertools.product(field.elements(), repeat=code.k):
+            word = [0] * n
+            for coef, row in zip(msg, code.matrix):
+                word = [field.add(w, field.mul(coef, r)) for w, r in zip(word, row)]
+            want[tuple(word)] += 1
+        assert got == want
 
 
 def test_dual_formula_matches_kernel():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycperm.algebra import make_field
-from cycperm.codes import cyclic_code, cyclic_defining_set, permute_code
+from cycperm.codes import LinearCode, cyclic_code, cyclic_defining_set, permute_code
 from cycperm.equivalence import (
     EquivalenceVerdict,
     HPDescriptor,
@@ -130,13 +130,13 @@ def test_hp_set_descriptor_kinds():
 
 def test_hp_set_predicate_degree_limit():
     # no degree limit: at n = 27, H(P) is |C(T)| = 27 times the 27-cycles of P
-    _, q11 = q_group(27, 1)
-    members = hp_set(HPDescriptor("PREDICATE", 27, 4, False), q11)
-    full_cycles = sum(1 for rho in q11.elements()
+    _, q12 = q_group(27, 2)
+    assert q12.order() == 243
+    members = hp_set(HPDescriptor("PREDICATE", 27, 5, False), q12)
+    full_cycles = sum(1 for rho in q12.elements()
                       if [len(c) for c in rho.cycles()] == [27])
-    assert full_cycles > 0
-    assert len(members) == 27 * full_cycles
-    assert all(hp_membership(s, q11) for s in members)
+    assert len(members) == 27 * full_cycles == 4374
+    assert all(hp_membership(s, q12) for s in members)
 
 
 # --- the restricted set for concrete codes --------------------------------------
@@ -306,11 +306,23 @@ def test_strategy_validation_and_mismatches():
         decide_equivalence(cyclic_code(8, GF3, {0}), cyclic_code(8, GF7, {0}), "BRUTE")
 
 
+GF4 = make_field(2, 2)
+GF4_SEVEN = cyclic_code(7, GF4, {1, 2, 4})                # [7,4] over GF(4)
+GF4_UNRELATED = LinearCode.from_rows(GF4, 7, [[1, 0, 0, 0, 2, 3, 1], [0, 1, 0, 0, 1, 1, 2],
+                                              [0, 0, 1, 0, 3, 0, 1], [0, 0, 0, 1, 2, 2, 3]])
+
+
 def test_brute_witness_is_lexicographically_least():
-    found = brute_equivalence(HAMMING, HAMMING_MIRROR)
-    all_witnesses = [Permutation(im) for im in itertools.permutations(range(7))
-                     if permute_code(HAMMING.linear, Permutation(im)) == HAMMING_MIRROR.linear]
-    assert found == min(all_witnesses, key=lambda g: g.images)
+    # the oracle: the first permutation in lexicographic order that
+    # permute_code confirms, over a prime and an extension field
+    cases = [(HAMMING.linear, HAMMING_MIRROR.linear, True),
+             (GF4_SEVEN.linear, cyclic_code(7, GF4, {3, 5, 6}).linear, True),
+             (GF4_SEVEN.linear, GF4_UNRELATED, False)]
+    for l1, l2, equivalent in cases:
+        oracle = next((Permutation(im) for im in itertools.permutations(range(7))
+                       if permute_code(l1, Permutation(im)) == l2), None)
+        assert (oracle is not None) == equivalent
+        assert brute_equivalence(l1, l2) == oracle
 
 
 def test_verdict_json_shape():

@@ -106,6 +106,7 @@ def test_group_closure_and_bound():
 def test_permgroup_api():
     G = PermGroup.from_generators(5, [Permutation.shift(5)])
     assert G.order() == 5
+    assert G.elements() is G.elements()
     assert Permutation.shift(5) ** 3 in G
     assert Permutation((1, 0, 2, 3, 4)) not in G
     assert PermGroup.trivial(4).order() == 1
