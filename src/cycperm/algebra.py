@@ -71,8 +71,9 @@ def multiplicative_order(a: int, n: int) -> int:
 def z_parameter(q: int, p: int) -> int:
     """Largest z with p^z | q^t - 1, where t = ord_p(q).
 
-    z = 1 is the generic case; it is what makes ord_{p^k}(q) = t * p^(k-1)
-    and enables the generalized-multiplier families.
+    z = 1 is the generic case.  For odd p it makes ord_{p^k}(q) = t * p^(k-1)
+    for every k, which the generalized-multiplier families need; at p = 2
+    that lift fails from k = 3 on (autgroups.gk_lifts).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")

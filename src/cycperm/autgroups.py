@@ -39,11 +39,9 @@ from .codes import (
 )
 from .perm import (
     BlockSystem,
-    ClosureBoundExceeded,
     PermGroup,
     Permutation,
     block_system_valid,
-    group_closure,
     minimal_blocks,
     reduce_generators,
 )
@@ -100,20 +98,30 @@ def check_m_p_plus_1(code: CyclicCode) -> bool:
 
 # --- generalized multiplier families ------------------------------------------
 
+def gk_lifts(q: int, n: int) -> bool:
+    """The hypothesis of the G_k families at length n = p^r over GF(q):
+    gcd(q, p) = 1, z = 1, and ord_{p^r}(q) = t p^(r-1) with t = ord_p(q).
+    For odd p the last clause follows from z = 1; at p = 2 it fails for
+    every r >= 3 (ord_8(3) = 2, not 4)."""
+    p, r = prime_power(n)
+    return gcd(q, p) == 1 and z_parameter(q, p) == 1 \
+        and multiplicative_order(q, n) == multiplicative_order(q, p) * p ** (r - 1)
+
+
 def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     """The verified group G_k = {mu_{q^i,c}^{(p^k)}} of order t_k * p^k inside
     the automorphism group of a length-p^r code, plus the multiplier-only
     subfamily H_k = {mu_{q^i,0}^{(p^k)}} which fixes the code's idempotent.
 
-    Requires ord(q) mod p^2 to equal ord(q) mod p (z = 1); every element is
-    checked against the code, so a failure here would be a counterexample to
-    the containment claim rather than a usage error.
+    Requires gk_lifts: z = 1 and ord_{p^r}(q) = t p^(r-1).  Every element
+    is checked against the code, so a failure here would be a counterexample
+    to the containment claim rather than a usage error.
     """
     n, q = code.n, code.field.order
     p, r = prime_power(n)
     if not 1 <= k <= r:
         raise ValueError(f"need 1 <= k <= r = {r}, got k = {k}")
-    if z_parameter(q, p) != 1:
+    if not gk_lifts(q, n):
         raise ValueError("hypothesis z=1 violated")
     pk = p ** k
     tk = multiplicative_order(q, pk)
@@ -124,7 +132,8 @@ def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     gens = [Permutation.generalized_multiplier(n, k, q % pk, 0),
             Permutation.generalized_multiplier(n, k, 1, 1)]
     gens = [g for g in gens if not g.is_identity()]
-    if group_closure(gens) != frozenset(elements):
+    group = PermGroup(n, tuple(gens))
+    if group.order() != len(elements) or not all(g in group for g in elements):
         raise RuntimeError(f"G_{k} generator closure disagrees with the element set")
     ordered = sorted(elements, key=lambda x: x.images)
     ok = maps_onto(code.linear, code.linear, [g.images for g in ordered])
@@ -137,17 +146,17 @@ def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     for g in hk:
         if any(evec[g(i)] != evec[i] for i in range(n)):
             raise RuntimeError(f"H_{k} element does not fix the idempotent: {g}")
-    return PermGroup(n, tuple(gens)), hk
+    return group, hk
 
 
 def sylow_exponent_bounds(n: int, q: int, s: int) -> bool:
     """Whether an observed exponent s of the p-part of the automorphism group
     of a length p^r code over GF(q) fits r <= s <= (p^r - 1)/(p - 1), tightened
-    to 2r - 1 <= s when ord(q) mod p^2 equals ord(q) mod p."""
+    to 2r - 1 <= s when the G_k families exist (gk_lifts)."""
     p, r = prime_power(n)
     upper = (p ** r - 1) // (p - 1)
     ok = r <= s <= upper
-    if ok and gcd(q, p) == 1 and z_parameter(q, p) == 1:
+    if ok and gk_lifts(q, n):
         ok = 2 * r - 1 <= s
     return ok
 
@@ -253,12 +262,7 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     nodes = 0
 
     def lower_bound_order() -> int:
-        if not found:
-            return 1
-        try:
-            return len(group_closure(found))
-        except ClosureBoundExceeded as e:
-            return e.reached
+        return PermGroup.from_generators(n, found).order()
 
     def descend(depth: int) -> None:
         nonlocal nodes
@@ -371,7 +375,7 @@ def _gl42_witness_order(code: LinearCode) -> int | None:
     gens = [singer, frob, transvection]
     if not maps_onto(code, code, [g.images for g in gens]).all():
         return None
-    return len(group_closure(gens))
+    return PermGroup(15, tuple(gens)).order()
 
 
 @dataclass(frozen=True)
@@ -382,7 +386,7 @@ class AutoReport:
     multiplier_set: tuple[int, ...]
     m: int
     discovered_generators: tuple[Permutation, ...]
-    known_subgroup_order: int | None
+    known_subgroup_order: int
     full_group_order: int | None
     block_systems: tuple[BlockSystem, ...]
     classification: GroupClass
@@ -496,17 +500,16 @@ def classify(code: CyclicCode | LinearCode, report: AutoReport) -> GroupClass:
 def known_cyclic_subgroup(code: CyclicCode) -> tuple[list[Permutation], frozenset[int]]:
     """Generators of the automorphism subgroup discoverable without search:
     the shift, the defining-set multipliers, and the G_k families when the
-    length is a prime power with z = 1."""
+    length is a prime power p^r, r >= 2, where they exist (gk_lifts)."""
     n = code.n
     mset, _ = multiplier_scan(code)
     gens = [Permutation.shift(n)]
     gens += [Permutation.multiplier(n, a) for a in sorted(mset) if a != 1]
     try:
-        p, r = prime_power(n)
+        _, r = prime_power(n)
     except ValueError:
-        p, r = 0, 0
-    if r >= 2 and gcd(code.field.order, p) == 1 \
-            and z_parameter(code.field.order, p) == 1:
+        r = 0
+    if r >= 2 and gk_lifts(code.field.order, n):
         for k in range(1, r + 1):
             gk, _ = gk_family(code, k)
             gens += list(gk.generators)
@@ -537,10 +540,7 @@ def analyze(code: CyclicCode | LinearCode,
     rng = random.Random(seed)
     mset, m = multiplier_scan(code, rng)
     gens, _ = known_cyclic_subgroup(code)
-    try:
-        known_order: int | None = len(group_closure(gens)) if gens else 1
-    except ClosureBoundExceeded:
-        known_order = None
+    known_order = PermGroup.from_generators(n, gens).order()
 
     full_order: int | None = None
     full_gens: tuple[Permutation, ...] = ()

@@ -175,13 +175,14 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     try:
         report = analyze(code, node_budget=config.budget_nodes,
                          distance_budget=config.budget_dist, seed=config.seed)
-    except BacktrackBudgetExceeded:
+    except BacktrackBudgetExceeded as exc:
         report = analyze(code, run_backtrack=False,
                          node_budget=config.budget_nodes,
                          distance_budget=config.budget_dist, seed=config.seed)
         return {"config": config.to_json(), "report": report.to_json(),
                 "partial": "node budget exhausted before the full group "
-                           "search completed"}, EXIT_BUDGET
+                           "search completed",
+                "order_lower_bound": exc.order_lower_bound}, EXIT_BUDGET
     return {"config": config.to_json(), "report": report.to_json()}, EXIT_OK
 
 

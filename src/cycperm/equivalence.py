@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import multiplicative_order, prime_power, z_parameter
+from .algebra import multiplicative_order, prime_power
 from .codes import (
     CyclicCode,
     LinearCode,
@@ -25,24 +25,22 @@ from .codes import (
     permute_code,
     weight_profile,
 )
-from .autgroups import gk_family, known_cyclic_subgroup
+from .autgroups import gk_family, gk_lifts, known_cyclic_subgroup
 from .perm import (
     BRUTE_DEGREE_BOUND,
-    ClosureBoundExceeded,
     PermGroup,
     Permutation,
     conjugation_set,
-    group_closure,
     perm_chunks,
     reduce_generators,
     sorted_chunks,
-    sylow_ascend,
+    sylow_through_shift,
 )
 
 # largest polynomial-map family worth enumerating when hunting for
 # containment: |Q_1^m| = p^(r+m)
 _Q_FAMILY_BOUND = 10_000
-# largest discoverable subgroup worth enumerating before ascending to its Sylow
+# largest group worth listing to cut out its Sylow subgroup through the shift
 _AMBIENT_BOUND = 50_000
 
 
@@ -135,10 +133,9 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
 def hp_membership(sigma: Permutation, P: PermGroup) -> bool:
     """sigma^-1 T sigma in P, the one-element test behind H(P)."""
     T = Permutation.shift(P.degree)
-    members = P.elements()
-    if T not in members:
+    if T not in P:
         raise ValueError("P must contain the shift")
-    return sigma.inverse() * T * sigma in members
+    return sigma.inverse() * T * sigma in P
 
 
 def ag_set(n: int) -> frozenset[Permutation]:
@@ -195,10 +192,9 @@ def hp_set(descriptor: HPDescriptor, P: PermGroup) -> frozenset[Permutation]:
     union of the cosets C(T) sigma_rho over the n-cycles rho of P.  Raises
     ClosureBoundExceeded when that union is larger than CLOSURE_BOUND."""
     T = Permutation.shift(descriptor.n)
-    members = P.elements()
-    if T not in members:
+    if T not in P:
         raise ValueError("P must contain the shift")
-    return conjugation_set(T, members)
+    return conjugation_set(T, P)
 
 
 def _vp(x: int, p: int) -> int:
@@ -211,8 +207,13 @@ def _vp(x: int, p: int) -> int:
 
 def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     """A p-subgroup P of the code's automorphism group containing the shift,
-    ascended to a Sylow subgroup of the discoverable part, plus the H(P)
-    materialization plan.
+    a Sylow subgroup of the discoverable part, plus the H(P) materialization
+    plan.
+
+    P is G meet W_T (perm.sylow_through_shift) for the first of these groups
+    whose order is at most _AMBIENT_BOUND: the discovered group G, the
+    polynomial-map family Q_1 fixing the code, the shift with the discovered
+    elements of p-power order, and the shift alone.
 
     The descriptor is marked complete only when the exponent of P reaches the
     theoretical ceiling (p^r - 1)/(p - 1), which pins P as a Sylow subgroup
@@ -233,21 +234,11 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
                 q1_family = q1g
                 break
     T = Permutation.shift(n)
-    try:
-        ambient = group_closure(gens, _AMBIENT_BOUND)
-        P_elems = sylow_ascend(ambient, p, [T])
-    except ClosureBoundExceeded:
-        # the discoverable subgroup is too large to enumerate; fall back to
-        # the largest verified p-subgroup that contains the shift
-        if q1_family is not None:
-            P_elems = q1_family.elements()
-        else:
-            ppart = [g for g in gens if g.order() == p ** _vp(g.order(), p)]
-            try:
-                ambient = group_closure([T] + ppart, _AMBIENT_BOUND)
-            except ClosureBoundExceeded:
-                ambient = group_closure([T])
-            P_elems = sylow_ascend(ambient, p, [T])
+    ppart = [g for g in gens if g.order() == p ** _vp(g.order(), p)]
+    candidates = [PermGroup.from_generators(n, gens), q1_family,
+                  PermGroup.from_generators(n, [T] + ppart), PermGroup.from_generators(n, [T])]
+    ambient = next(G for G in candidates if G is not None and G.order() <= _AMBIENT_BOUND)
+    P_elems = sylow_through_shift(ambient)
     P = PermGroup(n, tuple(reduce_generators(P_elems)))
     s = _vp(len(P_elems), p)
     ceiling = (p ** r - 1) // (p - 1)
@@ -257,21 +248,13 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
         _, q1 = q_group(n, s - 2)
         if q1.elements() == P_elems:
             return P, HPDescriptor("Q_SET", n, s, s == ceiling)
-    gr_sylow: frozenset[Permutation] | None = None
-    if r >= 2 and gcd(code.field.order, p) == 1 \
-            and z_parameter(code.field.order, p) == 1:
+    if r >= 2 and s <= 2 * r - 1 and gk_lifts(code.field.order, n):
         # the geometric-series formula materializes H(P) for the Sylow
-        # subgroup of the largest generalized-multiplier family
+        # subgroup of the largest generalized-multiplier family, of order
+        # p^(2r - 1) since ord_{p^r}(q) = t p^(r - 1) with t prime to p
         gk, _ = gk_family(code, r)
-        try:
-            gr_sylow = sylow_ascend(gk.elements(), p, [T])
-        except (RuntimeError, ValueError):
-            gr_sylow = None
-    if gr_sylow is not None and _vp(len(gr_sylow), p) == 2 * r - 1 \
-            and s <= 2 * r - 1:
-        P_gr = PermGroup(n, tuple(reduce_generators(gr_sylow)))
-        s_gr = 2 * r - 1
-        return P_gr, HPDescriptor("GR_FORMULA", n, s_gr, s_gr == ceiling)
+        P_gr = PermGroup(n, tuple(reduce_generators(sylow_through_shift(gk))))
+        return P_gr, HPDescriptor("GR_FORMULA", n, 2 * r - 1, 2 * r - 1 == ceiling)
     return P, HPDescriptor("PREDICATE", n, s, s == ceiling)
 
 

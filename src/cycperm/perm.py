@@ -1,5 +1,15 @@
-"""Permutations on {0..n-1}, finite group closure, orbits and block systems,
-conjugation sets and normalizers in S_n, Sylow ascent.
+"""Permutations on {0..n-1}, permutation groups on a stabilizer chain,
+orbits and block systems, conjugation sets and normalizers in S_n, and Sylow
+subgroups.
+
+A PermGroup keeps a stabilizer chain (base and strong generating set) built
+by the deterministic Schreier-Sims algorithm (Sims 1970; Seress, Permutation
+Group Algorithms, 2003, ch. 4): its order and membership never list
+elements, and the element set is listed from the chain's transversals only
+on request, once the exact order is known to be within CLOSURE_BOUND.  At
+degree p^r the Sylow p-subgroup through the shift T is G meet W_T, with W_T
+Kaloujnine's group of triangular maps, the only Sylow p-subgroup of S_n
+containing T (sylow_through_shift).
 
 The conjugation set {sigma : sigma^-1 g sigma in P} is built at every degree
 from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the coset
@@ -36,6 +46,18 @@ class ClosureBoundExceeded(RuntimeError):
         self.reached = reached
 
 
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a after b, on image tuples: (a b)(i) = a(b(i))."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, v in enumerate(a):
+        inv[v] = i
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Permutation as the tuple of images: images[i] = sigma(i).
@@ -57,13 +79,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.degree)))
+        return Permutation(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
+        return Permutation(_invert(self.images))
 
     def __pow__(self, e: int) -> "Permutation":
         if e < 0:
@@ -153,32 +172,149 @@ class Permutation:
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc) + ")"
 
 
+class _Chain:
+    """Stabilizer chain of a permutation group on {0..n-1}, built by the
+    deterministic Schreier-Sims algorithm (Sims 1970; Seress, Permutation
+    Group Algorithms, 2003, ch. 4).
+
+    Level i holds the base point base[i], the strong generators fixing
+    base[:i], and a transversal of the orbit of base[i] under them: for each
+    orbit point x an element u_x with u_x(base[i]) = x, kept with its
+    inverse.  Every element is one product u_0 u_1 ... of transversal
+    elements, so the order is the product of the orbit lengths and
+    membership is a sift through the levels.  Elements are image tuples.
+    """
+
+    def __init__(self, n: int):
+        self.identity = tuple(range(n))
+        self.base: list[int] = []
+        self.gens: list[list[tuple[int, ...]]] = []
+        self.orbit: list[list[int]] = []
+        self.trans: list[dict[int, tuple[int, ...]]] = []
+        self.inv: list[dict[int, tuple[int, ...]]] = []
+        # (orbit point, generator index) pairs whose Schreier generator is
+        # known to lie in the next level's group
+        self.checked: list[set[tuple[int, int]]] = []
+
+    def order(self) -> int:
+        out = 1
+        for orb in self.orbit:
+            out *= len(orb)
+        return out
+
+    def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+        """Strip g by the transversals from level start on: the residue and
+        the level where it dropped out (len(base) when it passed them all).
+        g is in the group of level start iff the residue is the identity."""
+        for i in range(start, len(self.base)):
+            ui = self.inv[i].get(g[self.base[i]])
+            if ui is None:
+                return g, i
+            g = _compose(ui, g)
+        return g, len(self.base)
+
+    def __contains__(self, g: tuple[int, ...]) -> bool:
+        return self.sift(g)[0] == self.identity
+
+    def add(self, g: tuple[int, ...]) -> bool:
+        """Extend the group by g and complete the chain again; False when g
+        is already a member."""
+        h, j = self.sift(g)
+        if h == self.identity:
+            return False
+        self._insert(h, 0, j)
+        level = j
+        # the levels after `level` form a complete chain of their group
+        while level >= 0:
+            found = self._schreier_residue(level)
+            if found is None:
+                level -= 1
+            else:
+                h, j = found
+                self._insert(h, level + 1, j)
+                level = j
+        return True
+
+    def _insert(self, h: tuple[int, ...], first: int, last: int) -> None:
+        """Add h, which fixes base[:last], as a strong generator of levels
+        first..last, opening level last when h fixes every base point."""
+        if last == len(self.base):
+            b = next(i for i, v in enumerate(h) if v != i)
+            self.base.append(b)
+            self.gens.append([])
+            self.orbit.append([b])
+            self.trans.append({b: self.identity})
+            self.inv.append({b: self.identity})
+            self.checked.append(set())
+        for level in range(first, last + 1):
+            self.gens[level].append(h)
+            orbit, trans, inv = self.orbit[level], self.trans[level], self.inv[level]
+            for x in orbit:            # the loop also visits the points it appends
+                u = trans[x]
+                for s in self.gens[level]:
+                    y = s[x]
+                    if y not in trans:
+                        trans[y] = v = _compose(s, u)
+                        inv[y] = _invert(v)
+                        orbit.append(y)
+
+    def _schreier_residue(self, level: int) -> tuple[tuple[int, ...], int] | None:
+        """The first Schreier generator u_(s x)^-1 s u_x of the level that
+        does not sift to the identity through the levels below it, as its
+        residue and drop-out level; None when there is none."""
+        trans, inv, checked = self.trans[level], self.inv[level], self.checked[level]
+        for x in self.orbit[level]:
+            u = trans[x]
+            for si, s in enumerate(self.gens[level]):
+                if (x, si) in checked:
+                    continue
+                checked.add((x, si))
+                h, j = self.sift(_compose(inv[s[x]], _compose(s, u)), level + 1)
+                if h != self.identity:
+                    return h, j
+        return None
+
+    def listing(self, bound: int) -> np.ndarray:
+        """Every element as an (order, n) array of images; raises
+        ClosureBoundExceeded before listing anything when the order exceeds
+        bound."""
+        order = self.order()
+        if order > bound:
+            raise ClosureBoundExceeded(bound, order)
+        return self.products()
+
+    def products(self) -> np.ndarray:
+        """All products u_0 u_1 ... of transversal elements, one per row."""
+        n = len(self.identity)
+        dtype = np.min_scalar_type(n)
+        out = np.array([self.identity], dtype=dtype)
+        for level in reversed(range(len(self.base))):
+            U = np.array([self.trans[level][x] for x in self.orbit[level]], dtype=dtype)
+            out = U[:, out].reshape(-1, n)
+        return out
+
+
+def _as_perms(rows: np.ndarray) -> frozenset[Permutation]:
+    return frozenset(Permutation(tuple(r)) for r in rows.tolist())
+
+
 def group_closure(generators: Iterable[Permutation], bound: int = CLOSURE_BOUND) -> frozenset[Permutation]:
-    """BFS closure of the generated group; raises ClosureBoundExceeded past bound."""
+    """The elements of the generated group, listed from its stabilizer chain;
+    raises ClosureBoundExceeded, before listing anything, when its order
+    exceeds bound."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    n = gens[0].degree
-    seen = {Permutation.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = g * x
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > bound:
-                        raise ClosureBoundExceeded(bound, len(seen))
-        frontier = new
-    return frozenset(seen)
+    G = PermGroup.from_generators(gens[0].degree, gens)
+    return _as_perms(G._chain.listing(bound))
 
 
 @dataclass(frozen=True)
 class PermGroup:
-    """Group given by generators, with a lazily computed, cached and bounded
-    element set."""
+    """Group given by generators.  Order and membership come from a
+    stabilizer chain built once and cached; the element set is listed from
+    the chain on request, once the order is known to be within
+    CLOSURE_BOUND, and cached."""
     degree: int
     generators: tuple[Permutation, ...]
 
@@ -194,21 +330,30 @@ class PermGroup:
         return PermGroup(n, ())
 
     @cached_property
+    def _chain(self) -> _Chain:
+        chain = _Chain(self.degree)
+        for g in self.generators:
+            chain.add(g.images)
+        return chain
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        return self._chain.listing(CLOSURE_BOUND)
+
+    @cached_property
     def _elements(self) -> frozenset[Permutation]:
-        if not self.generators:
-            return frozenset({Permutation.identity(self.degree)})
-        return group_closure(self.generators)
+        return _as_perms(self._array)
 
     def elements(self) -> frozenset[Permutation]:
-        """The element set, closed once and cached; raises
-        ClosureBoundExceeded past CLOSURE_BOUND."""
+        """The element set, listed once and cached; raises
+        ClosureBoundExceeded past CLOSURE_BOUND before listing anything."""
         return self._elements
 
     def order(self) -> int:
-        return len(self._elements)
+        return self._chain.order()
 
     def __contains__(self, sigma: Permutation) -> bool:
-        return sigma in self.elements()
+        return sigma.degree == self.degree and sigma.images in self._chain
 
 
 def orbits(n: int, generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
@@ -236,9 +381,13 @@ def is_transitive(n: int, generators: Sequence[Permutation]) -> bool:
     return len(orbits(n, generators)) == 1
 
 
-def _block_through(generators: Sequence[Permutation], n: int, pair: tuple[int, int]) -> list[int]:
-    """Smallest block containing {pair} for a transitive group: classic
-    union-find refinement over the generator action on merged classes."""
+def _block_system_through(generators: Sequence[Permutation], n: int,
+                          pair: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The block system of a transitive group whose block through pair[0] is
+    the smallest block containing the pair: the classes of the finest
+    invariant equivalence joining the pair, by union-find refinement over
+    the generator action on merged classes.  Sorted, so the block through
+    the least point of the pair comes first."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -264,8 +413,7 @@ def _block_through(generators: Sequence[Permutation], n: int, pair: tuple[int, i
     cls: dict[int, list[int]] = {}
     for i in range(n):
         cls.setdefault(find(i), []).append(i)
-    blk = cls[find(pair[0])]
-    return sorted(blk)
+    return tuple(sorted(tuple(c) for c in cls.values()))
 
 
 @dataclass(frozen=True)
@@ -297,64 +445,14 @@ def minimal_blocks(group: PermGroup) -> list[BlockSystem]:
     generators, n = list(group.generators), group.degree
     if not is_transitive(n, generators):
         raise ValueError("block systems are defined for transitive groups only")
-    if n == 1:
-        return []
-    candidates: dict[tuple[int, ...], None] = {}
+    # each system keyed by its block through 0
+    systems: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     for x in range(1, n):
-        blk = tuple(_block_through(generators, n, (0, x)))
-        if 1 < len(blk) < n:
-            candidates[blk] = None
-    minimal = []
-    blocks = list(candidates)
-    for b in blocks:
-        sb = set(b)
-        if not any(set(o) < sb for o in blocks if o != b):
-            minimal.append(b)
-    systems = []
-    for blk in sorted(set(minimal)):
-        rest = sorted(set(range(n)) - set(blk))
-        system = [tuple(blk)]
-        covered = set(blk)
-        while covered != set(range(n)):
-            x = min(set(range(n)) - covered)
-            # translate the block to x by transitivity: breadth-first word search
-            img = _translate_block(generators, n, blk, x)
-            system.append(tuple(img))
-            covered.update(img)
-        systems.append(tuple(sorted(system)))
-    return [BlockSystem(s) for s in sorted(set(systems))]
-
-
-def _translate_block(generators: Sequence[Permutation], n: int, block: Sequence[int], target: int) -> list[int]:
-    base = block[0]
-    prev = {base: None}
-    frontier = [base]
-    word: dict[int, tuple[int, int]] = {}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(generators):
-                y = g(x)
-                if y not in prev:
-                    prev[y] = x
-                    word[y] = (gi, x)
-                    nxt.append(y)
-        frontier = nxt
-        if target in prev:
-            break
-    if target not in prev:
-        raise ValueError("group is not transitive")
-    # replay the generator word on the whole block
-    path = []
-    cur = target
-    while cur != base:
-        gi, parent = word[cur]
-        path.append(gi)
-        cur = parent
-    img = list(block)
-    for gi in reversed(path):
-        img = [generators[gi](v) for v in img]
-    return sorted(img)
+        system = _block_system_through(generators, n, (0, x))
+        if 1 < len(system[0]) < n:
+            systems[system[0]] = system
+    return [BlockSystem(systems[b]) for b in sorted(systems)
+            if not any(set(o) < set(b) for o in systems)]
 
 
 def block_system_valid(group: PermGroup, partition: BlockSystem | Sequence[Sequence[int]]) -> bool:
@@ -460,17 +558,16 @@ def _centralizer_array(g: Permutation) -> np.ndarray:
     return out
 
 
-def conjugation_cosets(g: Permutation, P: Iterable[Permutation] | PermGroup) -> list[Permutation]:
+def conjugation_cosets(g: Permutation, P: PermGroup) -> list[Permutation]:
     """One sigma_rho per rho in P with the cycle type of g, in the order of
     rho's images: sigma_rho lines rho's cycles up with g's, so that
     sigma_rho^-1 g sigma_rho = rho.  The set {sigma : sigma^-1 g sigma in P}
     is the disjoint union of the cosets C(g) sigma_rho."""
     n = g.degree
-    members = P.elements() if isinstance(P, PermGroup) else P
     target = _cycle_classes(g)
     key = _cycle_type(target)
     reps = []
-    for rho in sorted(members, key=lambda x: x.images):
+    for rho in sorted(P.elements(), key=lambda x: x.images):
         classes = _cycle_classes(rho)
         if _cycle_type(classes) != key:
             continue
@@ -480,8 +577,8 @@ def conjugation_cosets(g: Permutation, P: Iterable[Permutation] | PermGroup) -> 
     return reps
 
 
-def conjugation_set(g: Permutation, P: Iterable[Permutation] | PermGroup) -> frozenset[Permutation]:
-    """{sigma in S_n : sigma^-1 * g * sigma in P} for an enumerated P, as the
+def conjugation_set(g: Permutation, P: PermGroup) -> frozenset[Permutation]:
+    """{sigma in S_n : sigma^-1 * g * sigma in P}, as the
     union of the cosets C(g) sigma_rho of conjugation_cosets.  Its size,
     |C(g)| times the number of cosets, is checked against CLOSURE_BOUND
     before anything is listed."""
@@ -497,25 +594,19 @@ def conjugation_set(g: Permutation, P: Iterable[Permutation] | PermGroup) -> fro
                      for row in C[:, sigma.images].tolist())
 
 
-def normalizer_in_symmetric(group: Iterable[Permutation] | PermGroup, n: int,
-                            within: Iterable[Permutation] | PermGroup | None = None,
+def normalizer_in_symmetric(group: PermGroup, n: int, within: PermGroup | None = None,
                             ) -> frozenset[Permutation]:
-    """{sigma : sigma^-1 G sigma = G}, in S_n or inside a supplied enumerated
-    ambient group.  In S_n the candidates are the conjugation set of the
-    generator with the smallest centralizer.  Conjugating each generator
-    into the enumerated G suffices, since |sigma^-1 G sigma| = |G|."""
-    if isinstance(group, PermGroup):
-        elements = group.elements()
-        gens = list(group.generators) or [Permutation.identity(n)]
-    else:
-        elements = frozenset(group)
-        gens = reduce_generators(elements)
+    """{sigma : sigma^-1 G sigma = G}, in S_n or inside a supplied ambient
+    group.  In S_n the candidates are the conjugation set of the generator
+    with the smallest centralizer.  Conjugating each generator into G
+    suffices, since |sigma^-1 G sigma| = |G|."""
+    gens = list(group.generators) or [Permutation.identity(n)]
     if within is not None:
-        pool = within.elements() if isinstance(within, PermGroup) else within
+        pool = within.elements()
     else:
-        pool = conjugation_set(min(gens, key=centralizer_order), elements)
+        pool = conjugation_set(min(gens, key=centralizer_order), group)
     return frozenset(s for s in pool
-                     if all(s.inverse() * g * s in elements for g in gens))
+                     if all(s.inverse() * g * s in group for g in gens))
 
 
 def sorted_chunks(perms: Iterable[Permutation]) -> Iterator[np.ndarray]:
@@ -584,90 +675,98 @@ def conjugation_scan(n: int, conditions: Sequence[tuple[Permutation, Iterable[Pe
     return out
 
 
-def hset_brute(target: Permutation, P: Iterable[Permutation] | PermGroup) -> frozenset[Permutation]:
+def hset_brute(target: Permutation, P: PermGroup) -> frozenset[Permutation]:
     """{sigma in S_n : sigma^-1 * target * sigma in P} by exhaustive scan: the
     oracle for conjugation_set."""
-    n = target.degree
-    members = P.elements() if isinstance(P, PermGroup) else list(P)
-    return frozenset(conjugation_scan(n, [(target, members)]))
+    return frozenset(conjugation_scan(target.degree, [(target, P.elements())]))
 
 
 def reduce_generators(elements: frozenset[Permutation]) -> list[Permutation]:
-    """Small generating set extracted greedily from an enumerated group."""
+    """Small generating set extracted greedily from an enumerated group: the
+    elements in order of their images, each kept when the group of those
+    kept so far does not contain it, until that group has every element."""
+    first = next(iter(elements))
     if len(elements) == 1:
-        return [next(iter(elements))]
+        return [first]
+    chain = _Chain(first.degree)
     gens: list[Permutation] = []
-    have: frozenset[Permutation] = frozenset()
     for x in sorted(elements, key=lambda p: p.images):
-        if x.is_identity():
-            continue
-        if not gens:
+        if chain.add(x.images):
             gens.append(x)
-            have = group_closure(gens)
-            continue
-        if x not in have:
-            gens.append(x)
-            have = group_closure(gens)
-        if len(have) == len(elements):
-            break
-    return gens or [next(iter(elements))]
+            if chain.order() == len(elements):
+                break
+    return gens or [first]
 
 
-def sylow_ascend(ambient: frozenset[Permutation], p: int,
+def _p_part(order: int, p: int) -> int:
+    out = 1
+    while order % p == 0:
+        out *= p
+        order //= p
+    return out
+
+
+def sylow_ascend(ambient: PermGroup, p: int,
                  seed: Iterable[Permutation]) -> frozenset[Permutation]:
-    """Ascend a p-subgroup to a Sylow p-subgroup of the enumerated ambient group.
+    """Ascend a p-subgroup to a Sylow p-subgroup of the ambient group.
 
-    Repeatedly: compute N = normalizer of the current subgroup inside ambient
-    (by direct conjugation of the current generators), pick the least p-element
-    of N outside the subgroup whose adjunction keeps a p-group, and re-close.
-    Standard Sylow theory guarantees progress while |current| < p-part(|ambient|).
+    Repeatedly: list N = normalizer of the current subgroup inside ambient
+    (by direct conjugation of the current generators), take the least
+    element of N whose p-part lies outside the subgroup and extends it to a
+    larger p-group, and adjoin that p-part.  Standard Sylow theory
+    guarantees progress while |current| < p-part(|ambient|).  The orders
+    come from the stabilizer chains; only the ambient group is listed.
     """
-    amb_order = len(ambient)
-    target = 1
-    while amb_order % p == 0:
-        target *= p
-        amb_order //= p
-    cur = group_closure(list(seed)) if not isinstance(seed, frozenset) else seed
-    cur = frozenset(cur)
-    if any(x not in ambient for x in cur):
+    n = ambient.degree
+    target = _p_part(ambient.order(), p)
+    gens = list(seed)
+    if any(x not in ambient for x in gens):
         raise ValueError("seed not contained in the ambient group")
-    o = len(cur)
-    while o % p == 0:
-        o //= p
-    if o != 1:
+    cur = PermGroup.from_generators(n, gens)
+    if _p_part(cur.order(), p) != cur.order():
         raise ValueError("seed is not a p-group")
-    while len(cur) < target:
-        gens = reduce_generators(cur)
-        norm = [s for s in ambient
-                if all(s.inverse() * g * s in cur for g in gens)]
+    while cur.order() < target:
+        members = cur.elements()
+        norm = [s for s in ambient.elements()
+                if all(s.inverse() * g * s in members for g in cur.generators)]
         grew = False
         for x in sorted(norm, key=lambda t: t.images):
-            if x in cur:
+            x = x ** (x.order() // _p_part(x.order(), p))     # the p-part of x
+            if x in members:
                 continue
-            xo = x.order()
-            while xo % p == 0:
-                xo //= p
-            if xo != 1:
-                # take the p-part of x instead
-                q = x.order()
-                pp = 1
-                while q % p == 0:
-                    pp *= p
-                    q //= p
-                if pp == 1:
-                    continue
-                x = x ** q
-                if x in cur or x.is_identity():
-                    continue
-            nxt = group_closure(gens + [x])
-            no = len(nxt)
-            while no % p == 0:
-                no //= p
-            if no == 1 and len(nxt) > len(cur):
+            nxt = PermGroup.from_generators(n, cur.generators + (x,))
+            if _p_part(nxt.order(), p) == nxt.order() > cur.order():
                 cur = nxt
                 grew = True
                 break
         if not grew:
             raise RuntimeError("Sylow ascent stalled below the p-part "
-                               f"({len(cur)} < {target})")
-    return cur
+                               f"({cur.order()} < {target})")
+    return cur.elements()
+
+
+def sylow_through_shift(group: PermGroup) -> frozenset[Permutation]:
+    """The Sylow p-subgroup of a group of degree n = p^r that contains the
+    shift T, as G meet W_T, where W_T = {sigma : sigma(x + p^k) = sigma(x) +
+    p^k mod p^(k+1) for all x and all k < r}.
+
+    W_T is Kaloujnine's group of triangular maps (Kaloujnine 1948): digit k
+    of sigma(x) in base p is x_k plus a function of the lower digits of x.
+    It is a Sylow p-subgroup of S_n containing T, and the only one: there
+    are n!/(|W_T| (p-1)^r) Sylow p-subgroups, each holds (p-1)^r
+    p^(sum_(k<r) (p^k - 1)) n-cycles, and the product is all (n-1)! of
+    them.  A Sylow p-subgroup of G through T lies in a Sylow subgroup of S_n
+    through T, hence in W_T, and G meet W_T is a p-group, so the two are
+    equal.  One numpy filter over the listed elements of G finds it.
+    """
+    n = group.degree
+    p, r = prime_power(n)
+    if Permutation.shift(n) not in group:
+        raise ValueError("the group must contain the shift")
+    A = group._array
+    x = np.arange(n)
+    for k in range(r):
+        pk = p ** k
+        low = (A % (p * pk)).astype(np.int32)
+        A = A[(low[:, (x + pk) % n] == (low + pk) % (p * pk)).all(axis=1)]
+    return _as_perms(A)

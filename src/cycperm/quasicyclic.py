@@ -22,15 +22,14 @@ from .algebra import prime_power
 from .codes import LinearCode, first_map, maps_onto, permute_code, weight_profile
 from .equivalence import EquivalenceVerdict, ag_set, brute_equivalence
 from .perm import (
+    CLOSURE_BOUND,
     BlockSystem,
-    ClosureBoundExceeded,
     PermGroup,
     Permutation,
     centralizer_generators,
     centralizer_order,
     conjugation_cosets,
     conjugation_set,
-    group_closure,
     minimal_blocks,
     reduce_generators,
     sorted_chunks,
@@ -139,10 +138,9 @@ def hprime_membership(sigma: Permutation, P: PermGroup, l: int) -> bool:
     """sigma^-1 T^l sigma in P, the one-element test behind H'(P)."""
     n = P.degree
     tl = _index_shift(n, l)
-    members = P.elements()
-    if tl not in members:
+    if tl not in P:
         raise ValueError("P must contain the index shift")
-    return sigma.inverse() * tl * sigma in members
+    return sigma.inverse() * tl * sigma in P
 
 
 def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
@@ -158,7 +156,9 @@ def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
 def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     """A p-subgroup of the automorphism group containing T^l, ascended to a
     Sylow subgroup of the part discoverable from the structured families
-    (cycle products and affine maps that fix the code)."""
+    (cycle products and affine maps that fix the code), or of <T^l> alone
+    when that part is larger than CLOSURE_BOUND.  T^l is not a full cycle,
+    so the Sylow subgroup through it is not unique and is found by ascent."""
     p, _ = _qc_prime_power(code)
     n, l = code.n, code.index
     lin = code.linear
@@ -169,10 +169,9 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
         moving = [g for g in family if not g.is_identity()]
         fixed = maps_onto(lin, lin, [g.images for g in moving])
         gens += [g for g, ok in zip(moving, fixed) if ok]
-    try:
-        ambient = group_closure(gens)
-    except ClosureBoundExceeded:
-        ambient = group_closure([tl])
+    ambient = PermGroup.from_generators(n, gens)
+    if ambient.order() > CLOSURE_BOUND:
+        ambient = PermGroup.from_generators(n, [tl])
     elems = sylow_ascend(ambient, p, [tl])
     return PermGroup(n, tuple(reduce_generators(elems)))
 
@@ -253,9 +252,9 @@ class HPrimeReport:
     p_order: int
     discovered: int
     exhaustive: bool               # discovered set is all of H'(P)
-    closure_order: int | None     # None when the closure exceeded the bound
+    closure_order: int
     block_systems: tuple[BlockSystem, ...]
-    primitive: bool | None
+    primitive: bool
     cycle_length: int
     williamson_bound: int
     shift_is_odd: bool
@@ -290,22 +289,14 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     tl = _index_shift(n, l)
     cosets = conjugation_cosets(tl, P)
     discovered = centralizer_order(tl) * len(cosets)
-    gens = centralizer_generators(tl)
-    try:
-        closure = PermGroup(n, tuple(gens)).elements()
-        for sigma in cosets:
-            if sigma not in closure:
-                gens.append(sigma)
-                closure = group_closure(gens)
-    except ClosureBoundExceeded:
-        closure = None
+    closure = PermGroup(n, tuple(centralizer_generators(tl)))
+    for sigma in cosets:
+        if sigma not in closure:
+            closure = PermGroup(n, closure.generators + (sigma,))
     m = p ** r
     bound = factorial(n - m)
     shift_odd = Permutation.shift(n).parity() == 1
-    if closure is None:
-        return HPrimeReport(n, l, P.order(), discovered, True, None,
-                            (), None, m, bound, shift_odd, "UNRESOLVED")
-    systems = tuple(minimal_blocks(PermGroup(n, tuple(gens))))
+    systems = tuple(minimal_blocks(closure))
     primitive = not systems
     if not primitive:
         conclusion = "IMPRIMITIVE"
@@ -315,5 +306,5 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     else:
         conclusion = "UNRESOLVED"
     return HPrimeReport(n, l, P.order(), discovered, True,
-                        len(closure), systems, primitive, m, bound,
+                        closure.order(), systems, primitive, m, bound,
                         shift_odd, conclusion)

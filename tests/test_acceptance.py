@@ -160,7 +160,7 @@ def test_criterion_05_conjugation_sets(capsys):
 def _sylow_27() -> PermGroup:
     code = cyclic_code(9, GF2, {1, 2, 4, 8, 7, 5})
     g2, _ = gk_family(code, 2)
-    elems = sylow_ascend(g2.elements(), 3, [Permutation.shift(9)])
+    elems = sylow_ascend(g2, 3, [Permutation.shift(9)])
     assert len(elems) == 27
     return PermGroup.from_generators(9, sorted(elems, key=lambda g: g.images))
 

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from cycperm import perm
 from cycperm.algebra import make_field
 from cycperm.autgroups import (
     AutoReport,
@@ -13,6 +14,7 @@ from cycperm.autgroups import (
     check_m_p_plus_1,
     classify,
     gk_family,
+    gk_lifts,
     known_cyclic_subgroup,
     multiplier_scan,
     pgammal_order,
@@ -20,6 +22,7 @@ from cycperm.autgroups import (
     sylow_exponent_bounds,
 )
 from cycperm.codes import cyclic_code, enumerate_cyclic_codes, is_elementary, permute_code
+from cycperm.equivalence import decide_equivalence
 from cycperm.perm import PermGroup, Permutation, block_system_valid, group_closure, orbits
 
 GF2 = make_field(2)
@@ -142,6 +145,44 @@ def test_backtrack_budget():
     with pytest.raises(BacktrackBudgetExceeded) as ei:
         backtrack_full_group(HAMMING7.linear, node_budget=20)
     assert ei.value.order_lower_bound >= 1
+
+
+def test_backtrack_budget_bound_from_many_automorphisms():
+    # Hamming-15 runs out of nodes after finding thousands of automorphisms;
+    # the lower bound is the order of the group they generate, read off its
+    # stabilizer chain: already all of the 20160-element group
+    with pytest.raises(BacktrackBudgetExceeded) as ei:
+        backtrack_full_group(cyclic_code(15, GF2, {1, 2, 4, 8}), node_budget=300_000)
+    assert ei.value.order_lower_bound == 20160
+
+
+def test_discovered_group_orders_without_listing(monkeypatch):
+    # the shift, the multipliers and the G_k families of binary codes of
+    # length 25 and 27: exact orders from the chain, the second far past
+    # CLOSURE_BOUND, with no element listed
+    def never(self):
+        raise AssertionError("group listed")
+    monkeypatch.setattr(perm._Chain, "products", never)
+    for n, order in ((25, 250_000), (27, 12_754_584)):
+        gens, _ = known_cyclic_subgroup(cyclic_code(n, GF2, {0}))
+        G = PermGroup.from_generators(n, gens)
+        assert G.order() == order
+        assert Permutation.multiplier(n, 2) * Permutation.shift(n) in G
+        assert Permutation((1, 0) + tuple(range(2, n))) not in G
+
+
+def test_gk_families_need_the_order_lift():
+    # at p = 2, r >= 3 the hypothesis z = 1 holds for q = 3 but ord_8(3) = 2,
+    # not 4: the G_k families are not used there, and every GF(3) code of
+    # length 8 is analyzed and decided
+    assert gk_lifts(3, 4) and not gk_lifts(3, 8) and not gk_lifts(3, 16)
+    assert gk_lifts(2, 9) and gk_lifts(2, 27) and not gk_lifts(3, 121)
+    with pytest.raises(ValueError, match="z=1"):
+        gk_family(cyclic_code(8, GF3, {0, 1, 3}), 1)
+    for code in enumerate_cyclic_codes(8, GF3):
+        report = analyze(code)
+        assert report.full_group_order % report.known_subgroup_order == 0
+        assert decide_equivalence(code, code, "HP").status == "equivalent"
 
 
 def test_projective_parameters():

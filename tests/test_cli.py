@@ -167,6 +167,8 @@ def test_analyze_node_budget_exhaustion_exits_2(capsys):
     assert "partial" in report
     assert report["report"]["full_group_order"] is None
     assert report["report"]["known_subgroup_order"] == 60
+    # no automorphism is found within 10 nodes
+    assert report["order_lower_bound"] == 1
 
 
 def test_analyze_rejects_non_coset_defining_set(capsys):

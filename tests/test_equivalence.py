@@ -1,12 +1,20 @@
 import itertools
+import random
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycperm.algebra import make_field
-from cycperm.codes import LinearCode, cyclic_code, cyclic_defining_set, permute_code
+from cycperm.algebra import make_field, prime_power
+from cycperm.autgroups import known_cyclic_subgroup
+from cycperm.codes import (
+    LinearCode,
+    cyclic_code,
+    cyclic_defining_set,
+    enumerate_cyclic_codes,
+    permute_code,
+)
 from cycperm.equivalence import (
     EquivalenceVerdict,
     HPDescriptor,
@@ -21,7 +29,15 @@ from cycperm.equivalence import (
     palfy_multiplier_complete,
     q_group,
 )
-from cycperm.perm import PermGroup, Permutation, group_closure, hset_brute, normalizer_in_symmetric
+from cycperm.perm import (
+    PermGroup,
+    Permutation,
+    group_closure,
+    hset_brute,
+    normalizer_in_symmetric,
+    sylow_ascend,
+    sylow_through_shift,
+)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -348,3 +364,17 @@ def test_planted_affine_witness_recovered(a, b):
         v = decide_equivalence(HAMMING, planted, strat)
         assert v.status == "equivalent"
         assert permute_code(HAMMING.linear, v.witness) == planted.linear
+
+
+def test_discovered_sylow_matches_ascent():
+    # the discovered groups of sampled codes: G meet W_T, the Sylow subgroup
+    # build_sylow_descriptor takes, equals the Sylow ascent from <T>
+    rng = random.Random(1948)
+    for q, n in ((3, 4), (5, 8), (7, 8), (4, 9), (7, 9), (7, 25)):
+        p, _ = prime_power(n)
+        codes = enumerate_cyclic_codes(n, make_field(*prime_power(q)))
+        for code in rng.sample(codes, 4):
+            gens, _ = known_cyclic_subgroup(code)
+            G = PermGroup.from_generators(n, gens)
+            assert sylow_through_shift(G) == sylow_ascend(G, p, [Permutation.shift(n)]), \
+                (q, n, sorted(code.defining_set))

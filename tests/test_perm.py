@@ -26,6 +26,7 @@ from cycperm.perm import (
     orbits,
     perm_chunks,
     sylow_ascend,
+    sylow_through_shift,
 )
 
 
@@ -101,6 +102,56 @@ def test_group_closure_and_bound():
     with pytest.raises(ClosureBoundExceeded):
         group_closure([Permutation.shift(9), Permutation((1, 0) + tuple(range(2, 9)))],
                       bound=100)
+
+
+def test_elements_size_guard(monkeypatch):
+    # S_10 has 10! elements, past CLOSURE_BOUND: elements() and group_closure
+    # raise from the chain's order before listing anything, while order and
+    # membership still answer
+    def never(self):
+        raise AssertionError("group listed before the size check")
+    monkeypatch.setattr(perm._Chain, "products", never)
+    gens = [Permutation.shift(10), Permutation((1, 0) + tuple(range(2, 10)))]
+    G = PermGroup.from_generators(10, gens)
+    with pytest.raises(ClosureBoundExceeded) as exc:
+        G.elements()
+    assert exc.value.reached == math.factorial(10)
+    with pytest.raises(ClosureBoundExceeded) as exc:
+        group_closure(gens, bound=1000)
+    assert exc.value.reached == math.factorial(10)
+    assert G.order() == math.factorial(10)
+    assert Permutation((3, 1, 2, 0) + tuple(range(4, 10))) in G
+
+
+def _random_cycle(rng: random.Random, n: int) -> Permutation:
+    images = list(range(n))
+    pts = rng.sample(range(n), rng.randint(1, n))
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        images[a] = b
+    return Permutation(tuple(images))
+
+
+def test_chain_agrees_with_sympy():
+    # seeded groups of degree <= 9 from one to three generators, each a
+    # random permutation or a cycle on random points (so that proper
+    # subgroups of S_n turn up): order, membership and the listed elements
+    # against sympy's Schreier-Sims
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(19700101)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        gens = [(_random_perm if rng.random() < 0.5 else _random_cycle)(rng, n)
+                for _ in range(rng.randint(1, 3))]
+        G = PermGroup.from_generators(n, gens)
+        ref = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens])
+        assert G.order() == ref.order(), gens
+        if ref.order() <= 5040:
+            assert {g.images for g in G.elements()} == \
+                {tuple(x.array_form) for x in ref.generate()}, gens
+        for _ in range(10):
+            s = _random_perm(rng, n)
+            assert (s in G) == ref.contains(combinatorics.Permutation(list(s.images))), (gens, s)
 
 
 def test_permgroup_api():
@@ -189,8 +240,8 @@ def test_conjugation_scan_rejects_large_degree():
 def test_normalizer_within_ambient():
     # normalizer of the Sylow 3-subgroup of AG(9) inside AG(9) is all of AG(9)
     T = Permutation.shift(9)
-    amb = group_closure([T, Permutation.affine(9, 2, 0)])
-    P = sylow_ascend(frozenset(amb), 3, [T])
+    amb = PermGroup.from_generators(9, [T, Permutation.affine(9, 2, 0)])
+    P = PermGroup.from_generators(9, sorted(sylow_ascend(amb, 3, [T]), key=lambda g: g.images))
     N = normalizer_in_symmetric(P, 9, within=amb)
     assert len(N) == 54
     # within a subgroup that does not normalize: <T> inside S_9's affine part
@@ -219,13 +270,13 @@ def test_sylow_ascend_in_affine_9():
     T = Permutation.shift(9)
     amb = group_closure([T, Permutation.affine(9, 2, 0)])
     assert len(amb) == 54
-    P = sylow_ascend(frozenset(amb), 3, [T])
+    P = sylow_ascend(PermGroup.from_generators(9, sorted(amb, key=lambda g: g.images)), 3, [T])
     assert len(group_closure(P)) == 27
 
 
 def test_sylow_ascend_full_symmetric_4():
     every = [Permutation(p) for p in itertools.permutations(range(4))]
-    amb = frozenset(every)
+    amb = PermGroup.from_generators(4, every)
     P = group_closure(sylow_ascend(amb, 2, [Permutation((1, 0, 2, 3))]))
     assert len(P) == 8
     P3 = group_closure(sylow_ascend(amb, 3, [Permutation((1, 2, 0, 3))]))
@@ -233,7 +284,7 @@ def test_sylow_ascend_full_symmetric_4():
 
 
 def test_sylow_ascend_validates_seed():
-    amb = frozenset(group_closure([Permutation.shift(5)]))
+    amb = PermGroup.from_generators(5, [Permutation.shift(5)])
     with pytest.raises(ValueError):
         sylow_ascend(amb, 5, [Permutation((1, 0, 2, 3, 4))])
 
@@ -306,3 +357,62 @@ def test_conjugation_set_size_guard(monkeypatch):
     with pytest.raises(ClosureBoundExceeded) as exc:
         conjugation_set(swap, PermGroup.from_generators(14, [swap]))
     assert exc.value.reached == 2 * math.factorial(12)
+
+
+# --- the Sylow subgroup through the shift: G meet W_T ------------------------------
+
+def _triangular(rng: random.Random, p: int, r: int, sparse: bool) -> Permutation:
+    """A random element of W_T on p^r points: digit k of the image is x_k plus
+    a function of the lower digits of x; sparse maps move one digit of one
+    residue class."""
+    f = [[rng.randrange(p) for _ in range(p ** k)] for k in range(r)]
+    if sparse:
+        f = [[0] * p ** k for k in range(r)]
+        k = rng.randrange(r)
+        f[k][rng.randrange(p ** k)] = rng.randrange(1, p)
+    return Permutation(tuple(sum((x // p ** k + f[k][x % p ** k]) % p * p ** k
+                                 for k in range(r)) for x in range(p ** r)))
+
+
+def test_shift_sylow_is_the_triangular_group():
+    # in S_4 and S_8, G meet W_T is all of W_T: p^((p^r - 1)/(p - 1)) triangular maps
+    for n, order in ((4, 8), (8, 128)):
+        S = PermGroup.from_generators(n, [Permutation.shift(n),
+                                          Permutation((1, 0) + tuple(range(2, n)))])
+        W = sylow_through_shift(S)
+        assert len(W) == order
+        assert Permutation.shift(n) in W and group_closure(W) == W
+    S4 = PermGroup.from_generators(4, [Permutation.shift(4), Permutation((1, 0, 2, 3))])
+    assert sylow_through_shift(S4) == sylow_ascend(S4, 2, [Permutation.shift(4)])
+    with pytest.raises(ValueError):
+        sylow_through_shift(PermGroup.from_generators(9, [Permutation.multiplier(9, 2)]))
+
+
+def test_shift_sylow_matches_ascent():
+    # seeded groups containing the shift, generated with affine maps,
+    # generalized multipliers, random permutations (n <= 9) and triangular
+    # maps, of order at most 3000: G meet W_T equals the Sylow ascent from <T>
+    rng = random.Random(1948)
+    for n in (4, 8, 9, 25, 27):
+        p, r = {4: (2, 2), 8: (2, 3), 9: (3, 2), 25: (5, 2), 27: (3, 3)}[n]
+        T = Permutation.shift(n)
+        pool = [Permutation.affine(n, a, b) for a in range(1, n) if math.gcd(a, n) == 1
+                for b in range(n)]
+        pool += [Permutation.generalized_multiplier(n, k, a, c) for k in range(1, r)
+                 for a in range(1, p ** k) if a % p for c in range(p ** k)]
+        drawn = 0
+        while drawn < 8:
+            gens = [T]
+            for _ in range(rng.randint(1, 2)):
+                pick = rng.random()
+                if pick < 0.4:
+                    gens.append(rng.choice(pool))
+                elif pick < 0.6 and n <= 9:
+                    gens.append(_random_perm(rng, n))
+                else:
+                    gens.append(_triangular(rng, p, r, sparse=n > 9))
+            G = PermGroup.from_generators(n, gens)
+            if G.order() > 3000:
+                continue
+            drawn += 1
+            assert sylow_through_shift(G) == sylow_ascend(G, p, [T]), gens
