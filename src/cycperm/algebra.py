@@ -266,43 +266,10 @@ class Field:
     def inv(self, a: int) -> int:
         if a % self.order == 0:
             raise ZeroDivisionError("inverse of zero")
-        p = self.characteristic
         if self.degree == 1:
+            p = self.characteristic
             return pow(a, p - 2, p)
-        # extended Euclid on coefficient lists
-        r0, r1 = self._mod_coeffs[:], _gfp_trim(self._digits(a))
-        t0, t1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q, r = self._gfp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, self._gfp_sub(t0, _gfp_mul(q, t1, p), p)
-        lead_inv = pow(r0[-1], p - 2, p)
-        t0 = [c * lead_inv % p for c in t0]
-        return self._encode(t0 + [0] * self.degree)
-
-    @staticmethod
-    def _gfp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-        q = [0] * max(len(a) - len(b) + 1, 0)
-        r = a[:]
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(r) >= len(b) and r:
-            if r[-1] == 0:
-                r.pop()
-                continue
-            f = r[-1] * inv_lead % p
-            shift = len(r) - len(b)
-            q[shift] = f
-            for i, c in enumerate(b):
-                r[shift + i] = (r[shift + i] - f * c) % p
-            r.pop()
-        return _gfp_trim(q), _gfp_trim(r)
-
-    @staticmethod
-    def _gfp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-        n = max(len(a), len(b))
-        return _gfp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                          for i in range(n)])
+        return self.pow(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -489,9 +456,6 @@ class RootSystem:
     lift: Callable[[int], int | None]
 
 
-_EMBED_SCAN_LIMIT = 1 << 22
-
-
 @lru_cache(maxsize=None)
 def root_system(field: Field, n: int) -> RootSystem:
     """Extension of `field` containing the n-th roots of unity, with a canonical
@@ -499,7 +463,11 @@ def root_system(field: Field, n: int) -> RootSystem:
 
     alpha is pinned deterministically: among all generators of the unique
     order-n subgroup of E*, take the one with the smallest integer encoding.
-    Requires gcd(n, q) = 1.
+    An extension base field GF(q) embeds by sending x to beta, the least root
+    of its modulus in E.  Every such root lies in the subfield GF(q) of E,
+    which is zero and the powers of an element y of order q - 1, so beta is
+    found among those q elements; y = e^((|E| - 1)/(q - 1)) for the least e
+    that gives that order.  Requires gcd(n, q) = 1.
     """
     q = field.order
     if n < 1:
@@ -519,16 +487,12 @@ def root_system(field: Field, n: int) -> RootSystem:
             embed = lambda e: e
             lift = lambda e: e if e < q else None
         else:
-            if ext.order > _EMBED_SCAN_LIMIT:
-                raise ValueError(f"embedding scan into GF({p}^{s * t}) too large")
-            beta = None
+            cofactor = (ext.order - 1) // (q - 1)
+            y = next(y for y in (ext.pow(e, cofactor) for e in range(2, ext.order))
+                     if ext.element_order(y) == q - 1)
+            subfield = [0] + [ext.pow(y, i) for i in range(q - 1)]
             mod_poly = Polynomial(ext, tuple(c % p for c in field.modulus))
-            for e in ext.elements():
-                if mod_poly.evaluate(e) == 0:
-                    beta = e
-                    break
-            if beta is None:
-                raise RuntimeError("modulus has no root in the extension")  # unreachable
+            beta = min(e for e in subfield if mod_poly.evaluate(e) == 0)
             pow_beta = [ext.pow(beta, i) for i in range(s)]
 
             def embed(e: int, _pb=pow_beta, _f=field, _E=ext) -> int:

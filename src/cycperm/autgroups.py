@@ -10,7 +10,6 @@ groups, and otherwise the group is imprimitive or projective semilinear.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial, gcd
 
@@ -47,7 +46,6 @@ from .perm import (
 )
 
 NODE_BUDGET_DEFAULT = 5_000_000
-MULTIPLIER_CROSS_CHECKS = 3
 
 
 class BacktrackBudgetExceeded(RuntimeError):
@@ -61,21 +59,17 @@ class BacktrackBudgetExceeded(RuntimeError):
 
 # --- multiplier layer ---------------------------------------------------------
 
-def multiplier_scan(code: CyclicCode, rng: random.Random | None = None,
-                    ) -> tuple[frozenset[int], int]:
+def multiplier_scan(code: CyclicCode) -> tuple[frozenset[int], int]:
     """{a in (Z/n)^* : a . defining_set = defining_set} and its size m.
 
-    The scan runs on defining sets; a few hits are re-verified by the full
-    matrix test to guard the defining-set arithmetic.
+    The scan runs on defining sets; every hit is re-verified by one batch of
+    the matrix test to guard the defining-set arithmetic.
     """
     n, ds = code.n, code.defining_set
     hits = [a for a in range(1, n) if gcd(a, n) == 1
             and frozenset(a * i % n for i in ds) == ds]
-    if rng is None:
-        rng = random.Random(0)
-    sample = rng.sample(hits, min(MULTIPLIER_CROSS_CHECKS, len(hits)))
-    images = np.array([Permutation.multiplier(n, a).images for a in sample]).reshape(-1, n)
-    for a, fixed in zip(sample, maps_onto(code.linear, code.linear, images)):
+    images = np.array([Permutation.multiplier(n, a).images for a in hits]).reshape(-1, n)
+    for a, fixed in zip(hits, maps_onto(code.linear, code.linear, images)):
         if not fixed:
             raise RuntimeError(f"defining-set multiplier {a} failed the matrix test")
     return frozenset(hits), len(hits)
@@ -523,8 +517,7 @@ def known_cyclic_subgroup(code: CyclicCode) -> tuple[list[Permutation], frozense
 def analyze(code: CyclicCode | LinearCode,
             run_backtrack: bool | None = None,
             node_budget: int = NODE_BUDGET_DEFAULT,
-            distance_budget: int = DEFAULT_DISTANCE_BUDGET,
-            seed: int = 0) -> AutoReport:
+            distance_budget: int = DEFAULT_DISTANCE_BUDGET) -> AutoReport:
     """Full report on the automorphism group of a cyclic code: parameters,
     multipliers, discovered subgroup, optional exact group by backtrack,
     block systems, and a classification label with evidence."""
@@ -537,8 +530,7 @@ def analyze(code: CyclicCode | LinearCode,
     n, k = code.n, code.k
     dist = min_distance(lin, budget=distance_budget)
     elementary = is_elementary(lin)
-    rng = random.Random(seed)
-    mset, m = multiplier_scan(code, rng)
+    mset, m = multiplier_scan(code)
     gens, _ = known_cyclic_subgroup(code)
     known_order = PermGroup.from_generators(n, gens).order()
 

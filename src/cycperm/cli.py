@@ -174,11 +174,11 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     code = _input_code(config)
     try:
         report = analyze(code, node_budget=config.budget_nodes,
-                         distance_budget=config.budget_dist, seed=config.seed)
+                         distance_budget=config.budget_dist)
     except BacktrackBudgetExceeded as exc:
         report = analyze(code, run_backtrack=False,
                          node_budget=config.budget_nodes,
-                         distance_budget=config.budget_dist, seed=config.seed)
+                         distance_budget=config.budget_dist)
         return {"config": config.to_json(), "report": report.to_json(),
                 "partial": "node budget exhausted before the full group "
                            "search completed",

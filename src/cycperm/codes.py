@@ -516,12 +516,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     if k == n:
         return DistanceResult(1, 1, True, "trivial")
     if code.codeword_count() <= budget:
-        best = n + 1
-        for block in code.codeword_chunks():
-            w = (block != 0).sum(axis=1)
-            nz = w[w > 0]
-            if nz.size:
-                best = min(best, int(nz.min()))
+        best = weight_profile(code, budget).min_weight
         return DistanceResult(best, best, True, "enumeration")
     if not F.is_prime_field:
         return DistanceResult(1, n - k + 1, False, "interval")

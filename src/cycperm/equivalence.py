@@ -6,15 +6,26 @@ of the automorphism group containing the shift.  This module builds P inside
 the discoverable subgroup, lists H(P) exactly at every length as the union of
 the cosets C(T) sigma_rho over the n-cycles rho of P (perm.conjugation_set),
 and wraps the strategies behind a single decision routine with an honest
-completeness flag.  The paper's closed forms for H(P) (the affine set, the
-polynomial-map groups, the geometric-series map family) are kept as
-independent checks of that construction.  The BRUTE strategy scans all of
-S_n and covers small lengths for validation.
+completeness flag.  The groups of the paper's closed forms are built from
+their generators, never by listing maps: the polynomial-map groups Q^m and
+Q_1^m (q_group), and for GR_FORMULA the Sylow subgroup <T, M_(q^t)> of the
+generalized-multiplier group G_r = <T, M_q>.  The closed-form sets (the
+affine set, the geometric-series map family) are kept as independent checks
+of the coset construction.  The BRUTE strategy scans all of S_n and covers
+small lengths for validation.
+
+The invariant separation, the BRUTE verdict and the witness scan confirmed
+by permute_code (invariant_separation, brute_verdict, witness_scan) are
+public here and shared with the H'(P) search of quasi-cyclic codes: one
+restricted-set search for both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from .algebra import multiplicative_order, prime_power
 from .codes import (
@@ -25,7 +36,7 @@ from .codes import (
     permute_code,
     weight_profile,
 )
-from .autgroups import gk_family, gk_lifts, known_cyclic_subgroup
+from .autgroups import gk_lifts, known_cyclic_subgroup
 from .perm import (
     BRUTE_DEGREE_BOUND,
     PermGroup,
@@ -37,8 +48,11 @@ from .perm import (
     sylow_through_shift,
 )
 
-# largest polynomial-map family worth enumerating when hunting for
-# containment: |Q_1^m| = p^(r+m)
+if TYPE_CHECKING:
+    from .quasicyclic import QuasiCyclicCode
+
+# largest polynomial-map family Q_1^m, of order p^(r+m), tried as the group
+# carrying P when it fixes the code
 _Q_FAMILY_BOUND = 10_000
 # largest group worth listing to cut out its Sylow subgroup through the shift
 _AMBIENT_BOUND = 50_000
@@ -82,15 +96,17 @@ class QPolyMap:
         images = tuple(self(x) for x in range(self.modulus))
         return Permutation(images)
 
-    def in_q1(self) -> bool:
-        p, r = prime_power(self.modulus)
-        return (self.coefficients[1] - 1) % p ** (r - 1) == 0
-
 
 def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
     """The polynomial-map groups (Q^m, Q_1^m) on Z mod p^r: all degree <= m
     maps with unit linear coefficient (resp. linear coefficient 1 mod p^(r-1))
-    and higher coefficients divisible by p^(r-1)."""
+    and higher coefficients divisible by p^(r-1).
+
+    Both are built from generators: Q_1^m from the shift, x -> (1 + p^(r-1)) x
+    and x -> x + p^(r-1) x^j for 2 <= j <= m; Q^m from those and the
+    multipliers by generators of the units mod p^r (a primitive root for odd
+    p; -1 and 5 for p = 2).  Their chains must reach the family orders
+    p^(r+m) and n phi(n) p^(m-1)."""
     p, r = prime_power(n)
     if m >= p:
         raise ValueError("degree bound violated")
@@ -101,30 +117,18 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
         # is not closed under composition; the affine set covers that case
         raise ValueError("polynomial map groups need a proper prime power (r >= 2)")
     step = p ** (r - 1)
-    high_choices = [list(range(0, n, step))] * (m - 1)
-    q_elems: set[Permutation] = set()
-    q1_elems: set[Permutation] = set()
-    def rec(idx: int, coeffs: list[int]) -> None:
-        if idx == m + 1:
-            qm = QPolyMap(n, tuple(coeffs))
-            perm = qm.to_permutation()
-            q_elems.add(perm)
-            if qm.in_q1():
-                q1_elems.add(perm)
-            return
-        if idx == 0:
-            pool = range(n)
-        elif idx == 1:
-            pool = [a for a in range(n) if gcd(a, p) == 1]
-        else:
-            pool = high_choices[idx - 2]
-        for c in pool:
-            rec(idx + 1, coeffs + [c])
-    rec(0, [])
-    qg = PermGroup(n, tuple(reduce_generators(frozenset(q_elems))))
-    q1g = PermGroup(n, tuple(reduce_generators(frozenset(q1_elems))))
-    if qg.order() != len(q_elems) or q1g.order() != len(q1_elems):
-        raise RuntimeError("polynomial map family is not closed under composition")
+    phi = n - step
+    q1_gens = [Permutation.shift(n), Permutation.multiplier(n, 1 + step)]
+    q1_gens += [QPolyMap(n, (0, 1) + (0,) * (j - 2) + (step,)).to_permutation()
+                for j in range(2, m + 1)]
+    if p == 2:
+        units = [n - 1, 5 % n]
+    else:
+        units = [next(g for g in range(2, n) if g % p and multiplicative_order(g, n) == phi)]
+    q1g = PermGroup.from_generators(n, q1_gens)
+    qg = PermGroup.from_generators(n, q1_gens + [Permutation.multiplier(n, a) for a in units])
+    if q1g.order() != p ** (r + m) or qg.order() != n * phi * p ** (m - 1):
+        raise RuntimeError("polynomial map generators miss the order of their family")
     return qg, q1g
 
 
@@ -245,15 +249,19 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     if s == r:
         return P, HPDescriptor("AG_SET", n, s, s == ceiling)
     if s > r and s - 1 < p and r == 2:
+        # |Q_1^(s-2)| = p^s = |P| at r = 2, so containment is equality
         _, q1 = q_group(n, s - 2)
-        if q1.elements() == P_elems:
+        if all(g in P for g in q1.generators):
             return P, HPDescriptor("Q_SET", n, s, s == ceiling)
-    if r >= 2 and s <= 2 * r - 1 and gk_lifts(code.field.order, n):
+    q = code.field.order
+    if r >= 2 and s <= 2 * r - 1 and gk_lifts(q, n):
         # the geometric-series formula materializes H(P) for the Sylow
-        # subgroup of the largest generalized-multiplier family, of order
-        # p^(2r - 1) since ord_{p^r}(q) = t p^(r - 1) with t prime to p
-        gk, _ = gk_family(code, r)
-        P_gr = PermGroup(n, tuple(reduce_generators(sylow_through_shift(gk))))
+        # subgroup of the largest generalized-multiplier family G_r = <T, M_q>,
+        # which known_cyclic_subgroup verified above: since ord_{p^r}(q) =
+        # t p^(r - 1) with t = ord_p(q) prime to p, it is the normal subgroup
+        # <T, M_(q^t)> of order p^(2r - 1)
+        t = multiplicative_order(q, p)
+        P_gr = PermGroup.from_generators(n, [T, Permutation.multiplier(n, pow(q, t, n))])
         return P_gr, HPDescriptor("GR_FORMULA", n, 2 * r - 1, 2 * r - 1 == ceiling)
     return P, HPDescriptor("PREDICATE", n, s, s == ceiling)
 
@@ -283,22 +291,32 @@ def _check_compatible(c1: CyclicCode, c2: CyclicCode) -> None:
         raise ValueError("codes live over different fields")
 
 
-def _invariant_separation(c1: CyclicCode, c2: CyclicCode) -> str | None:
+def invariant_separation(c1: CyclicCode | QuasiCyclicCode,
+                         c2: CyclicCode | QuasiCyclicCode,
+                         strategy: str) -> EquivalenceVerdict | None:
+    """The complete "inequivalent" verdict when the dimensions or the weight
+    profiles differ, or None; the profiles are skipped past the enumeration
+    budget of weight_profile."""
     if c1.k != c2.k:
-        return f"dimensions differ: {c1.k} != {c2.k}"
-    try:
-        w1 = weight_profile(c1.linear)
-        w2 = weight_profile(c2.linear)
-    except ValueError:
-        return None
-    if w1.counts != w2.counts:
-        return "weight profiles differ"
-    return None
+        sep = f"dimensions differ: {c1.k} != {c2.k}"
+    else:
+        try:
+            same = weight_profile(c1.linear).counts == weight_profile(c2.linear).counts
+        except ValueError:
+            return None
+        if same:
+            return None
+        sep = "weight profiles differ"
+    return EquivalenceVerdict("inequivalent", None, strategy, True, sep)
 
 
-def _confirmed(sigma: Permutation | None, c1: LinearCode,
-               c2: LinearCode) -> Permutation | None:
-    """A witness from the code-action test, checked again with permute_code."""
+def witness_scan(c1: LinearCode, c2: LinearCode,
+                 chunks: Iterable[np.ndarray]) -> Permutation | None:
+    """The first permutation in the order of `chunks` mapping c1 onto c2
+    (codes.first_map), checked again with permute_code; None when none does.
+    Restricted sets such as H(P) and H'(P) are scanned through
+    perm.sorted_chunks, in sorted order of images."""
+    sigma = first_map(c1, c2, chunks)
     if sigma is not None and permute_code(c1, sigma) != c2:
         raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
     return sigma
@@ -316,7 +334,17 @@ def brute_equivalence(c1: CyclicCode | LinearCode,
     n = l1.n
     if n > BRUTE_DEGREE_BOUND:
         raise ValueError(f"exhaustive scan limited to n <= {BRUTE_DEGREE_BOUND}")
-    return _confirmed(first_map(l1, l2, perm_chunks(n)), l1, l2)
+    return witness_scan(l1, l2, perm_chunks(n))
+
+
+def brute_verdict(c1: LinearCode, c2: LinearCode) -> EquivalenceVerdict:
+    """The complete BRUTE verdict from brute_equivalence."""
+    sigma = brute_equivalence(c1, c2)
+    if sigma is not None:
+        return EquivalenceVerdict("equivalent", sigma, "BRUTE", True,
+                                  "witness found by exhaustive scan")
+    return EquivalenceVerdict("inequivalent", None, "BRUTE", True,
+                              "exhaustive scan found no witness")
 
 
 def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
@@ -336,9 +364,9 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     if strategy not in ("MULTIPLIER", "HP", "BRUTE"):
         raise ValueError(f"unknown strategy {strategy!r}")
     n = c1.n
-    sep = _invariant_separation(c1, c2)
+    sep = invariant_separation(c1, c2, strategy)
     if sep is not None:
-        return EquivalenceVerdict("inequivalent", None, strategy, True, sep)
+        return sep
 
     if strategy == "MULTIPLIER":
         ds1, ds2 = c1.defining_set, c2.defining_set
@@ -361,22 +389,14 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
             "this length")
 
     if strategy == "BRUTE":
-        if n > BRUTE_DEGREE_BOUND:
-            raise ValueError(f"BRUTE strategy limited to n <= {BRUTE_DEGREE_BOUND}")
-        sigma = brute_equivalence(c1, c2)
-        if sigma is not None:
-            return EquivalenceVerdict("equivalent", sigma, strategy, True,
-                                      "witness found by exhaustive scan")
-        return EquivalenceVerdict("inequivalent", None, strategy, True,
-                                  "exhaustive scan found no witness")
+        return brute_verdict(c1.linear, c2.linear)
 
     # HP
     P, desc = build_sylow_descriptor(c1)
     members = hp_set(desc, P)
     detail = (f"H(P) of size {len(members)} from a {desc.kind} descriptor, "
               f"Sylow exponent {desc.sylow_exponent}")
-    sigma = _confirmed(first_map(c1.linear, c2.linear, sorted_chunks(members)),
-                       c1.linear, c2.linear)
+    sigma = witness_scan(c1.linear, c2.linear, sorted_chunks(members))
     if sigma is not None:
         return EquivalenceVerdict("equivalent", sigma, strategy, desc.complete,
                                   f"witness found in {detail}")

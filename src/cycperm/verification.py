@@ -142,18 +142,18 @@ def _distance_ok(res, stated: int) -> bool:
 BATTERY_DISTANCE_BUDGET = 2_000_000
 
 
-def _table_row(q: int, n: int, m: int, prim, dual, rng: random.Random,
-               codes, scope: str) -> VerificationRow:
+def _table_row(q: int, n: int, m: int, prim, dual, codes,
+               scope: str) -> VerificationRow:
     t0 = time.perf_counter()
     expected = f"[{prim[0]},{prim[1]},{prim[2]}] m={m} dual d={dual[2]}"
     best = None
     for code in codes:
         if code.k != prim[1]:
             continue
-        if multiplier_scan(code, rng)[1] != m:
+        if multiplier_scan(code)[1] != m:
             continue
         dl = code.dual()
-        if dl.k != dual[1] or multiplier_scan(dl, rng)[1] != m:
+        if dl.k != dual[1] or multiplier_scan(dl)[1] != m:
             continue
         d1 = min_distance(code.linear, budget=BATTERY_DISTANCE_BUDGET)
         d2 = min_distance(dl.linear, budget=BATTERY_DISTANCE_BUDGET)
@@ -185,7 +185,6 @@ def _table_row(q: int, n: int, m: int, prim, dual, rng: random.Random,
 
 
 def _tables_rows(seed: int) -> list[VerificationRow]:
-    rng = random.Random(seed)
     rows = []
     for q, n, expect in ((11, 5, 32), (13, 5, 4), (2, 7, 8), (2, 49, 32)):
         t0 = time.perf_counter()
@@ -203,8 +202,7 @@ def _tables_rows(seed: int) -> list[VerificationRow]:
     for q, n, m, prim, dual in _PARAMETER_TABLE:
         if (q, n) not in catalogue:
             catalogue[(q, n)] = enumerate_cyclic_codes(n, make_field(q))
-        rows.append(_table_row(q, n, m, prim, dual, rng,
-                               catalogue[(q, n)], "tables"))
+        rows.append(_table_row(q, n, m, prim, dual, catalogue[(q, n)], "tables"))
     return rows
 
 
@@ -486,7 +484,7 @@ def _slow_rows(seed: int) -> list[VerificationRow]:
 
     t0 = time.perf_counter()
     ham15 = cyclic_code(15, gf2, {1, 2, 4, 8})
-    rep = analyze(ham15, run_backtrack=True, seed=seed)
+    rep = analyze(ham15, run_backtrack=True)
     rows.append(_row("backtrack-hamming-15", "slow",
                      "order 20160, PGAMMAL(4, 2)",
                      f"order {rep.full_group_order}, {rep.classification.name}",
@@ -494,7 +492,7 @@ def _slow_rows(seed: int) -> list[VerificationRow]:
 
     t0 = time.perf_counter()
     golay = cyclic_code(11, gf3, {1, 3, 9, 5, 4})
-    rep = analyze(golay, run_backtrack=True, seed=seed)
+    rep = analyze(golay, run_backtrack=True)
     rows.append(_row("backtrack-golay-11", "slow", "order 660, PSL_2_11",
                      f"order {rep.full_group_order}, {rep.classification.name}", t0))
 

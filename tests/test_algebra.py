@@ -18,6 +18,7 @@ from cycperm.algebra import (
     x_pow_minus_one,
     z_parameter,
 )
+from cycperm.codes import enumerate_cyclic_codes, is_shift_invariant
 
 
 def test_is_prime_small():
@@ -252,6 +253,35 @@ def test_minimal_polynomial_matches_sympy_factorization():
             seen |= coset
             mp = minimal_polynomial(F, n, coset)
             assert mp.coeffs in factor_tuples
+
+
+def _scanned_embedding_root(field, n):
+    # the oracle: the least element of the extension that is a root of the
+    # base field's modulus, found by scanning the extension in order
+    E = root_system(field, n).ext
+    mod_poly = Polynomial(E, tuple(field.modulus))
+    return next(e for e in E.elements() if mod_poly.evaluate(e) == 0)
+
+
+@pytest.mark.parametrize("q_spec,n", [((2, 2), 9), ((2, 2), 11), ((2, 2), 13), ((2, 2), 15),
+                                      ((2, 2), 17), ((2, 2), 21), ((2, 3), 9), ((3, 2), 7),
+                                      ((3, 2), 11)])
+def test_embedding_root_matches_scan(q_spec, n):
+    F = make_field(*q_spec)
+    rs = root_system(F, n)
+    beta = rs.embed(F.characteristic)        # the base-field element x
+    assert beta == _scanned_embedding_root(F, n)
+
+
+@pytest.mark.parametrize("n", [25, 29])
+def test_gf4_codes_build_at_large_extension_degree(n):
+    # GF(4) at n = 25 and 29 embeds into GF(2^20) and GF(2^28)
+    F = make_field(2, 2)
+    codes = enumerate_cyclic_codes(n, F)
+    assert len(codes) == {25: 32, 29: 8}[n]
+    for code in codes:
+        assert code.linear.k == code.k
+        assert is_shift_invariant(code.linear)
 
 
 def test_root_system_deterministic_alpha():

@@ -54,6 +54,25 @@ def test_multiplier_scan_full_space():
     assert m == 6 and mset == frozenset({1, 2, 3, 4, 5, 6})
 
 
+def test_multiplier_scan_checks_every_hit(monkeypatch):
+    # the repetition code is fixed by every multiplier; a matrix test that
+    # rejects any single one of them must be caught and named
+    from cycperm import autgroups
+    rep = cyclic_code(7, GF2, {1, 2, 3, 4, 5, 6})
+    assert multiplier_scan(rep)[0] == frozenset(range(1, 7))
+    real = autgroups.maps_onto
+    for bad in range(1, 7):
+        def rejecting(c1, c2, images, bad=bad):
+            out = real(c1, c2, images)
+            rows = [i for i, im in enumerate(images)
+                    if tuple(im) == Permutation.multiplier(7, bad).images]
+            out[rows] = False
+            return out
+        monkeypatch.setattr(autgroups, "maps_onto", rejecting)
+        with pytest.raises(RuntimeError, match=f"multiplier {bad} failed"):
+            multiplier_scan(rep)
+
+
 def test_multiplier_duality():
     for c in enumerate_cyclic_codes(9, GF2) + enumerate_cyclic_codes(15, GF2):
         _, m = multiplier_scan(c)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycperm.algebra import make_field, prime_power
-from cycperm.autgroups import known_cyclic_subgroup
+from cycperm.autgroups import gk_family, known_cyclic_subgroup
 from cycperm.codes import (
     LinearCode,
     cyclic_code,
@@ -74,6 +74,31 @@ def test_q_group_orders_nine():
     assert q2.order() == 162 and q12.order() == 81
     assert q11.elements() <= q1.elements() <= q2.elements()
     assert q12.elements() <= q2.elements()
+
+
+def _listed_q_family(n, m):
+    # the oracle: every polynomial map over the coefficient grid
+    p, r = prime_power(n)
+    step = p ** (r - 1)
+    q, q1 = set(), set()
+    for a0 in range(n):
+        for a1 in (a for a in range(n) if a % p):
+            for high in itertools.product(range(0, n, step), repeat=m - 1):
+                perm = QPolyMap(n, (a0, a1) + high).to_permutation()
+                q.add(perm)
+                if (a1 - 1) % step == 0:
+                    q1.add(perm)
+    return q, q1
+
+
+def test_q_group_matches_listed_family():
+    # generators against the listing, wherever |Q_1^m| = p^(r+m) <= 10,000
+    for n in (9, 25, 27, 49):
+        p, r = prime_power(n)
+        for m in (m for m in range(1, p) if p ** (r + m) <= 10_000):
+            qg, q1g = q_group(n, m)
+            q, q1 = _listed_q_family(n, m)
+            assert qg.elements() == q and q1g.elements() == q1, (n, m)
 
 
 def test_q_group_contains_shift_and_multipliers():
@@ -204,6 +229,15 @@ def test_sylow_descriptor_twentyseven():
     assert all(hp_membership(s, P) for s in sample)
     # the paper's closed form is the same set as the coset construction
     assert members == gr_formula_set(27, 2)
+    # the earlier construction as the oracle: the Sylow subgroup through the
+    # shift of the verified family G_3
+    assert P.elements() == sylow_through_shift(gk_family(c, 3)[0])
+
+
+def test_sylow_descriptor_q_set():
+    P, desc = build_sylow_descriptor(cyclic_code(25, GF2, {0}))
+    assert desc.kind == "Q_SET" and desc.sylow_exponent == 5
+    assert P.elements() == q_group(25, 3)[1].elements()
 
 
 # --- decision strategies ---------------------------------------------------------
