@@ -83,10 +83,9 @@ def check_m_p_plus_1(code: CyclicCode) -> bool:
         return True
     ds = code.defining_set
     ok = frozenset(a * i % code.n for i in ds) == ds
-    if code.n <= 64:
-        mult = Permutation.multiplier(code.n, a)
-        if ok != maps_onto(code.linear, code.linear, [mult.images])[0]:
-            raise RuntimeError(f"multiplier {a}: the defining-set and matrix tests disagree")
+    mult = Permutation.multiplier(code.n, a)
+    if ok != maps_onto(code.linear, code.linear, [mult.images])[0]:
+        raise RuntimeError(f"multiplier {a}: the defining-set and matrix tests disagree")
     return ok
 
 
@@ -162,7 +161,6 @@ class BacktrackResult:
     order: int
     generators: tuple[Permutation, ...]
     nodes: int
-    elements: frozenset[Permutation]
 
 
 def _min_weight_supports(code: LinearCode) -> list[frozenset[int]] | None:
@@ -298,10 +296,8 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
             used[j] = False
 
     descend(0)
-    elements = frozenset(found)
-    gens = tuple(reduce_generators(elements)) if elements else ()
-    return BacktrackResult(order=len(found), generators=gens,
-                           nodes=nodes, elements=elements)
+    gens = tuple(reduce_generators(frozenset(found))) if found else ()
+    return BacktrackResult(order=len(found), generators=gens, nodes=nodes)
 
 
 # --- classification -----------------------------------------------------------
@@ -405,7 +401,9 @@ class AutoReport:
 
 def classify(code: CyclicCode | LinearCode, report: AutoReport) -> GroupClass:
     """Decision tree for the automorphism group of a cyclic code, driven by
-    the trichotomy for transitive groups containing a complete cycle."""
+    the trichotomy for transitive groups containing a complete cycle.  The
+    block systems are the report's, which analyze computed on the group of
+    the discovered generators."""
     lin = code.linear if isinstance(code, CyclicCode) else code
     n, q = report.n, lin.field.order
     char = lin.field.characteristic
@@ -442,13 +440,10 @@ def classify(code: CyclicCode | LinearCode, report: AutoReport) -> GroupClass:
             return GroupClass("AFFINE_SUBGROUP", (n, full // n),
                               f"group of order {n}*{full // n} inside the affine "
                               f"maps x -> ax+b mod {n}")
-        gens = report.discovered_generators
-        if gens:
-            systems = minimal_blocks(PermGroup(n, tuple(gens)))
-            if systems:
-                bs = systems[0]
-                return GroupClass("IMPRIMITIVE", (bs.block_count, bs.block_size),
-                                  "minimal block system found on the computed group")
+        if report.block_systems:
+            bs = report.block_systems[0]
+            return GroupClass("IMPRIMITIVE", (bs.block_count, bs.block_size),
+                              "minimal block system found on the computed group")
         return GroupClass("UNRESOLVED", (), f"order {full} matches no known case")
 
     # full group unknown: theory-backed paths only
@@ -476,12 +471,10 @@ def classify(code: CyclicCode | LinearCode, report: AutoReport) -> GroupClass:
         blocks = tuple(tuple(range(i, n, p)) for i in range(p))
         ev = ("no projective point count matches this composite length, so the "
               "group is imprimitive")
-        if report.discovered_generators:
-            G = PermGroup(n, tuple(report.discovered_generators))
-            if not block_system_valid(G, blocks):
-                systems = minimal_blocks(G)
-                if systems:
-                    blocks = systems[0].blocks
+        gens = report.discovered_generators
+        if gens and report.block_systems \
+                and not block_system_valid(PermGroup(n, gens), blocks):
+            blocks = report.block_systems[0].blocks
         bs = BlockSystem(blocks)
         return GroupClass("IMPRIMITIVE", (bs.block_count, bs.block_size), ev)
     return GroupClass("UNRESOLVED", (),
@@ -530,8 +523,7 @@ def analyze(code: CyclicCode | LinearCode,
     n, k = code.n, code.k
     dist = min_distance(lin, budget=distance_budget)
     elementary = is_elementary(lin)
-    mset, m = multiplier_scan(code)
-    gens, _ = known_cyclic_subgroup(code)
+    gens, mset = known_cyclic_subgroup(code)
     known_order = PermGroup.from_generators(n, gens).order()
 
     full_order: int | None = None
@@ -555,7 +547,7 @@ def analyze(code: CyclicCode | LinearCode,
     systems = tuple(minimal_blocks(carrier))
 
     report = AutoReport(
-        n=n, k=k, distance=dist, multiplier_set=tuple(sorted(mset)), m=m,
+        n=n, k=k, distance=dist, multiplier_set=tuple(sorted(mset)), m=len(mset),
         discovered_generators=discovered,
         known_subgroup_order=known_order,
         full_group_order=full_order,

@@ -26,7 +26,7 @@ from .codes import (
     count_cyclic_codes,
     cyclic_code,
     cyclic_defining_set,
-    cyclotomic_coset,
+    cyclotomic_cosets,
     enumerate_cyclic_codes,
     is_elementary,
     load_code,
@@ -128,12 +128,8 @@ def _load_cyclic(path: str) -> CyclicCode:
 def cmd_factor(config: RunConfig) -> tuple[dict, int]:
     field = _field_from_order(config.q)
     n = config.n
-    out, seen = [], set()
-    for i in range(n):
-        if i in seen:
-            continue
-        coset = cyclotomic_coset(n, field.order, i)
-        seen.update(coset)
+    out = []
+    for coset in cyclotomic_cosets(n, field.order):
         poly = minimal_polynomial(field, n, coset)
         out.append({"coset": list(coset), "polynomial": list(poly.coeffs)})
     return {"config": config.to_json(), "n": n, "q": field.order,

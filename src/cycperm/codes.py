@@ -294,15 +294,10 @@ class CyclicCode:
         return g
 
     def cosets(self) -> list[tuple[int, ...]]:
-        """The cyclotomic cosets whose union is the defining set."""
-        out, seen = [], set()
-        for i in sorted(self.defining_set):
-            if i in seen:
-                continue
-            cs = cyclotomic_coset(self.n, self.field.order, i)
-            seen.update(cs)
-            out.append(cs)
-        return out
+        """The cyclotomic cosets whose union is the defining set, sorted by
+        least element."""
+        return [cs for cs in cyclotomic_cosets(self.n, self.field.order)
+                if cs[0] in self.defining_set]
 
     @cached_property
     def linear(self) -> LinearCode:

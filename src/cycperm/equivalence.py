@@ -4,8 +4,8 @@ Equivalence can be decided without scanning all of S_n: any witness can be
 pushed into H(P) = {sigma : sigma^-1 T sigma in P} for a Sylow p-subgroup P
 of the automorphism group containing the shift.  This module builds P inside
 the discoverable subgroup, lists H(P) exactly at every length as the union of
-the cosets C(T) sigma_rho over the n-cycles rho of P (perm.conjugation_set),
-and wraps the strategies behind a single decision routine with an honest
+the cosets C(T) sigma_rho over the n-cycles rho of P, as the sorted image
+rows of perm.conjugation_rows, and wraps the strategies behind a single decision routine with an honest
 completeness flag.  The groups of the paper's closed forms are built from
 their generators, never by listing maps: the polynomial-map groups Q^m and
 Q_1^m (q_group), and for GR_FORMULA the Sylow subgroup <T, M_(q^t)> of the
@@ -41,10 +41,10 @@ from .perm import (
     BRUTE_DEGREE_BOUND,
     PermGroup,
     Permutation,
+    conjugation_rows,
     conjugation_set,
     perm_chunks,
     reduce_generators,
-    sorted_chunks,
     sylow_through_shift,
 )
 
@@ -193,8 +193,10 @@ class HPDescriptor:
 
 def hp_set(descriptor: HPDescriptor, P: PermGroup) -> frozenset[Permutation]:
     """H(P), listed exactly for every descriptor kind and every length: the
-    union of the cosets C(T) sigma_rho over the n-cycles rho of P.  Raises
-    ClosureBoundExceeded when that union is larger than CLOSURE_BOUND."""
+    union of the cosets C(T) sigma_rho over the n-cycles rho of P, as a set
+    (decide_equivalence scans the same members as the sorted rows of
+    perm.conjugation_rows).  Raises ClosureBoundExceeded when that union is
+    larger than CLOSURE_BOUND."""
     T = Permutation.shift(descriptor.n)
     if T not in P:
         raise ValueError("P must contain the shift")
@@ -314,8 +316,8 @@ def witness_scan(c1: LinearCode, c2: LinearCode,
                  chunks: Iterable[np.ndarray]) -> Permutation | None:
     """The first permutation in the order of `chunks` mapping c1 onto c2
     (codes.first_map), checked again with permute_code; None when none does.
-    Restricted sets such as H(P) and H'(P) are scanned through
-    perm.sorted_chunks, in sorted order of images."""
+    Restricted sets such as H(P) and H'(P) are scanned as the one chunk of
+    perm.conjugation_rows, in sorted order of images."""
     sigma = first_map(c1, c2, chunks)
     if sigma is not None and permute_code(c1, sigma) != c2:
         raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
@@ -393,10 +395,10 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
 
     # HP
     P, desc = build_sylow_descriptor(c1)
-    members = hp_set(desc, P)
+    members = conjugation_rows(Permutation.shift(n), P)
     detail = (f"H(P) of size {len(members)} from a {desc.kind} descriptor, "
               f"Sylow exponent {desc.sylow_exponent}")
-    sigma = witness_scan(c1.linear, c2.linear, sorted_chunks(members))
+    sigma = witness_scan(c1.linear, c2.linear, [members])
     if sigma is not None:
         return EquivalenceVerdict("equivalent", sigma, strategy, desc.complete,
                                   f"witness found in {detail}")

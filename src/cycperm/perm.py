@@ -7,15 +7,19 @@ by the deterministic Schreier-Sims algorithm (Sims 1970; Seress, Permutation
 Group Algorithms, 2003, ch. 4): its order and membership never list
 elements, and the element set is listed from the chain's transversals only
 on request, once the exact order is known to be within CLOSURE_BOUND.  At
-degree p^r the Sylow p-subgroup through the shift T is G meet W_T, with W_T
-Kaloujnine's group of triangular maps, the only Sylow p-subgroup of S_n
-containing T (sylow_through_shift).
+degree n = l p^r with l < p, the Sylow p-subgroup through the shift power
+T^l is G meet W, with W Kaloujnine's group of triangular maps on each cycle
+of T^l, the only Sylow p-subgroup of S_n containing T^l
+(sylow_through_shift).  For l > p that meet is only a p-subgroup through
+T^l, and the normalizer ascent (sylow_ascend) completes it.
 
 The conjugation set {sigma : sigma^-1 g sigma in P} is built at every degree
 from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the coset
 C(g) sigma_rho, where sigma_rho lines the cycles of rho up with those of g and
 C(g) is the product of the wreath products C_L wr S_m over the cycle lengths
 L of g with multiplicity m (Seress, Permutation Group Algorithms, 2003).
+conjugation_rows lists it as image rows sorted lexicographically, the order
+in which the witness scans test candidates.
 
 The exhaustive S_n scans enumerate all n! permutations in lexicographic
 order, decoded from Lehmer ranks in numpy chunks, so n <= 10 stays in the
@@ -577,21 +581,30 @@ def conjugation_cosets(g: Permutation, P: PermGroup) -> list[Permutation]:
     return reps
 
 
-def conjugation_set(g: Permutation, P: PermGroup) -> frozenset[Permutation]:
-    """{sigma in S_n : sigma^-1 * g * sigma in P}, as the
-    union of the cosets C(g) sigma_rho of conjugation_cosets.  Its size,
-    |C(g)| times the number of cosets, is checked against CLOSURE_BOUND
-    before anything is listed."""
+def conjugation_rows(g: Permutation, P: PermGroup) -> np.ndarray:
+    """{sigma in S_n : sigma^-1 * g * sigma in P} as an (N, n) array of
+    images in the smallest integer type, one row per member, in
+    lexicographic order: the order in which the witness scans test
+    candidates.  The rows are the union of the cosets C(g) sigma_rho of
+    conjugation_cosets.  Its size, |C(g)| times the number of cosets, is
+    checked against CLOSURE_BOUND before anything is listed."""
     reps = conjugation_cosets(g, P)
     size = centralizer_order(g) * len(reps)
     if size > CLOSURE_BOUND:
         raise ClosureBoundExceeded(CLOSURE_BOUND, size)
+    dtype = np.min_scalar_type(g.degree)
     if not reps:
-        return frozenset()
-    C = _centralizer_array(g)
+        return np.empty((0, g.degree), dtype=dtype)
+    C = _centralizer_array(g).astype(dtype)
     # (c * sigma)(i) = c(sigma(i))
-    return frozenset(Permutation(tuple(row)) for sigma in reps
-                     for row in C[:, sigma.images].tolist())
+    rows = np.concatenate([C[:, sigma.images] for sigma in reps])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def conjugation_set(g: Permutation, P: PermGroup) -> frozenset[Permutation]:
+    """{sigma in S_n : sigma^-1 * g * sigma in P}: the rows of
+    conjugation_rows as a set."""
+    return _as_perms(conjugation_rows(g, P))
 
 
 def normalizer_in_symmetric(group: PermGroup, n: int, within: PermGroup | None = None,
@@ -607,15 +620,6 @@ def normalizer_in_symmetric(group: PermGroup, n: int, within: PermGroup | None =
         pool = conjugation_set(min(gens, key=centralizer_order), group)
     return frozenset(s for s in pool
                      if all(s.inverse() * g * s in group for g in gens))
-
-
-def sorted_chunks(perms: Iterable[Permutation]) -> Iterator[np.ndarray]:
-    """The permutations in lexicographic order of their images, as (B, n)
-    int arrays: the order in which the witness scans test candidates."""
-    ordered = sorted(g.images for g in perms)
-    for start in range(0, len(ordered), _SCAN_CHUNK):
-        part = ordered[start:start + _SCAN_CHUNK]
-        yield np.array(part, dtype=np.min_scalar_type(len(part[0])))
 
 
 # --- exhaustive S_n scans: the BRUTE strategy and test oracles ------------------
@@ -745,28 +749,40 @@ def sylow_ascend(ambient: PermGroup, p: int,
     return cur.elements()
 
 
-def sylow_through_shift(group: PermGroup) -> frozenset[Permutation]:
-    """The Sylow p-subgroup of a group of degree n = p^r that contains the
-    shift T, as G meet W_T, where W_T = {sigma : sigma(x + p^k) = sigma(x) +
-    p^k mod p^(k+1) for all x and all k < r}.
+def sylow_through_shift(group: PermGroup, l: int = 1) -> frozenset[Permutation]:
+    """G meet W for a group G of degree n = l p^r that contains T^l, where W
+    is the product of Kaloujnine's triangular groups on the l cycles of T^l:
+    sigma is in W when it keeps every residue class mod l and, on the
+    positions k = x // l, sigma(k + p^j) = sigma(k) + p^j mod p^(j+1) for all
+    k and all j < r.
 
-    W_T is Kaloujnine's group of triangular maps (Kaloujnine 1948): digit k
-    of sigma(x) in base p is x_k plus a function of the lower digits of x.
-    It is a Sylow p-subgroup of S_n containing T, and the only one: there
-    are n!/(|W_T| (p-1)^r) Sylow p-subgroups, each holds (p-1)^r
-    p^(sum_(k<r) (p^k - 1)) n-cycles, and the product is all (n-1)! of
-    them.  A Sylow p-subgroup of G through T lies in a Sylow subgroup of S_n
-    through T, hence in W_T, and G meet W_T is a p-group, so the two are
-    equal.  One numpy filter over the listed elements of G finds it.
+    At l = 1, W = W_T is Kaloujnine's group of triangular maps (Kaloujnine
+    1948): digit j of sigma(x) in base p is x_j plus a function of the lower
+    digits of x.  It is a Sylow p-subgroup of S_n containing T, and the only
+    one: there are n!/(|W_T| (p-1)^r) Sylow p-subgroups, each holds (p-1)^r
+    p^(sum_(j<r) (p^j - 1)) n-cycles, and the product is all (n-1)! of them.
+    For l < p the orbits of a p-subgroup through T^l are the cycles of T^l
+    (an orbit joining c of them has size c p^r, a power of p only for c = 1,
+    since c <= l < p), and on each cycle it acts inside that cycle's W_T; so
+    W is again the only Sylow p-subgroup of S_n through T^l.  A Sylow
+    p-subgroup of G through T^l then lies in W, and G meet W is a p-group,
+    so the two are equal.  For l > p, G meet W is a p-subgroup of
+    G through T^l that need not be Sylow.  One numpy filter over the listed
+    elements of G finds it.
     """
     n = group.degree
-    p, r = prime_power(n)
-    if Permutation.shift(n) not in group:
-        raise ValueError("the group must contain the shift")
+    if l < 1 or n % l:
+        raise ValueError(f"index {l} does not divide the degree {n}")
+    p, r = prime_power(n // l)
+    if Permutation.power_shift(n, l) not in group:
+        raise ValueError("the group must contain the shift power T^l")
     A = group._array
     x = np.arange(n)
-    for k in range(r):
-        pk = p ** k
-        low = (A % (p * pk)).astype(np.int32)
-        A = A[(low[:, (x + pk) % n] == (low + pk) % (p * pk)).all(axis=1)]
+    A = A[(A % l == x % l).all(axis=1)]
+    pos = (A // l).astype(np.int32)
+    for j in range(r):
+        pj = p ** j
+        low = pos % (p * pj)
+        keep = (low[:, (x + pj * l) % n] == (low + pj) % (p * pj)).all(axis=1)
+        A, pos = A[keep], pos[keep]
     return _as_perms(A)

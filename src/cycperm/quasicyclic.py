@@ -6,10 +6,14 @@ and any equivalence witness between two such codes can be pushed into
 H'(P) = {sigma : sigma^-1 T^l sigma in P} for a Sylow p-subgroup P of the
 automorphism group containing T^l (lengths n = p^r*l, gcd(p,l) = gcd(p,q) = 1).
 
-H'(P) is listed exactly at every length as the union of the cosets
-C(T^l) sigma_rho over the rho in P with the cycle type of T^l
-(perm.conjugation_set).  H'(P) is not known to be a group, so nothing here
-assumes closure: reports take the group the cosets generate.
+P is cut out of the discovered group by the filter that gives the cyclic P
+(perm.sylow_through_shift, here with W_T on each cycle of T^l): for l < p it
+is the Sylow subgroup through T^l, and for l > p the normalizer ascent
+completes it.  H'(P) is listed exactly at every length as the union of the
+cosets C(T^l) sigma_rho over the rho in P with the cycle type of T^l, in
+sorted image rows (perm.conjugation_rows).  H'(P) is not known to be a
+group, so nothing here assumes closure: reports take the group the cosets
+generate.
 """
 from __future__ import annotations
 
@@ -37,11 +41,11 @@ from .perm import (
     centralizer_generators,
     centralizer_order,
     conjugation_cosets,
-    conjugation_set,
+    conjugation_rows,
     minimal_blocks,
     reduce_generators,
-    sorted_chunks,
     sylow_ascend,
+    sylow_through_shift,
 )
 
 
@@ -162,11 +166,14 @@ def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
 
 
 def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
-    """A p-subgroup of the automorphism group containing T^l, ascended to a
-    Sylow subgroup of the part discoverable from the structured families
-    (cycle products and affine maps that fix the code), or of <T^l> alone
-    when that part is larger than CLOSURE_BOUND.  T^l is not a full cycle,
-    so the Sylow subgroup through it is not unique and is found by ascent."""
+    """A Sylow p-subgroup through T^l of the part of the automorphism group
+    discoverable from the structured families (cycle products and affine
+    maps that fix the code), or of <T^l> alone when that part is larger
+    than CLOSURE_BOUND.  It is cut out as G meet W, with W Kaloujnine's
+    triangular group on each cycle of T^l (perm.sylow_through_shift), which
+    is the Sylow subgroup through T^l when l < p; for l > p the Sylow
+    subgroup through T^l is not unique, and the normalizer ascent completes
+    the meet to one."""
     p, _ = _qc_prime_power(code)
     n, l = code.n, code.index
     lin = code.linear
@@ -180,7 +187,8 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     ambient = PermGroup.from_generators(n, gens)
     if ambient.order() > CLOSURE_BOUND:
         ambient = PermGroup.from_generators(n, [tl])
-    elems = sylow_ascend(ambient, p, [tl])
+    seed = reduce_generators(sylow_through_shift(ambient, l))
+    elems = sylow_ascend(ambient, p, seed)
     return PermGroup(n, tuple(reduce_generators(elems)))
 
 
@@ -216,8 +224,8 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
         return brute_verdict(c1.linear, c2.linear)
 
     P = qc_sylow(c1)
-    members = conjugation_set(_index_shift(c1.n, c1.index), P)
-    sigma = witness_scan(c1.linear, c2.linear, sorted_chunks(members))
+    members = conjugation_rows(_index_shift(c1.n, c1.index), P)
+    sigma = witness_scan(c1.linear, c2.linear, [members])
     if sigma is not None:
         return EquivalenceVerdict(
             "equivalent", sigma, strategy, False,

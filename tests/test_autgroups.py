@@ -96,6 +96,18 @@ def test_check_m_p_plus_1_raises_when_matrix_test_disagrees(monkeypatch):
     monkeypatch.setattr(autgroups, "maps_onto", lambda c1, c2, images: ~real(c1, c2, images))
     with pytest.raises(RuntimeError, match="multiplier 4"):
         check_m_p_plus_1(cyclic_code(9, GF2, {1, 2, 4, 8, 7, 5}))
+    # past length 64 too: 163 = 1 mod 81, so the code needs no extension field
+    with pytest.raises(RuntimeError, match="multiplier 4"):
+        check_m_p_plus_1(cyclic_code(81, make_field(163), set(range(1, 81))))
+
+
+def test_analyze_scans_multipliers_once(monkeypatch):
+    import cycperm.autgroups as autgroups
+    real, calls = autgroups.multiplier_scan, []
+    monkeypatch.setattr(autgroups, "multiplier_scan", lambda code: calls.append(code) or real(code))
+    rpt = analyze(HAMMING7, run_backtrack=False)
+    assert len(calls) == 1
+    assert rpt.multiplier_set == (1, 2, 4) and rpt.m == 3
 
 
 def test_gk_family_orders():

@@ -412,3 +412,22 @@ def test_discovered_sylow_matches_ascent():
             G = PermGroup.from_generators(n, gens)
             assert sylow_through_shift(G) == sylow_ascend(G, p, [Permutation.shift(n)]), \
                 (q, n, sorted(code.defining_set))
+
+
+def test_hp_witness_is_the_first_member_in_sorted_order():
+    # the oracle: the first member of H(P), in sorted order of images, that
+    # permute_code confirms; every same-dimension pair over GF(2) at n = 9,
+    # and over GF(4) multiplier images and random partners
+    rng = random.Random(20100212)
+    gf2 = [c for c in enumerate_cyclic_codes(9, GF2) if 0 < c.k < 9]
+    pairs = [(a, b) for a in gf2 for b in gf2 if a.k == b.k]
+    gf4 = [c for c in enumerate_cyclic_codes(9, GF4) if 0 < c.k < 9]
+    for c in rng.sample(gf4, 6):
+        pairs.append((c, cyclic_code(9, GF4, {2 * i % 9 for i in c.defining_set})))
+        pairs.append((c, rng.choice([d for d in gf4 if d.k == c.k])))
+    for c1, c2 in pairs:
+        verdict = decide_equivalence(c1, c2, "HP")
+        P, desc = build_sylow_descriptor(c1)
+        members = sorted(hp_set(desc, P), key=lambda s: s.images)
+        oracle = next((s for s in members if permute_code(c1.linear, s) == c2.linear), None)
+        assert verdict.witness == oracle, (c1, c2)

@@ -15,6 +15,7 @@ from cycperm.perm import (
     centralizer_generators,
     centralizer_order,
     conjugation_cosets,
+    conjugation_rows,
     conjugation_scan,
     conjugation_set,
     group_closure,
@@ -312,8 +313,13 @@ def test_conjugation_set_matches_brute_scan():
             rho = rng.choice(sorted(P.elements(), key=lambda x: x.images))
             g = g * rho * g.inverse()
         got = conjugation_set(g, P)
-        assert got == hset_brute(g, P), (g, gens)
+        brute = hset_brute(g, P)
+        assert got == brute, (g, gens)
         assert len(got) == centralizer_order(g) * len(conjugation_cosets(g, P))
+        # the rows: sorted lexicographically, no row repeated, the same set
+        rows = [tuple(r) for r in conjugation_rows(g, P).tolist()]
+        assert rows == sorted(set(rows)), (g, gens)
+        assert frozenset(map(Permutation, rows)) == brute, (g, gens)
 
 
 def test_centralizer_order_and_generators():
@@ -416,3 +422,37 @@ def test_shift_sylow_matches_ascent():
                 continue
             drawn += 1
             assert sylow_through_shift(G) == sylow_ascend(G, p, [T]), gens
+
+
+def test_shift_power_sylow_matches_ascent():
+    # at degree n = l p^r with l < p, seeded groups containing T^l, generated
+    # with the full shift, affine maps, permutations of the cycles of T^l and
+    # triangular maps on one cycle, of order at most 3000: G meet W equals
+    # the Sylow ascent from <T^l>
+    rng = random.Random(1949)
+    for l, p, r in ((2, 5, 1), (3, 5, 1), (2, 7, 1), (2, 3, 2)):
+        m = p ** r
+        n = l * m
+        Tl = Permutation.power_shift(n, l)
+        pool = [Permutation.affine(n, a, b) for a in range(1, n) if math.gcd(a, n) == 1
+                for b in range(n)]
+        pool.append(Permutation.shift(n))
+        # the swap of the cycles through 0 and 1, which commutes with T^l
+        pool.append(Permutation(tuple(x + 1 if x % l == 0 else x - 1 if x % l == 1 else x
+                                      for x in range(n))))
+        drawn = 0
+        while drawn < 6:
+            gens = [Tl]
+            for _ in range(rng.randint(1, 2)):
+                if rng.random() < 0.5:
+                    gens.append(rng.choice(pool))
+                else:
+                    # a triangular map on the positions k = x // l of one cycle
+                    t, i = _triangular(rng, p, r, sparse=False), rng.randrange(l)
+                    gens.append(Permutation(tuple(x if x % l != i else i + l * t(x // l)
+                                                  for x in range(n))))
+            G = PermGroup.from_generators(n, gens)
+            if G.order() > 3000:
+                continue
+            drawn += 1
+            assert sylow_through_shift(G, l) == sylow_ascend(G, p, [Tl]), gens

@@ -1,3 +1,4 @@
+import random
 from math import gcd, lcm
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from cycperm.algebra import make_field
 from cycperm.codes import LinearCode, cyclic_code, permute_code, weight_profile
+from cycperm.equivalence import ag_set
 from cycperm.perm import (
+    CLOSURE_BOUND,
     PermGroup,
     Permutation,
     centralizer_order,
@@ -14,6 +17,7 @@ from cycperm.perm import (
     conjugation_set,
     hset_brute,
     normalizer_in_symmetric,
+    sylow_ascend,
 )
 from cycperm.quasicyclic import (
     HPrimeReport,
@@ -243,6 +247,40 @@ def test_qc_sylow_orders():
     assert qc_sylow(doubled).order() == 49
 
 
+def _random_qc(rng: random.Random, field, n: int, l: int) -> QuasiCyclicCode:
+    """The span of the T^l-orbits of one or two random vectors, neither
+    zero nor everything."""
+    while True:
+        rows = []
+        for _ in range(rng.randint(1, 2)):
+            v = [rng.randrange(field.order) for _ in range(n)]
+            rows += [[v[(i - s * l) % n] for i in range(n)] for s in range(n // l)]
+        lin = LinearCode.from_rows(field, n, rows)
+        if 0 < lin.k < n:
+            return QuasiCyclicCode(lin, l)
+
+
+def test_qc_sylow_matches_ascent_from_the_shift_power():
+    # the ambient group rebuilt as qc_sylow builds it, with permute_code as
+    # the code-action test: qc_sylow equals the Sylow ascent from <T^l>,
+    # where G meet W is already Sylow (l < p) and where the ascent completes
+    # it (l > p)
+    rng = random.Random(1948)
+    shapes = [(GF2, 10, 2, 5), (GF2, 14, 2, 7), (GF2, 15, 3, 5),
+              (GF3, 6, 3, 2), (GF3, 12, 3, 2), (GF2, 12, 4, 3), (GF2, 15, 5, 3)]
+    for field, n, l, p in shapes:
+        tl = Permutation.power_shift(n, l)
+        family = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])
+        for _ in range(3):
+            code = _random_qc(rng, field, n, l)
+            gens = [tl] + [g for g in family.elements() | ag_set(n)
+                           if permute_code(code.linear, g) == code.linear]
+            ambient = PermGroup.from_generators(n, gens)
+            if ambient.order() > CLOSURE_BOUND:
+                ambient = PermGroup.from_generators(n, [tl])
+            assert qc_sylow(code).elements() == sylow_ascend(ambient, p, [tl]), code
+
+
 # --- equivalence search -----------------------------------------------------------
 
 def test_qc_equivalence_planted_affine():
@@ -415,3 +453,26 @@ def test_report_json_shape():
         "shift_is_odd", "conclusion",
     }
     assert data["block_systems"] and isinstance(data["block_systems"][0][0], list)
+
+
+def test_structured_witness_is_the_first_member_in_sorted_order():
+    # the oracle: the first member of H'(P), in sorted order of images, that
+    # permute_code confirms; planted affine images at n = 10 and n = 15
+    rng = random.Random(2010)
+    rep, even = cyclic_code(5, GF3, {1, 2, 3, 4}).linear, cyclic_code(5, GF3, {0}).linear
+    codes = [circulant_pair(v) for v in ((1, 1, 0, 0, 0), (1, 0, 1, 1, 0), (0, 1, 1, 1, 1))]
+    for parts in ((rep, even, even), (even, rep, rep), (rep, rep, even)):
+        # part j on the positions 3i + j
+        rows = [[r[i // 3] if i % 3 == j else 0 for i in range(15)]
+                for j, part in enumerate(parts) for r in part.matrix]
+        codes.append(QuasiCyclicCode(LinearCode.from_rows(GF3, 15, rows), 3))
+    for c1 in codes:
+        n, l = c1.n, c1.index
+        a = rng.choice([a for a in range(1, n) if gcd(a, n) == 1])
+        tau = Permutation.affine(n, a, rng.randrange(n))
+        c2 = QuasiCyclicCode(permute_code(c1.linear, tau), l)
+        verdict = qc_equivalence_search(c1, c2, "STRUCTURED")
+        members = sorted(conjugation_set(Permutation.power_shift(n, l), qc_sylow(c1)),
+                         key=lambda s: s.images)
+        oracle = next((s for s in members if permute_code(c1.linear, s) == c2.linear), None)
+        assert verdict.witness == oracle, (c1, tau)
