@@ -533,11 +533,19 @@ def minimal_polynomial(field: Field, n: int, coset: Iterable[int]) -> Polynomial
         raise ValueError("empty coset")
     if set((i * q) % n for i in cs) != set(cs):
         raise ValueError(f"{cs} is not a q-cyclotomic coset mod {n} (q={q})")
+    return _coset_polynomial(field, n, tuple(cs))
+
+
+@lru_cache(maxsize=None)
+def _coset_polynomial(field: Field, n: int, coset: tuple[int, ...]) -> Polynomial:
+    """The product of (x - alpha^i) over a validated, sorted coset, computed
+    in the splitting field and brought down to `field`.  Cached like
+    root_system: every cyclic code over the same (field, n) shares its
+    cosets' factors, and Polynomial is frozen."""
     rs = root_system(field, n)
     E = rs.ext
-    # product of (x - alpha^i) over the coset, computed in E
     prod = Polynomial(E, (1,))
-    for i in cs:
+    for i in coset:
         root = E.pow(rs.alpha, i)
         prod = prod * Polynomial(E, (E.neg(root), 1))
     down = []

@@ -46,6 +46,9 @@ EXIT_OK, EXIT_USAGE, EXIT_BUDGET, EXIT_MISMATCH = 0, 1, 2, 3
 
 _FAST_SCOPES = ("tables", "lemmas", "qc")
 
+_DISTANCE_PARTIAL = ("distance budget exhausted before the minimum distance "
+                     "was certified; the distance is an interval")
+
 
 class _UsageError(Exception):
     pass
@@ -144,8 +147,10 @@ def cmd_enumerate(config: RunConfig) -> tuple[dict, int]:
         payload["codes"] = None
         return payload, EXIT_OK
     listing = []
+    certified = True
     for code in enumerate_cyclic_codes(config.n, field):
         dist = min_distance(code.linear, budget=config.budget_dist)
+        certified &= dist.exact
         listing.append({
             "n": code.n,
             "k": code.k,
@@ -154,6 +159,9 @@ def cmd_enumerate(config: RunConfig) -> tuple[dict, int]:
             "elementary": is_elementary(code.linear),
         })
     payload["codes"] = listing
+    if not certified:
+        payload["partial"] = _DISTANCE_PARTIAL
+        return payload, EXIT_BUDGET
     return payload, EXIT_OK
 
 
@@ -168,6 +176,7 @@ def _input_code(config: RunConfig) -> CyclicCode:
 
 def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
     code = _input_code(config)
+    partial, extra = [], {}
     try:
         report = analyze(code, node_budget=config.budget_nodes,
                          distance_budget=config.budget_dist)
@@ -175,11 +184,16 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
         report = analyze(code, run_backtrack=False,
                          node_budget=config.budget_nodes,
                          distance_budget=config.budget_dist)
-        return {"config": config.to_json(), "report": report.to_json(),
-                "partial": "node budget exhausted before the full group "
-                           "search completed",
-                "order_lower_bound": exc.order_lower_bound}, EXIT_BUDGET
-    return {"config": config.to_json(), "report": report.to_json()}, EXIT_OK
+        partial.append("node budget exhausted before the full group search "
+                       "completed")
+        extra["order_lower_bound"] = exc.order_lower_bound
+    if not report.distance.exact:
+        partial.append(_DISTANCE_PARTIAL)
+    payload = {"config": config.to_json(), "report": report.to_json(), **extra}
+    if partial:
+        payload["partial"] = "; ".join(partial)
+        return payload, EXIT_BUDGET
+    return payload, EXIT_OK
 
 
 def cmd_equiv(config: RunConfig) -> tuple[dict, int]:

@@ -12,8 +12,10 @@ for b.  A matrix over GF(p^s) expands to a matrix over GF(p) with one s x s
 block per entry, so every product of code matrices is one integer matmul mod
 p, and s = 1 is plain prime-field arithmetic.  On that rest the batched test
 maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once),
-the first-hit witness scan first_map, and codeword_chunks.  permute_code is
-the public transform and the independent check of every reported witness.
+the first-hit witness scan first_map, and the one message-to-codeword
+product behind codeword_chunks and the Brouwer-Zimmermann levels of
+min_distance.  permute_code is the public transform and the independent
+check of every reported witness.
 """
 from __future__ import annotations
 
@@ -146,23 +148,28 @@ class LinearCode:
     def codeword_chunks(self, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
         """All q^k codewords as (B, n) int arrays of field elements, in blocks.
         Message number m is the vector in GF(p)^(k*s) of the base-p digits of
-        m; one matmul mod p with the expanded generator gives the digits of
-        its codeword, read back as field elements."""
-        F, k, n = self.field, self.k, self.n
+        m, and _encode gives its codeword."""
+        F, k = self.field, self.k
         p, s = F.characteristic, F.degree
         place = p ** np.arange(k * s, dtype=np.int64)
         total = F.order ** k
         for start in range(0, total, chunk):
             idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            msgs = idx[:, None] // place
-            msgs %= p
-            digits = msgs @ self.expanded_generator
-            digits %= p
-            digits = digits.reshape(-1, n, s)
-            words = digits[:, :, s - 1]
-            for t in range(s - 2, -1, -1):
-                words = words * p + digits[:, :, t]
-            yield words
+            yield self._encode(idx[:, None] // place % p)
+
+    def _encode(self, digits: np.ndarray) -> np.ndarray:
+        """The codewords, as (B, n) field elements, of the messages whose
+        base-p digit vectors are the rows of the (B, k*s) array `digits`: one
+        matmul mod p with the expanded generator gives the digits of each
+        codeword, read back as field elements."""
+        p, s = self.field.characteristic, self.field.degree
+        digits = digits @ self.expanded_generator
+        digits %= p
+        digits = digits.reshape(-1, self.n, s)
+        words = digits[:, :, s - 1]
+        for t in range(s - 2, -1, -1):
+            words = words * p + digits[:, :, t]
+        return words
 
     @cached_property
     def expanded_generator(self) -> np.ndarray:
@@ -465,127 +472,147 @@ def _subset_chunks(pool: Sequence[int], w: int, chunk: int) -> Iterator[np.ndarr
 def _batch_dependent(cols: np.ndarray, p: int) -> np.ndarray:
     """cols: (B, w, h) batches of w row-vectors over GF(p); returns a boolean
     mask of batches whose vectors are linearly dependent.  Gaussian elimination
-    run simultaneously over the whole batch."""
+    run simultaneously over the whole batch, in int16 while (p-1)^2 + p-1
+    fits.  A row with no pivot left is zero, since every used column was
+    cleared below its pivot row; scaling it by inv[0] = 0 and clearing with
+    it change nothing, so no batch needs masking."""
     B, w, h = cols.shape
-    R = cols.astype(np.int16, copy=True)
-    inv_table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int16)
-    rank = np.zeros(B, dtype=np.int16)
+    R = cols.astype(np.int16 if p * (p - 1) < 1 << 15 else np.int64)
+    inv_table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=R.dtype)
+    batch = np.arange(B)
+    dependent = np.zeros(B, dtype=bool)
     col_used = np.zeros((B, h), dtype=bool)
     for r in range(w):
         row = R[:, r, :]
         # pivot: first column with nonzero entry that is not yet used
         avail = (row != 0) & ~col_used
         piv = np.argmax(avail, axis=1)
-        has = avail[np.arange(B), piv]
-        rank += has
-        if not has.any():
-            continue
-        pv = row[np.arange(B), piv]
-        f = inv_table[pv % p] * has
-        row_n = row * f[:, None] % p
-        R[:, r, :] = np.where(has[:, None], row_n, row)
-        col_used[np.arange(B), piv] |= has
+        has = avail[batch, piv]
+        dependent |= ~has
+        row *= inv_table[row[batch, piv]][:, None]
+        row %= p
+        col_used[batch, piv] |= has
         if r + 1 < w:
             below = R[:, r + 1:, :]
-            factors = below[np.arange(B), :, piv]      # (B, w-r-1)
-            upd = (below - factors[:, :, None] * R[:, r, None, :]) % p
-            R[:, r + 1:, :] = np.where(has[:, None, None], upd, below)
-    return rank < w
+            below -= below[batch, :, piv][:, :, None] * row[:, None, :]
+            below %= p
+    return dependent
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
     """Minimum distance, exact when a budget-bounded certificate exists.
 
-    Route A: exhaustive codeword enumeration when q^k <= budget.
-    Route B (prime fields): increasing-weight scans testing parity-check column
-    subsets for linear dependence; a dependent w-subset after clean scans below
-    w certifies d = w.  Shift-invariant codes only scan supports containing
-    coordinate 0.  The budget counts enumerated codewords (route A) or tested
-    column subsets (route B); when it runs out the result is an interval,
-    except that a witness codeword matching the scan's lower bound still
-    certifies exactness.
+    One loop raises a lower bound on d and lowers `best`, the least weight
+    of a codeword seen so far, starting from the rows of G, until the two
+    meet (d <= best always).  It has two kinds of step, and before each step
+    takes, of the next one of each kind, the one with the smaller operation
+    count that still fits the budget: about t*n per word of Z-level t and
+    w^2*(n-k) per subset of B-step w.
+
+    Z-level t (Brouwer-Zimmermann: Betten et al., Error-Correcting Linear
+    Codes, 2006; Grassl 2006) encodes every message of weight exactly t whose
+    first nonzero entry is 1, C(k, t) (q-1)^(t-1) words, through the
+    expanded generator, and keeps the least weight.  G is in RREF, so a
+    codeword restricted to the pivot columns is its message.
+
+    Theorem (information sets).  After levels 1..t, every codeword with at
+    most t nonzeros on the pivots has been seen up to a scalar, so every
+    word not yet seen has weight >= t + 1.  If the code is shift-invariant
+    and the pivots are 0..k-1 (checked, not assumed), every k cyclically
+    consecutive coordinates form such an information set: shifting a window
+    onto 0..k-1 keeps the weight.  An unseen word then has more than t
+    nonzeros in each of the n windows; every coordinate lies in k of them,
+    so its weight is at least ceil(n(t+1)/k).
+
+    B-step w (prime fields) tests every w-subset of parity-check columns
+    for linear dependence; for shift-invariant codes only the subsets that
+    contain coordinate 0, since a shift moves any support onto 0.  Theorem:
+    after clean steps 1..w-1, a dependent w-subset carries a codeword of
+    weight exactly w, so d = w; a clean step w gives d >= w + 1.
+
+    The result is exact when a B-step finds a dependent subset or when the
+    larger of the two bounds reaches best.  The budget counts Z words and
+    B subsets; each level or step is taken whole or not at all, so the
+    answer does not depend on chunk sizes.  When no next step fits, the
+    result is the interval [larger bound, best].
     """
     F, n, k = code.field, code.n, code.k
     if k == 0:
         return DistanceResult(0, 0, True, "void")
     if k == n:
         return DistanceResult(1, 1, True, "trivial")
-    if code.codeword_count() <= budget:
-        best = weight_profile(code, budget).min_weight
-        return DistanceResult(best, best, True, "enumeration")
-    if not F.is_prime_field:
-        return DistanceResult(1, n - k + 1, False, "interval")
-
-    p = F.order
-    Ht = code.expanded_parity     # over a prime field, exactly H^T
+    q = F.order
     cyclic = is_shift_invariant(code)
-    spent = 0
-    w = 1
-    found: int | None = None
-    while w <= n:
-        if cyclic:
-            cost = comb(n - 1, w - 1)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in code.matrix]
+    windows = cyclic and pivots == list(range(k))
+    best = min(sum(1 for v in row if v) for row in code.matrix)
+    t = w = spent = 0                 # Z-levels 1..t and B-steps 1..w done
+
+    def lower() -> int:
+        if t == k:                    # every codeword has been seen
+            return best
+        seen = -(-n * (t + 1) // k) if windows else t + 1
+        return max(seen, w + 1)
+
+    while lower() < best:
+        steps = []
+        if t < k:
+            words = comb(k, t + 1) * (q - 1) ** t
+            steps.append((words * (t + 1) * n, words, "Z"))
+        if F.is_prime_field:
+            subsets = comb(n - 1, w) if cyclic else comb(n, w + 1)
+            steps.append((subsets * (w + 1) ** 2 * (n - k), subsets, "B"))
+        fits = [step for step in sorted(steps) if spent + step[1] <= budget]
+        if not fits:
+            return DistanceResult(lower(), best, False, "interval")
+        _, units, kind = fits[0]
+        spent += units
+        if kind == "Z":
+            t += 1
+            best = min(best, _level_weight(code, t))
         else:
-            cost = comb(n, w)
-        if spent + cost > budget:
-            break
-        spent += cost
-        hit = False
-        if cyclic:
-            gen = (_np_prepend_zero(c) for c in _subset_chunks(range(1, n), w - 1, 65536))
-        else:
-            gen = _subset_chunks(range(n), w, 65536)
-        for subs in gen:
-            cols = Ht[subs]           # (B, w, n-k)
-            dep = _batch_dependent(cols, p)
-            if dep.any():
-                hit = True
-                break
-        if hit:
-            found = w
-            break
-        w += 1
-    if found is not None:
-        return DistanceResult(found, found, True, "rank_scan")
-    lower = w
-    upper = _distance_upper_bound(code)
-    if upper < lower:
-        raise RuntimeError("witness weight below certified lower bound")
-    if upper == lower:
-        # clean scans below w plus an exhibited weight-w codeword pin d = w
-        return DistanceResult(lower, upper, True, "squeeze")
-    return DistanceResult(lower, upper, False, "interval")
+            w += 1
+            if _rank_step(code, w, cyclic):
+                return DistanceResult(w, w, True, "rank_scan")
+    return DistanceResult(best, best, True, "levels" if w + 1 < best else "rank_scan")
 
 
-def _np_prepend_zero(chunkarr: np.ndarray) -> np.ndarray:
-    z = np.zeros((chunkarr.shape[0], 1), dtype=chunkarr.dtype)
-    return np.concatenate([z, chunkarr], axis=1)
+def _level_weight(code: LinearCode, t: int) -> int:
+    """Z-level t: the least weight of the codewords whose messages have
+    weight t and first nonzero entry 1."""
+    digits = multiplication_matrices(code.field)[:, 0]     # row b: digits of b
+    return min(int(np.count_nonzero(code._encode(digits[msgs].reshape(len(msgs), -1)),
+                                    axis=1).min())
+               for msgs in _level_messages(code.k, code.field.order, t))
 
 
-def _distance_upper_bound(code: LinearCode, samples: int = 60000) -> int:
-    """Cheap witness search: generator rows, then words from sparse messages."""
-    F = code.field
-    G = np.array(code.matrix, dtype=np.int64)
-    best = int((G != 0).sum(axis=1).min())
-    if not F.is_prime_field:
-        return best
-    p, k = F.order, code.k
-    done = 0
-    for t in (2, 3):
-        if done > samples or t > k:
-            break
-        for pos in itertools.combinations(range(k), t):
-            for vals in itertools.product(range(1, p), repeat=t - 1):
-                word = G[pos[0]].copy()
-                for c, j in zip(vals, pos[1:]):
-                    word = word + c * G[j]
-                wgt = int((word % p != 0).sum())
-                if 0 < wgt < best:
-                    best = wgt
-                done += 1
-                if done > samples:
-                    return best
-    return best
+def _level_messages(k: int, q: int, t: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
+    """The messages of weight t whose first nonzero entry is 1, as (B, k)
+    arrays of field elements: for each t-subset of positions, in
+    lexicographic order, every choice of the t - 1 later entries."""
+    tails = (q - 1) ** (t - 1)
+    place = (q - 1) ** np.arange(t - 1, dtype=np.int64)
+    for pos in _subset_chunks(range(k), t, max(1, chunk // tails)):
+        for start in range(0, tails, chunk):
+            v = np.arange(start, min(start + chunk, tails), dtype=np.int64)
+            vals = np.ones((v.size, t), dtype=np.int64)
+            vals[:, 1:] += v[:, None] // place % (q - 1)
+            msgs = np.zeros((len(pos), v.size, k), dtype=np.int64)
+            where = np.broadcast_to(pos[:, None, :], (len(pos), v.size, t))
+            np.put_along_axis(msgs, where, vals[None], axis=2)
+            yield msgs.reshape(-1, k)
+
+
+def _rank_step(code: LinearCode, w: int, cyclic: bool) -> bool:
+    """B-step w: whether some w-subset of parity-check columns, containing
+    column 0 when `cyclic`, is linearly dependent.  Prime fields only."""
+    Ht = code.expanded_parity     # over a prime field, exactly H^T
+    n, p = code.n, code.field.order
+    if cyclic:
+        subsets = (np.pad(c, ((0, 0), (1, 0))) for c in _subset_chunks(range(1, n), w - 1, 65536))
+    else:
+        subsets = _subset_chunks(range(n), w, 65536)
+    return any(_batch_dependent(Ht[subs], p).any() for subs in subsets)
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,11 @@ def _distance_ok(res, stated: int) -> bool:
     return res.lower <= stated <= res.upper
 
 
-# scan budget for the table rows; small enough to keep the fast battery
-# under its time budget, large enough that every row with n <= 23 still
-# certifies its distance exactly (the n = 29 scans fall back to intervals,
-# which the row accepts when the stated value lies inside)
+# distance budget for the table rows; small enough to keep the fast battery
+# under its time budget, large enough that every row with n <= 23 certifies
+# its distances exactly.  At n = 29 the [29,14] code ends as [11,12] and
+# only the [29,15] code stays an interval wider than one, [9,11]; a row
+# accepts an interval when the stated value lies inside
 BATTERY_DISTANCE_BUDGET = 2_000_000
 
 

@@ -18,7 +18,7 @@ from cycperm.algebra import (
     x_pow_minus_one,
     z_parameter,
 )
-from cycperm.codes import enumerate_cyclic_codes, is_shift_invariant
+from cycperm.codes import cyclic_code, enumerate_cyclic_codes, is_shift_invariant
 
 
 def test_is_prime_small():
@@ -199,6 +199,19 @@ def test_minimal_polynomial_binary_n7():
     assert minimal_polynomial(F, 7, {1, 2, 4}).coeffs == (1, 1, 0, 1)
     assert minimal_polynomial(F, 7, {3, 5, 6}).coeffs == (1, 0, 1, 1)
     assert minimal_polynomial(F, 7, {0}).coeffs == (1, 1)
+
+
+def test_minimal_polynomial_cached_across_codes():
+    from cycperm.algebra import _coset_polynomial
+    F = make_field(3)
+    _coset_polynomial.cache_clear()
+    # {1,3,9} is shared; {2,5,6} and {4,10,12} are not
+    cyclic_code(13, F, {1, 3, 9, 2, 5, 6}).linear
+    cyclic_code(13, F, {1, 3, 9, 4, 10, 12}).linear
+    info = _coset_polynomial.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    with pytest.raises(ValueError, match="not a q-cyclotomic coset"):
+        minimal_polynomial(F, 13, {1, 3})
 
 
 def test_minimal_polynomial_rejects_non_coset():

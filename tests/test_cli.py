@@ -171,6 +171,37 @@ def test_analyze_node_budget_exhaustion_exits_2(capsys):
     assert report["order_lower_bound"] == 1
 
 
+GOLAY23_DS = "1,2,3,4,6,8,9,12,13,16,18"
+
+
+def test_analyze_distance_budget_exhaustion_exits_2(capsys):
+    status, out, _ = run_cli(capsys, "analyze", "--q", "2", "--n", "23",
+                             "--defining-set", GOLAY23_DS, "--budget-dist", "30")
+    assert status == 2
+    payload = json.loads(out)
+    assert "distance budget" in payload["partial"]
+    n, k, (lo, hi) = payload["report"]["parameters"]
+    assert (n, k) == (23, 12) and lo <= 7 <= hi
+
+
+def test_analyze_merges_node_and_distance_partials(capsys):
+    status, out, _ = run_cli(capsys, "analyze", "--q", "2", "--n", "15",
+                             "--defining-set", "1,2,4,8", "--budget-nodes", "10",
+                             "--budget-dist", "1")
+    assert status == 2
+    partial = json.loads(out)["partial"]
+    assert "node budget" in partial and "distance budget" in partial
+
+
+def test_enumerate_distance_budget_exhaustion_exits_2(capsys):
+    status, out, _ = run_cli(capsys, "enumerate", "--q", "2", "--n", "23",
+                             "--budget-dist", "30")
+    assert status == 2
+    payload = json.loads(out)
+    assert "distance budget" in payload["partial"]
+    assert any(isinstance(c["distance"], list) for c in payload["codes"])
+
+
 def test_analyze_rejects_non_coset_defining_set(capsys):
     status, _, err = run_cli(capsys, "analyze", "--q", "2", "--n", "7",
                              "--defining-set", "1,2")

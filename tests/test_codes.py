@@ -2,8 +2,9 @@ import itertools
 import json
 import random
 from collections import Counter
-from math import gcd
+from math import comb, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +29,7 @@ from cycperm.codes import (
     rref,
     weight_profile,
 )
+from cycperm.codes import _batch_dependent, _level_weight, _rank_step
 from cycperm.perm import Permutation
 
 GF2 = make_field(2)
@@ -277,6 +279,109 @@ def test_min_distance_interval_when_budget_tiny():
     r = min_distance(code.linear, budget=30)
     assert not r.exact
     assert r.lower <= 7 <= r.upper
+
+
+# (field, n) pairs whose cyclic codes with q^k <= 2^16 the exact route is
+# checked on against exhaustive enumeration (the GF(11) n = 19 codes include
+# the [19,3,16] codes of the pinned erratum)
+ORACLE_CASES = [(GF2, 15), (GF2, 21), (GF2, 23), (GF3, 11), (GF3, 13),
+                (GF4, 9), (GF4, 13), (make_field(5), 8), (make_field(5), 12),
+                (GF11, 19)]
+
+
+def _swap01(n: int) -> Permutation:
+    """The transposition (0 1): not affine for n >= 4, so a cyclic code it
+    moves is no longer shift-invariant."""
+    return Permutation((1, 0) + tuple(range(2, n)))
+
+
+@pytest.mark.parametrize("field, n", ORACLE_CASES)
+def test_min_distance_matches_enumeration_oracle(field, n):
+    moved_noncyclic = 0
+    for c in enumerate_cyclic_codes(n, field):
+        if c.k in (0, n) or field.order ** c.k > 1 << 16:
+            continue
+        d = weight_profile(c.linear).min_weight
+        assert min_distance(c.linear).value == d
+        # the permuted code has the same distance; when it is not
+        # shift-invariant only the one information set of its pivots bounds
+        moved = permute_code(c.linear, _swap01(n))
+        moved_noncyclic += not is_shift_invariant(moved)
+        assert min_distance(moved).value == d
+    assert moved_noncyclic
+
+
+def test_min_distance_extension_field_is_certified():
+    code = cyclic_code(17, GF4, {1, 3, 4, 5, 12, 13, 14, 16})
+    assert code.k == 9
+    r = min_distance(code.linear, budget=10_000)
+    assert r.exact and r.value == 7
+
+
+def _levels_alone(code: LinearCode) -> int:
+    """Z-levels only, until the cyclic window bound reaches the best weight."""
+    n, k = code.n, code.k
+    best = n
+    for t in range(1, k + 1):
+        best = min(best, _level_weight(code, t))
+        if -(-n * (t + 1) // k) >= best:
+            break
+    return best
+
+
+def _rank_steps_alone(code: LinearCode) -> int:
+    """B-steps only, until one finds a dependent subset."""
+    w = 1
+    while not _rank_step(code, w, True):
+        w += 1
+    return w
+
+
+def test_min_distance_each_kind_of_step_alone():
+    gf11_37_31 = cyclic_code(37, GF11, cyclotomic_cosets(37, 11)[1])
+    assert gf11_37_31.k == 31
+    codes = [gf11_37_31] + [c for c in enumerate_cyclic_codes(15, GF2) if 0 < c.k < 15]
+    for c in codes:
+        d = min_distance(c.linear).value
+        assert _levels_alone(c.linear) == d
+        assert _rank_steps_alone(c.linear) == d
+    assert min_distance(gf11_37_31.linear).value == 5
+
+
+def test_rank_step_dependence_at_large_prime():
+    # at p = 257 a product of two entries no longer fits in int16
+    p = 257
+    cols = np.random.default_rng(0).integers(0, p, (500, 4, 6))
+    cols[:, 3] = (200 * cols[:, 0] + 150 * cols[:, 1]) % p
+    assert _batch_dependent(cols, p).all()
+    assert not _batch_dependent(256 * np.eye(4, 6, dtype=np.int64)[None], p).any()
+
+
+@pytest.mark.parametrize("code", [
+    cyclic_code(23, GF2, {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}),
+    cyclic_code(13, GF3, {1, 3, 9}),
+    permute_code(cyclic_code(13, GF3, {1, 3, 9}).linear, _swap01(13)),
+])
+def test_min_distance_partial_interval_bounds(code):
+    lin = code if isinstance(code, LinearCode) else code.linear
+    n, k, q = lin.n, lin.k, lin.field.order
+    d = weight_profile(lin).min_weight
+    cyclic = is_shift_invariant(lin)
+    # the lower bounds a run can have completed within a budget: the window
+    # (or information-set) bound of level t, or the rank bound of step w
+    level_words = [comb(k, t) * (q - 1) ** (t - 1) for t in range(1, k + 1)]
+    step_subsets = [comb(n - 1, w - 1) if cyclic else comb(n, w) for w in range(1, n + 1)]
+    for budget in (1, 5, 13, 30, 100, 300, 1000, 3000):
+        r = min_distance(lin, budget=budget)
+        assert r.lower <= d <= r.upper
+        assert r.exact == (r.lower == r.upper)
+        if r.exact:
+            continue
+        levels = [t for t in range(k) if sum(level_words[:t]) <= budget]
+        steps = [w for w in range(n) if sum(step_subsets[:w]) <= budget]
+        reachable = {-(-n * (t + 1) // k) if cyclic else t + 1 for t in levels}
+        reachable |= {w + 1 for w in steps}
+        assert r.lower in reachable
 
 
 def test_is_mds():
