@@ -446,7 +446,6 @@ class DistanceResult:
     lower: int
     upper: int
     exact: bool
-    method: str
 
     @property
     def value(self) -> int:
@@ -502,12 +501,10 @@ def _batch_dependent(cols: np.ndarray, p: int) -> np.ndarray:
 def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
     """Minimum distance, exact when a budget-bounded certificate exists.
 
-    One loop raises a lower bound on d and lowers `best`, the least weight
-    of a codeword seen so far, starting from the rows of G, until the two
-    meet (d <= best always).  It has two kinds of step, and before each step
-    takes, of the next one of each kind, the one with the smaller operation
-    count that still fits the budget: about t*n per word of Z-level t and
-    w^2*(n-k) per subset of B-step w.
+    One loop raises `bound`, a lower bound on the weight of every codeword
+    not yet seen, and lowers `best`, the least weight seen so far (starting
+    from the rows of G), until bound >= best; then d = best.  It has two
+    kinds of step.
 
     Z-level t (Brouwer-Zimmermann: Betten et al., Error-Correcting Linear
     Codes, 2006; Grassl 2006) encodes every message of weight exactly t whose
@@ -530,68 +527,131 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     after clean steps 1..w-1, a dependent w-subset carries a codeword of
     weight exactly w, so d = w; a clean step w gives d >= w + 1.
 
-    The result is exact when a B-step finds a dependent subset or when the
-    larger of the two bounds reaches best.  The budget counts Z words and
-    B subsets; each level or step is taken whole or not at all, so the
-    answer does not depend on chunk sizes.  When no next step fits, the
-    result is the interval [larger bound, best].
+    Choice of step.  The plan of a kind takes its steps alone, in order,
+    while they fit the remaining budget and the bound is below best, and
+    counts the array operations they cost: per Z word, the k*s*n*s
+    multiply-adds of its product with the expanded generator plus the
+    reduction and the weight count, n*s*(k*s + 2); per subset of B-step w,
+    three operations (multiply, subtract, reduce) for each of the about
+    w^2/2 * (n-k) entries the elimination clears plus about 6.5 per entry
+    of the w pivot rows, w(3w + 13)(n-k)/2.  The loop follows the
+    plan that reaches the highest bound, the cheaper one among equals, and
+    takes a Z-level ahead of a rank plan while the level costs no more than
+    the next B-step and the rank plan still reaches its bound without the
+    level's budget (a level may lower best).  So no step gives up a bound
+    or a certificate that one kind alone could still reach: the result is
+    exact whenever one kind alone certifies within the budget, in
+    particular whenever all (q^k - 1)/(q - 1) words fit, and otherwise its
+    lower end is at least what the rank steps alone reach.
+
+    The budget counts Z words and B subsets; each level or step is taken
+    whole or not at all, so the answer does not depend on chunk sizes.
+    When no useful step fits, best is also compared, outside the budget,
+    with the first 2^16 words of levels 2 and 3, and the result is exact
+    if that closes the gap, else the interval [bound, best].
     """
     F, n, k = code.field, code.n, code.k
     if k == 0:
-        return DistanceResult(0, 0, True, "void")
+        return DistanceResult(0, 0, True)
     if k == n:
-        return DistanceResult(1, 1, True, "trivial")
-    q = F.order
+        return DistanceResult(1, 1, True)
+    q, s = F.order, F.degree
     cyclic = is_shift_invariant(code)
     pivots = [next(j for j, v in enumerate(row) if v) for row in code.matrix]
     windows = cyclic and pivots == list(range(k))
     best = min(sum(1 for v in row if v) for row in code.matrix)
-    t = w = spent = 0                 # Z-levels 1..t and B-steps 1..w done
+    kinds = ("Z", "B") if F.is_prime_field else ("Z",)
 
-    def lower() -> int:
+    def bound(t: int, w: int) -> int:
+        """Least weight of a codeword unseen after Z-levels 1..t and clean
+        B-steps 1..w."""
         if t == k:                    # every codeword has been seen
-            return best
-        seen = -(-n * (t + 1) // k) if windows else t + 1
-        return max(seen, w + 1)
+            return n + 1
+        return max(-(-n * (t + 1) // k) if windows else t + 1, w + 1)
 
-    while lower() < best:
-        steps = []
-        if t < k:
-            words = comb(k, t + 1) * (q - 1) ** t
-            steps.append((words * (t + 1) * n, words, "Z"))
-        if F.is_prime_field:
-            subsets = comb(n - 1, w) if cyclic else comb(n, w + 1)
-            steps.append((subsets * (w + 1) ** 2 * (n - k), subsets, "B"))
-        fits = [step for step in sorted(steps) if spent + step[1] <= budget]
-        if not fits:
-            return DistanceResult(lower(), best, False, "interval")
-        _, units, kind = fits[0]
-        spent += units
+    def step(kind: str, t: int, w: int) -> tuple[int, int]:
+        """Budget units and operations of the next step of `kind`."""
+        if kind == "Z":
+            units = comb(k, t + 1) * (q - 1) ** t
+            return units, units * n * s * (k * s + 2)
+        units = comb(n - 1, w) if cyclic else comb(n, w + 1)
+        return units, units * (w + 1) * (3 * w + 16) * (n - k) // 2
+
+    def plan(kind: str, t: int, w: int, room: int) -> tuple[int, int, int]:
+        """Bound reached (at most best), operations and steps of the steps
+        of `kind` alone from (t, w) within `room` budget units."""
+        ops = taken = 0
+        while bound(t, w) < best:
+            units, cost = step(kind, t, w)
+            if units > room:
+                break
+            room -= units
+            ops += cost
+            taken += 1
+            t, w = (t + 1, w) if kind == "Z" else (t, w + 1)
+        return min(bound(t, w), best), ops, taken
+
+    t = w = spent = 0                 # Z-levels 1..t and B-steps 1..w done
+    while bound(t, w) < best:
+        room = budget - spent
+        plans = {kind: plan(kind, t, w, room) for kind in kinds}
+        # a level that fits may lower best; a rank plan must raise the bound
+        useful = [kind for kind, (reach, _, taken) in plans.items()
+                  if taken and (kind == "Z" or reach > bound(t, w))]
+        if not useful:
+            break
+        goal = max(plans[kind][0] for kind in useful)
+        kind = min((kind for kind in useful if plans[kind][0] == goal),
+                   key=lambda kind: plans[kind][1])
+        if kind == "B" and "Z" in useful:
+            units, cost = step("Z", t, w)
+            if cost <= step("B", t, w)[1] and plan("B", t, w, room - units)[0] >= goal:
+                kind = "Z"
+        spent += step(kind, t, w)[0]
         if kind == "Z":
             t += 1
             best = min(best, _level_weight(code, t))
         else:
             w += 1
             if _rank_step(code, w, cyclic):
-                return DistanceResult(w, w, True, "rank_scan")
-    return DistanceResult(best, best, True, "levels" if w + 1 < best else "rank_scan")
+                return DistanceResult(w, w, True)
+    lower = bound(t, w)
+    if lower < best:
+        words = itertools.chain(_level_words(code, 2), _level_words(code, 3))
+        for block in _first_rows(words, 1 << 16):
+            best = min(best, int(np.count_nonzero(block, axis=1).min()))
+    return DistanceResult(min(lower, best), best, lower >= best)
+
+
+def _level_words(code: LinearCode, t: int) -> Iterator[np.ndarray]:
+    """Z-level t in blocks: the codewords whose messages have weight t and
+    first nonzero entry 1, in the order of _level_messages."""
+    digits = multiplication_matrices(code.field)[:, 0]     # row b: digits of b
+    for msgs in _level_messages(code.k, code.field.order, t):
+        yield code._encode(digits[msgs].reshape(len(msgs), -1))
 
 
 def _level_weight(code: LinearCode, t: int) -> int:
-    """Z-level t: the least weight of the codewords whose messages have
-    weight t and first nonzero entry 1."""
-    digits = multiplication_matrices(code.field)[:, 0]     # row b: digits of b
-    return min(int(np.count_nonzero(code._encode(digits[msgs].reshape(len(msgs), -1)),
-                                    axis=1).min())
-               for msgs in _level_messages(code.k, code.field.order, t))
+    """Z-level t: the least weight of its codewords."""
+    return min(int(np.count_nonzero(block, axis=1).min()) for block in _level_words(code, t))
+
+
+def _first_rows(blocks: Iterable[np.ndarray], rows: int) -> Iterator[np.ndarray]:
+    """The first `rows` rows of a sequence of blocks, as blocks."""
+    for block in blocks:
+        if rows <= 0:
+            return
+        yield block[:rows]
+        rows -= len(block)
 
 
 def _level_messages(k: int, q: int, t: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
     """The messages of weight t whose first nonzero entry is 1, as (B, k)
     arrays of field elements: for each t-subset of positions, in
-    lexicographic order, every choice of the t - 1 later entries."""
+    lexicographic order, every choice of the t - 1 later entries, in
+    lexicographic order too."""
     tails = (q - 1) ** (t - 1)
-    place = (q - 1) ** np.arange(t - 1, dtype=np.int64)
+    place = (q - 1) ** np.arange(t - 2, -1, -1, dtype=np.int64)
     for pos in _subset_chunks(range(k), t, max(1, chunk // tails)):
         for start in range(0, tails, chunk):
             v = np.arange(start, min(start + chunk, tails), dtype=np.int64)
