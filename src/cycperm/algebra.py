@@ -52,6 +52,15 @@ def prime_power(n: int) -> tuple[int, int]:
     return p, r
 
 
+def p_part(m: int, p: int) -> int:
+    """The largest power of p dividing m."""
+    out = 1
+    while m % p == 0:
+        out *= p
+        m //= p
+    return out
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/n)*; a need not be reduced mod n."""
     if n < 1:

@@ -3,7 +3,11 @@
 Three layers: the multiplier scan on defining sets, the generalized-multiplier
 families G_k available at prime-power length when the order of q is the same
 mod p and mod p^2, and a full backtrack search over coordinate images pruned
-by minimum-weight support statistics.  A classifier maps the findings onto
+by minimum-weight support statistics.  The search grows the group it finds
+on one stabilizer chain whose base is its coordinate order, and searches
+each coset of a point stabilizer once (Sims 1970), so it never lists the
+group: the exact order, or the lower bound when the node budget runs out,
+is the chain's order.  A classifier maps the findings onto
 the known trichotomy for groups containing a complete cycle: elementary codes
 have the full symmetric group, prime length forces a handful of primitive
 groups, and otherwise the group is imprimitive or projective semilinear.
@@ -40,9 +44,9 @@ from .perm import (
     BlockSystem,
     PermGroup,
     Permutation,
+    StabilizerChain,
     block_system_valid,
     minimal_blocks,
-    reduce_generators,
 )
 
 NODE_BUDGET_DEFAULT = 5_000_000
@@ -195,15 +199,33 @@ def _support_family(code: LinearCode) -> list[frozenset[int]]:
 
 def backtrack_full_group(code: LinearCode | CyclicCode,
                          node_budget: int = NODE_BUDGET_DEFAULT) -> BacktrackResult:
-    """Exhaustive automorphism enumeration by depth-first search over
-    coordinate images.
+    """The automorphism group, by a depth-first search over coordinate
+    images that searches each coset of a point stabilizer once (Sims 1970;
+    Seress, Permutation Group Algorithms, 2003, sec. 9.1).
 
     Pruning uses statistics of the set W of minimum-weight supports: image
     candidates must match per-coordinate incidence degrees, pairwise
     co-incidence counts against all previously assigned points, and whenever
     a support has all but one point assigned, the new image must complete an
-    element of W.  Every surviving leaf is verified by the matrix test, so
-    the output is exactly the automorphism group.
+    element of W.  No automorphism fails these tests, and every leaf is
+    verified by the matrix test.
+
+    The coordinates are placed in a greedy order b_0, b_1, ..., which is
+    also the base of the stabilizer chain that the group found so far
+    grows on.  On the path that fixes b_0..b_(d-1), the child b_d -> b_d
+    is searched first, and every other child b_d -> j is skipped when j
+    already lies in the orbit of b_d under the found stabilizer of
+    b_0..b_(d-1); any other subtree stops at its first automorphism, which
+    is added to the chain.  Theorem: the chain's order is |Aut|.  By
+    induction from the leaves, when the path at depth d has searched its
+    first child, the found stabilizer of b_0..b_d is all of Aut's.  The
+    subtree of b_d -> j holds exactly the coset of that stabilizer whose
+    elements fix b_0..b_(d-1) and send b_d to j, so each coset outside the
+    known orbit gets one found representative, and after depth d the found
+    stabilizer of b_0..b_(d-1) is all of Aut's too.  The group is never
+    listed: order is the chain's order, the generators are the elements
+    added to it, and when the node budget runs out the exception carries
+    the order of the group found so far.
     """
     lin = code.linear if isinstance(code, CyclicCode) else code
     n = lin.n
@@ -250,26 +272,23 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     sizes = [len(S) for S in W]
     cnt = [0] * len(W)            # assigned points per support
     imask = [0] * len(W)          # image bits per support
-    found: list[Permutation] = []
+    chain = StabilizerChain(n, order)
     nodes = 0
 
-    def lower_bound_order() -> int:
-        return PermGroup.from_generators(n, found).order()
-
-    def descend(depth: int) -> None:
+    def descend(depth: int, fixed: bool) -> bool:
+        """Search below the placed prefix; fixed says it is the identity on
+        order[:depth].  True when an automorphism was added below."""
         nonlocal nodes
         if depth == n:
-            if maps_onto(lin, lin, [img])[0]:
-                found.append(Permutation(tuple(img)))
-            return
+            return bool(maps_onto(lin, lin, [img])[0]) and chain.add(tuple(img))
         pos = order[depth]
         assigned = order[:depth]
-        for j in range(n):
-            if used[j] or deg[j] != deg[pos]:
+        for j in ([pos] + [j for j in range(n) if j != pos]) if fixed else range(n):
+            if used[j] or deg[j] != deg[pos] or fixed and j != pos and j in chain.orbit[depth]:
                 continue
             nodes += 1
             if nodes > node_budget:
-                raise BacktrackBudgetExceeded(node_budget, lower_bound_order())
+                raise BacktrackBudgetExceeded(node_budget, chain.order())
             ok = True
             for i2 in assigned:
                 if codeg[pos][i2] != codeg[j][img[i2]]:
@@ -288,16 +307,19 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
             for si in sup_at[pos]:
                 cnt[si] += 1
                 imask[si] |= bit
-            descend(depth + 1)
+            hit = descend(depth + 1, fixed and j == pos)
             for si in sup_at[pos]:
                 cnt[si] -= 1
                 imask[si] &= ~bit
             img[pos] = -1
             used[j] = False
+            if hit and not fixed:
+                return True
+        return False
 
-    descend(0)
-    gens = tuple(reduce_generators(frozenset(found))) if found else ()
-    return BacktrackResult(order=len(found), generators=gens, nodes=nodes)
+    descend(0, True)
+    gens = tuple(map(Permutation, chain.gens[0]))
+    return BacktrackResult(order=chain.order(), generators=gens, nodes=nodes)
 
 
 # --- classification -----------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .algebra import multiplicative_order, prime_power
+from .algebra import multiplicative_order, p_part, prime_power
 from .codes import (
     CyclicCode,
     LinearCode,
@@ -203,14 +203,6 @@ def hp_set(descriptor: HPDescriptor, P: PermGroup) -> frozenset[Permutation]:
     return conjugation_set(T, P)
 
 
-def _vp(x: int, p: int) -> int:
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
-
-
 def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     """A p-subgroup P of the code's automorphism group containing the shift,
     a Sylow subgroup of the discoverable part, plus the H(P) materialization
@@ -240,13 +232,13 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
                 q1_family = q1g
                 break
     T = Permutation.shift(n)
-    ppart = [g for g in gens if g.order() == p ** _vp(g.order(), p)]
+    ppart = [g for g in gens if g.order() == p_part(g.order(), p)]
     candidates = [PermGroup.from_generators(n, gens), q1_family,
                   PermGroup.from_generators(n, [T] + ppart), PermGroup.from_generators(n, [T])]
     ambient = next(G for G in candidates if G is not None and G.order() <= _AMBIENT_BOUND)
     P_elems = sylow_through_shift(ambient)
     P = PermGroup(n, tuple(reduce_generators(P_elems)))
-    s = _vp(len(P_elems), p)
+    _, s = prime_power(len(P_elems))     # T is in P, so |P| >= p
     ceiling = (p ** r - 1) // (p - 1)
     if s == r:
         return P, HPDescriptor("AG_SET", n, s, s == ceiling)

@@ -6,7 +6,11 @@ A PermGroup keeps a stabilizer chain (base and strong generating set) built
 by the deterministic Schreier-Sims algorithm (Sims 1970; Seress, Permutation
 Group Algorithms, 2003, ch. 4): its order and membership never list
 elements, and the element set is listed from the chain's transversals only
-on request, once the exact order is known to be within CLOSURE_BOUND.  At
+on request, once the exact order is known to be within CLOSURE_BOUND.  A
+StabilizerChain can open the levels of a given base prefix first, so that
+its level i is the stabilizer of the prefix's first i points: the
+automorphism search (autgroups.backtrack_full_group) grows the group it
+finds on the chain whose base is its own coordinate order.  At
 degree n = l p^r with l < p, the Sylow p-subgroup through the shift power
 T^l is G meet W, with W Kaloujnine's group of triangular maps on each cycle
 of T^l, the only Sylow p-subgroup of S_n containing T^l
@@ -36,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import prime_power
+from .algebra import p_part, prime_power
 
 CLOSURE_BOUND = 1_000_000
 BRUTE_DEGREE_BOUND = 10
@@ -108,22 +112,11 @@ class Permutation:
         return all(v == i for i, v in enumerate(self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        seen, out = set(), []
-        for i in range(self.degree):
-            if i in seen:
-                continue
-            cyc = [i]
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                j = self.images[j]
-            seen.update(cyc)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return tuple(out)
+        """The cycles of length > 1, each from its least point, sorted by it."""
+        return tuple(sorted(c for L, cs in _cycle_classes(self).items() if L > 1 for c in cs))
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*_cycle_classes(self))
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
@@ -176,7 +169,7 @@ class Permutation:
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc) + ")"
 
 
-class _Chain:
+class StabilizerChain:
     """Stabilizer chain of a permutation group on {0..n-1}, built by the
     deterministic Schreier-Sims algorithm (Sims 1970; Seress, Permutation
     Group Algorithms, 2003, ch. 4).
@@ -187,9 +180,14 @@ class _Chain:
     inverse.  Every element is one product u_0 u_1 ... of transversal
     elements, so the order is the product of the orbit lengths and
     membership is a sift through the levels.  Elements are image tuples.
+
+    The levels of a given base prefix are opened first, so level i is the
+    pointwise stabilizer of prefix[:i] and orbit[i] the orbit of prefix[i]
+    under it, whatever elements are added later; further base points are
+    opened as added elements need them.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, prefix: Sequence[int] = ()):
         self.identity = tuple(range(n))
         self.base: list[int] = []
         self.gens: list[list[tuple[int, ...]]] = []
@@ -199,6 +197,8 @@ class _Chain:
         # (orbit point, generator index) pairs whose Schreier generator is
         # known to lie in the next level's group
         self.checked: list[set[tuple[int, int]]] = []
+        for b in prefix:
+            self._open(b)
 
     def order(self) -> int:
         out = 1
@@ -243,13 +243,7 @@ class _Chain:
         """Add h, which fixes base[:last], as a strong generator of levels
         first..last, opening level last when h fixes every base point."""
         if last == len(self.base):
-            b = next(i for i, v in enumerate(h) if v != i)
-            self.base.append(b)
-            self.gens.append([])
-            self.orbit.append([b])
-            self.trans.append({b: self.identity})
-            self.inv.append({b: self.identity})
-            self.checked.append(set())
+            self._open(next(i for i, v in enumerate(h) if v != i))
         for level in range(first, last + 1):
             self.gens[level].append(h)
             orbit, trans, inv = self.orbit[level], self.trans[level], self.inv[level]
@@ -261,6 +255,15 @@ class _Chain:
                         trans[y] = v = _compose(s, u)
                         inv[y] = _invert(v)
                         orbit.append(y)
+
+    def _open(self, b: int) -> None:
+        """Open a level with base point b and no generators yet."""
+        self.base.append(b)
+        self.gens.append([])
+        self.orbit.append([b])
+        self.trans.append({b: self.identity})
+        self.inv.append({b: self.identity})
+        self.checked.append(set())
 
     def _schreier_residue(self, level: int) -> tuple[tuple[int, ...], int] | None:
         """The first Schreier generator u_(s x)^-1 s u_x of the level that
@@ -334,8 +337,8 @@ class PermGroup:
         return PermGroup(n, ())
 
     @cached_property
-    def _chain(self) -> _Chain:
-        chain = _Chain(self.degree)
+    def _chain(self) -> StabilizerChain:
+        chain = StabilizerChain(self.degree)
         for g in self.generators:
             chain.add(g.images)
         return chain
@@ -692,7 +695,7 @@ def reduce_generators(elements: frozenset[Permutation]) -> list[Permutation]:
     first = next(iter(elements))
     if len(elements) == 1:
         return [first]
-    chain = _Chain(first.degree)
+    chain = StabilizerChain(first.degree)
     gens: list[Permutation] = []
     for x in sorted(elements, key=lambda p: p.images):
         if chain.add(x.images):
@@ -700,14 +703,6 @@ def reduce_generators(elements: frozenset[Permutation]) -> list[Permutation]:
             if chain.order() == len(elements):
                 break
     return gens or [first]
-
-
-def _p_part(order: int, p: int) -> int:
-    out = 1
-    while order % p == 0:
-        out *= p
-        order //= p
-    return out
 
 
 def sylow_ascend(ambient: PermGroup, p: int,
@@ -722,12 +717,12 @@ def sylow_ascend(ambient: PermGroup, p: int,
     come from the stabilizer chains; only the ambient group is listed.
     """
     n = ambient.degree
-    target = _p_part(ambient.order(), p)
+    target = p_part(ambient.order(), p)
     gens = list(seed)
     if any(x not in ambient for x in gens):
         raise ValueError("seed not contained in the ambient group")
     cur = PermGroup.from_generators(n, gens)
-    if _p_part(cur.order(), p) != cur.order():
+    if p_part(cur.order(), p) != cur.order():
         raise ValueError("seed is not a p-group")
     while cur.order() < target:
         members = cur.elements()
@@ -735,11 +730,11 @@ def sylow_ascend(ambient: PermGroup, p: int,
                 if all(s.inverse() * g * s in members for g in cur.generators)]
         grew = False
         for x in sorted(norm, key=lambda t: t.images):
-            x = x ** (x.order() // _p_part(x.order(), p))     # the p-part of x
+            x = x ** (x.order() // p_part(x.order(), p))     # the p-part of x
             if x in members:
                 continue
             nxt = PermGroup.from_generators(n, cur.generators + (x,))
-            if _p_part(nxt.order(), p) == nxt.order() > cur.order():
+            if p_part(nxt.order(), p) == nxt.order() > cur.order():
                 cur = nxt
                 grew = True
                 break

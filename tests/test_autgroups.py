@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from cycperm import perm
-from cycperm.algebra import make_field
+from cycperm.algebra import make_field, prime_power
 from cycperm.autgroups import (
     AutoReport,
     BacktrackBudgetExceeded,
@@ -21,9 +21,16 @@ from cycperm.autgroups import (
     projective_parameters,
     sylow_exponent_bounds,
 )
-from cycperm.codes import cyclic_code, enumerate_cyclic_codes, is_elementary, permute_code
+from cycperm.codes import cyclic_code, enumerate_cyclic_codes, is_elementary, maps_onto, permute_code
 from cycperm.equivalence import decide_equivalence
-from cycperm.perm import PermGroup, Permutation, block_system_valid, group_closure, orbits
+from cycperm.perm import (
+    PermGroup,
+    Permutation,
+    block_system_valid,
+    group_closure,
+    orbits,
+    perm_chunks,
+)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -179,12 +186,39 @@ def test_backtrack_budget():
 
 
 def test_backtrack_budget_bound_from_many_automorphisms():
-    # Hamming-15 runs out of nodes after finding thousands of automorphisms;
-    # the lower bound is the order of the group they generate, read off its
-    # stabilizer chain: already all of the 20160-element group
+    # the search visits each coset of a point stabilizer once, so Hamming-15
+    # and Golay-11 finish within small budgets
+    hamming15 = cyclic_code(15, GF2, {1, 2, 4, 8})
+    assert backtrack_full_group(hamming15, node_budget=300_000).order == 20160
+    assert backtrack_full_group(hamming15, node_budget=1_000).order == 20160
+    assert backtrack_full_group(GOLAY3, node_budget=10_000).order == 660
+    # cut off after some automorphisms are found but not all, the lower
+    # bound is the order of the group they generate, read off its chain
     with pytest.raises(BacktrackBudgetExceeded) as ei:
-        backtrack_full_group(cyclic_code(15, GF2, {1, 2, 4, 8}), node_budget=300_000)
-    assert ei.value.order_lower_bound == 20160
+        backtrack_full_group(hamming15, node_budget=200)
+    bound = ei.value.order_lower_bound
+    assert 1 < bound < 20160 and 20160 % bound == 0
+
+
+def test_backtrack_matches_symmetric_group_scan():
+    # the S_n oracle: on every non-elementary cyclic code of these lengths,
+    # and on its image under the transposition (0 1), the order is the number
+    # of permutations that fix the code, and so is the order of the group
+    # the generators span
+    checked = 0
+    for q, n in ((2, 7), (3, 8), (4, 5), (4, 7), (5, 6)):
+        swap = Permutation((1, 0) + tuple(range(2, n)))
+        for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+            if is_elementary(code.linear):
+                continue
+            for lin in (code.linear, permute_code(code.linear, swap)):
+                fixing = sum(int(maps_onto(lin, lin, rows).sum()) for rows in perm_chunks(n))
+                res = backtrack_full_group(lin)
+                assert res.order == fixing
+                assert PermGroup(n, res.generators).order() == fixing
+                assert maps_onto(lin, lin, [g.images for g in res.generators]).all()
+                checked += 1
+    assert checked == 104
 
 
 def test_discovered_group_orders_without_listing(monkeypatch):
@@ -193,7 +227,7 @@ def test_discovered_group_orders_without_listing(monkeypatch):
     # CLOSURE_BOUND, with no element listed
     def never(self):
         raise AssertionError("group listed")
-    monkeypatch.setattr(perm._Chain, "products", never)
+    monkeypatch.setattr(perm.StabilizerChain, "products", never)
     for n, order in ((25, 250_000), (27, 12_754_584)):
         gens, _ = known_cyclic_subgroup(cyclic_code(n, GF2, {0}))
         G = PermGroup.from_generators(n, gens)

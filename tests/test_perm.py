@@ -111,7 +111,7 @@ def test_elements_size_guard(monkeypatch):
     # membership still answer
     def never(self):
         raise AssertionError("group listed before the size check")
-    monkeypatch.setattr(perm._Chain, "products", never)
+    monkeypatch.setattr(perm.StabilizerChain, "products", never)
     gens = [Permutation.shift(10), Permutation((1, 0) + tuple(range(2, 10)))]
     G = PermGroup.from_generators(10, gens)
     with pytest.raises(ClosureBoundExceeded) as exc:
@@ -136,9 +136,11 @@ def test_chain_agrees_with_sympy():
     # seeded groups of degree <= 9 from one to three generators, each a
     # random permutation or a cycle on random points (so that proper
     # subgroups of S_n turn up): order, membership and the listed elements
-    # against sympy's Schreier-Sims
+    # against sympy's Schreier-Sims, and the orbits of a chain opened on a
+    # random base prefix against sympy's pointwise stabilizers
     combinatorics = pytest.importorskip("sympy.combinatorics")
     rng = random.Random(19700101)
+    prefix_rng = random.Random(1970)    # apart, so the groups stay those of rng
     for _ in range(60):
         n = rng.randint(1, 9)
         gens = [(_random_perm if rng.random() < 0.5 else _random_cycle)(rng, n)
@@ -153,6 +155,13 @@ def test_chain_agrees_with_sympy():
         for _ in range(10):
             s = _random_perm(rng, n)
             assert (s in G) == ref.contains(combinatorics.Permutation(list(s.images))), (gens, s)
+        prefix = prefix_rng.sample(range(n), prefix_rng.randint(0, n))
+        chain = perm.StabilizerChain(n, prefix)
+        for g in gens:
+            chain.add(g.images)
+        assert chain.base[:len(prefix)] == prefix and chain.order() == ref.order()
+        for i, b in enumerate(prefix):
+            assert set(chain.orbit[i]) == ref.pointwise_stabilizer(prefix[:i]).orbit(b), (gens, prefix)
 
 
 def test_permgroup_api():
