@@ -543,7 +543,6 @@ def analyze(code: CyclicCode | LinearCode,
         code = CyclicCode(code.field, code.n, frozenset(ds))
     lin = code.linear
     n, k = code.n, code.k
-    dist = min_distance(lin, budget=distance_budget)
     elementary = is_elementary(lin)
     gens, mset = known_cyclic_subgroup(code)
     known_order = PermGroup.from_generators(n, gens).order()
@@ -560,6 +559,9 @@ def analyze(code: CyclicCode | LinearCode,
             bt = backtrack_full_group(lin, node_budget)
             full_order = bt.order
             full_gens = bt.generators
+    # after the search, so a caller that reruns on BacktrackBudgetExceeded
+    # computes the distance once
+    dist = min_distance(lin, budget=distance_budget)
 
     discovered = full_gens if full_gens else tuple(gens)
     for g in discovered:

@@ -13,9 +13,10 @@ block per entry, so every product of code matrices is one integer matmul mod
 p, and s = 1 is plain prime-field arithmetic.  On that rest the batched test
 maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once),
 the first-hit witness scan first_map, and the one message-to-codeword
-product behind codeword_chunks and the Brouwer-Zimmermann levels of
-min_distance.  permute_code is the public transform and the independent
-check of every reported witness.
+product behind codeword_chunks.  The Brouwer-Zimmermann levels of
+min_distance need no product: they add scaled rows of G digit by digit and
+compare partial sums.  permute_code is the public transform and the
+independent check of every reported witness.
 """
 from __future__ import annotations
 
@@ -162,14 +163,9 @@ class LinearCode:
         base-p digit vectors are the rows of the (B, k*s) array `digits`: one
         matmul mod p with the expanded generator gives the digits of each
         codeword, read back as field elements."""
-        p, s = self.field.characteristic, self.field.degree
         digits = digits @ self.expanded_generator
-        digits %= p
-        digits = digits.reshape(-1, self.n, s)
-        words = digits[:, :, s - 1]
-        for t in range(s - 2, -1, -1):
-            words = words * p + digits[:, :, t]
-        return words
+        digits %= self.field.characteristic
+        return _elements(self.field, digits)
 
     @cached_property
     def expanded_generator(self) -> np.ndarray:
@@ -178,6 +174,19 @@ class LinearCode:
         digits(m) @ expanded_generator mod p.  Rows 0, s, 2s, ... are the
         digit vectors of the rows of G."""
         return _expand(self.field, np.array(self.matrix, dtype=np.int64).reshape(self.k, self.n))
+
+    @cached_property
+    def scaled_rows(self) -> np.ndarray:
+        """The GF(p) digits of c * G_j for every row j of G and every field
+        element c, as a read-only (k, q, n*s) array of unsigned integers
+        wide enough for a sum of two digits and for a field element (uint8
+        for q < 128)."""
+        p, s = self.field.characteristic, self.field.degree
+        digits = multiplication_matrices(self.field)[:, 0]     # row c: digits of c
+        table = digits @ self.expanded_generator.reshape(self.k, s, -1) % p
+        out = table.astype(np.min_scalar_type(2 * self.field.order))
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def expanded_parity(self) -> np.ndarray:
@@ -195,6 +204,17 @@ def _expand(field: Field, matrix: np.ndarray) -> np.ndarray:
     blocks = multiplication_matrices(field)[matrix]          # (r, c, s, s)
     out = blocks.transpose(0, 2, 1, 3).reshape(r * s, c * s)
     out.flags.writeable = False
+    return out
+
+
+def _elements(field: Field, digits: np.ndarray) -> np.ndarray:
+    """Rows of n*s GF(p) digits, (B, n*s), read back as (B, n) field
+    elements."""
+    p, s = field.characteristic, field.degree
+    digits = digits.reshape(len(digits), -1, s)
+    out = digits[:, :, s - 1]
+    for t in range(s - 2, -1, -1):
+        out = out * p + digits[:, :, t]
     return out
 
 
@@ -507,10 +527,13 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     kinds of step.
 
     Z-level t (Brouwer-Zimmermann: Betten et al., Error-Correcting Linear
-    Codes, 2006; Grassl 2006) encodes every message of weight exactly t whose
-    first nonzero entry is 1, C(k, t) (q-1)^(t-1) words, through the
-    expanded generator, and keeps the least weight.  G is in RREF, so a
-    codeword restricted to the pivot columns is its message.
+    Codes, 2006; Grassl 2006) takes every codeword whose message has weight
+    exactly t and first nonzero entry 1, C(k, t) (q-1)^(t-1) words, and
+    keeps the least weight.  _level_weight splits each word into a head and
+    a tail and counts the coordinates where -head and tail differ, one
+    comparison per coordinate; level 1 is the rows of G, already in best.
+    G is in RREF, so a codeword restricted to the pivot columns is its
+    message.
 
     Theorem (information sets).  After levels 1..t, every codeword with at
     most t nonzeros on the pivots has been seen up to a scalar, so every
@@ -529,13 +552,13 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
 
     Choice of step.  The plan of a kind takes its steps alone, in order,
     while they fit the remaining budget and the bound is below best, and
-    counts the array operations they cost: per Z word, the k*s*n*s
-    multiply-adds of its product with the expanded generator plus the
-    reduction and the weight count, n*s*(k*s + 2); per subset of B-step w,
+    counts the array operations they cost: per Z word n*s*(k*s + 2), what
+    encoding it through the expanded generator took (a tie-break count,
+    not the cost of the head + tail comparison); per subset of B-step w,
     three operations (multiply, subtract, reduce) for each of the about
     w^2/2 * (n-k) entries the elimination clears plus about 6.5 per entry
-    of the w pivot rows, w(3w + 13)(n-k)/2.  The loop follows the
-    plan that reaches the highest bound, the cheaper one among equals, and
+    of the w pivot rows, w(3w + 13)(n-k)/2.  The loop follows the plan
+    that reaches the highest bound, the cheaper one among equals, and
     takes a Z-level ahead of a rank plan while the level costs no more than
     the next B-step and the rank plan still reaches its bound without the
     level's budget (a level may lower best).  So no step gives up a bound
@@ -610,7 +633,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
         spent += step(kind, t, w)[0]
         if kind == "Z":
             t += 1
-            best = min(best, _level_weight(code, t))
+            if t > 1:
+                best = min(best, _level_weight(code, t))
         else:
             w += 1
             if _rank_step(code, w, cyclic):
@@ -632,8 +656,64 @@ def _level_words(code: LinearCode, t: int) -> Iterator[np.ndarray]:
 
 
 def _level_weight(code: LinearCode, t: int) -> int:
-    """Z-level t: the least weight of its codewords."""
-    return min(int(np.count_nonzero(block, axis=1).min()) for block in _level_words(code, t))
+    """Z-level t: the least weight of its codewords, the sums of t rows of G
+    at distinct positions with nonzero coefficients, the first one 1.
+
+    Each word is a head, its first a terms, plus a tail, its other t - a
+    terms, all at later positions.  A coordinate of head + tail is zero
+    exactly when the tail's entry there equals that of -head, so the
+    weight is the number of coordinates where -head and tail differ: one
+    comparison per coordinate, no product.  The partial sums are built one
+    position at a time from scaled_rows over GF(p), then read as field
+    elements (for s > 1 two entries are equal when all s digits are).
+    The -heads are sorted by last position and the tails by first, so each
+    group of heads pairs with a suffix of the tails; they are compared in
+    blocks of at most 2^16 words, and a is chosen to list the fewest heads
+    and tails."""
+    F, n, k = code.field, code.n, code.k
+    p, q = F.characteristic, F.order
+    scaled = code.scaled_rows
+    a = min(range(1, t + 1), key=lambda a: comb(k - t + a, a) * (q - 1) ** (a - 1)
+            + comb(k - a, t - a) * (q - 1) ** (t - a))
+    negated = (p - scaled) % p
+    heads = tails = np.zeros((1, scaled.shape[2]), dtype=scaled.dtype)
+    last, first = np.array([-1]), np.array([k])
+    for i in range(1, a + 1):       # the i-th term sits at i - 1 .. k - 1 - (t - i)
+        terms = negated[:, 1:2] if i == 1 else negated[:, 1:]
+        heads, last = _extend(heads, last, terms, range(i - 1, k - t + i), p, after=True)
+    for i in range(1, t - a + 1):   # the i-th last term sits at t - i .. k - i
+        tails, first = _extend(tails, first, scaled[:, 1:], range(t - i, k - i + 1), p, after=False)
+    heads = _elements(F, heads).T.copy()      # one row per coordinate
+    tails = _elements(F, tails).T.copy()
+    chunk = 1 << 16
+    best = n
+    starts = np.searchsorted(last, np.arange(k + 1))
+    for j in range(k):              # the heads ending at j, the tails after j
+        after = int(np.searchsorted(first, j, "right"))
+        rows, stop = max(1, chunk // max(1, len(first) - after)), starts[j + 1]
+        for h in range(starts[j], stop, rows):
+            for u in range(after, len(first), chunk):
+                differ = heads[:, h:min(h + rows, stop), None] != tails[:, None, u:u + chunk]
+                best = min(best, int(differ.sum(axis=0, dtype=np.min_scalar_type(n)).min()))
+    return best
+
+
+def _extend(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray, positions: Iterable[int],
+            p: int, after: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums one term longer: for each position j, every sum whose
+    key is below j (`after`: j comes after its last position) or above j
+    (j comes before its first), plus each row of terms[j].  The sums are
+    digit rows over GF(p) sorted by key; the result is keyed and sorted by
+    j."""
+    out, out_keys = [], []
+    for j in positions:
+        cut = np.searchsorted(keys, j, "left" if after else "right")
+        part = sums[:cut] if after else sums[cut:]
+        grown = part[None] + terms[j][:, None]
+        grown %= p
+        out.append(grown.reshape(-1, sums.shape[1]))
+        out_keys.append(np.full(len(out[-1]), j))
+    return np.concatenate(out), np.concatenate(out_keys)
 
 
 def _first_rows(blocks: Iterable[np.ndarray], rows: int) -> Iterator[np.ndarray]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycperm import autgroups
 from cycperm.cli import RunConfig, main
 from cycperm.codes import code_to_spec, cyclic_code
 from cycperm.algebra import make_field
@@ -169,6 +170,22 @@ def test_analyze_node_budget_exhaustion_exits_2(capsys):
     assert report["report"]["known_subgroup_order"] == 60
     # no automorphism is found within 10 nodes
     assert report["order_lower_bound"] == 1
+
+
+def test_analyze_node_budget_exhaustion_computes_distance_once(capsys, monkeypatch):
+    calls = []
+    real = autgroups.min_distance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(autgroups, "min_distance", counted)
+    status, out, _ = run_cli(capsys, "analyze", "--q", "2", "--n", "15",
+                             "--defining-set", "1,2,4,8", "--budget-nodes", "10")
+    assert status == 2
+    assert json.loads(out)["report"]["parameters"] == [15, 11, 3]
+    assert len(calls) == 1
 
 
 GOLAY23_DS = "1,2,3,4,6,8,9,12,13,16,18"

@@ -29,7 +29,7 @@ from cycperm.codes import (
     rref,
     weight_profile,
 )
-from cycperm.codes import _batch_dependent, _level_weight, _rank_step
+from cycperm.codes import _batch_dependent, _level_weight, _level_words, _rank_step
 from cycperm.perm import Permutation
 
 GF2 = make_field(2)
@@ -317,6 +317,30 @@ def _levels_alone(code: LinearCode) -> int:
         if -(-n * (t + 1) // k) >= best:
             break
     return best
+
+
+def _encoded_level_weight(code: LinearCode, t: int) -> int:
+    """Z-level t by encoding every message through the expanded generator."""
+    return min(int(np.count_nonzero(block, axis=1).min()) for block in _level_words(code, t))
+
+
+def test_level_weight_matches_encoded_words():
+    # every level of at most 50,000 words, on cyclic codes and on their
+    # images under (0 1), whose RREFs are not those of a cyclic code
+    levels = set()
+    for field, n in [(GF2, 15), (GF3, 13), (GF4, 9), (GF8, 7), (GF9, 10), (GF13, 17)]:
+        q = field.order
+        for c in enumerate_cyclic_codes(n, field):
+            if c.k in (0, n):
+                continue
+            for lin in (c.linear, permute_code(c.linear, _swap01(n))):
+                k = lin.k
+                for t in range(1, k + 1):
+                    if comb(k, t) * (q - 1) ** (t - 1) <= 50_000:
+                        assert _level_weight(lin, t) == _encoded_level_weight(lin, t), (lin, t)
+                        levels.add((q, 2 * t > k, t == k))
+    assert {(q, True, True) for q in (2, 3, 4, 8, 9, 13)} <= levels
+    assert {(q, True, False) for q in (2, 3, 4, 8, 9, 13)} <= levels
 
 
 def _rank_steps_alone(code: LinearCode) -> int:
