@@ -17,13 +17,19 @@ product behind codeword_chunks.  The Brouwer-Zimmermann levels of
 min_distance need no product: they add scaled rows of G digit by digit and
 compare partial sums.  permute_code is the public transform and the
 independent check of every reported witness.
+
+Every Gaussian elimination is one routine, _eliminate, run on a batch of
+matrices over GF(q) at once: the RREF that identifies a code (from_rows,
+permute_code, dual, CyclicCode.linear) is a batch of one, and each rank
+step of min_distance is a batch of column subsets.  GF(p) multiplies mod
+p; GF(p^s) looks products and differences up in q x q tables.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -74,29 +80,83 @@ def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
     return out
 
 
-def rref(rows: Sequence[Sequence[int]], field: Field) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=None)
+def _tables(field: Field) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The read-only inverse table (inv[0] = 0) and, for s > 1, the q x q
+    product and difference tables of GF(p^s), read off
+    multiplication_matrices, in the smallest unsigned type.  GF(p) has no
+    product table, so large primes need no q x q memory: its products are
+    taken mod p, in int16 while (p-1)^2 + p-1 fits."""
+    p, s, q = field.characteristic, field.degree, field.order
+    if s == 1:
+        dtype = np.int16 if p * (p - 1) < 1 << 15 else np.int64
+        inv, mul, sub = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=dtype), None, None
+    else:
+        M = multiplication_matrices(field)
+        digits, place, dtype = M[:, 0], p ** np.arange(s), np.min_scalar_type(q - 1)
+        mul = (np.einsum("as,bst->abt", digits, M) % p @ place).astype(dtype)
+        sub = ((digits[:, None] - digits[None]) % p @ place).astype(dtype)
+        inv = np.argmax(mul == 1, axis=1).astype(dtype)
+    for table in (inv, mul, sub):
+        if table is not None:
+            table.flags.writeable = False
+    return inv, mul, sub
+
+
+def _subtract(a: np.ndarray, f: np.ndarray, b: np.ndarray, field: Field) -> None:
+    """a -= f * b over `field`, in place, with broadcasting."""
+    _, mul, sub = _tables(field)
+    if mul is None:
+        a -= f * b
+        a %= field.characteristic
+    else:
+        a[...] = sub[a, mul[f, b]]
+
+
+def _eliminate(M: np.ndarray, field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Forward Gaussian elimination over GF(q) of every matrix of the
+    (B, r, c) batch M at once, one row at a time and without row swaps:
+    row i is scaled so that its first nonzero entry, its pivot, is 1, and
+    its pivot column is cleared in the rows below it.  Returns the reduced
+    copy of M and the (B, r) pivot columns, -1 for a row that is zero when
+    its turn comes, that is a row dependent on the rows above it.
+
+    Each pivot column is zero in every later row, so the first nonzero of
+    a row is never in a column already used.  A zero row is scaled by
+    inv[0] = 0 and clears with factor 0, so no batch needs masking."""
+    inv, mul, _ = _tables(field)
+    R = M.astype(inv.dtype)
+    batch = np.arange(len(R))
+    pivots = np.empty(R.shape[:2], dtype=np.int64)
+    for i in range(R.shape[1]):
+        row, below = R[:, i], R[:, i + 1:]
+        piv = np.argmax(row != 0, axis=1)
+        lead = row[batch, piv]
+        pivots[:, i] = np.where(lead != 0, piv, -1)
+        if mul is None:
+            row *= inv[lead, None]
+            row %= field.characteristic
+        else:
+            row[...] = mul[inv[lead, None], row]
+        _subtract(below, below[batch, :, piv, None], row[:, None], field)
+    return R, pivots
+
+
+def rref(rows: Sequence[Sequence[int]] | np.ndarray, field: Field) -> tuple[tuple[int, ...], ...]:
     """Reduced row-echelon form over `field`; zero rows dropped.  The result is
-    the unique canonical basis of the row space, so it doubles as a code id."""
-    M = [list(r) for r in rows]
-    if not M:
+    the unique canonical basis of the row space, so it doubles as a code id.
+    It is _eliminate on a batch of one, with the nonzero rows sorted by
+    pivot and each pivot column then cleared in the rows above."""
+    M = np.asarray(rows)
+    if not M.size:
         return ()
-    ncols = len(M[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = field.inv(M[r][c])
-        M[r] = [field.mul(inv, v) for v in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [field.sub(M[i][j], field.mul(f, M[r][j])) for j in range(ncols)]
-        r += 1
-        if r == len(M):
-            break
-    return tuple(tuple(row) for row in M[:r] if any(row))
+    R, pivots = _eliminate(M[None], field)
+    order = np.argsort(pivots[0])
+    order = order[pivots[0, order] >= 0]
+    R, cols = R[0, order], pivots[0, order]
+    for i in range(len(cols) - 1, 0, -1):
+        _subtract(R[:i], R[:i, cols[i], None], R[i], field)
+    return tuple(map(tuple, R.tolist()))
 
 
 @dataclass(frozen=True)
@@ -108,40 +168,41 @@ class LinearCode:
 
     @staticmethod
     def from_rows(field: Field, n: int, rows: Sequence[Sequence[int]]) -> "LinearCode":
-        for row in rows:
-            if len(row) != n:
-                raise ValueError(f"row length {len(row)} != n={n}")
-            for v in row:
-                field.validate(v)
-        return LinearCode(field, n, rref(rows, field))
+        M = np.array(rows)
+        if len(rows) and (M.shape != (len(rows), n) or M.dtype.kind not in "biu"
+                          or ((M < 0) | (M >= field.order)).any()):
+            raise ValueError(f"rows must form a {len(rows)} x {n} matrix over {field!r}")
+        return LinearCode(field, n, rref(M, field))
 
     @property
     def k(self) -> int:
         return len(self.matrix)
 
-    def contains(self, word: Sequence[int]) -> bool:
-        if len(word) != self.n:
-            raise ValueError("word length mismatch")
-        reduced = rref(list(self.matrix) + [list(word)], self.field)
-        return len(reduced) == self.k
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each row of the RREF."""
+        return tuple(next(j for j, v in enumerate(row) if v) for row in self.matrix)
 
     def dual(self) -> "LinearCode":
         """Kernel of the generator matrix under the standard inner product."""
-        return LinearCode.from_rows(self.field, self.n, self._kernel_basis())
+        return LinearCode(self.field, self.n, rref(self.parity_check, self.field))
 
-    def _kernel_basis(self) -> list[list[int]]:
-        """A basis of the dual, read off the RREF: for each non-pivot column
-        f, the word with 1 at f and minus column f of G at the pivots."""
+    @cached_property
+    def parity_check(self) -> np.ndarray:
+        """A parity-check matrix H, read-only (n-k, n), whose rows are the
+        dual's basis read off the RREF: for each non-pivot column f, the
+        word with 1 at f and minus column f of G at the pivots."""
         F, n = self.field, self.n
-        pivots = [next(j for j, v in enumerate(row) if v != 0) for row in self.matrix]
         rows = []
-        for f in (j for j in range(n) if j not in pivots):
+        for f in (j for j in range(n) if j not in self.pivots):
             v = [0] * n
             v[f] = 1
-            for i, p in enumerate(pivots):
+            for i, p in enumerate(self.pivots):
                 v[p] = F.neg(self.matrix[i][f])
             rows.append(v)
-        return rows
+        H = np.array(rows, dtype=np.int64).reshape(n - self.k, n)
+        H.flags.writeable = False
+        return H
 
     def codeword_count(self) -> int:
         return self.field.order ** self.k
@@ -192,8 +253,7 @@ class LinearCode:
     def expanded_parity(self) -> np.ndarray:
         """The transposed parity-check matrix over GF(p), (n*s, (n-k)*s): the
         word w is in the code iff digits(w) @ expanded_parity = 0 mod p."""
-        H = np.array(self._kernel_basis(), dtype=np.int64).reshape(self.n - self.k, self.n)
-        return _expand(self.field, H.T)
+        return _expand(self.field, self.parity_check.T)
 
 
 def _expand(field: Field, matrix: np.ndarray) -> np.ndarray:
@@ -280,9 +340,8 @@ def first_map(c1: LinearCode, c2: LinearCode,
 def permute_code(code: LinearCode, sigma: Permutation) -> LinearCode:
     if sigma.degree != code.n:
         raise ValueError(f"permutation degree {sigma.degree} != code length {code.n}")
-    inv = sigma.inverse()
-    rows = [[row[inv(i)] for i in range(code.n)] for row in code.matrix]
-    return LinearCode.from_rows(code.field, code.n, rows)
+    M = np.array(code.matrix, dtype=np.int64).reshape(code.k, code.n)
+    return LinearCode(code.field, code.n, rref(M[:, list(sigma.inverse().images)], code.field))
 
 
 def is_shift_invariant(code: LinearCode) -> bool:
@@ -330,15 +389,10 @@ class CyclicCode:
     def linear(self) -> LinearCode:
         g = self.generator_poly
         k = self.k
-        if k == 0:
-            return LinearCode(self.field, self.n, ())
-        rows = []
-        for s in range(k):
-            row = [0] * self.n
-            for i, c in enumerate(g.coeffs):
-                row[(i + s) % self.n] = c
-            rows.append(row)
-        code = LinearCode.from_rows(self.field, self.n, rows)
+        rows = np.zeros((k, self.n), dtype=np.int64)
+        for s in range(k):                      # deg g = n - k: no row wraps
+            rows[s, s:s + len(g.coeffs)] = g.coeffs
+        code = LinearCode(self.field, self.n, rref(rows, self.field))
         if code.k != k:
             raise RuntimeError("generator degree disagrees with defining set size")
         return code
@@ -488,36 +542,6 @@ def _subset_chunks(pool: Sequence[int], w: int, chunk: int) -> Iterator[np.ndarr
         yield flat.reshape(-1, w)
 
 
-def _batch_dependent(cols: np.ndarray, p: int) -> np.ndarray:
-    """cols: (B, w, h) batches of w row-vectors over GF(p); returns a boolean
-    mask of batches whose vectors are linearly dependent.  Gaussian elimination
-    run simultaneously over the whole batch, in int16 while (p-1)^2 + p-1
-    fits.  A row with no pivot left is zero, since every used column was
-    cleared below its pivot row; scaling it by inv[0] = 0 and clearing with
-    it change nothing, so no batch needs masking."""
-    B, w, h = cols.shape
-    R = cols.astype(np.int16 if p * (p - 1) < 1 << 15 else np.int64)
-    inv_table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=R.dtype)
-    batch = np.arange(B)
-    dependent = np.zeros(B, dtype=bool)
-    col_used = np.zeros((B, h), dtype=bool)
-    for r in range(w):
-        row = R[:, r, :]
-        # pivot: first column with nonzero entry that is not yet used
-        avail = (row != 0) & ~col_used
-        piv = np.argmax(avail, axis=1)
-        has = avail[batch, piv]
-        dependent |= ~has
-        row *= inv_table[row[batch, piv]][:, None]
-        row %= p
-        col_used[batch, piv] |= has
-        if r + 1 < w:
-            below = R[:, r + 1:, :]
-            below -= below[batch, :, piv][:, :, None] * row[:, None, :]
-            below %= p
-    return dependent
-
-
 def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
     """Minimum distance, exact when a budget-bounded certificate exists.
 
@@ -544,11 +568,13 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     nonzeros in each of the n windows; every coordinate lies in k of them,
     so its weight is at least ceil(n(t+1)/k).
 
-    B-step w (prime fields) tests every w-subset of parity-check columns
-    for linear dependence; for shift-invariant codes only the subsets that
-    contain coordinate 0, since a shift moves any support onto 0.  Theorem:
-    after clean steps 1..w-1, a dependent w-subset carries a codeword of
-    weight exactly w, so d = w; a clean step w gives d >= w + 1.
+    B-step w tests every w-subset of parity-check columns for linear
+    dependence, in _eliminate batches; for shift-invariant codes only the
+    subsets that contain coordinate 0, since a shift moves any support onto
+    0.  Theorem: after clean steps 1..w-1, a dependent w-subset carries a
+    codeword of weight exactly w, so d = w; a clean step w gives d >= w + 1.
+    The loop offers B-steps over prime fields only: over GF(p^s) they are
+    not yet measured against the levels.
 
     Choice of step.  The plan of a kind takes its steps alone, in order,
     while they fit the remaining budget and the bound is below best, and
@@ -557,7 +583,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     not the cost of the head + tail comparison); per subset of B-step w,
     three operations (multiply, subtract, reduce) for each of the about
     w^2/2 * (n-k) entries the elimination clears plus about 6.5 per entry
-    of the w pivot rows, w(3w + 13)(n-k)/2.  The loop follows the plan
+    of the w pivot rows, w(3w + 13)(n-k)/2, a tie-break count too, taken
+    from the GF(p) arithmetic of _eliminate.  The loop follows the plan
     that reaches the highest bound, the cheaper one among equals, and
     takes a Z-level ahead of a rank plan while the level costs no more than
     the next B-step and the rank plan still reaches its bound without the
@@ -580,8 +607,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
         return DistanceResult(1, 1, True)
     q, s = F.order, F.degree
     cyclic = is_shift_invariant(code)
-    pivots = [next(j for j, v in enumerate(row) if v) for row in code.matrix]
-    windows = cyclic and pivots == list(range(k))
+    windows = cyclic and code.pivots == tuple(range(k))
     best = min(sum(1 for v in row if v) for row in code.matrix)
     kinds = ("Z", "B") if F.is_prime_field else ("Z",)
 
@@ -745,14 +771,17 @@ def _level_messages(k: int, q: int, t: int, chunk: int = 1 << 16) -> Iterator[np
 
 def _rank_step(code: LinearCode, w: int, cyclic: bool) -> bool:
     """B-step w: whether some w-subset of parity-check columns, containing
-    column 0 when `cyclic`, is linearly dependent.  Prime fields only."""
-    Ht = code.expanded_parity     # over a prime field, exactly H^T
-    n, p = code.n, code.field.order
+    column 0 when `cyclic`, is linearly dependent: each chunk of subsets is
+    one _eliminate batch of rows of H^T over GF(q), and a subset is
+    dependent when some row of it has no pivot.  It holds over every field;
+    that min_distance offers B-steps over prime fields only is a choice of
+    its planner."""
+    Ht, n = code.parity_check.T, code.n
     if cyclic:
         subsets = (np.pad(c, ((0, 0), (1, 0))) for c in _subset_chunks(range(1, n), w - 1, 65536))
     else:
         subsets = _subset_chunks(range(n), w, 65536)
-    return any(_batch_dependent(Ht[subs], p).any() for subs in subsets)
+    return any((_eliminate(Ht[subs], code.field)[1] < 0).any() for subs in subsets)
 
 
 @dataclass(frozen=True)

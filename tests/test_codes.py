@@ -29,7 +29,7 @@ from cycperm.codes import (
     rref,
     weight_profile,
 )
-from cycperm.codes import _batch_dependent, _level_weight, _level_words, _rank_step
+from cycperm.codes import _eliminate, _level_weight, _level_words, _rank_step
 from cycperm.perm import Permutation
 
 GF2 = make_field(2)
@@ -71,6 +71,104 @@ def test_rref_canonical_and_unique():
         assert rref(mixed, F) in (R, rref(mixed, F))
         if len(rref(mixed, F)) == 2:
             assert rref(mixed, F) == R
+
+
+def _python_rref(rows, field):
+    """The reference RREF: Gauss-Jordan with one scalar Field call per
+    entry, pivot column by pivot column, swapping the pivot row up."""
+    M = [list(r) for r in rows]
+    if not M:
+        return ()
+    ncols = len(M[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = field.inv(M[r][c])
+        M[r] = [field.mul(inv, v) for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [field.sub(M[i][j], field.mul(f, M[r][j])) for j in range(ncols)]
+        r += 1
+        if r == len(M):
+            break
+    return tuple(tuple(row) for row in M[:r] if any(row))
+
+
+def _combination(field, rng, rows):
+    """A random linear combination of `rows` over `field`."""
+    out = [0] * len(rows[0])
+    for row in rows:
+        c = rng.randrange(field.order)
+        out = [field.add(a, field.mul(c, b)) for a, b in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, GF8, GF9, GF13, make_field(257),
+                                   make_field(65537)], ids=repr)
+def test_rref_matches_python_oracle(field):
+    rng = random.Random(field.order)
+    q = field.order
+    assert rref([], field) == _python_rref([], field) == ()
+    # a single row, square, wide, and more rows than columns
+    for r, c in [(1, 6), (4, 4), (5, 9), (9, 4), (7, 12)]:
+        for _ in range(8):
+            sparse = rng.random() < 0.5
+            rows = [[rng.randrange(q) if not sparse or rng.random() < 0.3 else 0
+                     for _ in range(c)] for _ in range(r)]
+            if r > 1:
+                rows[rng.randrange(r)] = [0] * c                    # a zero row
+                rows[rng.randrange(r)] = list(rows[rng.randrange(r)])   # a repeated row
+            if r > 2:
+                rows[-1] = _combination(field, rng, rows[:2])      # a dependent row
+            assert rref(rows, field) == _python_rref(rows, field), rows
+
+
+@pytest.mark.parametrize("code", [
+    cyclic_code(37, GF11, cyclotomic_cosets(37, 11)[1]),
+    cyclic_code(37, GF11, set(cyclotomic_cosets(37, 11)[0] + cyclotomic_cosets(37, 11)[2])),
+    cyclic_code(21, GF4, cyclotomic_cosets(21, 4)[1]),
+    cyclic_code(21, GF4, set(cyclotomic_cosets(21, 4)[2] + cyclotomic_cosets(21, 4)[4])),
+], ids=["gf11-n37-k31", "gf11-n37-k30", "gf4-n21-k18", "gf4-n21-k15"])
+def test_rref_of_permuted_generators_matches_python_oracle(code):
+    lin, n = code.linear, code.n
+    rng = random.Random(n)
+    batch = []
+    for _ in range(4):
+        images = list(range(n))
+        rng.shuffle(images)
+        rows = [[row[images[i]] for i in range(n)] for row in lin.matrix]
+        assert rref(rows, lin.field) == _python_rref(rows, lin.field)
+        assert permute_code(lin, Permutation(tuple(images)).inverse()).matrix == rref(rows, lin.field)
+        batch.append(rows)
+    # a batch of B gives the same pivots and reduced rows as B single calls
+    R, pivots = _eliminate(np.array(batch), lin.field)
+    for b, rows in enumerate(batch):
+        R1, pivots1 = _eliminate(np.array(rows)[None], lin.field)
+        assert (pivots[b] == pivots1[0]).all() and (R[b] == R1[0]).all()
+        assert tuple(sorted(pivots[b])) == LinearCode(lin.field, n, rref(rows, lin.field)).pivots
+
+
+def test_from_rows_rejects_bad_input():
+    rows = [[1, 0, 2], [0, 1, 1]]
+    assert LinearCode.from_rows(GF3, 3, rows).matrix == ((1, 0, 2), (0, 1, 1))
+    bad = [
+        [[1, 0, 2], [0, 1]],            # wrong row length
+        [[1, 0, 3], [0, 1, 1]],         # entry >= q
+        [[1, 0, -1], [0, 1, 1]],        # negative entry
+        [[1, 0, 2.0], [0, 1, 1]],       # non-int entries
+        [[1, 0, "2"], [0, 1, 1]],
+        [[1, 0, None], [0, 1, 1]],
+        [[1, 0, 2 ** 70], [0, 1, 1]],
+    ]
+    for rows in bad:
+        with pytest.raises(ValueError):
+            LinearCode.from_rows(GF3, 3, rows)
+    with pytest.raises(ValueError):
+        LinearCode.from_rows(GF4, 2, [[1, 4]])
 
 
 def test_cyclic_code_construction():
@@ -355,6 +453,9 @@ def test_min_distance_each_kind_of_step_alone():
     gf11_37_31 = cyclic_code(37, GF11, cyclotomic_cosets(37, 11)[1])
     assert gf11_37_31.k == 31
     codes = [gf11_37_31] + [c for c in enumerate_cyclic_codes(15, GF2) if 0 < c.k < 15]
+    # rank steps alone over GF(p^s), which min_distance itself does not take
+    codes += [c for c in enumerate_cyclic_codes(9, GF4) + enumerate_cyclic_codes(7, GF8)
+              if 0 < c.k < c.n]
     for c in codes:
         d = min_distance(c.linear).value
         assert _levels_alone(c.linear) == d
@@ -367,8 +468,19 @@ def test_rank_step_dependence_at_large_prime():
     p = 257
     cols = np.random.default_rng(0).integers(0, p, (500, 4, 6))
     cols[:, 3] = (200 * cols[:, 0] + 150 * cols[:, 1]) % p
-    assert _batch_dependent(cols, p).all()
-    assert not _batch_dependent(256 * np.eye(4, 6, dtype=np.int64)[None], p).any()
+    F = make_field(p)
+    assert (_eliminate(cols, F)[1] < 0).any(axis=1).all()
+    assert not (_eliminate(256 * np.eye(4, 6, dtype=np.int64)[None], F)[1] < 0).any()
+    # the elimination is field-generic, although the planner offers rank
+    # steps over prime fields only
+    rng = random.Random(p)
+    for F in (GF4, GF9):
+        rows = [[rng.randrange(F.order) for _ in range(6)] for _ in range(3)]
+        dependent = rows + [_combination(F, rng, rows)]
+        independent = [[F.order - 1 if j == i else rng.randrange(F.order) * (j > i)
+                        for j in range(6)] for i in range(4)]      # upper triangular
+        pivots = _eliminate(np.array([dependent, independent]), F)[1]
+        assert list((pivots < 0).any(axis=1)) == [True, False]
 
 
 @pytest.mark.parametrize("code", [
