@@ -44,7 +44,6 @@ from .perm import (
     conjugation_rows,
     conjugation_set,
     perm_chunks,
-    reduce_generators,
     sylow_through_shift,
 )
 
@@ -236,9 +235,8 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     candidates = [PermGroup.from_generators(n, gens), q1_family,
                   PermGroup.from_generators(n, [T] + ppart), PermGroup.from_generators(n, [T])]
     ambient = next(G for G in candidates if G is not None and G.order() <= _AMBIENT_BOUND)
-    P_elems = sylow_through_shift(ambient)
-    P = PermGroup(n, tuple(reduce_generators(P_elems)))
-    _, s = prime_power(len(P_elems))     # T is in P, so |P| >= p
+    P = sylow_through_shift(ambient)
+    _, s = prime_power(P.order())     # T is in P, so |P| >= p
     ceiling = (p ** r - 1) // (p - 1)
     if s == r:
         return P, HPDescriptor("AG_SET", n, s, s == ceiling)

@@ -2,28 +2,31 @@
 orbits and block systems, conjugation sets and normalizers in S_n, and Sylow
 subgroups.
 
-A PermGroup keeps a stabilizer chain (base and strong generating set) built
-by the deterministic Schreier-Sims algorithm (Sims 1970; Seress, Permutation
-Group Algorithms, 2003, ch. 4): its order and membership never list
-elements, and the element set is listed from the chain's transversals only
-on request, once the exact order is known to be within CLOSURE_BOUND.  A
-StabilizerChain can open the levels of a given base prefix first, so that
-its level i is the stabilizer of the prefix's first i points: the
-automorphism search (autgroups.backtrack_full_group) grows the group it
-finds on the chain whose base is its own coordinate order.  At
-degree n = l p^r with l < p, the Sylow p-subgroup through the shift power
-T^l is G meet W, with W Kaloujnine's group of triangular maps on each cycle
-of T^l, the only Sylow p-subgroup of S_n containing T^l
-(sylow_through_shift).  For l > p that meet is only a p-subgroup through
-T^l, and the normalizer ascent (sylow_ascend) completes it.
+PermGroup, generators on a stabilizer chain built by the deterministic
+Schreier-Sims algorithm (Sims 1970; Seress, Permutation Group Algorithms,
+2003, ch. 4), is the one group value: its order and membership never list
+elements, and a group is checked through its generators.  PermGroup._array
+is the one listing, the image rows of every element made once from the
+chain's transversals after the order is checked against CLOSURE_BOUND, and
+it is used only where a set is the answer.  A StabilizerChain can open the
+levels of a given base prefix first, so that its level i is the stabilizer
+of the prefix's first i points: the automorphism search
+(autgroups.backtrack_full_group) grows the group it finds on the chain
+whose base is its own coordinate order.  At degree n = l p^r with l < p, the
+Sylow p-subgroup through the shift power T^l is G meet W, with W
+Kaloujnine's group of triangular maps on each cycle of T^l, the only Sylow
+p-subgroup of S_n containing T^l (sylow_through_shift).  For l > p that meet
+is only a p-subgroup through T^l, and the normalizer ascent (sylow_ascend)
+completes it.  Both take and return PermGroups.
 
 The conjugation set {sigma : sigma^-1 g sigma in P} is built at every degree
 from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the coset
 C(g) sigma_rho, where sigma_rho lines the cycles of rho up with those of g and
 C(g) is the product of the wreath products C_L wr S_m over the cycle lengths
-L of g with multiplicity m (Seress, Permutation Group Algorithms, 2003).
-conjugation_rows lists it as image rows sorted lexicographically, the order
-in which the witness scans test candidates.
+L of g with multiplicity m (Seress, Permutation Group Algorithms, 2003),
+listed from its generators (centralizer_generators).  conjugation_rows lists
+the set as image rows sorted lexicographically, the order in which the
+witness scans test candidates.
 
 The exhaustive S_n scans enumerate all n! permutations in lexicographic
 order, decoded from Lehmer ranks in numpy chunks, so n <= 10 stays in the
@@ -32,7 +35,6 @@ oracles only.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, gcd, lcm
@@ -113,10 +115,11 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """The cycles of length > 1, each from its least point, sorted by it."""
-        return tuple(sorted(c for L, cs in _cycle_classes(self).items() if L > 1 for c in cs))
+        classes = _cycle_classes(self.images)
+        return tuple(sorted(c for L, cs in classes.items() if L > 1 for c in cs))
 
     def order(self) -> int:
-        return lcm(*_cycle_classes(self))
+        return lcm(*_cycle_classes(self.images))
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
@@ -281,15 +284,6 @@ class StabilizerChain:
                     return h, j
         return None
 
-    def listing(self, bound: int) -> np.ndarray:
-        """Every element as an (order, n) array of images; raises
-        ClosureBoundExceeded before listing anything when the order exceeds
-        bound."""
-        order = self.order()
-        if order > bound:
-            raise ClosureBoundExceeded(bound, order)
-        return self.products()
-
     def products(self) -> np.ndarray:
         """All products u_0 u_1 ... of transversal elements, one per row."""
         n = len(self.identity)
@@ -305,23 +299,21 @@ def _as_perms(rows: np.ndarray) -> frozenset[Permutation]:
     return frozenset(Permutation(tuple(r)) for r in rows.tolist())
 
 
-def group_closure(generators: Iterable[Permutation], bound: int = CLOSURE_BOUND) -> frozenset[Permutation]:
-    """The elements of the generated group, listed from its stabilizer chain;
-    raises ClosureBoundExceeded, before listing anything, when its order
-    exceeds bound."""
+def group_closure(generators: Iterable[Permutation]) -> frozenset[Permutation]:
+    """The elements of the generated group (PermGroup.elements); raises
+    ClosureBoundExceeded past CLOSURE_BOUND before listing anything."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    G = PermGroup.from_generators(gens[0].degree, gens)
-    return _as_perms(G._chain.listing(bound))
+    return PermGroup.from_generators(gens[0].degree, gens).elements()
 
 
 @dataclass(frozen=True)
 class PermGroup:
-    """Group given by generators.  Order and membership come from a
-    stabilizer chain built once and cached; the element set is listed from
-    the chain on request, once the order is known to be within
-    CLOSURE_BOUND, and cached."""
+    """Group given by generators, the one group value of the library.  Order
+    and membership come from a stabilizer chain built once and cached; the
+    elements are listed once, as image rows (_array), only where a set is
+    the answer."""
     degree: int
     generators: tuple[Permutation, ...]
 
@@ -345,7 +337,13 @@ class PermGroup:
 
     @cached_property
     def _array(self) -> np.ndarray:
-        return self._chain.listing(CLOSURE_BOUND)
+        """Every element as an (order, n) array of images, listed from the
+        chain's transversals; raises ClosureBoundExceeded before listing
+        anything when the order exceeds CLOSURE_BOUND."""
+        order = self.order()
+        if order > CLOSURE_BOUND:
+            raise ClosureBoundExceeded(CLOSURE_BOUND, order)
+        return self._chain.products()
 
     @cached_property
     def _elements(self) -> frozenset[Permutation]:
@@ -485,19 +483,20 @@ def is_primitive(group: PermGroup) -> bool:
 
 # --- conjugation sets by centralizer cosets -----------------------------------
 
-def _cycle_classes(g: Permutation) -> dict[int, list[tuple[int, ...]]]:
-    """Cycles of g, fixed points included, keyed by length; each cycle starts
-    at its least point and the cycles of one length are in that order."""
+def _cycle_classes(images: Sequence[int]) -> dict[int, list[tuple[int, ...]]]:
+    """Cycles of the permutation with these images, fixed points included,
+    keyed by length; each cycle starts at its least point and the cycles of
+    one length are in that order."""
     classes: dict[int, list[tuple[int, ...]]] = {}
-    seen = [False] * g.degree
-    for i in range(g.degree):
+    seen = [False] * len(images)
+    for i in range(len(images)):
         if seen[i]:
             continue
         cyc = [i]
-        j = g.images[i]
+        j = images[i]
         while j != i:
             cyc.append(j)
-            j = g.images[j]
+            j = images[j]
         for x in cyc:
             seen[x] = True
         classes.setdefault(len(cyc), []).append(tuple(cyc))
@@ -512,7 +511,7 @@ def centralizer_order(g: Permutation) -> int:
     """|C(g)| in S_n: the product of L^m * m! over the cycle lengths L of g
     (fixed points included) with multiplicity m."""
     out = 1
-    for L, m in _cycle_type(_cycle_classes(g)):
+    for L, m in _cycle_type(_cycle_classes(g.images)):
         out *= L ** m * factorial(m)
     return out
 
@@ -537,7 +536,7 @@ def centralizer_generators(g: Permutation) -> list[Permutation]:
     swap and rotation of the m cycles of that length."""
     n = g.degree
     gens = []
-    for L, cycles in sorted(_cycle_classes(g).items()):
+    for L, cycles in sorted(_cycle_classes(g.images).items()):
         m = len(cycles)
         if L > 1:
             c = cycles[0]
@@ -549,32 +548,16 @@ def centralizer_generators(g: Permutation) -> list[Permutation]:
     return gens
 
 
-def _centralizer_array(g: Permutation) -> np.ndarray:
-    """All of C(g) as an (|C(g)|, n) array of images."""
-    out = np.arange(g.degree, dtype=np.int64)[None, :]
-    for L, cycles in sorted(_cycle_classes(g).items()):
-        m = len(cycles)
-        pts = np.array(cycles, dtype=np.int64)                       # (m, L)
-        moves = np.array(list(itertools.permutations(range(m))))    # (m!, m)
-        turns = np.array(list(itertools.product(range(L), repeat=m)))  # (L^m, m)
-        # cycles[j][i] goes to cycles[move[j]][(i + turn[j]) % L]
-        cols = (np.arange(L)[None, None, :] + turns[:, :, None]) % L  # (L^m, m, L)
-        part = pts[moves[:, None, :, None], cols[None, :, :, :]].reshape(-1, m * L)
-        out = np.repeat(out, len(part), axis=0)
-        out[:, pts.ravel()] = np.tile(part, (len(out) // len(part), 1))
-    return out
-
-
 def conjugation_cosets(g: Permutation, P: PermGroup) -> list[Permutation]:
     """One sigma_rho per rho in P with the cycle type of g, in the order of
     rho's images: sigma_rho lines rho's cycles up with g's, so that
     sigma_rho^-1 g sigma_rho = rho.  The set {sigma : sigma^-1 g sigma in P}
     is the disjoint union of the cosets C(g) sigma_rho."""
     n = g.degree
-    target = _cycle_classes(g)
+    target = _cycle_classes(g.images)
     key = _cycle_type(target)
     reps = []
-    for rho in sorted(P.elements(), key=lambda x: x.images):
+    for rho in sorted(P._array.tolist()):
         classes = _cycle_classes(rho)
         if _cycle_type(classes) != key:
             continue
@@ -589,8 +572,9 @@ def conjugation_rows(g: Permutation, P: PermGroup) -> np.ndarray:
     images in the smallest integer type, one row per member, in
     lexicographic order: the order in which the witness scans test
     candidates.  The rows are the union of the cosets C(g) sigma_rho of
-    conjugation_cosets.  Its size, |C(g)| times the number of cosets, is
-    checked against CLOSURE_BOUND before anything is listed."""
+    conjugation_cosets, with C(g) listed from centralizer_generators.  Its
+    size, |C(g)| times the number of cosets, is checked against
+    CLOSURE_BOUND before anything is listed."""
     reps = conjugation_cosets(g, P)
     size = centralizer_order(g) * len(reps)
     if size > CLOSURE_BOUND:
@@ -598,7 +582,7 @@ def conjugation_rows(g: Permutation, P: PermGroup) -> np.ndarray:
     dtype = np.min_scalar_type(g.degree)
     if not reps:
         return np.empty((0, g.degree), dtype=dtype)
-    C = _centralizer_array(g).astype(dtype)
+    C = PermGroup(g.degree, tuple(centralizer_generators(g)))._array
     # (c * sigma)(i) = c(sigma(i))
     rows = np.concatenate([C[:, sigma.images] for sigma in reps])
     return rows[np.lexsort(rows.T[::-1])]
@@ -610,17 +594,13 @@ def conjugation_set(g: Permutation, P: PermGroup) -> frozenset[Permutation]:
     return _as_perms(conjugation_rows(g, P))
 
 
-def normalizer_in_symmetric(group: PermGroup, n: int, within: PermGroup | None = None,
-                            ) -> frozenset[Permutation]:
-    """{sigma : sigma^-1 G sigma = G}, in S_n or inside a supplied ambient
-    group.  In S_n the candidates are the conjugation set of the generator
-    with the smallest centralizer.  Conjugating each generator into G
-    suffices, since |sigma^-1 G sigma| = |G|."""
-    gens = list(group.generators) or [Permutation.identity(n)]
-    if within is not None:
-        pool = within.elements()
-    else:
-        pool = conjugation_set(min(gens, key=centralizer_order), group)
+def normalizer_in_symmetric(group: PermGroup) -> frozenset[Permutation]:
+    """{sigma in S_n : sigma^-1 G sigma = G}, n the degree of G.  The
+    candidates are the conjugation set of the generator with the smallest
+    centralizer (of the identity for the trivial group).  Conjugating each
+    generator into G suffices, since |sigma^-1 G sigma| = |G|."""
+    gens = list(group.generators) or [Permutation.identity(group.degree)]
+    pool = conjugation_set(min(gens, key=centralizer_order), group)
     return frozenset(s for s in pool
                      if all(s.inverse() * g * s in group for g in gens))
 
@@ -688,50 +668,43 @@ def hset_brute(target: Permutation, P: PermGroup) -> frozenset[Permutation]:
     return frozenset(conjugation_scan(target.degree, [(target, P.elements())]))
 
 
-def reduce_generators(elements: frozenset[Permutation]) -> list[Permutation]:
-    """Small generating set extracted greedily from an enumerated group: the
-    elements in order of their images, each kept when the group of those
-    kept so far does not contain it, until that group has every element."""
-    first = next(iter(elements))
-    if len(elements) == 1:
-        return [first]
-    chain = StabilizerChain(first.degree)
-    gens: list[Permutation] = []
-    for x in sorted(elements, key=lambda p: p.images):
-        if chain.add(x.images):
-            gens.append(x)
-            if chain.order() == len(elements):
-                break
-    return gens or [first]
+def sylow_ascend(ambient: PermGroup, p: int, seed: PermGroup) -> PermGroup:
+    """Ascend a p-subgroup of the ambient group to a Sylow p-subgroup of it.
 
-
-def sylow_ascend(ambient: PermGroup, p: int,
-                 seed: Iterable[Permutation]) -> frozenset[Permutation]:
-    """Ascend a p-subgroup to a Sylow p-subgroup of the ambient group.
-
-    Repeatedly: list N = normalizer of the current subgroup inside ambient
-    (by direct conjugation of the current generators), take the least
-    element of N whose p-part lies outside the subgroup and extends it to a
-    larger p-group, and adjoin that p-part.  Standard Sylow theory
-    guarantees progress while |current| < p-part(|ambient|).  The orders
-    come from the stabilizer chains; only the ambient group is listed.
+    Repeatedly: among the image rows of the ambient group, those that
+    normalize the current subgroup (each of its generators conjugated into
+    it), in image order, take the first whose p-part lies outside the
+    subgroup and extends it to a larger p-group, and adjoin that p-part.
+    Standard Sylow theory guarantees progress while |current| <
+    p-part(|ambient|).  The orders come from the stabilizer chains; the
+    ambient group and each current subgroup are listed once.
     """
     n = ambient.degree
     target = p_part(ambient.order(), p)
-    gens = list(seed)
-    if any(x not in ambient for x in gens):
+    if any(x not in ambient for x in seed.generators):
         raise ValueError("seed not contained in the ambient group")
-    cur = PermGroup.from_generators(n, gens)
-    if p_part(cur.order(), p) != cur.order():
+    if p_part(seed.order(), p) != seed.order():
         raise ValueError("seed is not a p-group")
+    cur = seed
+
+    def keys(rows: np.ndarray) -> np.ndarray:
+        """Each image row as one opaque key, for set membership."""
+        return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * n))).ravel()
+
     while cur.order() < target:
-        members = cur.elements()
-        norm = [s for s in ambient.elements()
-                if all(s.inverse() * g * s in members for g in cur.generators)]
+        A = ambient._array
+        A_inv = np.argsort(A, axis=1).astype(A.dtype)
+        members = keys(cur._array)
+        normal = np.ones(len(A), dtype=bool)
+        for g in cur.generators:
+            # row s gives s^-1 g s: i -> s^-1(g(s(i)))
+            conj = np.take_along_axis(A_inv, np.array(g.images)[A], axis=1)
+            normal &= np.isin(keys(conj), members)
         grew = False
-        for x in sorted(norm, key=lambda t: t.images):
+        for images in sorted(A[normal].tolist()):
+            x = Permutation(tuple(images))
             x = x ** (x.order() // p_part(x.order(), p))     # the p-part of x
-            if x in members:
+            if x in cur:
                 continue
             nxt = PermGroup.from_generators(n, cur.generators + (x,))
             if p_part(nxt.order(), p) == nxt.order() > cur.order():
@@ -741,10 +714,10 @@ def sylow_ascend(ambient: PermGroup, p: int,
         if not grew:
             raise RuntimeError("Sylow ascent stalled below the p-part "
                                f"({cur.order()} < {target})")
-    return cur.elements()
+    return cur
 
 
-def sylow_through_shift(group: PermGroup, l: int = 1) -> frozenset[Permutation]:
+def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
     """G meet W for a group G of degree n = l p^r that contains T^l, where W
     is the product of Kaloujnine's triangular groups on the l cycles of T^l:
     sigma is in W when it keeps every residue class mod l and, on the
@@ -762,8 +735,9 @@ def sylow_through_shift(group: PermGroup, l: int = 1) -> frozenset[Permutation]:
     W is again the only Sylow p-subgroup of S_n through T^l.  A Sylow
     p-subgroup of G through T^l then lies in W, and G meet W is a p-group,
     so the two are equal.  For l > p, G meet W is a p-subgroup of
-    G through T^l that need not be Sylow.  One numpy filter over the listed
-    elements of G finds it.
+    G through T^l that need not be Sylow.  One numpy filter over the image
+    rows of G finds it; its generators are the rows, in image order, that
+    grow its stabilizer chain.
     """
     n = group.degree
     if l < 1 or n % l:
@@ -780,4 +754,10 @@ def sylow_through_shift(group: PermGroup, l: int = 1) -> frozenset[Permutation]:
         low = pos % (p * pj)
         keep = (low[:, (x + pj * l) % n] == (low + pj) % (p * pj)).all(axis=1)
         A, pos = A[keep], pos[keep]
-    return _as_perms(A)
+    chain, gens = StabilizerChain(n), []
+    for images in sorted(A.tolist()):
+        if chain.order() == len(A):
+            break
+        if chain.add(tuple(images)):
+            gens.append(Permutation(tuple(images)))
+    return PermGroup(n, tuple(gens))

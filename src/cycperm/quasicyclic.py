@@ -43,7 +43,6 @@ from .perm import (
     conjugation_cosets,
     conjugation_rows,
     minimal_blocks,
-    reduce_generators,
     sylow_ascend,
     sylow_through_shift,
 )
@@ -120,19 +119,20 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
     """The two explicit subgroups of the normalizer of <T^l>: the wreath-like
     group Q = <sigma_0, ..., sigma_(l-1), T> and the affine group AG(n).
 
-    Every element is verified to conjugate T^l into <T^l>; affine maps are
-    checked against the exact identity tau_{a,b} T^l tau_{a,b}^-1 = T^(l*a).
-    A failure would disprove the containment and raises with the witness.
+    Every generator of Q is verified to conjugate T^l into <T^l>, which
+    makes Q normalize it; every affine map is checked against the exact
+    identity tau_{a,b} T^l tau_{a,b}^-1 = T^(l*a), and AG(n) is the group
+    they generate.  A failure would disprove the containment and raises
+    with the witness.
     """
     if gcd(n // l, l) != 1:
         raise ValueError(f"need gcd(m, l) = 1, got m={n // l}, l={l}")
     tl = _index_shift(n, l)
     powers = frozenset(tl ** e for e in range(n // l))
-    q_gens = sigma_cycles(n, l) + [Permutation.shift(n)]
-    q_group = PermGroup.from_generators(n, q_gens)
-    for g in q_group.elements():
+    q_group = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])
+    for g in q_group.generators:
         if g.inverse() * tl * g not in powers:
-            raise RuntimeError(f"element of Q fails to normalize <T^l>: {g}")
+            raise RuntimeError(f"generator of Q fails to normalize <T^l>: {g}")
     affine = []
     for a in range(1, n):
         if gcd(a, n) != 1:
@@ -142,8 +142,7 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
             if tau * tl * tau.inverse() != _index_shift(n, l * a % n):
                 raise RuntimeError(f"affine map fails the shift-conjugation law: a={a}, b={b}")
             affine.append(tau)
-    ag_group = PermGroup(n, tuple(reduce_generators(frozenset(affine))))
-    return q_group, ag_group
+    return q_group, PermGroup.from_generators(n, affine)
 
 
 def hprime_membership(sigma: Permutation, P: PermGroup, l: int) -> bool:
@@ -167,29 +166,25 @@ def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
 
 def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     """A Sylow p-subgroup through T^l of the part of the automorphism group
-    discoverable from the structured families (cycle products and affine
-    maps that fix the code), or of <T^l> alone when that part is larger
+    discoverable from the structured families (the elements of Q = <sigma_i,
+    T> and of AG(n) that fix the code, found by one code-action test over
+    the image rows of both), or of <T^l> alone when that part is larger
     than CLOSURE_BOUND.  It is cut out as G meet W, with W Kaloujnine's
     triangular group on each cycle of T^l (perm.sylow_through_shift), which
     is the Sylow subgroup through T^l when l < p; for l > p the Sylow
-    subgroup through T^l is not unique, and the normalizer ascent completes
-    the meet to one."""
+    subgroup through T^l is not unique, and the normalizer ascent
+    (perm.sylow_ascend) completes the meet to one."""
     p, _ = _qc_prime_power(code)
     n, l = code.n, code.index
     lin = code.linear
     tl = _index_shift(n, l)
-    gens = [tl]
-    q_gens = sigma_cycles(n, l) + [Permutation.shift(n)]
-    for family in (PermGroup.from_generators(n, q_gens).elements(), ag_set(n)):
-        moving = [g for g in family if not g.is_identity()]
-        fixed = maps_onto(lin, lin, [g.images for g in moving])
-        gens += [g for g, ok in zip(moving, fixed) if ok]
-    ambient = PermGroup.from_generators(n, gens)
+    rows = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])._array
+    rows = np.concatenate([rows, np.array([g.images for g in ag_set(n)], dtype=rows.dtype)])
+    fixed = rows[maps_onto(lin, lin, rows)].tolist()
+    ambient = PermGroup.from_generators(n, [tl] + [Permutation(tuple(g)) for g in fixed])
     if ambient.order() > CLOSURE_BOUND:
         ambient = PermGroup.from_generators(n, [tl])
-    seed = reduce_generators(sylow_through_shift(ambient, l))
-    elems = sylow_ascend(ambient, p, seed)
-    return PermGroup(n, tuple(reduce_generators(elems)))
+    return sylow_ascend(ambient, p, sylow_through_shift(ambient, l))
 
 
 def _check_compatible(c1: QuasiCyclicCode, c2: QuasiCyclicCode) -> None:

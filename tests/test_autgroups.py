@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from cycperm import perm
-from cycperm.algebra import make_field, prime_power
+from cycperm.algebra import make_field, multiplicative_order, prime_power
 from cycperm.autgroups import (
     AutoReport,
     BacktrackBudgetExceeded,
@@ -128,6 +128,42 @@ def test_gk_family_orders():
     mu = Permutation.generalized_multiplier(9, 2, 2, 5)
     assert mu in g2.elements()
     assert permute_code(code.linear, mu) == code.linear
+
+
+def test_gk_family_is_the_closed_form():
+    # on every binary code of length 9 and 27 and every k: the closed form
+    # {mu_{q^i,c}} has t_k p^k distinct maps, it is the group gk_family
+    # builds from its checked generators, and each map fixes the code
+    for n in (9, 27):
+        p, r = prime_power(n)
+        forms = {}
+        for k in range(1, r + 1):
+            pk = p ** k
+            tk = multiplicative_order(2, pk)
+            forms[k] = {Permutation.generalized_multiplier(n, k, pow(2, i, pk), c)
+                        for i in range(tk) for c in range(pk)}
+            assert len(forms[k]) == tk * pk, (n, k)
+        for code in enumerate_cyclic_codes(n, GF2):
+            for k, form in forms.items():
+                assert gk_family(code, k)[0].elements() == form, (code, k)
+                assert all(permute_code(code.linear, g) == code.linear for g in form), (code, k)
+
+
+def test_gk_family_raises_when_a_generator_fails(monkeypatch):
+    # a code-action test that rejects the generator mu_{1,1} of G_2
+    import cycperm.autgroups as autgroups
+    real = autgroups.maps_onto
+    bad = Permutation.generalized_multiplier(9, 2, 1, 1)
+
+    def reject(c1, c2, images):
+        return real(c1, c2, images) & [tuple(g) != bad.images for g in images]
+
+    monkeypatch.setattr(autgroups, "maps_onto", reject)
+    code = cyclic_code(9, GF2, {1, 2, 4, 8, 7, 5})
+    gk_family(code, 1)
+    with pytest.raises(RuntimeError, match="does not fix the code") as exc:
+        gk_family(code, 2)
+    assert str(bad) in str(exc.value)
 
 
 def test_gk_family_z_violated():

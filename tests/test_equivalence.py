@@ -197,7 +197,7 @@ def test_hp_containment_chain_nine():
     P, desc = build_sylow_descriptor(NINE_FULL)
     members = hp_set(desc, P)
     assert ag_set(9) <= members
-    assert normalizer_in_symmetric(P, 9) <= members
+    assert normalizer_in_symmetric(P) <= members
     assert P.elements() <= members
     T = Permutation.shift(9)
     assert all(hp_membership(s, P) for s in itertools.islice(sorted(members, key=lambda g: g.images), 40))
@@ -231,7 +231,7 @@ def test_sylow_descriptor_twentyseven():
     assert members == gr_formula_set(27, 2)
     # the earlier construction as the oracle: the Sylow subgroup through the
     # shift of the verified family G_3
-    assert P.elements() == sylow_through_shift(gk_family(c, 3)[0])
+    assert P.elements() == sylow_through_shift(gk_family(c, 3)[0]).elements()
 
 
 def test_sylow_descriptor_q_set():
@@ -410,7 +410,8 @@ def test_discovered_sylow_matches_ascent():
         for code in rng.sample(codes, 4):
             gens, _ = known_cyclic_subgroup(code)
             G = PermGroup.from_generators(n, gens)
-            assert sylow_through_shift(G) == sylow_ascend(G, p, [Permutation.shift(n)]), \
+            T = PermGroup.from_generators(n, [Permutation.shift(n)])
+            assert sylow_through_shift(G).elements() == sylow_ascend(G, p, T).elements(), \
                 (q, n, sorted(code.defining_set))
 
 

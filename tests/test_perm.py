@@ -95,14 +95,15 @@ def test_conjugate_direction():
     assert c == by.inverse() * s * by
 
 
-def test_group_closure_and_bound():
+def test_group_closure_and_bound(monkeypatch):
     T = Permutation.shift(5)
     m = Permutation.multiplier(5, 2)
     g = group_closure([T, m])
     assert len(g) == 20
-    with pytest.raises(ClosureBoundExceeded):
-        group_closure([Permutation.shift(9), Permutation((1, 0) + tuple(range(2, 9)))],
-                      bound=100)
+    monkeypatch.setattr(perm, "CLOSURE_BOUND", 100)
+    with pytest.raises(ClosureBoundExceeded) as exc:
+        group_closure([Permutation.shift(9), Permutation((1, 0) + tuple(range(2, 9)))])
+    assert (exc.value.bound, exc.value.reached) == (100, math.factorial(9))
 
 
 def test_elements_size_guard(monkeypatch):
@@ -118,7 +119,7 @@ def test_elements_size_guard(monkeypatch):
         G.elements()
     assert exc.value.reached == math.factorial(10)
     with pytest.raises(ClosureBoundExceeded) as exc:
-        group_closure(gens, bound=1000)
+        group_closure(gens)
     assert exc.value.reached == math.factorial(10)
     assert G.order() == math.factorial(10)
     assert Permutation((3, 1, 2, 0) + tuple(range(4, 10))) in G
@@ -221,15 +222,23 @@ def test_normalizer_of_shift_brute():
     # N_{S_n}(<T>) = AGL(1,n) for prime n, order n*(n-1)
     for n, expect in [(5, 20), (7, 42)]:
         G = PermGroup.from_generators(n, [Permutation.shift(n)])
-        N = normalizer_in_symmetric(G, n)
+        N = normalizer_in_symmetric(G)
         assert len(N) == expect
     G6 = PermGroup.from_generators(6, [Permutation.shift(6)])
-    assert len(normalizer_in_symmetric(G6, 6)) == 12
+    assert len(normalizer_in_symmetric(G6)) == 12
+
+
+def test_normalizer_degree_is_the_groups():
+    # the trivial group is normalized by all of S_4; <T_9> by AG(9), in S_9
+    N = normalizer_in_symmetric(PermGroup.trivial(4))
+    assert len(N) == 24 and {s.degree for s in N} == {4}
+    N = normalizer_in_symmetric(PermGroup.from_generators(9, [Permutation.shift(9)]))
+    assert len(N) == 54 and {s.degree for s in N} == {9}
 
 
 def test_normalizer_shift_9_is_ag():
     G = PermGroup.from_generators(9, [Permutation.shift(9)])
-    N = normalizer_in_symmetric(G, 9)
+    N = normalizer_in_symmetric(G)
     assert len(N) == 54
     # every element normalizes: sigma^-1 T sigma in <T>
     T = Permutation.shift(9)
@@ -244,18 +253,18 @@ def test_conjugation_scan_rejects_large_degree():
     # the normalizer is built from centralizer cosets and has no degree limit
     G11 = PermGroup.from_generators(11, [Permutation.shift(11)])
     affine = frozenset(Permutation.affine(11, a, b) for a in range(1, 11) for b in range(11))
-    assert normalizer_in_symmetric(G11, 11) == affine
+    assert normalizer_in_symmetric(G11) == affine
 
 
 def test_normalizer_within_ambient():
     # normalizer of the Sylow 3-subgroup of AG(9) inside AG(9) is all of AG(9)
     T = Permutation.shift(9)
     amb = PermGroup.from_generators(9, [T, Permutation.affine(9, 2, 0)])
-    P = PermGroup.from_generators(9, sorted(sylow_ascend(amb, 3, [T]), key=lambda g: g.images))
-    N = normalizer_in_symmetric(P, 9, within=amb)
+    P = sylow_ascend(amb, 3, PermGroup.from_generators(9, [T]))
+    N = [s for s in normalizer_in_symmetric(P) if s in amb]
     assert len(N) == 54
-    # within a subgroup that does not normalize: <T> inside S_9's affine part
-    N2 = normalizer_in_symmetric(PermGroup.from_generators(9, [T]), 9, within=amb)
+    # the normalizer of <T> inside AG(9)
+    N2 = [s for s in normalizer_in_symmetric(PermGroup.from_generators(9, [T])) if s in amb]
     assert len(N2) == 54
 
 
@@ -280,23 +289,24 @@ def test_sylow_ascend_in_affine_9():
     T = Permutation.shift(9)
     amb = group_closure([T, Permutation.affine(9, 2, 0)])
     assert len(amb) == 54
-    P = sylow_ascend(PermGroup.from_generators(9, sorted(amb, key=lambda g: g.images)), 3, [T])
-    assert len(group_closure(P)) == 27
+    P = sylow_ascend(PermGroup.from_generators(9, sorted(amb, key=lambda g: g.images)), 3,
+                     PermGroup.from_generators(9, [T]))
+    assert P.order() == 27 and T in P
 
 
 def test_sylow_ascend_full_symmetric_4():
     every = [Permutation(p) for p in itertools.permutations(range(4))]
     amb = PermGroup.from_generators(4, every)
-    P = group_closure(sylow_ascend(amb, 2, [Permutation((1, 0, 2, 3))]))
-    assert len(P) == 8
-    P3 = group_closure(sylow_ascend(amb, 3, [Permutation((1, 2, 0, 3))]))
-    assert len(P3) == 3
+    P = sylow_ascend(amb, 2, PermGroup.from_generators(4, [Permutation((1, 0, 2, 3))]))
+    assert P.order() == 8
+    P3 = sylow_ascend(amb, 3, PermGroup.from_generators(4, [Permutation((1, 2, 0, 3))]))
+    assert P3.order() == 3
 
 
 def test_sylow_ascend_validates_seed():
     amb = PermGroup.from_generators(5, [Permutation.shift(5)])
     with pytest.raises(ValueError):
-        sylow_ascend(amb, 5, [Permutation((1, 0, 2, 3, 4))])
+        sylow_ascend(amb, 5, PermGroup.from_generators(5, [Permutation((1, 0, 2, 3, 4))]))
 
 
 # --- conjugation sets by centralizer cosets, against the S_n scan -----------------
@@ -345,6 +355,35 @@ def test_centralizer_order_and_generators():
     assert centralizer_order(five) == 5 * math.factorial(10)
 
 
+def _partitions(n: int, most: int | None = None):
+    """The partitions of n with parts of at most `most`, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_centralizer_generators_generate_the_centralizer():
+    # one g of each cycle type of degree <= 8, and T at n = 27, T^3 at
+    # n = 15 and T^2 at n = 10: the generators commute with g and their
+    # chain reaches |C(g)|, so they generate C(g)
+    gs = []
+    for n in range(1, 9):
+        for parts in _partitions(n):
+            images: list[int] = []
+            for L in parts:
+                images += [len(images) + (i + 1) % L for i in range(L)]
+            gs.append(Permutation(tuple(images)))
+    assert len(gs) == 66
+    gs += [Permutation.shift(27), Permutation.power_shift(15, 3), Permutation.power_shift(10, 2)]
+    for g in gs:
+        gens = centralizer_generators(g)
+        assert all(c * g == g * c for c in gens), g
+        assert PermGroup.from_generators(g.degree, gens).order() == centralizer_order(g), g
+
+
 def test_normalizer_matches_scan_normalizer():
     # N_{S_n}(G) from the S_n scan: every generator conjugated into G
     rng = random.Random(3)
@@ -359,7 +398,7 @@ def test_normalizer_matches_scan_normalizer():
         n, elements = G.degree, G.elements()
         gens = list(G.generators) or [Permutation.identity(n)]
         scan = frozenset(conjugation_scan(n, [(g, elements) for g in gens]))
-        assert normalizer_in_symmetric(G, n) == scan
+        assert normalizer_in_symmetric(G) == scan
 
 
 def test_conjugation_set_size_guard(monkeypatch):
@@ -367,7 +406,7 @@ def test_conjugation_set_size_guard(monkeypatch):
     # the guard raises from the count, before any centralizer is listed
     def never(g):
         raise AssertionError("centralizer listed before the size check")
-    monkeypatch.setattr(perm, "_centralizer_array", never)
+    monkeypatch.setattr(perm, "centralizer_generators", never)
     swap = Permutation((1, 0) + tuple(range(2, 14)))
     with pytest.raises(ClosureBoundExceeded) as exc:
         conjugation_set(swap, PermGroup.from_generators(14, [swap]))
@@ -395,10 +434,11 @@ def test_shift_sylow_is_the_triangular_group():
         S = PermGroup.from_generators(n, [Permutation.shift(n),
                                           Permutation((1, 0) + tuple(range(2, n)))])
         W = sylow_through_shift(S)
-        assert len(W) == order
-        assert Permutation.shift(n) in W and group_closure(W) == W
+        assert W.order() == order
+        assert Permutation.shift(n) in W
     S4 = PermGroup.from_generators(4, [Permutation.shift(4), Permutation((1, 0, 2, 3))])
-    assert sylow_through_shift(S4) == sylow_ascend(S4, 2, [Permutation.shift(4)])
+    T4 = PermGroup.from_generators(4, [Permutation.shift(4)])
+    assert sylow_through_shift(S4).elements() == sylow_ascend(S4, 2, T4).elements()
     with pytest.raises(ValueError):
         sylow_through_shift(PermGroup.from_generators(9, [Permutation.multiplier(9, 2)]))
 
@@ -430,7 +470,8 @@ def test_shift_sylow_matches_ascent():
             if G.order() > 3000:
                 continue
             drawn += 1
-            assert sylow_through_shift(G) == sylow_ascend(G, p, [T]), gens
+            assert sylow_through_shift(G).elements() == \
+                sylow_ascend(G, p, PermGroup.from_generators(n, [T])).elements(), gens
 
 
 def test_shift_power_sylow_matches_ascent():
@@ -464,4 +505,5 @@ def test_shift_power_sylow_matches_ascent():
             if G.order() > 3000:
                 continue
             drawn += 1
-            assert sylow_through_shift(G, l) == sylow_ascend(G, p, [Tl]), gens
+            assert sylow_through_shift(G, l).elements() == \
+                sylow_ascend(G, p, PermGroup.from_generators(n, [Tl])).elements(), gens

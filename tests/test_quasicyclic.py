@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycperm import perm
 from cycperm.algebra import make_field
+from cycperm.autgroups import analyze
 from cycperm.codes import LinearCode, cyclic_code, permute_code, weight_profile
-from cycperm.equivalence import ag_set
+from cycperm.equivalence import ag_set, decide_equivalence
 from cycperm.perm import (
     CLOSURE_BOUND,
     PermGroup,
@@ -144,7 +146,7 @@ def test_normalizer_witnesses_ten_two():
     assert q.order() == 50
     assert ag.order() == 40
     t2 = Permutation.power_shift(10, 2)
-    brute_norm = normalizer_in_symmetric(PermGroup.from_generators(10, [t2]), 10)
+    brute_norm = normalizer_in_symmetric(PermGroup.from_generators(10, [t2]))
     assert ag.elements() <= brute_norm
     assert q.elements() <= brute_norm
 
@@ -171,7 +173,7 @@ def test_hprime_membership_normalizer_elements():
     # every element of N(P) conjugates T^l back into P
     s0, s1 = sigma_cycles(10, 2)
     P = PermGroup.from_generators(10, [s0, s1])
-    for g in normalizer_in_symmetric(P, 10):
+    for g in normalizer_in_symmetric(P):
         assert hprime_membership(g, P, 2)
 
 
@@ -186,7 +188,7 @@ def test_hprime_of_shift_group_is_its_normalizer():
     t2 = Permutation.power_shift(10, 2)
     P = PermGroup.from_generators(10, [t2])
     brute = hset_brute(t2, P)
-    assert brute == normalizer_in_symmetric(P, 10)
+    assert brute == normalizer_in_symmetric(P)
     assert len(brute) == 200
 
 
@@ -194,7 +196,7 @@ def test_hprime_of_shift_group_small_lengths():
     for n, l in ((6, 2), (9, 3), (8, 2)):
         tl = Permutation.power_shift(n, l)
         P = PermGroup.from_generators(n, [tl])
-        assert hset_brute(tl, P) == normalizer_in_symmetric(P, n)
+        assert hset_brute(tl, P) == normalizer_in_symmetric(P)
 
 
 def test_structured_families_inside_brute_hprime():
@@ -206,8 +208,8 @@ def test_structured_families_inside_brute_hprime():
     q, ag = normalizer_witnesses(10, 2)
     assert ag.elements() <= brute
     shift_group = PermGroup.from_generators(10, [t2])
-    assert normalizer_in_symmetric(shift_group, 10) <= brute
-    assert normalizer_in_symmetric(P, 10) <= brute
+    assert normalizer_in_symmetric(shift_group) <= brute
+    assert normalizer_in_symmetric(P) <= brute
 
 
 # --- the QuasiCyclicCode type -----------------------------------------------------
@@ -278,7 +280,8 @@ def test_qc_sylow_matches_ascent_from_the_shift_power():
             ambient = PermGroup.from_generators(n, gens)
             if ambient.order() > CLOSURE_BOUND:
                 ambient = PermGroup.from_generators(n, [tl])
-            assert qc_sylow(code).elements() == sylow_ascend(ambient, p, [tl]), code
+            seed = PermGroup.from_generators(n, [tl])
+            assert qc_sylow(code).elements() == sylow_ascend(ambient, p, seed).elements(), code
 
 
 # --- equivalence search -----------------------------------------------------------
@@ -476,3 +479,28 @@ def test_structured_witness_is_the_first_member_in_sorted_order():
                          key=lambda s: s.images)
         oracle = next((s for s in members if permute_code(c1.linear, s) == c2.linear), None)
         assert verdict.witness == oracle, (c1, tau)
+
+
+def test_decisions_list_groups_only_as_image_rows(monkeypatch):
+    # no element set of a group is built on the way to a decision or a
+    # report: PermGroup.elements and the conversion of rows to a set of
+    # Permutations raise, and every call still returns
+    def never(*args):
+        raise AssertionError("an element set was listed")
+
+    monkeypatch.setattr(PermGroup, "elements", never)
+    monkeypatch.setattr(perm, "_as_perms", never)
+    for n, ds in ((9, {0, 3, 6}), (27, {0, 3, 6, 12, 24, 21, 15})):
+        c1 = cyclic_code(n, GF2, ds)
+        c2 = cyclic_code(n, GF2, {5 * i % n for i in ds})
+        assert decide_equivalence(c1, c2, "HP").status == "equivalent"
+    rep, even = cyclic_code(5, GF3, {1, 2, 3, 4}).linear, cyclic_code(5, GF3, {0}).linear
+    rows = [[r[i // 3] if i % 3 == j else 0 for i in range(15)]
+            for j, part in enumerate((rep, even, even)) for r in part.matrix]
+    for c1 in (circulant_pair((1, 1, 0, 0, 0)),
+               QuasiCyclicCode(LinearCode.from_rows(GF3, 15, rows), 3)):
+        imprimitivity_report(c1)
+        tau = Permutation.affine(c1.n, 7, 3)
+        c2 = QuasiCyclicCode(permute_code(c1.linear, tau), c1.index)
+        assert qc_equivalence_search(c1, c2).status == "equivalent"
+    analyze(cyclic_code(9, make_field(2, 2), {1, 2, 4, 5, 7, 8}))
