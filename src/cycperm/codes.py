@@ -16,13 +16,15 @@ the first-hit witness scan first_map, and the one message-to-codeword
 product behind codeword_chunks.  The Brouwer-Zimmermann levels of
 min_distance need no product: they add scaled rows of G digit by digit and
 compare partial sums.  permute_code is the public transform and the
-independent check of every reported witness.
+independent check of every reported witness; fixed_by checks a batch of
+reported automorphism generators the same way, by elimination.
 
 Every Gaussian elimination is one routine, _eliminate, run on a batch of
 matrices over GF(q) at once: the RREF that identifies a code (from_rows,
-permute_code, dual, CyclicCode.linear) is a batch of one, and each rank
-step of min_distance is a batch of column subsets.  GF(p) multiplies mod
-p; GF(p^s) looks products and differences up in q x q tables.
+permute_code, dual, CyclicCode.linear) is a batch of one, fixed_by is a
+batch of one stack per permutation, and each rank step of min_distance is
+a batch of column subsets.  GF(p) multiplies mod p; GF(p^s) looks products
+and differences up in q x q tables.
 """
 from __future__ import annotations
 
@@ -342,6 +344,24 @@ def permute_code(code: LinearCode, sigma: Permutation) -> LinearCode:
         raise ValueError(f"permutation degree {sigma.degree} != code length {code.n}")
     M = np.array(code.matrix, dtype=np.int64).reshape(code.k, code.n)
     return LinearCode(code.field, code.n, rref(M[:, list(sigma.inverse().images)], code.field))
+
+
+def fixed_by(code: LinearCode, sigmas: Sequence[Permutation]) -> np.ndarray:
+    """Entry b says whether sigmas[b] maps the code onto itself, as
+    permute_code(code, sigmas[b]) == code does, by one batched elimination
+    with the kernel behind permute_code, not with the code-action test
+    maps_onto, so that it checks maps_onto's findings independently.
+    Slice b of the (B, 2k, n) stack holds the RREF of the code above the
+    same rows with columns permuted by sigmas[b]^-1.  The first k rows are
+    independent, and the permuted code has dimension k too, so sigmas[b]
+    fixes the code iff the other k rows come out dependent (pivot -1)."""
+    k, n = code.k, code.n
+    G = np.array(code.matrix, dtype=np.int64).reshape(k, n)
+    inverses = np.array([s.inverse().images for s in sigmas], dtype=np.int64).reshape(-1, n)
+    stack = np.concatenate([np.broadcast_to(G, (len(inverses), k, n)),
+                            G[:, inverses].transpose(1, 0, 2)], axis=1)
+    _, pivots = _eliminate(stack, code.field)
+    return (pivots[:, k:] < 0).all(axis=1)
 
 
 def is_shift_invariant(code: LinearCode) -> bool:

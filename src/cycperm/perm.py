@@ -38,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import p_part, prime_power
+from .algebra import is_prime, p_part, prime_power
 
 CLOSURE_BOUND = 1_000_000
 BRUTE_DEGREE_BOUND = 10
@@ -360,6 +360,18 @@ class PermGroup:
     def __contains__(self, sigma: Permutation) -> bool:
         return sigma.degree == self.degree and sigma.images in self._chain
 
+    def __eq__(self, other: object) -> bool:
+        """Equal as groups, whatever the generators: the same degree and
+        order, and each side's generators in the other."""
+        if not isinstance(other, PermGroup):
+            return NotImplemented
+        return self.degree == other.degree and self.order() == other.order() \
+            and all(g in other for g in self.generators) \
+            and all(g in self for g in other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.order()))
+
 
 def orbits(n: int, generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
     """Orbits of the generated group on {0..n-1}, sorted by least element."""
@@ -446,10 +458,19 @@ class BlockSystem:
 
 def minimal_blocks(group: PermGroup) -> list[BlockSystem]:
     """All minimal nontrivial block systems of a transitive group; empty means
-    the group is primitive."""
+    the group is primitive.
+
+    At prime degree the answer is empty without a closure: the blocks of a
+    transitive group are permuted transitively, so they all have one size,
+    and that size divides the degree; a prime degree leaves only the blocks
+    of size 1 and n.  At composite degree each x in 1..n-1 gives the block
+    system through {0, x} (_block_system_through), and the minimal ones
+    among the nontrivial systems are returned."""
     generators, n = list(group.generators), group.degree
     if not is_transitive(n, generators):
         raise ValueError("block systems are defined for transitive groups only")
+    if is_prime(n):
+        return []
     # each system keyed by its block through 0
     systems: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     for x in range(1, n):

@@ -286,6 +286,28 @@ def test_gk_families_need_the_order_lift():
         assert decide_equivalence(code, code, "HP").status == "equivalent"
 
 
+@pytest.mark.parametrize("q, n, ds", [(2, 7, {1, 2, 4}), (4, 9, {1, 4, 7}), (11, 19, {1, 7, 11})])
+def test_analyze_names_a_reported_generator_that_fails(monkeypatch, q, n, ds):
+    # a search that reports a transposition among the code's true generators
+    import cycperm.autgroups as autgroups
+    code = cyclic_code(n, make_field(*prime_power(q)), ds)
+    gens, _ = known_cyclic_subgroup(code)
+    swap = Permutation((1, 0) + tuple(range(2, n)))
+    found = autgroups.BacktrackResult(order=0, generators=(gens[0], swap, *gens[1:]), nodes=0)
+    monkeypatch.setattr(autgroups, "backtrack_full_group", lambda lin, budget: found)
+    with pytest.raises(RuntimeError, match="fails to fix the code") as exc:
+        analyze(code, run_backtrack=True)
+    assert str(swap) in str(exc.value)
+
+
+def test_golay_generators_have_no_blocks():
+    # prime degree: the closure through every pair is the whole point set
+    gens = analyze(GOLAY3).discovered_generators
+    assert perm.minimal_blocks(PermGroup(11, gens)) == []
+    for x in range(1, 11):
+        assert perm._block_system_through(gens, 11, (0, x)) == (tuple(range(11)),)
+
+
 def test_projective_parameters():
     assert projective_parameters(15, 2) == [(4, 2)]
     assert projective_parameters(7, 2) == [(3, 2)]

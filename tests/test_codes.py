@@ -19,6 +19,7 @@ from cycperm.codes import (
     cyclic_defining_set,
     cyclotomic_cosets,
     enumerate_cyclic_codes,
+    fixed_by,
     idempotent,
     is_elementary,
     is_mds,
@@ -379,6 +380,21 @@ def _swap01(n: int) -> Permutation:
     """The transposition (0 1): not affine for n >= 4, so a cyclic code it
     moves is no longer shift-invariant."""
     return Permutation((1, 0) + tuple(range(2, n)))
+
+
+@pytest.mark.parametrize("field, n", [(GF3, 8), (GF4, 9)])
+def test_fixed_by_agrees_with_permute_code(field, n):
+    # every cyclic code, the zero code (k = 0) and the full space (k = n)
+    # among them, under the shift, every multiplier and a transposition
+    sigmas = [Permutation.shift(n), _swap01(n)]
+    sigmas += [Permutation.multiplier(n, a) for a in range(2, n) if gcd(a, n) == 1]
+    dims = set()
+    for code in enumerate_cyclic_codes(n, field):
+        lin = code.linear
+        dims.add(lin.k)
+        assert fixed_by(lin, sigmas).tolist() == [permute_code(lin, g) == lin for g in sigmas]
+        assert fixed_by(lin, []).shape == (0,)
+    assert {0, n} <= dims
 
 
 def test_min_distance_rank_scan_matches_enumeration():

@@ -208,6 +208,21 @@ def test_primitive_prime_cycle():
         minimal_blocks(PermGroup.from_generators(4, [Permutation((1, 0, 2, 3))]))
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_no_blocks_at_prime_degree(p):
+    # a transitive group of prime degree has only the trivial blocks, so
+    # every closure through a pair is the single block of all p points
+    T = Permutation.shift(p)
+    families = [[T]] + [[T, Permutation.multiplier(p, a)] for a in range(2, p)]
+    families.append([T, Permutation((1, 0) + tuple(range(2, p)))])     # S_p
+    for gens in families:
+        assert minimal_blocks(PermGroup.from_generators(p, gens)) == []
+        for x in range(1, p):
+            assert perm._block_system_through(gens, p, (0, x)) == (tuple(range(p)),)
+    with pytest.raises(ValueError, match="transitive"):
+        minimal_blocks(PermGroup.from_generators(p, [Permutation((1, 0) + tuple(range(2, p)))]))
+
+
 def test_perm_chunks_lex_order():
     want = list(itertools.permutations(range(4)))
     got = []
@@ -301,6 +316,21 @@ def test_sylow_ascend_full_symmetric_4():
     assert P.order() == 8
     P3 = sylow_ascend(amb, 3, PermGroup.from_generators(4, [Permutation((1, 2, 0, 3))]))
     assert P3.order() == 3
+
+
+def test_group_equality_is_by_group():
+    # the same Sylow 2-subgroup of S_4 with other generators, and two
+    # groups of order 4 that differ
+    every = [Permutation(p) for p in itertools.permutations(range(4))]
+    S4 = PermGroup.from_generators(4, every)
+    T4 = Permutation.shift(4)
+    shift, ascent = sylow_through_shift(S4), sylow_ascend(S4, 2, PermGroup.from_generators(4, [T4]))
+    assert shift.generators != ascent.generators
+    assert shift == ascent and hash(shift) == hash(ascent)
+    cyclic = PermGroup.from_generators(4, [T4])
+    klein = PermGroup.from_generators(4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+    assert cyclic.order() == klein.order() == 4
+    assert cyclic != klein
 
 
 def test_sylow_ascend_validates_seed():
