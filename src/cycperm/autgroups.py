@@ -3,14 +3,20 @@
 Three layers: the multiplier scan on defining sets, the generalized-multiplier
 families G_k available at prime-power length when the order of q is the same
 mod p and mod p^2, and a full backtrack search over coordinate images pruned
-by minimum-weight support statistics.  The search grows the group it finds
-on one stabilizer chain whose base is its coordinate order, and searches
-each coset of a point stabilizer once (Sims 1970), so it never lists the
-group: the exact order, or the lower bound when the node budget runs out,
-is the chain's order.  A classifier maps the findings onto
-the known trichotomy for groups containing a complete cycle: elementary codes
-have the full symmetric group, prime length forces a handful of primitive
-groups, and otherwise the group is imprimitive or projective semilinear.
+by the minimum-weight codewords.  The search keeps one word per support, as
+two minimum-weight words on one support are proportional (their difference
+at the scale that cancels one coordinate is lighter, hence zero).  An
+automorphism sigma maps each such word w to w o sigma^-1, a minimum-weight
+word of the same code with the same values, so it keeps every statistic of
+the family taken up to scalars, and pruning on those cuts no automorphism.
+The search grows the group it finds on one stabilizer chain whose base is
+its coordinate order, and searches each coset of a point stabilizer once
+(Sims 1970), so it never lists the group: the exact order, or the lower
+bound when the node budget runs out, is the chain's order.  A classifier
+maps the findings onto the known trichotomy for groups containing a
+complete cycle: elementary codes have the full symmetric group, prime
+length forces a handful of primitive groups, and otherwise the group is
+imprimitive or projective semilinear.
 """
 from __future__ import annotations
 
@@ -38,6 +44,7 @@ from .codes import (
     is_elementary,
     maps_onto,
     min_distance,
+    _tables,
 )
 # permute_code is unused here but stays bound: perfbench's tracing self-test
 # checks that the wrapper is rebound in this module
@@ -72,7 +79,7 @@ def multiplier_scan(code: CyclicCode) -> tuple[frozenset[int], int]:
     the matrix test to guard the defining-set arithmetic.
     """
     n, ds = code.n, code.defining_set
-    hits = [a for a in range(1, n) if gcd(a, n) == 1
+    hits = [a for a in range(n) if gcd(a, n) == 1
             and frozenset(a * i % n for i in ds) == ds]
     images = np.array([Permutation.multiplier(n, a).images for a in hits]).reshape(-1, n)
     for a, fixed in zip(hits, maps_onto(code.linear, code.linear, images)):
@@ -164,34 +171,40 @@ class BacktrackResult:
     nodes: int
 
 
-def _min_weight_supports(code: LinearCode) -> list[frozenset[int]] | None:
+def _min_weight_words(code: LinearCode) -> np.ndarray | None:
+    """One minimum-weight codeword per support, as an (m, n) array, or None
+    when the code is too large to enumerate.  One word stands for all words
+    on its support: two minimum-weight words u, v with one support S are
+    proportional, since for i in S the word u - (u_i / v_i) v is lighter
+    and so zero."""
     if code.k == 0 or code.field.order ** code.k > ENUMERATION_BOUND:
         return None
     best = code.n + 1
     rows: list[np.ndarray] = []
     for chunk in code.codeword_chunks():
-        nz = chunk != 0
-        w = nz.sum(axis=1)
+        w = (chunk != 0).sum(axis=1)
         w[w == 0] = code.n + 1
         low = int(w.min())
         if low < best:
             best, rows = low, []
         if low == best:
-            rows.append(nz[w == low])
-    supports = np.unique(np.concatenate(rows), axis=0)
-    return sorted((frozenset(np.flatnonzero(r).tolist()) for r in supports), key=sorted)
+            rows.append(chunk[w == low])
+    words = np.concatenate(rows)
+    _, first = np.unique(words != 0, axis=0, return_index=True)
+    return words[first]
 
 
-def _support_family(code: LinearCode) -> list[frozenset[int]]:
-    """Supports of minimum-weight codewords, from the code or its dual.
-    Both families are permuted onto themselves by every automorphism; small
-    supports constrain the search hardest (a support with all but one point
-    placed forces its last image), so prefer the family with shorter supports."""
-    families = [f for f in (_min_weight_supports(code),
-                            _min_weight_supports(code.dual())) if f]
+def _word_family(code: LinearCode) -> np.ndarray:
+    """Minimum-weight codewords, one per support, from the code or its dual.
+    Both families are permuted onto themselves, up to scalars, by every
+    automorphism; small supports constrain the search hardest (a support
+    with all but one point placed forces its last image), so prefer the
+    family with shorter supports, then the one with fewer."""
+    families = [f for f in (_min_weight_words(code), _min_weight_words(code.dual()))
+                if f is not None]
     if not families:
-        raise ValueError("minimum-weight support set not enumerable")
-    return min(families, key=lambda f: (len(f[0]), len(f)))
+        raise ValueError("minimum-weight codewords not enumerable")
+    return min(families, key=lambda f: (np.count_nonzero(f[0]), len(f)))
 
 
 def backtrack_full_group(code: LinearCode | CyclicCode,
@@ -200,12 +213,20 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     images that searches each coset of a point stabilizer once (Sims 1970;
     Seress, Permutation Group Algorithms, 2003, sec. 9.1).
 
-    Pruning uses statistics of the set W of minimum-weight supports: image
-    candidates must match per-coordinate incidence degrees, pairwise
-    co-incidence counts against all previously assigned points, and whenever
-    a support has all but one point assigned, the new image must complete an
-    element of W.  No automorphism fails these tests, and every leaf is
-    verified by the matrix test.
+    Pruning uses the set W of minimum-weight codewords, one word per
+    support (two on one support are proportional), of the code or its
+    dual.  An automorphism sigma sends each w in W to w o sigma^-1, again
+    a minimum-weight word of the same code, so a scalar multiple of a word
+    of W, with the same values moved to new places.  Hence every
+    automorphism keeps three statistics, and a candidate image is pruned
+    when it breaks one: the number of words on a point (its degree); for
+    each pair of points a, b, the multiset of ratios w_b / w_a over the
+    words on both (the co-degree key, sum (|W| + 1)^(ratio - 1)); and,
+    once a word has all its points placed, its image key
+    sum_i w_i q^sigma(i), which must be the key sum_j v_j q^j of some
+    multiple v of a word of W.  Over GF(2) these are the incidence
+    degrees, the co-incidence counts and the support bit masks.  Every
+    leaf is still verified by the matrix test.
 
     The coordinates are placed in a greedy order b_0, b_1, ..., which is
     also the base of the stabilizer chain that the group found so far
@@ -225,27 +246,34 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     the order of the group found so far.
     """
     lin = code.linear if isinstance(code, CyclicCode) else code
-    n = lin.n
+    n, q = lin.n, lin.field.order
     if lin.k == 0:
-        raise ValueError("the zero code has no codeword supports to search on")
-    W = _support_family(lin)
-    masks = [sum(1 << i for i in S) for S in W]
-    mask_set = set(masks)
-    deg = [0] * n
-    codeg = [[0] * n for _ in range(n)]
-    for S in W:
-        pts = sorted(S)
-        for i in pts:
-            deg[i] += 1
-        for ai in range(len(pts)):
-            for bi in range(ai + 1, len(pts)):
-                a, b = pts[ai], pts[bi]
-                codeg[a][b] += 1
-                codeg[b][a] += 1
-    sup_at: list[list[int]] = [[] for _ in range(n)]
-    for si, S in enumerate(W):
-        for i in S:
-            sup_at[i].append(si)
+        raise ValueError("the zero code has no codewords to search on")
+    words = _word_family(lin)
+    inv, mul, _ = _tables(lin.field)
+    units = np.arange(1, q)
+
+    def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a * b % q if mul is None else mul[a, b]
+
+    # codeg[a][b] names the multiset of ratios w_b / w_a over the words on a
+    # and b: pairs[a, b] counts the words with (w_a, w_b) = (u, v), and each
+    # such word weighs (|W| + 1)^(v / u - 1)
+    hot = (words[:, :, None] == units).reshape(len(words), -1).astype(np.int64)
+    pairs = (hot.T @ hot).reshape(n, q - 1, n, q - 1).transpose(0, 2, 1, 3).reshape(n, n, -1)
+    weight = (len(words) + 1) ** (times(inv[units][:, None], units).astype(object) - 1)
+    codeg = (pairs.astype(object) @ weight.ravel()).tolist()
+    # the image keys of every multiple of every word; term[v][j] = v q^j
+    qpow = np.array([q ** j for j in range(n)], dtype=object)
+    multiples = times(units[:, None, None], words[None]).reshape(-1, n)
+    keys = set((multiples.astype(object) @ qpow).tolist())
+    terms = [[v * t for t in qpow.tolist()] for v in range(q)]
+    W = [np.flatnonzero(w).tolist() for w in words]
+    deg = np.count_nonzero(words, axis=0).tolist()
+    sup_at: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for si, w in enumerate(words.tolist()):
+        for i in W[si]:
+            sup_at[i].append((si, terms[w[i]]))
 
     # greedy coordinate order: most-constrained next (supports nearly covered)
     order = [max(range(n), key=lambda i: (deg[i], -i))]
@@ -253,7 +281,7 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     while len(order) < n:
         def gain(x: int) -> tuple[int, int, int]:
             near = full = 0
-            for si in sup_at[x]:
+            for si, _ in sup_at[x]:
                 inside = sum(1 for y in W[si] if y in chosen)
                 if inside == len(W[si]) - 1:
                     near += 1
@@ -267,8 +295,8 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     img = [-1] * n
     used = [False] * n
     sizes = [len(S) for S in W]
-    cnt = [0] * len(W)            # assigned points per support
-    imask = [0] * len(W)          # image bits per support
+    cnt = [0] * len(W)            # assigned points per word
+    ikey = [0] * len(W)           # image key per word
     chain = StabilizerChain(n, order)
     nodes = 0
 
@@ -292,22 +320,21 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
                     ok = False
                     break
             if ok:
-                bit = 1 << j
-                for si in sup_at[pos]:
-                    if cnt[si] == sizes[si] - 1 and (imask[si] | bit) not in mask_set:
+                for si, term in sup_at[pos]:
+                    if cnt[si] == sizes[si] - 1 and ikey[si] + term[j] not in keys:
                         ok = False
                         break
             if not ok:
                 continue
             img[pos] = j
             used[j] = True
-            for si in sup_at[pos]:
+            for si, term in sup_at[pos]:
                 cnt[si] += 1
-                imask[si] |= bit
+                ikey[si] += term[j]
             hit = descend(depth + 1, fixed and j == pos)
-            for si in sup_at[pos]:
+            for si, term in sup_at[pos]:
                 cnt[si] -= 1
-                imask[si] &= ~bit
+                ikey[si] -= term[j]
             img[pos] = -1
             used[j] = False
             if hit and not fixed:
@@ -503,6 +530,16 @@ def classify(code: CyclicCode | LinearCode, report: AutoReport) -> GroupClass:
 
 # --- orchestrator ---------------------------------------------------------------
 
+def _gk_levels(code: CyclicCode) -> range:
+    """The k whose G_k family known_cyclic_subgroup adds: 1..r when the
+    length is a prime power p^r, r >= 2, and gk_lifts holds; else none."""
+    try:
+        _, r = prime_power(code.n)
+    except ValueError:
+        return range(0)
+    return range(1, r + 1) if r >= 2 and gk_lifts(code.field.order, code.n) else range(0)
+
+
 def known_cyclic_subgroup(code: CyclicCode) -> tuple[list[Permutation], frozenset[int]]:
     """Generators of the automorphism subgroup discoverable without search:
     the shift, the defining-set multipliers, and the G_k families when the
@@ -511,14 +548,9 @@ def known_cyclic_subgroup(code: CyclicCode) -> tuple[list[Permutation], frozense
     mset, _ = multiplier_scan(code)
     gens = [Permutation.shift(n)]
     gens += [Permutation.multiplier(n, a) for a in sorted(mset) if a != 1]
-    try:
-        _, r = prime_power(n)
-    except ValueError:
-        r = 0
-    if r >= 2 and gk_lifts(code.field.order, n):
-        for k in range(1, r + 1):
-            gk, _ = gk_family(code, k)
-            gens += list(gk.generators)
+    for k in _gk_levels(code):
+        gk, _ = gk_family(code, k)
+        gens += list(gk.generators)
     seen: dict[Permutation, None] = {}
     for g in gens:
         if not g.is_identity():
@@ -548,7 +580,10 @@ def analyze(code: CyclicCode | LinearCode,
     n, k = code.n, code.k
     elementary = is_elementary(lin)
     gens, mset = known_cyclic_subgroup(code)
-    known_order = PermGroup.from_generators(n, gens).order()
+    # without G_k the group is the affine maps x -> ax + b, a in mset, a
+    # subgroup of the units: n * m maps, distinct by their values at 0 and 1
+    known_order = PermGroup.from_generators(n, gens).order() if _gk_levels(code) \
+        else n * len(mset)
 
     full_order: int | None = None
     full_gens: tuple[Permutation, ...] = ()

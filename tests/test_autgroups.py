@@ -1,5 +1,6 @@
 import random
-from math import factorial
+from collections import Counter
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -207,12 +208,16 @@ def test_backtrack_length_9_codes():
 
 
 def test_backtrack_relabel_invariance():
+    # non-cyclic input: a random coordinate order, over GF(2), GF(3), GF(4)
     rng = random.Random(3)
-    imgs = list(range(7))
-    rng.shuffle(imgs)
-    sigma = Permutation(tuple(imgs))
-    moved = permute_code(HAMMING7.linear, sigma)
-    assert backtrack_full_group(moved).order == 168
+    for code, order in ((HAMMING7, 168), (GOLAY3, 660),
+                        (cyclic_code(9, make_field(2, 2), {0, 2, 3, 5, 6, 8}), 162)):
+        imgs = list(range(code.n))
+        rng.shuffle(imgs)
+        moved = permute_code(code.linear, Permutation(tuple(imgs)))
+        res = backtrack_full_group(moved)
+        assert res.order == order == backtrack_full_group(code.linear).order
+        assert maps_onto(moved, moved, [g.images for g in res.generators]).all()
 
 
 def test_backtrack_budget():
@@ -255,6 +260,55 @@ def test_backtrack_matches_symmetric_group_scan():
                 assert maps_onto(lin, lin, [g.images for g in res.generators]).all()
                 checked += 1
     assert checked == 104
+
+
+def _one_word_order(w, F):
+    # sigma fixes <w> iff w o sigma^-1 = c w for a scalar c; for each c with
+    # c w a rearrangement of w there are prod m_v! such sigma, m_v the count
+    # of value v in w
+    counts = Counter(w)
+    same = sum(Counter(F.mul(c, v) for v in w) == counts for c in range(1, F.order))
+    return same * prod(factorial(m) for m in counts.values())
+
+
+def test_backtrack_matches_one_word_count():
+    # an oracle past the reach of the S_n scan: every cyclic code spanned by
+    # one word, or whose dual is, over GF(3), GF(4), GF(5), GF(7) up to n = 12
+    checked = 0
+    for q in (3, 4, 5, 7):
+        F = make_field(*prime_power(q))
+        for n in range(2, 13):
+            if gcd(n, q) != 1:
+                continue
+            for code in enumerate_cyclic_codes(n, F):
+                if code.k not in (1, n - 1):
+                    continue
+                lin = code.linear
+                (w,) = lin.matrix if lin.k == 1 else lin.dual().matrix
+                assert backtrack_full_group(lin).order == _one_word_order(w, F)
+                checked += 1
+    assert checked == 130
+    # the GF(5) length-12 codes of the fourth and second roots of unity
+    F5 = make_field(5)
+    for ds, order in (({3}, 5_184), ({6}, 1_036_800)):
+        code = cyclic_code(12, F5, set(range(12)) - ds)
+        assert backtrack_full_group(code.linear).order == order
+        assert backtrack_full_group(code.dual().linear).order == order
+
+
+def test_backtrack_binary_node_counts():
+    # over GF(2) the word keys are support counts and bit masks, so the
+    # search walks what a search on supports alone walks
+    assert backtrack_full_group(HAMMING7.linear).nodes == 48
+    assert backtrack_full_group(cyclic_code(15, GF2, {1, 2, 4, 8}).linear).nodes == 235
+
+
+def test_backtrack_prunes_on_word_values():
+    # the supports of these codes have far more symmetry than the codes: a
+    # search on supports alone walks 2,935 and 530,399 nodes
+    assert backtrack_full_group(GOLAY3, node_budget=1_000).order == 660
+    rep = cyclic_code(10, GF3, {0, 1, 2, 3, 4, 6, 7, 8, 9})
+    assert backtrack_full_group(rep.linear, node_budget=1_000).order == 28_800
 
 
 def test_discovered_group_orders_without_listing(monkeypatch):
@@ -365,6 +419,19 @@ def test_known_subgroup_contains_shift_and_multipliers():
     assert Permutation.shift(7) in G
     assert Permutation.multiplier(7, 2) in G
     assert len(G) == 21   # <T> semidirect the 3 multipliers
+
+
+def test_known_order_formula_matches_the_chain():
+    # without G_k families the known subgroup is the affine maps x -> ax + b,
+    # a in the multiplier set, of order n * m; analyze reports that product
+    checked = 0
+    for q, n in [(2, n) for n in range(1, 16, 2)] + [(3, 8), (3, 13), (4, 9)]:
+        for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+            gens, _ = known_cyclic_subgroup(code)
+            report = analyze(code, run_backtrack=False)
+            assert report.known_subgroup_order == PermGroup.from_generators(n, gens).order()
+            checked += 1
+    assert checked == 162
 
 
 def test_analyze_report_json():
