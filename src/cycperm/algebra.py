@@ -61,6 +61,12 @@ def p_part(m: int, p: int) -> int:
     return out
 
 
+def units(n: int) -> list[int]:
+    """(Z/n)^*, ascending: the a in range(n) with gcd(a, n) = 1.  For n = 1
+    that is [0], the one residue, as gcd(0, 1) = 1."""
+    return [a for a in range(n) if gcd(a, n) == 1]
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/n)*; a need not be reduced mod n."""
     if n < 1:
@@ -279,9 +285,6 @@ class Field:
             p = self.characteristic
             return pow(a, p - 2, p)
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         self.validate(a)
@@ -525,7 +528,7 @@ def root_system(field: Field, n: int) -> RootSystem:
                 continue
             if all(ext.pow(y, n // r) != 1 for r in prime_factors(n)):
                 # y generates the order-n subgroup; take its least generator
-                alpha = min(ext.pow(y, k) for k in range(1, n) if gcd(k, n) == 1)
+                alpha = min(ext.pow(y, k) for k in units(n))
                 break
         if alpha is None:
             raise RuntimeError("no element of exact order n")  # unreachable

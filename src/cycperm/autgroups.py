@@ -1,10 +1,12 @@
 """Automorphism discovery for cyclic (and general linear) codes.
 
-Three layers: the multiplier scan on defining sets, the generalized-multiplier
-families G_k available at prime-power length when the order of q is the same
-mod p and mod p^2, and a full backtrack search over coordinate images pruned
-by the minimum-weight codewords.  The search keeps one word per support, as
-two minimum-weight words on one support are proportional (their difference
+Three layers: the multipliers on defining sets (multipliers_onto, whose
+defining-set answer is checked both ways against the matrix test for every
+unit), the generalized-multiplier families G_k available at prime-power
+length when the order of q is the same mod p and mod p^2, and a full
+backtrack search over coordinate images pruned by the minimum-weight
+codewords.  The search keeps one word per support, as two minimum-weight
+words on one support are proportional (their difference
 at the scale that cancels one coordinate is lighter, hence zero).  An
 automorphism sigma maps each such word w to w o sigma^-1, a minimum-weight
 word of the same code with the same values, so it keeps every statistic of
@@ -30,6 +32,7 @@ from .algebra import (
     multiplicative_order,
     prime_factors,
     prime_power,
+    units,
     z_parameter,
 )
 from .codes import (
@@ -38,7 +41,7 @@ from .codes import (
     CyclicCode,
     DistanceResult,
     LinearCode,
-    cyclic_defining_set,
+    as_cyclic,
     fixed_by,
     idempotent,
     is_elementary,
@@ -62,6 +65,10 @@ NODE_BUDGET_DEFAULT = 5_000_000
 
 
 class BacktrackBudgetExceeded(RuntimeError):
+    """The search ran out of nodes.  When analyze raises it, `report` holds
+    the report finished without the full group."""
+    report: AutoReport | None = None
+
     def __init__(self, budget: int, order_lower_bound: int):
         super().__init__(
             f"backtrack node budget {budget} exceeded; "
@@ -72,34 +79,36 @@ class BacktrackBudgetExceeded(RuntimeError):
 
 # --- multiplier layer ---------------------------------------------------------
 
-def multiplier_scan(code: CyclicCode) -> tuple[frozenset[int], int]:
-    """{a in (Z/n)^* : a . defining_set = defining_set} and its size m.
+def multipliers_onto(c1: CyclicCode, c2: CyclicCode) -> list[int]:
+    """The units a of Z_n, ascending, whose multiplier M_a: i -> a i maps c1
+    onto c2, that is those with a . D(c2) = D(c1).
 
-    The scan runs on defining sets; every hit is re-verified by one batch of
-    the matrix test to guard the defining-set arithmetic.
+    The answer is read off the defining sets and checked, for every unit,
+    against one maps_onto batch of the matrix test; a RuntimeError names
+    each unit on which the two disagree, in either direction.
     """
-    n, ds = code.n, code.defining_set
-    hits = [a for a in range(n) if gcd(a, n) == 1
-            and frozenset(a * i % n for i in ds) == ds]
-    images = np.array([Permutation.multiplier(n, a).images for a in hits]).reshape(-1, n)
-    for a, fixed in zip(hits, maps_onto(code.linear, code.linear, images)):
-        if not fixed:
-            raise RuntimeError(f"defining-set multiplier {a} failed the matrix test")
+    n, ds1, ds2 = c1.n, c1.defining_set, c2.defining_set
+    candidates = units(n)
+    by_set = [frozenset(a * i % n for i in ds2) == ds1 for a in candidates]
+    by_matrix = maps_onto(c1.linear, c2.linear, np.outer(candidates, range(n)) % n)
+    wrong = [f"multiplier {a} failed the {'matrix' if hit else 'defining-set'} test"
+             for a, hit, fixed in zip(candidates, by_set, by_matrix) if hit != fixed]
+    if wrong:
+        raise RuntimeError("; ".join(wrong))
+    return [a for a, hit in zip(candidates, by_set) if hit]
+
+
+def multiplier_scan(code: CyclicCode) -> tuple[frozenset[int], int]:
+    """{a in (Z/n)^* : a . defining_set = defining_set} and its size m:
+    multipliers_onto(code, code)."""
+    hits = multipliers_onto(code, code)
     return frozenset(hits), len(hits)
 
 
 def check_m_p_plus_1(code: CyclicCode) -> bool:
     """True iff the multiplier by p+1 fixes the code, for length p^r."""
-    p, r = prime_power(code.n)
-    a = (p + 1) % code.n
-    if a == 1:
-        return True
-    ds = code.defining_set
-    ok = frozenset(a * i % code.n for i in ds) == ds
-    mult = Permutation.multiplier(code.n, a)
-    if ok != maps_onto(code.linear, code.linear, [mult.images])[0]:
-        raise RuntimeError(f"multiplier {a}: the defining-set and matrix tests disagree")
-    return ok
+    p, _ = prime_power(code.n)
+    return (p + 1) % code.n in multiplier_scan(code)[0]
 
 
 # --- generalized multiplier families ------------------------------------------
@@ -570,12 +579,10 @@ def analyze(code: CyclicCode | LinearCode,
     they are checked again, independently, by one batched elimination
     (codes.fixed_by), and a RuntimeError names the first that fails.  The
     block systems are those of the group they generate (perm.minimal_blocks,
-    empty without a closure at prime length)."""
-    if isinstance(code, LinearCode):
-        ds = cyclic_defining_set(code)
-        if ds is None:
-            raise ValueError("analysis requires a cyclic code")
-        code = CyclicCode(code.field, code.n, frozenset(ds))
+    empty without a closure at prime length).  When the search runs out of
+    nodes, the report is finished without the full group and the
+    BacktrackBudgetExceeded is raised again with it as `report`."""
+    code = as_cyclic(code)
     lin = code.linear
     n, k = code.n, code.k
     elementary = is_elementary(lin)
@@ -587,6 +594,7 @@ def analyze(code: CyclicCode | LinearCode,
 
     full_order: int | None = None
     full_gens: tuple[Permutation, ...] = ()
+    stopped: BacktrackBudgetExceeded | None = None
     if elementary:
         full_order = factorial(n)
     else:
@@ -594,11 +602,12 @@ def analyze(code: CyclicCode | LinearCode,
             small = min(k, n - k)
             run_backtrack = (n <= 16 and code.field.order ** small <= ENUMERATION_BOUND)
         if run_backtrack:
-            bt = backtrack_full_group(lin, node_budget)
-            full_order = bt.order
-            full_gens = bt.generators
-    # after the search, so a caller that reruns on BacktrackBudgetExceeded
-    # computes the distance once
+            try:
+                bt = backtrack_full_group(lin, node_budget)
+                full_order = bt.order
+                full_gens = bt.generators
+            except BacktrackBudgetExceeded as exc:
+                stopped = exc
     dist = min_distance(lin, budget=distance_budget)
 
     discovered = full_gens if full_gens else tuple(gens)
@@ -618,5 +627,8 @@ def analyze(code: CyclicCode | LinearCode,
         classification=GroupClass("UNRESOLVED", (), "pending"),
         is_elementary=elementary,
     )
-    label = classify(code, report)
-    return AutoReport(**{**report.__dict__, "classification": label})
+    report = AutoReport(**{**report.__dict__, "classification": classify(code, report)})
+    if stopped is not None:
+        stopped.report = report
+        raise stopped
+    return report

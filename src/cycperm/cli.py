@@ -22,10 +22,10 @@ from .codes import (
     DEFAULT_DISTANCE_BUDGET,
     ENUMERATION_BOUND,
     CyclicCode,
+    as_cyclic,
     code_from_spec,
     count_cyclic_codes,
     cyclic_code,
-    cyclic_defining_set,
     cyclotomic_cosets,
     enumerate_cyclic_codes,
     is_elementary,
@@ -118,12 +118,10 @@ def _distance_json(res) -> int | list[int]:
 
 def _load_cyclic(path: str) -> CyclicCode:
     code = load_code(path)
-    if isinstance(code, CyclicCode):
-        return code
-    ds = cyclic_defining_set(code)
-    if ds is None:
-        raise ValueError(f"{path}: code is not cyclic")
-    return CyclicCode(code.field, code.n, frozenset(ds))
+    try:
+        return as_cyclic(code)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- verbs -------------------------------------------------------------------------
@@ -181,9 +179,7 @@ def cmd_analyze(config: RunConfig) -> tuple[dict, int]:
         report = analyze(code, node_budget=config.budget_nodes,
                          distance_budget=config.budget_dist)
     except BacktrackBudgetExceeded as exc:
-        report = analyze(code, run_backtrack=False,
-                         node_budget=config.budget_nodes,
-                         distance_budget=config.budget_dist)
+        report = exc.report
         partial.append("node budget exhausted before the full group search "
                        "completed")
         extra["order_lower_bound"] = exc.order_lower_bound

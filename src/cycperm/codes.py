@@ -2,6 +2,11 @@
 canonical forms, duals, idempotents, weight data, minimum distance, MDS tests,
 and the one code-action test for every field.
 
+A shift-invariant linear code becomes a CyclicCode through as_cyclic alone.
+Its defining set is read off the cached minimal polynomials
+(cyclic_defining_set): the cosets whose polynomial divides every RREF row,
+by division over the base field.
+
 Coordinates are 0-based everywhere.  permute_code follows the convention that
 coordinate i of the image reads coordinate sigma^-1(i) of the source, so
 sigma in Per(C) means permute_code(C, sigma) == C.
@@ -45,7 +50,6 @@ from .algebra import (
     multiplication_matrices,
     poly_divmod,
     poly_mod,
-    root_system,
     x_pow_minus_one,
 )
 from .perm import Permutation
@@ -823,28 +827,33 @@ def is_mds(code: LinearCode, dist: DistanceResult | None = None,
 
 def cyclic_defining_set(code: LinearCode) -> tuple[int, ...] | None:
     """Recover the defining set of a shift-invariant code, or None if the code
-    is not cyclic.  Root test: i is in the set iff alpha^i kills every row."""
+    is not cyclic.  It is the union of the q-cyclotomic cosets whose minimal
+    polynomial divides every row of the RREF, each row read as a polynomial
+    over the base field: alpha^i is a root of a row iff the minimal
+    polynomial of i's coset divides it.  ValueError when gcd(n, q) != 1;
+    RuntimeError when the set does not have n - k elements."""
     if not is_shift_invariant(code):
         return None
     F, n = code.field, code.n
-    rs = root_system(F, n)
-    E = rs.ext
-    ds = []
-    for i in range(n):
-        root = E.pow(rs.alpha, i)
-        killed = True
-        for row in code.matrix:
-            acc = 0
-            for c in reversed(row):
-                acc = E.add(E.mul(acc, root), rs.embed(c))
-            if acc != 0:
-                killed = False
-                break
-        if killed:
-            ds.append(i)
+    rows = [Polynomial(F, row) for row in code.matrix]
+    ds = sorted(i for cs in cyclotomic_cosets(n, F.order)
+                if all(poly_mod(r, minimal_polynomial(F, n, cs)).is_zero() for r in rows)
+                for i in cs)
     if len(ds) != n - code.k:
         raise RuntimeError("root count disagrees with dimension")
     return tuple(ds)
+
+
+def as_cyclic(code: CyclicCode | LinearCode) -> CyclicCode:
+    """The code as a CyclicCode, its defining set recovered by
+    cyclic_defining_set when it is given as a LinearCode; ValueError when it
+    is not cyclic."""
+    if isinstance(code, CyclicCode):
+        return code
+    ds = cyclic_defining_set(code)
+    if ds is None:
+        raise ValueError("code is not cyclic")
+    return CyclicCode(code.field, code.n, frozenset(ds))
 
 
 # --- code-spec files ---------------------------------------------------------
@@ -877,9 +886,3 @@ def code_from_spec(spec: dict) -> CyclicCode | LinearCode:
 def load_code(path: str) -> CyclicCode | LinearCode:
     with open(path) as fh:
         return code_from_spec(json.load(fh))
-
-
-def save_code(code: CyclicCode | LinearCode, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(code_to_spec(code), fh, indent=2, sort_keys=True)
-        fh.write("\n")

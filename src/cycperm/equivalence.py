@@ -11,8 +11,9 @@ their generators, never by listing maps: the polynomial-map groups Q^m and
 Q_1^m (q_group), and for GR_FORMULA the Sylow subgroup <T, M_(q^t)> of the
 generalized-multiplier group G_r = <T, M_q>.  The closed-form sets (the
 affine set, the geometric-series map family) are kept as independent checks
-of the coset construction.  The BRUTE strategy scans all of S_n and covers
-small lengths for validation.
+of the coset construction.  The MULTIPLIER strategy takes its witness from
+autgroups.multipliers_onto, the one multiplier test.  The BRUTE strategy
+scans all of S_n and covers small lengths for validation.
 
 The invariant separation, the BRUTE verdict and the witness scan confirmed
 by permute_code (invariant_separation, brute_verdict, witness_scan) are
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .algebra import multiplicative_order, p_part, prime_power
+from .algebra import multiplicative_order, p_part, prime_power, units
 from .codes import (
     CyclicCode,
     LinearCode,
@@ -36,7 +37,7 @@ from .codes import (
     permute_code,
     weight_profile,
 )
-from .autgroups import gk_lifts, known_cyclic_subgroup
+from .autgroups import gk_lifts, known_cyclic_subgroup, multipliers_onto
 from .perm import (
     BRUTE_DEGREE_BOUND,
     PermGroup,
@@ -60,8 +61,7 @@ _AMBIENT_BOUND = 50_000
 def palfy_multiplier_complete(n: int) -> bool:
     """Whether two cyclic codes of length n can only be equivalent when a
     multiplier maps one onto the other: gcd(n, phi(n)) = 1, or n = 4."""
-    phi = sum(1 for a in range(1, n) if gcd(a, n) == 1)
-    return n == 4 or gcd(n, phi) == 1
+    return n == 4 or gcd(n, len(units(n))) == 1
 
 
 # --- polynomial-map groups ------------------------------------------------------
@@ -143,9 +143,7 @@ def hp_membership(sigma: Permutation, P: PermGroup) -> bool:
 
 def ag_set(n: int) -> frozenset[Permutation]:
     """All maps x -> ax + b mod n with a a unit: the normalizer of the shift."""
-    return frozenset(Permutation.affine(n, a, b)
-                     for a in range(1, n) if gcd(a, n) == 1
-                     for b in range(n))
+    return frozenset(Permutation.affine(n, a, b) for a in units(n) for b in range(n))
 
 
 def gr_formula_set(n: int, q: int) -> frozenset[Permutation]:
@@ -343,9 +341,11 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
                        strategy: str = "HP") -> EquivalenceVerdict:
     """Decide whether two cyclic codes are permutation equivalent.
 
-    MULTIPLIER scans the unit maps x -> ax; complete exactly when multiplier
-    equivalence is known to decide the length (or certified by a Sylow-order
-    side condition).  HP scans the exact H(P), in sorted order, at every
+    MULTIPLIER takes the least unit a whose map x -> ax sends the first code
+    onto the second (autgroups.multipliers_onto, which checks the defining
+    sets against the matrix test for every unit); without one it is
+    complete exactly when multiplier equivalence is known to decide the
+    length.  HP scans the exact H(P), in sorted order, at every
     length; it is complete when the descriptor certifies P as a Sylow
     subgroup of the full group.  BRUTE scans S_n and accepts n <= 10.  An
     "inequivalent" verdict is only issued under a complete strategy or an
@@ -361,15 +361,11 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
         return sep
 
     if strategy == "MULTIPLIER":
-        ds1, ds2 = c1.defining_set, c2.defining_set
-        for a in sorted(a for a in range(1, n) if gcd(a, n) == 1):
-            if frozenset(a * i % n for i in ds2) == ds1:
-                sigma = Permutation.multiplier(n, a)
-                if not maps_onto(c1.linear, c2.linear, [sigma.images])[0]:
-                    raise RuntimeError("defining-set multiplier match failed the matrix test")
-                return EquivalenceVerdict(
-                    "equivalent", sigma, strategy, True,
-                    f"multiplier by {a} maps the first code onto the second")
+        hits = multipliers_onto(c1, c2)
+        if hits:
+            return EquivalenceVerdict(
+                "equivalent", Permutation.multiplier(n, hits[0]), strategy, True,
+                f"multiplier by {hits[0]} maps the first code onto the second")
         if palfy_multiplier_complete(n):
             return EquivalenceVerdict(
                 "inequivalent", None, strategy, True,

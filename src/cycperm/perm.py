@@ -373,8 +373,12 @@ class PermGroup:
         return hash((self.degree, self.order()))
 
 
-def orbits(n: int, generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """Orbits of the generated group on {0..n-1}, sorted by least element."""
+def _invariant_classes(generators: Sequence[Permutation], n: int,
+                       pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The classes of the finest equivalence on {0..n-1} that joins each
+    pair and is kept by every generator, sorted by least element: union-find
+    over the pairs, where each join of a, b queues the join of g(a), g(b)
+    for every generator g."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -383,15 +387,31 @@ def orbits(n: int, generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for g in generators:
-        for i in range(n):
-            a, b = find(i), find(g(i))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
+    queue: list[tuple[int, int]] = []
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            queue.append((a, b))
+
+    for a, b in pairs:
+        union(a, b)
+    while queue:
+        a, b = queue.pop()
+        for g in generators:
+            union(g(a), g(b))
+    cls: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(sorted(v)) for _, v in sorted(groups.items())]
+        cls.setdefault(find(i), []).append(i)
+    return [tuple(c) for _, c in sorted(cls.items())]
+
+
+def orbits(n: int, generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
+    """Orbits of the generated group on {0..n-1}, sorted by least element:
+    the classes of the equivalence that joins each i to g(i), which every
+    generator keeps already."""
+    return _invariant_classes((), n, ((i, g(i)) for g in generators for i in range(n)))
 
 
 def is_transitive(n: int, generators: Sequence[Permutation]) -> bool:
@@ -402,35 +422,9 @@ def _block_system_through(generators: Sequence[Permutation], n: int,
                           pair: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
     """The block system of a transitive group whose block through pair[0] is
     the smallest block containing the pair: the classes of the finest
-    invariant equivalence joining the pair, by union-find refinement over
-    the generator action on merged classes.  Sorted, so the block through
+    invariant equivalence joining the pair.  Sorted, so the block through
     the least point of the pair comes first."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-    queue = [pair]
-    union(*pair)
-    while queue:
-        a, b = queue.pop()
-        for g in generators:
-            if union(g(a), g(b)):
-                queue.append((g(a), g(b)))
-    cls: dict[int, list[int]] = {}
-    for i in range(n):
-        cls.setdefault(find(i), []).append(i)
-    return tuple(sorted(tuple(c) for c in cls.values()))
+    return tuple(_invariant_classes(generators, n, [pair]))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .algebra import prime_power
+from .algebra import prime_power, units
 # permute_code is unused here but stays bound: perfbench's tracing self-test
 # checks that the wrapper is rebound in this module
 from .codes import LinearCode, maps_onto, permute_code  # noqa: F401
@@ -134,9 +134,7 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
         if g.inverse() * tl * g not in powers:
             raise RuntimeError(f"generator of Q fails to normalize <T^l>: {g}")
     affine = []
-    for a in range(1, n):
-        if gcd(a, n) != 1:
-            continue
+    for a in units(n):
         for b in range(n):
             tau = Permutation.affine(n, a, b)
             if tau * tl * tau.inverse() != _index_shift(n, l * a % n):

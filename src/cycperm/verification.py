@@ -27,9 +27,9 @@ from .algebra import make_field, multiplicative_order
 from .autgroups import analyze, backtrack_full_group, check_m_p_plus_1, gk_family, multiplier_scan
 from .codes import (
     LinearCode,
+    as_cyclic,
     count_cyclic_codes,
     cyclic_code,
-    cyclic_defining_set,
     enumerate_cyclic_codes,
     is_elementary,
     min_distance,
@@ -333,7 +333,7 @@ def _lemmas_rows(seed: int) -> list[VerificationRow]:
         a = rng.choice([u for u in range(1, 9) if u % 3 != 0])
         b = rng.randrange(9)
         image = permute_code(c.linear, Permutation.affine(9, a, b))
-        other = cyclic_code(9, make_field(2), cyclic_defining_set(image))
+        other = as_cyclic(image)
         verdict = decide_equivalence(c, other, "HP")
         if (verdict.status == "equivalent"
                 and permute_code(c.linear, verdict.witness) == other.linear):

@@ -455,3 +455,36 @@ def test_report_invariants():
     assert rpt.full_group_order % rpt.known_subgroup_order == 0
     assert (5 * 11 * 7 - 1) % rpt.m if False else rpt.m != 0
     assert 6 % rpt.m == 0      # m divides phi(7)
+
+
+def test_multipliers_onto_matches_permute_code():
+    # every same-dimension pair: the units a with M_a mapping c1 onto c2,
+    # by the defining sets, are those permute_code finds
+    from cycperm.algebra import units
+    from cycperm.autgroups import multipliers_onto
+    for q, n in ((GF2, 15), (make_field(3), 8), (make_field(2, 2), 9)):
+        codes = enumerate_cyclic_codes(n, q)
+        images = {(c, a): permute_code(c.linear, Permutation.multiplier(n, a))
+                  for c in codes for a in units(n)}
+        for c1 in codes:
+            for c2 in codes:
+                if c1.k == c2.k:
+                    expect = [a for a in units(n) if images[c1, a] == c2.linear]
+                    assert multipliers_onto(c1, c2) == expect
+
+
+def test_multiplier_scan_checks_every_unit(monkeypatch):
+    # a matrix test that accepts a unit the defining sets reject must be
+    # caught and named too, not only one that rejects a hit
+    from cycperm import autgroups
+    real = autgroups.maps_onto
+    for bad in (3, 5, 6):
+        def accepting(c1, c2, images, bad=bad):
+            out = real(c1, c2, images)
+            rows = [i for i, im in enumerate(images)
+                    if tuple(im) == Permutation.multiplier(7, bad).images]
+            out[rows] = True
+            return out
+        monkeypatch.setattr(autgroups, "maps_onto", accepting)
+        with pytest.raises(RuntimeError, match=f"multiplier {bad} failed"):
+            multiplier_scan(HAMMING7)

@@ -353,3 +353,15 @@ def test_verify_paper_scope_all_includes_every_scope():
     args = _build_parser().parse_args(["verify-paper", "--scope", "qc",
                                        "--scope", "tables", "--scope", "qc"])
     assert _config_from_args(args).scope == ("tables", "qc")
+
+
+def test_analyze_node_budget_exhaustion_scans_multipliers_once(capsys, monkeypatch):
+    # the report after a node-budget stop comes with the exception; nothing
+    # before the search runs again
+    real, calls = autgroups.multiplier_scan, []
+    monkeypatch.setattr(autgroups, "multiplier_scan",
+                        lambda code: calls.append(code) or real(code))
+    status, out, _ = run_cli(capsys, "analyze", "--q", "2", "--n", "15",
+                             "--defining-set", "1,2,4,8", "--budget-nodes", "10")
+    assert status == 2 and json.loads(out)["order_lower_bound"] == 1
+    assert len(calls) == 1

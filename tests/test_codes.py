@@ -623,3 +623,47 @@ def test_repetition_distance_property(n):
         return
     rep = cyclic_code(n, F, set(range(1, n)))
     assert min_distance(rep.linear).value == n
+
+
+def _defining_set_by_roots(code: LinearCode) -> tuple[int, ...] | None:
+    """The oracle for cyclic_defining_set: the i with alpha^i a root of
+    every row of the RREF, each row evaluated by Horner's rule in the
+    splitting field; None when the code is not shift-invariant."""
+    from cycperm.algebra import root_system
+    if not is_shift_invariant(code):
+        return None
+    rs = root_system(code.field, code.n)
+    E = rs.ext
+    ds = []
+    for i in range(code.n):
+        root = E.pow(rs.alpha, i)
+        killed = True
+        for row in code.matrix:
+            acc = 0
+            for c in reversed(row):
+                acc = E.add(E.mul(acc, root), rs.embed(c))
+            if acc != 0:
+                killed = False
+                break
+        if killed:
+            ds.append(i)
+    return tuple(ds)
+
+
+def test_cyclic_defining_set_matches_root_oracle():
+    # seeded coset unions over prime and extension fields, and their images
+    # under the transposition (0 1), mostly not cyclic
+    rng = random.Random(15)
+    catalogue = [(2, 1, 7), (2, 1, 15), (2, 1, 21), (2, 1, 23), (2, 1, 31), (3, 1, 13),
+                 (2, 2, 9), (2, 2, 21), (2, 3, 7), (3, 2, 10), (11, 1, 25), (11, 1, 37),
+                 (13, 1, 17), (5, 1, 12)]
+    for p, s, n in catalogue:
+        F = make_field(p, s)
+        swap = Permutation((1, 0) + tuple(range(2, n)))
+        cosets = cyclotomic_cosets(n, F.order)
+        for _ in range(3):
+            ds = {i for cs in cosets if rng.random() < 0.5 for i in cs}
+            lin = cyclic_code(n, F, ds).linear
+            assert cyclic_defining_set(lin) == _defining_set_by_roots(lin) == tuple(sorted(ds))
+            moved = permute_code(lin, swap)
+            assert cyclic_defining_set(moved) == _defining_set_by_roots(moved)

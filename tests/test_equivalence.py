@@ -432,3 +432,16 @@ def test_hp_witness_is_the_first_member_in_sorted_order():
         members = sorted(hp_set(desc, P), key=lambda s: s.images)
         oracle = next((s for s in members if permute_code(c1.linear, s) == c2.linear), None)
         assert verdict.witness == oracle, (c1, c2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("ds", [set(), {0}])
+def test_multiplier_verdict_at_length_one(q, ds):
+    # (Z/1)^* = {0}, and M_0 on one point is the identity, as BRUTE finds
+    c = cyclic_code(1, make_field(q), ds)
+    identity = Permutation.identity(1)
+    v = decide_equivalence(c, c, "MULTIPLIER")
+    assert (v.status, v.witness, v.complete) == ("equivalent", identity, True)
+    b = decide_equivalence(c, c, "BRUTE")
+    assert (b.status, b.witness) == ("equivalent", identity)
+    assert ag_set(1) == frozenset({identity})

@@ -35,3 +35,32 @@ def test_library_modules_use_every_import():
             if name not in used and "# noqa: F401" not in lines[line - 1]:
                 unused.append(f"{path.name}:{line} {name}")
     assert unused == []
+
+
+def _referenced_names(tree: ast.Module):
+    """Every identifier a module uses, imports or names in a string
+    constant (perfbench wraps library functions by name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_library_function_and_class_is_referenced():
+    # a module-level function or class that nothing in the library, the
+    # tests or the benchmark uses is dead code
+    root = PACKAGE.parent.parent
+    used = set()
+    for path in [*root.joinpath("src").rglob("*.py"), *root.joinpath("tests").rglob("*.py"),
+                 *root.joinpath("perfbench").rglob("*.py")]:
+        used.update(_referenced_names(ast.parse(path.read_text())))
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+    assert unused == []
