@@ -7,7 +7,13 @@ length when the order of q is the same mod p and mod p^2, and a full
 backtrack search over coordinate images pruned by the minimum-weight
 codewords.  The search keeps one word per support, as two minimum-weight
 words on one support are proportional (their difference
-at the scale that cancels one coordinate is lighter, hence zero).  An
+at the scale that cancels one coordinate is lighter, hence zero).  The
+words come from Brouwer-Zimmermann levels, not from a pass over all q^k
+codewords, and need the exact distance d of their side (code or dual):
+a weight-d word of a cyclic code whose pivots are 0..k-1 puts d*k nonzeros
+into the n windows of k consecutive coordinates, so some window holds at
+most floor(dk/n) of them, and the shift of that window onto the pivots has
+a message of that weight (codes.min_weight_words).  An
 automorphism sigma maps each such word w to w o sigma^-1, a minimum-weight
 word of the same code with the same values, so it keeps every statistic of
 the family taken up to scalars, and pruning on those cuts no automorphism.
@@ -47,6 +53,7 @@ from .codes import (
     is_elementary,
     maps_onto,
     min_distance,
+    min_weight_words,
     _tables,
 )
 # permute_code is unused here but stays bound: perfbench's tracing self-test
@@ -180,40 +187,21 @@ class BacktrackResult:
     nodes: int
 
 
-def _min_weight_words(code: LinearCode) -> np.ndarray | None:
-    """One minimum-weight codeword per support, as an (m, n) array, or None
-    when the code is too large to enumerate.  One word stands for all words
-    on its support: two minimum-weight words u, v with one support S are
-    proportional, since for i in S the word u - (u_i / v_i) v is lighter
-    and so zero."""
-    if code.k == 0 or code.field.order ** code.k > ENUMERATION_BOUND:
-        return None
-    best = code.n + 1
-    rows: list[np.ndarray] = []
-    for chunk in code.codeword_chunks():
-        w = (chunk != 0).sum(axis=1)
-        w[w == 0] = code.n + 1
-        low = int(w.min())
-        if low < best:
-            best, rows = low, []
-        if low == best:
-            rows.append(chunk[w == low])
-    words = np.concatenate(rows)
-    _, first = np.unique(words != 0, axis=0, return_index=True)
-    return words[first]
-
-
 def _word_family(code: LinearCode) -> np.ndarray:
-    """Minimum-weight codewords, one per support, from the code or its dual.
+    """Minimum-weight codewords, one per support, from the code or its dual,
+    listed by codes.min_weight_words, which needs the side's exact distance.
     Both families are permuted onto themselves, up to scalars, by every
     automorphism; small supports constrain the search hardest (a support
-    with all but one point placed forces its last image), so prefer the
-    family with shorter supports, then the one with fewer."""
-    families = [f for f in (_min_weight_words(code), _min_weight_words(code.dual()))
-                if f is not None]
-    if not families:
-        raise ValueError("minimum-weight codewords not enumerable")
-    return min(families, key=lambda f: (np.count_nonzero(f[0]), len(f)))
+    with all but one point placed forces its last image), so among the
+    sides whose distance min_distance certifies, prefer the one with the
+    shorter supports, then the one with fewer; only the sides of least
+    distance are listed."""
+    sides = [(side, min_distance(side)) for side in (code, code.dual()) if side.k]
+    exact = [(dist.value, side) for side, dist in sides if dist.exact]
+    if not exact:
+        raise ValueError("neither the code's nor the dual's minimum distance is exact")
+    d = min(v for v, _ in exact)
+    return min((min_weight_words(side, d) for v, side in exact if v == d), key=len)
 
 
 def backtrack_full_group(code: LinearCode | CyclicCode,
@@ -222,20 +210,26 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     images that searches each coset of a point stabilizer once (Sims 1970;
     Seress, Permutation Group Algorithms, 2003, sec. 9.1).
 
-    Pruning uses the set W of minimum-weight codewords, one word per
-    support (two on one support are proportional), of the code or its
-    dual.  An automorphism sigma sends each w in W to w o sigma^-1, again
-    a minimum-weight word of the same code, so a scalar multiple of a word
-    of W, with the same values moved to new places.  Hence every
-    automorphism keeps three statistics, and a candidate image is pruned
-    when it breaks one: the number of words on a point (its degree); for
-    each pair of points a, b, the multiset of ratios w_b / w_a over the
-    words on both (the co-degree key, sum (|W| + 1)^(ratio - 1)); and,
-    once a word has all its points placed, its image key
-    sum_i w_i q^sigma(i), which must be the key sum_j v_j q^j of some
-    multiple v of a word of W.  Over GF(2) these are the incidence
-    degrees, the co-incidence counts and the support bit masks.  Every
-    leaf is still verified by the matrix test.
+    Pruning uses the set W of minimum-weight codewords, one word per support
+    (two on one support are proportional), of the code or its dual, chosen
+    among the sides whose distance min_distance certifies (_word_family;
+    ValueError when neither is exact).  W is listed from the levels of
+    messages of weight at most floor(dk/n) and their n shifts when the side
+    is cyclic with pivots 0..k-1, since some window of k consecutive
+    coordinates holds at most that many of a weight-d word's nonzeros, and
+    from the levels up to min(d, k) otherwise; no pass over all q^k
+    codewords is made.  An automorphism sigma sends each w in W to w o
+    sigma^-1, again a minimum-weight word of the same code, so a scalar
+    multiple of a word of W, with the same values moved to new places.
+    Hence every automorphism keeps three statistics, and a candidate image
+    is pruned when it breaks one: the number of words on a point (its
+    degree); for each pair of points a, b, the multiset of ratios w_b / w_a
+    over the words on both (the co-degree key, sum (|W| + 1)^(ratio - 1));
+    and, once a word has all its points placed, its image key sum_i w_i
+    q^sigma(i), which must be the key sum_j v_j q^j of some multiple v of a
+    word of W.  Over GF(2) these are the incidence degrees, the co-incidence
+    counts and the support bit masks.  Every leaf is still verified by the
+    matrix test.
 
     The coordinates are placed in a greedy order b_0, b_1, ..., which is
     also the base of the stabilizer chain that the group found so far
@@ -284,26 +278,23 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
         for i in W[si]:
             sup_at[i].append((si, terms[w[i]]))
 
-    # greedy coordinate order: most-constrained next (supports nearly covered)
-    order = [max(range(n), key=lambda i: (deg[i], -i))]
-    chosen = set(order)
+    # greedy coordinate order: most-constrained next (supports nearly
+    # covered); inside[si] counts the chosen points of word si
+    sizes = [len(S) for S in W]
+    inside = [0] * len(W)
+    order: list[int] = []
     while len(order) < n:
         def gain(x: int) -> tuple[int, int, int]:
-            near = full = 0
-            for si, _ in sup_at[x]:
-                inside = sum(1 for y in W[si] if y in chosen)
-                if inside == len(W[si]) - 1:
-                    near += 1
-                elif inside > 0:
-                    full += 1
+            near = sum(1 for si, _ in sup_at[x] if inside[si] == sizes[si] - 1)
+            full = sum(1 for si, _ in sup_at[x] if 0 < inside[si] < sizes[si] - 1)
             return (near, full, deg[x])
-        nxt = max((x for x in range(n) if x not in chosen), key=lambda x: (gain(x), -x))
+        nxt = max((x for x in range(n) if x not in order), key=lambda x: (gain(x), -x))
         order.append(nxt)
-        chosen.add(nxt)
+        for si, _ in sup_at[nxt]:
+            inside[si] += 1
 
     img = [-1] * n
     used = [False] * n
-    sizes = [len(S) for S in W]
     cnt = [0] * len(W)            # assigned points per word
     ikey = [0] * len(W)           # image key per word
     chain = StabilizerChain(n, order)

@@ -18,9 +18,12 @@ block per entry, so every product of code matrices is one integer matmul mod
 p, and s = 1 is plain prime-field arithmetic.  On that rest the batched test
 maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once),
 the first-hit witness scan first_map, and the one message-to-codeword
-product behind codeword_chunks.  The Brouwer-Zimmermann levels of
-min_distance need no product: they add scaled rows of G digit by digit and
-compare partial sums.  permute_code is the public transform and the
+product behind codeword_chunks and the level listing _level_words.  The
+Brouwer-Zimmermann levels of min_distance need no product: they add scaled
+rows of G digit by digit and compare partial sums.  min_weight_words lists
+one minimum-weight word per support from the levels, given the exact
+distance, with the window theorem of _has_windows that also gives
+min_distance its cyclic bound.  permute_code is the public transform and the
 independent check of every reported witness; fixed_by checks a batch of
 reported automorphism generators the same way, by elimination.
 
@@ -585,12 +588,9 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
 
     Theorem (information sets).  After levels 1..t, every codeword with at
     most t nonzeros on the pivots has been seen up to a scalar, so every
-    word not yet seen has weight >= t + 1.  If the code is shift-invariant
-    and the pivots are 0..k-1 (checked, not assumed), every k cyclically
-    consecutive coordinates form such an information set: shifting a window
-    onto 0..k-1 keeps the weight.  An unseen word then has more than t
-    nonzeros in each of the n windows; every coordinate lies in k of them,
-    so its weight is at least ceil(n(t+1)/k).
+    word not yet seen has weight >= t + 1.  When the code has windows
+    (_has_windows), an unseen word has more than t nonzeros in each of the
+    n windows, so its weight is at least ceil(n(t+1)/k).
 
     B-step w tests every w-subset of parity-check columns for linear
     dependence, in _eliminate batches; for shift-invariant codes only the
@@ -631,7 +631,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
         return DistanceResult(1, 1, True)
     q, s = F.order, F.degree
     cyclic = is_shift_invariant(code)
-    windows = cyclic and code.pivots == tuple(range(k))
+    windows = _has_windows(code, cyclic)
     best = min(sum(1 for v in row if v) for row in code.matrix)
     kinds = ("Z", "B") if F.is_prime_field else ("Z",)
 
@@ -695,6 +695,45 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
         for block in _first_rows(words, 1 << 16):
             best = min(best, int(np.count_nonzero(block, axis=1).min()))
     return DistanceResult(min(lower, best), best, lower >= best)
+
+
+def _has_windows(code: LinearCode, cyclic: bool) -> bool:
+    """Whether the code, shift-invariant when `cyclic`, has its RREF pivots
+    at 0..k-1 (checked, not assumed).  Then every window of k cyclically
+    consecutive coordinates is an information set, since a shift moves it
+    onto 0..k-1 and keeps the weight, and every coordinate lies in k of the
+    n windows: a word of weight w puts w*k nonzeros into the windows, so
+    some window holds at most floor(wk/n) of them, and shifting that window
+    onto 0..k-1 gives a codeword of weight w whose message has at most that
+    weight."""
+    return cyclic and code.pivots == tuple(range(code.k))
+
+
+def min_weight_words(code: LinearCode, d: int) -> np.ndarray:
+    """One codeword of weight d per support, as an (m, n) array whose rows
+    are sorted by support, given the exact minimum distance d of a nonzero
+    code.  One word stands for all words on its support: two minimum-weight
+    words u, v with one support S are proportional, since for i in S the
+    word u - (u_i / v_i) v is lighter and so zero.
+
+    A weight-d word whose message has weight t is a multiple of a word of
+    Z-level t.  A code with windows (_has_windows) has a shift of every
+    weight-d word with a message of weight at most floor(dk/n), so levels
+    1..floor(dk/n) and all n shifts of their weight-d words list every
+    support; any other code takes levels 1..min(d, k)."""
+    n, k = code.n, code.k
+    windows = _has_windows(code, is_shift_invariant(code))
+    top = d * k // n if windows else min(d, k)
+    words = np.concatenate([block[np.count_nonzero(block, axis=1) == d]
+                            for t in range(1, top + 1) for block in _level_words(code, t)])
+    if windows:
+        j = np.arange(n)
+        words = words[:, (j - j[:, None]) % n].reshape(-1, n)
+    # a support as one opaque byte string: packbits puts coordinate 0 in the
+    # high bit, so byte order is the lexicographic order of the supports
+    packed = np.packbits(words != 0, axis=1)
+    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
+    return words[first]
 
 
 def _level_words(code: LinearCode, t: int) -> Iterator[np.ndarray]:

@@ -23,6 +23,7 @@ restricted-set search for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, Iterable
 
@@ -96,6 +97,7 @@ class QPolyMap:
         return Permutation(images)
 
 
+@lru_cache(maxsize=None)
 def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
     """The polynomial-map groups (Q^m, Q_1^m) on Z mod p^r: all degree <= m
     maps with unit linear coefficient (resp. linear coefficient 1 mod p^(r-1))
@@ -105,7 +107,8 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
     and x -> x + p^(r-1) x^j for 2 <= j <= m; Q^m from those and the
     multipliers by generators of the units mod p^r (a primitive root for odd
     p; -1 and 5 for p = 2).  Their chains must reach the family orders
-    p^(r+m) and n phi(n) p^(m-1)."""
+    p^(r+m) and n phi(n) p^(m-1).  The pair depends on (n, m) alone and
+    is cached; callers share the groups and never mutate them."""
     p, r = prime_power(n)
     if m >= p:
         raise ValueError("degree bound violated")

@@ -346,22 +346,23 @@ def _lemmas_rows(seed: int) -> list[VerificationRow]:
 # --- quasi-cyclic ---------------------------------------------------------------------
 
 def _product_identity_failures(limit: int) -> tuple[int, int]:
+    """(checked, failed) over every divisor l of every n in 2..limit: the
+    cycles sigma_i = (i, i+l, ..., i+(m-1)l), m = n/l, are the rows of one
+    (l, m) index array.  When its entries are a permutation of 0..n-1 the
+    cycles are disjoint, so their product is the union map, which sends each
+    entry to the next one in its row; it must be T^l."""
     checked = failures = 0
     for n in range(2, limit + 1):
         base = np.arange(n)
         for l in range(1, n + 1):
             if n % l:
                 continue
-            m = n // l
-            prod = base.copy()
-            steps = np.arange(m)
-            for i in range(l):
-                idx = (i + steps * l) % n
-                sig = base.copy()
-                sig[idx] = idx[(steps + 1) % m]
-                prod = sig[prod]
+            cycles = (base[:l, None] + base[:n // l] * l) % n
+            union = np.empty(n, dtype=np.int64)
+            union[cycles] = np.roll(cycles, -1, axis=1)
             checked += 1
-            if not np.array_equal(prod, (base + l) % n):
+            if not (np.array_equal(np.sort(cycles, axis=None), base)
+                    and np.array_equal(union, (base + l) % n)):
                 failures += 1
     return checked, failures
 

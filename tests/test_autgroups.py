@@ -2,9 +2,10 @@ import random
 from collections import Counter
 from math import factorial, gcd, prod
 
+import numpy as np
 import pytest
 
-from cycperm import perm
+from cycperm import autgroups, perm
 from cycperm.algebra import make_field, multiplicative_order, prime_power
 from cycperm.autgroups import (
     AutoReport,
@@ -22,7 +23,16 @@ from cycperm.autgroups import (
     projective_parameters,
     sylow_exponent_bounds,
 )
-from cycperm.codes import cyclic_code, enumerate_cyclic_codes, is_elementary, maps_onto, permute_code
+from cycperm.codes import (
+    LinearCode,
+    cyclic_code,
+    enumerate_cyclic_codes,
+    is_elementary,
+    maps_onto,
+    min_distance,
+    min_weight_words,
+    permute_code,
+)
 from cycperm.equivalence import decide_equivalence
 from cycperm.perm import (
     PermGroup,
@@ -488,3 +498,57 @@ def test_multiplier_scan_checks_every_unit(monkeypatch):
         monkeypatch.setattr(autgroups, "maps_onto", accepting)
         with pytest.raises(RuntimeError, match=f"multiplier {bad} failed"):
             multiplier_scan(HAMMING7)
+
+
+def _min_weight_words(code):
+    # the oracle: one minimum-weight word per support, from a pass over all
+    # q^k codewords, rows sorted by support
+    best, rows = code.n + 1, []
+    for chunk in code.codeword_chunks():
+        w = (chunk != 0).sum(axis=1)
+        w[w == 0] = code.n + 1
+        low = int(w.min())
+        if low < best:
+            best, rows = low, []
+        if low == best:
+            rows.append(chunk[w == low])
+    words = np.concatenate(rows)
+    _, first = np.unique(words != 0, axis=0, return_index=True)
+    return words[first]
+
+
+def test_window_listing_matches_the_full_pass():
+    # the levels and shifts of min_weight_words against every codeword: the
+    # same supports in the same row order on both sides of every cyclic
+    # code, where the windows apply, and of its (0 1) image, where they do
+    # not; the search's family is the oracle's choice by the same rule
+    sides = 0
+    for q, n in ((2, 7), (3, 8), (4, 5), (4, 7), (5, 6), (2, 9), (2, 15), (4, 9)):
+        swap = Permutation((1, 0) + tuple(range(2, n)))
+        for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+            if code.k == 0:
+                continue
+            for lin in (code.linear, permute_code(code.linear, swap)):
+                oracle = []
+                for side in (lin, lin.dual()):
+                    if side.k == 0:
+                        continue
+                    want = _min_weight_words(side)
+                    got = min_weight_words(side, min_distance(side).value)
+                    assert np.array_equal(got != 0, want != 0), (code, side.k)
+                    oracle.append(want)
+                    sides += 1
+                chosen = min(oracle, key=lambda f: (np.count_nonzero(f[0]), len(f)))
+                assert np.array_equal(autgroups._word_family(lin) != 0, chosen != 0)
+    assert sides == 528
+
+
+def test_backtrack_lists_no_codeword_pass(monkeypatch):
+    # the GF(4) [11,1] repetition code: its dual's 55 weight-2 words come
+    # from the levels, not from the 4^10 codewords a full pass would list
+    def never(self, chunk=1 << 16):
+        raise AssertionError("full codeword pass")
+    monkeypatch.setattr(LinearCode, "codeword_chunks", never)
+    rep = cyclic_code(11, make_field(2, 2), set(range(1, 11)))
+    res = backtrack_full_group(rep.linear)
+    assert (res.order, res.nodes) == (factorial(11), 76)

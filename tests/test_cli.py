@@ -185,7 +185,9 @@ def test_analyze_node_budget_exhaustion_computes_distance_once(capsys, monkeypat
                              "--defining-set", "1,2,4,8", "--budget-nodes", "10")
     assert status == 2
     assert json.loads(out)["report"]["parameters"] == [15, 11, 3]
-    assert len(calls) == 1
+    # the search's word family takes the distance of the code and of its
+    # dual; the report's distance is computed once, after the search
+    assert [(c.n, c.k) for c, *_ in calls] == [(15, 11), (15, 4), (15, 11)]
 
 
 GOLAY23_DS = "1,2,3,4,6,8,9,12,13,16,18"

@@ -445,3 +445,25 @@ def test_multiplier_verdict_at_length_one(q, ds):
     b = decide_equivalence(c, c, "BRUTE")
     assert (b.status, b.witness) == ("equivalent", identity)
     assert ag_set(1) == frozenset({identity})
+
+
+def test_hp_agrees_with_brute_on_same_dimension_pairs():
+    # the 59 pairs of distinct GF(3) cyclic codes of length 8 with one
+    # dimension reach H(P) and the S_8 scan, which no binary length-9 pair
+    # does (those 8 codes have 8 different dimensions): HP finds every
+    # equivalent pair, each witness confirmed by permute_code, its complete
+    # "inequivalent" verdicts all agree with BRUTE, and the rest stay open
+    codes = enumerate_cyclic_codes(8, GF3)
+    pairs = [(a, b) for a, b in itertools.combinations(codes, 2) if a.k == b.k]
+    tally = {}
+    for c1, c2 in pairs:
+        verdict = decide_equivalence(c1, c2, "HP")
+        truth = brute_equivalence(c1.linear, c2.linear) is not None
+        tally[verdict.status, truth] = tally.get((verdict.status, truth), 0) + 1
+        if verdict.status == "equivalent":
+            assert permute_code(c1.linear, verdict.witness) == c2.linear
+        if verdict.status == "inequivalent":
+            assert verdict.complete
+    assert len(pairs) == 59
+    assert tally == {("equivalent", True): 8, ("inequivalent", False): 32,
+                     ("inconclusive", False): 19}
