@@ -406,6 +406,43 @@ class CyclicCode:
             g = g * minimal_polynomial(self.field, self.n, cs)
         return g
 
+    @cached_property
+    def idempotent(self) -> Polynomial:
+        """The unique e with e^2 = e mod x^n - 1 generating the code,
+        computed once per code.
+
+        CRT over the coset factorization: e = 1 mod every factor kept by the
+        code (cosets outside the defining set) and e = 0 mod every
+        annihilated factor.  The zero code yields the zero polynomial.
+        """
+        F, n = self.field, self.n
+        if self.k == 0:
+            return Polynomial(F, ())
+        xn1 = x_pow_minus_one(F, n)
+        g = self.generator_poly          # product over defining-set cosets
+        h, rem = poly_divmod(xn1, g)     # kept part
+        if not rem.is_zero():
+            raise RuntimeError("generator does not divide x^n - 1")
+        if g.degree <= 0:
+            return Polynomial(F, (1,))
+        # e = a*g where a*g = 1 mod h: extended euclid on (g, h)
+        r0, r1 = g, h
+        s0 = Polynomial(F, (1,))
+        s1 = Polynomial(F, ())
+        while not r1.is_zero():
+            q, r = poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - q * s1
+        # r0 = gcd = s0*g + t*h, a unit constant since gcd(g, h) = 1
+        if r0.degree != 0:
+            raise RuntimeError("x^n - 1 is not squarefree; gcd(n, q) must be 1")
+        c = F.inv(r0.coeffs[0])
+        e = poly_mod(s0.scale(c) * g, xn1)
+        check = poly_mod(e * e, xn1)
+        if check.coeffs != e.coeffs:
+            raise RuntimeError("idempotent law failed")
+        return e
+
     def cosets(self) -> list[tuple[int, ...]]:
         """The cyclotomic cosets whose union is the defining set, sorted by
         least element."""
@@ -482,39 +519,8 @@ def is_elementary(code: LinearCode) -> bool:
 
 
 def idempotent(code: CyclicCode) -> Polynomial:
-    """The unique e with e^2 = e mod x^n - 1 generating the code.
-
-    CRT over the coset factorization: e = 1 mod every factor kept by the code
-    (cosets outside the defining set) and e = 0 mod every annihilated factor.
-    The zero code yields the zero polynomial.
-    """
-    F, n = code.field, code.n
-    if code.k == 0:
-        return Polynomial(F, ())
-    xn1 = x_pow_minus_one(F, n)
-    g = code.generator_poly          # product over defining-set cosets
-    h, rem = poly_divmod(xn1, g)     # kept part
-    if not rem.is_zero():
-        raise RuntimeError("generator does not divide x^n - 1")
-    if g.degree <= 0:
-        return Polynomial(F, (1,))
-    # e = a*g where a*g = 1 mod h: extended euclid on (g, h)
-    r0, r1 = g, h
-    s0 = Polynomial(F, (1,))
-    s1 = Polynomial(F, ())
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    # r0 = gcd = s0*g + t*h, a unit constant since gcd(g, h) = 1
-    if r0.degree != 0:
-        raise RuntimeError("x^n - 1 is not squarefree; gcd(n, q) must be 1")
-    c = F.inv(r0.coeffs[0])
-    e = poly_mod(s0.scale(c) * g, xn1)
-    check = poly_mod(e * e, xn1)
-    if check.coeffs != e.coeffs:
-        raise RuntimeError("idempotent law failed")
-    return e
+    """The code's idempotent: CyclicCode.idempotent, computed once per code."""
+    return code.idempotent
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@
 Equivalence can be decided without scanning all of S_n: any witness can be
 pushed into H(P) = {sigma : sigma^-1 T sigma in P} for a Sylow p-subgroup P
 of the automorphism group containing the shift.  This module builds P inside
-the discoverable subgroup, lists H(P) exactly at every length as the union of
-the cosets C(T) sigma_rho over the n-cycles rho of P, as the sorted image
-rows of perm.conjugation_rows, and wraps the strategies behind a single decision routine with an honest
-completeness flag.  The groups of the paper's closed forms are built from
-their generators, never by listing maps: the polynomial-map groups Q^m and
-Q_1^m (q_group), and for GR_FORMULA the Sylow subgroup <T, M_(q^t)> of the
-generalized-multiplier group G_r = <T, M_q>.  The closed-form sets (the
+the discoverable subgroup, describes H(P) exactly at every length as the
+union of the cosets C(T) sigma_rho over the n-cycles rho of P, and wraps the
+strategies behind a single decision routine with an honest completeness
+flag.  HP scans one member of each coset <T> sigma of H(P), the sigma_rho
+(perm.shift_coset_leaders): T fixes the second code, so a coset's members
+map the first code onto it all or none, and the scan gives the full sorted
+scan's first witness and verdict.  The groups of the paper's closed forms
+are built from their generators, never by listing maps: the polynomial-map
+groups Q^m and Q_1^m (q_group), and for GR_FORMULA the Sylow subgroup
+<T, M_(q^t)> of the generalized-multiplier group G_r = <T, M_q>.  The closed-form sets (the
 affine set, the geometric-series map family) are kept as independent checks
 of the coset construction.  The MULTIPLIER strategy takes its witness from
 autgroups.multipliers_onto, the one multiplier test.  The BRUTE strategy
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .algebra import multiplicative_order, p_part, prime_power, units
+from .algebra import multiplicative_order, p_part, prime_factors, prime_power, units
 from .codes import (
     CyclicCode,
     LinearCode,
@@ -43,9 +46,9 @@ from .perm import (
     BRUTE_DEGREE_BOUND,
     PermGroup,
     Permutation,
-    conjugation_rows,
     conjugation_set,
     perm_chunks,
+    shift_coset_leaders,
     sylow_through_shift,
 )
 
@@ -193,10 +196,10 @@ class HPDescriptor:
 
 def hp_set(descriptor: HPDescriptor, P: PermGroup) -> frozenset[Permutation]:
     """H(P), listed exactly for every descriptor kind and every length: the
-    union of the cosets C(T) sigma_rho over the n-cycles rho of P, as a set
-    (decide_equivalence scans the same members as the sorted rows of
-    perm.conjugation_rows).  Raises ClosureBoundExceeded when that union is
-    larger than CLOSURE_BOUND."""
+    union of the cosets C(T) sigma_rho over the n-cycles rho of P, as a set.
+    decide_equivalence does not list it: it scans one member per coset
+    <T> sigma (perm.shift_coset_leaders).  Raises ClosureBoundExceeded when
+    that union is larger than CLOSURE_BOUND."""
     T = Permutation.shift(descriptor.n)
     if T not in P:
         raise ValueError("P must contain the shift")
@@ -236,16 +239,21 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     candidates = [PermGroup.from_generators(n, gens), q1_family,
                   PermGroup.from_generators(n, [T] + ppart), PermGroup.from_generators(n, [T])]
     ambient = next(G for G in candidates if G is not None and G.order() <= _AMBIENT_BOUND)
-    P = sylow_through_shift(ambient)
-    _, s = prime_power(P.order())     # T is in P, so |P| >= p
+    # P = sylow_through_shift(ambient) is a Sylow p-subgroup of the ambient
+    # group, so |P| = p^s is read off the ambient order (T is in it, s >= 1);
+    # P itself is cut out only for the descriptors that return it
+    _, s = prime_power(p_part(ambient.order(), p))
     ceiling = (p ** r - 1) // (p - 1)
     if s == r:
-        return P, HPDescriptor("AG_SET", n, s, s == ceiling)
+        return sylow_through_shift(ambient), HPDescriptor("AG_SET", n, s, s == ceiling)
     if s > r and s - 1 < p and r == 2:
-        # |Q_1^(s-2)| = p^s = |P| at r = 2, so containment is equality
+        # |Q_1^(s-2)| = p^s = |P| at r = 2, so containment is equality.  Q_1
+        # is a p-group through T, so it lies in W_T, the only Sylow
+        # p-subgroup of S_n through T; it lies in P = ambient meet W_T iff
+        # it lies in the ambient group
         _, q1 = q_group(n, s - 2)
-        if all(g in P for g in q1.generators):
-            return P, HPDescriptor("Q_SET", n, s, s == ceiling)
+        if all(g in ambient for g in q1.generators):
+            return sylow_through_shift(ambient), HPDescriptor("Q_SET", n, s, s == ceiling)
     q = code.field.order
     if r >= 2 and s <= 2 * r - 1 and gk_lifts(q, n):
         # the geometric-series formula materializes H(P) for the Sylow
@@ -256,7 +264,7 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
         t = multiplicative_order(q, p)
         P_gr = PermGroup.from_generators(n, [T, Permutation.multiplier(n, pow(q, t, n))])
         return P_gr, HPDescriptor("GR_FORMULA", n, 2 * r - 1, 2 * r - 1 == ceiling)
-    return P, HPDescriptor("PREDICATE", n, s, s == ceiling)
+    return sylow_through_shift(ambient), HPDescriptor("PREDICATE", n, s, s == ceiling)
 
 
 # --- decision ------------------------------------------------------------------
@@ -308,7 +316,8 @@ def witness_scan(c1: LinearCode, c2: LinearCode,
     """The first permutation in the order of `chunks` mapping c1 onto c2
     (codes.first_map), checked again with permute_code; None when none does.
     Restricted sets such as H(P) and H'(P) are scanned as the one chunk of
-    perm.conjugation_rows, in sorted order of images."""
+    perm.shift_coset_leaders, one member per coset of <T^l>, in sorted
+    order of images."""
     sigma = first_map(c1, c2, chunks)
     if sigma is not None and permute_code(c1, sigma) != c2:
         raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
@@ -348,20 +357,28 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     onto the second (autgroups.multipliers_onto, which checks the defining
     sets against the matrix test for every unit); without one it is
     complete exactly when multiplier equivalence is known to decide the
-    length.  HP scans the exact H(P), in sorted order, at every
-    length; it is complete when the descriptor certifies P as a Sylow
-    subgroup of the full group.  BRUTE scans S_n and accepts n <= 10.  An
-    "inequivalent" verdict is only issued under a complete strategy or an
-    invariant separation.
+    length.  HP scans the exact H(P), one member per coset of <T>, in
+    sorted order, at every length; it is complete when the descriptor
+    certifies P as a Sylow subgroup of the full group.  BRUTE scans S_n and
+    accepts n <= 10.  An "inequivalent" verdict is only issued under a
+    complete strategy or an invariant separation.
+
+    At a prime-power length HP scans before it compares weight profiles:
+    after the dimension test come the descriptor and the scan, which
+    returns on a witness, and only then the profiles.  A witness implies
+    equal profiles, so every verdict is the one of the other order, and
+    an equivalent pair never pays for its profiles.
     """
     _check_compatible(c1, c2)
     strategy = strategy.upper()
     if strategy not in ("MULTIPLIER", "HP", "BRUTE"):
         raise ValueError(f"unknown strategy {strategy!r}")
     n = c1.n
-    sep = invariant_separation(c1, c2, strategy)
-    if sep is not None:
-        return sep
+    scan_first = strategy == "HP" and c1.k == c2.k and len(prime_factors(n)) == 1
+    if not scan_first:
+        sep = invariant_separation(c1, c2, strategy)
+        if sep is not None:
+            return sep
 
     if strategy == "MULTIPLIER":
         hits = multipliers_onto(c1, c2)
@@ -382,15 +399,19 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     if strategy == "BRUTE":
         return brute_verdict(c1.linear, c2.linear)
 
-    # HP
+    # HP; build_sylow_descriptor raises unless n is a prime power, so from
+    # here on scan_first holds and the profiles are still to be compared
     P, desc = build_sylow_descriptor(c1)
-    members = conjugation_rows(Permutation.shift(n), P)
-    detail = (f"H(P) of size {len(members)} from a {desc.kind} descriptor, "
+    leaders = shift_coset_leaders(P)
+    detail = (f"H(P) of size {n * len(leaders)} from a {desc.kind} descriptor, "
               f"Sylow exponent {desc.sylow_exponent}")
-    sigma = witness_scan(c1.linear, c2.linear, [members])
+    sigma = witness_scan(c1.linear, c2.linear, [leaders])
     if sigma is not None:
         return EquivalenceVerdict("equivalent", sigma, strategy, desc.complete,
                                   f"witness found in {detail}")
+    sep = invariant_separation(c1, c2, strategy)
+    if sep is not None:
+        return sep
     if desc.complete:
         return EquivalenceVerdict(
             "inequivalent", None, strategy, True,

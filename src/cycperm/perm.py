@@ -25,8 +25,12 @@ C(g) sigma_rho, where sigma_rho lines the cycles of rho up with those of g and
 C(g) is the product of the wreath products C_L wr S_m over the cycle lengths
 L of g with multiplicity m (Seress, Permutation Group Algorithms, 2003),
 listed from its generators (centralizer_generators).  conjugation_rows lists
-the set as image rows sorted lexicographically, the order in which the
-witness scans test candidates.
+the set as image rows sorted lexicographically; it backs conjugation_set and
+the normalizer.  The witness scans take only shift_coset_leaders: for
+g = T^l, one member per left coset of <T^l>, the coset's least row, in the
+same sorted order.  A code fixed by T^l is mapped onto by all of a coset or
+by none of it, so the leaders give the same first witness and the same
+verdict as the full listing, with n/l times fewer rows.
 
 The exhaustive S_n scans enumerate all n! permutations in lexicographic
 order, decoded from Lehmer ranks in numpy chunks, so n <= 10 stays in the
@@ -582,25 +586,64 @@ def conjugation_cosets(g: Permutation, P: PermGroup) -> list[Permutation]:
     return reps
 
 
+def _sorted_products(C: np.ndarray, reps: Sequence[Permutation]) -> np.ndarray:
+    """The rows of c * sigma over the rows c of C and the sigma of reps, in
+    lexicographic order."""
+    # (c * sigma)(i) = c(sigma(i))
+    rows = np.concatenate([C[:, sigma.images] for sigma in reps] or [C[:0]])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def conjugation_rows(g: Permutation, P: PermGroup) -> np.ndarray:
     """{sigma in S_n : sigma^-1 * g * sigma in P} as an (N, n) array of
     images in the smallest integer type, one row per member, in
-    lexicographic order: the order in which the witness scans test
-    candidates.  The rows are the union of the cosets C(g) sigma_rho of
-    conjugation_cosets, with C(g) listed from centralizer_generators.  Its
+    lexicographic order.  The rows are the union of the cosets C(g) sigma_rho
+    of conjugation_cosets, with C(g) listed from centralizer_generators.  Its
     size, |C(g)| times the number of cosets, is checked against
     CLOSURE_BOUND before anything is listed."""
     reps = conjugation_cosets(g, P)
     size = centralizer_order(g) * len(reps)
     if size > CLOSURE_BOUND:
         raise ClosureBoundExceeded(CLOSURE_BOUND, size)
-    dtype = np.min_scalar_type(g.degree)
     if not reps:
-        return np.empty((0, g.degree), dtype=dtype)
-    C = PermGroup(g.degree, tuple(centralizer_generators(g)))._array
-    # (c * sigma)(i) = c(sigma(i))
-    rows = np.concatenate([C[:, sigma.images] for sigma in reps])
-    return rows[np.lexsort(rows.T[::-1])]
+        return np.empty((0, g.degree), dtype=np.min_scalar_type(g.degree))
+    return _sorted_products(PermGroup(g.degree, tuple(centralizer_generators(g)))._array, reps)
+
+
+def shift_coset_leaders(P: PermGroup, l: int = 1) -> np.ndarray:
+    """One member of each left coset <T^l> sigma inside
+    H = {sigma in S_n : sigma^-1 T^l sigma in P}, the one with sigma(0) < l,
+    as an (N, n) array of images in lexicographic order.  Each row stands
+    for the n/l members of its coset, so |H| = (n/l) N, which is |C(T^l)|
+    times the number of cosets of conjugation_cosets.
+
+    H is a union of these cosets, as <T^l> lies in C(T^l).  Every sigma_rho
+    of conjugation_cosets fixes 0: the cycle of rho through 0 is the first
+    of its length and is lined up with the cycle (0, l, 2l, ...) of T^l.  So
+    the leaders are the c sigma_rho with c in C(T^l) and c(0) < l; at l = 1
+    C(T) = <T> and they are the sigma_rho themselves.  The first entries
+    sigma(0) + lj mod n of the members T^(lj) sigma of a coset are
+    distinct and exactly one is below l, so the leader is the coset's
+    lexicographically least row.
+
+    This is all a witness scan needs.  When T^l fixes C2 (a cyclic code, or
+    one checked to be invariant under T^l), sigma maps C1 onto C2 if and
+    only if every T^(lj) sigma does: the members of a coset pass or fail
+    together.  Hence the first passing leader is the first passing row of
+    the full sorted conjugation_rows(T^l, P), and no leader passes exactly
+    when no member does.  CLOSURE_BOUND applies to the rows listed: the
+    centralizer, then the leaders."""
+    n = P.degree
+    if l < 1 or n % l:
+        raise ValueError(f"index {l} does not divide the degree {n}")
+    g = Permutation(tuple((i + l) % n for i in range(n)))
+    reps = conjugation_cosets(g, P)
+    C = PermGroup(n, tuple(centralizer_generators(g)))._array
+    C = C[C[:, 0] < l]
+    size = len(C) * len(reps)
+    if size > CLOSURE_BOUND:
+        raise ClosureBoundExceeded(CLOSURE_BOUND, size)
+    return _sorted_products(C, reps)
 
 
 def conjugation_set(g: Permutation, P: PermGroup) -> frozenset[Permutation]:

@@ -9,10 +9,12 @@ automorphism group containing T^l (lengths n = p^r*l, gcd(p,l) = gcd(p,q) = 1).
 P is cut out of the discovered group by the filter that gives the cyclic P
 (perm.sylow_through_shift, here with W_T on each cycle of T^l): for l < p it
 is the Sylow subgroup through T^l, and for l > p the normalizer ascent
-completes it.  H'(P) is listed exactly at every length as the union of the
-cosets C(T^l) sigma_rho over the rho in P with the cycle type of T^l, in
-sorted image rows (perm.conjugation_rows).  H'(P) is not known to be a
-group, so nothing here assumes closure: reports take the group the cosets
+completes it.  H'(P) is the union of the cosets C(T^l) sigma_rho over the
+rho in P with the cycle type of T^l, exact at every length.  The search
+scans one member of each coset <T^l> sigma of it, in sorted image rows
+(perm.shift_coset_leaders): both codes are fixed by T^l, so a coset's
+members map one code onto the other all or none.  H'(P) is not known to be
+a group, so nothing here assumes closure: reports take the group the cosets
 generate.
 """
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .perm import (
     centralizer_generators,
     centralizer_order,
     conjugation_cosets,
-    conjugation_rows,
     minimal_blocks,
+    shift_coset_leaders,
     sylow_ascend,
     sylow_through_shift,
 )
@@ -198,10 +200,10 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
                           strategy: str = "STRUCTURED") -> EquivalenceVerdict:
     """Search for a permutation mapping one quasi-cyclic code onto the other.
 
-    STRUCTURED scans the exact H'(P) in sorted order, at every length, for
-    the P of qc_sylow.  It never certifies inequivalence: P is a Sylow
-    subgroup only of the discovered part of the automorphism group, so H'(P)
-    may miss every witness.  BRUTE scans all of S_n for n <= 10 and is
+    STRUCTURED scans the exact H'(P) in sorted order, one member per coset
+    of <T^l>, at every length, for the P of qc_sylow.  It never certifies
+    inequivalence: P is a Sylow subgroup only of the discovered part of the
+    automorphism group, so H'(P) may miss every witness.  BRUTE scans all of S_n for n <= 10 and is
     complete.  Invariant separations (dimension, weight profile) short-circuit
     either way.
     """
@@ -217,16 +219,17 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
         return brute_verdict(c1.linear, c2.linear)
 
     P = qc_sylow(c1)
-    members = conjugation_rows(_index_shift(c1.n, c1.index), P)
-    sigma = witness_scan(c1.linear, c2.linear, [members])
+    leaders = shift_coset_leaders(P, c1.index)
+    size = len(leaders) * c1.co_index
+    sigma = witness_scan(c1.linear, c2.linear, [leaders])
     if sigma is not None:
         return EquivalenceVerdict(
             "equivalent", sigma, strategy, False,
-            f"witness among the {len(members)} members of H'(P), "
+            f"witness among the {size} members of H'(P), "
             f"|P| = {P.order()}")
     return EquivalenceVerdict(
         "inconclusive", None, strategy, False,
-        f"no witness among the {len(members)} members of H'(P); P is a Sylow "
+        f"no witness among the {size} members of H'(P); P is a Sylow "
         "subgroup only of the discovered automorphisms, so H'(P) may miss "
         "every witness")
 

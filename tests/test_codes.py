@@ -303,6 +303,13 @@ def test_idempotent_examples():
     assert idempotent(cyclic_code(7, GF2, set(range(7)))).is_zero()
 
 
+def test_idempotent_is_computed_once_per_code():
+    # a cached property of the code: gk_family asks for it once per k
+    c = cyclic_code(27, GF2, {0, 3, 6, 12, 24, 21, 15})
+    assert idempotent(c) is idempotent(c) is c.idempotent
+    assert idempotent(cyclic_code(27, GF2, {0, 3, 6, 12, 24, 21, 15})) == c.idempotent
+
+
 def test_idempotent_law_all_small_codes():
     for q, F, n in [(2, GF2, 9), (2, GF2, 7), (3, GF3, 11), (2, GF2, 15)]:
         for c in enumerate_cyclic_codes(n, F):

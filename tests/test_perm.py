@@ -26,6 +26,7 @@ from cycperm.perm import (
     normalizer_in_symmetric,
     orbits,
     perm_chunks,
+    shift_coset_leaders,
     sylow_ascend,
     sylow_through_shift,
 )
@@ -369,6 +370,31 @@ def test_conjugation_set_matches_brute_scan():
         rows = [tuple(r) for r in conjugation_rows(g, P).tolist()]
         assert rows == sorted(set(rows)), (g, gens)
         assert frozenset(map(Permutation, rows)) == brute, (g, gens)
+
+
+def test_shift_coset_leaders_are_the_least_rows_of_their_cosets():
+    # every sigma_rho of conjugation_cosets(T^l, P) fixes 0, and the leaders
+    # are the rows of the full conjugation_rows(T^l, P) with sigma(0) < l,
+    # in the same order, each standing for the n/l members of its coset;
+    # P is generated by T^l and a random permutation (n <= 8), or by T^l
+    # and a multiplier (n = 9..15)
+    rng = random.Random(1948)
+    shapes = [(n, l) for n in range(1, 9) for l in range(1, n + 1) if n % l == 0]
+    shapes += [(9, 1), (9, 3), (10, 2), (12, 3), (15, 3), (15, 5)]
+    for n, l in shapes:
+        tl = Permutation(tuple((i + l) % n for i in range(n)))
+        for _ in range(2):
+            extra = _random_perm(rng, n) if n <= 8 else \
+                Permutation.multiplier(n, rng.choice([a for a in range(1, n) if math.gcd(a, n) == 1]))
+            P = PermGroup.from_generators(n, [tl, extra])
+            assert all(s(0) == 0 for s in conjugation_cosets(tl, P)), (n, l, extra)
+            full = conjugation_rows(tl, P)
+            leaders = shift_coset_leaders(P, l)
+            assert leaders.dtype == full.dtype
+            assert np.array_equal(leaders, full[full[:, 0] < l]), (n, l, extra)
+            assert len(full) == len(leaders) * (n // l)
+    with pytest.raises(ValueError, match="does not divide"):
+        shift_coset_leaders(PermGroup.trivial(6), 4)
 
 
 def test_centralizer_order_and_generators():

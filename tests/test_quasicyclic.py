@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycperm import perm
+from cycperm import equivalence, perm, quasicyclic
 from cycperm.algebra import make_field
 from cycperm.autgroups import analyze
 from cycperm.codes import LinearCode, cyclic_code, permute_code, weight_profile
@@ -504,3 +504,29 @@ def test_decisions_list_groups_only_as_image_rows(monkeypatch):
         c2 = QuasiCyclicCode(permute_code(c1.linear, tau), c1.index)
         assert qc_equivalence_search(c1, c2).status == "equivalent"
     analyze(cyclic_code(9, make_field(2, 2), {1, 2, 4, 5, 7, 8}))
+
+
+def test_decisions_scan_only_coset_leaders(monkeypatch):
+    # HP and STRUCTURED scan one member per coset of <T^l>, never the full
+    # conjugation set: perm.conjugation_rows raises and every decision
+    # still returns its witness
+    def never(*args):
+        raise AssertionError("a full conjugation set was listed")
+
+    for mod in (perm, equivalence, quasicyclic):
+        if hasattr(mod, "conjugation_rows"):
+            monkeypatch.setattr(mod, "conjugation_rows", never)
+    for q, n, ds in ((2, 9, {0, 3, 6}), (2, 27, {0, 3, 6, 12, 24, 21, 15}), (3, 16, {1, 3, 9, 11})):
+        c1 = cyclic_code(n, make_field(q), ds)
+        c2 = cyclic_code(n, c1.field, {5 * i % n for i in ds})
+        verdict = decide_equivalence(c1, c2, "HP")
+        assert permute_code(c1.linear, verdict.witness) == c2.linear
+    rep, even = cyclic_code(5, GF3, {1, 2, 3, 4}).linear, cyclic_code(5, GF3, {0}).linear
+    rows = [[r[i // 3] if i % 3 == j else 0 for i in range(15)]
+            for j, part in enumerate((rep, even, even)) for r in part.matrix]
+    for c1 in (circulant_pair((1, 1, 0, 0, 0)),
+               QuasiCyclicCode(LinearCode.from_rows(GF3, 15, rows), 3)):
+        tau = Permutation.affine(c1.n, 7, 3)
+        c2 = QuasiCyclicCode(permute_code(c1.linear, tau), c1.index)
+        verdict = qc_equivalence_search(c1, c2)
+        assert permute_code(c1.linear, verdict.witness) == c2.linear
