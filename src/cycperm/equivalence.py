@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .algebra import multiplicative_order, p_part, prime_factors, prime_power, units
+from .algebra import multiplicative_order, p_part, prime_power, units
 from .codes import (
     CyclicCode,
     LinearCode,
@@ -362,23 +362,15 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     certifies P as a Sylow subgroup of the full group.  BRUTE scans S_n and
     accepts n <= 10.  An "inequivalent" verdict is only issued under a
     complete strategy or an invariant separation.
-
-    At a prime-power length HP scans before it compares weight profiles:
-    after the dimension test come the descriptor and the scan, which
-    returns on a witness, and only then the profiles.  A witness implies
-    equal profiles, so every verdict is the one of the other order, and
-    an equivalent pair never pays for its profiles.
     """
     _check_compatible(c1, c2)
     strategy = strategy.upper()
     if strategy not in ("MULTIPLIER", "HP", "BRUTE"):
         raise ValueError(f"unknown strategy {strategy!r}")
     n = c1.n
-    scan_first = strategy == "HP" and c1.k == c2.k and len(prime_factors(n)) == 1
-    if not scan_first:
-        sep = invariant_separation(c1, c2, strategy)
-        if sep is not None:
-            return sep
+    sep = invariant_separation(c1, c2, strategy)
+    if sep is not None:
+        return sep
 
     if strategy == "MULTIPLIER":
         hits = multipliers_onto(c1, c2)
@@ -399,19 +391,15 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     if strategy == "BRUTE":
         return brute_verdict(c1.linear, c2.linear)
 
-    # HP; build_sylow_descriptor raises unless n is a prime power, so from
-    # here on scan_first holds and the profiles are still to be compared
+    # HP
     P, desc = build_sylow_descriptor(c1)
-    leaders = shift_coset_leaders(P)
-    detail = (f"H(P) of size {n * len(leaders)} from a {desc.kind} descriptor, "
+    leaders, size = shift_coset_leaders(P)
+    detail = (f"H(P) of size {size} from a {desc.kind} descriptor, "
               f"Sylow exponent {desc.sylow_exponent}")
     sigma = witness_scan(c1.linear, c2.linear, [leaders])
     if sigma is not None:
         return EquivalenceVerdict("equivalent", sigma, strategy, desc.complete,
                                   f"witness found in {detail}")
-    sep = invariant_separation(c1, c2, strategy)
-    if sep is not None:
-        return sep
     if desc.complete:
         return EquivalenceVerdict(
             "inequivalent", None, strategy, True,

@@ -610,12 +610,13 @@ def conjugation_rows(g: Permutation, P: PermGroup) -> np.ndarray:
     return _sorted_products(PermGroup(g.degree, tuple(centralizer_generators(g)))._array, reps)
 
 
-def shift_coset_leaders(P: PermGroup, l: int = 1) -> np.ndarray:
+def shift_coset_leaders(P: PermGroup, l: int = 1) -> tuple[np.ndarray, int]:
     """One member of each left coset <T^l> sigma inside
     H = {sigma in S_n : sigma^-1 T^l sigma in P}, the one with sigma(0) < l,
-    as an (N, n) array of images in lexicographic order.  Each row stands
-    for the n/l members of its coset, so |H| = (n/l) N, which is |C(T^l)|
-    times the number of cosets of conjugation_cosets.
+    as an (N, n) array of images in lexicographic order, and |H|.  Each row
+    stands for the n/l members of its coset, so |H| = (n/l) N; it is
+    computed as |C(T^l)| times the number of cosets of conjugation_cosets,
+    without listing H.
 
     H is a union of these cosets, as <T^l> lies in C(T^l).  Every sigma_rho
     of conjugation_cosets fixes 0: the cycle of rho through 0 is the first
@@ -640,10 +641,10 @@ def shift_coset_leaders(P: PermGroup, l: int = 1) -> np.ndarray:
     reps = conjugation_cosets(g, P)
     C = PermGroup(n, tuple(centralizer_generators(g)))._array
     C = C[C[:, 0] < l]
-    size = len(C) * len(reps)
-    if size > CLOSURE_BOUND:
-        raise ClosureBoundExceeded(CLOSURE_BOUND, size)
-    return _sorted_products(C, reps)
+    listed = len(C) * len(reps)
+    if listed > CLOSURE_BOUND:
+        raise ClosureBoundExceeded(CLOSURE_BOUND, listed)
+    return _sorted_products(C, reps), centralizer_order(g) * len(reps)
 
 
 def conjugation_set(g: Permutation, P: PermGroup) -> frozenset[Permutation]:

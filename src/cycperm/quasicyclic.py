@@ -203,9 +203,9 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     STRUCTURED scans the exact H'(P) in sorted order, one member per coset
     of <T^l>, at every length, for the P of qc_sylow.  It never certifies
     inequivalence: P is a Sylow subgroup only of the discovered part of the
-    automorphism group, so H'(P) may miss every witness.  BRUTE scans all of S_n for n <= 10 and is
-    complete.  Invariant separations (dimension, weight profile) short-circuit
-    either way.
+    automorphism group, so H'(P) may miss every witness.  BRUTE scans all
+    of S_n for n <= 10 and is complete.  Invariant separations (dimension,
+    weight profile) short-circuit either way.
     """
     _check_compatible(c1, c2)
     p, r = _qc_prime_power(c1)
@@ -219,8 +219,7 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
         return brute_verdict(c1.linear, c2.linear)
 
     P = qc_sylow(c1)
-    leaders = shift_coset_leaders(P, c1.index)
-    size = len(leaders) * c1.co_index
+    leaders, size = shift_coset_leaders(P, c1.index)
     sigma = witness_scan(c1.linear, c2.linear, [leaders])
     if sigma is not None:
         return EquivalenceVerdict(

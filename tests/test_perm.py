@@ -375,7 +375,8 @@ def test_conjugation_set_matches_brute_scan():
 def test_shift_coset_leaders_are_the_least_rows_of_their_cosets():
     # every sigma_rho of conjugation_cosets(T^l, P) fixes 0, and the leaders
     # are the rows of the full conjugation_rows(T^l, P) with sigma(0) < l,
-    # in the same order, each standing for the n/l members of its coset;
+    # in the same order, each standing for the n/l members of its coset, and
+    # the size returned with them is that of the full set;
     # P is generated by T^l and a random permutation (n <= 8), or by T^l
     # and a multiplier (n = 9..15)
     rng = random.Random(1948)
@@ -389,10 +390,10 @@ def test_shift_coset_leaders_are_the_least_rows_of_their_cosets():
             P = PermGroup.from_generators(n, [tl, extra])
             assert all(s(0) == 0 for s in conjugation_cosets(tl, P)), (n, l, extra)
             full = conjugation_rows(tl, P)
-            leaders = shift_coset_leaders(P, l)
+            leaders, size = shift_coset_leaders(P, l)
             assert leaders.dtype == full.dtype
             assert np.array_equal(leaders, full[full[:, 0] < l]), (n, l, extra)
-            assert len(full) == len(leaders) * (n // l)
+            assert len(full) == size == len(leaders) * (n // l)
     with pytest.raises(ValueError, match="does not divide"):
         shift_coset_leaders(PermGroup.trivial(6), 4)
 
