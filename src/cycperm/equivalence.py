@@ -238,7 +238,7 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     ppart = [g for g in gens if g.order() == p_part(g.order(), p)]
     candidates = [PermGroup.from_generators(n, gens), q1_family,
                   PermGroup.from_generators(n, [T] + ppart), PermGroup.from_generators(n, [T])]
-    ambient = next(G for G in candidates if G is not None and G.order() <= _AMBIENT_BOUND)
+    ambient = next(G for G in candidates if G is not None and G.order_at_most(_AMBIENT_BOUND))
     # P = sylow_through_shift(ambient) is a Sylow p-subgroup of the ambient
     # group, so |P| = p^s is read off the ambient order (T is in it, s >= 1);
     # P itself is cut out only for the descriptors that return it

@@ -8,29 +8,37 @@ Schreier-Sims algorithm (Sims 1970; Seress, Permutation Group Algorithms,
 elements, and a group is checked through its generators.  PermGroup._array
 is the one listing, the image rows of every element made once from the
 chain's transversals after the order is checked against CLOSURE_BOUND, and
-it is used only where a set is the answer.  A StabilizerChain can open the
-levels of a given base prefix first, so that its level i is the stabilizer
-of the prefix's first i points: the automorphism search
-(autgroups.backtrack_full_group) grows the group it finds on the chain
-whose base is its own coordinate order.  At degree n = l p^r with l < p, the
-Sylow p-subgroup through the shift power T^l is G meet W, with W
-Kaloujnine's group of triangular maps on each cycle of T^l, the only Sylow
-p-subgroup of S_n containing T^l (sylow_through_shift).  For l > p that meet
-is only a p-subgroup through T^l, and the normalizer ascent (sylow_ascend)
-completes it.  Both take and return PermGroups.
+it is used only where a set is the answer.  The chain is built no further
+than a question needs: while it grows, each level's orbit is an orbit of a
+subgroup of that level's stabilizer, so the product of the orbit lengths is
+a lower bound on the order, and PermGroup.order_at_most answers False as
+soon as it passes the bound; and a Schreier generator along an edge of an
+orbit's Schreier tree is the identity by construction, so it is never
+sifted.  Neither changes the chain that completes.  A StabilizerChain can
+open the levels of a given base prefix first, so that its level i is the
+stabilizer of the prefix's first i points: the automorphism search
+(autgroups.backtrack_full_group) grows the group it finds on the chain whose
+base is its own coordinate order.  At degree n = l p^r with l < p, the Sylow
+p-subgroup through the shift power T^l is G meet W, with W Kaloujnine's
+group of triangular maps on each cycle of T^l, the only Sylow p-subgroup of
+S_n containing T^l (sylow_through_shift).  For l > p that meet is only a
+p-subgroup through T^l, and the normalizer ascent (sylow_ascend) completes
+it.  Both take and return PermGroups.
 
 The conjugation set {sigma : sigma^-1 g sigma in P} is built at every degree
-from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the coset
-C(g) sigma_rho, where sigma_rho lines the cycles of rho up with those of g and
-C(g) is the product of the wreath products C_L wr S_m over the cycle lengths
-L of g with multiplicity m (Seress, Permutation Group Algorithms, 2003),
-listed from its generators (centralizer_generators).  conjugation_rows lists
-the set as image rows sorted lexicographically; it backs conjugation_set and
-the normalizer.  The witness scans take only shift_coset_leaders: for
-g = T^l, one member per left coset of <T^l>, the coset's least row, in the
-same sorted order.  A code fixed by T^l is mapped onto by all of a coset or
-by none of it, so the leaders give the same first witness and the same
-verdict as the full listing, with n/l times fewer rows.
+from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the
+coset C(g) sigma_rho, where sigma_rho lines the cycles of rho up with those
+of g and C(g) is the product of the wreath products C_L wr S_m over the
+cycle lengths L of g with multiplicity m (Seress, Permutation Group
+Algorithms, 2003), listed from its generators (centralizer_generators).  The
+sigma_rho come from one numpy pass over the sorted rows of P that traces
+every row's cycles at once (conjugation_cosets), as an array of image rows.
+conjugation_rows lists the set as image rows sorted lexicographically; it
+backs conjugation_set and the normalizer.  The witness scans take only
+shift_coset_leaders: for g = T^l, one member per left coset of <T^l>, the
+coset's least row, in the same sorted order.  A code fixed by T^l is mapped
+onto by all of a coset or by none of it, so the leaders give the same first
+witness and the same verdict as the full listing, with n/l times fewer rows.
 
 The exhaustive S_n scans enumerate all n! permutations in lexicographic
 order, decoded from Lehmer ranks in numpy chunks, so n <= 10 stays in the
@@ -62,7 +70,7 @@ class ClosureBoundExceeded(RuntimeError):
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """a after b, on image tuples: (a b)(i) = a(b(i))."""
-    return tuple(map(a.__getitem__, b))
+    return tuple([a[i] for i in b])
 
 
 def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -188,6 +196,21 @@ class StabilizerChain:
     elements, so the order is the product of the orbit lengths and
     membership is a sift through the levels.  Elements are image tuples.
 
+    While the chain is being completed, the generators of level i all lie in
+    the pointwise stabilizer of base[:i], so orbit[i] is part of that
+    stabilizer's orbit of base[i], and the product of the orbit lengths never
+    exceeds the order of the group: a bounded build stops as soon as the
+    product passes the bound (PermGroup.order_at_most).
+
+    The Schreier generator of an orbit point x and a generator s is
+    u_(s x)^-1 s u_x.  When the orbit reached s x first through x and s, the
+    transversal element made there is u_(s x) = s u_x, so that Schreier
+    generator is the identity: the pair is marked as checked when the
+    element is made (a tree edge of the orbit's Schreier tree) and is never
+    sifted.  Only identities are skipped, so the Schreier generators that
+    are sifted, their order and the first non-trivial residue are those of
+    the plain algorithm, and so is the chain.
+
     The levels of a given base prefix are opened first, so level i is the
     pointwise stabilizer of prefix[:i] and orbit[i] the orbit of prefix[i]
     under it, whatever elements are added later; further base points are
@@ -230,10 +253,16 @@ class StabilizerChain:
     def add(self, g: tuple[int, ...]) -> bool:
         """Extend the group by g and complete the chain again; False when g
         is already a member."""
+        return self._add(g, None)
+
+    def _add(self, g: tuple[int, ...], bound: int | None) -> bool:
+        """add; with a bound, raises ClosureBoundExceeded (reached: the orbit
+        product so far, a lower bound on the order) as soon as the product of
+        the orbit lengths passes it, leaving the chain incomplete."""
         h, j = self.sift(g)
         if h == self.identity:
             return False
-        self._insert(h, 0, j)
+        self._insert(h, 0, j, bound)
         level = j
         # the levels after `level` form a complete chain of their group
         while level >= 0:
@@ -242,26 +271,32 @@ class StabilizerChain:
                 level -= 1
             else:
                 h, j = found
-                self._insert(h, level + 1, j)
+                self._insert(h, level + 1, j, bound)
                 level = j
         return True
 
-    def _insert(self, h: tuple[int, ...], first: int, last: int) -> None:
+    def _insert(self, h: tuple[int, ...], first: int, last: int, bound: int | None) -> None:
         """Add h, which fixes base[:last], as a strong generator of levels
-        first..last, opening level last when h fixes every base point."""
+        first..last, opening level last when h fixes every base point; then
+        check the orbit product against the bound."""
         if last == len(self.base):
             self._open(next(i for i, v in enumerate(h) if v != i))
         for level in range(first, last + 1):
-            self.gens[level].append(h)
+            gens = self.gens[level]
+            gens.append(h)
             orbit, trans, inv = self.orbit[level], self.trans[level], self.inv[level]
+            checked = self.checked[level]
             for x in orbit:            # the loop also visits the points it appends
                 u = trans[x]
-                for s in self.gens[level]:
+                for si, s in enumerate(gens):
                     y = s[x]
                     if y not in trans:
                         trans[y] = v = _compose(s, u)
                         inv[y] = _invert(v)
                         orbit.append(y)
+                        checked.add((x, si))     # u_y^-1 s u_x is the identity
+        if bound is not None and self.order() > bound:
+            raise ClosureBoundExceeded(bound, self.order())
 
     def _open(self, b: int) -> None:
         """Open a level with base point b and no generators yet."""
@@ -283,7 +318,8 @@ class StabilizerChain:
                 if (x, si) in checked:
                     continue
                 checked.add((x, si))
-                h, j = self.sift(_compose(inv[s[x]], _compose(s, u)), level + 1)
+                w = inv[s[x]]
+                h, j = self.sift(tuple([w[s[i]] for i in u]), level + 1)
                 if h != self.identity:
                     return h, j
         return None
@@ -332,12 +368,15 @@ class PermGroup:
     def trivial(n: int) -> "PermGroup":
         return PermGroup(n, ())
 
-    @cached_property
-    def _chain(self) -> StabilizerChain:
+    def _build_chain(self, bound: int | None) -> StabilizerChain:
         chain = StabilizerChain(self.degree)
         for g in self.generators:
-            chain.add(g.images)
+            chain._add(g.images, bound)
         return chain
+
+    @cached_property
+    def _chain(self) -> StabilizerChain:
+        return self._build_chain(None)
 
     @cached_property
     def _array(self) -> np.ndarray:
@@ -360,6 +399,19 @@ class PermGroup:
 
     def order(self) -> int:
         return self._chain.order()
+
+    def order_at_most(self, bound: int) -> bool:
+        """order() <= bound, without completing the chain when it is False:
+        Schreier-Sims stops once the product of its orbit lengths, a lower
+        bound on the order (StabilizerChain), passes the bound.  A chain
+        that completes is the one _chain builds, and is cached as it."""
+        if "_chain" not in self.__dict__:
+            try:
+                chain = self._build_chain(bound)
+            except ClosureBoundExceeded:
+                return False
+            self.__dict__["_chain"] = chain      # the cached_property's slot
+        return self.order() <= bound
 
     def __contains__(self, sigma: Permutation) -> bool:
         return sigma.degree == self.degree and sigma.images in self._chain
@@ -522,16 +574,12 @@ def _cycle_classes(images: Sequence[int]) -> dict[int, list[tuple[int, ...]]]:
     return classes
 
 
-def _cycle_type(classes: dict[int, list[tuple[int, ...]]]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((L, len(cs)) for L, cs in classes.items()))
-
-
 def centralizer_order(g: Permutation) -> int:
     """|C(g)| in S_n: the product of L^m * m! over the cycle lengths L of g
     (fixed points included) with multiplicity m."""
     out = 1
-    for L, m in _cycle_type(_cycle_classes(g.images)):
-        out *= L ** m * factorial(m)
+    for L, cs in _cycle_classes(g.images).items():
+        out *= L ** len(cs) * factorial(len(cs))
     return out
 
 
@@ -567,30 +615,52 @@ def centralizer_generators(g: Permutation) -> list[Permutation]:
     return gens
 
 
-def conjugation_cosets(g: Permutation, P: PermGroup) -> list[Permutation]:
+def conjugation_cosets(g: Permutation, P: PermGroup) -> np.ndarray:
     """One sigma_rho per rho in P with the cycle type of g, in the order of
-    rho's images: sigma_rho lines rho's cycles up with g's, so that
-    sigma_rho^-1 g sigma_rho = rho.  The set {sigma : sigma^-1 g sigma in P}
-    is the disjoint union of the cosets C(g) sigma_rho."""
-    n = g.degree
-    target = _cycle_classes(g.images)
-    key = _cycle_type(target)
-    reps = []
-    for rho in sorted(P._array.tolist()):
-        classes = _cycle_classes(rho)
-        if _cycle_type(classes) != key:
-            continue
-        reps.append(_point_map(n, ((x, y) for L, cycles in classes.items()
-                                   for src, dst in zip(cycles, target[L])
-                                   for x, y in zip(src, dst))))
-    return reps
+    rho's images, as an (R, n) array of images: sigma_rho lines rho's cycles
+    up with g's, so that sigma_rho^-1 g sigma_rho = rho.  The set
+    {sigma : sigma^-1 g sigma in P} is the disjoint union of the cosets
+    C(g) sigma_rho.
+
+    rho's cycles are taken in the order of their least points, and the j-th
+    cycle of length L, from its least point, is mapped point by point onto
+    the j-th cycle of length L of g, from its least point.  All rows of P,
+    sorted, are traced at once: each round takes every row's least point not
+    yet placed, follows its cycle by gathers, and drops the rows whose cycle
+    has a length g has no cycle left for; after as many rounds as g has
+    cycles, the rows left are those with g's cycle type."""
+    targets = sorted((L, np.array(cs)) for L, cs in _cycle_classes(g.images).items())
+    longest = targets[-1][0]
+    A = P._array
+    A = A[np.lexsort(A.T[::-1])]
+    sigma = np.empty_like(A)
+    placed = np.zeros(A.shape, dtype=bool)
+    used = np.zeros((len(A), len(targets)), dtype=np.intp)   # cycles matched, per length
+    for _ in range(sum(len(cs) for _, cs in targets)):
+        rows = np.arange(len(A))
+        path = [np.argmin(placed, axis=1)]
+        for _ in range(longest):
+            path.append(A[rows, path[-1]])
+        path = np.stack(path, axis=1)
+        back = path[:, 1:] == path[:, :1]
+        length = np.where(back.any(axis=1), back.argmax(axis=1) + 1, 0)
+        keep = np.zeros(len(A), dtype=bool)
+        for k, (L, cs) in enumerate(targets):
+            on = np.nonzero((length == L) & (used[:, k] < len(cs)))[0]
+            pts = path[on, :L]
+            sigma[on[:, None], pts] = cs[used[on, k]]
+            placed[on[:, None], pts] = True
+            used[on, k] += 1
+            keep[on] = True
+        A, sigma, placed, used = A[keep], sigma[keep], placed[keep], used[keep]
+    return sigma
 
 
-def _sorted_products(C: np.ndarray, reps: Sequence[Permutation]) -> np.ndarray:
-    """The rows of c * sigma over the rows c of C and the sigma of reps, in
-    lexicographic order."""
+def _sorted_products(C: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The rows of c * sigma over the rows c of C and the rows sigma of reps,
+    in lexicographic order."""
     # (c * sigma)(i) = c(sigma(i))
-    rows = np.concatenate([C[:, sigma.images] for sigma in reps] or [C[:0]])
+    rows = C[:, reps].reshape(-1, C.shape[1])
     return rows[np.lexsort(rows.T[::-1])]
 
 
@@ -605,7 +675,7 @@ def conjugation_rows(g: Permutation, P: PermGroup) -> np.ndarray:
     size = centralizer_order(g) * len(reps)
     if size > CLOSURE_BOUND:
         raise ClosureBoundExceeded(CLOSURE_BOUND, size)
-    if not reps:
+    if not len(reps):
         return np.empty((0, g.degree), dtype=np.min_scalar_type(g.degree))
     return _sorted_products(PermGroup(g.degree, tuple(centralizer_generators(g)))._array, reps)
 

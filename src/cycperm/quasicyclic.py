@@ -40,6 +40,7 @@ from .perm import (
     BlockSystem,
     PermGroup,
     Permutation,
+    StabilizerChain,
     centralizer_generators,
     centralizer_order,
     conjugation_cosets,
@@ -182,7 +183,7 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     rows = np.concatenate([rows, np.array([g.images for g in ag_set(n)], dtype=rows.dtype)])
     fixed = rows[maps_onto(lin, lin, rows)].tolist()
     ambient = PermGroup.from_generators(n, [tl] + [Permutation(tuple(g)) for g in fixed])
-    if ambient.order() > CLOSURE_BOUND:
+    if not ambient.order_at_most(CLOSURE_BOUND):
         ambient = PermGroup.from_generators(n, [tl])
     return sylow_ascend(ambient, p, sylow_through_shift(ambient, l))
 
@@ -277,8 +278,9 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     H'(P) is never listed: it is the disjoint union of the cosets
     C(T^l) sigma_rho, so its size is |C(T^l)| times the number of cosets,
     and it generates the group generated by C(T^l) and the sigma_rho.  The
-    closure starts from the generators of C(T^l) and adds each sigma_rho
-    that it does not already contain.  It never assumes H'(P) is a group.
+    closure grows on one stabilizer chain: it starts from the generators of
+    C(T^l) and keeps each sigma_rho that the chain does not already contain.
+    It never assumes H'(P) is a group.
     """
     p, r = _qc_prime_power(code)
     n, l = code.n, code.index
@@ -286,10 +288,12 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     tl = _index_shift(n, l)
     cosets = conjugation_cosets(tl, P)
     discovered = centralizer_order(tl) * len(cosets)
-    closure = PermGroup(n, tuple(centralizer_generators(tl)))
-    for sigma in cosets:
-        if sigma not in closure:
-            closure = PermGroup(n, closure.generators + (sigma,))
+    gens = centralizer_generators(tl)
+    chain = StabilizerChain(n)
+    for g in gens:
+        chain.add(g.images)
+    gens += [Permutation(tuple(s)) for s in cosets.tolist() if chain.add(tuple(s))]
+    closure = PermGroup(n, tuple(gens))
     m = p ** r
     bound = factorial(n - m)
     shift_odd = Permutation.shift(n).parity() == 1
@@ -303,5 +307,5 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     else:
         conclusion = "UNRESOLVED"
     return HPrimeReport(n, l, P.order(), discovered, True,
-                        closure.order(), systems, primitive, m, bound,
+                        chain.order(), systems, primitive, m, bound,
                         shift_odd, conclusion)

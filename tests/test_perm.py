@@ -134,19 +134,27 @@ def _random_cycle(rng: random.Random, n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def test_chain_agrees_with_sympy():
-    # seeded groups of degree <= 9 from one to three generators, each a
-    # random permutation or a cycle on random points (so that proper
-    # subgroups of S_n turn up): order, membership and the listed elements
-    # against sympy's Schreier-Sims, and the orbits of a chain opened on a
-    # random base prefix against sympy's pointwise stabilizers
-    combinatorics = pytest.importorskip("sympy.combinatorics")
+def _seeded_groups():
+    """60 seeded groups of degree <= 9 from one to three generators, each a
+    random permutation or a cycle on random points (so that proper
+    subgroups of S_n turn up), as (n, generators, ten random permutations
+    to test for membership, a random base prefix)."""
     rng = random.Random(19700101)
     prefix_rng = random.Random(1970)    # apart, so the groups stay those of rng
     for _ in range(60):
         n = rng.randint(1, 9)
         gens = [(_random_perm if rng.random() < 0.5 else _random_cycle)(rng, n)
                 for _ in range(rng.randint(1, 3))]
+        samples = [_random_perm(rng, n) for _ in range(10)]
+        yield n, gens, samples, prefix_rng.sample(range(n), prefix_rng.randint(0, n))
+
+
+def test_chain_agrees_with_sympy():
+    # order, membership and the listed elements against sympy's
+    # Schreier-Sims, and the orbits of a chain opened on a random base
+    # prefix against sympy's pointwise stabilizers
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for n, gens, samples, prefix in _seeded_groups():
         G = PermGroup.from_generators(n, gens)
         ref = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(g.images)) for g in gens])
@@ -154,16 +162,175 @@ def test_chain_agrees_with_sympy():
         if ref.order() <= 5040:
             assert {g.images for g in G.elements()} == \
                 {tuple(x.array_form) for x in ref.generate()}, gens
-        for _ in range(10):
-            s = _random_perm(rng, n)
+        for s in samples:
             assert (s in G) == ref.contains(combinatorics.Permutation(list(s.images))), (gens, s)
-        prefix = prefix_rng.sample(range(n), prefix_rng.randint(0, n))
         chain = perm.StabilizerChain(n, prefix)
         for g in gens:
             chain.add(g.images)
         assert chain.base[:len(prefix)] == prefix and chain.order() == ref.order()
         for i, b in enumerate(prefix):
             assert set(chain.orbit[i]) == ref.pointwise_stabilizer(prefix[:i]).orbit(b), (gens, prefix)
+
+
+class _ReferenceChain:
+    """The plain deterministic Schreier-Sims, as the library ran it before
+    tree edges were skipped: every Schreier generator is built by two
+    compositions and sifted, and nothing stops early.  The library's chain
+    must equal it level by level."""
+
+    def __init__(self, n, prefix=()):
+        self.identity = tuple(range(n))
+        self.base, self.gens, self.orbit, self.trans, self.inv, self.checked = [], [], [], [], [], []
+        for b in prefix:
+            self._open(b)
+
+    def sift(self, g, start=0):
+        for i in range(start, len(self.base)):
+            ui = self.inv[i].get(g[self.base[i]])
+            if ui is None:
+                return g, i
+            g = tuple(ui[x] for x in g)
+        return g, len(self.base)
+
+    def add(self, g):
+        h, j = self.sift(g)
+        if h == self.identity:
+            return False
+        self._insert(h, 0, j)
+        level = j
+        while level >= 0:
+            found = self._schreier_residue(level)
+            if found is None:
+                level -= 1
+            else:
+                h, j = found
+                self._insert(h, level + 1, j)
+                level = j
+        return True
+
+    def _insert(self, h, first, last):
+        if last == len(self.base):
+            self._open(next(i for i, v in enumerate(h) if v != i))
+        for level in range(first, last + 1):
+            self.gens[level].append(h)
+            orbit, trans, inv = self.orbit[level], self.trans[level], self.inv[level]
+            for x in orbit:
+                u = trans[x]
+                for s in self.gens[level]:
+                    y = s[x]
+                    if y not in trans:
+                        trans[y] = v = tuple(s[i] for i in u)
+                        inv[y] = tuple(sorted(range(len(v)), key=v.__getitem__))
+                        orbit.append(y)
+
+    def _open(self, b):
+        self.base.append(b)
+        self.gens.append([])
+        self.orbit.append([b])
+        self.trans.append({b: self.identity})
+        self.inv.append({b: self.identity})
+        self.checked.append(set())
+
+    def _schreier_residue(self, level):
+        trans, inv, checked = self.trans[level], self.inv[level], self.checked[level]
+        for x in self.orbit[level]:
+            u = trans[x]
+            for si, s in enumerate(self.gens[level]):
+                if (x, si) in checked:
+                    continue
+                checked.add((x, si))
+                su = tuple(s[i] for i in u)
+                h, j = self.sift(tuple(inv[s[x]][i] for i in su), level + 1)
+                if h != self.identity:
+                    return h, j
+        return None
+
+
+def _chain_state(chain) -> tuple:
+    return chain.base, chain.orbit, chain.trans, chain.inv, chain.gens
+
+
+def _chain_cases():
+    """(degree, generators, base prefix): the seeded groups, with and
+    without their prefix; the discovered groups of the binary cyclic codes of
+    length 9 and 27; and the polynomial-map groups Q^m and Q_1^m at n = 9,
+    25, 27."""
+    from cycperm.algebra import make_field
+    from cycperm.autgroups import known_cyclic_subgroup
+    from cycperm.codes import enumerate_cyclic_codes
+    from cycperm.equivalence import q_group
+    for n, gens, _, prefix in _seeded_groups():
+        yield n, gens, prefix
+        yield n, gens, []
+    for n in (9, 27):
+        for code in enumerate_cyclic_codes(n, make_field(2)):
+            yield n, known_cyclic_subgroup(code)[0], []
+    for n, p in ((9, 3), (25, 5), (27, 3)):
+        for m in range(1, p):
+            for G in q_group(n, m):
+                yield n, list(G.generators), []
+
+
+def test_chain_equals_the_plain_schreier_sims():
+    # skipping the tree-edge Schreier generators and building the others in
+    # one pass leave the base, orbits, transversals and strong generators
+    # exactly as the plain algorithm makes them
+    cases = 0
+    for n, gens, prefix in _chain_cases():
+        chain, ref = perm.StabilizerChain(n, prefix), _ReferenceChain(n, prefix)
+        for g in gens:
+            assert chain.add(g.images) == ref.add(g.images), (n, gens, prefix)
+        assert _chain_state(chain) == _chain_state(ref), (n, gens, prefix)
+        cases += 1
+    assert cases == 120 + 8 + 16 + 2 * (2 + 4 + 2)
+
+
+def test_order_at_most_is_the_order_test():
+    # order_at_most(b) is order() <= b at b = 1, |G| - 1, |G| and |G| + 1,
+    # each asked of a fresh group; a group it rejects still gives its exact
+    # order, and a group it accepts caches the chain _chain would build
+    for n, gens, _ in _chain_cases():
+        order = PermGroup.from_generators(n, gens).order()
+        for b in (1, order - 1, order, order + 1):
+            G = PermGroup.from_generators(n, gens)
+            assert G.order_at_most(b) == (order <= b), (n, gens, b)
+            if order <= b:
+                ref = _ReferenceChain(n)
+                for g in G.generators:
+                    ref.add(g.images)
+                assert _chain_state(G.__dict__["_chain"]) == _chain_state(ref)
+            assert G.order() == order
+            assert G.order_at_most(b) == (order <= b)
+
+
+def test_bounded_chain_stops_before_the_full_chain(monkeypatch):
+    # the discovered group of a binary cyclic code of length 27 has order
+    # 12,754,584; the descriptor's test against its ambient bound rejects it
+    # with fewer sifts than the full chain takes, and caches no chain
+    from cycperm import equivalence
+    from cycperm.algebra import make_field
+    from cycperm.autgroups import known_cyclic_subgroup
+    from cycperm.codes import enumerate_cyclic_codes
+    sifts = []
+    sift = perm.StabilizerChain.sift
+
+    def counted(self, g, start=0):
+        sifts.append(start)
+        return sift(self, g, start)
+    monkeypatch.setattr(perm.StabilizerChain, "sift", counted)
+    groups = [known_cyclic_subgroup(c)[0] for c in enumerate_cyclic_codes(27, make_field(2))]
+    big = [gens for gens in groups
+           if PermGroup.from_generators(27, gens).order() == 12_754_584]
+    assert big
+    for gens in big:
+        sifts.clear()
+        assert PermGroup.from_generators(27, gens).order() == 12_754_584
+        full = len(sifts)
+        sifts.clear()
+        G = PermGroup.from_generators(27, gens)
+        assert not G.order_at_most(equivalence._AMBIENT_BOUND)
+        assert "_chain" not in G.__dict__
+        assert 0 < len(sifts) < full / 2, (len(sifts), full)
 
 
 def test_permgroup_api():
@@ -372,6 +539,78 @@ def test_conjugation_set_matches_brute_scan():
         assert frozenset(map(Permutation, rows)) == brute, (g, gens)
 
 
+def _cycles_by_length(images) -> dict[int, list[tuple[int, ...]]]:
+    """The cycles of a permutation, fixed points included, keyed by length;
+    each from its least point, those of one length in that order."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    seen: set[int] = set()
+    for i in range(len(images)):
+        if i not in seen:
+            cyc = [i]
+            while images[cyc[-1]] != i:
+                cyc.append(images[cyc[-1]])
+            seen.update(cyc)
+            out.setdefault(len(cyc), []).append(tuple(cyc))
+    return out
+
+
+def _cosets_by_rows(g: Permutation, P: PermGroup) -> list[tuple[int, ...]]:
+    """The definition of the sigma_rho, one row of P at a time: for each rho
+    in P, in the order of its images, with the cycle type of g, the map
+    sending the j-th cycle of each length of rho onto the j-th cycle of that
+    length of g, point by point from their least points."""
+    target = _cycles_by_length(g.images)
+    key = sorted((L, len(cs)) for L, cs in target.items())
+    out = []
+    for rho in sorted(P._array.tolist()):
+        cycles = _cycles_by_length(rho)
+        if sorted((L, len(cs)) for L, cs in cycles.items()) != key:
+            continue
+        sigma = [0] * g.degree
+        for L, cs in cycles.items():
+            for src, dst in zip(cs, target[L]):
+                for x, y in zip(src, dst):
+                    sigma[x] = y
+        out.append(tuple(sigma))
+    return out
+
+
+def test_conjugation_cosets_follow_the_per_row_definition():
+    # one g of each cycle type of degree <= 8 (fixed points included), with P
+    # generated by a conjugate of g, and by that and a random permutation
+    # (n <= 7); the shift in S_8; and T^l at (n, l) = (9, 1), (25, 1) and
+    # (27, 1) with P = Q_1^m, and at (15, 3) and (20, 4) with P the product
+    # of the cyclic groups on the cycles of T^l: the same rows in the same order
+    from cycperm.equivalence import q_group
+    from cycperm.quasicyclic import sigma_cycles
+    rng = random.Random(2010)
+    cases = []
+    for n in range(1, 9):
+        for parts in _partitions(n):
+            images: list[int] = []
+            for L in parts:
+                images += [len(images) + (i + 1) % L for i in range(L)]
+            g = Permutation(tuple(images))
+            tau = _random_perm(rng, n)
+            rho = tau.inverse() * g * tau
+            cases.append((g, PermGroup.from_generators(n, [rho])))
+            if n <= 7:
+                cases.append((g, PermGroup.from_generators(n, [rho, _random_perm(rng, n)])))
+    assert len(cases) == 66 + 44
+    cases.append((Permutation.shift(8), PermGroup.from_generators(
+        8, [Permutation.shift(8), Permutation((1, 0) + tuple(range(2, 8)))])))
+    for n, m in ((9, 2), (25, 4), (27, 2)):
+        cases.append((Permutation.shift(n), q_group(n, m)[1]))
+    for n, l in ((15, 3), (20, 4)):
+        cases.append((Permutation.power_shift(n, l),
+                      PermGroup.from_generators(n, sigma_cycles(n, l))))
+    for g, P in cases:
+        got = conjugation_cosets(g, P)
+        assert got.shape[1] == g.degree
+        assert [tuple(r) for r in got.tolist()] == _cosets_by_rows(g, P), (g, P.generators)
+    assert len(conjugation_cosets(Permutation.shift(25), q_group(25, 4)[1])) == 10_000
+
+
 def test_shift_coset_leaders_are_the_least_rows_of_their_cosets():
     # every sigma_rho of conjugation_cosets(T^l, P) fixes 0, and the leaders
     # are the rows of the full conjugation_rows(T^l, P) with sigma(0) < l,
@@ -388,7 +627,7 @@ def test_shift_coset_leaders_are_the_least_rows_of_their_cosets():
             extra = _random_perm(rng, n) if n <= 8 else \
                 Permutation.multiplier(n, rng.choice([a for a in range(1, n) if math.gcd(a, n) == 1]))
             P = PermGroup.from_generators(n, [tl, extra])
-            assert all(s(0) == 0 for s in conjugation_cosets(tl, P)), (n, l, extra)
+            assert (conjugation_cosets(tl, P)[:, 0] == 0).all(), (n, l, extra)
             full = conjugation_rows(tl, P)
             leaders, size = shift_coset_leaders(P, l)
             assert leaders.dtype == full.dtype
