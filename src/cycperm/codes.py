@@ -55,7 +55,7 @@ from .algebra import (
     poly_mod,
     x_pow_minus_one,
 )
-from .perm import Permutation
+from .perm import Permutation, _row_chunks
 
 DEFAULT_DISTANCE_BUDGET = 20_000_000
 ENUMERATION_BOUND = 1 << 20
@@ -212,6 +212,11 @@ class LinearCode:
         H = np.array(rows, dtype=np.int64).reshape(n - self.k, n)
         H.flags.writeable = False
         return H
+
+    @cached_property
+    def _distances(self) -> dict[int, "DistanceResult"]:
+        """min_distance's results, by budget."""
+        return {}
 
     def codeword_count(self) -> int:
         return self.field.order ** self.k
@@ -561,22 +566,11 @@ class DistanceResult:
         return self.lower
 
 
-def _subset_chunks(pool: Sequence[int], w: int, chunk: int) -> Iterator[np.ndarray]:
-    """Combinations of `pool` of size w as (B, w) int arrays."""
-    if w == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
-    it = itertools.combinations(pool, w)
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, chunk)),
-                           dtype=np.int64, count=-1)
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, w)
-
-
 def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
     """Minimum distance, exact when a budget-bounded certificate exists.
+    The result depends on the code and the budget alone, and each code keeps
+    its results by budget (LinearCode._distances), so it is computed once
+    per code and budget.
 
     One loop raises `bound`, a lower bound on the weight of every codeword
     not yet seen, and lowers `best`, the least weight seen so far (starting
@@ -630,6 +624,13 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     with the first 2^16 words of levels 2 and 3, and the result is exact
     if that closes the gap, else the interval [bound, best].
     """
+    if budget not in code._distances:
+        code._distances[budget] = _min_distance(code, budget)
+    return code._distances[budget]
+
+
+def _min_distance(code: LinearCode, budget: int) -> DistanceResult:
+    """The computation behind min_distance."""
     F, n, k = code.field, code.n, code.k
     if k == 0:
         return DistanceResult(0, 0, True)
@@ -827,7 +828,7 @@ def _level_messages(k: int, q: int, t: int, chunk: int = 1 << 16) -> Iterator[np
     lexicographic order too."""
     tails = (q - 1) ** (t - 1)
     place = (q - 1) ** np.arange(t - 2, -1, -1, dtype=np.int64)
-    for pos in _subset_chunks(range(k), t, max(1, chunk // tails)):
+    for pos in _row_chunks(itertools.combinations(range(k), t), t, max(1, chunk // tails)):
         for start in range(0, tails, chunk):
             v = np.arange(start, min(start + chunk, tails), dtype=np.int64)
             vals = np.ones((v.size, t), dtype=np.int64)
@@ -847,10 +848,11 @@ def _rank_step(code: LinearCode, w: int, cyclic: bool) -> bool:
     its planner."""
     Ht, n = code.parity_check.T, code.n
     if cyclic:
-        subsets = (np.pad(c, ((0, 0), (1, 0))) for c in _subset_chunks(range(1, n), w - 1, 65536))
+        subsets = ((0,) + c for c in itertools.combinations(range(1, n), w - 1))
     else:
-        subsets = _subset_chunks(range(n), w, 65536)
-    return any((_eliminate(Ht[subs], code.field)[1] < 0).any() for subs in subsets)
+        subsets = itertools.combinations(range(n), w)
+    return any((_eliminate(Ht[subs], code.field)[1] < 0).any()
+               for subs in _row_chunks(subsets, w, 65536))
 
 
 @dataclass(frozen=True)

@@ -211,10 +211,15 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     a Sylow subgroup of the discoverable part, plus the H(P) materialization
     plan.
 
-    P is G meet W_T (perm.sylow_through_shift) for the first of these groups
-    whose order is at most _AMBIENT_BOUND: the discovered group G, the
-    polynomial-map family Q_1 fixing the code, the shift with the discovered
-    elements of p-power order, and the shift alone.
+    P is a Sylow p-subgroup through T of the first of these groups whose
+    order is at most _AMBIENT_BOUND, each built only when it is reached:
+    the discovered group G, the polynomial-map family Q_1 fixing the code,
+    the shift with the discovered elements of p-power order, and the shift
+    alone.  Its order p^s is read off the ambient order.  P is named
+    outright where the paper's closed forms name it: <T> for AG_SET, Q_1^(s-2)
+    for Q_SET and <T, M_(q^t)> for GR_FORMULA; only for PREDICATE is it cut
+    out of the ambient group's listing as G meet W_T
+    (perm.sylow_through_shift).
 
     The descriptor is marked complete only when the exponent of P reaches the
     theoretical ceiling (p^r - 1)/(p - 1), which pins P as a Sylow subgroup
@@ -225,35 +230,37 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     gens, _ = known_cyclic_subgroup(code)
     lin = code.linear
     q1_family: PermGroup | None = None
-    if r >= 2:
-        for m in range(p - 1, 0, -1):
-            if p ** (r + m) > _Q_FAMILY_BOUND:
-                continue
-            _, q1g = q_group(n, m)
-            if maps_onto(lin, lin, [g.images for g in q1g.generators]).all():
-                gens = gens + [g for g in q1g.generators if g not in gens]
-                q1_family = q1g
-                break
+    for m in range(p - 1, 0, -1) if r >= 2 else ():
+        if p ** (r + m) > _Q_FAMILY_BOUND:
+            continue
+        _, q1g = q_group(n, m)
+        if maps_onto(lin, lin, [g.images for g in q1g.generators]).all():
+            gens = gens + [g for g in q1g.generators if g not in gens]
+            q1_family = q1g
+            break
     T = Permutation.shift(n)
-    ppart = [g for g in gens if g.order() == p_part(g.order(), p)]
-    candidates = [PermGroup.from_generators(n, gens), q1_family,
-                  PermGroup.from_generators(n, [T] + ppart), PermGroup.from_generators(n, [T])]
-    ambient = next(G for G in candidates if G is not None and G.order_at_most(_AMBIENT_BOUND))
-    # P = sylow_through_shift(ambient) is a Sylow p-subgroup of the ambient
-    # group, so |P| = p^s is read off the ambient order (T is in it, s >= 1);
-    # P itself is cut out only for the descriptors that return it
+    # the first candidate of order at most _AMBIENT_BOUND, each built only
+    # when reached; Q_1, when it fixes the code, is within _Q_FAMILY_BOUND
+    ambient = PermGroup.from_generators(n, gens)
+    if not ambient.order_at_most(_AMBIENT_BOUND):
+        ambient = q1_family if q1_family is not None else PermGroup.from_generators(
+            n, [T] + [g for g in gens if g.order() == p_part(g.order(), p)])
+    if not ambient.order_at_most(_AMBIENT_BOUND):
+        ambient = PermGroup.from_generators(n, [T])
+    # sylow_through_shift(ambient) = ambient meet W_T is a Sylow p-subgroup
+    # of the ambient group, of order p^s (T is in it, s >= 1).  A p-group
+    # through T lies in W_T, the only Sylow p-subgroup of S_n through T, so
+    # one of order p^s inside the ambient group is that meet: <T> when
+    # s = r, and Q_1^(s-2), of order p^s at r = 2, when the ambient group
+    # contains it
     _, s = prime_power(p_part(ambient.order(), p))
     ceiling = (p ** r - 1) // (p - 1)
     if s == r:
-        return sylow_through_shift(ambient), HPDescriptor("AG_SET", n, s, s == ceiling)
+        return PermGroup.from_generators(n, [T]), HPDescriptor("AG_SET", n, s, s == ceiling)
     if s > r and s - 1 < p and r == 2:
-        # |Q_1^(s-2)| = p^s = |P| at r = 2, so containment is equality.  Q_1
-        # is a p-group through T, so it lies in W_T, the only Sylow
-        # p-subgroup of S_n through T; it lies in P = ambient meet W_T iff
-        # it lies in the ambient group
         _, q1 = q_group(n, s - 2)
         if all(g in ambient for g in q1.generators):
-            return sylow_through_shift(ambient), HPDescriptor("Q_SET", n, s, s == ceiling)
+            return q1, HPDescriptor("Q_SET", n, s, s == ceiling)
     q = code.field.order
     if r >= 2 and s <= 2 * r - 1 and gk_lifts(q, n):
         # the geometric-series formula materializes H(P) for the Sylow
@@ -285,7 +292,8 @@ class EquivalenceVerdict:
         return out
 
 
-def _check_compatible(c1: CyclicCode, c2: CyclicCode) -> None:
+def _check_compatible(c1: CyclicCode | QuasiCyclicCode,
+                      c2: CyclicCode | QuasiCyclicCode) -> None:
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
     if c1.field != c2.field:

@@ -40,13 +40,15 @@ coset's least row, in the same sorted order.  A code fixed by T^l is mapped
 onto by all of a coset or by none of it, so the leaders give the same first
 witness and the same verdict as the full listing, with n/l times fewer rows.
 
-The exhaustive S_n scans enumerate all n! permutations in lexicographic
-order, decoded from Lehmer ranks in numpy chunks, so n <= 10 stays in the
-tens of seconds.  They serve the BRUTE equivalence strategy and the tests'
-oracles only.
+The exhaustive S_n scans take all n! permutations in lexicographic order
+from itertools.permutations, in numpy chunks made by the row-chunk helper
+that also lists the subsets of codes.min_distance's rank steps, so n <= 10
+stays within seconds.  They serve the BRUTE equivalence strategy and the
+tests' oracles only.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, gcd, lcm
@@ -148,9 +150,10 @@ class Permutation:
 
     @staticmethod
     def power_shift(n: int, l: int) -> "Permutation":
-        """T^l: i -> i+l mod n, of order n/gcd(n,l)."""
-        if not 1 <= l < n:
-            raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
+        """T^l: i -> i+l mod n, of order n/gcd(n,l), for every l >= 1; T^n
+        is the identity."""
+        if l < 1:
+            raise ValueError(f"need l >= 1, got l={l}")
         return Permutation(tuple((i + l) % n for i in range(n)))
 
     @staticmethod
@@ -707,7 +710,7 @@ def shift_coset_leaders(P: PermGroup, l: int = 1) -> tuple[np.ndarray, int]:
     n = P.degree
     if l < 1 or n % l:
         raise ValueError(f"index {l} does not divide the degree {n}")
-    g = Permutation(tuple((i + l) % n for i in range(n)))
+    g = Permutation.power_shift(n, l)
     reps = conjugation_cosets(g, P)
     C = PermGroup(n, tuple(centralizer_generators(g)))._array
     C = C[C[:, 0] < l]
@@ -736,28 +739,22 @@ def normalizer_in_symmetric(group: PermGroup) -> frozenset[Permutation]:
 
 # --- exhaustive S_n scans: the BRUTE strategy and test oracles ------------------
 
+def _row_chunks(rows: Iterator[tuple[int, ...]], width: int, chunk: int,
+                dtype: type = np.int64) -> Iterator[np.ndarray]:
+    """The tuples of `rows`, all of length width >= 1, in their order, as
+    (B, width) arrays of at most `chunk` rows."""
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(rows, chunk)),
+                           dtype=dtype)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, width)
+
+
 def perm_chunks(n: int, chunk: int = _SCAN_CHUNK) -> Iterator[np.ndarray]:
     """All n! permutations in lexicographic order as (B, n) int8 arrays,
-    decoded from Lehmer ranks."""
-    total = factorial(n)
-    fact = [factorial(n - 1 - pos) for pos in range(n)]
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        B = idx.size
-        digits = np.empty((B, n), dtype=np.int64)
-        rem = idx.copy()
-        for pos in range(n):
-            digits[:, pos] = rem // fact[pos]
-            rem %= fact[pos]
-        avail = np.tile(np.arange(n, dtype=np.int8), (B, 1))
-        out = np.empty((B, n), dtype=np.int8)
-        cols = np.arange(n)[None, :]
-        for pos in range(n):
-            d = digits[:, pos]
-            out[:, pos] = avail[np.arange(B), d]
-            shifted = np.roll(avail, -1, axis=1)
-            avail = np.where(cols >= d[:, None], shifted, avail)
-        yield out
+    from itertools.permutations."""
+    return _row_chunks(itertools.permutations(range(n)), n, chunk, np.int8)
 
 
 def conjugation_scan(n: int, conditions: Sequence[tuple[Permutation, Iterable[Permutation]]]) -> list[Permutation]:
@@ -866,7 +863,8 @@ def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
     so the two are equal.  For l > p, G meet W is a p-subgroup of
     G through T^l that need not be Sylow.  One numpy filter over the image
     rows of G finds it; its generators are the rows, in image order, that
-    grow its stabilizer chain.
+    grow its stabilizer chain, and the group keeps that chain, the one it
+    would build from those generators.
     """
     n = group.degree
     if l < 1 or n % l:
@@ -884,9 +882,13 @@ def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
         keep = (low[:, (x + pj * l) % n] == (low + pj) % (p * pj)).all(axis=1)
         A, pos = A[keep], pos[keep]
     chain, gens = StabilizerChain(n), []
-    for images in sorted(A.tolist()):
+    for images in A[np.lexsort(A.T[::-1])].tolist():
         if chain.order() == len(A):
             break
         if chain.add(tuple(images)):
             gens.append(Permutation(tuple(images)))
-    return PermGroup(n, tuple(gens))
+    P = PermGroup(n, tuple(gens))
+    # the rows that are members leave the chain unchanged, so it is the one
+    # PermGroup._chain builds from gens
+    P.__dict__["_chain"] = chain
+    return P

@@ -30,7 +30,7 @@ from .algebra import prime_power, units
 from .codes import LinearCode, maps_onto, permute_code  # noqa: F401
 from .equivalence import (
     EquivalenceVerdict,
-    ag_set,
+    _check_compatible,
     brute_verdict,
     invariant_separation,
     witness_scan,
@@ -51,10 +51,6 @@ from .perm import (
 )
 
 
-def _index_shift(n: int, l: int) -> Permutation:
-    return Permutation.identity(n) if l % n == 0 else Permutation.power_shift(n, l % n)
-
-
 @dataclass(frozen=True)
 class QuasiCyclicCode:
     """Linear code declared invariant under T^l; the declared index need not
@@ -66,7 +62,7 @@ class QuasiCyclicCode:
         n, l = self.linear.n, self.index
         if not 1 <= l <= n or n % l:
             raise ValueError(f"index {l} does not divide the length {n}")
-        if not maps_onto(self.linear, self.linear, [_index_shift(n, l).images])[0]:
+        if not maps_onto(self.linear, self.linear, [Permutation.power_shift(n, l).images])[0]:
             raise ValueError(f"code is not invariant under the shift by {l}")
 
     @property
@@ -90,7 +86,7 @@ class QuasiCyclicCode:
         1 means the code is cyclic."""
         n = self.n
         divisors = [l for l in range(1, n + 1) if n % l == 0]
-        shifts = [_index_shift(n, l).images for l in divisors]
+        shifts = [Permutation.power_shift(n, l).images for l in divisors]
         # l = n is the identity, which always fixes the code
         return divisors[int(np.argmax(maps_onto(self.linear, self.linear, shifts)))]
 
@@ -130,7 +126,7 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
     """
     if gcd(n // l, l) != 1:
         raise ValueError(f"need gcd(m, l) = 1, got m={n // l}, l={l}")
-    tl = _index_shift(n, l)
+    tl = Permutation.power_shift(n, l)
     powers = frozenset(tl ** e for e in range(n // l))
     q_group = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])
     for g in q_group.generators:
@@ -140,7 +136,7 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
     for a in units(n):
         for b in range(n):
             tau = Permutation.affine(n, a, b)
-            if tau * tl * tau.inverse() != _index_shift(n, l * a % n):
+            if tau * tl * tau.inverse() != tl ** a:
                 raise RuntimeError(f"affine map fails the shift-conjugation law: a={a}, b={b}")
             affine.append(tau)
     return q_group, PermGroup.from_generators(n, affine)
@@ -148,8 +144,7 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
 
 def hprime_membership(sigma: Permutation, P: PermGroup, l: int) -> bool:
     """sigma^-1 T^l sigma in P, the one-element test behind H'(P)."""
-    n = P.degree
-    tl = _index_shift(n, l)
+    tl = Permutation.power_shift(P.degree, l)
     if tl not in P:
         raise ValueError("P must contain the index shift")
     return sigma.inverse() * tl * sigma in P
@@ -178,23 +173,16 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     p, _ = _qc_prime_power(code)
     n, l = code.n, code.index
     lin = code.linear
-    tl = _index_shift(n, l)
+    tl = Permutation.power_shift(n, l)
     rows = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])._array
-    rows = np.concatenate([rows, np.array([g.images for g in ag_set(n)], dtype=rows.dtype)])
+    x = np.arange(n)
+    affine = (np.array(units(n))[:, None, None] * x + x[:, None]) % n    # [a, b, x]: a x + b
+    rows = np.concatenate([rows, affine.reshape(-1, n).astype(rows.dtype)])
     fixed = rows[maps_onto(lin, lin, rows)].tolist()
     ambient = PermGroup.from_generators(n, [tl] + [Permutation(tuple(g)) for g in fixed])
     if not ambient.order_at_most(CLOSURE_BOUND):
         ambient = PermGroup.from_generators(n, [tl])
     return sylow_ascend(ambient, p, sylow_through_shift(ambient, l))
-
-
-def _check_compatible(c1: QuasiCyclicCode, c2: QuasiCyclicCode) -> None:
-    if c1.n != c2.n:
-        raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
-    if c1.index != c2.index:
-        raise ValueError(f"index mismatch: {c1.index} != {c2.index}")
-    if c1.field != c2.field:
-        raise ValueError("codes live over different fields")
 
 
 def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
@@ -209,6 +197,8 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     weight profile) short-circuit either way.
     """
     _check_compatible(c1, c2)
+    if c1.index != c2.index:
+        raise ValueError(f"index mismatch: {c1.index} != {c2.index}")
     p, r = _qc_prime_power(c1)
     strategy = strategy.upper()
     if strategy not in ("STRUCTURED", "BRUTE"):
@@ -285,7 +275,7 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     p, r = _qc_prime_power(code)
     n, l = code.n, code.index
     P = qc_sylow(code)
-    tl = _index_shift(n, l)
+    tl = Permutation.power_shift(n, l)
     cosets = conjugation_cosets(tl, P)
     discovered = centralizer_order(tl) * len(cosets)
     gens = centralizer_generators(tl)

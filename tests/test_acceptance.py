@@ -99,12 +99,10 @@ def test_criterion_02_parameter_table(capsys):
         assert all(r.status == "match" for r in by_id.values())
         assert erratum.status == "partial"
         assert "dual d=16" in erratum.computed
-        # every row with n <= 23 certifies its distances exactly (no
-        # interval markers); the n = 29 row may fall back to intervals
+        # every row, n = 29 included, certifies both distances exactly: the
+        # only bracket is that of [n,k,d], no interval such as [9,11]
         for r in rows:
-            n = int(r.claim_id.split("-")[2])
-            if n <= 23:
-                assert "[" not in r.computed.split("m=")[1]
+            assert r.computed.count("[") == 1
 
 
 @pytest.mark.xfail(strict=True,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cycperm import autgroups
+from cycperm import autgroups, codes
 from cycperm.cli import RunConfig, main
 from cycperm.codes import code_to_spec, cyclic_code
 from cycperm.algebra import make_field
@@ -173,21 +173,22 @@ def test_analyze_node_budget_exhaustion_exits_2(capsys):
 
 
 def test_analyze_node_budget_exhaustion_computes_distance_once(capsys, monkeypatch):
-    calls = []
-    real = autgroups.min_distance
+    computed = []
+    real = codes._min_distance
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(code, budget):
+        computed.append((code.n, code.k))
+        return real(code, budget)
 
-    monkeypatch.setattr(autgroups, "min_distance", counted)
+    monkeypatch.setattr(codes, "_min_distance", counted)
     status, out, _ = run_cli(capsys, "analyze", "--q", "2", "--n", "15",
                              "--defining-set", "1,2,4,8", "--budget-nodes", "10")
     assert status == 2
     assert json.loads(out)["report"]["parameters"] == [15, 11, 3]
     # the search's word family takes the distance of the code and of its
-    # dual; the report's distance is computed once, after the search
-    assert [(c.n, c.k) for c, *_ in calls] == [(15, 11), (15, 4), (15, 11)]
+    # dual; the report asks for the code's at the same budget, which the
+    # code kept from the search
+    assert computed == [(15, 11), (15, 4)]
 
 
 GOLAY23_DS = "1,2,3,4,6,8,9,12,13,16,18"

@@ -486,14 +486,74 @@ def test_hp_separates_by_weight_profiles_with_or_without_a_descriptor():
 
 
 def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):
-    # GR_FORMULA returns <T, M_(q^t)>, so the meet with W_T is never cut out
+    # GR_FORMULA returns <T, M_(q^t)>, AG_SET <T> and Q_SET Q_1^(s-2), so the
+    # meet with W_T is never cut out; for AG_SET and Q_SET it is still the
+    # meet of W_T with the ambient group (the last one order_at_most accepts)
     def never(*args, **kwargs):
         raise AssertionError("sylow_through_shift was called")
 
-    code = cyclic_code(27, GF2, {0, 3, 6, 12, 24, 21, 15})
+    accepted = []
+    real_at_most = PermGroup.order_at_most
+
+    def spy(self, bound):
+        ok = real_at_most(self, bound)
+        if ok:
+            accepted.append(self)
+        return ok
+
     monkeypatch.setattr(equivalence, "sylow_through_shift", never)
+    monkeypatch.setattr(PermGroup, "order_at_most", spy)
+    cases = [(27, {0, 3, 6, 12, 24, 21, 15}, "GR_FORMULA", 5, 243),
+             (7, {1, 2, 4}, "AG_SET", 1, 7),
+             (25, {0}, "Q_SET", 5, 3125)]
+    for n, ds, kind, exponent, order in cases:
+        accepted.clear()
+        P, desc = build_sylow_descriptor(cyclic_code(n, GF2, ds))
+        assert (desc.kind, desc.sylow_exponent, P.order()) == (kind, exponent, order)
+        if kind != "GR_FORMULA":
+            assert P.elements() == sylow_through_shift(accepted[-1]).elements()
+
+
+def test_predicate_p_keeps_the_chain_it_was_cut_with(monkeypatch):
+    # sylow_through_shift hands P the chain it grew while picking the
+    # generators, so listing P, and scanning H(P), builds no second chain
+    code = cyclic_code(9, GF2, {0, 3, 6})
     P, desc = build_sylow_descriptor(code)
-    assert (desc.kind, desc.sylow_exponent, P.order()) == ("GR_FORMULA", 5, 243)
+    assert desc.kind == "PREDICATE"
+    built = []
+    real_build = PermGroup._build_chain
+
+    def counted(self, bound):
+        built.append(self)
+        return real_build(self, bound)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counted)
+    P.order()
+    P.elements()
+    equivalence.shift_coset_leaders(P)
+    assert all(G is not P for G in built)
+    fresh = PermGroup(P.degree, P.generators)
+    assert (P._chain.base, P._chain.orbit, P._chain.gens) == \
+        (fresh._chain.base, fresh._chain.orbit, fresh._chain.gens)
+
+
+def test_descriptor_builds_no_rung_it_does_not_reach(monkeypatch):
+    # every binary code of length 27 takes its ambient group from the first
+    # two rungs (the discovered group or Q_1), so the p-power-order filter of
+    # the third rung, one Permutation.order per discovered generator, is
+    # never computed
+    calls = []
+    real_order = Permutation.order
+
+    def counted(self):
+        calls.append(self)
+        return real_order(self)
+
+    monkeypatch.setattr(Permutation, "order", counted)
+    codes = [c for c in enumerate_cyclic_codes(27, GF2) if 0 < c.k < 27]
+    for code in codes:
+        build_sylow_descriptor(code)
+    assert len(codes) == 14 and calls == []
 
 
 @pytest.mark.parametrize("q", [2, 3])

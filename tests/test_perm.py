@@ -65,6 +65,9 @@ def test_power_shift():
     # T^3 on 15 points splits into sigma_0 sigma_1 sigma_2, one 5-cycle per residue
     assert sorted(sorted(c) for c in tl.cycles()) == [
         [0, 3, 6, 9, 12], [1, 4, 7, 10, 13], [2, 5, 8, 11, 14]]
+    # every l >= 1 is taken mod n; T^n is the identity
+    assert Permutation.power_shift(15, 15) == Permutation.identity(15)
+    assert Permutation.power_shift(15, 18) == tl
     with pytest.raises(ValueError):
         Permutation.power_shift(15, 0)
 
