@@ -32,7 +32,6 @@ from .perm import (
     block_system_valid,
     conjugation_set,
     group_closure,
-    hset_brute,
     is_primitive,
     is_transitive,
     minimal_blocks,
@@ -83,8 +82,7 @@ __all__ = [
     "idempotent", "is_elementary", "is_mds", "min_distance",
     "permute_code", "weight_profile",
     "PermGroup", "Permutation", "block_system_valid", "conjugation_set",
-    "group_closure",
-    "hset_brute", "is_primitive", "is_transitive", "minimal_blocks",
+    "group_closure", "is_primitive", "is_transitive", "minimal_blocks",
     "normalizer_in_symmetric", "orbits", "sylow_ascend",
     "AutoReport", "BacktrackBudgetExceeded", "GroupClass", "analyze",
     "backtrack_full_group", "check_m_p_plus_1", "gk_family",

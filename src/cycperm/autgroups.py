@@ -5,22 +5,26 @@ defining-set answer is checked both ways against the matrix test for every
 unit), the generalized-multiplier families G_k available at prime-power
 length when the order of q is the same mod p and mod p^2, and a full
 backtrack search over coordinate images pruned by the minimum-weight
-codewords.  The search keeps one word per support, as two minimum-weight
-words on one support are proportional (their difference
-at the scale that cancels one coordinate is lighter, hence zero).  The
-words come from Brouwer-Zimmermann levels, not from a pass over all q^k
-codewords, and need the exact distance d of their side (code or dual):
-a weight-d word of a cyclic code whose pivots are 0..k-1 puts d*k nonzeros
-into the n windows of k consecutive coordinates, so some window holds at
-most floor(dk/n) of them, and the shift of that window onto the pivots has
-a message of that weight (codes.min_weight_words).  An
-automorphism sigma maps each such word w to w o sigma^-1, a minimum-weight
-word of the same code with the same values, so it keeps every statistic of
-the family taken up to scalars, and pruning on those cuts no automorphism.
-The search grows the group it finds on one stabilizer chain whose base is
-its coordinate order, and searches each coset of a point stabilizer once
-(Sims 1970), so it never lists the group: the exact order, or the lower
-bound when the node budget runs out, is the chain's order.  A classifier
+codewords.  The module holds one such search (_search), used two ways: for
+Aut(C) (backtrack_full_group) and, run against a second code, for the least
+permutation mapping C onto it (equivalence.brute_equivalence).  The search
+keeps one word per support, as two minimum-weight words on one support are
+proportional (their difference at the scale that cancels one coordinate is
+lighter, hence zero).  The words come from Brouwer-Zimmermann levels, not
+from a pass over all q^k codewords, and need the exact distance d of their
+side (code or dual): a weight-d word of a cyclic code whose pivots are
+0..k-1 puts d*k nonzeros into the n windows of k consecutive coordinates,
+so some window holds at most floor(dk/n) of them, and the shift of that
+window onto the pivots has a message of that weight
+(codes.min_weight_words).  An automorphism sigma maps each such word w to
+w o sigma^-1, a minimum-weight word of the same code with the same values,
+so it keeps every statistic of the family taken up to scalars, and pruning
+on those cuts no automorphism; a map onto a second code sends the family
+onto that code's, and pruning on the pair cuts no such map.  For Aut the
+search grows the group it finds on one stabilizer chain whose base is its
+coordinate order, and searches each coset of a point stabilizer once (Sims
+1970), so it never lists the group: the exact order, or the lower bound
+when the node budget runs out, is the chain's order.  A classifier
 maps the findings onto the known trichotomy for groups containing a
 complete cycle: elementary codes have the full symmetric group, prime
 length forces a handful of primitive groups, and otherwise the group is
@@ -29,7 +33,7 @@ imprimitive or projective semilinear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial, gcd, inf
 
 import numpy as np
 
@@ -187,33 +191,40 @@ class BacktrackResult:
     nodes: int
 
 
-def _word_family(code: LinearCode) -> np.ndarray:
+def _word_family(code: LinearCode) -> tuple[np.ndarray, bool, int]:
     """Minimum-weight codewords, one per support, from the code or its dual,
-    listed by codes.min_weight_words, which needs the side's exact distance.
-    Both families are permuted onto themselves, up to scalars, by every
+    listed by codes.min_weight_words, which needs the side's exact distance;
+    returned with whether they are the dual's and their weight d.  Both
+    families are permuted onto themselves, up to scalars, by every
     automorphism; small supports constrain the search hardest (a support
     with all but one point placed forces its last image), so among the
     sides whose distance min_distance certifies, prefer the one with the
     shorter supports, then the one with fewer; only the sides of least
-    distance are listed."""
-    sides = [(side, min_distance(side)) for side in (code, code.dual()) if side.k]
-    exact = [(dist.value, side) for side, dist in sides if dist.exact]
+    distance are listed.  Distance 1 counts last: its words are unit
+    vectors, which say only which points carry one.  When neither side's
+    distance is exact the family is empty, and the search prunes on
+    nothing."""
+    exact = [(dist.value, dual, side) for dual, side in ((False, code), (True, code.dual()))
+             if side.k and (dist := min_distance(side)).exact]
     if not exact:
-        raise ValueError("neither the code's nor the dual's minimum distance is exact")
-    d = min(v for v, _ in exact)
-    return min((min_weight_words(side, d) for v, side in exact if v == d), key=len)
+        return np.zeros((0, code.n), dtype=np.uint8), False, 0
+    d = min((v for v, _, _ in exact), key=lambda v: (v == 1, v))
+    return min(((min_weight_words(side, d), dual, d) for v, dual, side in exact if v == d),
+               key=lambda family: len(family[0]))
 
 
 def backtrack_full_group(code: LinearCode | CyclicCode,
                          node_budget: int = NODE_BUDGET_DEFAULT) -> BacktrackResult:
     """The automorphism group, by a depth-first search over coordinate
     images that searches each coset of a point stabilizer once (Sims 1970;
-    Seress, Permutation Group Algorithms, 2003, sec. 9.1).
+    Seress, Permutation Group Algorithms, 2003, sec. 9.1).  The search is
+    _search without a target; BRUTE runs it against a second code.
 
     Pruning uses the set W of minimum-weight codewords, one word per support
     (two on one support are proportional), of the code or its dual, chosen
     among the sides whose distance min_distance certifies (_word_family;
-    ValueError when neither is exact).  W is listed from the levels of
+    empty when neither is exact, so that nothing is pruned and the search
+    answers within its node budget).  W is listed from the levels of
     messages of weight at most floor(dk/n) and their n shifts when the side
     is cyclic with pivots 0..k-1, since some window of k consecutive
     coordinates holds at most that many of a weight-d word's nonzeros, and
@@ -249,40 +260,76 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     the order of the group found so far.
     """
     lin = code.linear if isinstance(code, CyclicCode) else code
-    n, q = lin.n, lin.field.order
     if lin.k == 0:
         raise ValueError("the zero code has no codewords to search on")
-    words = _word_family(lin)
-    inv, mul, _ = _tables(lin.field)
+    chain, _, nodes = _search(lin, node_budget)
+    return BacktrackResult(chain.order(), tuple(map(Permutation, chain.gens[0])), nodes)
+
+
+def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | None = None
+            ) -> tuple[StabilizerChain, tuple[int, ...] | None, int]:
+    """The one search over coordinate images, used two ways.  Without a
+    target it finds Aut(code) on a stabilizer chain (backtrack_full_group).
+    With a target of the code's dimension it finds the lexicographically
+    least permutation mapping the code onto the target
+    (equivalence.brute_equivalence).  Returns the chain, that witness (None
+    without a target or a witness) and the nodes visited.
+
+    A sigma mapping the code onto the target maps the code's word family
+    (_word_family) onto the target's family of the same side and weight d,
+    up to scalars.  So the code's degrees and co-degree keys are compared
+    with the target's at the images, and a completed word's image key must
+    be the key of a multiple of a target word: backtrack_full_group's tests
+    with the target in place of the code.  The target's family is listed
+    only when d lies in its side's distance interval (else it is empty, and
+    no point of a word finds an image): an equivalent target has distance
+    d, and min_weight_words needs it.  With a target the coordinates are
+    placed in natural order with increasing images, and no coset is
+    skipped, so the first leaf that passes maps_onto is the least witness;
+    the node budget is infinite by default."""
+    n, q = code.n, code.field.order
+    words, dual, d = _word_family(code)
+    image, words2 = (code if target is None else target), words
+    if target is not None and len(words):
+        side = target.dual() if dual else target
+        dist = min_distance(side)
+        words2 = min_weight_words(side, d) if dist.lower <= d <= dist.upper else words[:0]
+    inv, mul, _ = _tables(code.field)
     units = np.arange(1, q)
+    # term[v][j] = v q^j: the image keys of every multiple of every word
+    qpow = np.array([q ** j for j in range(n)], dtype=object)
+    terms = [[v * t for t in qpow.tolist()] for v in range(q)]
 
     def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b % q if mul is None else mul[a, b]
 
-    # codeg[a][b] names the multiset of ratios w_b / w_a over the words on a
-    # and b: pairs[a, b] counts the words with (w_a, w_b) = (u, v), and each
-    # such word weighs (|W| + 1)^(v / u - 1)
-    hot = (words[:, :, None] == units).reshape(len(words), -1).astype(np.int64)
-    pairs = (hot.T @ hot).reshape(n, q - 1, n, q - 1).transpose(0, 2, 1, 3).reshape(n, n, -1)
-    weight = (len(words) + 1) ** (times(inv[units][:, None], units).astype(object) - 1)
-    codeg = (pairs.astype(object) @ weight.ravel()).tolist()
-    # the image keys of every multiple of every word; term[v][j] = v q^j
-    qpow = np.array([q ** j for j in range(n)], dtype=object)
-    multiples = times(units[:, None, None], words[None]).reshape(-1, n)
-    keys = set((multiples.astype(object) @ qpow).tolist())
-    terms = [[v * t for t in qpow.tolist()] for v in range(q)]
+    def statistics(family: np.ndarray) -> tuple[list[int], list[list[int]], set[int]]:
+        """Degrees, co-degree keys and image keys of a family.  codeg[a][b]
+        names the multiset of ratios w_b / w_a over the words on a and b:
+        pairs[a, b] counts the words with (w_a, w_b) = (u, v), and each such
+        word weighs (|W| + 1)^(v / u - 1)."""
+        hot = (family[:, :, None] == units).reshape(len(family), n * (q - 1)).astype(np.int64)
+        pairs = (hot.T @ hot).reshape(n, q - 1, n, q - 1).transpose(0, 2, 1, 3).reshape(n, n, -1)
+        weight = (len(words) + 1) ** (times(inv[units][:, None], units).astype(object) - 1)
+        multiples = times(units[:, None, None], family[None]).reshape(-1, n)
+        return (np.count_nonzero(family, axis=0).tolist(),
+                (pairs.astype(object) @ weight.ravel()).tolist(),
+                set((multiples.astype(object) @ qpow).tolist()))
+
+    # the code's statistics, and the target's (deg2, codeg2, keys), met at the images
+    deg, codeg, keys = statistics(words)
+    deg2, codeg2, keys = (deg, codeg, keys) if target is None else statistics(words2)
     W = [np.flatnonzero(w).tolist() for w in words]
-    deg = np.count_nonzero(words, axis=0).tolist()
     sup_at: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
     for si, w in enumerate(words.tolist()):
         for i in W[si]:
             sup_at[i].append((si, terms[w[i]]))
 
-    # greedy coordinate order: most-constrained next (supports nearly
-    # covered); inside[si] counts the chosen points of word si
+    # greedy coordinate order without a target: most-constrained next
+    # (supports nearly covered); inside[si] counts the chosen points of word si
     sizes = [len(S) for S in W]
     inside = [0] * len(W)
-    order: list[int] = []
+    order: list[int] = [] if target is None else list(range(n))
     while len(order) < n:
         def gain(x: int) -> tuple[int, int, int]:
             near = sum(1 for si, _ in sup_at[x] if inside[si] == sizes[si] - 1)
@@ -300,23 +347,25 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     chain = StabilizerChain(n, order)
     nodes = 0
 
-    def descend(depth: int, fixed: bool) -> bool:
+    def descend(depth: int, fixed: bool) -> tuple[int, ...] | None:
         """Search below the placed prefix; fixed says it is the identity on
-        order[:depth].  True when an automorphism was added below."""
+        order[:depth].  The leaf accepted below, if any: an automorphism
+        added to the chain, or the witness."""
         nonlocal nodes
         if depth == n:
-            return bool(maps_onto(lin, lin, [img])[0]) and chain.add(tuple(img))
+            ok = maps_onto(code, image, [img])[0] and (target is not None or chain.add(tuple(img)))
+            return tuple(img) if ok else None
         pos = order[depth]
         assigned = order[:depth]
         for j in ([pos] + [j for j in range(n) if j != pos]) if fixed else range(n):
-            if used[j] or deg[j] != deg[pos] or fixed and j != pos and j in chain.orbit[depth]:
+            if used[j] or deg2[j] != deg[pos] or fixed and j != pos and j in chain.orbit[depth]:
                 continue
             nodes += 1
             if nodes > node_budget:
                 raise BacktrackBudgetExceeded(node_budget, chain.order())
             ok = True
             for i2 in assigned:
-                if codeg[pos][i2] != codeg[j][img[i2]]:
+                if codeg[pos][i2] != codeg2[j][img[i2]]:
                     ok = False
                     break
             if ok:
@@ -338,12 +387,11 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
             img[pos] = -1
             used[j] = False
             if hit and not fixed:
-                return True
-        return False
+                return hit
+        return None
 
-    descend(0, True)
-    gens = tuple(map(Permutation, chain.gens[0]))
-    return BacktrackResult(order=chain.order(), generators=gens, nodes=nodes)
+    found = descend(0, target is None)
+    return chain, found, nodes
 
 
 # --- classification -----------------------------------------------------------

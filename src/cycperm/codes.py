@@ -17,8 +17,9 @@ for b.  A matrix over GF(p^s) expands to a matrix over GF(p) with one s x s
 block per entry, so every product of code matrices is one integer matmul mod
 p, and s = 1 is plain prime-field arithmetic.  On that rest the batched test
 maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once),
-the first-hit witness scan first_map, and the one message-to-codeword
-product behind codeword_chunks and the level listing _level_words.  The
+which every witness scan and every leaf of the search calls, and the one
+message-to-codeword product behind codeword_chunks and the level listing
+_level_words.  The
 Brouwer-Zimmermann levels of min_distance need no product: they add scaled
 rows of G digit by digit and compare partial sums.  min_weight_words lists
 one minimum-weight word per support from the levels, given the exact
@@ -334,21 +335,6 @@ def maps_onto(c1: LinearCode, c2: LinearCode,
     mask = np.zeros(B, dtype=bool)
     mask[alive] = True
     return mask
-
-
-def first_map(c1: LinearCode, c2: LinearCode,
-              chunks: Iterable[np.ndarray]) -> Permutation | None:
-    """The first permutation mapping c1 onto c2, in the order in which the
-    (B, n) image arrays of `chunks` list the candidates, or None.  Each
-    chunk goes through maps_onto in one call.  Callers that report the hit
-    as a witness confirm it with permute_code."""
-    if c1.k != c2.k:           # no candidate can pass; skip listing them
-        return None
-    for images in chunks:
-        hits = np.flatnonzero(maps_onto(c1, c2, images))
-        if hits.size:
-            return Permutation(tuple(int(v) for v in images[hits[0]]))
-    return None
 
 
 def permute_code(code: LinearCode, sigma: Permutation) -> LinearCode:

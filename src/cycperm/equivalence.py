@@ -16,7 +16,10 @@ groups Q^m and Q_1^m (q_group), and for GR_FORMULA the Sylow subgroup
 affine set, the geometric-series map family) are kept as independent checks
 of the coset construction.  The MULTIPLIER strategy takes its witness from
 autgroups.multipliers_onto, the one multiplier test.  The BRUTE strategy
-scans all of S_n and covers small lengths for validation.
+covers small lengths for validation with the automorphism search of
+autgroups run against the second code: an exhaustive search that prunes
+only maps that cannot send the one code onto the other, and gives the
+lexicographically least witness.
 
 The invariant separation, the BRUTE verdict and the witness scan confirmed
 by permute_code (invariant_separation, brute_verdict, witness_scan) are
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,18 +39,16 @@ from .algebra import multiplicative_order, p_part, prime_power, units
 from .codes import (
     CyclicCode,
     LinearCode,
-    first_map,
     maps_onto,
     permute_code,
     weight_profile,
 )
-from .autgroups import gk_lifts, known_cyclic_subgroup, multipliers_onto
+from .autgroups import _search, gk_lifts, known_cyclic_subgroup, multipliers_onto
 from .perm import (
     BRUTE_DEGREE_BOUND,
     PermGroup,
     Permutation,
     conjugation_set,
-    perm_chunks,
     shift_coset_leaders,
     sylow_through_shift,
 )
@@ -319,32 +320,39 @@ def invariant_separation(c1: CyclicCode | QuasiCyclicCode,
     return EquivalenceVerdict("inequivalent", None, strategy, True, sep)
 
 
-def witness_scan(c1: LinearCode, c2: LinearCode,
-                 chunks: Iterable[np.ndarray]) -> Permutation | None:
-    """The first permutation in the order of `chunks` mapping c1 onto c2
-    (codes.first_map), checked again with permute_code; None when none does.
-    Restricted sets such as H(P) and H'(P) are scanned as the one chunk of
-    perm.shift_coset_leaders, one member per coset of <T^l>, in sorted
-    order of images."""
-    sigma = first_map(c1, c2, chunks)
-    if sigma is not None and permute_code(c1, sigma) != c2:
-        raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
-    return sigma
+def witness_scan(c1: LinearCode, c2: LinearCode, images: np.ndarray) -> Permutation | None:
+    """The first row of the (B, n) image array `images` whose permutation
+    maps c1 onto c2 (codes.maps_onto, one call), checked again with
+    permute_code; None when none does.  Restricted sets such as H(P) and
+    H'(P) are scanned as perm.shift_coset_leaders, one member per coset of
+    <T^l>, in sorted order of images; BRUTE hands over the one witness of
+    its search."""
+    for row in images[maps_onto(c1, c2, images)][:1]:
+        sigma = Permutation(tuple(row.tolist()))
+        if permute_code(c1, sigma) != c2:
+            raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
+        return sigma
+    return None
 
 
 def brute_equivalence(c1: CyclicCode | LinearCode,
                       c2: CyclicCode | LinearCode) -> Permutation | None:
-    """Exhaustive S_n scan for the lexicographically least permutation mapping
-    the first code onto the second; None when inequivalent.  n <= 10, every
-    field and dimension: perm_chunks lists S_n in lexicographic order and
-    first_map runs the code-action test on each chunk.  The hit is confirmed
-    with permute_code."""
+    """The lexicographically least permutation mapping the first code onto
+    the second, None when inequivalent; n <= 10, every field and dimension.
+    It comes from the automorphism search run with the second code as its
+    target (autgroups._search): coordinates in natural order, images
+    increasing, branches pruned on the minimum-weight words of the first
+    code against those of the second, so only maps that cannot send the one
+    code onto the other are skipped and the first leaf that passes maps_onto
+    is the least witness.  Without an exact distance on either side nothing
+    is pruned and the search visits every permutation, fewer than e n!
+    nodes.  The hit is confirmed with permute_code."""
     l1 = c1.linear if isinstance(c1, CyclicCode) else c1
     l2 = c2.linear if isinstance(c2, CyclicCode) else c2
-    n = l1.n
-    if n > BRUTE_DEGREE_BOUND:
+    if l1.n > BRUTE_DEGREE_BOUND:
         raise ValueError(f"exhaustive scan limited to n <= {BRUTE_DEGREE_BOUND}")
-    return witness_scan(l1, l2, perm_chunks(n))
+    witness = _search(l1, target=l2)[1] if l1.k == l2.k else None
+    return witness_scan(l1, l2, np.array([witness])) if witness else None
 
 
 def brute_verdict(c1: LinearCode, c2: LinearCode) -> EquivalenceVerdict:
@@ -367,9 +375,10 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     complete exactly when multiplier equivalence is known to decide the
     length.  HP scans the exact H(P), one member per coset of <T>, in
     sorted order, at every length; it is complete when the descriptor
-    certifies P as a Sylow subgroup of the full group.  BRUTE scans S_n and
-    accepts n <= 10.  An "inequivalent" verdict is only issued under a
-    complete strategy or an invariant separation.
+    certifies P as a Sylow subgroup of the full group.  BRUTE searches S_n
+    for the least witness, pruned on minimum-weight words
+    (brute_equivalence), and accepts n <= 10.  An "inequivalent" verdict is
+    only issued under a complete strategy or an invariant separation.
     """
     _check_compatible(c1, c2)
     strategy = strategy.upper()
@@ -404,7 +413,7 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     leaders, size = shift_coset_leaders(P)
     detail = (f"H(P) of size {size} from a {desc.kind} descriptor, "
               f"Sylow exponent {desc.sylow_exponent}")
-    sigma = witness_scan(c1.linear, c2.linear, [leaders])
+    sigma = witness_scan(c1.linear, c2.linear, leaders)
     if sigma is not None:
         return EquivalenceVerdict("equivalent", sigma, strategy, desc.complete,
                                   f"witness found in {detail}")

@@ -40,11 +40,12 @@ coset's least row, in the same sorted order.  A code fixed by T^l is mapped
 onto by all of a coset or by none of it, so the leaders give the same first
 witness and the same verdict as the full listing, with n/l times fewer rows.
 
-The exhaustive S_n scans take all n! permutations in lexicographic order
-from itertools.permutations, in numpy chunks made by the row-chunk helper
-that also lists the subsets of codes.min_distance's rank steps, so n <= 10
-stays within seconds.  They serve the BRUTE equivalence strategy and the
-tests' oracles only.
+The exhaustive S_n scan, conjugation_scan, takes all n! permutations in
+lexicographic order from itertools.permutations, in numpy chunks made by the
+row-chunk helper that also lists the subsets of codes.min_distance's rank
+steps, so n <= 10 stays within seconds.  It is the tests' oracle for
+conjugation_set and no decision path calls it: the BRUTE equivalence
+strategy runs the automorphism search of autgroups against a second code.
 """
 from __future__ import annotations
 
@@ -737,7 +738,7 @@ def normalizer_in_symmetric(group: PermGroup) -> frozenset[Permutation]:
                      if all(s.inverse() * g * s in group for g in gens))
 
 
-# --- exhaustive S_n scans: the BRUTE strategy and test oracles ------------------
+# --- the exhaustive S_n scan: the test oracle for conjugation_set --------------
 
 def _row_chunks(rows: Iterator[tuple[int, ...]], width: int, chunk: int,
                 dtype: type = np.int64) -> Iterator[np.ndarray]:
@@ -751,28 +752,21 @@ def _row_chunks(rows: Iterator[tuple[int, ...]], width: int, chunk: int,
         yield flat.reshape(-1, width)
 
 
-def perm_chunks(n: int, chunk: int = _SCAN_CHUNK) -> Iterator[np.ndarray]:
-    """All n! permutations in lexicographic order as (B, n) int8 arrays,
-    from itertools.permutations."""
-    return _row_chunks(itertools.permutations(range(n)), n, chunk, np.int8)
-
-
 def conjugation_scan(n: int, conditions: Sequence[tuple[Permutation, Iterable[Permutation]]]) -> list[Permutation]:
     """All sigma in S_n with sigma^-1 * g * sigma in P for every (g, P) given,
-    by exhaustive scan: the oracle for conjugation_set.
+    by exhaustive scan: the oracle for conjugation_set.  S_n comes in
+    lexicographic order from itertools.permutations, in int8 chunks of
+    _SCAN_CHUNK rows.
 
     Scanning identity: sigma^-1 g sigma in P  iff  g.sigma = sigma.rho for
     some rho in P, i.e. g[images] equals images gathered at rho.
     """
     if n > BRUTE_DEGREE_BOUND:
         raise ValueError(f"exhaustive S_n scan limited to degree {BRUTE_DEGREE_BOUND}, got {n}")
-    conds = []
-    for g, P in conditions:
-        garr = np.array(g.images, dtype=np.int8)
-        parr = np.array([rho.images for rho in P], dtype=np.int8)
-        conds.append((garr, parr))
+    conds = [(np.array(g.images, dtype=np.int8), np.array([rho.images for rho in P], dtype=np.int8))
+             for g, P in conditions]
     out: list[Permutation] = []
-    for A in perm_chunks(n):
+    for A in _row_chunks(itertools.permutations(range(n)), n, _SCAN_CHUNK, np.int8):
         mask = np.ones(A.shape[0], dtype=bool)
         for garr, parr in conds:
             gA = garr[A]                       # (B, n): g o sigma
@@ -783,15 +777,8 @@ def conjugation_scan(n: int, conditions: Sequence[tuple[Permutation, Iterable[Pe
             mask &= sub
             if not mask.any():
                 break
-        for b in np.nonzero(mask)[0]:
-            out.append(Permutation(tuple(int(v) for v in A[b])))
+        out += [Permutation(tuple(row)) for row in A[mask].tolist()]
     return out
-
-
-def hset_brute(target: Permutation, P: PermGroup) -> frozenset[Permutation]:
-    """{sigma in S_n : sigma^-1 * target * sigma in P} by exhaustive scan: the
-    oracle for conjugation_set."""
-    return frozenset(conjugation_scan(target.degree, [(target, P.elements())]))
 
 
 def sylow_ascend(ambient: PermGroup, p: int, seed: PermGroup) -> PermGroup:

@@ -326,7 +326,7 @@ def _lemmas_rows(seed: int) -> list[VerificationRow]:
                          f"{agree} of {pairs}", t0))
 
     # the same-dimension pairs of GF(3) cyclic codes of length 8 reach both
-    # H(P) and the S_8 scan, which no pair above does (the binary codes of
+    # H(P) and BRUTE's search, which no pair above does (the binary codes of
     # length 9 have 8 different dimensions); an HP verdict agrees when it is
     # inconclusive or BRUTE's, with its witness confirmed by permute_code
     t0 = time.perf_counter()

@@ -32,7 +32,6 @@ from cycperm.perm import (
     Permutation,
     block_system_valid,
     group_closure,
-    hset_brute,
     normalizer_in_symmetric,
     sylow_ascend,
 )
@@ -45,6 +44,7 @@ from cycperm.quasicyclic import (
     sigma_cycles,
 )
 from cycperm.verification import run_battery
+from oracles import hset_brute
 
 GF2 = make_field(2)
 GF3 = make_field(3)

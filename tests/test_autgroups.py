@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from math import factorial, gcd, prod
@@ -40,7 +41,6 @@ from cycperm.perm import (
     block_system_valid,
     group_closure,
     orbits,
-    perm_chunks,
 )
 
 GF2 = make_field(2)
@@ -259,11 +259,12 @@ def test_backtrack_matches_symmetric_group_scan():
     checked = 0
     for q, n in ((2, 7), (3, 8), (4, 5), (4, 7), (5, 6)):
         swap = Permutation((1, 0) + tuple(range(2, n)))
+        every = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
         for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
             if is_elementary(code.linear):
                 continue
             for lin in (code.linear, permute_code(code.linear, swap)):
-                fixing = sum(int(maps_onto(lin, lin, rows).sum()) for rows in perm_chunks(n))
+                fixing = int(maps_onto(lin, lin, every).sum())
                 res = backtrack_full_group(lin)
                 assert res.order == fixing
                 assert PermGroup(n, res.generators).order() == fixing
@@ -539,8 +540,12 @@ def test_window_listing_matches_the_full_pass():
                     oracle.append(want)
                     sides += 1
                 chosen = min(oracle, key=lambda f: (np.count_nonzero(f[0]), len(f)))
-                assert np.array_equal(autgroups._word_family(lin) != 0, chosen != 0)
+                assert np.array_equal(autgroups._word_family(lin)[0] != 0, chosen != 0)
     assert sides == 528
+    # a zero coordinate gives the dual a unit vector, distance 1, which says
+    # only where the zero is: the code's weight-3 words are taken instead
+    padded = LinearCode.from_rows(GF2, 8, [list(r) + [0] for r in HAMMING7.linear.matrix])
+    assert autgroups._word_family(padded)[1:] == (False, 3)
 
 
 def test_backtrack_lists_no_codeword_pass(monkeypatch):

@@ -2,19 +2,22 @@ import itertools
 import random
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycperm import equivalence
+from cycperm import autgroups, equivalence
 from cycperm.algebra import make_field, prime_power, units
 from cycperm.autgroups import gk_family, known_cyclic_subgroup
 from cycperm.codes import (
+    DistanceResult,
     LinearCode,
     cyclic_code,
     cyclic_defining_set,
     enumerate_cyclic_codes,
-    first_map,
+    is_shift_invariant,
+    maps_onto,
     permute_code,
     weight_profile,
 )
@@ -37,11 +40,11 @@ from cycperm.perm import (
     Permutation,
     conjugation_rows,
     group_closure,
-    hset_brute,
     normalizer_in_symmetric,
     sylow_ascend,
     sylow_through_shift,
 )
+from oracles import hset_brute
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -366,16 +369,55 @@ GF4_UNRELATED = LinearCode.from_rows(GF4, 7, [[1, 0, 0, 0, 2, 3, 1], [0, 1, 0, 0
                                               [0, 0, 1, 0, 3, 0, 1], [0, 0, 0, 1, 2, 2, 3]])
 
 
-def test_brute_witness_is_lexicographically_least():
+def _random_pairs(seed: int) -> list[tuple[LinearCode, LinearCode, bool | None]]:
+    """Random codes that are not cyclic over GF(2), GF(3) and GF(4) at n = 6
+    and 7, each with a planted permutation image of itself (equivalent) and
+    with an unrelated code of its dimension (either way)."""
+    rng = random.Random(seed)
+    out = []
+    for F in (GF2, GF3, GF4):
+        for n in (6, 7):
+            k = rng.randrange(2, n - 1)
+            draw = lambda: LinearCode.from_rows(
+                F, n, [[rng.randrange(F.order) for _ in range(n)] for _ in range(k)])
+            code = draw()
+            while code.k != k or is_shift_invariant(code):
+                code = draw()
+            other = draw()
+            while other.k != k:
+                other = draw()
+            images = list(range(n))
+            rng.shuffle(images)
+            out += [(code, permute_code(code, Permutation(tuple(images))), True),
+                    (code, other, None)]
+    return out
+
+
+def test_brute_witness_is_lexicographically_least(monkeypatch):
     # the oracle: the first permutation in lexicographic order that
-    # permute_code confirms, over a prime and an extension field
+    # permute_code confirms, over prime and extension fields, on cyclic
+    # codes, on random codes that are not cyclic, and on the zero code and
+    # the full space (every permutation maps each onto itself)
     cases = [(HAMMING.linear, HAMMING_MIRROR.linear, True),
              (GF4_SEVEN.linear, cyclic_code(7, GF4, {3, 5, 6}).linear, True),
-             (GF4_SEVEN.linear, GF4_UNRELATED, False)]
+             (GF4_SEVEN.linear, GF4_UNRELATED, False),
+             (cyclic_code(5, GF4, set(range(5))).linear, cyclic_code(5, GF4, set(range(5))).linear, True),
+             (cyclic_code(7, GF2, set()).linear, cyclic_code(7, GF2, set()).linear, True),
+             *_random_pairs(20)]
+    oracles = []
     for l1, l2, equivalent in cases:
-        oracle = next((Permutation(im) for im in itertools.permutations(range(7))
+        oracle = next((Permutation(im) for im in itertools.permutations(range(l1.n))
                        if permute_code(l1, Permutation(im)) == l2), None)
-        assert (oracle is not None) == equivalent
+        assert equivalent is None or (oracle is not None) == equivalent
+        assert brute_equivalence(l1, l2) == oracle
+        oracles.append(oracle)
+    assert oracles[3] == Permutation.identity(5) and oracles[4] == Permutation.identity(7)
+    assert sum(o is None for o in oracles) >= 3
+    # neither side's distance exact: the family is empty and the search,
+    # pruned on nothing, still gives the least witness or none
+    monkeypatch.setattr(autgroups, "min_distance",
+                        lambda code, budget=None: DistanceResult(1, code.n, False))
+    for (l1, l2, _), oracle in list(zip(cases, oracles))[:3]:
         assert brute_equivalence(l1, l2) == oracle
 
 
@@ -467,7 +509,9 @@ def test_hp_witness_is_the_first_hit_over_the_full_hp_rows():
         witnesses += verdict.witness is not None
         P, _ = build_sylow_descriptor(c1)
         full = conjugation_rows(Permutation.shift(c1.n), P)
-        assert verdict.witness == first_map(c1.linear, c2.linear, [full]), (c1, c2)
+        first = np.flatnonzero(maps_onto(c1.linear, c2.linear, full))
+        oracle = Permutation(tuple(full[first[0]].tolist())) if first.size else None
+        assert verdict.witness == oracle, (c1, c2)
         if verdict.evidence != "weight profiles differ":
             assert f"H(P) of size {len(full)} " in verdict.evidence, (c1, c2)
     assert witnesses > len(pairs) // 2

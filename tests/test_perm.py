@@ -19,17 +19,16 @@ from cycperm.perm import (
     conjugation_scan,
     conjugation_set,
     group_closure,
-    hset_brute,
     is_primitive,
     is_transitive,
     minimal_blocks,
     normalizer_in_symmetric,
     orbits,
-    perm_chunks,
     shift_coset_leaders,
     sylow_ascend,
     sylow_through_shift,
 )
+from oracles import hset_brute
 
 
 def test_permutation_basics():
@@ -392,16 +391,6 @@ def test_no_blocks_at_prime_degree(p):
             assert perm._block_system_through(gens, p, (0, x)) == (tuple(range(p)),)
     with pytest.raises(ValueError, match="transitive"):
         minimal_blocks(PermGroup.from_generators(p, [Permutation((1, 0) + tuple(range(2, p)))]))
-
-
-def test_perm_chunks_lex_order():
-    want = list(itertools.permutations(range(4)))
-    got = []
-    for chunk in perm_chunks(4, chunk=7):
-        got.extend(tuple(int(v) for v in row) for row in chunk)
-    assert got == want
-    total = sum(len(c) for c in perm_chunks(6))
-    assert total == math.factorial(6)
 
 
 def test_normalizer_of_shift_brute():

@@ -17,7 +17,6 @@ from cycperm.perm import (
     centralizer_order,
     conjugation_cosets,
     conjugation_set,
-    hset_brute,
     normalizer_in_symmetric,
     sylow_ascend,
 )
@@ -32,6 +31,7 @@ from cycperm.quasicyclic import (
     quasi_cyclic_code,
     sigma_cycles,
 )
+from oracles import hset_brute
 
 GF2 = make_field(2)
 GF3 = make_field(3)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cycperm"
@@ -64,3 +65,16 @@ def test_every_library_function_and_class_is_referenced():
               for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
     assert unused == []
+
+
+def test_every_traced_function_is_bound():
+    # the benchmark wraps library functions by name (perfbench/tracing.py's
+    # TRACED, read here without importing it); a library change that drops
+    # one must fail here, not only in the benchmark's own tests
+    tracing = ast.parse((PACKAGE.parent.parent / "perfbench" / "tracing.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tracing.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    unbound = [f"{mod}.{fn}" for mod, fns in traced.items() for fn in fns
+               if not callable(getattr(importlib.import_module(f"cycperm.{mod}"), fn, None))]
+    assert traced and unbound == []
