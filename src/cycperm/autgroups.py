@@ -199,18 +199,29 @@ def _word_family(code: LinearCode) -> tuple[np.ndarray, bool, int]:
     automorphism; small supports constrain the search hardest (a support
     with all but one point placed forces its last image), so among the
     sides whose distance min_distance certifies, prefer the one with the
-    shorter supports, then the one with fewer; only the sides of least
-    distance are listed.  Distance 1 counts last: its words are unit
-    vectors, which say only which points carry one.  When neither side's
-    distance is exact the family is empty, and the search prunes on
-    nothing."""
+    shorter supports, then the one with fewer.  Two kinds of family count
+    last: distance 1, whose words are unit vectors that say only which
+    points carry one, and then a lone support, which constrains only its
+    own points.  A side is listed only when it can still win.  When
+    neither side's distance is exact the family is empty, and the search
+    prunes on nothing."""
     exact = [(dist.value, dual, side) for dual, side in ((False, code), (True, code.dual()))
              if side.k and (dist := min_distance(side)).exact]
     if not exact:
         return np.zeros((0, code.n), dtype=np.uint8), False, 0
-    d = min((v for v, _, _ in exact), key=lambda v: (v == 1, v))
-    return min(((min_weight_words(side, d), dual, d) for v, dual, side in exact if v == d),
-               key=lambda family: len(family[0]))
+
+    def rank(family: tuple[np.ndarray, bool, int]) -> tuple[bool, bool, int, int]:
+        words, _, d = family
+        return d == 1, len(words) == 1, d, len(words)
+
+    family = None
+    for d, dual, side in sorted(exact, key=lambda e: (e[0] == 1, e[0])):
+        # (d == 1, False, d, 2) is the best rank a side of distance d can have
+        if family is None or (d == 1, False, d, 2) < rank(family):
+            listed = (min_weight_words(side, d), dual, d)
+            if family is None or rank(listed) < rank(family):
+                family = listed
+    return family
 
 
 def backtrack_full_group(code: LinearCode | CyclicCode,
@@ -615,8 +626,8 @@ def analyze(code: CyclicCode | LinearCode,
     block systems, and a classification label with evidence.
 
     The reported generators passed maps_onto in the search or the scans;
-    they are checked again, independently, by one batched elimination
-    (codes.fixed_by), and a RuntimeError names the first that fails.  The
+    they are checked again, independently, by re-encoding the permuted rows
+    of G (codes.fixed_by), and a RuntimeError names the first that fails.  The
     block systems are those of the group they generate (perm.minimal_blocks,
     empty without a closure at prime length).  When the search runs out of
     nodes, the report is finished without the full group and the

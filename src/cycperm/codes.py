@@ -18,22 +18,22 @@ block per entry, so every product of code matrices is one integer matmul mod
 p, and s = 1 is plain prime-field arithmetic.  On that rest the batched test
 maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once),
 which every witness scan and every leaf of the search calls, and the one
-message-to-codeword product behind codeword_chunks and the level listing
-_level_words.  The
-Brouwer-Zimmermann levels of min_distance need no product: they add scaled
-rows of G digit by digit and compare partial sums.  min_weight_words lists
-one minimum-weight word per support from the levels, given the exact
-distance, with the window theorem of _has_windows that also gives
-min_distance its cyclic bound.  permute_code is the public transform and the
-independent check of every reported witness; fixed_by checks a batch of
-reported automorphism generators the same way, by elimination.
+message-to-codeword product behind codeword_chunks, the level listing
+_level_words and fixed_by.  The Brouwer-Zimmermann levels of min_distance
+need no product: they add scaled rows of G digit by digit and compare
+partial sums on the non-pivot columns.  min_weight_words lists one
+minimum-weight word per support from the levels, given the exact distance,
+with the window theorem of _has_windows that also gives min_distance its
+cyclic bound.  permute_code is the public transform and the independent
+check of every reported witness; fixed_by checks a batch of reported
+automorphism generators from G alone, by re-encoding each permuted row from
+its values on the pivots.
 
 Every Gaussian elimination is one routine, _eliminate, run on a batch of
 matrices over GF(q) at once: the RREF that identifies a code (from_rows,
-permute_code, dual, CyclicCode.linear) is a batch of one, fixed_by is a
-batch of one stack per permutation, and each rank step of min_distance is
-a batch of column subsets.  GF(p) multiplies mod p; GF(p^s) looks products
-and differences up in q x q tables.
+permute_code, dual, CyclicCode.linear) is a batch of one, and each rank
+step of min_distance is a batch of column subsets.  GF(p) multiplies mod p;
+GF(p^s) looks products and differences up in q x q tables.
 """
 from __future__ import annotations
 
@@ -253,13 +253,16 @@ class LinearCode:
 
     @cached_property
     def scaled_rows(self) -> np.ndarray:
-        """The GF(p) digits of c * G_j for every row j of G and every field
-        element c, as a read-only (k, q, n*s) array of unsigned integers
-        wide enough for a sum of two digits and for a field element (uint8
-        for q < 128)."""
+        """The GF(p) digits of c * G_j on the n - k non-pivot columns, for
+        every row j of G and every field element c, as a read-only
+        (k, q, (n-k)*s) array of unsigned integers wide enough for a sum of
+        two digits and for a field element (uint8 for q < 128)."""
         p, s = self.field.characteristic, self.field.degree
         digits = multiplication_matrices(self.field)[:, 0]     # row c: digits of c
-        table = digits @ self.expanded_generator.reshape(self.k, s, -1) % p
+        free = np.ones(self.n, dtype=bool)
+        free[list(self.pivots)] = False
+        rows = self.expanded_generator.reshape(self.k, s, -1)[:, :, np.repeat(free, s)]
+        table = digits @ rows % p
         out = table.astype(np.min_scalar_type(2 * self.field.order))
         out.flags.writeable = False
         return out
@@ -346,20 +349,23 @@ def permute_code(code: LinearCode, sigma: Permutation) -> LinearCode:
 
 def fixed_by(code: LinearCode, sigmas: Sequence[Permutation]) -> np.ndarray:
     """Entry b says whether sigmas[b] maps the code onto itself, as
-    permute_code(code, sigmas[b]) == code does, by one batched elimination
-    with the kernel behind permute_code, not with the code-action test
-    maps_onto, so that it checks maps_onto's findings independently.
-    Slice b of the (B, 2k, n) stack holds the RREF of the code above the
-    same rows with columns permuted by sigmas[b]^-1.  The first k rows are
-    independent, and the permuted code has dimension k too, so sigmas[b]
-    fixes the code iff the other k rows come out dependent (pivot -1)."""
+    permute_code(code, sigmas[b]) == code does.  It reads G alone, never H,
+    so it checks the findings of maps_onto, whose test is G H^T = 0,
+    independently.  Each row of G, with its columns permuted by
+    sigmas[b]^-1, is re-encoded from its values on the pivot columns (G is
+    in RREF, so a codeword is the encoding of its values there) and
+    compared with itself: sigmas[b] fixes the code iff every permuted row
+    lies in it, since the permuted rows span a code of the same dimension."""
     k, n = code.k, code.n
-    G = np.array(code.matrix, dtype=np.int64).reshape(k, n)
-    inverses = np.array([s.inverse().images for s in sigmas], dtype=np.int64).reshape(-1, n)
-    stack = np.concatenate([np.broadcast_to(G, (len(inverses), k, n)),
-                            G[:, inverses].transpose(1, 0, 2)], axis=1)
-    _, pivots = _eliminate(stack, code.field)
-    return (pivots[:, k:] < 0).all(axis=1)
+    if not (k and len(sigmas)):
+        return np.ones(len(sigmas), dtype=bool)
+    G = np.array(code.matrix, dtype=np.int64)
+    inverses = np.array([s.inverse().images for s in sigmas], dtype=np.int64)
+    rows = G[:, inverses].transpose(1, 0, 2).reshape(-1, n)        # (B*k, n)
+    digits = multiplication_matrices(code.field)[:, 0]             # row v: digits of v
+    messages = digits[rows[:, list(code.pivots)]].reshape(len(rows), -1)
+    same = (code._encode(messages) == rows).all(axis=1)
+    return same.reshape(len(sigmas), k).all(axis=1)
 
 
 def is_shift_invariant(code: LinearCode) -> bool:
@@ -566,11 +572,11 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     Z-level t (Brouwer-Zimmermann: Betten et al., Error-Correcting Linear
     Codes, 2006; Grassl 2006) takes every codeword whose message has weight
     exactly t and first nonzero entry 1, C(k, t) (q-1)^(t-1) words, and
-    keeps the least weight.  _level_weight splits each word into a head and
-    a tail and counts the coordinates where -head and tail differ, one
-    comparison per coordinate; level 1 is the rows of G, already in best.
-    G is in RREF, so a codeword restricted to the pivot columns is its
-    message.
+    keeps the least weight.  G is in RREF, so a codeword restricted to the
+    pivot columns is its message, of weight t; _level_weight splits each
+    word into a head and a tail and counts the n - k non-pivot columns
+    where -head and tail differ, one comparison per column.  Level 1 is the
+    rows of G, already in best.
 
     Theorem (information sets).  After levels 1..t, every codeword with at
     most t nonzeros on the pivots has been seen up to a scalar, so every
@@ -588,24 +594,25 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
 
     Choice of step.  The plan of a kind takes its steps alone, in order,
     while they fit the remaining budget and the bound is below best, and
-    counts the array operations they cost: per Z word n*s*(k*s + 2), what
-    encoding it through the expanded generator took (a tie-break count,
-    not the cost of the head + tail comparison); per subset of B-step w,
-    three operations (multiply, subtract, reduce) for each of the about
-    w^2/2 * (n-k) entries the elimination clears plus about 6.5 per entry
-    of the w pivot rows, w(3w + 13)(n-k)/2, a tie-break count too, taken
-    from the GF(p) arithmetic of _eliminate.  The loop follows the plan
-    that reaches the highest bound, the cheaper one among equals, and
-    takes a Z-level ahead of a rank plan while the level costs no more than
-    the next B-step and the rank plan still reaches its bound without the
-    level's budget (a level may lower best).  So no step gives up a bound
-    or a certificate that one kind alone could still reach: the result is
-    exact whenever one kind alone certifies within the budget, in
-    particular whenever all (q^k - 1)/(q - 1) words fit, and otherwise its
-    lower end is at least what the rank steps alone reach.
+    adds up their cost in one measured unit, the compared coordinate: a Z
+    word costs the n - k comparisons _level_weight makes for it; a subset
+    of B-step w costs the operations of its elimination,
+    _elimination_ops(n - k, w), times _ELIMINATION_OP_COST, the measured
+    ratio of the time of one such operation to that of one comparison
+    (tools/calibrate_distance.py).  The loop follows the plan that reaches
+    the highest bound, the cheaper one among equals, and takes a Z-level
+    ahead of a rank plan while the level costs no more than the next
+    B-step and the rank plan still reaches its bound without the level's
+    budget (a level may lower best).  Costs only break ties, so no step
+    gives up a bound or a certificate that one kind alone could still
+    reach: the result is exact whenever one kind alone certifies within
+    the budget, in particular whenever all (q^k - 1)/(q - 1) words fit,
+    and otherwise its lower end is at least what the rank steps alone
+    reach.
 
-    The budget counts Z words and B subsets; each level or step is taken
-    whole or not at all, so the answer does not depend on chunk sizes.
+    The budget counts Z words and B subsets, not their cost; each level or
+    step is taken whole or not at all, so the answer does not depend on
+    chunk sizes.
     When no useful step fits, best is also compared, outside the budget,
     with the first 2^16 words of levels 2 and 3, and the result is exact
     if that closes the gap, else the interval [bound, best].
@@ -622,7 +629,7 @@ def _min_distance(code: LinearCode, budget: int) -> DistanceResult:
         return DistanceResult(0, 0, True)
     if k == n:
         return DistanceResult(1, 1, True)
-    q, s = F.order, F.degree
+    q = F.order
     cyclic = is_shift_invariant(code)
     windows = _has_windows(code, cyclic)
     best = min(sum(1 for v in row if v) for row in code.matrix)
@@ -636,26 +643,27 @@ def _min_distance(code: LinearCode, budget: int) -> DistanceResult:
         return max(-(-n * (t + 1) // k) if windows else t + 1, w + 1)
 
     def step(kind: str, t: int, w: int) -> tuple[int, int]:
-        """Budget units and operations of the next step of `kind`."""
+        """Budget units of the next step of `kind`, and its cost in
+        compared coordinates."""
         if kind == "Z":
             units = comb(k, t + 1) * (q - 1) ** t
-            return units, units * n * s * (k * s + 2)
+            return units, units * (n - k)
         units = comb(n - 1, w) if cyclic else comb(n, w + 1)
-        return units, units * (w + 1) * (3 * w + 16) * (n - k) // 2
+        return units, units * _elimination_ops(n - k, w + 1) * _ELIMINATION_OP_COST
 
     def plan(kind: str, t: int, w: int, room: int) -> tuple[int, int, int]:
-        """Bound reached (at most best), operations and steps of the steps
-        of `kind` alone from (t, w) within `room` budget units."""
-        ops = taken = 0
+        """Bound reached (at most best), cost and steps of the steps of
+        `kind` alone from (t, w) within `room` budget units."""
+        total = taken = 0
         while bound(t, w) < best:
             units, cost = step(kind, t, w)
             if units > room:
                 break
             room -= units
-            ops += cost
+            total += cost
             taken += 1
             t, w = (t + 1, w) if kind == "Z" else (t, w + 1)
-        return min(bound(t, w), best), ops, taken
+        return min(bound(t, w), best), total, taken
 
     t = w = spent = 0                 # Z-levels 1..t and B-steps 1..w done
     while bound(t, w) < best:
@@ -688,6 +696,21 @@ def _min_distance(code: LinearCode, budget: int) -> DistanceResult:
         for block in _first_rows(words, 1 << 16):
             best = min(best, int(np.count_nonzero(block, axis=1).min()))
     return DistanceResult(min(lower, best), best, lower >= best)
+
+
+# The cost of one elimination operation of a B subset in compared
+# coordinates of a Z word, the ratio of their times: the median over the
+# parameter table's codes that tools/calibrate_distance.py prints, 9.1-9.9
+# in five runs on a 2-core x86-64 (ratios per code from 2 to 40)
+_ELIMINATION_OP_COST = 10
+
+
+def _elimination_ops(r: int, w: int) -> int:
+    """Array operations of eliminating one w-subset of the r = n - k rows of
+    H^T: three (multiply, subtract, reduce) for each of the about w^2/2 * r
+    entries the elimination clears, plus about 6.5 for each entry of the w
+    pivot rows, counted from the GF(p) arithmetic of _eliminate."""
+    return w * (3 * w + 13) * r // 2
 
 
 def _has_windows(code: LinearCode, cyclic: bool) -> bool:
@@ -741,17 +764,19 @@ def _level_weight(code: LinearCode, t: int) -> int:
     """Z-level t: the least weight of its codewords, the sums of t rows of G
     at distinct positions with nonzero coefficients, the first one 1.
 
-    Each word is a head, its first a terms, plus a tail, its other t - a
-    terms, all at later positions.  A coordinate of head + tail is zero
-    exactly when the tail's entry there equals that of -head, so the
-    weight is the number of coordinates where -head and tail differ: one
-    comparison per coordinate, no product.  The partial sums are built one
-    position at a time from scaled_rows over GF(p), then read as field
-    elements (for s > 1 two entries are equal when all s digits are).
-    The -heads are sorted by last position and the tails by first, so each
-    group of heads pairs with a suffix of the tails; they are compared in
-    blocks of at most 2^16 words, and a is chosen to list the fewest heads
-    and tails."""
+    G is in RREF, so such a word equals its message on the pivot columns
+    and has exactly t nonzeros there; only the n - k non-pivot columns
+    (scaled_rows) are compared.  Each word is a head, its first a terms,
+    plus a tail, its other t - a terms, all at later positions.  A
+    coordinate of head + tail is zero exactly when the tail's entry there
+    equals that of -head, so the weight is t plus the number of non-pivot
+    columns where -head and tail differ: one comparison per column, no
+    product.  The partial sums are built one position at a time from
+    scaled_rows over GF(p), then read as field elements (for s > 1 two
+    entries are equal when all s digits are).  The -heads are sorted by
+    last position and the tails by first, so each group of heads pairs
+    with a suffix of the tails; they are compared in blocks of at most
+    2^16 words, and a is chosen to list the fewest heads and tails."""
     F, n, k = code.field, code.n, code.k
     p, q = F.characteristic, F.order
     scaled = code.scaled_rows
@@ -768,7 +793,7 @@ def _level_weight(code: LinearCode, t: int) -> int:
     heads = _elements(F, heads).T.copy()      # one row per coordinate
     tails = _elements(F, tails).T.copy()
     chunk = 1 << 16
-    best = n
+    best = n - k
     starts = np.searchsorted(last, np.arange(k + 1))
     for j in range(k):              # the heads ending at j, the tails after j
         after = int(np.searchsorted(first, j, "right"))
@@ -777,7 +802,7 @@ def _level_weight(code: LinearCode, t: int) -> int:
             for u in range(after, len(first), chunk):
                 differ = heads[:, h:min(h + rows, stop), None] != tails[:, None, u:u + chunk]
                 best = min(best, int(differ.sum(axis=0, dtype=np.min_scalar_type(n)).min()))
-    return best
+    return t + best
 
 
 def _extend(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray, positions: Iterable[int],

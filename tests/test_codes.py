@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycperm import codes
 from cycperm.algebra import Polynomial, make_field, x_pow_minus_one, poly_mod
 from cycperm.codes import (
     CyclicCode,
@@ -32,6 +33,7 @@ from cycperm.codes import (
 )
 from cycperm.codes import _eliminate, _level_weight, _level_words, _rank_step
 from cycperm.perm import Permutation
+from cycperm.verification import BATTERY_DISTANCE_BUDGET
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -392,16 +394,27 @@ def _swap01(n: int) -> Permutation:
 @pytest.mark.parametrize("field, n", [(GF3, 8), (GF4, 9)])
 def test_fixed_by_agrees_with_permute_code(field, n):
     # every cyclic code, the zero code (k = 0) and the full space (k = n)
-    # among them, under the shift, every multiplier and a transposition
-    sigmas = [Permutation.shift(n), _swap01(n)]
+    # among them, its image under (0 1), which is not shift-invariant, and
+    # its image under a random permutation, whose pivots are often not
+    # 0..k-1; under the identity, the shift, every multiplier, a
+    # transposition and 20 random permutations
+    rng = random.Random(n)
+    def shuffled() -> Permutation:
+        images = list(range(n))
+        rng.shuffle(images)
+        return Permutation(tuple(images))
+    sigmas = [Permutation.identity(n), Permutation.shift(n), _swap01(n)]
     sigmas += [Permutation.multiplier(n, a) for a in range(2, n) if gcd(a, n) == 1]
-    dims = set()
+    dims, moved_pivots = set(), 0
     for code in enumerate_cyclic_codes(n, field):
         lin = code.linear
         dims.add(lin.k)
-        assert fixed_by(lin, sigmas).tolist() == [permute_code(lin, g) == lin for g in sigmas]
-        assert fixed_by(lin, []).shape == (0,)
-    assert {0, n} <= dims
+        for image in (lin, permute_code(lin, _swap01(n)), permute_code(lin, shuffled())):
+            moved_pivots += image.pivots != tuple(range(image.k))
+            tests = sigmas + [shuffled() for _ in range(20)]
+            assert fixed_by(image, tests).tolist() == [permute_code(image, g) == image for g in tests]
+            assert fixed_by(image, []).shape == (0,)
+    assert {0, n} <= dims and moved_pivots >= 5
 
 
 def test_min_distance_rank_scan_matches_enumeration():
@@ -484,6 +497,52 @@ def test_min_distance_each_kind_of_step_alone():
         assert _levels_alone(c.linear) == d
         assert _rank_steps_alone(c.linear) == d
     assert min_distance(gf11_37_31.linear).value == 5
+
+
+def test_min_distance_takes_the_cheaper_kind(monkeypatch):
+    # the planner prices a Z word at the n - k coordinates it compares and
+    # a B subset at its elimination operations times _ELIMINATION_OP_COST
+    steps = []
+    level, rank = codes._level_weight, codes._rank_step
+    monkeypatch.setattr(codes, "_level_weight",
+                        lambda code, t: steps.append(("Z", t)) or level(code, t))
+    monkeypatch.setattr(codes, "_rank_step",
+                        lambda code, w, cyclic: steps.append(("B", w)) or rank(code, w, cyclic))
+
+    def run(field, n, defining_set, budget):
+        steps.clear()
+        return min_distance(cyclic_code(n, field, defining_set).linear, budget), list(steps)
+
+    # GF(11) [37,31]: Z-levels 2-3 (454,150 words of 6 coordinates) reach
+    # the window bound 5, against B-steps 1-4 (7,807 subsets, 300 operations
+    # each at step 4)
+    for budget in (2_000_000, codes.DEFAULT_DISTANCE_BUDGET):
+        r, taken = run(GF11, 37, cyclotomic_cosets(37, 11)[1], budget)
+        assert r.exact and r.value == 5 and taken == [("Z", 2), ("Z", 3)]
+    # GF(13) [29,15]: after B-step 1, Z-levels 2-5 (64.7M words of 14
+    # coordinates, about 0.2 s) certify d = 11; B-steps 6 and 7 alone take
+    # about 1.7 s
+    r, taken = run(GF13, 29, cyclotomic_cosets(29, 13)[1], BATTERY_DISTANCE_BUDGET)
+    assert r.exact and r.value == 11
+    assert [w for kind, w in taken if kind == "B"] == [1] and ("Z", 5) in taken
+    # where B-steps are the cheaper kind they are taken: the GF(2017)
+    # [16,13,4] Reed-Solomon code, B-steps 1-3 (121 subsets) against
+    # Z-level 2 (157,248 words)
+    r, taken = run(make_field(2017), 16, {0, 1, 2}, codes.DEFAULT_DISTANCE_BUDGET)
+    assert r.exact and r.value == 4 and taken == [("B", 1), ("B", 2), ("B", 3)]
+
+
+def test_quadratic_residue_distances_differ_by_one():
+    # 13 is a square mod 29, so with Q the squares the defining sets Q and
+    # Q + {0} give the odd-like [29,15] and the even-like [29,14] quadratic-
+    # residue codes over GF(13).  The extended code is fixed by a monomial
+    # PSL(2, 29), which acts transitively, so d(odd-like) = d(even-like) - 1
+    # (MacWilliams-Sloane ch. 16; Huffman-Pless sec. 6.6)
+    squares = {i * i % 29 for i in range(1, 29)}
+    odd = min_distance(cyclic_code(29, GF13, squares).linear, BATTERY_DISTANCE_BUDGET)
+    even = min_distance(cyclic_code(29, GF13, squares | {0}).linear, BATTERY_DISTANCE_BUDGET)
+    assert odd.exact and even.exact
+    assert odd.value == 11 == even.value - 1
 
 
 def test_rank_step_dependence_at_large_prime():

@@ -18,6 +18,7 @@ from cycperm.codes import (
     enumerate_cyclic_codes,
     is_shift_invariant,
     maps_onto,
+    min_weight_words,
     permute_code,
     weight_profile,
 )
@@ -413,6 +414,22 @@ def test_brute_witness_is_lexicographically_least(monkeypatch):
         oracles.append(oracle)
     assert oracles[3] == Permutation.identity(5) and oracles[4] == Permutation.identity(7)
     assert sum(o is None for o in oracles) >= 3
+    # a GF(2) [10,6] pair with no witness, as their weight distributions
+    # differ: both sides have distance 2, and the dual's family is a lone
+    # weight-2 word (304,480 nodes when searched on it), so the search
+    # takes the code's four weight-2 words instead
+    lone = LinearCode.from_rows(GF2, 10, [
+        [1, 0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1, 0, 1],
+        [0, 0, 1, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 0, 0, 1, 0, 0, 1, 1]])
+    other = LinearCode.from_rows(GF2, 10, [
+        [1, 0, 0, 0, 0, 1, 1, 0, 1, 1], [0, 1, 0, 0, 0, 1, 0, 0, 1, 1],
+        [0, 0, 1, 0, 0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0, 0, 1, 1, 1]])
+    assert len(min_weight_words(lone.dual(), 2)) == 1
+    assert autgroups._word_family(lone)[1:] == (False, 2)
+    assert weight_profile(lone) != weight_profile(other)
+    assert brute_equivalence(lone, other) is None
     # neither side's distance exact: the family is empty and the search,
     # pruned on nothing, still gives the least witness or none
     monkeypatch.setattr(autgroups, "min_distance",
