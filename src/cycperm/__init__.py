@@ -62,7 +62,6 @@ from .equivalence import (
 from .quasicyclic import (
     HPrimeReport,
     QuasiCyclicCode,
-    hprime_membership,
     imprimitivity_report,
     normalizer_witnesses,
     qc_equivalence_search,
@@ -89,9 +88,9 @@ __all__ = [
     "multiplier_scan", "sylow_exponent_bounds",
     "EquivalenceVerdict", "ag_set", "brute_equivalence",
     "decide_equivalence", "gr_formula_set", "hp_membership", "q_group",
-    "HPrimeReport", "QuasiCyclicCode", "hprime_membership",
-    "imprimitivity_report", "normalizer_witnesses", "qc_equivalence_search",
-    "qc_sylow", "quasi_cyclic_code", "sigma_cycles",
+    "HPrimeReport", "QuasiCyclicCode", "imprimitivity_report",
+    "normalizer_witnesses", "qc_equivalence_search", "qc_sylow",
+    "quasi_cyclic_code", "sigma_cycles",
     "VerificationRow", "run_battery",
     "__version__",
 ]

@@ -6,13 +6,10 @@ of the automorphism group containing the shift.  This module builds P inside
 the discoverable subgroup, describes H(P) exactly at every length as the
 union of the cosets C(T) sigma_rho over the n-cycles rho of P, and wraps the
 strategies behind a single decision routine with an honest completeness
-flag.  HP scans one member of each coset <T> sigma of H(P), the sigma_rho
-(perm.shift_coset_leaders): T fixes the second code, so a coset's members
-map the first code onto it all or none, and the scan gives the full sorted
-scan's first witness and verdict.  The groups of the paper's closed forms
-are built from their generators, never by listing maps: the polynomial-map
-groups Q^m and Q_1^m (q_group), and for GR_FORMULA the Sylow subgroup
-<T, M_(q^t)> of the generalized-multiplier group G_r = <T, M_q>.  The closed-form sets (the
+flag.  The groups of the paper's closed forms are built from their
+generators, never by listing maps: the polynomial-map groups Q^m and Q_1^m
+(q_group), and for GR_FORMULA the Sylow subgroup <T, M_(q^t)> of the
+generalized-multiplier group G_r = <T, M_q>.  The closed-form sets (the
 affine set, the geometric-series map family) are kept as independent checks
 of the coset construction.  The MULTIPLIER strategy takes its witness from
 autgroups.multipliers_onto, the one multiplier test.  The BRUTE strategy
@@ -21,16 +18,20 @@ autgroups run against the second code: an exhaustive search that prunes
 only maps that cannot send the one code onto the other, and gives the
 lexicographically least witness.
 
-The invariant separation, the BRUTE verdict and the witness scan confirmed
-by permute_code (invariant_separation, brute_verdict, witness_scan) are
-public here and shared with the H'(P) search of quasi-cyclic codes: one
-restricted-set search for both.
+One decision serves H(P) and its quasi-cyclic analogue H'(P), which is
+H(P) at l = 1: restricted_set_verdict scans one member of each coset
+<T^l> sigma (perm.shift_coset_leaders), since T^l fixes the second code and
+a coset's members map the first code onto it all or none, and it certifies
+its verdict exactly when |P| is the p-part of n!.  HP and the STRUCTURED
+search of quasi-cyclic codes differ only in where P comes from.  The
+membership test (hp_membership), the invariant separation and the BRUTE
+verdict are shared the same way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -140,12 +141,13 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
 
 # --- H(P) ----------------------------------------------------------------------
 
-def hp_membership(sigma: Permutation, P: PermGroup) -> bool:
-    """sigma^-1 T sigma in P, the one-element test behind H(P)."""
-    T = Permutation.shift(P.degree)
-    if T not in P:
-        raise ValueError("P must contain the shift")
-    return sigma.inverse() * T * sigma in P
+def hp_membership(sigma: Permutation, P: PermGroup, l: int = 1) -> bool:
+    """sigma^-1 T^l sigma in P, the one-element test behind H(P) (l = 1) and
+    H'(P)."""
+    tl = Permutation.power_shift(P.degree, l)
+    if tl not in P:
+        raise ValueError("P must contain the shift power T^l")
+    return sigma.inverse() * tl * sigma in P
 
 
 def ag_set(n: int) -> frozenset[Permutation]:
@@ -180,37 +182,22 @@ def gr_formula_set(n: int, q: int) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class HPDescriptor:
-    """Which of the paper's closed forms describes H(P) for the chosen P
-    (PREDICATE: none), and whether P is certified to be a Sylow subgroup of
-    the full automorphism group, which makes H(P) exhaustive."""
-    kind: str                     # AG_SET | Q_SET | GR_FORMULA | PREDICATE
-    n: int
-    sylow_exponent: int
-    complete: bool
-
-    def __post_init__(self):
-        if self.kind not in ("AG_SET", "Q_SET", "GR_FORMULA", "PREDICATE"):
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
-
-
-def hp_set(descriptor: HPDescriptor, P: PermGroup) -> frozenset[Permutation]:
+def hp_set(P: PermGroup) -> frozenset[Permutation]:
     """H(P), listed exactly for every descriptor kind and every length: the
     union of the cosets C(T) sigma_rho over the n-cycles rho of P, as a set.
     decide_equivalence does not list it: it scans one member per coset
     <T> sigma (perm.shift_coset_leaders).  Raises ClosureBoundExceeded when
     that union is larger than CLOSURE_BOUND."""
-    T = Permutation.shift(descriptor.n)
+    T = Permutation.shift(P.degree)
     if T not in P:
         raise ValueError("P must contain the shift")
     return conjugation_set(T, P)
 
 
-def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
+def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, str]:
     """A p-subgroup P of the code's automorphism group containing the shift,
-    a Sylow subgroup of the discoverable part, plus the H(P) materialization
-    plan.
+    a Sylow subgroup of the discoverable part, and the kind of closed form
+    that describes H(P): AG_SET, Q_SET, GR_FORMULA or PREDICATE (none).
 
     P is a Sylow p-subgroup through T of the first of these groups whose
     order is at most _AMBIENT_BOUND, each built only when it is reached:
@@ -220,11 +207,8 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     outright where the paper's closed forms name it: <T> for AG_SET, Q_1^(s-2)
     for Q_SET and <T, M_(q^t)> for GR_FORMULA; only for PREDICATE is it cut
     out of the ambient group's listing as G meet W_T
-    (perm.sylow_through_shift).
-
-    The descriptor is marked complete only when the exponent of P reaches the
-    theoretical ceiling (p^r - 1)/(p - 1), which pins P as a Sylow subgroup
-    of the full group and makes the H(P) reduction exact.
+    (perm.sylow_through_shift).  Whether P certifies a verdict is read off
+    its order (restricted_set_verdict).
     """
     n = code.n
     p, r = prime_power(n)
@@ -255,13 +239,12 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
     # s = r, and Q_1^(s-2), of order p^s at r = 2, when the ambient group
     # contains it
     _, s = prime_power(p_part(ambient.order(), p))
-    ceiling = (p ** r - 1) // (p - 1)
     if s == r:
-        return PermGroup.from_generators(n, [T]), HPDescriptor("AG_SET", n, s, s == ceiling)
+        return PermGroup.from_generators(n, [T]), "AG_SET"
     if s > r and s - 1 < p and r == 2:
         _, q1 = q_group(n, s - 2)
         if all(g in ambient for g in q1.generators):
-            return q1, HPDescriptor("Q_SET", n, s, s == ceiling)
+            return q1, "Q_SET"
     q = code.field.order
     if r >= 2 and s <= 2 * r - 1 and gk_lifts(q, n):
         # the geometric-series formula materializes H(P) for the Sylow
@@ -271,8 +254,8 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, HPDescriptor]:
         # <T, M_(q^t)> of order p^(2r - 1)
         t = multiplicative_order(q, p)
         P_gr = PermGroup.from_generators(n, [T, Permutation.multiplier(n, pow(q, t, n))])
-        return P_gr, HPDescriptor("GR_FORMULA", n, 2 * r - 1, 2 * r - 1 == ceiling)
-    return sylow_through_shift(ambient), HPDescriptor("PREDICATE", n, s, s == ceiling)
+        return P_gr, "GR_FORMULA"
+    return sylow_through_shift(ambient), "PREDICATE"
 
 
 # --- decision ------------------------------------------------------------------
@@ -365,6 +348,48 @@ def brute_verdict(c1: LinearCode, c2: LinearCode) -> EquivalenceVerdict:
                               "exhaustive scan found no witness")
 
 
+def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
+                           c2: CyclicCode | QuasiCyclicCode,
+                           P: PermGroup, l: int, strategy: str,
+                           source: str) -> EquivalenceVerdict:
+    """The verdict of H'(P) = {sigma : sigma^-1 T^l sigma in P}, which is
+    H(P) at l = 1, for two codes of length n = l p^r fixed by T^l and a
+    p-subgroup P of Aut(C1) through T^l; `source` names where P came from.
+
+    It scans one member of each coset <T^l> sigma of H'(P)
+    (perm.shift_coset_leaders) with witness_scan, so a witness is the first
+    member in sorted order of images that maps C1 onto C2.  The verdict is
+    complete exactly when |P| is the p-part of n!, that is when P is a
+    Sylow p-subgroup of S_n, and hence of Aut(C1), which lies between them.
+    Then H'(P) holds a witness whenever one exists: if sigma maps C1 onto
+    C2, sigma^-1 T^l sigma fixes C1 and has order p^r, so it lies in some
+    Sylow p-subgroup of Aut(C1), which is tau P tau^-1 for some tau in
+    Aut(C1) by Sylow's theorem.  So (sigma tau)^-1 T^l (sigma tau) is in P,
+    and sigma tau, which also maps C1 onto C2, is in H'(P).  At l = 1,
+    Legendre's formula gives v_p((p^r)!) = (p^r - 1)/(p - 1), the ceiling
+    on the exponent of P.
+    """
+    n = P.degree
+    p, _ = prime_power(n // l)
+    leaders, size = shift_coset_leaders(P, l)
+    complete = P.order() == p_part(factorial(n), p)
+    _, s = prime_power(P.order())
+    name = "H(P)" if l == 1 else "H'(P)"
+    detail = f"{name} of size {size} from {source}, Sylow exponent {s}"
+    sigma = witness_scan(c1.linear, c2.linear, leaders)
+    if sigma is not None:
+        return EquivalenceVerdict("equivalent", sigma, strategy, complete,
+                                  f"witness found in {detail}")
+    if complete:
+        return EquivalenceVerdict(
+            "inequivalent", None, strategy, True,
+            f"{detail}; the exponent reaches the theoretical ceiling, so the "
+            "restricted set is exhaustive")
+    return EquivalenceVerdict(
+        "inconclusive", None, strategy, False,
+        f"no witness in {detail}; the subgroup carrying P may be proper")
+
+
 def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
                        strategy: str = "HP") -> EquivalenceVerdict:
     """Decide whether two cyclic codes are permutation equivalent.
@@ -373,12 +398,13 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     onto the second (autgroups.multipliers_onto, which checks the defining
     sets against the matrix test for every unit); without one it is
     complete exactly when multiplier equivalence is known to decide the
-    length.  HP scans the exact H(P), one member per coset of <T>, in
-    sorted order, at every length; it is complete when the descriptor
-    certifies P as a Sylow subgroup of the full group.  BRUTE searches S_n
-    for the least witness, pruned on minimum-weight words
-    (brute_equivalence), and accepts n <= 10.  An "inequivalent" verdict is
-    only issued under a complete strategy or an invariant separation.
+    length.  HP scans the exact H(P) of the P of build_sylow_descriptor,
+    one member per coset of <T>, in sorted order, at every length; it is
+    complete when P is a Sylow subgroup of S_n (restricted_set_verdict).
+    BRUTE searches S_n for the least witness, pruned on minimum-weight
+    words (brute_equivalence), and accepts n <= 10.  An "inequivalent"
+    verdict is only issued under a complete strategy or an invariant
+    separation.
     """
     _check_compatible(c1, c2)
     strategy = strategy.upper()
@@ -408,20 +434,5 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     if strategy == "BRUTE":
         return brute_verdict(c1.linear, c2.linear)
 
-    # HP
-    P, desc = build_sylow_descriptor(c1)
-    leaders, size = shift_coset_leaders(P)
-    detail = (f"H(P) of size {size} from a {desc.kind} descriptor, "
-              f"Sylow exponent {desc.sylow_exponent}")
-    sigma = witness_scan(c1.linear, c2.linear, leaders)
-    if sigma is not None:
-        return EquivalenceVerdict("equivalent", sigma, strategy, desc.complete,
-                                  f"witness found in {detail}")
-    if desc.complete:
-        return EquivalenceVerdict(
-            "inequivalent", None, strategy, True,
-            f"{detail}; the exponent reaches the theoretical ceiling, so the "
-            "restricted set is exhaustive")
-    return EquivalenceVerdict(
-        "inconclusive", None, strategy, False,
-        f"no witness in {detail}; the subgroup carrying P may be proper")
+    P, kind = build_sylow_descriptor(c1)
+    return restricted_set_verdict(c1, c2, P, 1, strategy, f"a {kind} descriptor")

@@ -11,11 +11,11 @@ P is cut out of the discovered group by the filter that gives the cyclic P
 is the Sylow subgroup through T^l, and for l > p the normalizer ascent
 completes it.  H'(P) is the union of the cosets C(T^l) sigma_rho over the
 rho in P with the cycle type of T^l, exact at every length.  The search
-scans one member of each coset <T^l> sigma of it, in sorted image rows
-(perm.shift_coset_leaders): both codes are fixed by T^l, so a coset's
-members map one code onto the other all or none.  H'(P) is not known to be
-a group, so nothing here assumes closure: reports take the group the cosets
-generate.
+over it is the decision HP makes at l = 1
+(equivalence.restricted_set_verdict): one member of each coset <T^l> sigma,
+in sorted image rows, and a complete verdict exactly when |P| is the p-part
+of n!.  H'(P) is not known to be a group, so nothing here assumes closure:
+reports take the group the cosets generate.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .equivalence import (
     _check_compatible,
     brute_verdict,
     invariant_separation,
-    witness_scan,
+    restricted_set_verdict,
 )
 from .perm import (
     CLOSURE_BOUND,
@@ -45,7 +45,6 @@ from .perm import (
     centralizer_order,
     conjugation_cosets,
     minimal_blocks,
-    shift_coset_leaders,
     sylow_ascend,
     sylow_through_shift,
 )
@@ -142,14 +141,6 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
     return q_group, PermGroup.from_generators(n, affine)
 
 
-def hprime_membership(sigma: Permutation, P: PermGroup, l: int) -> bool:
-    """sigma^-1 T^l sigma in P, the one-element test behind H'(P)."""
-    tl = Permutation.power_shift(P.degree, l)
-    if tl not in P:
-        raise ValueError("P must contain the index shift")
-    return sigma.inverse() * tl * sigma in P
-
-
 def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
     """(p, r) with co-index p^r, under the usual coprimality hypotheses."""
     p, r = prime_power(code.co_index)
@@ -190,16 +181,19 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     """Search for a permutation mapping one quasi-cyclic code onto the other.
 
     STRUCTURED scans the exact H'(P) in sorted order, one member per coset
-    of <T^l>, at every length, for the P of qc_sylow.  It never certifies
-    inequivalence: P is a Sylow subgroup only of the discovered part of the
-    automorphism group, so H'(P) may miss every witness.  BRUTE searches all
-    of S_n for n <= 10 (brute_equivalence) and is complete.  Invariant
-    separations (dimension, weight profile) short-circuit either way.
+    of <T^l>, at every length, for the P of qc_sylow, by the decision that
+    HP makes at l = 1 (equivalence.restricted_set_verdict).  It is complete
+    when |P| is the p-part of n!: P is then a Sylow subgroup of the full
+    automorphism group, and H'(P) holds a witness whenever one exists.  A
+    smaller P is a Sylow subgroup only of the discovered part, and H'(P) may
+    miss every witness.  BRUTE searches all of S_n for n <= 10
+    (brute_equivalence) and is complete.  Invariant separations (dimension,
+    weight profile) short-circuit either way.
     """
     _check_compatible(c1, c2)
     if c1.index != c2.index:
         raise ValueError(f"index mismatch: {c1.index} != {c2.index}")
-    p, r = _qc_prime_power(c1)
+    _qc_prime_power(c1)
     strategy = strategy.upper()
     if strategy not in ("STRUCTURED", "BRUTE"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -209,19 +203,8 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     if strategy == "BRUTE":
         return brute_verdict(c1.linear, c2.linear)
 
-    P = qc_sylow(c1)
-    leaders, size = shift_coset_leaders(P, c1.index)
-    sigma = witness_scan(c1.linear, c2.linear, leaders)
-    if sigma is not None:
-        return EquivalenceVerdict(
-            "equivalent", sigma, strategy, False,
-            f"witness among the {size} members of H'(P), "
-            f"|P| = {P.order()}")
-    return EquivalenceVerdict(
-        "inconclusive", None, strategy, False,
-        f"no witness among the {size} members of H'(P); P is a Sylow "
-        "subgroup only of the discovered automorphisms, so H'(P) may miss "
-        "every witness")
+    return restricted_set_verdict(c1, c2, qc_sylow(c1), c1.index, strategy,
+                                  "the structured families")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,14 @@ from .codes import (
     min_distance,
     permute_code,
 )
-from .equivalence import ag_set, brute_verdict, decide_equivalence, gr_formula_set, q_group
+from .equivalence import (
+    ag_set,
+    brute_verdict,
+    decide_equivalence,
+    gr_formula_set,
+    hp_membership,
+    q_group,
+)
 from .perm import (
     PermGroup,
     Permutation,
@@ -45,7 +52,6 @@ from .perm import (
 )
 from .quasicyclic import (
     QuasiCyclicCode,
-    hprime_membership,
     imprimitivity_report,
     normalizer_witnesses,
     qc_sylow,
@@ -463,7 +469,7 @@ def _qc_rows(seed: int) -> list[VerificationRow]:
     examples = _qc_examples()
     t0 = time.perf_counter()
     P = qc_sylow(examples["rep-par"])
-    inside = sum(hprime_membership(tau, P, 2) for tau in ag_set(10))
+    inside = sum(hp_membership(tau, P, 2) for tau in ag_set(10))
     rows.append(_row("affine-in-hprime-10", "qc", "40 of 40",
                      f"{inside} of 40", t0))
 

@@ -26,7 +26,14 @@ from cycperm.codes import (
     min_distance,
     permute_code,
 )
-from cycperm.equivalence import ag_set, brute_equivalence, decide_equivalence, gr_formula_set, q_group
+from cycperm.equivalence import (
+    ag_set,
+    brute_equivalence,
+    decide_equivalence,
+    gr_formula_set,
+    hp_membership,
+    q_group,
+)
 from cycperm.perm import (
     PermGroup,
     Permutation,
@@ -37,7 +44,6 @@ from cycperm.perm import (
 )
 from cycperm.quasicyclic import (
     QuasiCyclicCode,
-    hprime_membership,
     imprimitivity_report,
     normalizer_witnesses,
     qc_sylow,
@@ -303,7 +309,7 @@ def test_criterion_11_index_shift_identities(capsys):
 
         rep_par = _qc_rep_par()
         P = qc_sylow(rep_par)
-        assert all(hprime_membership(tau, P, 2) for tau in ag_set(10))
+        assert all(hp_membership(tau, P, 2) for tau in ag_set(10))
 
 
 # --- 12: imprimitivity of the discovered sets ----------------------------------------

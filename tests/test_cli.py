@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from cycperm.cli import RunConfig, main
 from cycperm.codes import code_to_spec, cyclic_code
 from cycperm.algebra import make_field
 from cycperm.verification import (
+    SCOPES,
     VerificationRow,
     battery_csv,
     battery_summary,
@@ -309,6 +311,15 @@ def test_exit_status_ignores_partial():
 def test_unknown_scope_rejected():
     with pytest.raises(ValueError, match="unknown scope"):
         run_battery(("bogus",))
+
+
+def test_battery_rows_match_the_golden_file():
+    # every scope's rows, as verify-paper --scope all reports them; a change
+    # that adds or alters a row updates tests/battery_seed0.json with it
+    golden = json.loads((Path(__file__).parent / "battery_seed0.json").read_text())
+    rows = [r.to_json() for r in run_battery(SCOPES, seed=0)]
+    assert len(rows) == 52
+    assert rows == golden
 
 
 def test_slow_scope_battery():

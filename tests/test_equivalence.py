@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import fields
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycperm import autgroups, equivalence
-from cycperm.algebra import make_field, prime_power, units
+from cycperm.algebra import make_field, p_part, prime_power, units
 from cycperm.autgroups import gk_family, known_cyclic_subgroup
 from cycperm.codes import (
     DistanceResult,
@@ -24,7 +24,6 @@ from cycperm.codes import (
 )
 from cycperm.equivalence import (
     EquivalenceVerdict,
-    HPDescriptor,
     QPolyMap,
     ag_set,
     brute_equivalence,
@@ -158,30 +157,29 @@ def test_hp_membership_requires_shift():
     group_no_shift = PermGroup.from_generators(9, [Permutation.multiplier(9, 2)])
     with pytest.raises(ValueError, match="P must contain the shift"):
         hp_membership(Permutation.shift(9), group_no_shift)
+    # at l = 3 the test asks for T^3 in P, which the multiplier group lacks
+    with pytest.raises(ValueError, match="P must contain the shift"):
+        hp_membership(Permutation.shift(9), group_no_shift, 3)
 
 
 def test_hp_set_descriptor_kinds():
-    # every kind lists H(P) by the same construction; the closed forms agree
+    # every kind's P gives H(P) by the same construction; the closed forms agree
     T9 = Permutation.shift(9)
     _, q11 = q_group(9, 1)
     q2 = q_group(9, 2)[0]
     shift_group = PermGroup.from_generators(9, [T9])
-    assert hp_set(HPDescriptor("AG_SET", 9, 2, False), shift_group) == ag_set(9)
-    assert hp_set(HPDescriptor("Q_SET", 9, 3, False), q11) == q2.elements()
-    assert hp_set(HPDescriptor("GR_FORMULA", 9, 3, False), q11) == gr_formula_set(9, 2)
-    assert [f.name for f in fields(HPDescriptor)] == ["kind", "n", "sylow_exponent", "complete"]
-    with pytest.raises(ValueError, match="unknown descriptor kind"):
-        HPDescriptor("FANCY", 9, 2, False)
+    assert hp_set(shift_group) == ag_set(9)
+    assert hp_set(q11) == q2.elements() == gr_formula_set(9, 2)
     no_shift = PermGroup.from_generators(9, [Permutation.multiplier(9, 2)])
     with pytest.raises(ValueError, match="P must contain the shift"):
-        hp_set(HPDescriptor("AG_SET", 9, 2, False), no_shift)
+        hp_set(no_shift)
 
 
 def test_hp_set_predicate_degree_limit():
     # no degree limit: at n = 27, H(P) is |C(T)| = 27 times the 27-cycles of P
     _, q12 = q_group(27, 2)
     assert q12.order() == 243
-    members = hp_set(HPDescriptor("PREDICATE", 27, 5, False), q12)
+    members = hp_set(q12)
     full_cycles = sum(1 for rho in q12.elements()
                       if [len(c) for c in rho.cycles()] == [27])
     assert len(members) == 27 * full_cycles == 4374
@@ -191,19 +189,19 @@ def test_hp_set_predicate_degree_limit():
 # --- the restricted set for concrete codes --------------------------------------
 
 def test_sylow_descriptor_nine_binary():
-    P, desc = build_sylow_descriptor(NINE_FULL)
-    assert desc.kind == "PREDICATE"
-    assert desc.sylow_exponent == 4 and desc.complete
-    assert P.order() == 81
+    # |P| = 3^4, the 3-part of 9!: P is a Sylow subgroup of S_9
+    P, kind = build_sylow_descriptor(NINE_FULL)
+    assert kind == "PREDICATE"
+    assert P.order() == 81 == p_part(factorial(9), 3)
     q12 = q_group(9, 2)[1]
     assert P.elements() == q12.elements()
-    members = hp_set(desc, P)
+    members = hp_set(P)
     assert len(members) == 324
 
 
 def test_hp_containment_chain_nine():
-    P, desc = build_sylow_descriptor(NINE_FULL)
-    members = hp_set(desc, P)
+    P, _ = build_sylow_descriptor(NINE_FULL)
+    members = hp_set(P)
     assert ag_set(9) <= members
     assert normalizer_in_symmetric(P) <= members
     assert P.elements() <= members
@@ -213,25 +211,25 @@ def test_hp_containment_chain_nine():
 
 def test_hp_sets_of_certified_kinds_are_groups():
     # the three explicit materializations at n = 9 happen to be closed
-    for got in (ag_set(9), hp_set(HPDescriptor("Q_SET", 9, 3, False), q_group(9, 1)[1]),
+    for got in (ag_set(9), hp_set(q_group(9, 1)[1]),
                 gr_formula_set(9, 2)):
         assert group_closure(list(got)) == got
 
 
 def test_sylow_descriptor_prime_length():
-    P, desc = build_sylow_descriptor(cyclic_code(7, GF2, {1, 2, 4}))
-    assert desc.kind == "AG_SET" and desc.sylow_exponent == 1 and desc.complete
-    assert P.order() == 7
-    assert hp_set(desc, P) == ag_set(7)
+    P, kind = build_sylow_descriptor(cyclic_code(7, GF2, {1, 2, 4}))
+    assert kind == "AG_SET"
+    assert P.order() == 7 == p_part(factorial(7), 7)
+    assert hp_set(P) == ag_set(7)
 
 
 def test_sylow_descriptor_twentyseven():
     c = cyclic_code(27, GF2, {9, 18})
-    P, desc = build_sylow_descriptor(c)
-    assert desc.kind == "GR_FORMULA" and desc.sylow_exponent == 5
-    assert not desc.complete
-    assert P.order() == 243
-    members = hp_set(desc, P)
+    P, kind = build_sylow_descriptor(c)
+    assert kind == "GR_FORMULA"
+    # 3^5 is below 3^13, the 3-part of 27!
+    assert P.order() == 243 < p_part(factorial(27), 3)
+    members = hp_set(P)
     assert len(members) == 4374
     sample = itertools.islice(sorted(members, key=lambda g: g.images), 30)
     assert all(hp_membership(s, P) for s in sample)
@@ -243,8 +241,9 @@ def test_sylow_descriptor_twentyseven():
 
 
 def test_sylow_descriptor_q_set():
-    P, desc = build_sylow_descriptor(cyclic_code(25, GF2, {0}))
-    assert desc.kind == "Q_SET" and desc.sylow_exponent == 5
+    P, kind = build_sylow_descriptor(cyclic_code(25, GF2, {0}))
+    assert kind == "Q_SET"
+    assert P.order() == 5 ** 5 < p_part(factorial(25), 5)
     assert P.elements() == q_group(25, 3)[1].elements()
 
 
@@ -491,8 +490,8 @@ def test_hp_witness_is_the_first_member_in_sorted_order():
         pairs.append((c, rng.choice([d for d in gf4 if d.k == c.k])))
     for c1, c2 in pairs:
         verdict = decide_equivalence(c1, c2, "HP")
-        P, desc = build_sylow_descriptor(c1)
-        members = sorted(hp_set(desc, P), key=lambda s: s.images)
+        P, _ = build_sylow_descriptor(c1)
+        members = sorted(hp_set(P), key=lambda s: s.images)
         oracle = next((s for s in members if permute_code(c1.linear, s) == c2.linear), None)
         assert verdict.witness == oracle, (c1, c2)
 
@@ -569,8 +568,8 @@ def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):
              (25, {0}, "Q_SET", 5, 3125)]
     for n, ds, kind, exponent, order in cases:
         accepted.clear()
-        P, desc = build_sylow_descriptor(cyclic_code(n, GF2, ds))
-        assert (desc.kind, desc.sylow_exponent, P.order()) == (kind, exponent, order)
+        P, got = build_sylow_descriptor(cyclic_code(n, GF2, ds))
+        assert (got, P.order()) == (kind, order) and prime_power(order)[1] == exponent
         if kind != "GR_FORMULA":
             assert P.elements() == sylow_through_shift(accepted[-1]).elements()
 
@@ -579,8 +578,8 @@ def test_predicate_p_keeps_the_chain_it_was_cut_with(monkeypatch):
     # sylow_through_shift hands P the chain it grew while picking the
     # generators, so listing P, and scanning H(P), builds no second chain
     code = cyclic_code(9, GF2, {0, 3, 6})
-    P, desc = build_sylow_descriptor(code)
-    assert desc.kind == "PREDICATE"
+    P, kind = build_sylow_descriptor(code)
+    assert kind == "PREDICATE"
     built = []
     real_build = PermGroup._build_chain
 

@@ -1,15 +1,22 @@
 import random
-from math import gcd, lcm
+from itertools import product
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycperm import equivalence, perm, quasicyclic
-from cycperm.algebra import make_field
+from cycperm.algebra import make_field, p_part, prime_power
 from cycperm.autgroups import analyze
-from cycperm.codes import LinearCode, cyclic_code, permute_code, weight_profile
-from cycperm.equivalence import ag_set, decide_equivalence
+from cycperm.codes import (
+    LinearCode,
+    cyclic_code,
+    enumerate_cyclic_codes,
+    permute_code,
+    weight_profile,
+)
+from cycperm.equivalence import ag_set, brute_verdict, decide_equivalence, hp_membership
 from cycperm.perm import (
     CLOSURE_BOUND,
     PermGroup,
@@ -23,7 +30,6 @@ from cycperm.perm import (
 from cycperm.quasicyclic import (
     HPrimeReport,
     QuasiCyclicCode,
-    hprime_membership,
     imprimitivity_report,
     normalizer_witnesses,
     qc_equivalence_search,
@@ -163,10 +169,10 @@ def test_normalizer_witnesses_gcd_error():
 def test_hprime_membership_shift_and_affine():
     t2 = Permutation.power_shift(10, 2)
     P = PermGroup.from_generators(10, [t2])
-    assert hprime_membership(Permutation.shift(10), P, 2)
+    assert hp_membership(Permutation.shift(10), P, 2)
     for a in (1, 3, 7, 9):
         for b in range(10):
-            assert hprime_membership(Permutation.affine(10, a, b), P, 2)
+            assert hp_membership(Permutation.affine(10, a, b), P, 2)
 
 
 def test_hprime_membership_normalizer_elements():
@@ -174,13 +180,13 @@ def test_hprime_membership_normalizer_elements():
     s0, s1 = sigma_cycles(10, 2)
     P = PermGroup.from_generators(10, [s0, s1])
     for g in normalizer_in_symmetric(P):
-        assert hprime_membership(g, P, 2)
+        assert hp_membership(g, P, 2)
 
 
 def test_hprime_membership_requires_shift():
     P = PermGroup.from_generators(10, [sigma_cycles(10, 2)[0]])
-    with pytest.raises(ValueError, match="index shift"):
-        hprime_membership(Permutation.shift(10), P, 2)
+    with pytest.raises(ValueError, match="shift power"):
+        hp_membership(Permutation.shift(10), P, 2)
 
 
 def test_hprime_of_shift_group_is_its_normalizer():
@@ -291,7 +297,8 @@ def test_qc_equivalence_planted_affine():
     other = QuasiCyclicCode(permute_code(REP_PAR.linear, tau), 2)
     verdict = qc_equivalence_search(REP_PAR, other, "STRUCTURED")
     assert verdict.status == "equivalent"
-    assert not verdict.complete
+    # |P| = 25, the 5-part of 10!: the verdict is certified
+    assert verdict.complete
     assert permute_code(REP_PAR.linear, verdict.witness) == other.linear
 
 
@@ -323,6 +330,7 @@ def test_qc_equivalence_circulant_pair():
     c1 = circulant_pair((1, 1, 0, 0, 0))
     c2 = circulant_pair((1, 0, 1, 0, 0))
     structured = qc_equivalence_search(c1, c2, "STRUCTURED")
+    # |P| = 5 is below 25, the 5-part of 10!
     assert structured.status == "equivalent" and not structured.complete
     brute = qc_equivalence_search(c1, c2, "BRUTE")
     assert brute.status == "equivalent" and brute.complete
@@ -342,12 +350,64 @@ def test_qc_equivalence_structured_finds_class_multiplier():
         images[2 * u] = 2 * ((3 * u) % 7)
     tau = Permutation(tuple(images))
     assert permute_code(c1.linear, tau) == c2.linear
-    assert hprime_membership(tau, qc_sylow(c1), 2)
+    assert hp_membership(tau, qc_sylow(c1), 2)
     verdict = qc_equivalence_search(c1, c2, "STRUCTURED")
     assert verdict.status == "equivalent"
-    assert not verdict.complete
+    # |P| = 49, the 7-part of 14!: the verdict is certified
+    assert verdict.complete
     assert permute_code(c1.linear, verdict.witness) == c2.linear
-    assert hprime_membership(verdict.witness, qc_sylow(c1), 2)
+    assert hp_membership(verdict.witness, qc_sylow(c1), 2)
+
+
+def _interleaving(parts: tuple[LinearCode, ...]) -> LinearCode:
+    """The code with part j on the positions l i + j, l = len(parts)."""
+    l, n = len(parts), len(parts) * parts[0].n
+    rows = [[r[i // l] if i % l == j else 0 for i in range(n)]
+            for j, part in enumerate(parts) for r in part.matrix]
+    return LinearCode.from_rows(parts[0].field, n, rows)
+
+
+def test_structured_certificates_agree_with_brute():
+    # every interleaving of cyclic codes of length m = n/l and three seeded
+    # T^l-invariant codes per shape, each against up to five later codes of
+    # its dimension: a STRUCTURED verdict is complete exactly when |P| is
+    # the p-part of n!, and every complete one is BRUTE's.  Each shape
+    # certifies pairs that no invariant separation decides; at l = 3 > p = 2
+    # this includes P of order 16 ascended past W, of order 8
+    rng = random.Random(2010)
+    for q, n, l in ((2, 6, 2), (4, 6, 2), (5, 6, 2), (2, 10, 2), (3, 10, 2),
+                    (3, 6, 3), (5, 6, 3)):
+        field = make_field(*prime_power(q))
+        cyclic = [c.linear for c in enumerate_cyclic_codes(n // l, field)]
+        codes = [QuasiCyclicCode(lin, l) for lin in map(_interleaving, product(cyclic, repeat=l))
+                 if 0 < lin.k < n]
+        codes += [_random_qc(rng, field, n, l) for _ in range(3)]
+        full = p_part(factorial(n), prime_power(n // l)[0])
+        certified = 0
+        for i, c1 in enumerate(codes):
+            for c2 in [c for c in codes[i + 1:] if c.k == c1.k][:5]:
+                verdict = qc_equivalence_search(c1, c2, "STRUCTURED")
+                if verdict.evidence == "weight profiles differ":
+                    continue
+                assert verdict.complete == (qc_sylow(c1).order() == full), (c1, c2)
+                if verdict.complete:
+                    assert verdict.status == brute_verdict(c1.linear, c2.linear).status, (c1, c2)
+                    certified += 1
+        assert certified, (q, n, l)
+
+
+def test_structured_stays_incomplete_below_the_sylow_order():
+    # l = 3 > p = 2: this code's discovered group gives |P| = 8, below 16, the
+    # 2-part of 6!, so H'(P) certifies nothing; it finds no witness for a
+    # partner of equal weight profile that BRUTE proves inequivalent
+    c1 = QuasiCyclicCode(LinearCode.from_rows(GF3, 6, [
+        [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0]]), 3)
+    c2 = QuasiCyclicCode(LinearCode.from_rows(GF3, 6, [
+        [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0]]), 3)
+    assert qc_sylow(c1).order() == 8 < p_part(factorial(6), 2)
+    verdict = qc_equivalence_search(c1, c2, "STRUCTURED")
+    assert (verdict.status, verdict.complete) == ("inconclusive", False)
+    assert qc_equivalence_search(c1, c2, "BRUTE").status == "inequivalent"
 
 
 def test_qc_equivalence_hypothesis_errors():
