@@ -24,7 +24,11 @@ onto that code's, and pruning on the pair cuts no such map.  For Aut the
 search grows the group it finds on one stabilizer chain whose base is its
 coordinate order, and searches each coset of a point stabilizer once (Sims
 1970), so it never lists the group: the exact order, or the lower bound
-when the node budget runs out, is the chain's order.  A classifier
+when the node budget runs out, is the chain's order.  analyze enters the
+subgroup known without search (the shift, the multipliers and the G_k
+families, known_cyclic_subgroup) on that chain before the first node; it
+lies in Aut, so the order is unchanged, no more nodes are walked, and a
+lower bound is a multiple of the known order.  A classifier
 maps the findings onto the known trichotomy for groups containing a
 complete cycle: elementary codes have the full symmetric group, prime
 length forces a handful of primitive groups, and otherwise the group is
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gcd, inf
+from typing import Sequence
 
 import numpy as np
 
@@ -225,7 +230,8 @@ def _word_family(code: LinearCode) -> tuple[np.ndarray, bool, int]:
 
 
 def backtrack_full_group(code: LinearCode | CyclicCode,
-                         node_budget: int = NODE_BUDGET_DEFAULT) -> BacktrackResult:
+                         node_budget: int = NODE_BUDGET_DEFAULT,
+                         seeds: Sequence[Permutation] = ()) -> BacktrackResult:
     """The automorphism group, by a depth-first search over coordinate
     images that searches each coset of a point stabilizer once (Sims 1970;
     Seress, Permutation Group Algorithms, 2003, sec. 9.1).  The search is
@@ -269,15 +275,42 @@ def backtrack_full_group(code: LinearCode | CyclicCode,
     listed: order is the chain's order, the generators are the elements
     added to it, and when the node budget runs out the exception carries
     the order of the group found so far.
+
+    seeds are automorphisms entered on the chain before the first node
+    (analyze passes known_cyclic_subgroup's generators); one maps_onto batch
+    checks them first, and a ValueError names the first that does not fix
+    the code.  The chain's group then starts as the seeds' group S and stays
+    inside Aut, so the coset argument above holds as it stands and the order
+    is |Aut|; a budget stop reports a multiple of |S|.  Seeding walks no
+    extra node.  Compare the seeded search with the unseeded one on the
+    identity path at depth d, once the child b_d -> b_d is searched: both
+    level-d groups (the found stabilizers of b_0..b_(d-1)) contain
+    Aut_{b_0..b_d}.  Let H and H' be the unseeded and the seeded level-d
+    group; H is inside H' at the first sibling, since H is then
+    Aut_{b_0..b_d}.  When the unseeded search adds g with g(b_d) = j, either
+    j lies in the orbit of H', so that some h in H' agrees with g at b_d and
+    h^-1 g lies in Aut_{b_0..b_d}, or the seeded search enters the same
+    subtree and adds an element of the same coset g Aut_{b_0..b_d}; either
+    way g lies in H'.  So H stays inside H', every orbit the unseeded search
+    skips the seeded one skips too, and the seeded search enters a subset of
+    the subtrees.  Below the identity path nothing reads the chain but
+    chain.add at a leaf, and a leaf that maps b_d outside the level's orbit
+    is never already a member, so the first leaf that passes maps_onto is
+    accepted and each subtree entered walks the same nodes either way.
     """
     lin = code.linear if isinstance(code, CyclicCode) else code
     if lin.k == 0:
         raise ValueError("the zero code has no codewords to search on")
-    chain, _, nodes = _search(lin, node_budget)
+    if seeds:
+        fixing = maps_onto(lin, lin, [g.images for g in seeds])
+        if not fixing.all():
+            raise ValueError(f"seed {seeds[int(np.argmin(fixing))]} does not fix the code")
+    chain, _, nodes = _search(lin, node_budget, seeds=seeds)
     return BacktrackResult(chain.order(), tuple(map(Permutation, chain.gens[0])), nodes)
 
 
-def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | None = None
+def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | None = None,
+            seeds: Sequence[Permutation] = ()
             ) -> tuple[StabilizerChain, tuple[int, ...] | None, int]:
     """The one search over coordinate images, used two ways.  Without a
     target it finds Aut(code) on a stabilizer chain (backtrack_full_group).
@@ -356,6 +389,8 @@ def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | Non
     cnt = [0] * len(W)            # assigned points per word
     ikey = [0] * len(W)           # image key per word
     chain = StabilizerChain(n, order)
+    for g in seeds:
+        chain.add(g.images)
     nodes = 0
 
     def descend(depth: int, fixed: bool) -> tuple[int, ...] | None:
@@ -483,6 +518,7 @@ class AutoReport:
     discovered_generators: tuple[Permutation, ...]
     known_subgroup_order: int
     full_group_order: int | None
+    search_nodes: int | None
     block_systems: tuple[BlockSystem, ...]
     classification: GroupClass
     is_elementary: bool
@@ -497,6 +533,7 @@ class AutoReport:
             "discovered_generators": [list(g.images) for g in self.discovered_generators],
             "known_subgroup_order": self.known_subgroup_order,
             "full_group_order": self.full_group_order,
+            "search_nodes": self.search_nodes,
             "block_systems": [[list(b) for b in bs.blocks] for bs in self.block_systems],
             "classification": {"label": self.classification.name,
                                "evidence": self.classification.evidence},
@@ -644,6 +681,7 @@ def analyze(code: CyclicCode | LinearCode,
 
     full_order: int | None = None
     full_gens: tuple[Permutation, ...] = ()
+    nodes: int | None = None
     stopped: BacktrackBudgetExceeded | None = None
     if elementary:
         full_order = factorial(n)
@@ -653,11 +691,10 @@ def analyze(code: CyclicCode | LinearCode,
             run_backtrack = (n <= 16 and code.field.order ** small <= ENUMERATION_BOUND)
         if run_backtrack:
             try:
-                bt = backtrack_full_group(lin, node_budget)
-                full_order = bt.order
-                full_gens = bt.generators
+                bt = backtrack_full_group(lin, node_budget, seeds=gens)
+                full_order, full_gens, nodes = bt.order, bt.generators, bt.nodes
             except BacktrackBudgetExceeded as exc:
-                stopped = exc
+                stopped, nodes = exc, exc.budget
     dist = min_distance(lin, budget=distance_budget)
 
     discovered = full_gens if full_gens else tuple(gens)
@@ -673,6 +710,7 @@ def analyze(code: CyclicCode | LinearCode,
         discovered_generators=discovered,
         known_subgroup_order=known_order,
         full_group_order=full_order,
+        search_nodes=nodes,
         block_systems=systems,
         classification=GroupClass("UNRESOLVED", (), "pending"),
         is_elementary=elementary,

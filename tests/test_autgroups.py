@@ -28,6 +28,7 @@ from cycperm.codes import (
     LinearCode,
     cyclic_code,
     enumerate_cyclic_codes,
+    fixed_by,
     is_elementary,
     maps_onto,
     min_distance,
@@ -322,6 +323,50 @@ def test_backtrack_prunes_on_word_values():
     assert backtrack_full_group(rep.linear, node_budget=1_000).order == 28_800
 
 
+def test_seeded_search_matches_the_empty_start():
+    # the known cyclic subgroup on the chain before the first node: the same
+    # order, never more nodes, and generators that fix the code
+    checked = 0
+    for q, n in ((2, 7), (2, 9), (3, 8), (4, 5), (4, 7), (4, 9), (5, 6)):
+        for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+            lin = code.linear
+            if is_elementary(lin):
+                continue
+            plain = backtrack_full_group(lin)
+            seeded = backtrack_full_group(lin, seeds=known_cyclic_subgroup(code)[0])
+            assert seeded.order == plain.order
+            assert seeded.nodes <= plain.nodes
+            assert fixed_by(lin, seeded.generators).all()
+            checked += 1
+    assert checked == 84
+    swap = Permutation((1, 0) + tuple(range(2, 7)))
+    with pytest.raises(ValueError, match=r"seed .*\(0 1\).* does not fix the code"):
+        backtrack_full_group(HAMMING7.linear, seeds=[Permutation.shift(7), swap])
+
+
+@pytest.mark.parametrize("code, budget", [
+    (cyclic_code(15, GF2, {1, 2, 4, 8}), 10),
+    (GOLAY3, 40),
+    (cyclic_code(9, make_field(2, 2), {0, 2, 3, 5, 6, 8}), 30),   # bound 162 = 2 * 81
+])
+def test_budget_stop_keeps_the_known_subgroup(code, budget):
+    # the chain starts as the known subgroup, so a stopped search's lower
+    # bound is a multiple of its order (Lagrange)
+    with pytest.raises(BacktrackBudgetExceeded) as ei:
+        analyze(code, run_backtrack=True, node_budget=budget)
+    known = ei.value.report.known_subgroup_order
+    assert known > 1 and ei.value.order_lower_bound % known == 0
+    assert ei.value.report.search_nodes == budget
+
+
+def test_analyze_reports_search_nodes():
+    assert analyze(HAMMING7).search_nodes == 19
+    assert analyze(cyclic_code(15, GF2, {1, 2, 4, 8})).search_nodes == 90
+    assert analyze(GOLAY3, run_backtrack=True).search_nodes == 343
+    assert analyze(GOLAY3, run_backtrack=False).search_nodes is None
+    assert analyze(cyclic_code(9, GF2, set(range(1, 9)))).to_json()["search_nodes"] is None
+
+
 def test_discovered_group_orders_without_listing(monkeypatch):
     # the shift, the multipliers and the G_k families of binary codes of
     # length 25 and 27: exact orders from the chain, the second far past
@@ -359,7 +404,7 @@ def test_analyze_names_a_reported_generator_that_fails(monkeypatch, q, n, ds):
     gens, _ = known_cyclic_subgroup(code)
     swap = Permutation((1, 0) + tuple(range(2, n)))
     found = autgroups.BacktrackResult(order=0, generators=(gens[0], swap, *gens[1:]), nodes=0)
-    monkeypatch.setattr(autgroups, "backtrack_full_group", lambda lin, budget: found)
+    monkeypatch.setattr(autgroups, "backtrack_full_group", lambda lin, budget, seeds: found)
     with pytest.raises(RuntimeError, match="fails to fix the code") as exc:
         analyze(code, run_backtrack=True)
     assert str(swap) in str(exc.value)

@@ -170,8 +170,9 @@ def test_analyze_node_budget_exhaustion_exits_2(capsys):
     assert "partial" in report
     assert report["report"]["full_group_order"] is None
     assert report["report"]["known_subgroup_order"] == 60
-    # no automorphism is found within 10 nodes
-    assert report["order_lower_bound"] == 1
+    # the known subgroup enters the search's chain before the first node
+    assert report["order_lower_bound"] == 60
+    assert report["report"]["search_nodes"] == 10
 
 
 def test_analyze_node_budget_exhaustion_computes_distance_once(capsys, monkeypatch):
@@ -377,5 +378,5 @@ def test_analyze_node_budget_exhaustion_scans_multipliers_once(capsys, monkeypat
                         lambda code: calls.append(code) or real(code))
     status, out, _ = run_cli(capsys, "analyze", "--q", "2", "--n", "15",
                              "--defining-set", "1,2,4,8", "--budget-nodes", "10")
-    assert status == 2 and json.loads(out)["order_lower_bound"] == 1
+    assert status == 2 and json.loads(out)["order_lower_bound"] == 60
     assert len(calls) == 1
