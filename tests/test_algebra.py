@@ -1,10 +1,14 @@
-import pytest
+import json
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from cycperm.algebra import (
     Field,
+    _is_irreducible,
     Polynomial,
     is_prime,
     make_field,
@@ -18,7 +22,7 @@ from cycperm.algebra import (
     x_pow_minus_one,
     z_parameter,
 )
-from cycperm.codes import cyclic_code, enumerate_cyclic_codes, is_shift_invariant
+from cycperm.codes import cyclic_code, cyclotomic_cosets, enumerate_cyclic_codes, is_shift_invariant
 
 
 def test_is_prime_small():
@@ -111,7 +115,7 @@ def test_field_rejects_bad_modulus():
         make_field(6)
 
 
-@pytest.mark.parametrize("p,s", [(2, 1), (2, 3), (3, 2), (5, 1), (13, 1)])
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 3), (3, 2), (5, 1), (13, 1), (3, 3), (5, 2), (7, 2)])
 def test_field_axioms_exhaustive_small(p, s):
     F = make_field(p, s)
     els = list(F.elements())
@@ -127,6 +131,38 @@ def test_field_axioms_exhaustive_small(p, s):
                 assert F.mul(a, b) == F.mul(b, a)
                 for c in els:
                     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("p,s", [(3, 3), (2, 6)])
+def test_field_pow_is_repeated_mul(p, s):
+    F = make_field(p, s)
+    for a in F.elements():
+        x = 1
+        for e in range(F.order + 1):
+            assert F.pow(a, e) == x
+            x = F.mul(x, a)
+        if a:
+            assert F.pow(a, -1) == F.inv(a)
+
+
+def _monic_polynomials(F, degree):
+    for low in range(F.order ** degree):
+        digits = []
+        for _ in range(degree):
+            low, d = divmod(low, F.order)
+            digits.append(d)
+        yield Polynomial(F, (*digits, 1))
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(2, 7)), (3, range(2, 5))])
+def test_rabin_test_agrees_with_trial_division(p, degrees):
+    # f is irreducible iff no monic polynomial of degree 1..deg(f)/2 divides it
+    F = make_field(p)
+    for s in degrees:
+        for f in _monic_polynomials(F, s):
+            divisible = any(poly_divmod(f, g)[1].is_zero()
+                            for d in range(1, s // 2 + 1) for g in _monic_polynomials(F, d))
+            assert _is_irreducible(f.coeffs, p) == (not divisible), f
 
 
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
@@ -302,3 +338,49 @@ def test_root_system_deterministic_alpha():
     rs2 = root_system(make_field(2), 9)
     assert rs1.alpha == rs2.alpha
     assert rs1.ext.element_order(rs1.alpha) == 9
+
+
+# --- golden values: moduli, alphas and minimal polynomials --------------------
+
+GOLDEN = Path(__file__).parent / "algebra_golden.json"
+GOLDEN_PRIMES = (2, 3, 5, 7, 11, 13)
+GOLDEN_BASES = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                (2, 4), (5, 2))
+GOLDEN_LIMIT = 2 ** 24
+COMPACT = {"separators": (",", ":")}
+
+
+def _golden_text() -> str:
+    """The canonical modulus of every GF(p^s) with p^s <= 2^24, p in
+    GOLDEN_PRIMES, then for every base field GF(q) of GOLDEN_BASES and
+    1 <= n <= 40 with gcd(n, q) = 1 whose splitting field has at most 2^24
+    elements: alpha and the minimal polynomial of each q-cyclotomic coset.
+    One entry per line, so a diff names the entry that moved."""
+    lines = []
+    for p in GOLDEN_PRIMES:
+        s = 1
+        while p ** s <= GOLDEN_LIMIT:
+            lines.append(json.dumps([p, s, list(make_field(p, s).modulus)], **COMPACT))
+            s += 1
+    splitting = []
+    for spec in GOLDEN_BASES:
+        F = make_field(*spec)
+        q = F.order
+        for n in range(1, 41):
+            if gcd(n, q) != 1 or q ** multiplicative_order(q, n) > GOLDEN_LIMIT:
+                continue
+            cosets = [[list(c), list(minimal_polynomial(F, n, c).coeffs)]
+                      for c in cyclotomic_cosets(n, q)]
+            splitting.append(json.dumps([q, n, root_system(F, n).alpha, cosets], **COMPACT))
+    return ('{"moduli": [\n' + ",\n".join(lines) + '\n],\n"splitting": [\n'
+            + ",\n".join(splitting) + "\n]}\n")
+
+
+def test_algebra_matches_the_golden_file():
+    # regenerate with `PYTHONPATH=src python tests/test_algebra.py` only for
+    # a change meant to move a modulus, an alpha or a minimal polynomial
+    assert _golden_text() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(_golden_text())
