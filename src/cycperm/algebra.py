@@ -101,65 +101,35 @@ def z_parameter(q: int, p: int) -> int:
     return z
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over the prime field Z_p, coefficients as plain int lists
-# (little-endian).  Used by Field internals and the irreducible-modulus search.
-
-
-def _gfp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _gfp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    """a * b mod f over GF(p), for digit lists a and b of length s and a
+    monic f of degree s >= 1 (little-endian), as a digit list of length s.
+    The schoolbook sum is formed with no reduction, its terms of degree
+    2s - 2 down to s are cleared with multiples of f, and each kept digit
+    takes one % p."""
+    s = len(f) - 1
+    out = [0] * (2 * s - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gfp_trim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    for top in range(2 * s - 2, s - 1, -1):
+        c = out[top] % p
+        if c:
+            for i in range(top - s, top):
+                out[i] -= c * f[i - top + s]
+    return [c % p for c in out[:s]]
 
 
-def _gfp_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    r = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(r) - 1 >= dm and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        f = r[-1] * inv_lead % p
-        shift = len(r) - 1 - dm
-        for i, c in enumerate(m):
-            r[shift + i] = (r[shift + i] - f * c) % p
-        r.pop()
-    return _gfp_trim(r)
-
-
-def _gfp_powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    r, b = [1], _gfp_mod(a, m, p)
+def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    """a^e mod f over GF(p), e >= 0, by square-and-multiply on _mulmod."""
+    r = [1] + [0] * (len(f) - 2)
     while e:
         if e & 1:
-            r = _gfp_mod(_gfp_mul(r, b, p), m, p)
-        b = _gfp_mod(_gfp_mul(b, b, p), m, p)
+            r = _mulmod(r, a, f, p)
+        a = _mulmod(a, a, f, p)
         e >>= 1
     return r
-
-
-def _gfp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gfp_mod(a, b, p)
-    return a
-
-
-def _gfp_sub_lists(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _gfp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                      for i in range(n)])
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
@@ -170,13 +140,14 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         return False
     if s == 1:
         return True
-    x = [0, 1]
-    if _gfp_powmod(x, p ** s, coeffs, p) != x:
+    x = [0, 1] + [0] * (s - 2)
+    if _powmod(x, p ** s, coeffs, p) != x:
         return False
+    Fp = make_field(p)
+    f, x_poly = Polynomial(Fp, tuple(coeffs)), Polynomial(Fp, (0, 1))
     for r in prime_factors(s):
-        h = _gfp_powmod(x, p ** (s // r), coeffs, p)
-        g = _gfp_gcd(coeffs, _gfp_sub_lists(h, x, p), p)
-        if len(g) - 1 != 0:
+        h = Polynomial(Fp, tuple(_powmod(x, p ** (s // r), coeffs, p)))
+        if poly_gcd(f, h - x_poly).degree != 0:
             return False
     return True
 
@@ -189,7 +160,7 @@ class Field:
     and the modulus is x itself, so prime fields need no table machinery.
     """
 
-    __slots__ = ("characteristic", "degree", "order", "modulus", "_mod_coeffs")
+    __slots__ = ("characteristic", "degree", "order", "modulus")
 
     def __init__(self, characteristic: int, degree: int = 1, modulus: tuple[int, ...] | None = None):
         p, s = characteristic, degree
@@ -213,7 +184,6 @@ class Field:
         self.degree = s
         self.order = p ** s
         self.modulus = modulus
-        self._mod_coeffs = list(modulus)
 
     # identity is structural: same (p, s, modulus) means same field
     def __eq__(self, other: object) -> bool:
@@ -275,28 +245,21 @@ class Field:
         p = self.characteristic
         if self.degree == 1:
             return a * b % p
-        prod = _gfp_mul(_gfp_trim(self._digits(a)), _gfp_trim(self._digits(b)), p)
-        return self._encode(_gfp_mod(prod, self._mod_coeffs, p) + [0] * self.degree)
+        return self._encode(_mulmod(self._digits(a), self._digits(b), self.modulus, p))
 
     def inv(self, a: int) -> int:
         if a % self.order == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.degree == 1:
-            p = self.characteristic
-            return pow(a, p - 2, p)
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
         self.validate(a)
         if e < 0:
             a, e = self.inv(a), -e
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
+        p = self.characteristic
+        if self.degree == 1:
+            return pow(a, e, p)
+        return self._encode(_powmod(self._digits(a), e, self.modulus, p))
 
     def element_order(self, a: int) -> int:
         if a == 0:

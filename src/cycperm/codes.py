@@ -534,15 +534,27 @@ class WeightProfile:
 
 
 def weight_profile(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> WeightProfile:
-    """Exhaustive weight distribution.  Raises when q^k exceeds the budget;
-    callers that can live with partial data should use min_distance instead."""
-    if code.codeword_count() > budget:
-        raise ValueError(f"weight profile needs {code.codeword_count()} enumerations, budget {budget}")
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for block in code.codeword_chunks():
-        w = (block != 0).sum(axis=1)
-        counts += np.bincount(w, minlength=code.n + 1)
-    return WeightProfile(tuple(int(c) for c in counts), True)
+    """Exhaustive weight distribution, enumerated on the smaller side.  When
+    n - k < k the dual's distribution B is enumerated and the MacWilliams
+    identity (MacWilliams-Sloane, ch. 5) gives the code's in exact integers:
+    A_w = q^-(n-k) sum_j B_j K_w(j), with the Krawtchouk value
+    K_w(j) = sum_i (-1)^i (q-1)^(w-i) C(j, i) C(n-j, w-i).  Raises when the
+    side enumerated has more than `budget` words; callers that can live with
+    partial data should use min_distance instead."""
+    n, q = code.n, code.field.order
+    side = code.dual() if n - code.k < code.k else code
+    if side.codeword_count() > budget:
+        raise ValueError(f"weight profile needs {side.codeword_count()} enumerations, budget {budget}")
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for block in side.codeword_chunks():
+        counts += np.bincount((block != 0).sum(axis=1), minlength=n + 1)
+    if side is code:
+        return WeightProfile(tuple(int(c) for c in counts), True)
+    dual = [(j, int(b)) for j, b in enumerate(counts) if b]
+    return WeightProfile(tuple(
+        sum(b * sum((-1) ** i * (q - 1) ** (w - i) * comb(j, i) * comb(n - j, w - i)
+                    for i in range(w + 1)) for j, b in dual) // side.codeword_count()
+        for w in range(n + 1)), True)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .codes import (
 from .autgroups import _search, gk_lifts, known_cyclic_subgroup, multipliers_onto
 from .perm import (
     BRUTE_DEGREE_BOUND,
+    ClosureBoundExceeded,
     PermGroup,
     Permutation,
     conjugation_set,
@@ -367,14 +368,22 @@ def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
     Aut(C1) by Sylow's theorem.  So (sigma tau)^-1 T^l (sigma tau) is in P,
     and sigma tau, which also maps C1 onto C2, is in H'(P).  At l = 1,
     Legendre's formula gives v_p((p^r)!) = (p^r - 1)/(p - 1), the ceiling
-    on the exponent of P.
+    on the exponent of P.  When the leaders would take more than
+    CLOSURE_BOUND rows, nothing is scanned and the verdict is
+    "inconclusive", with the count reached in its evidence.
     """
     n = P.degree
     p, _ = prime_power(n // l)
-    leaders, size = shift_coset_leaders(P, l)
-    complete = P.order() == p_part(factorial(n), p)
     _, s = prime_power(P.order())
     name = "H(P)" if l == 1 else "H'(P)"
+    try:
+        leaders, size = shift_coset_leaders(P, l)
+    except ClosureBoundExceeded as exc:
+        return EquivalenceVerdict(
+            "inconclusive", None, strategy, False,
+            f"{name} from {source}, Sylow exponent {s}, not scanned: listing it reached "
+            f"{exc.reached} rows, past CLOSURE_BOUND = {exc.bound}")
+    complete = P.order() == p_part(factorial(n), p)
     detail = f"{name} of size {size} from {source}, Sylow exponent {s}"
     sigma = witness_scan(c1.linear, c2.linear, leaders)
     if sigma is not None:

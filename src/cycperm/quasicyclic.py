@@ -155,8 +155,9 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     """A Sylow p-subgroup through T^l of the part of the automorphism group
     discoverable from the structured families (the elements of Q = <sigma_i,
     T> and of AG(n) that fix the code, found by one code-action test over
-    the image rows of both), or of <T^l> alone when that part is larger
-    than CLOSURE_BOUND.  It is cut out as G meet W, with W Kaloujnine's
+    the image rows of both; of AG(n) alone when Q is larger than
+    CLOSURE_BOUND), or of <T^l> alone when that part is larger than
+    CLOSURE_BOUND.  It is cut out as G meet W, with W Kaloujnine's
     triangular group on each cycle of T^l (perm.sylow_through_shift), which
     is the Sylow subgroup through T^l when l < p; for l > p the Sylow
     subgroup through T^l is not unique, and the normalizer ascent
@@ -165,10 +166,11 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     n, l = code.n, code.index
     lin = code.linear
     tl = Permutation.power_shift(n, l)
-    rows = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])._array
     x = np.arange(n)
-    affine = (np.array(units(n))[:, None, None] * x + x[:, None]) % n    # [a, b, x]: a x + b
-    rows = np.concatenate([rows, affine.reshape(-1, n).astype(rows.dtype)])
+    rows = ((np.array(units(n))[:, None, None] * x + x[:, None]) % n).reshape(-1, n)  # a x + b
+    Q = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])
+    if Q.order_at_most(CLOSURE_BOUND):
+        rows = np.concatenate([Q._array, rows.astype(Q._array.dtype)])
     fixed = rows[maps_onto(lin, lin, rows)].tolist()
     ambient = PermGroup.from_generators(n, [tl] + [Permutation(tuple(g)) for g in fixed])
     if not ambient.order_at_most(CLOSURE_BOUND):

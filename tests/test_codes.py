@@ -344,8 +344,40 @@ def test_weight_profile_hamming():
 
 
 def test_weight_profile_budget():
-    with pytest.raises(ValueError):
-        weight_profile(cyclic_code(23, GF2, set()).linear, budget=1000)
+    # the binary Golay [23,12] code: 2^12 words and a dual of 2^11, both
+    # past the budget, so neither side is enumerated
+    golay = cyclic_code(23, GF2, {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18})
+    with pytest.raises(ValueError, match="2048 enumerations"):
+        weight_profile(golay.linear, budget=1000)
+
+
+def _enumerated_profile(code: LinearCode) -> tuple[int, ...]:
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for block in code.codeword_chunks():
+        counts += np.bincount((block != 0).sum(axis=1), minlength=code.n + 1)
+    return tuple(int(c) for c in counts)
+
+
+def test_weight_profile_by_macwilliams_matches_enumeration():
+    # 88 codes; the 39 with n - k < k take the dual's profile and transform it
+    through_dual = 0
+    for spec, n in (((2, 1), 15), ((3, 1), 8), ((2, 2), 7), ((5, 1), 6)):
+        for code in enumerate_cyclic_codes(n, make_field(*spec)):
+            through_dual += code.n - code.k < code.k
+            assert weight_profile(code.linear).counts == _enumerated_profile(code.linear), code
+    assert through_dual == 39
+
+
+def test_weight_profile_enumerates_the_smaller_side(monkeypatch):
+    # the [25,24] even-weight code has 2^24 words and a [25,1] dual
+    code = cyclic_code(25, GF2, {0}).linear
+    enumerated = []
+    chunks = LinearCode.codeword_chunks
+    monkeypatch.setattr(LinearCode, "codeword_chunks",
+                        lambda self, *a: enumerated.append(self.k) or chunks(self, *a))
+    wp = weight_profile(code, budget=2)
+    assert enumerated == [1]
+    assert wp.counts == tuple(comb(25, w) if w % 2 == 0 else 0 for w in range(26))
 
 
 # --- minimum distance: frozen oracle values ----------------------------------

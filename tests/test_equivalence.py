@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycperm import autgroups, equivalence
+from cycperm import autgroups, equivalence, perm
 from cycperm.algebra import make_field, p_part, prime_power, units
 from cycperm.autgroups import gk_family, known_cyclic_subgroup
 from cycperm.codes import (
@@ -15,6 +15,7 @@ from cycperm.codes import (
     LinearCode,
     cyclic_code,
     cyclic_defining_set,
+    cyclotomic_coset,
     enumerate_cyclic_codes,
     is_shift_invariant,
     maps_onto,
@@ -314,6 +315,18 @@ def test_hp_decides_where_multiplier_cannot():
     hp = decide_equivalence(a, b, "HP")
     brute = decide_equivalence(a, b, "BRUTE")
     assert hp.complete and hp.status == brute.status
+
+
+def test_hp_past_the_closure_bound_is_inconclusive(monkeypatch):
+    # H(P) of this [27,8] code has 4,374 members and P has 243; under a
+    # bound of 100 listing P already passes it, so nothing is scanned
+    code = cyclic_code(27, GF2, {0, *cyclotomic_coset(27, 2, 1)})
+    assert code.k == 8
+    assert decide_equivalence(code, code, "HP").status == "equivalent"
+    monkeypatch.setattr(perm, "CLOSURE_BOUND", 100)
+    v = decide_equivalence(code, code, "HP")
+    assert (v.status, v.complete, v.witness) == ("inconclusive", False, None)
+    assert "reached 243 rows, past CLOSURE_BOUND = 100" in v.evidence
 
 
 def test_dimension_separation_is_complete():

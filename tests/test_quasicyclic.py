@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 from math import factorial, gcd, lcm
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycperm import equivalence, perm, quasicyclic
+from cycperm import cli, equivalence, perm, quasicyclic
 from cycperm.algebra import make_field, p_part, prime_power
 from cycperm.autgroups import analyze
 from cycperm.codes import (
     LinearCode,
+    code_to_spec,
     cyclic_code,
     enumerate_cyclic_codes,
     permute_code,
@@ -408,6 +410,24 @@ def test_structured_stays_incomplete_below_the_sylow_order():
     verdict = qc_equivalence_search(c1, c2, "STRUCTURED")
     assert (verdict.status, verdict.complete) == ("inconclusive", False)
     assert qc_equivalence_search(c1, c2, "BRUTE").status == "inequivalent"
+
+
+@pytest.mark.parametrize("n,l,conclusion,p_order", [(65, 5, "IMPRIMITIVE", 13),
+                                                    (21, 7, "ALTERNATING_OR_SYMMETRIC", 6561)])
+def test_past_the_closure_bound_qc_answers_inconclusive(n, l, conclusion, p_order,
+                                                         tmp_path, capsys):
+    # D = {0}: at n = 65 Q = <sigma_i, T> has 13^5 * 5 elements and is not
+    # listed; at n = 21 C(T^7) has 3^7 * 7! and H'(P) is not scanned
+    code = cyclic_code(n, GF2, {0})
+    path = tmp_path / "qc.json"
+    path.write_text(json.dumps({**code_to_spec(code), "index": l}))
+    assert cli.main(["qc", "--in", str(path)]) == 0      # imprimitivity_report
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert (report["conclusion"], report["p_order"]) == (conclusion, p_order)
+    qc = QuasiCyclicCode(code.linear, l)
+    verdict = qc_equivalence_search(qc, qc)
+    assert (verdict.status, verdict.complete, verdict.witness) == ("inconclusive", False, None)
+    assert f"past CLOSURE_BOUND = {CLOSURE_BOUND}" in verdict.evidence
 
 
 def test_qc_equivalence_hypothesis_errors():

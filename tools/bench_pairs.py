@@ -7,11 +7,20 @@
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds 30
 --trace 0` once in each checkout, from its root, one run at a time; the
 parent goes first in even-numbered pairs and the change in odd ones.  The
-last stdout line of a run is its JSON result.  The output file holds every
-run (`runs`) and, per workload and seed, the median and inclusive quartiles
-of each end-to-end metric on each side, with the number of pairs in which
-the change was lower and higher (`summary`).  --notes merges the keys of a
-JSON object into the output, for figures measured some other way.
+last stdout line of a run is its JSON result.  The output file holds both
+commits, every run (`runs`) and, per workload and seed, the median and
+inclusive quartiles of each end-to-end metric on each side, with the number
+of pairs in which the change was lower and higher (`summary`).
+
+Each end-to-end metric of the change checkout's BENCHMARK.json also gets
+`worse_than_bound`: whether the change's median is worse than the parent's,
+in the metric's `better` direction, by more than its `bound`, taken
+relative to the parent's median for metrics in s and MB and absolute for
+fractions.  With --claim the claimed metric gets `claim_met`: the change is
+better in at least nine tenths of the pairs (ties count for neither side)
+and the medians differ, in its favour, by more than the parent's q3 - q1.
+--notes merges the keys of a JSON object into the output, for figures
+measured some other way.
 """
 from __future__ import annotations
 
@@ -45,7 +54,26 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(med, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def summarize(runs: list[dict]) -> dict:
+def worse_than_bound(stats: dict, spec: dict) -> bool:
+    """The change's median is worse than the parent's by more than the
+    metric's bound: relative for s and MB, absolute for fractions."""
+    parent, change = stats["parent"]["median"], stats["change"]["median"]
+    worse_by = change - parent if spec["better"] == "lower" else parent - change
+    allowed = spec["bound"] if spec["unit"] == "fraction" else spec["bound"] * abs(parent)
+    return worse_by > allowed
+
+
+def claim_met(stats: dict, better: str, pairs: int) -> bool:
+    """Better in at least nine tenths of the pairs, and the medians apart,
+    in the change's favour, by more than the parent's interquartile range."""
+    lower = better == "lower"
+    wins = stats["change_lower_in_pairs" if lower else "change_higher_in_pairs"]
+    parent, change = stats["parent"], stats["change"]["median"]
+    gain = parent["median"] - change if lower else change - parent["median"]
+    return 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"]
+
+
+def summarize(runs: list[dict], bounds: dict[str, dict]) -> dict:
     metrics = [k for k in runs[0]["parent"] if k not in ("correct", "attempted", "failed")]
     out = {"pairs": len(runs),
            "all_correct": all(r[s]["correct"] for r in runs for s in SIDES),
@@ -54,6 +82,8 @@ def summarize(runs: list[dict]) -> dict:
         out[m] = {s: quartiles([r[s][m] for r in runs]) for s in SIDES}
         out[m]["change_lower_in_pairs"] = sum(r["change"][m] < r["parent"][m] for r in runs)
         out[m]["change_higher_in_pairs"] = sum(r["change"][m] > r["parent"][m] for r in runs)
+        if m in bounds:
+            out[m]["worse_than_bound"] = worse_than_bound(out[m], bounds[m])
     return out
 
 
@@ -77,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--notes", type=Path, help="JSON object merged into the output")
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    bounds = {spec["name"]: spec for spec in benchmark["end_to_end"]}
     runs, summary = [], {}
     for spec in args.run:
         workload, seed = spec.split(":")
@@ -90,14 +122,18 @@ def main(argv: list[str] | None = None) -> int:
                   f" change {pair['change']['wall_s']:.4f}", file=sys.stderr)
             pairs.append(pair)
         runs += pairs
-        summary[f"{workload}:seed{seed}"] = summarize(pairs)
+        summary[f"{workload}:seed{seed}"] = summarize(pairs, bounds)
     out = {"title": args.title, "parent_commit": git_head(checkouts["parent"]),
+           "change_commit": git_head(checkouts["change"]),
            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
            "protocol": "alternating pairs, parent first in even-numbered pairs and change "
                        f"first in odd ones; {args.pairs} pairs per workload and seed"}
     if args.claim:
         workload, metric, seed = args.claim.split(":")
-        out["claim"] = {"workload": workload, "metric": metric, "seed": int(seed)}
+        stats = summary[f"{workload}:seed{seed}"]
+        out["claim"] = {"workload": workload, "metric": metric, "seed": int(seed),
+                        "claim_met": claim_met(stats[metric], bounds[metric]["better"],
+                                               stats["pairs"])}
     out["summary"] = summary
     out["runs"] = runs
     if args.notes:
