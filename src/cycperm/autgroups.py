@@ -37,6 +37,7 @@ imprimitive or projective semilinear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, gcd, inf
 from typing import Sequence
 
@@ -139,19 +140,12 @@ def gk_lifts(q: int, n: int) -> bool:
         and multiplicative_order(q, n) == multiplicative_order(q, p) * p ** (r - 1)
 
 
-def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
-    """The verified group G_k = {mu_{q^i,c}^{(p^k)}} of order t_k * p^k inside
-    the automorphism group of a length-p^r code, plus the multiplier-only
-    subfamily H_k = {mu_{q^i,0}^{(p^k)}} which fixes the code's idempotent.
-
-    Requires gk_lifts: z = 1 and ord_{p^r}(q) = t p^(r-1).  G_k is the
-    group generated by mu_{q,0} and mu_{1,1}, and H_k the cyclic group of
-    mu_{q,0}, so checking generators suffices: the chain order must be
-    t_k * p^k, both generators must fix the code and mu_{q,0} the
-    idempotent.  A failure here would be a counterexample to the
-    containment claim rather than a usage error.
-    """
-    n, q = code.n, code.field.order
+@lru_cache(maxsize=None)
+def _gk_group(n: int, q: int, k: int) -> tuple[PermGroup, Permutation, tuple[Permutation, ...]]:
+    """G_k = <mu_{q,0}, mu_{1,1}> at length n = p^r over GF(q), its chain
+    order certified as t_k * p^k, with mu_{q,0} and H_k = {mu_{q^i,0}}.
+    They depend on (n, q, k) alone and are cached; callers share the group
+    and never mutate it."""
     p, r = prime_power(n)
     if not 1 <= k <= r:
         raise ValueError(f"need 1 <= k <= r = {r}, got k = {k}")
@@ -163,6 +157,28 @@ def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     group = PermGroup.from_generators(n, [mult, Permutation.generalized_multiplier(n, k, 1, 1)])
     if group.order() != tk * pk:
         raise RuntimeError(f"G_{k} degenerated: order {group.order()} != {tk}*{pk}")
+    hk = tuple(Permutation.generalized_multiplier(n, k, pow(q, i, pk), 0) for i in range(tk))
+    return group, mult, hk
+
+
+def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
+    """The verified group G_k = {mu_{q^i,c}^{(p^k)}} of order t_k * p^k inside
+    the automorphism group of a length-p^r code, plus the multiplier-only
+    subfamily H_k = {mu_{q^i,0}^{(p^k)}} which fixes the code's idempotent.
+
+    Requires gk_lifts: z = 1 and ord_{p^r}(q) = t p^(r-1).  G_k is the
+    group generated by mu_{q,0} and mu_{1,1}, and H_k the cyclic group of
+    mu_{q,0}, so checking generators suffices: the chain order must be
+    t_k * p^k, both generators must fix the code and mu_{q,0} the
+    idempotent.  The group and its order depend on (n, q, k) alone, so they
+    are built and certified once (_gk_group) and the group returned is
+    shared by every code of that length and field; the two checks on the
+    code run on every call, the first as one maps_onto batch.  A failure
+    here would be a counterexample to the containment claim rather than a
+    usage error.
+    """
+    n = code.n
+    group, mult, hk = _gk_group(n, code.field.order, k)
     ok = maps_onto(code.linear, code.linear, [g.images for g in group.generators])
     if not ok.all():
         first = group.generators[int(np.argmin(ok))]
@@ -171,8 +187,7 @@ def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     evec += [0] * (n - len(evec))
     if any(evec[mult(i)] != evec[i] for i in range(n)):
         raise RuntimeError(f"H_{k} generator does not fix the idempotent: {mult}")
-    hk = [Permutation.generalized_multiplier(n, k, pow(q, i, pk), 0) for i in range(tk)]
-    return group, hk
+    return group, list(hk)
 
 
 def sylow_exponent_bounds(n: int, q: int, s: int) -> bool:

@@ -16,12 +16,13 @@ multiplication by b is the s x s matrix algebra.multiplication_matrices gives
 for b.  A matrix over GF(p^s) expands to a matrix over GF(p) with one s x s
 block per entry, so every product of code matrices is one integer matmul mod
 p, and s = 1 is plain prime-field arithmetic.  On that rest the batched test
-maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once),
-which every witness scan and every leaf of the search calls, and the one
-message-to-codeword product behind codeword_chunks, the level listing
-_level_words and fixed_by.  The Brouwer-Zimmermann levels of min_distance
-need no product: they add scaled rows of G digit by digit and compare
-partial sums on the non-pivot columns.  min_weight_words lists one
+maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once:
+one stacked product for a small batch, a reduction over the survivors for
+a large one), which every witness scan and every leaf of the search calls,
+and the one message-to-codeword product behind codeword_chunks, the level
+listing _level_words and fixed_by.  The Brouwer-Zimmermann levels of
+min_distance need no product: they add scaled rows of G digit by digit and
+compare partial sums on the non-pivot columns.  min_weight_words lists one
 minimum-weight word per support from the levels, given the exact distance,
 with the window theorem of _has_windows that also gives min_distance its
 cyclic bound.  permute_code is the public transform and the independent
@@ -31,9 +32,10 @@ its values on the pivots.
 
 Every Gaussian elimination is one routine, _eliminate, run on a batch of
 matrices over GF(q) at once: the RREF that identifies a code (from_rows,
-permute_code, dual, CyclicCode.linear) is a batch of one, and each rank
-step of min_distance is a batch of column subsets.  GF(p) multiplies mod p;
-GF(p^s) looks products and differences up in q x q tables.
+permute_code, dual) is a batch of one, and each rank step of min_distance
+is a batch of column subsets.  A cyclic code needs none: CyclicCode.linear
+writes its RREF in closed form.  GF(p) multiplies mod p; GF(p^s) looks
+products and differences up in q x q tables.
 """
 from __future__ import annotations
 
@@ -276,11 +278,12 @@ class LinearCode:
 
 def _expand(field: Field, matrix: np.ndarray) -> np.ndarray:
     """A (r, c) matrix over GF(p^s) as the (r*s, c*s) matrix over GF(p) whose
-    block (i, j) is the multiplication matrix of entry (i, j)."""
+    block (i, j) is the multiplication matrix of entry (i, j), in C order
+    (maps_onto gathers its rows)."""
     r, c = matrix.shape
     s = field.degree
     blocks = multiplication_matrices(field)[matrix]          # (r, c, s, s)
-    out = blocks.transpose(0, 2, 1, 3).reshape(r * s, c * s)
+    out = np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(r * s, c * s))
     out.flags.writeable = False
     return out
 
@@ -296,23 +299,38 @@ def _elements(field: Field, digits: np.ndarray) -> np.ndarray:
     return out
 
 
+# The largest batch maps_onto tests with one stacked product, in entries of
+# its gathered parity rows (B * n*s * (n-k)*s; 512 KB of int64).  On the
+# benchmark's workloads the largest stacked batch has 41,292 entries (GF(11)
+# [37,6], 36 multipliers; stacked 2-3x faster than the survivor reduction)
+# and the smallest larger one 66,825 (GF(3) n = 15, k = 6, 495 rows; stacked
+# 1.6-2.6x slower), timed per call (tools/time_code_action.py)
+_STACKED_ENTRIES = 1 << 16
+
+
 def maps_onto(c1: LinearCode, c2: LinearCode,
               images: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     """The code-action test, batched: row b of the (B, n) array `images`
     holds sigma_b (images[b][i] = sigma_b(i)), and entry b of the boolean
     result says whether sigma_b maps c1 onto c2, that is whether
-    permute_code(c1, sigma_b) == c2.
+    permute_code(c1, sigma_b) == c2.  An empty batch gives an empty result.
 
     sigma maps c1 onto c2 iff k1 = k2 and G1[:, sigma^-1] H2^T = 0, which is
     G1 (H2[:, sigma])^T = 0: every generator row g of c1 has
     sum_i g_i H2[:, sigma(i)] = 0.  It is checked over GF(p) on the expanded
-    matrices, so no inverse is needed.  A single permutation takes one
-    product.  A batch is reduced one generator row at a time over the
-    survivors, summing the gathered parity-check rows in the smallest
-    integer type that holds n*s*(p-1)^2, so temporaries stay at (B, n)
-    small integers.
+    matrices, so no inverse is needed.  A small batch, whose gathered
+    parity rows H2[:, sigma_b] have at most _STACKED_ENTRIES entries in all,
+    takes one stacked product G1 H2[:, sigma]^T mod p; a single permutation,
+    the leaf test of the search, is such a batch.  A larger one, such as a
+    witness scan of H(P) or H'(P), is reduced one generator row at a time
+    over the survivors, summing the gathered parity-check rows in the
+    smallest integer type that holds n*s*(p-1)^2, so temporaries stay at
+    (B, n) small integers: most rows fail on the first generator rows, and
+    a stacked product would pay for all of them.
     """
     images = np.asarray(images)
+    if not len(images):
+        return np.zeros(0, dtype=bool)
     B, n = images.shape
     if n != c1.n or n != c2.n:
         raise ValueError(f"permutation degree {n} != code lengths {c1.n}, {c2.n}")
@@ -322,9 +340,12 @@ def maps_onto(c1: LinearCode, c2: LinearCode,
     G = c1.expanded_generator[::s]                # digit rows of G1, (k, n*s)
     H = c2.expanded_parity
     m = H.shape[1]
-    if B == 1:
-        moved = H.reshape(n, s * m).take(images[0], axis=0).reshape(n * s, m)
-        return np.array([not np.count_nonzero(G @ moved % p)])
+    if B * n * s * m <= _STACKED_ENTRIES:
+        product = G @ H.reshape(n, s * m).take(images, axis=0).reshape(B, n * s, m)
+        product %= p
+        if B == 1:      # the leaf test of the search: a count is cheaper than a reduction
+            return np.array([not np.count_nonzero(product)])
+        return ~product.any(axis=(1, 2))
     H = H.reshape(n, s, m).astype(np.min_scalar_type(n * s * (p - 1) ** 2))
     alive = np.arange(B)
     for g in G.reshape(-1, n, s):
@@ -448,15 +469,25 @@ class CyclicCode:
 
     @cached_property
     def linear(self) -> LinearCode:
-        g = self.generator_poly
-        k = self.k
-        rows = np.zeros((k, self.n), dtype=np.int64)
-        for s in range(k):                      # deg g = n - k: no row wraps
-            rows[s, s:s + len(g.coeffs)] = g.coeffs
-        code = LinearCode(self.field, self.n, rref(rows, self.field))
-        if code.k != k:
+        """The code as a LinearCode, its RREF written in closed form.  Any k
+        consecutive coordinates of a cyclic code form an information set, so
+        the pivots are 0..k-1 and row i is the one codeword that is e_i
+        there.  It is x^k (x^(n-k+i) - (x^(n-k+i) mod g)) mod x^n - 1: e_i,
+        then the coefficients of -(x^(n-k+i) mod g) on k..n-1.  Each
+        remainder is the one before it times x, reduced by g once."""
+        F, n, k = self.field, self.n, self.k
+        g = np.array(self.generator_poly.coeffs, dtype=np.int64)
+        if len(g) != n - k + 1:
             raise RuntimeError("generator degree disagrees with defining set size")
-        return code
+        rows = np.zeros((k, n), dtype=np.int64)
+        rows[:, :k] = np.eye(k, dtype=np.int64)
+        tail = g[:-1]                           # -(x^(n-k) mod g), as g is monic
+        for i in range(k):
+            rows[i, k:] = tail
+            shifted = np.concatenate(([0], tail))
+            _subtract(shifted, shifted[-1], g, F)
+            tail = shifted[:-1]
+        return LinearCode(F, n, tuple(map(tuple, rows.tolist())))
 
     def dual(self) -> "CyclicCode":
         """Dual defining set: complement of the negated set mod n.  Verified

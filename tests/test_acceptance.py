@@ -196,8 +196,8 @@ def test_criterion_06_normalizer_as_published():
 # --- 7: generalized multiplier families ----------------------------------------------
 
 def test_criterion_07_gk_families(capsys):
-    # gk_family re-verifies order, code fixing, and idempotent fixing on
-    # every call and raises on any failure
+    # gk_family certifies G_k's order once per (n, q, k), checks code fixing
+    # and idempotent fixing on every call, and raises on any failure
     with criterion(capsys, 7, "generalized multiplier families", 120.0):
         for q, n, orders in ((2, 9, (6, 54)), (2, 49, (21, 1029))):
             codes = enumerate_cyclic_codes(n, make_field(q))

@@ -178,6 +178,29 @@ def test_gk_family_raises_when_a_generator_fails(monkeypatch):
     assert str(bad) in str(exc.value)
 
 
+def test_gk_family_is_certified_once_per_length_and_field(monkeypatch):
+    # G_k and its chain order depend on (n, q, k) alone: over every binary
+    # code of length 9 and 27 one chain is built per (n, k), and two codes
+    # share one group; the code-fixing test runs on every call
+    length27 = enumerate_cyclic_codes(27, GF2)
+    codes = enumerate_cyclic_codes(9, GF2) + length27
+    builds, tests = [], []
+    real_build, real_test = PermGroup._build_chain, autgroups.maps_onto
+    monkeypatch.setattr(PermGroup, "_build_chain",
+                        lambda self, bound: builds.append(self.degree) or real_build(self, bound))
+    monkeypatch.setattr(autgroups, "maps_onto",
+                        lambda c1, c2, images: tests.append(c1) or real_test(c1, c2, images))
+    autgroups._gk_group.cache_clear()
+    calls = 0
+    for code in codes:
+        for k in range(1, prime_power(code.n)[1] + 1):
+            gk_family(code, k)
+            calls += 1
+    assert sorted(builds) == [9, 9, 27, 27, 27]
+    assert len(tests) == calls
+    assert gk_family(length27[1], 2)[0] is gk_family(length27[2], 2)[0]
+
+
 def test_gk_family_z_violated():
     # 3^5 - 1 = 242 = 2 * 11^2, so z = 2 for q = 3, p = 11
     code = cyclic_code(121, GF3, {1, 3, 9, 27, 81})

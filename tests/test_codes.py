@@ -257,6 +257,68 @@ def test_maps_onto_agrees_with_permute_code(field, n):
             assert maps_onto(c1, c2, [g.images])[0] == mask[i]
 
 
+def test_maps_onto_empty_batch():
+    # like fixed_by, an empty batch, as a list or a (0, n) array, gives an
+    # empty mask
+    lin = HAMMING7.linear
+    for empty in ([], np.zeros((0, 7), dtype=np.int64)):
+        out = maps_onto(lin, lin, empty)
+        assert out.dtype == bool and out.shape == (0,)
+    assert fixed_by(lin, []).shape == (0,)
+
+
+@pytest.mark.parametrize("field, n", [(GF2, 15), (GF3, 13), (GF4, 9), (GF8, 7), (GF11, 10)])
+def test_stacked_product_agrees_with_permute_code(field, n):
+    # seeded batches just below, at and just above codes._STACKED_ENTRIES
+    # (the last one takes the survivor reduction, its prefix the stacked
+    # product), drawn from a pool of 30 random permutations and 30 affine
+    # maps, so that some rows map c1 onto c2; pairs with k = 0, k = n and
+    # k1 != k2
+    rng = random.Random(field.order * 1000 + n)
+    s = field.degree
+    cyclic = enumerate_cyclic_codes(n, field)
+    affine = [Permutation.affine(n, a, b).images for a in range(1, n) if gcd(a, n) == 1
+              for b in range(n)]
+    zero = LinearCode.from_rows(field, n, [])
+    full = LinearCode.from_rows(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
+    pairs = [(zero, zero), (full, full), (zero, full)]
+    for _ in range(3):
+        c = rng.choice([c for c in cyclic if 0 < c.k < n]).linear
+        other = rng.choice([d.linear for d in cyclic if d.k != c.k])
+        pairs += [(c, c), (c, permute_code(c, Permutation(rng.choice(affine)))), (c, other)]
+    seen = Counter()
+    for c1, c2 in pairs:
+        per_row = n * s * (n - c2.k) * s
+        at = codes._STACKED_ENTRIES // per_row if per_row else 40
+        for size in (max(1, at // 3), at, at + 1):
+            pool = rng.sample(affine, 30) + [rng.sample(range(n), n) for _ in range(30)]
+            rows = np.array([rng.choice(pool) for _ in range(size)])
+            mask = maps_onto(c1, c2, rows).tolist()
+            sigmas = [Permutation(tuple(r)) for r in rows.tolist()]
+            expected = {g: permute_code(c1, g) == c2 for g in set(sigmas)}
+            assert mask == [expected[g] for g in sigmas]
+            if c1 is c2:
+                assert fixed_by(c1, sigmas).tolist() == mask
+            seen[any(mask), all(mask)] += 1
+        if per_row:
+            assert at * per_row <= codes._STACKED_ENTRIES < (at + 1) * per_row
+    assert seen[True, True] and seen[True, False] and seen[False, False]
+
+
+def test_cyclic_rref_in_closed_form():
+    # CyclicCode.linear writes its RREF in closed form (pivots 0..k-1, row i
+    # e_i then -(x^(n-k+i) mod g)); it is the RREF of the k shifts of g
+    for field, n in [(GF2, 7), (GF2, 9), (GF2, 15), (GF2, 27), (GF3, 8), (GF3, 13), (GF4, 9),
+                     (make_field(5), 6), (GF8, 7), (GF11, 19)]:
+        for code in enumerate_cyclic_codes(n, field):
+            g, k = code.generator_poly.coeffs, code.k
+            shifts = np.zeros((k, n), dtype=np.int64)
+            for i in range(k):
+                shifts[i, i:i + len(g)] = g
+            assert code.linear.matrix == rref(shifts, field), code
+            assert code.linear.pivots == tuple(range(k))
+
+
 @pytest.mark.parametrize("field, n", [(GF4, 5), (GF8, 7), (GF9, 4)])
 def test_codeword_chunks_match_product_reference(field, n):
     rng = random.Random(n)
