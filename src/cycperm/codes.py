@@ -302,9 +302,9 @@ def _elements(field: Field, digits: np.ndarray) -> np.ndarray:
 # The largest batch maps_onto tests with one stacked product, in entries of
 # its gathered parity rows (B * n*s * (n-k)*s; 512 KB of int64).  On the
 # benchmark's workloads the largest stacked batch has 41,292 entries (GF(11)
-# [37,6], 36 multipliers; stacked 2-3x faster than the survivor reduction)
-# and the smallest larger one 66,825 (GF(3) n = 15, k = 6, 495 rows; stacked
-# 1.6-2.6x slower), timed per call (tools/time_code_action.py)
+# [37,6], 36 multipliers; stacked 2.2-3.6x faster than the survivor
+# reduction) and the smallest larger one 66,825 (GF(3) n = 15, k = 6, 495
+# rows; stacked 1.6-2.7x slower), timed per call on both paths
 _STACKED_ENTRIES = 1 << 16
 
 
