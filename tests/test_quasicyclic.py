@@ -2,13 +2,14 @@ import json
 import random
 from itertools import product
 from math import factorial, gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycperm import cli, equivalence, perm, quasicyclic
-from cycperm.algebra import make_field, p_part, prime_power
+from cycperm.algebra import make_field, p_part, prime_power, units
 from cycperm.autgroups import analyze
 from cycperm.codes import (
     LinearCode,
@@ -290,6 +291,66 @@ def test_qc_sylow_matches_ascent_from_the_shift_power():
                 ambient = PermGroup.from_generators(n, [tl])
             seed = PermGroup.from_generators(n, [tl])
             assert qc_sylow(code).elements() == sylow_ascend(ambient, p, seed).elements(), code
+
+
+# --- golden values: the quasi-cyclic path -------------------------------------------
+
+QC_GOLDEN = Path(__file__).parent / "qc_golden.json"
+
+
+def _qc_catalogue() -> list[tuple[QuasiCyclicCode, Permutation]]:
+    """31 seeded codes, each with a planted affine map x -> a x + b: three
+    random T^l-invariant codes per shape of
+    test_qc_sylow_matches_ascent_from_the_shift_power (l < p and l > p,
+    r = 1 and r >= 2), four [I | circulant] codes at n = 10, l = 2, and the
+    six interleavings of the GF(3) length-5 even-weight and repetition codes
+    at n = 15, l = 3 that mix both."""
+    rng = random.Random(26)
+    codes = [_random_qc(rng, field, n, l) for field, n, l in
+             ((GF2, 10, 2), (GF2, 14, 2), (GF2, 15, 3), (GF3, 6, 3), (GF3, 12, 3),
+              (GF2, 12, 4), (GF2, 15, 5)) for _ in range(3)]
+    rows = [v for v in product((0, 1), repeat=5) if len(set(v)) == 2]
+    codes += [circulant_pair(v) for v in rng.sample(rows, 4)]
+    even, rep = cyclic_code(5, GF3, {0}).linear, cyclic_code(5, GF3, {1, 2, 3, 4}).linear
+    codes += [QuasiCyclicCode(_interleaving(parts), 3)
+              for parts in product((even, rep), repeat=3) if len(set(parts)) == 2]
+    return [(c, Permutation.affine(c.n, rng.choice(units(c.n)), rng.randrange(c.n)))
+            for c in codes]
+
+
+def _qc_golden_text() -> str:
+    """Per code of the catalogue, one line: the code and the planted map,
+    the order of qc_sylow's ambient group (the group it ascends in), P's
+    order and sorted generators, |H'(P)|, the imprimitivity_report JSON, and
+    the STRUCTURED verdict against the planted image."""
+    lines = []
+    for code, tau in _qc_catalogue():
+        ambient = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = quasicyclic.sylow_ascend
+            mp.setattr(quasicyclic, "sylow_ascend",
+                       lambda G, p, seed: ambient.append(G.order()) or real(G, p, seed))
+            P = qc_sylow(code)
+        tl = Permutation.power_shift(code.n, code.index)
+        image = QuasiCyclicCode(permute_code(code.linear, tau), code.index)
+        verdict = qc_equivalence_search(code, image, "STRUCTURED")
+        lines.append(json.dumps({
+            "q": code.field.order, "n": code.n, "index": code.index,
+            "rows": [list(r) for r in code.linear.matrix], "planted": list(tau.images),
+            "ambient": ambient[0], "p_order": P.order(),
+            "p_generators": sorted(list(g.images) for g in P.generators),
+            "h_prime": centralizer_order(tl) * len(conjugation_cosets(tl, P)),
+            "report": imprimitivity_report(code).to_json(),
+            "verdict": [verdict.status, verdict.complete, verdict.evidence,
+                        None if verdict.witness is None else list(verdict.witness.images)],
+        }, separators=(",", ":")))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_qc_path_matches_the_golden_file():
+    # regenerate with `PYTHONPATH=src python tests/test_quasicyclic.py` only
+    # for a change meant to move a Sylow subgroup, a report or a verdict
+    assert _qc_golden_text() == QC_GOLDEN.read_text()
 
 
 # --- equivalence search -----------------------------------------------------------
@@ -610,3 +671,7 @@ def test_decisions_scan_only_coset_leaders(monkeypatch):
         c2 = QuasiCyclicCode(permute_code(c1.linear, tau), c1.index)
         verdict = qc_equivalence_search(c1, c2)
         assert permute_code(c1.linear, verdict.witness) == c2.linear
+
+
+if __name__ == "__main__":
+    QC_GOLDEN.write_text(_qc_golden_text())
