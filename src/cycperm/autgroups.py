@@ -657,16 +657,10 @@ def known_cyclic_subgroup(code: CyclicCode) -> tuple[list[Permutation], frozense
     length is a prime power p^r, r >= 2, where they exist (gk_lifts)."""
     n = code.n
     mset, _ = multiplier_scan(code)
-    gens = [Permutation.shift(n)]
-    gens += [Permutation.multiplier(n, a) for a in sorted(mset) if a != 1]
+    gens = [Permutation.shift(n)] + [Permutation.multiplier(n, a) for a in sorted(mset)]
     for k in _gk_levels(code):
-        gk, _ = gk_family(code, k)
-        gens += list(gk.generators)
-    seen: dict[Permutation, None] = {}
-    for g in gens:
-        if not g.is_identity():
-            seen.setdefault(g)
-    return list(seen), mset
+        gens += gk_family(code, k)[0].generators
+    return list(PermGroup.from_generators(n, gens).generators), mset
 
 
 def analyze(code: CyclicCode | LinearCode,

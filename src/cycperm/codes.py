@@ -66,8 +66,8 @@ ENUMERATION_BOUND = 1 << 20
 
 def cyclotomic_coset(n: int, q: int, i: int) -> tuple[int, ...]:
     """The q-cyclotomic coset of i mod n, sorted."""
-    if gcd(n, q) != 1:
-        raise ValueError(f"gcd(n={n}, q={q}) != 1")
+    if n < 1 or gcd(n, q) != 1:
+        raise ValueError(f"need n >= 1 and gcd(n, q) = 1, got n={n}, q={q}")
     i %= n
     out = {i}
     j = i * q % n
@@ -79,8 +79,8 @@ def cyclotomic_coset(n: int, q: int, i: int) -> tuple[int, ...]:
 
 def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
     """Partition of {0..n-1} into q-cyclotomic cosets, sorted by least element."""
-    if gcd(n, q) != 1:
-        raise ValueError(f"gcd(n={n}, q={q}) != 1")
+    if n < 1 or gcd(n, q) != 1:
+        raise ValueError(f"need n >= 1 and gcd(n, q) = 1, got n={n}, q={q}")
     seen: set[int] = set()
     out = []
     for i in range(n):
@@ -406,8 +406,8 @@ class CyclicCode:
 
     def __post_init__(self):
         q, n = self.field.order, self.n
-        if gcd(n, self.field.characteristic) != 1:
-            raise ValueError(f"n={n} not coprime to field characteristic")
+        if n < 1 or gcd(n, self.field.characteristic) != 1:
+            raise ValueError(f"need n >= 1 coprime to the field characteristic, got n={n}")
         ds = {i % n for i in self.defining_set}
         object.__setattr__(self, "defining_set", frozenset(ds))
         if {i * q % n for i in ds} != ds:
@@ -974,13 +974,23 @@ def code_to_spec(code: CyclicCode | LinearCode) -> dict:
 
 
 def code_from_spec(spec: dict) -> CyclicCode | LinearCode:
-    fs = spec["q"]
-    field = make_field(int(fs["characteristic"]), int(fs.get("degree", 1)))
-    n = int(spec["n"])
+    """The code of a spec in the shape code_to_spec writes; a spec of
+    another shape raises a ValueError that names the key at fault."""
+    def read(key: str, convert):
+        try:
+            return convert(spec[key])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"code spec: missing or malformed {key!r}") from None
+
+    if not isinstance(spec, dict):
+        raise ValueError(f"code spec must be a JSON object, not {type(spec).__name__}")
+    field = make_field(*read("q", lambda fs: (int(fs["characteristic"]), int(fs.get("degree", 1)))))
+    n = read("n", int)
     if "defining_set" in spec:
-        return CyclicCode(field, n, frozenset(int(i) for i in spec["defining_set"]))
+        return CyclicCode(field, n, read("defining_set", lambda ds: frozenset(map(int, ds))))
     if "generator_matrix" in spec:
-        return LinearCode.from_rows(field, n, [[int(v) for v in row] for row in spec["generator_matrix"]])
+        return LinearCode.from_rows(field, n, read(
+            "generator_matrix", lambda rows: [[int(v) for v in row] for row in rows]))
     raise ValueError("code spec needs defining_set or generator_matrix")
 
 

@@ -5,18 +5,26 @@ subgroups.
 PermGroup, generators on a stabilizer chain built by the deterministic
 Schreier-Sims algorithm (Sims 1970; Seress, Permutation Group Algorithms,
 2003, ch. 4), is the one group value: its order and membership never list
-elements, and a group is checked through its generators.  PermGroup._array
-is the one listing, the image rows of every element made once from the
-chain's transversals after the order is checked against CLOSURE_BOUND, and
-it is used only where a set is the answer.  The chain is built no further
-than a question needs: while it grows, each level's orbit is an orbit of a
-subgroup of that level's stabilizer, so the product of the orbit lengths is
-a lower bound on the order, and PermGroup.order_at_most answers False as
-soon as it passes the bound; and a Schreier generator along an edge of an
+elements, and a group is checked through its generators.  Every chain of a
+PermGroup is grown by one constructor, PermGroup.from_rows: it feeds
+candidate image rows to one chain in their order, keeps as generators only
+the rows that extend it, and keeps the chain, which is the one its
+generators build, as a row already in the group leaves the chain unchanged.
+So a group cut out of a listing (sylow_through_shift), closed from a set of
+rows (quasicyclic) or given by generators (PermGroup._chain) is built the
+same way, and nothing else writes a group's chain.  PermGroup._array is the
+one listing, the image rows of every element made once from the chain's
+transversals after the order is checked against CLOSURE_BOUND, and it is
+used only where a set is the answer.  The chain is built no further than a
+question needs: from_rows stops reading rows at a known order; while the
+chain grows, each level's orbit is an orbit of a subgroup of that level's
+stabilizer, so the product of the orbit lengths is a lower bound on the
+order, and from_rows gives up (PermGroup.order_at_most answers False) as
+soon as it passes a bound; and a Schreier generator along an edge of an
 orbit's Schreier tree is the identity by construction, so it is never
-sifted.  Neither changes the chain that completes.  A StabilizerChain can
-open the levels of a given base prefix first, so that its level i is the
-stabilizer of the prefix's first i points: the automorphism search
+sifted.  None of these changes the chain that completes.  A StabilizerChain
+can open the levels of a given base prefix first, so that its level i is
+the stabilizer of the prefix's first i points: the automorphism search
 (autgroups.backtrack_full_group) grows the group it finds on the chain whose
 base is its own coordinate order.  At degree n = l p^r with l < p, the Sylow
 p-subgroup through the shift power T^l is G meet W, with W Kaloujnine's
@@ -204,7 +212,7 @@ class StabilizerChain:
     the pointwise stabilizer of base[:i], so orbit[i] is part of that
     stabilizer's orbit of base[i], and the product of the orbit lengths never
     exceeds the order of the group: a bounded build stops as soon as the
-    product passes the bound (PermGroup.order_at_most).
+    product passes the bound (PermGroup.from_rows).
 
     The Schreier generator of an orbit point x and a generator s is
     u_(s x)^-1 s u_x.  When the orbit reached s x first through x and s, the
@@ -372,15 +380,30 @@ class PermGroup:
     def trivial(n: int) -> "PermGroup":
         return PermGroup(n, ())
 
-    def _build_chain(self, bound: int | None) -> StabilizerChain:
-        chain = StabilizerChain(self.degree)
-        for g in self.generators:
-            chain._add(g.images, bound)
-        return chain
+    @staticmethod
+    def from_rows(n: int, rows: Iterable[Sequence[int]], order: int | None = None,
+                  bound: int | None = None) -> "PermGroup":
+        """The group generated by the image rows, grown on one stabilizer
+        chain in their order.  Its generators are the rows that extend the
+        chain, and it keeps that chain: a row already in the group leaves it
+        unchanged, so it is the chain _chain builds from those generators.
+        No row is read once the order reaches `order`; with a bound,
+        ClosureBoundExceeded is raised as soon as the product of the orbit
+        lengths, a lower bound on the order (StabilizerChain), passes it."""
+        chain, gens = StabilizerChain(n), []
+        for images in rows:
+            images = tuple(images)
+            if chain._add(images, bound):
+                gens.append(Permutation(images))
+            if chain.order() == order:
+                break
+        group = PermGroup(n, tuple(gens))
+        group.__dict__["_chain"] = chain        # the cached_property's slot
+        return group
 
     @cached_property
     def _chain(self) -> StabilizerChain:
-        return self._build_chain(None)
+        return PermGroup.from_rows(self.degree, [g.images for g in self.generators])._chain
 
     @cached_property
     def _array(self) -> np.ndarray:
@@ -406,15 +429,14 @@ class PermGroup:
 
     def order_at_most(self, bound: int) -> bool:
         """order() <= bound, without completing the chain when it is False:
-        Schreier-Sims stops once the product of its orbit lengths, a lower
-        bound on the order (StabilizerChain), passes the bound.  A chain
-        that completes is the one _chain builds, and is cached as it."""
+        the chain grows from the generators under the bound (from_rows).  A
+        chain that completes is the one _chain builds, and is cached as it."""
         if "_chain" not in self.__dict__:
             try:
-                chain = self._build_chain(bound)
+                self.__dict__["_chain"] = PermGroup.from_rows(
+                    self.degree, [g.images for g in self.generators], bound=bound)._chain
             except ClosureBoundExceeded:
                 return False
-            self.__dict__["_chain"] = chain      # the cached_property's slot
         return self.order() <= bound
 
     def __contains__(self, sigma: Permutation) -> bool:
@@ -785,12 +807,16 @@ def sylow_ascend(ambient: PermGroup, p: int, seed: PermGroup) -> PermGroup:
     """Ascend a p-subgroup of the ambient group to a Sylow p-subgroup of it.
 
     Repeatedly: among the image rows of the ambient group, those that
-    normalize the current subgroup (each of its generators conjugated into
-    it), in image order, take the first whose p-part lies outside the
-    subgroup and extends it to a larger p-group, and adjoin that p-part.
-    Standard Sylow theory guarantees progress while |current| <
-    p-part(|ambient|).  The orders come from the stabilizer chains; the
-    ambient group and each current subgroup are listed once.
+    normalize the current subgroup cur (each of its generators conjugated
+    into it), in image order, take the first whose p-part x lies outside
+    cur, and adjoin x.  That always gives a larger p-group: x normalizes
+    cur, so <cur, x> = cur <x>, of order |cur| |<x>| / |cur meet <x>|, a
+    power of p, and larger than |cur| as x is not in cur.  Such an x exists
+    while |cur| < p-part(|ambient|): cur is then a proper subgroup of a
+    Sylow p-subgroup S, and a proper subgroup of a p-group is properly
+    contained in its normalizer, so N_S(cur) holds a p-element outside cur.
+    The orders come from the stabilizer chains; the ambient group and each
+    current subgroup are listed once.
     """
     n = ambient.degree
     target = p_part(ambient.order(), p)
@@ -813,18 +839,13 @@ def sylow_ascend(ambient: PermGroup, p: int, seed: PermGroup) -> PermGroup:
             # row s gives s^-1 g s: i -> s^-1(g(s(i)))
             conj = np.take_along_axis(A_inv, np.array(g.images)[A], axis=1)
             normal &= np.isin(keys(conj), members)
-        grew = False
         for images in sorted(A[normal].tolist()):
             x = Permutation(tuple(images))
             x = x ** (x.order() // p_part(x.order(), p))     # the p-part of x
-            if x in cur:
-                continue
-            nxt = PermGroup.from_generators(n, cur.generators + (x,))
-            if p_part(nxt.order(), p) == nxt.order() > cur.order():
-                cur = nxt
-                grew = True
+            if x not in cur:
+                cur = PermGroup.from_generators(n, cur.generators + (x,))
                 break
-        if not grew:
+        else:
             raise RuntimeError("Sylow ascent stalled below the p-part "
                                f"({cur.order()} < {target})")
     return cur
@@ -849,9 +870,8 @@ def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
     p-subgroup of G through T^l then lies in W, and G meet W is a p-group,
     so the two are equal.  For l > p, G meet W is a p-subgroup of
     G through T^l that need not be Sylow.  One numpy filter over the image
-    rows of G finds it; its generators are the rows, in image order, that
-    grow its stabilizer chain, and the group keeps that chain, the one it
-    would build from those generators.
+    rows of G finds it, and PermGroup.from_rows grows it from those rows in
+    image order, up to their number as its order.
     """
     n = group.degree
     if l < 1 or n % l:
@@ -868,14 +888,4 @@ def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
         low = pos % (p * pj)
         keep = (low[:, (x + pj * l) % n] == (low + pj) % (p * pj)).all(axis=1)
         A, pos = A[keep], pos[keep]
-    chain, gens = StabilizerChain(n), []
-    for images in A[np.lexsort(A.T[::-1])].tolist():
-        if chain.order() == len(A):
-            break
-        if chain.add(tuple(images)):
-            gens.append(Permutation(tuple(images)))
-    P = PermGroup(n, tuple(gens))
-    # the rows that are members leave the chain unchanged, so it is the one
-    # PermGroup._chain builds from gens
-    P.__dict__["_chain"] = chain
-    return P
+    return PermGroup.from_rows(n, A[np.lexsort(A.T[::-1])].tolist(), order=len(A))

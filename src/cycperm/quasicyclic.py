@@ -9,13 +9,16 @@ automorphism group containing T^l (lengths n = p^r*l, gcd(p,l) = gcd(p,q) = 1).
 P is cut out of the discovered group by the filter that gives the cyclic P
 (perm.sylow_through_shift, here with W_T on each cycle of T^l): for l < p it
 is the Sylow subgroup through T^l, and for l > p the normalizer ascent
-completes it.  H'(P) is the union of the cosets C(T^l) sigma_rho over the
-rho in P with the cycle type of T^l, exact at every length.  The search
-over it is the decision HP makes at l = 1
+completes it.  The discovered group grows from T^l and the rows of Q =
+<sigma_i, T> and AG(n) that fix the code (PermGroup.from_rows, which keeps
+only the rows that extend it), and Q is listed in closed form, its l m^l
+members T^j w with w in <sigma_i> (qc_sylow).  H'(P) is the union of the
+cosets C(T^l) sigma_rho over the rho in P with the cycle type of T^l, exact
+at every length.  The search over it is the decision HP makes at l = 1
 (equivalence.restricted_set_verdict): one member of each coset <T^l> sigma,
 in sorted image rows, and a complete verdict exactly when |P| is the p-part
 of n!.  H'(P) is not known to be a group, so nothing here assumes closure:
-reports take the group the cosets generate.
+reports take the group the cosets generate, grown by PermGroup.from_rows.
 """
 from __future__ import annotations
 
@@ -38,9 +41,9 @@ from .equivalence import (
 from .perm import (
     CLOSURE_BOUND,
     BlockSystem,
+    ClosureBoundExceeded,
     PermGroup,
     Permutation,
-    StabilizerChain,
     centralizer_generators,
     centralizer_order,
     conjugation_cosets,
@@ -103,14 +106,8 @@ def sigma_cycles(n: int, l: int) -> list[Permutation]:
     is T^l; each permutes one residue class mod l and has order m = n/l."""
     if l < 1 or n % l:
         raise ValueError(f"index {l} does not divide the length {n}")
-    m = n // l
-    out = []
-    for i in range(l):
-        images = list(range(n))
-        for k in range(m):
-            images[(i + k * l) % n] = (i + (k + 1) * l) % n if k + 1 < m else i
-        out.append(Permutation(tuple(images)))
-    return out
+    return [Permutation(tuple((x + l) % n if x % l == i else x for x in range(n)))
+            for i in range(l)]
 
 
 def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
@@ -161,21 +158,41 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     triangular group on each cycle of T^l (perm.sylow_through_shift), which
     is the Sylow subgroup through T^l when l < p; for l > p the Sylow
     subgroup through T^l is not unique, and the normalizer ascent
-    (perm.sylow_ascend) completes the meet to one."""
+    (perm.sylow_ascend) completes the meet to one.  G grows from T^l and the
+    fixing rows (PermGroup.from_rows), keeping only the rows that extend it.
+
+    Q is listed in closed form, m = n/l: its members are T^j w for j < l,
+    with w in S = <sigma_0, ..., sigma_(l-1)> moving cycle i by e_i steps,
+    w(i + k l) = i + ((k + e_i) mod m) l, so the row of T^j w is
+    w(x) + j mod n.  These are all of Q, each once: T sigma_i T^-1 =
+    sigma_(i+1), indices mod l, so T normalizes S, which is abelian of order
+    m^l, and Q = <T> S has order |<T>| |S| / |<T> meet S|.  T^j lies in S
+    exactly when it keeps every residue class mod l, that is when l divides
+    j, so <T> meets S in <T^l>, of order m, and |Q| = n m^l / m = l m^l."""
     p, _ = _qc_prime_power(code)
-    n, l = code.n, code.index
-    lin = code.linear
-    tl = Permutation.power_shift(n, l)
+    n, l, lin = code.n, code.index, code.linear
     x = np.arange(n)
     rows = ((np.array(units(n))[:, None, None] * x + x[:, None]) % n).reshape(-1, n)  # a x + b
-    Q = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])
-    if Q.order_at_most(CLOSURE_BOUND):
-        rows = np.concatenate([Q._array, rows.astype(Q._array.dtype)])
-    fixed = rows[maps_onto(lin, lin, rows)].tolist()
-    ambient = PermGroup.from_generators(n, [tl] + [Permutation(tuple(g)) for g in fixed])
-    if not ambient.order_at_most(CLOSURE_BOUND):
-        ambient = PermGroup.from_generators(n, [tl])
+    rows = rows.astype(np.min_scalar_type(n))
+    if l * (n // l) ** l <= CLOSURE_BOUND:
+        rows = np.concatenate([_q_rows(n, l), rows])
+    rows = [Permutation.power_shift(n, l).images] + rows[maps_onto(lin, lin, rows)].tolist()
+    try:
+        ambient = PermGroup.from_rows(n, rows, bound=CLOSURE_BOUND)
+    except ClosureBoundExceeded:
+        ambient = PermGroup.from_rows(n, rows[:1])
     return sylow_ascend(ambient, p, sylow_through_shift(ambient, l))
+
+
+def _q_rows(n: int, l: int) -> np.ndarray:
+    """The l m^l members T^j w of Q = <sigma_i, T> (qc_sylow) as image rows
+    in the smallest unsigned dtype, gathered from tables so that no value
+    leaves it: step[e, x] is x moved e steps along its cycle of T^l."""
+    m, dtype, x = n // l, np.min_scalar_type(n), np.arange(n)
+    step = (x % l + (x // l + np.arange(m)[:, None]) % m * l).astype(dtype)
+    e = np.indices((m,) * l, dtype=dtype).reshape(l, -1).T     # e_i, the steps on cycle i
+    w = step[e[:, x % l], x]
+    return ((x + np.arange(l)[:, None]) % n).astype(dtype)[:, w].reshape(-1, n)
 
 
 def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
@@ -253,9 +270,9 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     H'(P) is never listed: it is the disjoint union of the cosets
     C(T^l) sigma_rho, so its size is |C(T^l)| times the number of cosets,
     and it generates the group generated by C(T^l) and the sigma_rho.  The
-    closure grows on one stabilizer chain: it starts from the generators of
-    C(T^l) and keeps each sigma_rho that the chain does not already contain.
-    It never assumes H'(P) is a group.
+    closure grows from the generators of C(T^l), then the sigma_rho
+    (PermGroup.from_rows), keeping only the rows that extend it.  It never
+    assumes H'(P) is a group.
     """
     p, r = _qc_prime_power(code)
     n, l = code.n, code.index
@@ -263,12 +280,8 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     tl = Permutation.power_shift(n, l)
     cosets = conjugation_cosets(tl, P)
     discovered = centralizer_order(tl) * len(cosets)
-    gens = centralizer_generators(tl)
-    chain = StabilizerChain(n)
-    for g in gens:
-        chain.add(g.images)
-    gens += [Permutation(tuple(s)) for s in cosets.tolist() if chain.add(tuple(s))]
-    closure = PermGroup(n, tuple(gens))
+    closure = PermGroup.from_rows(n, [g.images for g in centralizer_generators(tl)]
+                                  + cosets.tolist())
     m = p ** r
     bound = factorial(n - m)
     shift_odd = Permutation.shift(n).parity() == 1
@@ -282,5 +295,5 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     else:
         conclusion = "UNRESOLVED"
     return HPrimeReport(n, l, P.order(), discovered, True,
-                        chain.order(), systems, primitive, m, bound,
+                        closure.order(), systems, primitive, m, bound,
                         shift_odd, conclusion)

@@ -185,9 +185,9 @@ def test_gk_family_is_certified_once_per_length_and_field(monkeypatch):
     length27 = enumerate_cyclic_codes(27, GF2)
     codes = enumerate_cyclic_codes(9, GF2) + length27
     builds, tests = [], []
-    real_build, real_test = PermGroup._build_chain, autgroups.maps_onto
-    monkeypatch.setattr(PermGroup, "_build_chain",
-                        lambda self, bound: builds.append(self.degree) or real_build(self, bound))
+    real_build, real_test = PermGroup.from_rows, autgroups.maps_onto
+    monkeypatch.setattr(PermGroup, "from_rows", staticmethod(
+        lambda n, rows, order=None, bound=None: builds.append(n) or real_build(n, rows, order, bound)))
     monkeypatch.setattr(autgroups, "maps_onto",
                         lambda c1, c2, images: tests.append(c1) or real_test(c1, c2, images))
     autgroups._gk_group.cache_clear()

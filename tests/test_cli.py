@@ -77,6 +77,30 @@ def test_factor_rejects_shared_factor(capsys):
     assert status == 1 and "gcd" in err
 
 
+@pytest.mark.parametrize("verb", [("factor",), ("enumerate",), ("analyze", "--defining-set", "")])
+def test_non_positive_length_exits_1(verb, capsys):
+    # factor --n -5 printed "factors": [] and exited 0
+    status, out, err = run_cli(capsys, verb[0], "--q", "2", "--n", "-5", *verb[1:])
+    assert (status, out) == (1, "") and err.startswith("cycperm: error:") and "n >= 1" in err
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"q": 2, "n": 7, "defining_set": [1, 2, 4]}, "'q'"),
+    ({"q": {"characteristic": 2}, "defining_set": [1, 2, 4]}, "'n'"),
+    ([{"q": {"characteristic": 2}, "n": 7, "defining_set": [1, 2, 4]}], "JSON object"),
+])
+@pytest.mark.parametrize("verb", ["analyze", "equiv"])
+def test_malformed_spec_exits_1_without_traceback(spec, key, verb, tmp_path, capsys):
+    # these escaped main as TypeError or KeyError with a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    good = write_spec(tmp_path, "good.json", cyclic_code(7, GF2, {1, 2, 4}))
+    inputs = ["--in", str(bad)] + (["--in", good] if verb == "equiv" else [])
+    status, out, err = run_cli(capsys, verb, *inputs)
+    assert (status, out) == (1, "") and err.startswith("cycperm: error:")
+    assert key in err and "Traceback" not in err
+
+
 def test_factor_prime_power_field(capsys):
     status, out, _ = run_cli(capsys, "factor", "--q", "4", "--n", "5")
     assert status == 0

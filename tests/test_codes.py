@@ -185,6 +185,20 @@ def test_cyclic_code_construction():
     assert rep.linear.matrix == ((1,) * 7,)
 
 
+def test_non_positive_lengths_are_rejected():
+    # cyclotomic_cosets(-5, 2) was [], so CyclicCode(GF(2), -5, {}) had
+    # k = -5 and enumerate_cyclic_codes(-5, GF(2)) listed it
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n >= 1"):
+            cyclotomic_cosets(n, 2)
+        with pytest.raises(ValueError, match="n >= 1"):
+            codes.cyclotomic_coset(n, 2, 1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            CyclicCode(GF2, n, frozenset())
+        with pytest.raises(ValueError, match="n >= 1"):
+            enumerate_cyclic_codes(n, GF2)
+
+
 def test_cyclic_code_rejects_non_closed_set():
     with pytest.raises(ValueError, match="Frobenius"):
         cyclic_code(7, GF2, {1, 2})

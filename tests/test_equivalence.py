@@ -588,23 +588,26 @@ def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):
 
 
 def test_predicate_p_keeps_the_chain_it_was_cut_with(monkeypatch):
-    # sylow_through_shift hands P the chain it grew while picking the
-    # generators, so listing P, and scanning H(P), builds no second chain
+    # sylow_through_shift grows P with PermGroup.from_rows, the one chain
+    # builder, which hands P the chain it grew while picking the generators,
+    # so listing P, and scanning H(P), builds no second chain from P's
+    # generators; the one chain built is the centralizer's
     code = cyclic_code(9, GF2, {0, 3, 6})
     P, kind = build_sylow_descriptor(code)
     assert kind == "PREDICATE"
     built = []
-    real_build = PermGroup._build_chain
+    real_build = PermGroup.from_rows
 
-    def counted(self, bound):
-        built.append(self)
-        return real_build(self, bound)
+    def counted(n, rows, order=None, bound=None):
+        rows = [tuple(r) for r in rows]
+        built.append(rows)
+        return real_build(n, rows, order, bound)
 
-    monkeypatch.setattr(PermGroup, "_build_chain", counted)
+    monkeypatch.setattr(PermGroup, "from_rows", staticmethod(counted))
     P.order()
     P.elements()
     equivalence.shift_coset_leaders(P)
-    assert all(G is not P for G in built)
+    assert built and all(rows != [g.images for g in P.generators] for rows in built)
     fresh = PermGroup(P.degree, P.generators)
     assert (P._chain.base, P._chain.orbit, P._chain.gens) == \
         (fresh._chain.base, fresh._chain.orbit, fresh._chain.gens)

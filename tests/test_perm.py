@@ -305,6 +305,45 @@ def test_order_at_most_is_the_order_test():
             assert G.order_at_most(b) == (order <= b)
 
 
+def test_from_rows_keeps_the_rows_that_extend_its_chain():
+    # rows in order, with identities, repeats and products of earlier rows
+    # mixed in: the generators are exactly the rows outside the group of the
+    # rows before them, in order, and the chain the group keeps is a fresh
+    # chain of its generators, as the plain algorithm builds it
+    cases = 0
+    for n, gens, _ in _chain_cases():
+        rows = [Permutation.identity(n)] + [g for g in gens for _ in range(2)] \
+            + [g * h for g in gens[:3] for h in gens[:3]]
+        ref = _ReferenceChain(n)
+        extended = [g for g in rows if ref.add(g.images)]
+        G = PermGroup.from_rows(n, [g.images for g in rows])
+        assert list(G.generators) == extended, (n, gens)
+        fresh = perm.StabilizerChain(n)
+        for g in G.generators:
+            fresh.add(g.images)
+        assert _chain_state(G._chain) == _chain_state(fresh) == _chain_state(ref)
+        cases += 1
+    assert cases == 160
+
+
+def test_from_rows_stops_at_the_order_and_gives_up_past_the_bound():
+    T, M = Permutation.shift(9), Permutation.multiplier(9, 2)
+    read = []
+
+    def rows():
+        for g in (T, M, T * M, M * M):
+            read.append(g)
+            yield g.images
+
+    assert PermGroup.from_rows(9, rows(), order=9).generators == (T,) and read == [T]
+    read.clear()
+    assert PermGroup.from_rows(9, rows(), order=54).generators == (T, M) and read == [T, M]
+    assert PermGroup.from_rows(9, [T.images, M.images], bound=54).order() == 54
+    with pytest.raises(ClosureBoundExceeded) as exc:
+        PermGroup.from_rows(9, [T.images, M.images], bound=53)
+    assert exc.value.bound == 53 and exc.value.reached > 53
+
+
 def test_bounded_chain_stops_before_the_full_chain(monkeypatch):
     # the discovered group of a binary cyclic code of length 27 has order
     # 12,754,584; the descriptor's test against its ambient bound rejects it

@@ -4,6 +4,7 @@ from itertools import product
 from math import factorial, gcd, lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,6 +292,18 @@ def test_qc_sylow_matches_ascent_from_the_shift_power():
                 ambient = PermGroup.from_generators(n, [tl])
             seed = PermGroup.from_generators(n, [tl])
             assert qc_sylow(code).elements() == sylow_ascend(ambient, p, seed).elements(), code
+
+
+def test_q_is_listed_in_closed_form():
+    # the rows T^j w of qc_sylow are Q = <sigma_i, T> as its chain lists it,
+    # l m^l of them, in the smallest unsigned dtype
+    for n, l in ((10, 2), (15, 3), (14, 2), (6, 3), (12, 3), (12, 4), (15, 5), (20, 4),
+                 (18, 2), (21, 3), (9, 1), (25, 1)):
+        rows = quasicyclic._q_rows(n, l)
+        Q = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])
+        assert rows.shape == (l * (n // l) ** l, n) and rows.dtype == np.min_scalar_type(n)
+        assert Q.order() == len(rows)
+        assert set(map(tuple, rows.tolist())) == set(map(tuple, Q._array.tolist())), (n, l)
 
 
 # --- golden values: the quasi-cyclic path -------------------------------------------

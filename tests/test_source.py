@@ -78,3 +78,26 @@ def test_every_traced_function_is_bound():
     unbound = [f"{mod}.{fn}" for mod, fns in traced.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"cycperm.{mod}"), fn, None))]
     assert traced and unbound == []
+
+
+def test_chains_are_grown_and_stored_by_permgroup_alone():
+    # PermGroup.from_rows is the one place a group's chain is grown and
+    # kept: no module writes the _chain slot outside class PermGroup, and
+    # none calls StabilizerChain( outside perm.py but the backtrack search
+    # autgroups._search, which grows the group it finds on its own base
+    slot_writes, chains = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Attribute) \
+                        and node.value.attr == "__dict__" \
+                        and isinstance(node.slice, ast.Constant) and node.slice.value == "_chain" \
+                        and where != "perm.PermGroup":
+                    slot_writes.append(f"{where}:{node.lineno}")
+                if isinstance(node, ast.Call) and "StabilizerChain" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)) \
+                        and path.stem != "perm" and where != "autgroups._search":
+                    chains.append(f"{where}:{node.lineno}")
+    assert (slot_writes, chains) == ([], [])
