@@ -206,10 +206,11 @@ def cmd_qc(config: RunConfig) -> tuple[dict, int]:
         raise ValueError("qc needs exactly one --in file")
     with open(config.inputs[0]) as fh:
         spec = json.load(fh)
-    if "index" not in spec:
-        raise ValueError(f"{config.inputs[0]}: missing \"index\" key "
-                         "(the co-index divisor l)")
-    index = int(spec.pop("index"))
+    try:
+        index = int(spec.pop("index"))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ValueError(f"{config.inputs[0]}: missing or malformed \"index\" key "
+                         "(the co-index divisor l)") from None
     code = code_from_spec(spec)
     lin = code.linear if isinstance(code, CyclicCode) else code
     report = imprimitivity_report(QuasiCyclicCode(lin, index))

@@ -297,9 +297,17 @@ def test_qc_verb_reports_blocks(tmp_path, capsys):
 
 
 def test_qc_missing_index_exits_1(tmp_path, capsys):
-    path = write_spec(tmp_path, "noindex.json", cyclic_code(7, GF2, {1, 2, 4}))
-    status, _, err = run_cli(capsys, "qc", "--in", path)
-    assert status == 1 and "index" in err
+    # a null index, a top-level list and a top-level string escaped main
+    # with a traceback
+    code = cyclic_code(7, GF2, {1, 2, 4})
+    for extra in ({}, {"index": None}):
+        path = write_spec(tmp_path, "noindex.json", code, **extra)
+        status, _, err = run_cli(capsys, "qc", "--in", path)
+        assert status == 1 and "index" in err and err.startswith("cycperm: error:")
+    for spec in ([{**code_to_spec(code), "index": 1}], "index"):
+        (tmp_path / "bad.json").write_text(json.dumps(spec))
+        status, _, err = run_cli(capsys, "qc", "--in", str(tmp_path / "bad.json"))
+        assert status == 1 and "index" in err and err.startswith("cycperm: error:")
 
 
 def test_qc_invalid_index_exits_1(tmp_path, capsys):
