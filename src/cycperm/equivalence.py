@@ -18,6 +18,12 @@ autgroups run against the second code: an exhaustive search that prunes
 only maps that cannot send the one code onto the other, and gives the
 lexicographically least witness.
 
+HP decides a pair in this order: the dimensions, then the weight
+profiles (invariant_separation), then the W_T test and the D scan
+(tableau_verdict: when Kaloujnine's tableau group W_T fixes the first code,
+H(W_T) = W_T D and the (p-1)^r digit scalings D decide), and only then the
+Sylow descriptor and H(P) (build_sylow_descriptor, restricted_set_verdict).
+
 One decision serves H(P) and its quasi-cyclic analogue H'(P), which is
 H(P) at l = 1: restricted_set_verdict scans one member of each coset
 <T^l> sigma (perm.shift_coset_leaders), since T^l fixes the second code and
@@ -51,6 +57,8 @@ from .perm import (
     PermGroup,
     Permutation,
     conjugation_set,
+    digit_scalings,
+    kaloujnine_generators,
     shift_coset_leaders,
     sylow_through_shift,
 )
@@ -399,6 +407,58 @@ def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
         f"no witness in {detail}; the subgroup carrying P may be proper")
 
 
+def tableau_verdict(c1: CyclicCode, c2: CyclicCode,
+                    strategy: str) -> EquivalenceVerdict | None:
+    """The complete verdict of the digit scalings D when Kaloujnine's
+    tableau group W_T fixes the first code, or None when it does not; two
+    cyclic codes of length n = p^r.  One maps_onto batch tests the
+    L = (p^r - 1)/(p - 1) level maps of W_T (perm.kaloujnine_generators)
+    against C1, and one witness_scan tests the (p - 1)^r rows of D
+    (perm.digit_scalings) in sorted order, so a witness is the first
+    scaling that maps C1 onto C2.
+
+    The verdict is complete.  Suppose W_T, of order p^L, fixes C1.
+    - W_T is Sylow in Aut(C1): it is a Sylow p-subgroup of S_n (Legendre,
+      v_p(n!) = L), and W_T <= Aut(C1) <= S_n.
+    - Any witness can be moved into H(W_T) = {sigma : sigma^-1 T sigma in
+      W_T}: this is restricted_set_verdict's argument with P = W_T.
+    - H(W_T) = N(W_T).  If sigma^-1 T sigma is in W_T, it is an n-cycle in
+      the two Sylow p-subgroups W_T and sigma^-1 W_T sigma.  An n-cycle
+      lies in exactly one Sylow p-subgroup of S_n, by the counting in
+      perm.sylow_through_shift: each n-cycle, a p-element, lies in at least
+      one; there are n!/(p^L (p-1)^r) of them, each holds (p-1)^r p^(L-r)
+      n-cycles, and the product is (n-1)!, all the n-cycles.  So
+      sigma^-1 W_T sigma = W_T.  Conversely a normalizing sigma sends T
+      into W_T.
+    - N(W_T) = W_T D, with W_T normal: D normalizes W_T and meets it only in
+      the identity, so |W_T D| = p^L (p-1)^r, which is |N(W_T)|, n! over
+      the number of Sylow p-subgroups.
+    - Each coset d W_T = W_T d maps C1 onto C2 all or none: its members
+      map C1 onto d(C1), since W_T fixes C1.
+    So C1 and C2 are equivalent exactly when some d in D maps C1 onto C2.
+    At p = 2, D is the identity alone, and two distinct codes fixed by
+    W_T are inequivalent.
+    """
+    n = c1.n
+    p, r = prime_power(n)
+    lin = c1.linear
+    if not maps_onto(lin, lin, kaloujnine_generators(p, r)).all():
+        return None
+    D = digit_scalings(p, r)
+    L = (n - 1) // (p - 1)
+    detail = f"W_T of order {p}^{L} = {p ** L} fixes the first code"
+    sigma = witness_scan(lin, c2.linear, D)
+    if sigma is not None:
+        return EquivalenceVerdict(
+            "equivalent", sigma, strategy, True,
+            f"witness found among the {len(D)} digit scalings D; {detail}, "
+            "so H(W_T) = W_T D")
+    return EquivalenceVerdict(
+        "inequivalent", None, strategy, True,
+        f"{detail} and none of the {len(D)} digit scalings D maps it onto the "
+        "second, so no member of H(W_T) = W_T D does")
+
+
 def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
                        strategy: str = "HP") -> EquivalenceVerdict:
     """Decide whether two cyclic codes are permutation equivalent.
@@ -407,9 +467,13 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     onto the second (autgroups.multipliers_onto, which checks the defining
     sets against the matrix test for every unit); without one it is
     complete exactly when multiplier equivalence is known to decide the
-    length.  HP scans the exact H(P) of the P of build_sylow_descriptor,
-    one member per coset of <T>, in sorted order, at every length; it is
-    complete when P is a Sylow subgroup of S_n (restricted_set_verdict).
+    length.  HP needs a prime-power length n = p^r once the dimensions and
+    weight profiles leave the pair open, and raises a ValueError naming
+    the other strategies otherwise.  When W_T fixes the first code it scans
+    the digit scalings and is complete (tableau_verdict); else it scans
+    the exact H(P) of the P of build_sylow_descriptor, one member per coset
+    of <T>, in sorted order, and is complete when P is a Sylow subgroup of
+    S_n (restricted_set_verdict).
     BRUTE searches S_n for the least witness, pruned on minimum-weight
     words (brute_equivalence), and accepts n <= 10.  An "inequivalent"
     verdict is only issued under a complete strategy or an invariant
@@ -443,5 +507,15 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     if strategy == "BRUTE":
         return brute_verdict(c1.linear, c2.linear)
 
+    try:
+        prime_power(n)
+    except ValueError:
+        raise ValueError(
+            f"HP needs a prime-power length, and {n} is not one; the dimensions "
+            "and weight profiles do not separate the pair, so use MULTIPLIER, or "
+            f"BRUTE for n <= {BRUTE_DEGREE_BOUND}") from None
+    verdict = tableau_verdict(c1, c2, strategy)
+    if verdict is not None:
+        return verdict
     P, kind = build_sylow_descriptor(c1)
     return restricted_set_verdict(c1, c2, P, 1, strategy, f"a {kind} descriptor")

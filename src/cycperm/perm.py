@@ -31,7 +31,9 @@ p-subgroup through the shift power T^l is G meet W, with W Kaloujnine's
 group of triangular maps on each cycle of T^l, the only Sylow p-subgroup of
 S_n containing T^l (sylow_through_shift).  For l > p that meet is only a
 p-subgroup through T^l, and the normalizer ascent (sylow_ascend) completes
-it.  Both take and return PermGroups.
+it.  Both take and return PermGroups.  W_T itself is generated by its
+level maps (kaloujnine_generators), and its normalizer in S_n is W_T D, with
+D the digit scalings (digit_scalings).
 
 The conjugation set {sigma : sigma^-1 g sigma in P} is built at every degree
 from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the
@@ -889,3 +891,43 @@ def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
         keep = (low[:, (x + pj * l) % n] == (low + pj) % (p * pj)).all(axis=1)
         A, pos = A[keep], pos[keep]
     return PermGroup.from_rows(n, A[np.lexsort(A.T[::-1])].tolist(), order=len(A))
+
+
+def kaloujnine_generators(p: int, r: int) -> np.ndarray:
+    """The level maps of Kaloujnine's tableau group W_T on Z mod p^r, as an
+    (L, p^r) array of image rows, L = (p^r - 1)/(p - 1): for each digit
+    j < r and each c < p^j, the map that adds 1 mod p to digit j of x
+    where x mod p^j = c and fixes every other point, level by level and c
+    ascending.  W_T, the triangular maps sigma whose digit j of sigma(x) is
+    x_j plus a function of x mod p^j, is the product of these levels, and
+    level j is (Z_p)^(p^j) generated by its p^j maps; so they generate W_T,
+    of order p^L.  W_T holds T: digit j of x + 1 is x_j plus the carry out
+    of x mod p^j."""
+    n = p ** r
+    x = np.arange(n)
+    rows = []
+    for j in range(r):
+        pj = p ** j
+        digit = x // pj % p
+        step = ((digit + 1) % p - digit) * pj
+        rows += [np.where(x % pj == c, x + step, x) for c in range(pj)]
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+def digit_scalings(p: int, r: int) -> np.ndarray:
+    """The (p-1)^r digit scalings of Z mod p^r, x_j -> u_j x_j mod p for
+    every digit j with u_j in Z_p^*, as a ((p-1)^r, p^r) array of image rows
+    in lexicographic order; the identity, all u_j = 1, is the first row.
+    They form a group D that normalizes W_T: for d in D and w in W_T,
+    d^-1 w d adds to digit j the function of w's digit j, read at the
+    scaled lower digits and scaled by u_j^-1, so it is triangular.  D meets
+    W_T only in the identity: a scaling in W_T adds to digit j a function
+    of the lower digits, which is 0 as it fixes the points whose digit j
+    is 0, so u_j x_j = x_j and u_j = 1."""
+    n = p ** r
+    x = np.arange(n)
+    digits = [x // p ** j % p for j in range(r)]
+    rows = np.array([sum(u * d % p * p ** j for j, (u, d) in enumerate(zip(us, digits)))
+                     for us in itertools.product(range(1, p), repeat=r)],
+                    dtype=np.int64).reshape(-1, n)
+    return rows[np.lexsort(rows.T[::-1])]

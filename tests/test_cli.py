@@ -283,6 +283,26 @@ def test_equiv_length_mismatch_exits_1(tmp_path, capsys):
     assert status == 1 and "length" in err
 
 
+def test_equiv_hp_at_a_composite_length_names_the_alternatives(tmp_path, capsys):
+    # HP needs n = p^r once the invariants leave the pair open: the binary
+    # [15,11] codes of D = {1,2,4,8} and its image under M_7 share their
+    # dimension and profiles, the code of D = {3,6,9,12} is separated by
+    # its profile, and MULTIPLIER decides the first pair
+    a = write_spec(tmp_path, "a.json", cyclic_code(15, GF2, {1, 2, 4, 8}))
+    b = write_spec(tmp_path, "b.json", cyclic_code(15, GF2, {7, 11, 13, 14}))
+    c = write_spec(tmp_path, "c.json", cyclic_code(15, GF2, {3, 6, 9, 12}))
+    status, out, err = run_cli(capsys, "equiv", "--in", a, "--in", b)
+    assert status == 1 and not out
+    assert "HP needs a prime-power length, and 15 is not one" in err
+    assert "MULTIPLIER" in err and "BRUTE for n <= 10" in err
+    status, out, _ = run_cli(capsys, "equiv", "--in", a, "--in", c)
+    verdict = json.loads(out)["verdict"]
+    assert status == 0 and (verdict["status"], verdict["evidence"]) == \
+        ("inequivalent", "weight profiles differ")
+    status, out, _ = run_cli(capsys, "equiv", "--in", a, "--in", b, "--strategy", "multiplier")
+    assert status == 0 and json.loads(out)["verdict"]["status"] == "equivalent"
+
+
 # --- qc -------------------------------------------------------------------------
 
 def test_qc_verb_reports_blocks(tmp_path, capsys):

@@ -15,7 +15,6 @@ from cycperm.codes import (
     LinearCode,
     cyclic_code,
     cyclic_defining_set,
-    cyclotomic_coset,
     enumerate_cyclic_codes,
     is_shift_invariant,
     maps_onto,
@@ -28,6 +27,7 @@ from cycperm.equivalence import (
     QPolyMap,
     ag_set,
     brute_equivalence,
+    brute_verdict,
     build_sylow_descriptor,
     decide_equivalence,
     gr_formula_set,
@@ -35,6 +35,8 @@ from cycperm.equivalence import (
     hp_set,
     palfy_multiplier_complete,
     q_group,
+    restricted_set_verdict,
+    tableau_verdict,
 )
 from cycperm.perm import (
     PermGroup,
@@ -296,7 +298,8 @@ def test_nine_gf7_pair_equivalent_all_strategies():
 
 
 def test_nine_gf7_inequivalent_same_dimension():
-    # same dimension and the same weight profile, separated only by the scan
+    # same dimension and the same weight profile, separated only by the scan:
+    # W_T fixes the first code, so the 4 digit scalings decide the pair
     from cycperm.codes import weight_profile
     a = cyclic_code(9, GF7, {0, 3, 6})
     b = cyclic_code(9, GF7, {1, 4, 7})
@@ -304,7 +307,8 @@ def test_nine_gf7_inequivalent_same_dimension():
     assert weight_profile(a.linear).counts == weight_profile(b.linear).counts
     hp = decide_equivalence(a, b, "HP")
     assert hp.status == "inequivalent" and hp.complete
-    assert "PREDICATE" in hp.evidence
+    assert "W_T of order 3^4 = 81 fixes the first code" in hp.evidence
+    assert "none of the 4 digit scalings" in hp.evidence
     assert decide_equivalence(a, b, "BRUTE").status == "inequivalent"
 
 
@@ -318,15 +322,20 @@ def test_hp_decides_where_multiplier_cannot():
 
 
 def test_hp_past_the_closure_bound_is_inconclusive(monkeypatch):
-    # H(P) of this [27,8] code has 4,374 members and P has 243; under a
-    # bound of 100 listing P already passes it, so nothing is scanned
-    code = cyclic_code(27, GF2, {0, *cyclotomic_coset(27, 2, 1)})
-    assert code.k == 8
+    # W_T fixes no GF(7) [25,21] code, so HP reaches H(P): this one's
+    # AG_SET P = <T> has 25 members and H(P) 500; under a bound of 20
+    # listing P already passes it, so nothing is scanned.  (W_T fixes every
+    # binary code of length 27, and every GF(3) code of length 16 that it
+    # does not fix has a PREDICATE descriptor, whose ambient listing would
+    # meet the lowered bound before H(P) does.)
+    code = cyclic_code(25, GF7, {1, 7, 18, 24})
+    assert code.k == 21
+    assert not maps_onto(code.linear, code.linear, perm.kaloujnine_generators(5, 2)).any()
     assert decide_equivalence(code, code, "HP").status == "equivalent"
-    monkeypatch.setattr(perm, "CLOSURE_BOUND", 100)
+    monkeypatch.setattr(perm, "CLOSURE_BOUND", 20)
     v = decide_equivalence(code, code, "HP")
     assert (v.status, v.complete, v.witness) == ("inconclusive", False, None)
-    assert "reached 243 rows, past CLOSURE_BOUND = 100" in v.evidence
+    assert "reached 25 rows, past CLOSURE_BOUND = 20" in v.evidence
 
 
 def test_dimension_separation_is_complete():
@@ -512,12 +521,14 @@ def test_hp_witness_is_the_first_member_in_sorted_order():
 def test_hp_witness_is_the_first_hit_over_the_full_hp_rows():
     # the coset-leader scan against the full sorted H(P) of
     # perm.conjugation_rows: the witness is its first row that maps_onto
-    # passes, and the evidence gives its size.  GF(2) n = 27 multiplier
+    # passes, and the evidence gives its size.  Where W_T fixes the first
+    # code, HP scans the digit scalings instead, and the witness is the
+    # first of their sorted rows that passes.  GF(2) n = 27 multiplier
     # images and random same-dimension partners (2 generates the units mod
     # 27 and each dimension has one code, so both are the code itself),
     # GF(3) n = 16 multiplier images and partners, and two GF(11) n = 25
-    # planted pairs, whose H(P) has 250,000 members (k = 13 and 17, past the
-    # enumeration budget of their weight profiles)
+    # planted pairs (k = 13 and 17, past the enumeration budget of their
+    # weight profiles); W_T fixes the codes of length 27 and 25
     rng = random.Random(1627)
     pairs = []
     for q, n, dims in ((2, 27, range(1, 10)), (3, 16, range(1, 10))):
@@ -530,20 +541,28 @@ def test_hp_witness_is_the_first_hit_over_the_full_hp_rows():
     for ds in ({1, 2, 5, 6, 7, 10, 11, 12, 16, 17, 21, 22},     # k = 13
                {1, 5, 6, 10, 11, 16, 20, 21}):                  # k = 17
         pairs.append((cyclic_code(25, GF11, ds), cyclic_code(25, GF11, {2 * i % 25 for i in ds}), True))
-    witnesses = 0
+    witnesses = tableau = 0
     for c1, c2, planted in pairs:
         verdict = decide_equivalence(c1, c2, "HP")
         # a multiplier normalizes <T>, so H(P) holds every planted witness
         assert verdict.status == "equivalent" or not planted, (c1, c2)
         witnesses += verdict.witness is not None
-        P, _ = build_sylow_descriptor(c1)
-        full = conjugation_rows(Permutation.shift(c1.n), P)
-        first = np.flatnonzero(maps_onto(c1.linear, c2.linear, full))
-        oracle = Permutation(tuple(full[first[0]].tolist())) if first.size else None
+        p, r = prime_power(c1.n)
+        if maps_onto(c1.linear, c1.linear, perm.kaloujnine_generators(p, r)).all():
+            tableau += 1
+            rows = perm.digit_scalings(p, r)
+            size = f"the {len(rows)} digit scalings D"
+        else:
+            P, _ = build_sylow_descriptor(c1)
+            rows = conjugation_rows(Permutation.shift(c1.n), P)
+            size = f"H(P) of size {len(rows)} "
+        first = np.flatnonzero(maps_onto(c1.linear, c2.linear, rows))
+        oracle = Permutation(tuple(rows[first[0]].tolist())) if first.size else None
         assert verdict.witness == oracle, (c1, c2)
         if verdict.evidence != "weight profiles differ":
-            assert f"H(P) of size {len(full)} " in verdict.evidence, (c1, c2)
+            assert size in verdict.evidence, (c1, c2)
     assert witnesses > len(pairs) // 2
+    assert 0 < tableau < len(pairs)
 
 
 def test_hp_separates_by_weight_profiles_with_or_without_a_descriptor():
@@ -647,10 +666,11 @@ def test_multiplier_verdict_at_length_one(q, ds):
 
 def test_hp_agrees_with_brute_on_same_dimension_pairs():
     # the 59 pairs of distinct GF(3) cyclic codes of length 8 with one
-    # dimension reach H(P) and the S_8 scan, which no binary length-9 pair
-    # does (those 8 codes have 8 different dimensions): HP finds every
-    # equivalent pair, each witness confirmed by permute_code, its complete
-    # "inequivalent" verdicts all agree with BRUTE, and the rest stay open
+    # dimension reach H(P) or the digit scalings, and BRUTE's search, which
+    # no binary length-9 pair does (those 8 codes have 8 different
+    # dimensions): HP finds every equivalent pair, each witness confirmed by
+    # permute_code, its complete "inequivalent" verdicts all agree with
+    # BRUTE, and the rest stay open
     codes = enumerate_cyclic_codes(8, GF3)
     pairs = [(a, b) for a, b in itertools.combinations(codes, 2) if a.k == b.k]
     tally = {}
@@ -663,5 +683,50 @@ def test_hp_agrees_with_brute_on_same_dimension_pairs():
         if verdict.status == "inequivalent":
             assert verdict.complete
     assert len(pairs) == 59
-    assert tally == {("equivalent", True): 8, ("inequivalent", False): 32,
-                     ("inconclusive", False): 19}
+    assert tally == {("equivalent", True): 8, ("inequivalent", False): 39,
+                     ("inconclusive", False): 12}
+
+
+def test_tableau_verdicts_agree_with_brute():
+    # every same-dimension pair of distinct codes whose first code W_T fixes
+    # is decided by the digit scalings, and BRUTE agrees on each; at p = 2
+    # D is the identity alone, so two distinct codes are inequivalent
+    families = {(3, 8): 23, (5, 8): 55, (4, 9): 48, (7, 9): 48}
+    for (q, n), expected in families.items():
+        p, r = prime_power(n)
+        levels = perm.kaloujnine_generators(p, r)
+        codes = enumerate_cyclic_codes(n, make_field(*prime_power(q)))
+        decided = 0
+        for c1, c2 in itertools.combinations(codes, 2):
+            if c1.k != c2.k or not maps_onto(c1.linear, c1.linear, levels).all():
+                continue
+            decided += 1
+            verdict = tableau_verdict(c1, c2, "HP")
+            assert verdict.complete and "W_T" in verdict.evidence
+            assert decide_equivalence(c1, c2, "HP").status == verdict.status
+            assert verdict.status == brute_verdict(c1.linear, c2.linear).status, (c1, c2)
+            if verdict.witness is not None:
+                assert permute_code(c1.linear, verdict.witness) == c2.linear
+            if p == 2:
+                assert verdict.status == "inequivalent"
+        assert decided == expected, (q, n)
+
+
+def test_tableau_verdicts_keep_the_complete_hp_verdicts_at_gf11_25():
+    # W_T fixes every GF(11) code of length 25; on sampled same-dimension
+    # pairs whose H(P) verdict is complete, the digit scalings give the
+    # same status and the same witness
+    GF11 = make_field(11)
+    codes = [c for c in enumerate_cyclic_codes(25, GF11)
+             if 0 < c.k < 25 and 11 ** min(c.k, 25 - c.k) <= 2 ** 18]
+    pairs = [(a, b) for a, b in itertools.combinations(codes, 2) if a.k == b.k]
+    compared = 0
+    for c1, c2 in random.Random(1948).sample(pairs, 16):
+        verdict = tableau_verdict(c1, c2, "HP")
+        assert verdict is not None and verdict.complete
+        P, kind = build_sylow_descriptor(c1)
+        hp = restricted_set_verdict(c1, c2, P, 1, "HP", kind)
+        if hp.complete:
+            compared += 1
+            assert (verdict.status, verdict.witness) == (hp.status, hp.witness), (c1, c2)
+    assert compared == 14

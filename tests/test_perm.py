@@ -18,9 +18,11 @@ from cycperm.perm import (
     conjugation_rows,
     conjugation_scan,
     conjugation_set,
+    digit_scalings,
     group_closure,
     is_primitive,
     is_transitive,
+    kaloujnine_generators,
     minimal_blocks,
     normalizer_in_symmetric,
     orbits,
@@ -834,3 +836,42 @@ def test_shift_power_sylow_matches_ascent():
             drawn += 1
             assert sylow_through_shift(G, l).elements() == \
                 sylow_ascend(G, p, PermGroup.from_generators(n, [Tl])).elements(), gens
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)])
+def test_kaloujnine_generators_and_digit_scalings(p, r):
+    n, L = p ** r, (p ** r - 1) // (p - 1)
+    levels = kaloujnine_generators(p, r)
+    W = PermGroup.from_rows(n, levels.tolist())
+    assert levels.shape == (L, n) and W.order() == p ** L
+    assert Permutation.shift(n) in W
+    # every member passes the triangular filter of sylow_through_shift
+    assert sylow_through_shift(W).order() == W.order()
+
+    D = digit_scalings(p, r)
+    assert D.shape == ((p - 1) ** r, n) and len({tuple(d) for d in D.tolist()}) == len(D)
+    assert D[0].tolist() == list(range(n))
+    assert D.tolist() == sorted(D.tolist())
+    scalings = [Permutation(tuple(d)) for d in D.tolist()]
+    assert [d in W for d in scalings] == [True] + [False] * (len(D) - 1)
+    assert all(d.inverse() * Permutation(tuple(g)) * d in W
+               for d in scalings for g in levels.tolist())
+
+    # the count behind H(W_T) = N(W_T): n!/(p^L (p-1)^r) Sylow p-subgroups,
+    # each with (p-1)^r p^(L-r) n-cycles, hold all (n-1)! n-cycles
+    sylows, rem = divmod(math.factorial(n), p ** L * (p - 1) ** r)
+    assert rem == 0 and sylows * (p - 1) ** r * p ** (L - r) == math.factorial(n - 1)
+    assert W.order() <= perm.CLOSURE_BOUND
+    A = W._array
+    point, first = np.zeros(len(A), dtype=np.int64), np.zeros(len(A), dtype=np.int64)
+    for step in range(1, n + 1):
+        point = A[np.arange(len(A)), point]
+        first[(point == 0) & (first == 0)] = step
+    assert np.count_nonzero(first == n) == (p - 1) ** r * p ** (L - r)
+
+    # so H(W_T) is W_T D: the same size, and the same rows where it is small
+    assert shift_coset_leaders(W)[1] == W.order() * len(D)
+    if n <= 9:
+        products = A[:, D].reshape(-1, n)          # row w o d
+        assert conjugation_rows(Permutation.shift(n), W).tolist() == \
+            sorted(products.tolist())
