@@ -217,7 +217,10 @@ def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, str]:
     for Q_SET and <T, M_(q^t)> for GR_FORMULA; only for PREDICATE is it cut
     out of the ambient group's listing as G meet W_T
     (perm.sylow_through_shift).  Whether P certifies a verdict is read off
-    its order (restricted_set_verdict).
+    its order (restricted_set_verdict).  At a prime length W_T = <T> fixes
+    every cyclic code, so decide_equivalence never calls this there; the
+    r = 1 case (P = <T>, AG_SET, and no Q_1 family) serves direct callers,
+    the descriptor tests.
     """
     n = code.n
     p, r = prime_power(n)
@@ -407,7 +410,7 @@ def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
         f"no witness in {detail}; the subgroup carrying P may be proper")
 
 
-def tableau_verdict(c1: CyclicCode, c2: CyclicCode,
+def tableau_verdict(c1: CyclicCode, c2: CyclicCode, p: int, r: int,
                     strategy: str) -> EquivalenceVerdict | None:
     """The complete verdict of the digit scalings D when Kaloujnine's
     tableau group W_T fixes the first code, or None when it does not; two
@@ -439,13 +442,12 @@ def tableau_verdict(c1: CyclicCode, c2: CyclicCode,
     At p = 2, D is the identity alone, and two distinct codes fixed by
     W_T are inequivalent.
     """
-    n = c1.n
-    p, r = prime_power(n)
     lin = c1.linear
-    if not maps_onto(lin, lin, kaloujnine_generators(p, r)).all():
+    levels = kaloujnine_generators(p, r)
+    if not maps_onto(lin, lin, levels).all():
         return None
     D = digit_scalings(p, r)
-    L = (n - 1) // (p - 1)
+    L = len(levels)
     detail = f"W_T of order {p}^{L} = {p ** L} fixes the first code"
     sigma = witness_scan(lin, c2.linear, D)
     if sigma is not None:
@@ -472,8 +474,12 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     the other strategies otherwise.  When W_T fixes the first code it scans
     the digit scalings and is complete (tableau_verdict); else it scans
     the exact H(P) of the P of build_sylow_descriptor, one member per coset
-    of <T>, in sorted order, and is complete when P is a Sylow subgroup of
-    S_n (restricted_set_verdict).
+    of <T>, in sorted order (restricted_set_verdict).  That fallback is
+    never complete: it gives a witness with complete = False, or
+    "inconclusive".  Its P is a p-subgroup of Aut(C1) through T, so it lies
+    in W_T, the only Sylow p-subgroup of S_n through T, and has the Sylow
+    order p^L only when it is W_T; then W_T fixes C1 and tableau_verdict
+    has already decided.
     BRUTE searches S_n for the least witness, pruned on minimum-weight
     words (brute_equivalence), and accepts n <= 10.  An "inequivalent"
     verdict is only issued under a complete strategy or an invariant
@@ -508,13 +514,13 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
         return brute_verdict(c1.linear, c2.linear)
 
     try:
-        prime_power(n)
+        p, r = prime_power(n)
     except ValueError:
         raise ValueError(
             f"HP needs a prime-power length, and {n} is not one; the dimensions "
             "and weight profiles do not separate the pair, so use MULTIPLIER, or "
             f"BRUTE for n <= {BRUTE_DEGREE_BOUND}") from None
-    verdict = tableau_verdict(c1, c2, strategy)
+    verdict = tableau_verdict(c1, c2, p, r, strategy)
     if verdict is not None:
         return verdict
     P, kind = build_sylow_descriptor(c1)

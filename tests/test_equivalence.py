@@ -701,7 +701,7 @@ def test_tableau_verdicts_agree_with_brute():
             if c1.k != c2.k or not maps_onto(c1.linear, c1.linear, levels).all():
                 continue
             decided += 1
-            verdict = tableau_verdict(c1, c2, "HP")
+            verdict = tableau_verdict(c1, c2, p, r, "HP")
             assert verdict.complete and "W_T" in verdict.evidence
             assert decide_equivalence(c1, c2, "HP").status == verdict.status
             assert verdict.status == brute_verdict(c1.linear, c2.linear).status, (c1, c2)
@@ -722,7 +722,7 @@ def test_tableau_verdicts_keep_the_complete_hp_verdicts_at_gf11_25():
     pairs = [(a, b) for a, b in itertools.combinations(codes, 2) if a.k == b.k]
     compared = 0
     for c1, c2 in random.Random(1948).sample(pairs, 16):
-        verdict = tableau_verdict(c1, c2, "HP")
+        verdict = tableau_verdict(c1, c2, 5, 2, "HP")
         assert verdict is not None and verdict.complete
         P, kind = build_sylow_descriptor(c1)
         hp = restricted_set_verdict(c1, c2, P, 1, "HP", kind)

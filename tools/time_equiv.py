@@ -1,12 +1,12 @@
 """Time decide_equivalence(c1, c2, "HP") on distinct same-dimension pairs of
 cyclic codes, from families that the equiv benchmark leaves out.
 
-    python3 tools/time_equiv.py [--pairs N] [--seed S]
+    python3 tools/time_equiv.py
 
 For each family in FAMILIES it lists the pairs of distinct cyclic codes of
 one dimension k, 0 < k < n, with q^min(k, n-k) <= PROFILE_BOUND (so each
-weight profile enumerates at most 2^18 words), draws N of them with
-random.Random(seed) (all of them when there are fewer), and decides each
+weight profile enumerates at most 2^18 words), draws PAIRS of them with
+random.Random(SEED) (all of them when there are fewer), and decides each
 pair with the HP strategy.  Per family it prints the pairs drawn, the
 verdict tally, how many verdicts are complete, and the total time of the
 decisions; each pair's codes are built fresh, so that time includes their
@@ -16,7 +16,7 @@ to hold one whenever one exists, or an inequivalence proved the same way.
 """
 from __future__ import annotations
 
-import argparse
+import itertools
 import random
 import sys
 import time
@@ -25,51 +25,51 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cycperm.algebra import make_field, prime_power  # noqa: E402
-from cycperm.codes import CyclicCode, cyclotomic_cosets  # noqa: E402
+from cycperm.codes import CyclicCode, enumerate_cyclic_codes  # noqa: E402
 from cycperm.equivalence import decide_equivalence  # noqa: E402
 
 FAMILIES = [(11, 25), (4, 27), (13, 27), (3, 16), (5, 8)]
 PROFILE_BOUND = 2 ** 18
+PAIRS = 40
+SEED = 0
 STATUSES = ("equivalent", "inequivalent", "inconclusive")
 
 
 def same_dimension_pairs(q: int, n: int) -> list[tuple[frozenset, frozenset]]:
-    """The pairs (D1, D2) of distinct defining sets of one dimension
-    k = n - |D|, 0 < k < n, with q^min(k, n-k) <= PROFILE_BOUND, in the
-    order of the coset-union bitmasks."""
-    cosets = cyclotomic_cosets(n, q)
+    """The defining sets (D1, D2) of the pairs of distinct cyclic codes of
+    one dimension k, 0 < k < n, with q^min(k, n-k) <= PROFILE_BOUND, by
+    ascending k and then in the order of enumerate_cyclic_codes."""
     by_k: dict[int, list[frozenset]] = {}
-    for mask in range(2 ** len(cosets)):
-        ds = frozenset(x for b, cs in enumerate(cosets) if mask >> b & 1 for x in cs)
-        k = n - len(ds)
+    for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+        k = code.k
         if 0 < k < n and q ** min(k, n - k) <= PROFILE_BOUND:
-            by_k.setdefault(k, []).append(ds)
-    return [(a, b) for k in sorted(by_k) for i, a in enumerate(by_k[k])
-            for b in by_k[k][i + 1:]]
+            by_k.setdefault(k, []).append(code.defining_set)
+    return [pair for k in sorted(by_k) for pair in itertools.combinations(by_k[k], 2)]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pairs", type=int, default=40, help="pairs drawn per family")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
+def time_family(q: int, n: int, rng: random.Random) -> str:
+    """Decide PAIRS pairs of the family drawn with rng; the report line."""
+    field = make_field(*prime_power(q))
+    pairs = same_dimension_pairs(q, n)
+    drawn = rng.sample(pairs, min(PAIRS, len(pairs)))
+    tally = dict.fromkeys(STATUSES, 0)
+    complete = 0
+    elapsed = 0.0
+    for d1, d2 in drawn:
+        t0 = time.perf_counter()
+        verdict = decide_equivalence(CyclicCode(field, n, d1), CyclicCode(field, n, d2), "HP")
+        elapsed += time.perf_counter() - t0
+        tally[verdict.status] += 1
+        complete += verdict.complete
+    counts = ", ".join(f"{tally[s]} {s}" for s in STATUSES)
+    return (f"GF({q}) n = {n}: {len(drawn)} of {len(pairs)} pairs; {counts}; "
+            f"{complete} complete; {elapsed:.3f} s")
+
+
+def main() -> int:
+    rng = random.Random(SEED)
     for q, n in FAMILIES:
-        field = make_field(*prime_power(q))
-        pairs = same_dimension_pairs(q, n)
-        drawn = rng.sample(pairs, min(args.pairs, len(pairs)))
-        tally = dict.fromkeys(STATUSES, 0)
-        complete = 0
-        elapsed = 0.0
-        for d1, d2 in drawn:
-            t0 = time.perf_counter()
-            verdict = decide_equivalence(CyclicCode(field, n, d1), CyclicCode(field, n, d2), "HP")
-            elapsed += time.perf_counter() - t0
-            tally[verdict.status] += 1
-            complete += verdict.complete
-        counts = ", ".join(f"{tally[s]} {s}" for s in STATUSES)
-        print(f"GF({q}) n = {n}: {len(drawn)} of {len(pairs)} pairs; {counts}; "
-              f"{complete} complete; {elapsed:.3f} s")
+        print(time_family(q, n, rng))
     return 0
 
 
