@@ -47,29 +47,24 @@ def same_dimension_pairs(q: int, n: int) -> list[tuple[frozenset, frozenset]]:
     return [pair for k in sorted(by_k) for pair in itertools.combinations(by_k[k], 2)]
 
 
-def time_family(q: int, n: int, rng: random.Random) -> str:
-    """Decide PAIRS pairs of the family drawn with rng; the report line."""
-    field = make_field(*prime_power(q))
-    pairs = same_dimension_pairs(q, n)
-    drawn = rng.sample(pairs, min(PAIRS, len(pairs)))
-    tally = dict.fromkeys(STATUSES, 0)
-    complete = 0
-    elapsed = 0.0
-    for d1, d2 in drawn:
-        t0 = time.perf_counter()
-        verdict = decide_equivalence(CyclicCode(field, n, d1), CyclicCode(field, n, d2), "HP")
-        elapsed += time.perf_counter() - t0
-        tally[verdict.status] += 1
-        complete += verdict.complete
-    counts = ", ".join(f"{tally[s]} {s}" for s in STATUSES)
-    return (f"GF({q}) n = {n}: {len(drawn)} of {len(pairs)} pairs; {counts}; "
-            f"{complete} complete; {elapsed:.3f} s")
-
-
 def main() -> int:
     rng = random.Random(SEED)
     for q, n in FAMILIES:
-        print(time_family(q, n, rng))
+        field = make_field(*prime_power(q))
+        pairs = same_dimension_pairs(q, n)
+        drawn = rng.sample(pairs, min(PAIRS, len(pairs)))
+        tally = dict.fromkeys(STATUSES, 0)
+        complete = 0
+        elapsed = 0.0
+        for d1, d2 in drawn:
+            t0 = time.perf_counter()
+            verdict = decide_equivalence(CyclicCode(field, n, d1), CyclicCode(field, n, d2), "HP")
+            elapsed += time.perf_counter() - t0
+            tally[verdict.status] += 1
+            complete += verdict.complete
+        counts = ", ".join(f"{tally[s]} {s}" for s in STATUSES)
+        print(f"GF({q}) n = {n}: {len(drawn)} of {len(pairs)} pairs; {counts}; "
+              f"{complete} complete; {elapsed:.3f} s")
     return 0
 
 
