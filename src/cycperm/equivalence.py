@@ -18,11 +18,17 @@ autgroups run against the second code: an exhaustive search that prunes
 only maps that cannot send the one code onto the other, and gives the
 lexicographically least witness.
 
-HP decides a pair in this order: the dimensions, then the weight
-profiles (invariant_separation), then the W_T test and the D scan
-(tableau_verdict: when Kaloujnine's tableau group W_T fixes the first code,
-H(W_T) = W_T D and the (p-1)^r digit scalings D decide), and only then the
-Sylow descriptor and H(P) (build_sylow_descriptor, restricted_set_verdict).
+HP decides a pair of length n = p^r in this order: the dimensions, then
+the W_T test and the D scan (tableau_verdict: when Kaloujnine's tableau
+group W_T fixes the first code, H(W_T) = W_T D and the (p-1)^r digit
+scalings D decide completely), then the weight profiles
+(invariant_separation), and only then the Sylow descriptor and H(P)
+(build_sylow_descriptor, restricted_set_verdict).  The W_T test is one
+code-action batch of L = (p^r - 1)/(p - 1) rows, cheaper than enumerating
+two weight profiles, and the profiles could only end a W_T-fixed pair as
+"inequivalent", which the D scan also reaches.  At other lengths HP takes
+the dimensions and the profiles and then raises; MULTIPLIER, BRUTE and the
+quasi-cyclic STRUCTURED search take the dimensions and the profiles first.
 
 One decision serves H(P) and its quasi-cyclic analogue H'(P), which is
 H(P) at l = 1: restricted_set_verdict scans one member of each coset
@@ -42,7 +48,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import multiplicative_order, p_part, prime_power, units
+from .algebra import multiplicative_order, p_part, prime_factors, prime_power, units
 from .codes import (
     CyclicCode,
     LinearCode,
@@ -301,7 +307,11 @@ def invariant_separation(c1: CyclicCode | QuasiCyclicCode,
                          strategy: str) -> EquivalenceVerdict | None:
     """The complete "inequivalent" verdict when the dimensions or the weight
     profiles differ, or None; the profiles are skipped past the enumeration
-    budget of weight_profile."""
+    budget of weight_profile.  Every strategy runs it before its own search,
+    except that HP at n = p^r runs the W_T test and the D scan
+    (tableau_verdict) between the dimensions and the profiles: it reaches
+    this only when the dimensions differ or W_T does not fix the first
+    code."""
     if c1.k != c2.k:
         sep = f"dimensions differ: {c1.k} != {c2.k}"
     else:
@@ -469,17 +479,18 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     onto the second (autgroups.multipliers_onto, which checks the defining
     sets against the matrix test for every unit); without one it is
     complete exactly when multiplier equivalence is known to decide the
-    length.  HP needs a prime-power length n = p^r once the dimensions and
-    weight profiles leave the pair open, and raises a ValueError naming
-    the other strategies otherwise.  When W_T fixes the first code it scans
-    the digit scalings and is complete (tableau_verdict); else it scans
-    the exact H(P) of the P of build_sylow_descriptor, one member per coset
-    of <T>, in sorted order (restricted_set_verdict).  That fallback is
-    never complete: it gives a witness with complete = False, or
-    "inconclusive".  Its P is a p-subgroup of Aut(C1) through T, so it lies
-    in W_T, the only Sylow p-subgroup of S_n through T, and has the Sylow
-    order p^L only when it is W_T; then W_T fixes C1 and tableau_verdict
-    has already decided.
+    length.  HP at a length n = p^r compares the dimensions, then tests
+    W_T: when W_T fixes the first code it scans the digit scalings and is
+    complete (tableau_verdict), without enumerating a weight profile.  Else
+    it compares the weight profiles and then scans the exact H(P) of the P
+    of build_sylow_descriptor, one member per coset of <T>, in sorted order
+    (restricted_set_verdict).  At any other length it raises a ValueError
+    naming the other strategies once the dimensions and weight profiles
+    leave the pair open.  The H(P) fallback is never complete: it gives a
+    witness with complete = False, or "inconclusive".  Its P is a
+    p-subgroup of Aut(C1) through T, so it lies in W_T, the only Sylow
+    p-subgroup of S_n through T, and has the Sylow order p^L only when it
+    is W_T; then W_T fixes C1 and tableau_verdict has already decided.
     BRUTE searches S_n for the least witness, pruned on minimum-weight
     words (brute_equivalence), and accepts n <= 10.  An "inequivalent"
     verdict is only issued under a complete strategy or an invariant
@@ -490,6 +501,11 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     if strategy not in ("MULTIPLIER", "HP", "BRUTE"):
         raise ValueError(f"unknown strategy {strategy!r}")
     n = c1.n
+    prime_power_length = len(prime_factors(n)) == 1
+    if strategy == "HP" and prime_power_length and c1.k == c2.k:
+        verdict = tableau_verdict(c1, c2, *prime_power(n), strategy)
+        if verdict is not None:
+            return verdict
     sep = invariant_separation(c1, c2, strategy)
     if sep is not None:
         return sep
@@ -513,15 +529,10 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     if strategy == "BRUTE":
         return brute_verdict(c1.linear, c2.linear)
 
-    try:
-        p, r = prime_power(n)
-    except ValueError:
+    if not prime_power_length:
         raise ValueError(
             f"HP needs a prime-power length, and {n} is not one; the dimensions "
             "and weight profiles do not separate the pair, so use MULTIPLIER, or "
-            f"BRUTE for n <= {BRUTE_DEGREE_BOUND}") from None
-    verdict = tableau_verdict(c1, c2, p, r, strategy)
-    if verdict is not None:
-        return verdict
+            f"BRUTE for n <= {BRUTE_DEGREE_BOUND}")
     P, kind = build_sylow_descriptor(c1)
     return restricted_set_verdict(c1, c2, P, 1, strategy, f"a {kind} descriptor")

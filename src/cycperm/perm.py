@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -893,11 +893,13 @@ def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
     return PermGroup.from_rows(n, A[np.lexsort(A.T[::-1])].tolist(), order=len(A))
 
 
+@lru_cache(maxsize=None)
 def kaloujnine_generators(p: int, r: int) -> np.ndarray:
-    """The level maps of Kaloujnine's tableau group W_T on Z mod p^r, as an
-    (L, p^r) array of image rows, L = (p^r - 1)/(p - 1): for each digit
-    j < r and each c < p^j, the map that adds 1 mod p to digit j of x
-    where x mod p^j = c and fixes every other point, level by level and c
+    """The level maps of Kaloujnine's tableau group W_T on Z mod p^r, as a
+    read-only (L, p^r) array of image rows, L = (p^r - 1)/(p - 1), built
+    once per (p, r) and shared by every caller: for each digit j < r and
+    each c < p^j, the map that adds 1 mod p to digit j of x where
+    x mod p^j = c and fixes every other point, level by level and c
     ascending.  W_T, the triangular maps sigma whose digit j of sigma(x) is
     x_j plus a function of x mod p^j, is the product of these levels, and
     level j is (Z_p)^(p^j) generated by its p^j maps; so they generate W_T,
@@ -911,13 +913,17 @@ def kaloujnine_generators(p: int, r: int) -> np.ndarray:
         digit = x // pj % p
         step = ((digit + 1) % p - digit) * pj
         rows += [np.where(x % pj == c, x + step, x) for c in range(pj)]
-    return np.array(rows, dtype=np.int64).reshape(-1, n)
+    out = np.array(rows, dtype=np.int64).reshape(-1, n)
+    out.flags.writeable = False
+    return out
 
 
+@lru_cache(maxsize=None)
 def digit_scalings(p: int, r: int) -> np.ndarray:
     """The (p-1)^r digit scalings of Z mod p^r, x_j -> u_j x_j mod p for
-    every digit j with u_j in Z_p^*, as a ((p-1)^r, p^r) array of image rows
-    in lexicographic order; the identity, all u_j = 1, is the first row.
+    every digit j with u_j in Z_p^*, as a read-only ((p-1)^r, p^r) array of
+    image rows in lexicographic order, built once per (p, r) and shared by
+    every caller; the identity, all u_j = 1, is the first row.
     They form a group D that normalizes W_T: for d in D and w in W_T,
     d^-1 w d adds to digit j the function of w's digit j, read at the
     scaled lower digits and scaled by u_j^-1, so it is triangular.  D meets
@@ -930,4 +936,6 @@ def digit_scalings(p: int, r: int) -> np.ndarray:
     rows = np.array([sum(u * d % p * p ** j for j, (u, d) in enumerate(zip(us, digits)))
                      for us in itertools.product(range(1, p), repeat=r)],
                     dtype=np.int64).reshape(-1, n)
-    return rows[np.lexsort(rows.T[::-1])]
+    out = rows[np.lexsort(rows.T[::-1])]
+    out.flags.writeable = False
+    return out

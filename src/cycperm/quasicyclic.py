@@ -140,7 +140,12 @@ def normalizer_witnesses(n: int, l: int) -> tuple[PermGroup, PermGroup]:
 
 def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
     """(p, r) with co-index p^r, under the usual coprimality hypotheses."""
-    p, r = prime_power(code.co_index)
+    n, l, m = code.n, code.index, code.co_index
+    try:
+        p, r = prime_power(m)
+    except ValueError:
+        raise ValueError(f"co-index n/l = {n}/{l} = {m} is not a prime power; H'(P) "
+                         "needs n = l p^r with r >= 1") from None
     if gcd(p, code.index) != 1:
         raise ValueError(f"hypothesis violated: gcd(p, l) = {gcd(p, code.index)} != 1")
     if code.field.order % p == 0:

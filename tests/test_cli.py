@@ -336,6 +336,15 @@ def test_qc_invalid_index_exits_1(tmp_path, capsys):
     assert status == 1 and "divide" in err
 
 
+def test_qc_index_equal_to_the_length_names_the_co_index(tmp_path, capsys):
+    # co-index 1 used to exit with only "1 is not a prime power"
+    path = write_spec(tmp_path, "full.json", cyclic_code(7, GF2, {1, 2, 4}), index=7)
+    status, out, err = run_cli(capsys, "qc", "--in", path)
+    assert status == 1 and not out and err.startswith("cycperm: error:")
+    assert "co-index n/l = 7/7 = 1 is not a prime power" in err
+    assert "H'(P) needs n = l p^r with r >= 1" in err
+
+
 # --- verification rows ------------------------------------------------------------
 
 def test_row_json_excludes_runtime():

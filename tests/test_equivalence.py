@@ -567,14 +567,42 @@ def test_hp_witness_is_the_first_hit_over_the_full_hp_rows():
 
 def test_hp_separates_by_weight_profiles_with_or_without_a_descriptor():
     # same dimension, different profiles: the profiles come before the
-    # descriptor, at n = 15, which has none, and at n = 8, which has one
+    # descriptor, at n = 15, which has none, and at n = 8, which has one;
+    # W_T does not fix the first n = 8 code, so its test cannot decide first
     for q, n, ds1, ds2 in ((2, 15, {1, 2, 4, 8}, {3, 6, 9, 12}), (3, 8, {1, 3}, {2, 6})):
         c1, c2 = cyclic_code(n, make_field(q), ds1), cyclic_code(n, make_field(q), ds2)
         assert c1.k == c2.k
         assert weight_profile(c1.linear).counts != weight_profile(c2.linear).counts
+        if n == 8:
+            assert not maps_onto(c1.linear, c1.linear, perm.kaloujnine_generators(2, 3)).all()
         verdict = decide_equivalence(c1, c2, "HP")
         assert (verdict.status, verdict.complete, verdict.evidence) == \
             ("inequivalent", True, "weight profiles differ")
+
+
+def test_hp_runs_the_wt_test_before_the_weight_profiles(monkeypatch):
+    # W_T fixes GF(3) n = 8 {2, 6}; {5, 7} has the same k = 6 and another
+    # weight profile, but HP decides the pair by the D scan and never
+    # enumerates a profile
+    c1, c2 = cyclic_code(8, GF3, {2, 6}), cyclic_code(8, GF3, {5, 7})
+    assert c1.k == c2.k == 6
+    assert weight_profile(c1.linear).counts != weight_profile(c2.linear).counts
+    assert maps_onto(c1.linear, c1.linear, perm.kaloujnine_generators(2, 3)).all()
+
+    def never(*args, **kwargs):
+        raise AssertionError("weight_profile was called")
+
+    monkeypatch.setattr(equivalence, "weight_profile", never)
+    verdict = decide_equivalence(c1, c2, "HP")
+    assert (verdict.status, verdict.complete, verdict.witness) == ("inequivalent", True, None)
+    assert "W_T of order 2^7 = 128 fixes the first code" in verdict.evidence
+    assert "digit scalings D" in verdict.evidence
+    # the dimensions still come first, and the other strategies still take
+    # the profiles first
+    other = cyclic_code(8, GF3, {0})
+    assert decide_equivalence(c1, other, "HP").evidence == "dimensions differ: 6 != 7"
+    with pytest.raises(AssertionError, match="weight_profile"):
+        decide_equivalence(c1, c2, "BRUTE")
 
 
 def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):

@@ -857,6 +857,12 @@ def test_kaloujnine_generators_and_digit_scalings(p, r):
     assert all(d.inverse() * Permutation(tuple(g)) * d in W
                for d in scalings for g in levels.tolist())
 
+    # both are built once per (p, r) and shared read-only
+    for build, rows in ((kaloujnine_generators, levels), (digit_scalings, D)):
+        assert build(p, r) is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1
+
     # the count behind H(W_T) = N(W_T): n!/(p^L (p-1)^r) Sylow p-subgroups,
     # each with (p-1)^r p^(L-r) n-cycles, hold all (n-1)! n-cycles
     sylows, rem = divmod(math.factorial(n), p ** L * (p - 1) ** r)

@@ -512,7 +512,8 @@ def test_qc_equivalence_hypothesis_errors():
     with pytest.raises(ValueError, match="gcd"):
         qc_equivalence_search(full25, full25)    # m = 5 shares p with l = 5
     full12 = QuasiCyclicCode(full_space(GF2, 12), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"co-index n/l = 12/2 = 6 is not a prime power; "
+                       r"H'\(P\) needs n = l p\^r with r >= 1"):
         qc_equivalence_search(full12, full12)    # m = 6 is not a prime power
 
 
