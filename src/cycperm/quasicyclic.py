@@ -146,8 +146,8 @@ def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
     except ValueError:
         raise ValueError(f"co-index n/l = {n}/{l} = {m} is not a prime power; H'(P) "
                          "needs n = l p^r with r >= 1") from None
-    if gcd(p, code.index) != 1:
-        raise ValueError(f"hypothesis violated: gcd(p, l) = {gcd(p, code.index)} != 1")
+    if gcd(p, l) != 1:
+        raise ValueError(f"hypothesis violated: gcd(p, l) = {gcd(p, l)} != 1")
     if code.field.order % p == 0:
         raise ValueError("hypothesis violated: p divides the field order")
     return p, r
