@@ -134,7 +134,33 @@ def gk_lifts(q: int, n: int) -> bool:
     """The hypothesis of the G_k families at length n = p^r over GF(q):
     gcd(q, p) = 1, z = 1, and ord_{p^r}(q) = t p^(r-1) with t = ord_p(q).
     For odd p the last clause follows from z = 1; at p = 2 it fails for
-    every r >= 3 (ord_8(3) = 2, not 4)."""
+    every r >= 3 (ord_8(3) = 2, not 4).
+
+    Lifting lemma: when it holds, Kaloujnine's W_T fixes every q-ary cyclic
+    code of length p^r.  So a code that W_T does not fix has no G_k family,
+    and the H(P) fallback of equivalence.decide_equivalence, which it
+    reaches only for such codes, never meets one.  Proof:
+    - <q> contains U_1 = 1 + pZ mod p^r.  With t = ord_p(q), q^t lies in
+      U_1 and has order p^(r-1) = |U_1|; U_1 is cyclic for odd p, and at
+      p = 2 (t = 1) <q> is a subgroup of the units, of their order.  So the
+      q-cyclotomic coset of an index i with v_p(i) = v < r holds the whole
+      class i + p^(v+1)Z, which is U_1 i.
+    - W_T is generated by the maps tau_{j,c} (j < r, c < p^j) that send x
+      to x + p^j where x = c mod p^j and fix every other x, and by their
+      inverses, of the same form with -p^j: tau_{j,c} is the level map of
+      perm.kaloujnine_generators times a triangular map that changes only
+      the digits above j, so downward induction on j gives every level.
+    - For f in the code C, tau_{j,c} f - f = (T^(p^j) f - f) 1_{c + p^j Z}.
+      T^(p^j) f - f lies in C, and its spectrum lies in that of f, at
+      indices i' with v_p(i') < r - j (at the others the factor
+      beta^(i' p^j) - 1 vanishes).  The indicator has period p^j, so its
+      spectrum lies in p^(r-j)Z, and the product's spectrum lies in the
+      sums: each index i is i' mod p^(r-j), so i = i' mod p^(v_p(i') + 1)
+      and i is in the q-cyclotomic coset of i'.  So the difference has its
+      spectrum in the nonzeros of C, has its entries in GF(q), and lies in
+      C; so does tau_{j,c} f.
+    tests/test_autgroups.py checks the lemma, and that it is sharp on the
+    families where the clause fails."""
     p, r = prime_power(n)
     return gcd(q, p) == 1 and z_parameter(q, p) == 1 \
         and multiplicative_order(q, n) == multiplicative_order(q, p) * p ** (r - 1)

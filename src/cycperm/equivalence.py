@@ -2,14 +2,14 @@
 
 Equivalence can be decided without scanning all of S_n: any witness can be
 pushed into H(P) = {sigma : sigma^-1 T sigma in P} for a Sylow p-subgroup P
-of the automorphism group containing the shift.  This module builds P inside
-the discoverable subgroup, describes H(P) exactly at every length as the
-union of the cosets C(T) sigma_rho over the n-cycles rho of P, and wraps the
-strategies behind a single decision routine with an honest completeness
-flag.  The groups of the paper's closed forms are built from their
-generators, never by listing maps: the polynomial-map groups Q^m and Q_1^m
-(q_group), and for GR_FORMULA the Sylow subgroup <T, M_(q^t)> of the
-generalized-multiplier group G_r = <T, M_q>.  The closed-form sets (the
+of the automorphism group containing the shift.  This module builds P from
+the triangular automorphisms it knows without search (the shift, the
+multipliers M_a with a = 1 mod p, and the polynomial maps Q_1^m when they
+fix the code), describes H(P) exactly at every length as the union of the
+cosets C(T) sigma_rho over the n-cycles rho of P, and wraps the strategies
+behind a single decision routine with an honest completeness flag.  The
+polynomial-map groups Q^m and Q_1^m (q_group) are built from their
+generators, never by listing maps.  The closed-form sets of the paper (the
 affine set, the geometric-series map family) are kept as independent checks
 of the coset construction.  The MULTIPLIER strategy takes its witness from
 autgroups.multipliers_onto, the one multiplier test.  The BRUTE strategy
@@ -56,7 +56,7 @@ from .codes import (
     permute_code,
     weight_profile,
 )
-from .autgroups import _search, gk_lifts, known_cyclic_subgroup, multipliers_onto
+from .autgroups import _search, multiplier_scan, multipliers_onto
 from .perm import (
     BRUTE_DEGREE_BOUND,
     ClosureBoundExceeded,
@@ -66,17 +66,14 @@ from .perm import (
     digit_scalings,
     kaloujnine_generators,
     shift_coset_leaders,
-    sylow_through_shift,
 )
 
 if TYPE_CHECKING:
     from .quasicyclic import QuasiCyclicCode
 
-# largest polynomial-map family Q_1^m, of order p^(r+m), tried as the group
-# carrying P when it fixes the code
+# largest polynomial-map family Q_1^m, of order p^(r+m), whose generators
+# join P when they fix the code
 _Q_FAMILY_BOUND = 10_000
-# largest group worth listing to cut out its Sylow subgroup through the shift
-_AMBIENT_BOUND = 50_000
 
 
 def palfy_multiplier_complete(n: int) -> bool:
@@ -158,7 +155,9 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
 
 def hp_membership(sigma: Permutation, P: PermGroup, l: int = 1) -> bool:
     """sigma^-1 T^l sigma in P, the one-element test behind H(P) (l = 1) and
-    H'(P)."""
+    H'(P), defined for an index l dividing the degree n."""
+    if l < 1 or P.degree % l:
+        raise ValueError(f"index {l} does not divide the degree {P.degree}")
     tl = Permutation.power_shift(P.degree, l)
     if tl not in P:
         raise ValueError("P must contain the shift power T^l")
@@ -198,10 +197,10 @@ def gr_formula_set(n: int, q: int) -> frozenset[Permutation]:
 
 
 def hp_set(P: PermGroup) -> frozenset[Permutation]:
-    """H(P), listed exactly for every descriptor kind and every length: the
-    union of the cosets C(T) sigma_rho over the n-cycles rho of P, as a set.
-    decide_equivalence does not list it: it scans one member per coset
-    <T> sigma (perm.shift_coset_leaders).  Raises ClosureBoundExceeded when
+    """H(P), listed exactly for every p-subgroup P through T and every
+    length: the union of the cosets C(T) sigma_rho over the n-cycles rho of
+    P, as a set.  decide_equivalence does not list it: it scans one member
+    per coset <T> sigma (perm.shift_coset_leaders).  Raises ClosureBoundExceeded when
     that union is larger than CLOSURE_BOUND."""
     T = Permutation.shift(P.degree)
     if T not in P:
@@ -209,71 +208,54 @@ def hp_set(P: PermGroup) -> frozenset[Permutation]:
     return conjugation_set(T, P)
 
 
-def build_sylow_descriptor(code: CyclicCode) -> tuple[PermGroup, str]:
-    """A p-subgroup P of the code's automorphism group containing the shift,
-    a Sylow subgroup of the discoverable part, and the kind of closed form
-    that describes H(P): AG_SET, Q_SET, GR_FORMULA or PREDICATE (none).
+def build_sylow_descriptor(code: CyclicCode) -> PermGroup:
+    """A p-subgroup P of the code's automorphism group through the shift,
+    at length n = p^r, built from generators:
 
-    P is a Sylow p-subgroup through T of the first of these groups whose
-    order is at most _AMBIENT_BOUND, each built only when it is reached:
-    the discovered group G, the polynomial-map family Q_1 fixing the code,
-    the shift with the discovered elements of p-power order, and the shift
-    alone.  Its order p^s is read off the ambient order.  P is named
-    outright where the paper's closed forms name it: <T> for AG_SET, Q_1^(s-2)
-    for Q_SET and <T, M_(q^t)> for GR_FORMULA; only for PREDICATE is it cut
-    out of the ambient group's listing as G meet W_T
-    (perm.sylow_through_shift).  Whether P certifies a verdict is read off
-    its order (restricted_set_verdict).  At a prime length W_T = <T> fixes
-    every cyclic code, so decide_equivalence never calls this there; the
-    r = 1 case (P = <T>, AG_SET, and no Q_1 family) serves direct callers,
-    the descriptor tests.
+        P = <T, M_a for the a in multiplier_scan(code) with a = 1 mod p,
+             the generators of Q_1^m when they fix the code>,
+
+    where m is the largest m < p with p^(r+m) <= _Q_FAMILY_BOUND whose
+    Q_1^m generators all fix the code (one maps_onto batch per m tried;
+    none at r = 1).  Every generator fixes the code and is triangular (an
+    affine map x -> ax + b is in W_T exactly when a = 1 mod p, and Q_1^m's
+    generators other than T change only the top digit, by a function of
+    x mod p), so P is a p-subgroup of Aut(C1) through T inside W_T.
+
+    HP calls it only on codes that W_T does not fix, and on those P is
+    G meet W_T, a Sylow p-subgroup of the discovered group G, the group
+    generated by known_cyclic_subgroup and the fixing Q_1 generators.
+    - By the lifting lemma (autgroups.gk_lifts), a code W_T does not fix
+      has no G_k families, so G = <T, M_a (a in the multiplier set), Q_1
+      generators when they fix>.
+    - N = <T, Q_1 generators> is <T> or Q_1^m, a p-group, and the
+      multipliers M = {M_a} normalize it: M_a T M_a^-1 is a power of T, and
+      conjugating a polynomial map by M_a scales its coefficients by powers
+      of a unit, which keeps Q_1^m's constraints.  So G = N M.
+    - M is abelian, and its Sylow p-subgroup M_p is {M_a : a = 1 mod p},
+      the p-part of the units mod p^r (at p = 2 all of them).  N M_p is a
+      p-group, and its index |M|/|M_p| in G is prime to p, since N meet M
+      is a p-group and so lies in M_p.  So N M_p = P is Sylow in G.
+    - P contains T, so P lies in W_T, the only Sylow p-subgroup of S_n
+      through T (perm.sylow_through_shift), and P <= G meet W_T, a
+      p-subgroup of G; as P is Sylow in G, the two are equal.
+    On codes W_T fixes, P is still a p-subgroup of Aut(C1) through T, and
+    decide_equivalence has already decided them by the digit scalings.
     """
     n = code.n
     p, r = prime_power(n)
-    gens, _ = known_cyclic_subgroup(code)
+    mset, _ = multiplier_scan(code)
+    gens = [Permutation.shift(n)]
+    gens += [Permutation.multiplier(n, a) for a in sorted(mset) if a % p == 1]
     lin = code.linear
-    q1_family: PermGroup | None = None
     for m in range(p - 1, 0, -1) if r >= 2 else ():
         if p ** (r + m) > _Q_FAMILY_BOUND:
             continue
-        _, q1g = q_group(n, m)
-        if maps_onto(lin, lin, [g.images for g in q1g.generators]).all():
-            gens = gens + [g for g in q1g.generators if g not in gens]
-            q1_family = q1g
+        q1 = q_group(n, m)[1].generators
+        if maps_onto(lin, lin, [g.images for g in q1]).all():
+            gens += q1
             break
-    T = Permutation.shift(n)
-    # the first candidate of order at most _AMBIENT_BOUND, each built only
-    # when reached; Q_1, when it fixes the code, is within _Q_FAMILY_BOUND
-    ambient = PermGroup.from_generators(n, gens)
-    if not ambient.order_at_most(_AMBIENT_BOUND):
-        ambient = q1_family if q1_family is not None else PermGroup.from_generators(
-            n, [T] + [g for g in gens if g.order() == p_part(g.order(), p)])
-    if not ambient.order_at_most(_AMBIENT_BOUND):
-        ambient = PermGroup.from_generators(n, [T])
-    # sylow_through_shift(ambient) = ambient meet W_T is a Sylow p-subgroup
-    # of the ambient group, of order p^s (T is in it, s >= 1).  A p-group
-    # through T lies in W_T, the only Sylow p-subgroup of S_n through T, so
-    # one of order p^s inside the ambient group is that meet: <T> when
-    # s = r, and Q_1^(s-2), of order p^s at r = 2, when the ambient group
-    # contains it
-    _, s = prime_power(p_part(ambient.order(), p))
-    if s == r:
-        return PermGroup.from_generators(n, [T]), "AG_SET"
-    if s > r and s - 1 < p and r == 2:
-        _, q1 = q_group(n, s - 2)
-        if all(g in ambient for g in q1.generators):
-            return q1, "Q_SET"
-    q = code.field.order
-    if r >= 2 and s <= 2 * r - 1 and gk_lifts(q, n):
-        # the geometric-series formula materializes H(P) for the Sylow
-        # subgroup of the largest generalized-multiplier family G_r = <T, M_q>,
-        # which known_cyclic_subgroup verified above: since ord_{p^r}(q) =
-        # t p^(r - 1) with t = ord_p(q) prime to p, it is the normal subgroup
-        # <T, M_(q^t)> of order p^(2r - 1)
-        t = multiplicative_order(q, p)
-        P_gr = PermGroup.from_generators(n, [T, Permutation.multiplier(n, pow(q, t, n))])
-        return P_gr, "GR_FORMULA"
-    return sylow_through_shift(ambient), "PREDICATE"
+    return PermGroup.from_generators(n, gens)
 
 
 # --- decision ------------------------------------------------------------------
@@ -534,5 +516,5 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
             f"HP needs a prime-power length, and {n} is not one; the dimensions "
             "and weight profiles do not separate the pair, so use MULTIPLIER, or "
             f"BRUTE for n <= {BRUTE_DEGREE_BOUND}")
-    P, kind = build_sylow_descriptor(c1)
-    return restricted_set_verdict(c1, c2, P, 1, strategy, f"a {kind} descriptor")
+    return restricted_set_verdict(c1, c2, build_sylow_descriptor(c1), 1, strategy,
+                                  "<T, M_a (a = 1 mod p), Q_1> fixing the code")

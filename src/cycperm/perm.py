@@ -19,10 +19,10 @@ used only where a set is the answer.  The chain is built no further than a
 question needs: from_rows stops reading rows at a known order; while the
 chain grows, each level's orbit is an orbit of a subgroup of that level's
 stabilizer, so the product of the orbit lengths is a lower bound on the
-order, and from_rows gives up (PermGroup.order_at_most answers False) as
-soon as it passes a bound; and a Schreier generator along an edge of an
-orbit's Schreier tree is the identity by construction, so it is never
-sifted.  None of these changes the chain that completes.  A StabilizerChain
+order, and from_rows gives up (ClosureBoundExceeded) as soon as it passes
+a bound (quasicyclic.qc_sylow sets CLOSURE_BOUND); and a Schreier
+generator along an edge of an orbit's Schreier tree is the identity by
+construction, so it is never sifted.  None of these changes the chain that completes.  A StabilizerChain
 can open the levels of a given base prefix first, so that its level i is
 the stabilizer of the prefix's first i points: the automorphism search
 (autgroups.backtrack_full_group) grows the group it finds on the chain whose
@@ -428,18 +428,6 @@ class PermGroup:
 
     def order(self) -> int:
         return self._chain.order()
-
-    def order_at_most(self, bound: int) -> bool:
-        """order() <= bound, without completing the chain when it is False:
-        the chain grows from the generators under the bound (from_rows).  A
-        chain that completes is the one _chain builds, and is cached as it."""
-        if "_chain" not in self.__dict__:
-            try:
-                self.__dict__["_chain"] = PermGroup.from_rows(
-                    self.degree, [g.images for g in self.generators], bound=bound)._chain
-            except ClosureBoundExceeded:
-                return False
-        return self.order() <= bound
 
     def __contains__(self, sigma: Permutation) -> bool:
         return sigma.degree == self.degree and sigma.images in self._chain

@@ -419,6 +419,22 @@ def test_gk_families_need_the_order_lift():
         assert decide_equivalence(code, code, "HP").status == "equivalent"
 
 
+def test_lifting_lemma_wt_fixes_every_code_where_gk_lifts():
+    # where gk_lifts holds, Kaloujnine's W_T fixes every cyclic code of the
+    # family (the lifting lemma of gk_lifts); where it fails, some code is
+    # left unfixed, so the lemma's hypothesis cannot be dropped there
+    def unfixed(q, n):
+        p, r = prime_power(n)
+        levels = perm.kaloujnine_generators(p, r)
+        codes = enumerate_cyclic_codes(n, make_field(*prime_power(q)))
+        return [c for c in codes if not maps_onto(c.linear, c.linear, levels).all()]
+
+    for q, n in ((3, 4), (7, 4), (2, 9), (4, 9), (7, 9), (2, 27), (4, 27), (13, 27)):
+        assert gk_lifts(q, n) and unfixed(q, n) == [], (q, n)
+    for q, n in ((5, 4), (3, 8), (8, 9), (7, 25), (8, 27)):
+        assert not gk_lifts(q, n) and unfixed(q, n), (q, n)
+
+
 @pytest.mark.parametrize("q, n, ds", [(2, 7, {1, 2, 4}), (4, 9, {1, 4, 7}), (11, 19, {1, 7, 11})])
 def test_analyze_names_a_reported_generator_that_fails(monkeypatch, q, n, ds):
     # a search that reports a transposition among the code's true generators

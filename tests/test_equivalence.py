@@ -163,10 +163,17 @@ def test_hp_membership_requires_shift():
     # at l = 3 the test asks for T^3 in P, which the multiplier group lacks
     with pytest.raises(ValueError, match="P must contain the shift"):
         hp_membership(Permutation.shift(9), group_no_shift, 3)
+    # H'(P) is defined only for an index dividing the degree: <T> holds
+    # T^2, but 2 does not divide 9
+    shift_group = PermGroup.from_generators(9, [Permutation.shift(9)])
+    for l in (0, 2, 4):
+        with pytest.raises(ValueError, match=f"index {l} does not divide the degree 9"):
+            hp_membership(Permutation.shift(9), shift_group, l)
 
 
 def test_hp_set_descriptor_kinds():
-    # every kind's P gives H(P) by the same construction; the closed forms agree
+    # the P of each closed form gives H(P) by the same construction, and the
+    # closed forms agree with it
     T9 = Permutation.shift(9)
     _, q11 = q_group(9, 1)
     q2 = q_group(9, 2)[0]
@@ -192,9 +199,8 @@ def test_hp_set_predicate_degree_limit():
 # --- the restricted set for concrete codes --------------------------------------
 
 def test_sylow_descriptor_nine_binary():
-    # |P| = 3^4, the 3-part of 9!: P is a Sylow subgroup of S_9
-    P, kind = build_sylow_descriptor(NINE_FULL)
-    assert kind == "PREDICATE"
+    # |P| = 3^4, the 3-part of 9!: P is a Sylow subgroup of S_9, Q_1^2 = W_T
+    P = build_sylow_descriptor(NINE_FULL)
     assert P.order() == 81 == p_part(factorial(9), 3)
     q12 = q_group(9, 2)[1]
     assert P.elements() == q12.elements()
@@ -203,7 +209,7 @@ def test_sylow_descriptor_nine_binary():
 
 
 def test_hp_containment_chain_nine():
-    P, _ = build_sylow_descriptor(NINE_FULL)
+    P = build_sylow_descriptor(NINE_FULL)
     members = hp_set(P)
     assert ag_set(9) <= members
     assert normalizer_in_symmetric(P) <= members
@@ -220,32 +226,41 @@ def test_hp_sets_of_certified_kinds_are_groups():
 
 
 def test_sylow_descriptor_prime_length():
-    P, kind = build_sylow_descriptor(cyclic_code(7, GF2, {1, 2, 4}))
-    assert kind == "AG_SET"
+    # at r = 1 no multiplier but the identity is 1 mod p: P = <T>
+    P = build_sylow_descriptor(cyclic_code(7, GF2, {1, 2, 4}))
+    assert P.generators == (Permutation.shift(7),)
     assert P.order() == 7 == p_part(factorial(7), 7)
     assert hp_set(P) == ag_set(7)
 
 
 def test_sylow_descriptor_twentyseven():
+    # the paper's closed form for length 27 over GF(2): the Sylow subgroup
+    # <T, M_(q^t)> = <T, M_4> of the generalized-multiplier group G_3, of
+    # order 3^5, below 3^13, the 3-part of 27!
     c = cyclic_code(27, GF2, {9, 18})
-    P, kind = build_sylow_descriptor(c)
-    assert kind == "GR_FORMULA"
-    # 3^5 is below 3^13, the 3-part of 27!
-    assert P.order() == 243 < p_part(factorial(27), 3)
-    members = hp_set(P)
+    T = Permutation.shift(27)
+    P_gr = PermGroup.from_generators(27, [T, Permutation.multiplier(27, 4)])
+    assert P_gr.order() == 243 < p_part(factorial(27), 3)
+    members = hp_set(P_gr)
     assert len(members) == 4374
     sample = itertools.islice(sorted(members, key=lambda g: g.images), 30)
-    assert all(hp_membership(s, P) for s in sample)
-    # the paper's closed form is the same set as the coset construction
+    assert all(hp_membership(s, P_gr) for s in sample)
+    # the closed form is the same set as the coset construction
     assert members == gr_formula_set(27, 2)
     # the earlier construction as the oracle: the Sylow subgroup through the
     # shift of the verified family G_3
-    assert P.elements() == sylow_through_shift(gk_family(c, 3)[0]).elements()
+    assert P_gr.elements() == sylow_through_shift(gk_family(c, 3)[0]).elements()
+    # the descriptor's P holds it: 2 generates the units mod 27, so every
+    # M_a with a = 1 mod 3 fixes the code, and so do Q_1^2's generators
+    P = build_sylow_descriptor(c)
+    assert all(g in P for g in P_gr.generators + q_group(27, 2)[1].generators)
+    assert P.order() == 3 ** 6
 
 
 def test_sylow_descriptor_q_set():
-    P, kind = build_sylow_descriptor(cyclic_code(25, GF2, {0}))
-    assert kind == "Q_SET"
+    # Q_1^4, of order 5^6, is past _Q_FAMILY_BOUND, and Q_1^3 fixes the
+    # code; every M_a with a = 1 mod 5 lies in it
+    P = build_sylow_descriptor(cyclic_code(25, GF2, {0}))
     assert P.order() == 5 ** 5 < p_part(factorial(25), 5)
     assert P.elements() == q_group(25, 3)[1].elements()
 
@@ -323,11 +338,8 @@ def test_hp_decides_where_multiplier_cannot():
 
 def test_hp_past_the_closure_bound_is_inconclusive(monkeypatch):
     # W_T fixes no GF(7) [25,21] code, so HP reaches H(P): this one's
-    # AG_SET P = <T> has 25 members and H(P) 500; under a bound of 20
-    # listing P already passes it, so nothing is scanned.  (W_T fixes every
-    # binary code of length 27, and every GF(3) code of length 16 that it
-    # does not fix has a PREDICATE descriptor, whose ambient listing would
-    # meet the lowered bound before H(P) does.)
+    # P = <T> has 25 members and H(P) 500; under a bound of 20 listing P
+    # already passes it, so nothing is scanned
     code = cyclic_code(25, GF7, {1, 7, 18, 24})
     assert code.k == 21
     assert not maps_onto(code.linear, code.linear, perm.kaloujnine_generators(5, 2)).any()
@@ -485,8 +497,9 @@ def test_planted_affine_witness_recovered(a, b):
 
 
 def test_discovered_sylow_matches_ascent():
-    # the discovered groups of sampled codes: G meet W_T, the Sylow subgroup
-    # build_sylow_descriptor takes, equals the Sylow ascent from <T>
+    # the discovered groups of sampled codes: G meet W_T, which is
+    # build_sylow_descriptor's P on codes W_T does not fix, equals the Sylow
+    # ascent from <T>
     rng = random.Random(1948)
     for q, n in ((3, 4), (5, 8), (7, 8), (4, 9), (7, 9), (7, 25)):
         p, _ = prime_power(n)
@@ -512,7 +525,7 @@ def test_hp_witness_is_the_first_member_in_sorted_order():
         pairs.append((c, rng.choice([d for d in gf4 if d.k == c.k])))
     for c1, c2 in pairs:
         verdict = decide_equivalence(c1, c2, "HP")
-        P, _ = build_sylow_descriptor(c1)
+        P = build_sylow_descriptor(c1)
         members = sorted(hp_set(P), key=lambda s: s.images)
         oracle = next((s for s in members if permute_code(c1.linear, s) == c2.linear), None)
         assert verdict.witness == oracle, (c1, c2)
@@ -553,7 +566,7 @@ def test_hp_witness_is_the_first_hit_over_the_full_hp_rows():
             rows = perm.digit_scalings(p, r)
             size = f"the {len(rows)} digit scalings D"
         else:
-            P, _ = build_sylow_descriptor(c1)
+            P = build_sylow_descriptor(c1)
             rows = conjugation_rows(Permutation.shift(c1.n), P)
             size = f"H(P) of size {len(rows)} "
         first = np.flatnonzero(maps_onto(c1.linear, c2.linear, rows))
@@ -605,43 +618,39 @@ def test_hp_runs_the_wt_test_before_the_weight_profiles(monkeypatch):
         decide_equivalence(c1, c2, "BRUTE")
 
 
-def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):
-    # GR_FORMULA returns <T, M_(q^t)>, AG_SET <T> and Q_SET Q_1^(s-2), so the
-    # meet with W_T is never cut out; for AG_SET and Q_SET it is still the
-    # meet of W_T with the ambient group (the last one order_at_most accepts)
+def test_descriptor_lists_no_group(monkeypatch):
+    # P is named by its generators: building it lists no group (so it cuts
+    # no Sylow subgroup out of a listing) and computes no element order, and
+    # its chain is built only when a caller asks for it.  The 14 binary codes
+    # of length 27, the GF(3) codes of length 8 that W_T does not fix, and
+    # three pinned orders: <T> at a prime length, Q_1^3 at GF(2) n = 25, and
+    # Q_1^2 with M_4 at GF(2) n = 27
     def never(*args, **kwargs):
-        raise AssertionError("sylow_through_shift was called")
+        raise AssertionError("the descriptor listed a group or took an element order")
 
-    accepted = []
-    real_at_most = PermGroup.order_at_most
-
-    def spy(self, bound):
-        ok = real_at_most(self, bound)
-        if ok:
-            accepted.append(self)
-        return ok
-
-    monkeypatch.setattr(equivalence, "sylow_through_shift", never)
-    monkeypatch.setattr(PermGroup, "order_at_most", spy)
-    cases = [(27, {0, 3, 6, 12, 24, 21, 15}, "GR_FORMULA", 5, 243),
-             (7, {1, 2, 4}, "AG_SET", 1, 7),
-             (25, {0}, "Q_SET", 5, 3125)]
-    for n, ds, kind, exponent, order in cases:
-        accepted.clear()
-        P, got = build_sylow_descriptor(cyclic_code(n, GF2, ds))
-        assert (got, P.order()) == (kind, order) and prime_power(order)[1] == exponent
-        if kind != "GR_FORMULA":
-            assert P.elements() == sylow_through_shift(accepted[-1]).elements()
+    monkeypatch.setattr(perm.StabilizerChain, "products", never)
+    monkeypatch.setattr(Permutation, "order", never)
+    codes = [c for c in enumerate_cyclic_codes(27, GF2) if 0 < c.k < 27]
+    unfixed = [c for c in enumerate_cyclic_codes(8, GF3)
+               if not maps_onto(c.linear, c.linear, perm.kaloujnine_generators(2, 3)).all()]
+    assert len(codes) == 14 and unfixed
+    for code in codes + unfixed:
+        P = build_sylow_descriptor(code)
+        assert "_chain" not in P.__dict__
+        assert Permutation.shift(code.n) in P.generators
+    for n, ds, order in ((7, {1, 2, 4}, 7), (25, {0}, 5 ** 5),
+                         (27, {0, 3, 6, 12, 24, 21, 15}, 3 ** 6)):
+        assert build_sylow_descriptor(cyclic_code(n, GF2, ds)).order() == order
 
 
 def test_predicate_p_keeps_the_chain_it_was_cut_with(monkeypatch):
-    # sylow_through_shift grows P with PermGroup.from_rows, the one chain
-    # builder, which hands P the chain it grew while picking the generators,
-    # so listing P, and scanning H(P), builds no second chain from P's
-    # generators; the one chain built is the centralizer's
+    # sylow_through_shift grows the P it cuts out of the discovered group
+    # with PermGroup.from_rows, the one chain builder, which hands P the
+    # chain it grew while picking the generators, so listing P, and scanning
+    # H(P), builds no second chain from P's generators; the one chain built
+    # is the centralizer's
     code = cyclic_code(9, GF2, {0, 3, 6})
-    P, kind = build_sylow_descriptor(code)
-    assert kind == "PREDICATE"
+    P = sylow_through_shift(PermGroup.from_generators(9, known_cyclic_subgroup(code)[0]))
     built = []
     real_build = PermGroup.from_rows
 
@@ -658,25 +667,6 @@ def test_predicate_p_keeps_the_chain_it_was_cut_with(monkeypatch):
     fresh = PermGroup(P.degree, P.generators)
     assert (P._chain.base, P._chain.orbit, P._chain.gens) == \
         (fresh._chain.base, fresh._chain.orbit, fresh._chain.gens)
-
-
-def test_descriptor_builds_no_rung_it_does_not_reach(monkeypatch):
-    # every binary code of length 27 takes its ambient group from the first
-    # two rungs (the discovered group or Q_1), so the p-power-order filter of
-    # the third rung, one Permutation.order per discovered generator, is
-    # never computed
-    calls = []
-    real_order = Permutation.order
-
-    def counted(self):
-        calls.append(self)
-        return real_order(self)
-
-    monkeypatch.setattr(Permutation, "order", counted)
-    codes = [c for c in enumerate_cyclic_codes(27, GF2) if 0 < c.k < 27]
-    for code in codes:
-        build_sylow_descriptor(code)
-    assert len(codes) == 14 and calls == []
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -742,19 +732,48 @@ def test_tableau_verdicts_agree_with_brute():
 
 def test_tableau_verdicts_keep_the_complete_hp_verdicts_at_gf11_25():
     # W_T fixes every GF(11) code of length 25; on sampled same-dimension
-    # pairs whose H(P) verdict is complete, the digit scalings give the
-    # same status and the same witness
+    # pairs the complete H(W_T) verdict, with P = W_T grown from its level
+    # maps, and the digit scalings give the same status and the same witness
     GF11 = make_field(11)
     codes = [c for c in enumerate_cyclic_codes(25, GF11)
              if 0 < c.k < 25 and 11 ** min(c.k, 25 - c.k) <= 2 ** 18]
     pairs = [(a, b) for a, b in itertools.combinations(codes, 2) if a.k == b.k]
+    W_T = PermGroup.from_rows(25, perm.kaloujnine_generators(5, 2))
     compared = 0
     for c1, c2 in random.Random(1948).sample(pairs, 16):
         verdict = tableau_verdict(c1, c2, 5, 2, "HP")
         assert verdict is not None and verdict.complete
-        P, kind = build_sylow_descriptor(c1)
-        hp = restricted_set_verdict(c1, c2, P, 1, "HP", kind)
+        hp = restricted_set_verdict(c1, c2, W_T, 1, "HP", "W_T")
         if hp.complete:
             compared += 1
             assert (verdict.status, verdict.witness) == (hp.status, hp.witness), (c1, c2)
-    assert compared == 14
+    assert compared == 16
+
+
+def test_descriptor_is_the_sylow_subgroup_of_the_discovered_group():
+    # on every code W_T does not fix, in whole families, P equals G meet W_T
+    # cut out of the listing of the discovered group G, the shift, the
+    # multipliers and the fixing Q_1^m generators (no G_k family exists
+    # there, by the lifting lemma of autgroups.gk_lifts)
+    families = ((5, 4), (3, 8), (5, 8), (7, 8), (8, 9), (3, 16), (7, 25), (8, 27))
+    checked = 0
+    for q, n in families:
+        p, r = prime_power(n)
+        assert not autgroups.gk_lifts(q, n)
+        levels = perm.kaloujnine_generators(p, r)
+        for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+            lin = code.linear
+            if maps_onto(lin, lin, levels).all():
+                continue
+            gens, _ = known_cyclic_subgroup(code)
+            for m in range(p - 1, 0, -1):
+                if p ** (r + m) > equivalence._Q_FAMILY_BOUND:
+                    continue
+                q1 = q_group(n, m)[1].generators
+                if maps_onto(lin, lin, [g.images for g in q1]).all():
+                    gens = gens + list(q1)
+                    break
+            reference = sylow_through_shift(PermGroup.from_generators(n, gens))
+            assert build_sylow_descriptor(code) == reference, (q, n, sorted(code.defining_set))
+            checked += 1
+    assert checked == 568

@@ -289,22 +289,25 @@ def test_chain_equals_the_plain_schreier_sims():
     assert cases == 120 + 8 + 16 + 2 * (2 + 4 + 2)
 
 
-def test_order_at_most_is_the_order_test():
-    # order_at_most(b) is order() <= b at b = 1, |G| - 1, |G| and |G| + 1,
-    # each asked of a fresh group; a group it rejects still gives its exact
-    # order, and a group it accepts caches the chain _chain would build
+def test_from_rows_bound_is_the_order_test():
+    # from_rows(bound=b) raises exactly when the order passes b, at b = 1,
+    # |G| - 1, |G| and |G| + 1 (bounds are positive); the group it builds
+    # under the bound keeps the chain the plain algorithm builds from its
+    # generators
     for n, gens, _ in _chain_cases():
-        order = PermGroup.from_generators(n, gens).order()
-        for b in (1, order - 1, order, order + 1):
-            G = PermGroup.from_generators(n, gens)
-            assert G.order_at_most(b) == (order <= b), (n, gens, b)
-            if order <= b:
-                ref = _ReferenceChain(n)
-                for g in G.generators:
-                    ref.add(g.images)
-                assert _chain_state(G.__dict__["_chain"]) == _chain_state(ref)
+        rows = [g.images for g in gens]
+        order = PermGroup.from_rows(n, rows).order()
+        for b in sorted({1, order - 1, order, order + 1} - {0}):
+            if order > b:
+                with pytest.raises(ClosureBoundExceeded):
+                    PermGroup.from_rows(n, rows, bound=b)
+                continue
+            G = PermGroup.from_rows(n, rows, bound=b)
+            ref = _ReferenceChain(n)
+            for g in G.generators:
+                ref.add(g.images)
+            assert _chain_state(G.__dict__["_chain"]) == _chain_state(ref), (n, gens, b)
             assert G.order() == order
-            assert G.order_at_most(b) == (order <= b)
 
 
 def test_from_rows_keeps_the_rows_that_extend_its_chain():
@@ -348,9 +351,10 @@ def test_from_rows_stops_at_the_order_and_gives_up_past_the_bound():
 
 def test_bounded_chain_stops_before_the_full_chain(monkeypatch):
     # the discovered group of a binary cyclic code of length 27 has order
-    # 12,754,584; the descriptor's test against its ambient bound rejects it
-    # with fewer sifts than the full chain takes, and caches no chain
-    from cycperm import equivalence
+    # 12,754,584; from_rows gives up on it under a bound of 50,000 with
+    # fewer than half the sifts the full chain takes, and under
+    # CLOSURE_BOUND, the bound qc_sylow grows its ambient group under, with
+    # fewer than the full chain takes
     from cycperm.algebra import make_field
     from cycperm.autgroups import known_cyclic_subgroup
     from cycperm.codes import enumerate_cyclic_codes
@@ -369,11 +373,11 @@ def test_bounded_chain_stops_before_the_full_chain(monkeypatch):
         sifts.clear()
         assert PermGroup.from_generators(27, gens).order() == 12_754_584
         full = len(sifts)
-        sifts.clear()
-        G = PermGroup.from_generators(27, gens)
-        assert not G.order_at_most(equivalence._AMBIENT_BOUND)
-        assert "_chain" not in G.__dict__
-        assert 0 < len(sifts) < full / 2, (len(sifts), full)
+        for bound, share in ((50_000, 1 / 2), (perm.CLOSURE_BOUND, 1)):
+            sifts.clear()
+            with pytest.raises(ClosureBoundExceeded):
+                PermGroup.from_rows(27, [g.images for g in gens], bound=bound)
+            assert 0 < len(sifts) < full * share, (bound, len(sifts), full)
 
 
 def test_permgroup_api():

@@ -34,7 +34,7 @@ from cycperm.equivalence import decide_equivalence  # noqa: E402
 from cycperm.perm import kaloujnine_generators  # noqa: E402
 
 # appended families keep the seeded draws of the earlier ones
-FAMILIES = [(11, 25), (4, 27), (13, 27), (3, 16), (5, 8), (7, 25)]
+FAMILIES = [(11, 25), (4, 27), (13, 27), (3, 16), (5, 8), (7, 25), (8, 27)]
 PROFILE_BOUND = 2 ** 18
 PAIRS = 40
 SEED = 0
