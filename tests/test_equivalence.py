@@ -618,29 +618,48 @@ def test_hp_runs_the_wt_test_before_the_weight_profiles(monkeypatch):
         decide_equivalence(c1, c2, "BRUTE")
 
 
-def test_descriptor_lists_no_group(monkeypatch):
-    # P is named by its generators: building it lists no group (so it cuts
-    # no Sylow subgroup out of a listing) and computes no element order, and
-    # its chain is built only when a caller asks for it.  The 14 binary codes
-    # of length 27, the GF(3) codes of length 8 that W_T does not fix, and
-    # three pinned orders: <T> at a prime length, Q_1^3 at GF(2) n = 25, and
-    # Q_1^2 with M_4 at GF(2) n = 27
+def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):
+    # P is named by its generators, so building it lists no group and cuts
+    # no Sylow subgroup out of one, and its chain is built only when a caller
+    # asks for it.  The three codes the closed forms once named keep pinned
+    # orders: <T> at a prime length, Q_1^3 at GF(2) n = 25, and Q_1^2 with
+    # M_4 at GF(2) n = 27, which holds the GR formula's <T, M_4>
     def never(*args, **kwargs):
-        raise AssertionError("the descriptor listed a group or took an element order")
+        raise AssertionError("the descriptor listed a group or cut a Sylow subgroup")
 
     monkeypatch.setattr(perm.StabilizerChain, "products", never)
-    monkeypatch.setattr(Permutation, "order", never)
+    monkeypatch.setattr(perm, "sylow_through_shift", never)
+    cases = [(7, {1, 2, 4}, 1, 7), (25, {0}, 5, 5 ** 5),
+             (27, {0, 3, 6, 12, 24, 21, 15}, 6, 3 ** 6)]
+    for n, ds, exponent, order in cases:
+        P = build_sylow_descriptor(cyclic_code(n, GF2, ds))
+        assert "_chain" not in P.__dict__
+        assert P.order() == order and prime_power(order)[1] == exponent
+        assert Permutation.shift(n) in P.generators
+    P = build_sylow_descriptor(cyclic_code(27, GF2, {0, 3, 6, 12, 24, 21, 15}))
+    assert Permutation.shift(27) in P and Permutation.multiplier(27, 4) in P
+
+
+def test_descriptor_builds_no_rung_it_does_not_reach(monkeypatch):
+    # the descriptor has no ambient rungs left: on the 14 binary codes of
+    # length 27 and the GF(3) codes of length 8 that W_T does not fix, it
+    # computes no element order and leaves P's chain unbuilt
+    calls = []
+    real_order = Permutation.order
+
+    def counted(self):
+        calls.append(self)
+        return real_order(self)
+
+    monkeypatch.setattr(Permutation, "order", counted)
     codes = [c for c in enumerate_cyclic_codes(27, GF2) if 0 < c.k < 27]
     unfixed = [c for c in enumerate_cyclic_codes(8, GF3)
                if not maps_onto(c.linear, c.linear, perm.kaloujnine_generators(2, 3)).all()]
-    assert len(codes) == 14 and unfixed
     for code in codes + unfixed:
         P = build_sylow_descriptor(code)
         assert "_chain" not in P.__dict__
         assert Permutation.shift(code.n) in P.generators
-    for n, ds, order in ((7, {1, 2, 4}, 7), (25, {0}, 5 ** 5),
-                         (27, {0, 3, 6, 12, 24, 21, 15}, 3 ** 6)):
-        assert build_sylow_descriptor(cyclic_code(n, GF2, ds)).order() == order
+    assert len(codes) == 14 and unfixed and calls == []
 
 
 def test_predicate_p_keeps_the_chain_it_was_cut_with(monkeypatch):
