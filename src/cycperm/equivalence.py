@@ -21,14 +21,17 @@ lexicographically least witness.
 HP decides a pair of length n = p^r in this order: the dimensions, then
 the W_T test and the D scan (tableau_verdict: when Kaloujnine's tableau
 group W_T fixes the first code, H(W_T) = W_T D and the (p-1)^r digit
-scalings D decide completely), then the weight profiles
-(invariant_separation), and only then the Sylow descriptor and H(P)
-(build_sylow_descriptor, restricted_set_verdict).  The W_T test is one
-code-action batch of L = (p^r - 1)/(p - 1) rows, cheaper than enumerating
-two weight profiles, and the profiles could only end a W_T-fixed pair as
-"inequivalent", which the D scan also reaches.  At other lengths HP takes
-the dimensions and the profiles and then raises; MULTIPLIER, BRUTE and the
-quasi-cyclic STRUCTURED search take the dimensions and the profiles first.
+scalings D decide completely), then the Sylow descriptor and H(P)
+(build_sylow_descriptor, restricted_set_verdict), and the weight profiles
+(invariant_separation) only when the scan finds no witness
+(profiles_after_scan).  The W_T test is one code-action batch of
+L = (p^r - 1)/(p - 1) rows, cheaper than enumerating two weight profiles,
+and the profiles could only end a W_T-fixed pair as "inequivalent", which
+the D scan also reaches; nor can they separate a pair that H(P) holds a
+witness for.  At other lengths HP takes the dimensions and the profiles
+and then raises; MULTIPLIER and BRUTE take the dimensions and the profiles
+first, and the quasi-cyclic STRUCTURED search takes HP's order: the
+dimensions, H'(P), then the profiles.
 
 One decision serves H(P) and its quasi-cyclic analogue H'(P), which is
 H(P) at l = 1: restricted_set_verdict scans one member of each coset
@@ -74,6 +77,10 @@ if TYPE_CHECKING:
 # largest polynomial-map family Q_1^m, of order p^(r+m), whose generators
 # join P when they fix the code
 _Q_FAMILY_BOUND = 10_000
+
+# witness_scan's first block of rows and the factor each later block grows by
+_SCAN_BLOCK = 256
+_SCAN_GROWTH = 4
 
 
 def palfy_multiplier_complete(n: int) -> bool:
@@ -289,11 +296,11 @@ def invariant_separation(c1: CyclicCode | QuasiCyclicCode,
                          strategy: str) -> EquivalenceVerdict | None:
     """The complete "inequivalent" verdict when the dimensions or the weight
     profiles differ, or None; the profiles are skipped past the enumeration
-    budget of weight_profile.  Every strategy runs it before its own search,
-    except that HP at n = p^r runs the W_T test and the D scan
-    (tableau_verdict) between the dimensions and the profiles: it reaches
-    this only when the dimensions differ or W_T does not fix the first
-    code."""
+    budget of weight_profile.  MULTIPLIER and BRUTE run it before their own
+    search.  HP at n = p^r and STRUCTURED compare the dimensions first and
+    run it only on differing dimensions, or after a restricted-set scan
+    that found no witness (profiles_after_scan); HP at n = p^r runs the W_T
+    test and the D scan (tableau_verdict) before that scan."""
     if c1.k != c2.k:
         sep = f"dimensions differ: {c1.k} != {c2.k}"
     else:
@@ -307,18 +314,42 @@ def invariant_separation(c1: CyclicCode | QuasiCyclicCode,
     return EquivalenceVerdict("inequivalent", None, strategy, True, sep)
 
 
+def profiles_after_scan(c1: CyclicCode | QuasiCyclicCode,
+                        c2: CyclicCode | QuasiCyclicCode,
+                        verdict: EquivalenceVerdict) -> EquivalenceVerdict:
+    """The verdict of a restricted-set scan (restricted_set_verdict) run
+    before the weight profiles, on two codes of one dimension: the scan's
+    verdict when it found a witness; else the "inequivalent" verdict of
+    invariant_separation when the profiles differ, and the scan's verdict
+    when they do not.  This is the verdict of the profiles-first order, down
+    to the evidence: equivalent codes have equal weight profiles, so the
+    profiles never separate a pair that has a witness, and a pair they
+    separate gets their verdict either way.  Only the work differs: a
+    witnessed pair enumerates no profile."""
+    if verdict.witness is not None:
+        return verdict
+    return invariant_separation(c1, c2, verdict.strategy) or verdict
+
+
 def witness_scan(c1: LinearCode, c2: LinearCode, images: np.ndarray) -> Permutation | None:
     """The first row of the (B, n) image array `images` whose permutation
-    maps c1 onto c2 (codes.maps_onto, one call), checked again with
-    permute_code; None when none does.  Restricted sets such as H(P) and
-    H'(P) are scanned as perm.shift_coset_leaders, one member per coset of
-    <T^l>, in sorted order of images; BRUTE hands over the one witness of
-    its search."""
-    for row in images[maps_onto(c1, c2, images)][:1]:
-        sigma = Permutation(tuple(row.tolist()))
-        if permute_code(c1, sigma) != c2:
-            raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
-        return sigma
+    maps c1 onto c2 (codes.maps_onto), checked again with permute_code;
+    None when none does.  The rows are tested in consecutive blocks of
+    _SCAN_BLOCK, _SCAN_GROWTH times _SCAN_BLOCK, ... rows, one maps_onto
+    batch each, and the scan stops at the first block with a passing row:
+    its first passing row is the first of all, as every earlier block had
+    none.  Restricted sets such as H(P) and H'(P) are scanned as
+    perm.shift_coset_leaders, one member per coset of <T^l>, in sorted order
+    of images; BRUTE hands over the one witness of its search."""
+    start, size = 0, _SCAN_BLOCK
+    while start < len(images):
+        block = images[start:start + size]
+        for row in block[maps_onto(c1, c2, block)][:1]:
+            sigma = Permutation(tuple(row.tolist()))
+            if permute_code(c1, sigma) != c2:
+                raise RuntimeError(f"code-action test and permute_code disagree on {sigma}")
+            return sigma
+        start, size = start + size, size * _SCAN_GROWTH
     return None
 
 
@@ -464,9 +495,10 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     length.  HP at a length n = p^r compares the dimensions, then tests
     W_T: when W_T fixes the first code it scans the digit scalings and is
     complete (tableau_verdict), without enumerating a weight profile.  Else
-    it compares the weight profiles and then scans the exact H(P) of the P
-    of build_sylow_descriptor, one member per coset of <T>, in sorted order
-    (restricted_set_verdict).  At any other length it raises a ValueError
+    it scans the exact H(P) of the P of build_sylow_descriptor, one member
+    per coset of <T>, in sorted order (restricted_set_verdict), and
+    compares the weight profiles only when that scan finds no witness
+    (profiles_after_scan).  At any other length it raises a ValueError
     naming the other strategies once the dimensions and weight profiles
     leave the pair open.  The H(P) fallback is never complete: it gives a
     witness with complete = False, or "inconclusive".  Its P is a
@@ -488,6 +520,9 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
         verdict = tableau_verdict(c1, c2, *prime_power(n), strategy)
         if verdict is not None:
             return verdict
+        verdict = restricted_set_verdict(c1, c2, build_sylow_descriptor(c1), 1, strategy,
+                                         "<T, M_a (a = 1 mod p), Q_1> fixing the code")
+        return profiles_after_scan(c1, c2, verdict)
     sep = invariant_separation(c1, c2, strategy)
     if sep is not None:
         return sep
@@ -511,10 +546,8 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
     if strategy == "BRUTE":
         return brute_verdict(c1.linear, c2.linear)
 
-    if not prime_power_length:
-        raise ValueError(
-            f"HP needs a prime-power length, and {n} is not one; the dimensions "
-            "and weight profiles do not separate the pair, so use MULTIPLIER, or "
-            f"BRUTE for n <= {BRUTE_DEGREE_BOUND}")
-    return restricted_set_verdict(c1, c2, build_sylow_descriptor(c1), 1, strategy,
-                                  "<T, M_a (a = 1 mod p), Q_1> fixing the code")
+    # HP at a prime-power length has returned above, or on differing dimensions
+    raise ValueError(
+        f"HP needs a prime-power length, and {n} is not one; the dimensions "
+        "and weight profiles do not separate the pair, so use MULTIPLIER, or "
+        f"BRUTE for n <= {BRUTE_DEGREE_BOUND}")

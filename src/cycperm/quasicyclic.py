@@ -6,19 +6,24 @@ and any equivalence witness between two such codes can be pushed into
 H'(P) = {sigma : sigma^-1 T^l sigma in P} for a Sylow p-subgroup P of the
 automorphism group containing T^l (lengths n = p^r*l, gcd(p,l) = gcd(p,q) = 1).
 
-P is cut out of the discovered group by the filter that gives the cyclic P
-(perm.sylow_through_shift, here with W_T on each cycle of T^l): for l < p it
-is the Sylow subgroup through T^l, and for l > p the normalizer ascent
-completes it.  The discovered group grows from T^l and the rows of Q =
-<sigma_i, T> and AG(n) that fix the code (PermGroup.from_rows, which keeps
-only the rows that extend it), and Q is listed in closed form, its l m^l
-members T^j w with w in <sigma_i> (qc_sylow).  H'(P) is the union of the
-cosets C(T^l) sigma_rho over the rho in P with the cycle type of T^l, exact
-at every length.  The search over it is the decision HP makes at l = 1
-(equivalence.restricted_set_verdict): one member of each coset <T^l> sigma,
-in sorted image rows, and a complete verdict exactly when |P| is the p-part
-of n!.  H'(P) is not known to be a group, so nothing here assumes closure:
-reports take the group the cosets generate, grown by PermGroup.from_rows.
+At co-index m = p with l < p, P is read off W = <sigma_0, ..., sigma_(l-1)>,
+of order p^l, the only Sylow p-subgroup of S_n through T^l: its rows that
+fix the code are Aut(C) meet W, found by one code-action batch, with no
+ambient group built (qc_sylow).  Elsewhere P is cut out of the discovered
+group by the filter that gives the cyclic P (perm.sylow_through_shift, here
+with W_T on each cycle of T^l): for l < p it is the Sylow subgroup through
+T^l, and for l > p the normalizer ascent completes it.  The discovered
+group grows from T^l and the rows of Q = <sigma_i, T> and AG(n) that fix the
+code (PermGroup.from_rows, which keeps only the rows that extend it), and Q
+is listed in closed form, its l m^l members T^j w with w in <sigma_i>
+(_q_rows).  H'(P) is the union of the cosets C(T^l) sigma_rho over the rho
+in P with the cycle type of T^l, exact at every length.  The search over it
+is the decision HP makes at l = 1 (equivalence.restricted_set_verdict): one
+member of each coset <T^l> sigma, in sorted image rows, and a complete
+verdict exactly when |P| is the p-part of n!; as for HP, the weight
+profiles are compared only when it finds no witness.  H'(P) is not known to
+be a group, so nothing here assumes closure: reports take the group the
+cosets generate, grown by PermGroup.from_rows.
 """
 from __future__ import annotations
 
@@ -36,6 +41,7 @@ from .equivalence import (
     _check_compatible,
     brute_verdict,
     invariant_separation,
+    profiles_after_scan,
     restricted_set_verdict,
 )
 from .perm import (
@@ -154,27 +160,47 @@ def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
 
 
 def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
-    """A Sylow p-subgroup through T^l of the part of the automorphism group
-    discoverable from the structured families (the elements of Q = <sigma_i,
-    T> and of AG(n) that fix the code, found by one code-action test over
-    the image rows of both; of AG(n) alone when Q is larger than
-    CLOSURE_BOUND), or of <T^l> alone when that part is larger than
-    CLOSURE_BOUND.  It is cut out as G meet W, with W Kaloujnine's
-    triangular group on each cycle of T^l (perm.sylow_through_shift), which
-    is the Sylow subgroup through T^l when l < p; for l > p the Sylow
-    subgroup through T^l is not unique, and the normalizer ascent
-    (perm.sylow_ascend) completes the meet to one.  G grows from T^l and the
-    fixing rows (PermGroup.from_rows), keeping only the rows that extend it.
+    """A Sylow p-subgroup P through T^l of the part of the automorphism group
+    discoverable from the structured families, co-index m = n/l = p^r.
 
-    Q is listed in closed form, m = n/l: its members are T^j w for j < l,
-    with w in S = <sigma_0, ..., sigma_(l-1)> moving cycle i by e_i steps,
-    w(i + k l) = i + ((k + e_i) mod m) l, so the row of T^j w is
-    w(x) + j mod n.  These are all of Q, each once: T sigma_i T^-1 =
-    sigma_(i+1), indices mod l, so T normalizes S, which is abelian of order
-    m^l, and Q = <T> S has order |<T>| |S| / |<T> meet S|.  T^j lies in S
-    exactly when it keeps every residue class mod l, that is when l divides
-    j, so <T> meets S in <T^l>, of order m, and |Q| = n m^l / m = l m^l."""
-    p, _ = _qc_prime_power(code)
+    At r = 1 with l < p and l m^l <= CLOSURE_BOUND, P is read off W =
+    <sigma_0, ..., sigma_(l-1)>, Kaloujnine's triangular group on each cycle
+    of T^l (at r = 1 the group of a p-cycle is the cycle's own cyclic group),
+    of order p^l: P is the set of W's rows that one code-action batch finds
+    fixing the code (_w_rows), grown by PermGroup.from_rows in their
+    lexicographic order, which is the order they are listed in.  This is the
+    P of the general path below.  There G meet W is Sylow in G, since W is
+    the only Sylow p-subgroup of S_n through T^l when l < p
+    (perm.sylow_through_shift), so the ascent adds nothing; and W lies in
+    Q = <sigma_i, T>, which is listed under this bound, so every row of W
+    that fixes the code is among G's generating rows and G meet W =
+    Aut(C) meet W, the rows listed here.  Only where the general path would
+    give up on G past CLOSURE_BOUND (P = <T^l>) does this P differ: it is
+    still Aut(C) meet W.
+
+    Elsewhere (r >= 2, l > p, or Q past CLOSURE_BOUND) P is cut out of the
+    discovered group G (_qc_ambient) as G meet W, with W the product of
+    Kaloujnine's triangular groups on the cycles of T^l
+    (perm.sylow_through_shift), which is the Sylow subgroup through T^l when
+    l < p; for l > p the Sylow subgroup through T^l is not unique, and the
+    normalizer ascent (perm.sylow_ascend) completes the meet to one."""
+    p, r = _qc_prime_power(code)
+    n, l, lin = code.n, code.index, code.linear
+    if r == 1 and l < p and l * p ** l <= CLOSURE_BOUND:
+        rows = _w_rows(n, l)
+        rows = rows[maps_onto(lin, lin, rows)]
+        return PermGroup.from_rows(n, rows.tolist(), order=len(rows))
+    ambient = _qc_ambient(code)
+    return sylow_ascend(ambient, p, sylow_through_shift(ambient, l))
+
+
+def _qc_ambient(code: QuasiCyclicCode) -> PermGroup:
+    """The discovered group G of qc_sylow's general path: the group that
+    T^l and the elements of Q = <sigma_i, T> and of AG(n) fixing the code
+    generate, found by one code-action test over the image rows of both (of
+    AG(n) alone when Q is larger than CLOSURE_BOUND), or <T^l> alone when G
+    is larger than CLOSURE_BOUND.  It grows from T^l and the fixing rows
+    (PermGroup.from_rows), keeping only the rows that extend it."""
     n, l, lin = code.n, code.index, code.linear
     x = np.arange(n)
     rows = ((np.array(units(n))[:, None, None] * x + x[:, None]) % n).reshape(-1, n)  # a x + b
@@ -183,21 +209,36 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
         rows = np.concatenate([_q_rows(n, l), rows])
     rows = [Permutation.power_shift(n, l).images] + rows[maps_onto(lin, lin, rows)].tolist()
     try:
-        ambient = PermGroup.from_rows(n, rows, bound=CLOSURE_BOUND)
+        return PermGroup.from_rows(n, rows, bound=CLOSURE_BOUND)
     except ClosureBoundExceeded:
-        ambient = PermGroup.from_rows(n, rows[:1])
-    return sylow_ascend(ambient, p, sylow_through_shift(ambient, l))
+        return PermGroup.from_rows(n, rows[:1])
 
 
-def _q_rows(n: int, l: int) -> np.ndarray:
-    """The l m^l members T^j w of Q = <sigma_i, T> (qc_sylow) as image rows
-    in the smallest unsigned dtype, gathered from tables so that no value
-    leaves it: step[e, x] is x moved e steps along its cycle of T^l."""
+def _w_rows(n: int, l: int) -> np.ndarray:
+    """The m^l members w of S = <sigma_0, ..., sigma_(l-1)>, m = n/l, as
+    image rows in the smallest unsigned dtype and in lexicographic order:
+    w moves cycle i by e_i steps, w(i + k l) = i + ((k + e_i) mod m) l, and
+    the rows are taken with (e_0, ..., e_(l-1)) ascending, which orders them
+    by their first l entries w(i) = i + e_i l.  They are gathered from a
+    table so that no value leaves the dtype: step[e, x] is x moved e steps
+    along its cycle of T^l."""
     m, dtype, x = n // l, np.min_scalar_type(n), np.arange(n)
     step = (x % l + (x // l + np.arange(m)[:, None]) % m * l).astype(dtype)
     e = np.indices((m,) * l, dtype=dtype).reshape(l, -1).T     # e_i, the steps on cycle i
-    w = step[e[:, x % l], x]
-    return ((x + np.arange(l)[:, None]) % n).astype(dtype)[:, w].reshape(-1, n)
+    return step[e[:, x % l], x]
+
+
+def _q_rows(n: int, l: int) -> np.ndarray:
+    """The l m^l members T^j w of Q = <sigma_i, T> as image rows in the
+    smallest unsigned dtype, j < l and w in S (_w_rows), j-major, so the
+    first m^l rows are S.  These are all of Q, each once: T sigma_i T^-1 =
+    sigma_(i+1), indices mod l, so T normalizes S, which is abelian of order
+    m^l, and Q = <T> S has order |<T>| |S| / |<T> meet S|.  T^j lies in S
+    exactly when it keeps every residue class mod l, that is when l divides
+    j, so <T> meets S in <T^l>, of order m, and |Q| = n m^l / m = l m^l.
+    The row of T^j w is w(x) + j mod n."""
+    dtype, x = np.min_scalar_type(n), np.arange(n)
+    return ((x + np.arange(l)[:, None]) % n).astype(dtype)[:, _w_rows(n, l)].reshape(-1, n)
 
 
 def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
@@ -211,8 +252,10 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     automorphism group, and H'(P) holds a witness whenever one exists.  A
     smaller P is a Sylow subgroup only of the discovered part, and H'(P) may
     miss every witness.  BRUTE searches all of S_n for n <= 10
-    (brute_equivalence) and is complete.  Invariant separations (dimension,
-    weight profile) short-circuit either way.
+    (brute_equivalence) and is complete.  Differing dimensions short-circuit
+    either way.  BRUTE compares the weight profiles before its search;
+    STRUCTURED scans first and compares them only when the scan finds no
+    witness (equivalence.profiles_after_scan), which gives the same verdict.
     """
     _check_compatible(c1, c2)
     if c1.index != c2.index:
@@ -221,14 +264,13 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     strategy = strategy.upper()
     if strategy not in ("STRUCTURED", "BRUTE"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    sep = invariant_separation(c1, c2, strategy)
-    if sep is not None:
-        return sep
     if strategy == "BRUTE":
-        return brute_verdict(c1.linear, c2.linear)
-
-    return restricted_set_verdict(c1, c2, qc_sylow(c1), c1.index, strategy,
-                                  "the structured families")
+        return invariant_separation(c1, c2, strategy) or brute_verdict(c1.linear, c2.linear)
+    if c1.k != c2.k:
+        return invariant_separation(c1, c2, strategy)
+    verdict = restricted_set_verdict(c1, c2, qc_sylow(c1), c1.index, strategy,
+                                     "the structured families")
+    return profiles_after_scan(c1, c2, verdict)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,12 @@ from cycperm.equivalence import (
     gr_formula_set,
     hp_membership,
     hp_set,
+    invariant_separation,
     palfy_multiplier_complete,
     q_group,
     restricted_set_verdict,
     tableau_verdict,
+    witness_scan,
 )
 from cycperm.perm import (
     PermGroup,
@@ -579,9 +581,10 @@ def test_hp_witness_is_the_first_hit_over_the_full_hp_rows():
 
 
 def test_hp_separates_by_weight_profiles_with_or_without_a_descriptor():
-    # same dimension, different profiles: the profiles come before the
-    # descriptor, at n = 15, which has none, and at n = 8, which has one;
-    # W_T does not fix the first n = 8 code, so its test cannot decide first
+    # same dimension, different profiles: at n = 15, which has no
+    # descriptor, the profiles decide; at n = 8, which has one, W_T does not
+    # fix the first code, so its test cannot decide first, and H(P) is
+    # scanned first but finds no witness, so the profiles give the verdict
     for q, n, ds1, ds2 in ((2, 15, {1, 2, 4, 8}, {3, 6, 9, 12}), (3, 8, {1, 3}, {2, 6})):
         c1, c2 = cyclic_code(n, make_field(q), ds1), cyclic_code(n, make_field(q), ds2)
         assert c1.k == c2.k
@@ -796,3 +799,113 @@ def test_descriptor_is_the_sylow_subgroup_of_the_discovered_group():
             assert build_sylow_descriptor(code) == reference, (q, n, sorted(code.defining_set))
             checked += 1
     assert checked == 568
+
+
+# --- the restricted-set scan before the weight profiles -------------------------
+
+HP_SOURCE = "<T, M_a (a = 1 mod p), Q_1> fixing the code"
+
+
+def test_hp_scans_h_p_before_the_weight_profiles(monkeypatch):
+    # W_T does not fix GF(3) n = 8 {1, 3}: HP scans H(P) first, and a
+    # witness there ends the decision before any weight profile is
+    # enumerated; {5, 7} is its image under the multiplier by 5
+    c1 = cyclic_code(8, GF3, {1, 3})
+    c2 = cyclic_code(8, GF3, {5, 7})
+    assert not maps_onto(c1.linear, c1.linear, perm.kaloujnine_generators(2, 3)).all()
+
+    def never(*args, **kwargs):
+        raise AssertionError("weight_profile was called")
+
+    monkeypatch.setattr(equivalence, "weight_profile", never)
+    verdict = decide_equivalence(c1, c2, "HP")
+    assert verdict.status == "equivalent" and "witness found in H(P)" in verdict.evidence
+    assert permute_code(c1.linear, verdict.witness) == c2.linear
+    # without a witness the profiles are still asked
+    with pytest.raises(AssertionError, match="weight_profile"):
+        decide_equivalence(c1, cyclic_code(8, GF3, {2, 6}), "HP")
+
+
+def test_hp_scan_first_gives_the_profiles_first_verdict():
+    # on every same-dimension pair of GF(3) and GF(5) n = 8 whose first
+    # code W_T does not fix, the verdict is the one of the profiles-first
+    # order, field by field: status, complete, witness and evidence; each of
+    # its three outcomes occurs
+    outcomes = set()
+    for q in (3, 5):
+        codes = enumerate_cyclic_codes(8, make_field(q))
+        for c1, c2 in itertools.combinations(codes, 2):
+            if c1.k != c2.k or maps_onto(c1.linear, c1.linear,
+                                         perm.kaloujnine_generators(2, 3)).all():
+                continue
+            expected = invariant_separation(c1, c2, "HP") or restricted_set_verdict(
+                c1, c2, build_sylow_descriptor(c1), 1, "HP", HP_SOURCE)
+            assert decide_equivalence(c1, c2, "HP") == expected, (c1, c2)
+            outcomes.add(expected.status)
+    assert outcomes == {"equivalent", "inequivalent", "inconclusive"}
+
+
+# --- the witness scan in growing blocks -----------------------------------------
+
+def _block_starts(count: int) -> list[int]:
+    """The first row of each block witness_scan tests, for `count` rows."""
+    starts, start, size = [], 0, equivalence._SCAN_BLOCK
+    while start < count:
+        starts.append(start)
+        start, size = start + size, size * equivalence._SCAN_GROWTH
+    return starts
+
+
+def _scan_rows(hits: list[int], count: int) -> tuple[LinearCode, LinearCode, np.ndarray]:
+    """A GF(2) n = 7 pair and `count` seeded image rows of which exactly the
+    rows at the positions `hits` map the first code onto the second."""
+    c1 = cyclic_code(7, GF2, {1, 2, 4}).linear
+    c2 = permute_code(c1, Permutation.affine(7, 3, 1))
+    rng = np.random.default_rng(2010)
+    rows = np.argsort(rng.random((4 * count, 7)), axis=1)
+    mask = maps_onto(c1, c2, rows)
+    rows = np.concatenate([rows[~mask][:count], rows[mask][:len(hits)]])
+    order = np.arange(count)
+    for j, at in enumerate(hits):
+        order = np.insert(order, at, count + j)
+    return c1, c2, rows[order[:count]]
+
+
+@pytest.mark.parametrize("where", ["block 1", "block 2", "later block", "nowhere"])
+def test_witness_scan_is_the_first_hit_of_one_full_mask(where, monkeypatch):
+    # the block scan returns the first True of one maps_onto mask over all
+    # the rows, and stops after the block that holds it
+    count = 6000
+    starts = _block_starts(count)
+    assert len(starts) >= 4
+    first = {"block 1": 3, "block 2": starts[1] + 5, "later block": starts[3] + 17,
+             "nowhere": None}[where]
+    hits = [] if first is None else [first, first + 1, min(first + 400, count - 1)]
+    c1, c2, rows = _scan_rows(hits, count)
+    full = np.flatnonzero(maps_onto(c1, c2, rows))
+    assert full.tolist() == hits
+    tested = []
+    real = equivalence.maps_onto
+    monkeypatch.setattr(equivalence, "maps_onto",
+                        lambda a, b, images: tested.append(len(images)) or real(a, b, images))
+    sigma = witness_scan(c1, c2, rows)
+    if first is None:
+        assert sigma is None
+        assert sum(tested) == count
+    else:
+        assert sigma == Permutation(tuple(rows[full[0]].tolist()))
+        block = max(i for i, s in enumerate(starts) if s <= first)
+        assert len(tested) == block + 1
+        assert sum(tested) == min(count, starts[block + 1] if block + 1 < len(starts) else count)
+
+
+def test_witness_scan_of_one_row_and_of_none():
+    # BRUTE hands over the one row of its search's witness
+    c1 = cyclic_code(7, GF2, {1, 2, 4}).linear
+    tau = Permutation.affine(7, 3, 1)
+    c2 = permute_code(c1, tau)
+    assert witness_scan(c1, c2, np.array([tau.images])) == tau
+    assert witness_scan(c1, c2, np.array([Permutation.identity(7).images])) is None
+    assert witness_scan(c1, c2, np.empty((0, 7), dtype=np.int64)) is None
+    assert brute_equivalence(c1, c2) == witness_scan(c1, c2, np.array(
+        [brute_equivalence(c1, c2).images]))

@@ -30,6 +30,7 @@ from cycperm.perm import (
     conjugation_set,
     normalizer_in_symmetric,
     sylow_ascend,
+    sylow_through_shift,
 )
 from cycperm.quasicyclic import (
     HPrimeReport,
@@ -296,7 +297,8 @@ def test_qc_sylow_matches_ascent_from_the_shift_power():
 
 def test_q_is_listed_in_closed_form():
     # the rows T^j w of qc_sylow are Q = <sigma_i, T> as its chain lists it,
-    # l m^l of them, in the smallest unsigned dtype
+    # l m^l of them, in the smallest unsigned dtype; the first m^l are
+    # S = <sigma_i> (_w_rows), in lexicographic order
     for n, l in ((10, 2), (15, 3), (14, 2), (6, 3), (12, 3), (12, 4), (15, 5), (20, 4),
                  (18, 2), (21, 3), (9, 1), (25, 1)):
         rows = quasicyclic._q_rows(n, l)
@@ -304,6 +306,55 @@ def test_q_is_listed_in_closed_form():
         assert rows.shape == (l * (n // l) ** l, n) and rows.dtype == np.min_scalar_type(n)
         assert Q.order() == len(rows)
         assert set(map(tuple, rows.tolist())) == set(map(tuple, Q._array.tolist())), (n, l)
+        w = quasicyclic._w_rows(n, l)
+        S = PermGroup.from_generators(n, sigma_cycles(n, l))
+        assert (w == rows[:(n // l) ** l]).all() and w.dtype == rows.dtype
+        assert sorted(map(tuple, w.tolist())) == sorted(map(tuple, S._array.tolist()))
+        assert (np.lexsort(w.T[::-1]) == np.arange(len(w))).all(), (n, l)
+
+
+def _co_index_p_codes() -> list[QuasiCyclicCode]:
+    """Seeded T^l-invariant codes at co-index p with l < p: three each at
+    GF(2) (10, 2), (14, 2), (15, 3) and (21, 3) and GF(3) (15, 3), and the
+    six GF(3) interleavings at (15, 3)."""
+    rng = random.Random(31)
+    return [_random_qc(rng, field, n, l) for field, n, l in
+            ((GF2, 10, 2), (GF2, 14, 2), (GF2, 15, 3), (GF3, 15, 3), (GF2, 21, 3))
+            for _ in range(3)] + _gf3_interleavings()
+
+
+def test_qc_sylow_at_co_index_p_is_the_meet_with_w_of_the_ambient_group():
+    # the oracle: the general path's ambient group G (_qc_ambient), cut by
+    # sylow_through_shift; P read off W's fixing rows is G meet W as an
+    # element set, with the same generators, and it is Sylow in G
+    for code in _co_index_p_codes():
+        p, r = prime_power(code.co_index)
+        assert r == 1 and code.index < p
+        ambient = quasicyclic._qc_ambient(code)
+        reference = sylow_through_shift(ambient, code.index)
+        P = qc_sylow(code)
+        assert P.elements() == reference.elements(), code
+        assert P.generators == reference.generators, code
+        assert P.order() == p_part(ambient.order(), p), code
+
+
+def test_qc_sylow_at_co_index_p_builds_no_ambient_group(monkeypatch):
+    # no ambient chain, listing, meet or ascent: each raises, and P still
+    # comes out; the general path (r >= 2, or l > p) reaches them
+    def never(*args):
+        raise AssertionError("an ambient group was built")
+
+    monkeypatch.setattr(quasicyclic, "sylow_ascend", never)
+    monkeypatch.setattr(quasicyclic, "sylow_through_shift", never)
+    monkeypatch.setattr(quasicyclic, "_qc_ambient", never)
+    monkeypatch.setattr(perm.StabilizerChain, "products", never)
+    for code in _co_index_p_codes():
+        assert Permutation.power_shift(code.n, code.index) in qc_sylow(code)
+    assert qc_sylow(REP_PAR).order() == 25
+    rng = random.Random(31)
+    for field, n, l in ((GF3, 12, 3), (GF2, 15, 5)):
+        with pytest.raises(AssertionError, match="ambient"):
+            qc_sylow(_random_qc(rng, field, n, l))
 
 
 # --- golden values: the quasi-cyclic path -------------------------------------------
@@ -324,18 +375,26 @@ def _qc_catalogue() -> list[tuple[QuasiCyclicCode, Permutation]]:
               (GF2, 12, 4), (GF2, 15, 5)) for _ in range(3)]
     rows = [v for v in product((0, 1), repeat=5) if len(set(v)) == 2]
     codes += [circulant_pair(v) for v in rng.sample(rows, 4)]
-    even, rep = cyclic_code(5, GF3, {0}).linear, cyclic_code(5, GF3, {1, 2, 3, 4}).linear
-    codes += [QuasiCyclicCode(_interleaving(parts), 3)
-              for parts in product((even, rep), repeat=3) if len(set(parts)) == 2]
+    codes += _gf3_interleavings()
     return [(c, Permutation.affine(c.n, rng.choice(units(c.n)), rng.randrange(c.n)))
             for c in codes]
 
 
+def _gf3_interleavings() -> list[QuasiCyclicCode]:
+    """The six interleavings at n = 15, l = 3 of the GF(3) length-5
+    even-weight and repetition codes that use both."""
+    even, rep = cyclic_code(5, GF3, {0}).linear, cyclic_code(5, GF3, {1, 2, 3, 4}).linear
+    return [QuasiCyclicCode(_interleaving(parts), 3)
+            for parts in product((even, rep), repeat=3) if len(set(parts)) == 2]
+
+
 def _qc_golden_text() -> str:
     """Per code of the catalogue, one line: the code and the planted map,
-    the order of qc_sylow's ambient group (the group it ascends in), P's
-    order and sorted generators, |H'(P)|, the imprimitivity_report JSON, and
-    the STRUCTURED verdict against the planted image."""
+    the order of qc_sylow's ambient group (the group it ascends in; null at
+    co-index p with l < p, where P is read off W and no ambient group is
+    built), P's order and sorted generators, |H'(P)|, the
+    imprimitivity_report JSON, and the STRUCTURED verdict against the
+    planted image."""
     lines = []
     for code, tau in _qc_catalogue():
         ambient = []
@@ -350,7 +409,7 @@ def _qc_golden_text() -> str:
         lines.append(json.dumps({
             "q": code.field.order, "n": code.n, "index": code.index,
             "rows": [list(r) for r in code.linear.matrix], "planted": list(tau.images),
-            "ambient": ambient[0], "p_order": P.order(),
+            "ambient": ambient[0] if ambient else None, "p_order": P.order(),
             "p_generators": sorted(list(g.images) for g in P.generators),
             "h_prime": centralizer_order(tl) * len(conjugation_cosets(tl, P)),
             "report": imprimitivity_report(code).to_json(),
@@ -383,6 +442,53 @@ def test_qc_equivalence_self_brute():
     assert verdict.status == "equivalent"
     assert verdict.complete
     assert verdict.witness.is_identity()
+
+
+# l = 3 > p = 2: a GF(3) n = 6 pair of equal weight profiles that BRUTE
+# proves inequivalent
+_OPEN_PAIR = (
+    QuasiCyclicCode(LinearCode.from_rows(GF3, 6, [
+        [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0]]), 3),
+    QuasiCyclicCode(LinearCode.from_rows(GF3, 6, [
+        [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0]]), 3))
+
+
+def test_structured_scans_h_prime_before_the_weight_profiles(monkeypatch):
+    # a witness in H'(P) ends the decision before any weight profile is
+    # enumerated; without one the profiles are still asked, and BRUTE
+    # still takes them first
+    def never(*args, **kwargs):
+        raise AssertionError("weight_profile was called")
+
+    monkeypatch.setattr(equivalence, "weight_profile", never)
+    other = QuasiCyclicCode(permute_code(REP_PAR.linear, Permutation.affine(10, 3, 4)), 2)
+    assert qc_equivalence_search(REP_PAR, other, "STRUCTURED").status == "equivalent"
+    with pytest.raises(AssertionError, match="weight_profile"):
+        qc_equivalence_search(REP_PAR, other, "BRUTE")
+    with pytest.raises(AssertionError, match="weight_profile"):
+        c1, c2 = circulant_pair((1, 1, 0, 0, 0)), circulant_pair((1, 0, 0, 0, 0))
+        qc_equivalence_search(c1, c2, "STRUCTURED")
+
+
+def test_structured_scan_first_gives_the_profiles_first_verdict():
+    # on same-dimension pairs of the catalogue codes, their planted images
+    # and the GF(3) n = 6 pair that H'(P) leaves open, the verdict is the
+    # one of the profiles-first order, field by field; each of its three
+    # outcomes occurs
+    codes = [c for c, _ in _qc_catalogue()]
+    codes += [QuasiCyclicCode(permute_code(c.linear, tau), c.index) for c, tau in _qc_catalogue()]
+    codes += list(_OPEN_PAIR)
+    outcomes = set()
+    for c1 in codes:
+        for c2 in codes:
+            if (c1.n, c1.index, c1.field, c1.k) != (c2.n, c2.index, c2.field, c2.k):
+                continue
+            expected = equivalence.invariant_separation(c1, c2, "STRUCTURED") or \
+                equivalence.restricted_set_verdict(c1, c2, qc_sylow(c1), c1.index,
+                                                   "STRUCTURED", "the structured families")
+            assert qc_equivalence_search(c1, c2, "STRUCTURED") == expected, (c1, c2)
+            outcomes.add(expected.status)
+    assert outcomes == {"equivalent", "inequivalent", "inconclusive"}
 
 
 def test_qc_equivalence_profile_separation():
@@ -473,13 +579,9 @@ def test_structured_certificates_agree_with_brute():
 
 
 def test_structured_stays_incomplete_below_the_sylow_order():
-    # l = 3 > p = 2: this code's discovered group gives |P| = 8, below 16, the
-    # 2-part of 6!, so H'(P) certifies nothing; it finds no witness for a
-    # partner of equal weight profile that BRUTE proves inequivalent
-    c1 = QuasiCyclicCode(LinearCode.from_rows(GF3, 6, [
-        [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0]]), 3)
-    c2 = QuasiCyclicCode(LinearCode.from_rows(GF3, 6, [
-        [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0]]), 3)
+    # the first code's discovered group gives |P| = 8, below 16, the 2-part
+    # of 6!, so H'(P) certifies nothing; it finds no witness for the second
+    c1, c2 = _OPEN_PAIR
     assert qc_sylow(c1).order() == 8 < p_part(factorial(6), 2)
     verdict = qc_equivalence_search(c1, c2, "STRUCTURED")
     assert (verdict.status, verdict.complete) == ("inconclusive", False)
