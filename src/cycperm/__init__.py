@@ -19,7 +19,6 @@ from .codes import (
     cyclic_code,
     cyclotomic_cosets,
     enumerate_cyclic_codes,
-    idempotent,
     is_elementary,
     is_mds,
     min_distance,
@@ -31,13 +30,9 @@ from .perm import (
     Permutation,
     block_system_valid,
     conjugation_set,
-    group_closure,
-    is_primitive,
     is_transitive,
     minimal_blocks,
-    normalizer_in_symmetric,
     orbits,
-    sylow_ascend,
 )
 from .autgroups import (
     AutoReport,
@@ -66,7 +61,6 @@ from .quasicyclic import (
     normalizer_witnesses,
     qc_equivalence_search,
     qc_sylow,
-    quasi_cyclic_code,
     sigma_cycles,
 )
 from .verification import VerificationRow, run_battery
@@ -78,11 +72,10 @@ __all__ = [
     "multiplicative_order", "poly_divmod", "z_parameter",
     "CyclicCode", "DistanceResult", "LinearCode", "WeightProfile",
     "cyclic_code", "cyclotomic_cosets", "enumerate_cyclic_codes",
-    "idempotent", "is_elementary", "is_mds", "min_distance",
+    "is_elementary", "is_mds", "min_distance",
     "permute_code", "weight_profile",
     "PermGroup", "Permutation", "block_system_valid", "conjugation_set",
-    "group_closure", "is_primitive", "is_transitive", "minimal_blocks",
-    "normalizer_in_symmetric", "orbits", "sylow_ascend",
+    "is_transitive", "minimal_blocks", "orbits",
     "AutoReport", "BacktrackBudgetExceeded", "GroupClass", "analyze",
     "backtrack_full_group", "check_m_p_plus_1", "gk_family",
     "multiplier_scan", "sylow_exponent_bounds",
@@ -90,7 +83,7 @@ __all__ = [
     "decide_equivalence", "gr_formula_set", "hp_membership", "q_group",
     "HPrimeReport", "QuasiCyclicCode", "imprimitivity_report",
     "normalizer_witnesses", "qc_equivalence_search", "qc_sylow",
-    "quasi_cyclic_code", "sigma_cycles",
+    "sigma_cycles",
     "VerificationRow", "run_battery",
     "__version__",
 ]

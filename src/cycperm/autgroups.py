@@ -59,7 +59,6 @@ from .codes import (
     LinearCode,
     as_cyclic,
     fixed_by,
-    idempotent,
     is_elementary,
     maps_onto,
     min_distance,
@@ -209,7 +208,7 @@ def gk_family(code: CyclicCode, k: int) -> tuple[PermGroup, list[Permutation]]:
     if not ok.all():
         first = group.generators[int(np.argmin(ok))]
         raise RuntimeError(f"generator of G_{k} does not fix the code: {first}")
-    evec = list(idempotent(code).coeffs)
+    evec = list(code.idempotent.coeffs)
     evec += [0] * (n - len(evec))
     if any(evec[mult(i)] != evec[i] for i in range(n)):
         raise RuntimeError(f"H_{k} generator does not fix the idempotent: {mult}")

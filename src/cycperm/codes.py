@@ -546,11 +546,6 @@ def is_elementary(code: LinearCode) -> bool:
     return False
 
 
-def idempotent(code: CyclicCode) -> Polynomial:
-    """The code's idempotent: CyclicCode.idempotent, computed once per code."""
-    return code.idempotent
-
-
 @dataclass(frozen=True)
 class WeightProfile:
     counts: tuple[int, ...]     # counts[w] = number of codewords of weight w

@@ -3,15 +3,16 @@
 Equivalence can be decided without scanning all of S_n: any witness can be
 pushed into H(P) = {sigma : sigma^-1 T sigma in P} for a Sylow p-subgroup P
 of the automorphism group containing the shift.  This module builds P from
-the triangular automorphisms it knows without search (the shift, the
-multipliers M_a with a = 1 mod p, and the polynomial maps Q_1^m when they
-fix the code), describes H(P) exactly at every length as the union of the
-cosets C(T) sigma_rho over the n-cycles rho of P, and wraps the strategies
-behind a single decision routine with an honest completeness flag.  The
-polynomial-map groups Q^m and Q_1^m (q_group) are built from their
-generators, never by listing maps.  The closed-form sets of the paper (the
-affine set, the geometric-series map family) are kept as independent checks
-of the coset construction.  The MULTIPLIER strategy takes its witness from
+the shift and the triangular maps in closed form that fix the code (the
+multipliers M_a with a = 1 mod p, and the maps x -> x + p^(r-1) x^j of
+power_map_rows), tested in one code-action batch, describes H(P) exactly
+at every length as the union of the cosets C(T) sigma_rho over the
+n-cycles rho of P, and wraps the strategies behind a single decision
+routine with an honest completeness flag.  The polynomial-map groups Q^m
+and Q_1^m (q_group) are built from the same closed-form generators, never
+by listing maps.  The closed-form sets of the paper (the affine set, the
+geometric-series map family) are kept as independent checks of the coset
+construction.  The MULTIPLIER strategy takes its witness from
 autgroups.multipliers_onto, the one multiplier test.  The BRUTE strategy
 covers small lengths for validation with the automorphism search of
 autgroups run against the second code: an exhaustive search that prunes
@@ -59,7 +60,7 @@ from .codes import (
     permute_code,
     weight_profile,
 )
-from .autgroups import _search, multiplier_scan, multipliers_onto
+from .autgroups import _search, multipliers_onto
 from .perm import (
     BRUTE_DEGREE_BOUND,
     ClosureBoundExceeded,
@@ -74,10 +75,6 @@ from .perm import (
 if TYPE_CHECKING:
     from .quasicyclic import QuasiCyclicCode
 
-# largest polynomial-map family Q_1^m, of order p^(r+m), whose generators
-# join P when they fix the code
-_Q_FAMILY_BOUND = 10_000
-
 # witness_scan's first block of rows and the factor each later block grows by
 _SCAN_BLOCK = 256
 _SCAN_GROWTH = 4
@@ -91,34 +88,29 @@ def palfy_multiplier_complete(n: int) -> bool:
 
 # --- polynomial-map groups ------------------------------------------------------
 
-@dataclass(frozen=True)
-class QPolyMap:
-    """x -> a_0 + a_1 x + ... + a_m x^m mod p^r, constrained so the map is a
-    bijection: a_1 a unit and every higher coefficient a multiple of p^(r-1)."""
-    modulus: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        p, r = prime_power(self.modulus)
-        cs = self.coefficients
-        if len(cs) < 2 or gcd(cs[1], p) != 1:
-            raise ValueError("linear coefficient must be a unit")
-        if any(c % p ** (r - 1) for c in cs[2:]):
-            raise ValueError(f"coefficients of degree >= 2 must be multiples of {p ** (r - 1)}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = (acc * x + c) % self.modulus
-        return acc
-
-    def to_permutation(self) -> Permutation:
-        images = tuple(self(x) for x in range(self.modulus))
-        return Permutation(images)
+@lru_cache(maxsize=None)
+def power_map_rows(p: int, r: int) -> np.ndarray:
+    """The maps f_j: x -> x + p^(r-1) x^j mod p^r for 2 <= j <= p - 1, as a
+    read-only (p - 2, p^r) array of image rows, j ascending, built once per
+    (p, r) and shared by every caller; r >= 2.  p^(r-1) x^j mod p^r reads
+    only x^j mod p, so x^j is taken as (x mod p)^j, reduced mod p at every
+    step: no entry passes p^2 before the final x + p^(r-1) (x^j mod p),
+    whatever p and j.  f_j changes only the top digit of x, by a function of
+    x mod p, so it is a bijection and lies in W_T."""
+    if r < 2:
+        # at r = 1, x + x^j is no bijection and the family is not closed
+        # under composition; the affine set covers that case
+        raise ValueError("polynomial map groups need a proper prime power (r >= 2)")
+    n, step = p ** r, p ** (r - 1)
+    x = np.arange(n, dtype=np.int64)
+    low = x % p
+    power, rows = low, []
+    for _ in range(2, p):
+        power = power * low % p
+        rows.append((x + step * power) % n)
+    out = np.array(rows, dtype=np.int64).reshape(-1, n)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -128,9 +120,9 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
     and higher coefficients divisible by p^(r-1).
 
     Both are built from generators: Q_1^m from the shift, x -> (1 + p^(r-1)) x
-    and x -> x + p^(r-1) x^j for 2 <= j <= m; Q^m from those and the
-    multipliers by generators of the units mod p^r (a primitive root for odd
-    p; -1 and 5 for p = 2).  Their chains must reach the family orders
+    and the maps f_j: x -> x + p^(r-1) x^j for 2 <= j <= m (power_map_rows);
+    Q^m from those and the multipliers by generators of the units mod p^r
+    (a primitive root for odd p; -1 and 5 for p = 2).  Their chains must reach the family orders
     p^(r+m) and n phi(n) p^(m-1).  The pair depends on (n, m) alone and
     is cached; callers share the groups and never mutate them."""
     p, r = prime_power(n)
@@ -138,15 +130,11 @@ def q_group(n: int, m: int) -> tuple[PermGroup, PermGroup]:
         raise ValueError("degree bound violated")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if r < 2:
-        # at r = 1 the coefficient constraints degenerate and the family
-        # is not closed under composition; the affine set covers that case
-        raise ValueError("polynomial map groups need a proper prime power (r >= 2)")
+    powers = power_map_rows(p, r)[:m - 1].tolist()      # raises at r = 1
     step = p ** (r - 1)
     phi = n - step
     q1_gens = [Permutation.shift(n), Permutation.multiplier(n, 1 + step)]
-    q1_gens += [QPolyMap(n, (0, 1) + (0,) * (j - 2) + (step,)).to_permutation()
-                for j in range(2, m + 1)]
+    q1_gens += [Permutation(tuple(row)) for row in powers]
     if p == 2:
         units = [n - 1, 5 % n]
     else:
@@ -219,26 +207,32 @@ def build_sylow_descriptor(code: CyclicCode) -> PermGroup:
     """A p-subgroup P of the code's automorphism group through the shift,
     at length n = p^r, built from generators:
 
-        P = <T, M_a for the a in multiplier_scan(code) with a = 1 mod p,
-             the generators of Q_1^m when they fix the code>,
+        P = <T, the rows below that fix the code>,
 
-    where m is the largest m < p with p^(r+m) <= _Q_FAMILY_BOUND whose
-    Q_1^m generators all fix the code (one maps_onto batch per m tried;
-    none at r = 1).  Every generator fixes the code and is triangular (an
-    affine map x -> ax + b is in W_T exactly when a = 1 mod p, and Q_1^m's
-    generators other than T change only the top digit, by a function of
+    the rows being the multipliers M_a with a = 1 mod p, a != 1, and at
+    r >= 2 the maps f_j: x -> x + p^(r-1) x^j for 2 <= j <= p - 1
+    (power_map_rows), all tested in one maps_onto batch.  Every row is
+    triangular (an affine map x -> ax + b is in W_T exactly when
+    a = 1 mod p, and f_j changes only the top digit, by a function of
     x mod p), so P is a p-subgroup of Aut(C1) through T inside W_T.
+
+    The fixing f_j are f_2, ..., f_m for some m.  The maps
+    e_g: x -> x + p^(r-1) g(x mod p) compose as e_g e_h = e_(g+h), with
+    f_j = e_(x^j), and T^-1 e_g T e_g^-1 = e_(g(x+1) - g(x)).  Each such
+    difference lowers the degree by one with a unit leading coefficient
+    (j < p), so <T, f_j> holds every e_g of degree <= j: f_i for i < j,
+    and M_(1+p^(r-1)) = e_x.  So P's rows past the multipliers are the
+    generators of the polynomial-map group Q_1^m (q_group) when m >= 2.
 
     HP calls it only on codes that W_T does not fix, and on those P is
     G meet W_T, a Sylow p-subgroup of the discovered group G, the group
-    generated by known_cyclic_subgroup and the fixing Q_1 generators.
+    generated by known_cyclic_subgroup and the fixing f_j.
     - By the lifting lemma (autgroups.gk_lifts), a code W_T does not fix
-      has no G_k families, so G = <T, M_a (a in the multiplier set), Q_1
-      generators when they fix>.
-    - N = <T, Q_1 generators> is <T> or Q_1^m, a p-group, and the
-      multipliers M = {M_a} normalize it: M_a T M_a^-1 is a power of T, and
-      conjugating a polynomial map by M_a scales its coefficients by powers
-      of a unit, which keeps Q_1^m's constraints.  So G = N M.
+      has no G_k families, so G = <T, M_a (a in the multiplier set), the
+      fixing f_j>.
+    - N = <T, the fixing f_j> lies in Q_1^(p-1), so it is a p-group, and
+      the multipliers M = {M_a} normalize it: M_a^-1 T M_a is a power of
+      T, and M_a^-1 f_j M_a = f_j^(a^(j-1)).  So G = N M.
     - M is abelian, and its Sylow p-subgroup M_p is {M_a : a = 1 mod p},
       the p-part of the units mod p^r (at p = 2 all of them).  N M_p is a
       p-group, and its index |M|/|M_p| in G is prime to p, since N meet M
@@ -251,18 +245,12 @@ def build_sylow_descriptor(code: CyclicCode) -> PermGroup:
     """
     n = code.n
     p, r = prime_power(n)
-    mset, _ = multiplier_scan(code)
-    gens = [Permutation.shift(n)]
-    gens += [Permutation.multiplier(n, a) for a in sorted(mset) if a % p == 1]
-    lin = code.linear
-    for m in range(p - 1, 0, -1) if r >= 2 else ():
-        if p ** (r + m) > _Q_FAMILY_BOUND:
-            continue
-        q1 = q_group(n, m)[1].generators
-        if maps_onto(lin, lin, [g.images for g in q1]).all():
-            gens += q1
-            break
-    return PermGroup.from_generators(n, gens)
+    rows = np.outer(range(1 + p, n, p), range(n)) % n
+    if r >= 2:
+        rows = np.concatenate([rows, power_map_rows(p, r)])
+    fixing = rows[maps_onto(code.linear, code.linear, rows)]
+    return PermGroup.from_generators(
+        n, [Permutation.shift(n)] + [Permutation(tuple(row)) for row in fixing.tolist()])
 
 
 # --- decision ------------------------------------------------------------------

@@ -22,18 +22,19 @@ stabilizer, so the product of the orbit lengths is a lower bound on the
 order, and from_rows gives up (ClosureBoundExceeded) as soon as it passes
 a bound (quasicyclic.qc_sylow sets CLOSURE_BOUND); and a Schreier
 generator along an edge of an orbit's Schreier tree is the identity by
-construction, so it is never sifted.  None of these changes the chain that completes.  A StabilizerChain
-can open the levels of a given base prefix first, so that its level i is
-the stabilizer of the prefix's first i points: the automorphism search
-(autgroups.backtrack_full_group) grows the group it finds on the chain whose
-base is its own coordinate order.  At degree n = l p^r with l < p, the Sylow
-p-subgroup through the shift power T^l is G meet W, with W Kaloujnine's
-group of triangular maps on each cycle of T^l, the only Sylow p-subgroup of
-S_n containing T^l (sylow_through_shift).  For l > p that meet is only a
-p-subgroup through T^l, and the normalizer ascent (sylow_ascend) completes
-it.  Both take and return PermGroups.  W_T itself is generated by its
-level maps (kaloujnine_generators), and its normalizer in S_n is W_T D, with
-D the digit scalings (digit_scalings).
+construction, so it is never sifted.  None of these changes the chain
+that completes.  A StabilizerChain can open the levels of a given base
+prefix first, so that its level i is the stabilizer of the prefix's first
+i points: the automorphism search (autgroups.backtrack_full_group) grows
+the group it finds on the chain whose base is its own coordinate order.
+At degree n = l p^r with l < p, the Sylow p-subgroup through the shift
+power T^l is G meet W, with W Kaloujnine's group of triangular maps on
+each cycle of T^l, the only Sylow p-subgroup of S_n containing T^l
+(sylow_through_shift).  For l > p that meet is only a p-subgroup through
+T^l, and the normalizer ascent (sylow_ascend) completes it.  Both take
+and return PermGroups.  W_T itself is generated by its level maps
+(kaloujnine_generators), and its normalizer in S_n is W_T D, with D the
+digit scalings (digit_scalings).
 
 The conjugation set {sigma : sigma^-1 g sigma in P} is built at every degree
 from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the
@@ -562,10 +563,6 @@ def block_system_valid(group: PermGroup, partition: BlockSystem | Sequence[Seque
             if frozenset(g(x) for x in b) not in blockset:
                 return False
     return True
-
-
-def is_primitive(group: PermGroup) -> bool:
-    return is_transitive(group.degree, group.generators) and not minimal_blocks(group)
 
 
 # --- conjugation sets by centralizer cosets -----------------------------------

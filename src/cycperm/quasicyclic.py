@@ -102,11 +102,6 @@ class QuasiCyclicCode:
         return f"QuasiCyclicCode(q={self.field.order}, n={self.n}, k={self.k}, l={self.index})"
 
 
-def quasi_cyclic_code(linear: LinearCode, index: int) -> QuasiCyclicCode:
-    """Public constructor mirroring the declared-index contract."""
-    return QuasiCyclicCode(linear, index)
-
-
 def sigma_cycles(n: int, l: int) -> list[Permutation]:
     """The l disjoint cycles sigma_i = (i, i+l, ..., i+(m-1)l) whose product
     is T^l; each permutes one residue class mod l and has order m = n/l."""

@@ -21,7 +21,6 @@ from cycperm.codes import (
     cyclotomic_cosets,
     enumerate_cyclic_codes,
     fixed_by,
-    idempotent,
     is_elementary,
     is_mds,
     is_shift_invariant,
@@ -372,20 +371,20 @@ def test_dual_hamming_is_simplex():
 
 
 def test_idempotent_examples():
-    e = idempotent(HAMMING7)
+    e = HAMMING7.idempotent
     assert e.coeffs == (0, 1, 1, 0, 1)           # x + x^2 + x^4
-    assert idempotent(cyclic_code(7, GF2, set())).coeffs == (1,)
+    assert cyclic_code(7, GF2, set()).idempotent.coeffs == (1,)
     rep = cyclic_code(5, GF11, set(range(1, 5)))
-    e = idempotent(rep)
+    e = rep.idempotent
     assert e.coeffs == (9, 9, 9, 9, 9)
-    assert idempotent(cyclic_code(7, GF2, set(range(7)))).is_zero()
+    assert cyclic_code(7, GF2, set(range(7))).idempotent.is_zero()
 
 
 def test_idempotent_is_computed_once_per_code():
     # a cached property of the code: gk_family asks for it once per k
     c = cyclic_code(27, GF2, {0, 3, 6, 12, 24, 21, 15})
-    assert idempotent(c) is idempotent(c) is c.idempotent
-    assert idempotent(cyclic_code(27, GF2, {0, 3, 6, 12, 24, 21, 15})) == c.idempotent
+    assert c.idempotent is c.idempotent
+    assert cyclic_code(27, GF2, {0, 3, 6, 12, 24, 21, 15}).idempotent == c.idempotent
 
 
 def test_idempotent_law_all_small_codes():
@@ -393,7 +392,7 @@ def test_idempotent_law_all_small_codes():
         for c in enumerate_cyclic_codes(n, F):
             if c.k == 0:
                 continue
-            e = idempotent(c)
+            e = c.idempotent
             xn1 = x_pow_minus_one(F, n)
             assert poly_mod(e * e, xn1).coeffs == e.coeffs
             # shifts of e span the code

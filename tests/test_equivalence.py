@@ -24,7 +24,6 @@ from cycperm.codes import (
 )
 from cycperm.equivalence import (
     EquivalenceVerdict,
-    QPolyMap,
     ag_set,
     brute_equivalence,
     brute_verdict,
@@ -35,6 +34,7 @@ from cycperm.equivalence import (
     hp_set,
     invariant_separation,
     palfy_multiplier_complete,
+    power_map_rows,
     q_group,
     restricted_set_verdict,
     tableau_verdict,
@@ -70,13 +70,20 @@ def test_palfy_lengths():
 
 # --- polynomial map groups -------------------------------------------------------
 
-def test_qpolymap_validation():
-    m = QPolyMap(9, (1, 2, 3))
-    assert m.degree == 2 and m(0) == 1 and m(1) == 6
-    with pytest.raises(ValueError, match="unit"):
-        QPolyMap(9, (0, 3))
-    with pytest.raises(ValueError, match="multiples of 3"):
-        QPolyMap(9, (0, 1, 2))
+def test_power_map_rows_are_the_closed_form():
+    # at n = 19^2 and 31^2 a naive (p-1)^(p-2) passes int64; every row is a
+    # permutation and equals x + p^(r-1) x^j mod p^r evaluated in Python ints
+    for p in (19, 31):
+        n = p * p
+        rows = power_map_rows(p, 2)
+        assert rows.shape == (p - 2, n) and not rows.flags.writeable
+        assert power_map_rows(p, 2) is rows
+        for j, row in enumerate(rows.tolist(), start=2):
+            assert sorted(row) == list(range(n))
+            assert row == [(x + p * x ** j) % n for x in range(n)], (p, j)
+    assert power_map_rows(2, 3).shape == (0, 8)
+    with pytest.raises(ValueError, match="r >= 2"):
+        power_map_rows(7, 1)
 
 
 def test_q_group_orders_nine():
@@ -96,7 +103,9 @@ def _listed_q_family(n, m):
     for a0 in range(n):
         for a1 in (a for a in range(n) if a % p):
             for high in itertools.product(range(0, n, step), repeat=m - 1):
-                perm = QPolyMap(n, (a0, a1) + high).to_permutation()
+                perm = Permutation(tuple(
+                    sum(c * x ** i for i, c in enumerate((a0, a1) + high)) % n
+                    for x in range(n)))
                 q.add(perm)
                 if (a1 - 1) % step == 0:
                     q1.add(perm)
@@ -260,11 +269,11 @@ def test_sylow_descriptor_twentyseven():
 
 
 def test_sylow_descriptor_q_set():
-    # Q_1^4, of order 5^6, is past _Q_FAMILY_BOUND, and Q_1^3 fixes the
-    # code; every M_a with a = 1 mod 5 lies in it
+    # every f_j, up to j = 4, fixes the code, so P is Q_1^4, of order 5^6:
+    # that is W_T, and every M_a with a = 1 mod 5 lies in it
     P = build_sylow_descriptor(cyclic_code(25, GF2, {0}))
-    assert P.order() == 5 ** 5 < p_part(factorial(25), 5)
-    assert P.elements() == q_group(25, 3)[1].elements()
+    assert P.order() == 5 ** 6 == p_part(factorial(25), 5)
+    assert P == q_group(25, 4)[1] == PermGroup.from_rows(25, perm.kaloujnine_generators(5, 2))
 
 
 # --- decision strategies ---------------------------------------------------------
@@ -625,14 +634,14 @@ def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):
     # P is named by its generators, so building it lists no group and cuts
     # no Sylow subgroup out of one, and its chain is built only when a caller
     # asks for it.  The three codes the closed forms once named keep pinned
-    # orders: <T> at a prime length, Q_1^3 at GF(2) n = 25, and Q_1^2 with
+    # orders: <T> at a prime length, Q_1^4 at GF(2) n = 25, and Q_1^2 with
     # M_4 at GF(2) n = 27, which holds the GR formula's <T, M_4>
     def never(*args, **kwargs):
         raise AssertionError("the descriptor listed a group or cut a Sylow subgroup")
 
     monkeypatch.setattr(perm.StabilizerChain, "products", never)
     monkeypatch.setattr(perm, "sylow_through_shift", never)
-    cases = [(7, {1, 2, 4}, 1, 7), (25, {0}, 5, 5 ** 5),
+    cases = [(7, {1, 2, 4}, 1, 7), (25, {0}, 6, 5 ** 6),
              (27, {0, 3, 6, 12, 24, 21, 15}, 6, 3 ** 6)]
     for n, ds, exponent, order in cases:
         P = build_sylow_descriptor(cyclic_code(n, GF2, ds))
@@ -641,6 +650,34 @@ def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):
         assert Permutation.shift(n) in P.generators
     P = build_sylow_descriptor(cyclic_code(27, GF2, {0, 3, 6, 12, 24, 21, 15}))
     assert Permutation.shift(27) in P and Permutation.multiplier(27, 4) in P
+
+
+def test_descriptor_is_one_batch_of_closed_form_rows(monkeypatch):
+    # on the GF(3) n = 8 and GF(7) n = 25 codes that W_T does not fix, the
+    # descriptor tests its rows in one maps_onto batch, and neither scans
+    # the multipliers nor builds a polynomial-map group
+    def never(*args, **kwargs):
+        raise AssertionError("the descriptor called q_group or multiplier_scan")
+
+    monkeypatch.setattr(equivalence, "q_group", never)
+    monkeypatch.setattr(autgroups, "multiplier_scan", never)
+    real, batches = equivalence.maps_onto, []
+    monkeypatch.setattr(equivalence, "maps_onto",
+                        lambda c1, c2, images: batches.append(len(images)) or real(c1, c2, images))
+    checked = 0
+    for q, n in ((3, 8), (7, 25)):
+        p, r = prime_power(n)
+        for code in enumerate_cyclic_codes(n, make_field(q)):
+            if real(code.linear, code.linear, perm.kaloujnine_generators(p, r)).all():
+                continue
+            batches.clear()
+            P = build_sylow_descriptor(code)
+            # the multipliers a = 1 mod p, a != 1, and the p - 2 maps f_j
+            assert batches == [p ** (r - 1) - 1 + p - 2]
+            assert all(maps_onto(code.linear, code.linear, [g.images]).all()
+                       for g in P.generators)
+            checked += 1
+    assert checked == 16 + 120
 
 
 def test_descriptor_builds_no_rung_it_does_not_reach(monkeypatch):
@@ -773,24 +810,24 @@ def test_tableau_verdicts_keep_the_complete_hp_verdicts_at_gf11_25():
 
 
 def test_descriptor_is_the_sylow_subgroup_of_the_discovered_group():
-    # on every code W_T does not fix, in whole families, P equals G meet W_T
-    # cut out of the listing of the discovered group G, the shift, the
-    # multipliers and the fixing Q_1^m generators (no G_k family exists
-    # there, by the lifting lemma of autgroups.gk_lifts)
-    families = ((5, 4), (3, 8), (5, 8), (7, 8), (8, 9), (3, 16), (7, 25), (8, 27))
+    # on every code W_T does not fix, in whole families (a seeded third of
+    # the 512 codes of GF(19) n = 49), P equals G meet W_T cut out of the
+    # listing of the discovered group G, the shift, the multipliers and the
+    # fixing Q_1^m generators for the largest such m, with no bound on m (no
+    # G_k family exists there, by the lifting lemma of autgroups.gk_lifts)
+    families = ((5, 4), (3, 8), (5, 8), (7, 8), (8, 9), (3, 16), (7, 25), (8, 27), (19, 49))
     checked = 0
     for q, n in families:
         p, r = prime_power(n)
         assert not autgroups.gk_lifts(q, n)
         levels = perm.kaloujnine_generators(p, r)
-        for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+        codes = enumerate_cyclic_codes(n, make_field(*prime_power(q)))
+        for code in random.Random(49).sample(codes, 171) if n == 49 else codes:
             lin = code.linear
             if maps_onto(lin, lin, levels).all():
                 continue
             gens, _ = known_cyclic_subgroup(code)
             for m in range(p - 1, 0, -1):
-                if p ** (r + m) > equivalence._Q_FAMILY_BOUND:
-                    continue
                 q1 = q_group(n, m)[1].generators
                 if maps_onto(lin, lin, [g.images for g in q1]).all():
                     gens = gens + list(q1)
@@ -798,7 +835,7 @@ def test_descriptor_is_the_sylow_subgroup_of_the_discovered_group():
             reference = sylow_through_shift(PermGroup.from_generators(n, gens))
             assert build_sylow_descriptor(code) == reference, (q, n, sorted(code.defining_set))
             checked += 1
-    assert checked == 568
+    assert checked == 568 + 170
 
 
 # --- the restricted-set scan before the weight profiles -------------------------

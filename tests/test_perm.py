@@ -20,7 +20,6 @@ from cycperm.perm import (
     conjugation_set,
     digit_scalings,
     group_closure,
-    is_primitive,
     is_transitive,
     kaloujnine_generators,
     minimal_blocks,
@@ -404,7 +403,6 @@ def test_minimal_blocks_cyclic_9():
     assert sorted(sorted(b) for b in sys0) == [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
     assert sys0.block_size == 3 and sys0.block_count == 3
     assert block_system_valid(G, sys0)
-    assert not is_primitive(G)
 
 
 def test_minimal_blocks_cyclic_6():
@@ -418,7 +416,7 @@ def test_minimal_blocks_cyclic_6():
 
 def test_primitive_prime_cycle():
     G = PermGroup.from_generators(7, [Permutation.shift(7)])
-    assert is_primitive(G)
+    assert is_transitive(7, G.generators) and not minimal_blocks(G)
     with pytest.raises(ValueError):
         minimal_blocks(PermGroup.from_generators(4, [Permutation((1, 0, 2, 3))]))
 

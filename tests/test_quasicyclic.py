@@ -39,7 +39,6 @@ from cycperm.quasicyclic import (
     normalizer_witnesses,
     qc_equivalence_search,
     qc_sylow,
-    quasi_cyclic_code,
     sigma_cycles,
 )
 from oracles import hset_brute
@@ -238,7 +237,7 @@ def test_qc_code_fields_and_repr():
     assert REP_PAR.index == 2 and REP_PAR.co_index == 5
     assert REP_PAR.field is GF2
     assert "l=2" in repr(REP_PAR)
-    assert quasi_cyclic_code(REP_PAR.linear, 2) == REP_PAR
+    assert QuasiCyclicCode(REP_PAR.linear, 2) == REP_PAR
 
 
 def test_minimal_index():
