@@ -522,30 +522,41 @@ def pgammal_order(d: int, t: int) -> int:
     return gl // (t - 1) * s
 
 
-def _gl42_witness_order(code: LinearCode) -> int | None:
-    """Explicit order witness for length 15 over GF(2): the invertible linear
-    maps of a 4-dimensional binary space permute its 15 nonzero vectors; when
-    the induced coordinate permutations all fix the code, their closure is a
-    subgroup of its automorphism group."""
+@lru_cache(maxsize=None)
+def _gl42_group() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The image rows of a Singer cycle, the Frobenius map and a
+    transvection of GF(2)^4 on its 15 nonzero vectors, numbered by their
+    discrete logs, and the order of the group they generate, GL(4,2).  They
+    depend on nothing else, so they are built and the order certified
+    once."""
     from .algebra import make_field, root_system
-    if code.n != 15 or code.field.order != 2:
-        return None
     rs = root_system(make_field(2), 15)
     vals = [1]
     for _ in range(14):
         vals.append(rs.ext.mul(vals[-1], rs.alpha))
     dlog = {v: i for i, v in enumerate(vals)}
 
-    def perm_of(linmap) -> Permutation:
-        return Permutation(tuple(dlog[linmap(v)] for v in vals))
+    def row_of(linmap) -> tuple[int, ...]:
+        return tuple(dlog[linmap(v)] for v in vals)
 
-    singer = perm_of(lambda v: rs.ext.mul(v, rs.alpha))
-    frob = perm_of(lambda v: rs.ext.mul(v, v))
-    transvection = perm_of(lambda v: v ^ ((v & 1) << 1))
-    gens = [singer, frob, transvection]
-    if not maps_onto(code, code, [g.images for g in gens]).all():
+    rows = (row_of(lambda v: rs.ext.mul(v, rs.alpha)),      # Singer cycle
+            row_of(lambda v: rs.ext.mul(v, v)),             # Frobenius
+            row_of(lambda v: v ^ ((v & 1) << 1)))           # transvection
+    return rows, PermGroup(15, tuple(map(Permutation, rows))).order()
+
+
+def _gl42_witness_order(code: LinearCode) -> int | None:
+    """Explicit order witness for length 15 over GF(2): the invertible linear
+    maps of a 4-dimensional binary space permute its 15 nonzero vectors; when
+    the induced coordinate permutations all fix the code, their closure is a
+    subgroup of its automorphism group.  The group is built once
+    (_gl42_group); only the maps_onto batch depends on the code."""
+    if code.n != 15 or code.field.order != 2:
         return None
-    return PermGroup(15, tuple(gens)).order()
+    rows, order = _gl42_group()
+    if not maps_onto(code, code, list(rows)).all():
+        return None
+    return order
 
 
 @dataclass(frozen=True)
@@ -699,10 +710,11 @@ def analyze(code: CyclicCode | LinearCode,
     The reported generators passed maps_onto in the search or the scans;
     they are checked again, independently, by re-encoding the permuted rows
     of G (codes.fixed_by), and a RuntimeError names the first that fails.  The
-    block systems are those of the group they generate (perm.minimal_blocks,
-    empty without a closure at prime length).  When the search runs out of
-    nodes, the report is finished without the full group and the
-    BacktrackBudgetExceeded is raised again with it as `report`."""
+    block systems are those of the group they generate, which contains the
+    shift: the partitions into residues mod the divisors of n that every
+    generator keeps (perm.minimal_blocks, none at prime length).  When the
+    search runs out of nodes, the report is finished without the full group
+    and the BacktrackBudgetExceeded is raised again with it as `report`."""
     code = as_cyclic(code)
     lin = code.linear
     n, k = code.n, code.k

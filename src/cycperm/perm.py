@@ -50,6 +50,13 @@ shift_coset_leaders: for g = T^l, one member per left coset of <T^l>, the
 coset's least row, in the same sorted order.  A code fixed by T^l is mapped
 onto by all of a coset or by none of it, so the leaders give the same first
 witness and the same verdict as the full listing, with n/l times fewer rows.
+They need only the members c of C(T^l) = C_m wr S_l with c(0) < l, which
+are listed in closed form with no chain built (_shift_centralizer_leaders).
+
+Every group whose block systems the library asks for contains the shift T,
+and the block systems of such a group are the partitions into residues mod
+the divisors b of n that its generators keep, found by one numpy comparison
+per divisor (minimal_blocks); a group without T is refused.
 
 The exhaustive S_n scan, conjugation_scan, takes all n! permutations in
 lexicographic order from itertools.permutations, in numpy chunks made by the
@@ -68,7 +75,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import is_prime, p_part, prime_power
+from .algebra import p_part, prime_power
 
 CLOSURE_BOUND = 1_000_000
 BRUTE_DEGREE_BOUND = 10
@@ -446,12 +453,9 @@ class PermGroup:
         return hash((self.degree, self.order()))
 
 
-def _invariant_classes(generators: Sequence[Permutation], n: int,
-                       pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """The classes of the finest equivalence on {0..n-1} that joins each
-    pair and is kept by every generator, sorted by least element: union-find
-    over the pairs, where each join of a, b queues the join of g(a), g(b)
-    for every generator g."""
+def orbits(n: int, generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
+    """Orbits of the generated group on {0..n-1}, sorted by least element:
+    the classes of the union-find that joins each i to g(i)."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -460,44 +464,18 @@ def _invariant_classes(generators: Sequence[Permutation], n: int,
             x = parent[x]
         return x
 
-    queue: list[tuple[int, int]] = []
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            queue.append((a, b))
-
-    for a, b in pairs:
-        union(a, b)
-    while queue:
-        a, b = queue.pop()
-        for g in generators:
-            union(g(a), g(b))
+    for g in generators:
+        for i in range(n):
+            a, b = find(i), find(g(i))
+            parent[max(a, b)] = min(a, b)
     cls: dict[int, list[int]] = {}
     for i in range(n):
         cls.setdefault(find(i), []).append(i)
     return [tuple(c) for _, c in sorted(cls.items())]
 
 
-def orbits(n: int, generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """Orbits of the generated group on {0..n-1}, sorted by least element:
-    the classes of the equivalence that joins each i to g(i), which every
-    generator keeps already."""
-    return _invariant_classes((), n, ((i, g(i)) for g in generators for i in range(n)))
-
-
 def is_transitive(n: int, generators: Sequence[Permutation]) -> bool:
     return len(orbits(n, generators)) == 1
-
-
-def _block_system_through(generators: Sequence[Permutation], n: int,
-                          pair: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
-    """The block system of a transitive group whose block through pair[0] is
-    the smallest block containing the pair: the classes of the finest
-    invariant equivalence joining the pair.  Sorted, so the block through
-    the least point of the pair comes first."""
-    return tuple(_invariant_classes(generators, n, [pair]))
 
 
 @dataclass(frozen=True)
@@ -524,28 +502,32 @@ class BlockSystem:
 
 
 def minimal_blocks(group: PermGroup) -> list[BlockSystem]:
-    """All minimal nontrivial block systems of a transitive group; empty means
-    the group is primitive.
+    """All minimal nontrivial block systems of a group through the shift T,
+    ordered by their number of blocks; empty means the group is primitive.
+    A group without T raises a ValueError.
 
-    At prime degree the answer is empty without a closure: the blocks of a
-    transitive group are permuted transitively, so they all have one size,
-    and that size divides the degree; a prime degree leaves only the blocks
-    of size 1 and n.  At composite degree each x in 1..n-1 gives the block
-    system through {0, x} (_block_system_through), and the minimal ones
-    among the nontrivial systems are returned."""
-    generators, n = list(group.generators), group.degree
-    if not is_transitive(n, generators):
-        raise ValueError("block systems are defined for transitive groups only")
-    if is_prime(n):
-        return []
-    # each system keyed by its block through 0
-    systems: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    for x in range(1, n):
-        system = _block_system_through(generators, n, (0, x))
-        if 1 < len(system[0]) < n:
-            systems[system[0]] = system
-    return [BlockSystem(systems[b]) for b in sorted(systems)
-            if not any(set(o) < set(b) for o in systems)]
+    Every block system of such a group G is the partition into residues
+    mod some divisor b of n.  Its block B through 0 is also a block of <T>,
+    and the setwise stabilizer of B in <T> is a subgroup <T^b> with b | n.
+    That stabilizer is transitive on B: for x in B, T^x moves 0 in B to x in
+    B, so it keeps B.  Hence B is the orbit of 0 under <T^b>, that is
+    bZ_n, the block through i is T^i B = i + bZ_n, and there are b blocks.
+    Conversely the residues mod b are a block system of G iff every
+    generator g maps residue classes onto residue classes, that is
+    g(i + b) = g(i) mod b for all i, which one numpy comparison over the
+    generator rows tests for each divisor 1 < b < n.  The system mod b
+    refines the one mod c iff c | b, so the minimal systems are the valid b
+    with no valid proper multiple below n; a prime degree has none."""
+    n = group.degree
+    T = Permutation.shift(n)
+    if T not in group.generators and T not in group:
+        raise ValueError("block systems are computed for groups through the shift T, "
+                         "which are transitive; T is not in this group")
+    rows = np.array([g.images for g in group.generators], dtype=np.intp).reshape(-1, n)
+    valid = [b for b in range(2, n) if n % b == 0
+             and (rows.reshape(len(rows), n // b, b) % b == rows[:, None, :b] % b).all()]
+    return [BlockSystem(tuple(tuple(range(i, n, b)) for i in range(b))) for b in valid
+            if not any(c != b and c % b == 0 for c in valid)]
 
 
 def block_system_valid(group: PermGroup, partition: BlockSystem | Sequence[Sequence[int]]) -> bool:
@@ -693,6 +675,21 @@ def conjugation_rows(g: Permutation, P: PermGroup) -> np.ndarray:
     return _sorted_products(PermGroup(g.degree, tuple(centralizer_generators(g)))._array, reps)
 
 
+def _shift_centralizer_leaders(n: int, l: int) -> np.ndarray:
+    """The l! m^(l-1) members c of C(T^l) with c(0) < l, m = n/l, as rows of
+    images in the smallest integer type, built without a stabilizer chain.
+    C(T^l) is C_m wr S_l on the l cycles (i, i + l, ...) of T^l: its members
+    are c(i + jl) = pi(i) + ((j + e_i) mod m) l with pi in S_l and e in
+    Z_m^l, and c(0) = pi(0) + e_0 l is below l exactly when e_0 = 0."""
+    m = n // l
+    pi = np.array(list(itertools.permutations(range(l))), dtype=np.intp)
+    e = np.zeros((m ** (l - 1), l), dtype=np.intp)
+    e[:, 1:] = list(itertools.product(range(m), repeat=l - 1))
+    # C[a, b, j, i] = c(i + jl) for pi = pi[a] and e = e[b]
+    C = pi[:, None, None, :] + (np.arange(m)[:, None] + e[:, None, :]) % m * l
+    return C.reshape(-1, n).astype(np.min_scalar_type(n))
+
+
 def shift_coset_leaders(P: PermGroup, l: int = 1) -> tuple[np.ndarray, int]:
     """One member of each left coset <T^l> sigma inside
     H = {sigma in S_n : sigma^-1 T^l sigma in P}, the one with sigma(0) < l,
@@ -705,7 +702,8 @@ def shift_coset_leaders(P: PermGroup, l: int = 1) -> tuple[np.ndarray, int]:
     of conjugation_cosets fixes 0: the cycle of rho through 0 is the first
     of its length and is lined up with the cycle (0, l, 2l, ...) of T^l.  So
     the leaders are the c sigma_rho with c in C(T^l) and c(0) < l; at l = 1
-    C(T) = <T> and they are the sigma_rho themselves.  The first entries
+    C(T) = <T> and they are the sigma_rho themselves.  Those c are listed
+    in closed form (_shift_centralizer_leaders).  The first entries
     sigma(0) + lj mod n of the members T^(lj) sigma of a coset are
     distinct and exactly one is below l, so the leader is the coset's
     lexicographically least row.
@@ -715,19 +713,21 @@ def shift_coset_leaders(P: PermGroup, l: int = 1) -> tuple[np.ndarray, int]:
     only if every T^(lj) sigma does: the members of a coset pass or fail
     together.  Hence the first passing leader is the first passing row of
     the full sorted conjugation_rows(T^l, P), and no leader passes exactly
-    when no member does.  CLOSURE_BOUND applies to the rows listed: the
-    centralizer, then the leaders."""
+    when no member does.  CLOSURE_BOUND applies to |C(T^l)| before anything
+    is listed, then to the leaders."""
     n = P.degree
     if l < 1 or n % l:
         raise ValueError(f"index {l} does not divide the degree {n}")
     g = Permutation.power_shift(n, l)
     reps = conjugation_cosets(g, P)
-    C = PermGroup(n, tuple(centralizer_generators(g)))._array
-    C = C[C[:, 0] < l]
+    order = centralizer_order(g)
+    if order > CLOSURE_BOUND:
+        raise ClosureBoundExceeded(CLOSURE_BOUND, order)
+    C = _shift_centralizer_leaders(n, l)
     listed = len(C) * len(reps)
     if listed > CLOSURE_BOUND:
         raise ClosureBoundExceeded(CLOSURE_BOUND, listed)
-    return _sorted_products(C, reps), centralizer_order(g) * len(reps)
+    return _sorted_products(C, reps), order * len(reps)
 
 
 def conjugation_set(g: Permutation, P: PermGroup) -> frozenset[Permutation]:

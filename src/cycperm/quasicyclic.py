@@ -314,7 +314,9 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     and it generates the group generated by C(T^l) and the sigma_rho.  The
     closure grows from the generators of C(T^l), then the sigma_rho
     (PermGroup.from_rows), keeping only the rows that extend it.  It never
-    assumes H'(P) is a group.
+    assumes H'(P) is a group.  The closure contains T, which commutes with
+    T^l, so its block systems are residue partitions mod divisors of n, read
+    off its generators (perm.minimal_blocks).
     """
     p, r = _qc_prime_power(code)
     n, l = code.n, code.index

@@ -285,10 +285,12 @@ def test_minimal_polynomial_matches_sympy_factorization():
     for q, n in [(2, 9), (2, 23), (3, 11), (11, 19)]:
         F = make_field(q)
         x = sympy.symbols("x")
-        factors = sympy.factor_list(x**n - 1, modulus=q)[1]
+        # Poly.factor_list, unlike sympy.factor_list(..., modulus=q), makes
+        # no ordered comparison of modular integers, which SymPy deprecates
+        factors = sympy.Poly(x**n - 1, x, modulus=q).factor_list()[1]
         factor_tuples = set()
         for f, mult in factors:
-            cs = [int(c) % q for c in reversed(sympy.Poly(f, x).all_coeffs())]
+            cs = [int(c) % q for c in reversed(f.all_coeffs())]
             factor_tuples.add(tuple(cs))
         seen: set[int] = set()
         for i in range(n):

@@ -43,6 +43,7 @@ from cycperm.perm import (
     group_closure,
     orbits,
 )
+from oracles import block_system_through, minimal_blocks_by_closure
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -454,7 +455,37 @@ def test_golay_generators_have_no_blocks():
     gens = analyze(GOLAY3).discovered_generators
     assert perm.minimal_blocks(PermGroup(11, gens)) == []
     for x in range(1, 11):
-        assert perm._block_system_through(gens, 11, (0, x)) == (tuple(range(11)),)
+        assert block_system_through(gens, 11, (0, x)) == (tuple(range(11)),)
+
+
+def test_minimal_blocks_match_the_pair_closures_on_discovered_groups():
+    # the residue systems mod b that minimal_blocks tests are exactly the
+    # minimal systems the union-find closure of each pair {0, x} finds, on
+    # the discovered group of every non-elementary code of seven families
+    tally = Counter()
+    for q, n in ((2, 9), (2, 15), (2, 21), (2, 27), (3, 8), (3, 16), (4, 9)):
+        for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+            if is_elementary(code.linear):
+                continue
+            G = PermGroup(n, tuple(known_cyclic_subgroup(code)[0]))
+            systems = perm.minimal_blocks(G)
+            assert systems == minimal_blocks_by_closure(G), (q, n, code.defining_set)
+            tally[len(systems)] += 1
+    assert tally == {1: 196, 2: 88}
+
+
+def test_gl42_witness_group_is_built_once():
+    # the GL(4,2) rows and their order 20,160 are cached; each code pays
+    # only its own maps_onto batch, and the evidence names the witness
+    autgroups._gl42_group.cache_clear()
+    hamming = cyclic_code(15, GF2, {1, 2, 4, 8})
+    assert [autgroups._gl42_witness_order(hamming.linear) for _ in range(3)] == [20160] * 3
+    assert autgroups._gl42_group.cache_info().misses == 1
+    assert autgroups._gl42_witness_order(cyclic_code(15, GF2, {3, 6, 9, 12}).linear) is None
+    assert autgroups._gl42_group.cache_info().misses == 1
+    evidence = analyze(hamming).classification.evidence
+    assert evidence.endswith("explicit linear action on the nonzero vectors "
+                             "of a 4-dimensional binary space realizes it")
 
 
 def test_projective_parameters():

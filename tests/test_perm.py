@@ -29,7 +29,7 @@ from cycperm.perm import (
     sylow_ascend,
     sylow_through_shift,
 )
-from oracles import hset_brute
+from oracles import block_system_through, hset_brute
 
 
 def test_permutation_basics():
@@ -431,9 +431,25 @@ def test_no_blocks_at_prime_degree(p):
     for gens in families:
         assert minimal_blocks(PermGroup.from_generators(p, gens)) == []
         for x in range(1, p):
-            assert perm._block_system_through(gens, p, (0, x)) == (tuple(range(p)),)
+            assert block_system_through(gens, p, (0, x)) == (tuple(range(p)),)
     with pytest.raises(ValueError, match="transitive"):
         minimal_blocks(PermGroup.from_generators(p, [Permutation((1, 0) + tuple(range(2, p)))]))
+
+
+def test_minimal_blocks_needs_the_shift():
+    # transitive groups without T: the regular Klein group at n = 4, and at
+    # n = 5 the group of a 5-cycle that no power turns into T
+    klein = PermGroup.from_generators(4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+    cycle = PermGroup.from_generators(5, [Permutation((2, 3, 1, 4, 0))])
+    for G in (klein, cycle):
+        assert is_transitive(G.degree, G.generators)
+        assert Permutation.shift(G.degree) not in G
+        with pytest.raises(ValueError, match="shift T.*transitive"):
+            minimal_blocks(G)
+    # T a member but not a generator: <T^2, T^3> at n = 6 has both systems
+    G = PermGroup.from_generators(6, [Permutation.power_shift(6, 2), Permutation.power_shift(6, 3)])
+    assert Permutation.shift(6) not in G.generators
+    assert [s.block_count for s in minimal_blocks(G)] == [2, 3]
 
 
 def test_normalizer_of_shift_brute():
@@ -670,6 +686,21 @@ def test_shift_coset_leaders_are_the_least_rows_of_their_cosets():
             assert len(full) == size == len(leaders) * (n // l)
     with pytest.raises(ValueError, match="does not divide"):
         shift_coset_leaders(PermGroup.trivial(6), 4)
+
+
+def test_shift_centralizer_leaders_are_the_chain_listing_cut_at_l():
+    # the closed form c(i + jl) = pi(i) + ((j + e_i) mod m) l with e_0 = 0
+    # lists the members of C(T^l) with c(0) < l that the chain of
+    # centralizer_generators(T^l) lists: at l = 1, at co-index p with l < p,
+    # at co-index p^r, r >= 2, or p with l > p, and at l = n, where
+    # C(T^l) = S_n
+    for n, l in ((9, 1), (10, 2), (15, 3), (12, 3), (12, 4), (6, 6)):
+        chain = PermGroup(n, tuple(centralizer_generators(Permutation.power_shift(n, l))))._array
+        chain = chain[chain[:, 0] < l]
+        got = perm._shift_centralizer_leaders(n, l)
+        assert got.dtype == chain.dtype
+        assert len(got) == math.factorial(l) * (n // l) ** (l - 1) == len(chain), (n, l)
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, chain.tolist())), (n, l)
 
 
 def test_centralizer_order_and_generators():

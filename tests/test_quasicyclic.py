@@ -41,7 +41,7 @@ from cycperm.quasicyclic import (
     qc_sylow,
     sigma_cycles,
 )
-from oracles import hset_brute
+from oracles import hset_brute, minimal_blocks_by_closure
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -422,6 +422,24 @@ def test_qc_path_matches_the_golden_file():
     # regenerate with `PYTHONPATH=src python tests/test_quasicyclic.py` only
     # for a change meant to move a Sylow subgroup, a report or a verdict
     assert _qc_golden_text() == QC_GOLDEN.read_text()
+
+
+def test_report_blocks_match_the_pair_closures(monkeypatch):
+    # on the closure imprimitivity_report builds for each code of the golden
+    # catalogue, the residue systems of minimal_blocks are those the
+    # union-find closure of each pair {0, x} finds
+    real, counts = quasicyclic.minimal_blocks, []
+
+    def checked(group):
+        systems = real(group)
+        assert systems == minimal_blocks_by_closure(group), group.generators
+        counts.append(len(systems))
+        return systems
+
+    monkeypatch.setattr(quasicyclic, "minimal_blocks", checked)
+    for code, _ in _qc_catalogue():
+        imprimitivity_report(code)
+    assert len(counts) == 31 and any(counts)
 
 
 # --- equivalence search -----------------------------------------------------------
