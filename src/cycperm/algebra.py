@@ -2,7 +2,7 @@
 used throughout: cyclotomic splitting data, multiplicative orders, the z parameter."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
@@ -422,19 +422,24 @@ def x_pow_minus_one(field: Field, n: int) -> Polynomial:
 @dataclass(frozen=True)
 class RootSystem:
     """Splitting data for x^n - 1 over a base field: the extension E containing
-    a canonical primitive n-th root alpha, plus the subfield embedding maps."""
+    a canonical primitive n-th root alpha, plus the subfield embedding maps.
+    powers[j] is alpha^j for 0 <= j < n, and row j of the read-only (n, d)
+    array digits holds the d = E.degree base-p digits of alpha^j; the array
+    takes no part in equality or hashing."""
     base: Field
     ext: Field
     n: int
     alpha: int
     embed: Callable[[int], int]
     lift: Callable[[int], int | None]
+    powers: tuple[int, ...]
+    digits: np.ndarray = dataclass_field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
 def root_system(field: Field, n: int) -> RootSystem:
     """Extension of `field` containing the n-th roots of unity, with a canonical
-    primitive root.
+    primitive root and the table of its powers.
 
     alpha is pinned deterministically: among all generators of the unique
     order-n subgroup of E*, take the one with the smallest integer encoding.
@@ -443,6 +448,19 @@ def root_system(field: Field, n: int) -> RootSystem:
     which is zero and the powers of an element y of order q - 1, so beta is
     found among those q elements; y = e^((|E| - 1)/(q - 1)) for the least e
     that gives that order.  Requires gcd(n, q) = 1.
+
+    The powers come from one walk: for y = e^((|E| - 1)/n) of exact order n,
+    with e least, y^0, ..., y^(n-1) take n - 1 products.  The generators of
+    <y> are the y^k with k a unit mod n, so alpha = y^k0 for the k0 whose
+    power is least, and alpha^j = y^(k0*j mod n) is read off the same list.
+
+    The digit table is what makes sums of powers cheap.  Writing an element
+    of E = GF(p)[x]/(f) as its d base-p digits is GF(p)-linear: addition is
+    digitwise mod p, and so is multiplication by an element of GF(p).  Hence
+    for integers a_0, ..., a_(n-1), read mod p since E has characteristic p,
+    digits(sum_j a_j alpha^j) = (a mod p) @ digits mod p, exactly: one
+    integer matrix product stands for n - 1 additions in E and n scalings,
+    and with entries below p its int64 sums stay below n (p - 1)^2.
     """
     q = field.order
     if n < 1:
@@ -481,21 +499,21 @@ def root_system(field: Field, n: int) -> RootSystem:
     Q = ext.order
     if (Q - 1) % n != 0:
         raise RuntimeError("extension misses the n-th roots")  # unreachable
-    if n == 1:
-        alpha = 1 % Q
-    else:
-        alpha = None
-        for e in range(2, Q):
-            y = ext.pow(e, (Q - 1) // n)
-            if y == 1:
-                continue
-            if all(ext.pow(y, n // r) != 1 for r in prime_factors(n)):
-                # y generates the order-n subgroup; take its least generator
-                alpha = min(ext.pow(y, k) for k in units(n))
-                break
-        if alpha is None:
+    y = 1
+    if n > 1:
+        # the first y != 1 whose n/r-th powers all differ from 1 has order n
+        y = next((g for g in (ext.pow(e, (Q - 1) // n) for e in range(2, Q))
+                  if g != 1 and all(ext.pow(g, n // r) != 1 for r in prime_factors(n))), None)
+        if y is None:
             raise RuntimeError("no element of exact order n")  # unreachable
-    return RootSystem(field, ext, n, alpha, embed, lift)
+    walk = [1]
+    for _ in range(n - 1):
+        walk.append(ext.mul(walk[-1], y))
+    k0 = min(units(n), key=walk.__getitem__)
+    powers = tuple(walk[k0 * j % n] for j in range(n))
+    digits = np.array([ext._digits(v) for v in powers], dtype=np.int64)
+    digits.flags.writeable = False
+    return RootSystem(field, ext, n, powers[1 % n], embed, lift, powers, digits)
 
 
 def minimal_polynomial(field: Field, n: int, coset: Iterable[int]) -> Polynomial:
@@ -513,19 +531,34 @@ def minimal_polynomial(field: Field, n: int, coset: Iterable[int]) -> Polynomial
 
 @lru_cache(maxsize=None)
 def _coset_polynomial(field: Field, n: int, coset: tuple[int, ...]) -> Polynomial:
-    """The product of (x - alpha^i) over a validated, sorted coset, computed
-    in the splitting field and brought down to `field`.  Cached like
+    """The product of (x - alpha^i) over a validated, sorted coset C of size
+    m, read off subset-sum counts and brought down to `field`.  Cached like
     root_system: every cyclic code over the same (field, n) shares its
-    cosets' factors, and Polynomial is frozen."""
+    cosets' factors, and Polynomial is frozen.
+
+    prod_(c in C) (x - alpha^c) = sum_k (-1)^k e_k x^(m-k), where e_k sums
+    alpha^(c_1 + ... + c_k) over the k-subsets of C.  As alpha^n = 1, only
+    the exponent sum mod n matters, so e_k = sum_t N_k(t) alpha^t with
+    N_k(t) the number of k-subsets whose exponents sum to t mod n.  The
+    (m + 1) x n table N starts as the empty subset (N_0(0) = 1) and takes
+    the elements of C one at a time: the subsets that contain c are those
+    without it, each with c added, so row k + 1 gains row k rolled by c.
+    Only N mod p matters in characteristic p, so the rows are kept mod p.
+    With the signs folded in, the digits of every coefficient are one
+    product with root_system's digit table, exact by the linearity proved
+    there; no product in the splitting field is formed.  The closure of C
+    under multiplication by q puts every coefficient in `field`.
+    """
     rs = root_system(field, n)
-    E = rs.ext
-    prod = Polynomial(E, (1,))
-    for i in coset:
-        root = E.pow(rs.alpha, i)
-        prod = prod * Polynomial(E, (E.neg(root), 1))
+    p, m = field.characteristic, len(coset)
+    counts = np.zeros((m + 1, n), dtype=np.int64)
+    counts[0, 0] = 1
+    for k, c in enumerate(coset):
+        counts[1:k + 2] = (counts[1:k + 2] + np.roll(counts[:k + 1], c, axis=1)) % p
+    counts[1::2] = -counts[1::2] % p
     down = []
-    for c in prod.coeffs:
-        v = rs.lift(c)
+    for row in (counts @ rs.digits % p)[::-1].tolist():
+        v = rs.lift(rs.ext._encode(row))
         if v is None:
             raise RuntimeError("coefficient escaped the base field")  # closure says impossible
         down.append(v)

@@ -531,13 +531,10 @@ def _gl42_group() -> tuple[tuple[tuple[int, ...], ...], int]:
     once."""
     from .algebra import make_field, root_system
     rs = root_system(make_field(2), 15)
-    vals = [1]
-    for _ in range(14):
-        vals.append(rs.ext.mul(vals[-1], rs.alpha))
-    dlog = {v: i for i, v in enumerate(vals)}
+    dlog = {v: i for i, v in enumerate(rs.powers)}
 
     def row_of(linmap) -> tuple[int, ...]:
-        return tuple(dlog[linmap(v)] for v in vals)
+        return tuple(dlog[linmap(v)] for v in rs.powers)
 
     rows = (row_of(lambda v: rs.ext.mul(v, rs.alpha)),      # Singer cycle
             row_of(lambda v: rs.ext.mul(v, v)),             # Frobenius

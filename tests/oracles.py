@@ -1,4 +1,5 @@
-"""Exhaustive S_n oracles shared by the tests."""
+"""Exhaustive S_n oracles and direct constructions shared by the tests."""
+from cycperm.algebra import Field, Polynomial, prime_factors, root_system, units
 from cycperm.perm import BlockSystem, PermGroup, Permutation, conjugation_scan
 
 
@@ -50,3 +51,29 @@ def minimal_blocks_by_closure(group: PermGroup) -> list[BlockSystem]:
             systems[system[0]] = system
     return [BlockSystem(systems[b]) for b in sorted(systems)
             if not any(set(o) < set(b) for o in systems)]
+
+
+def coset_polynomial_by_roots(field: Field, n: int, coset) -> Polynomial:
+    """The product of (x - alpha^i) over the coset, one linear factor at a
+    time in the splitting field, each root a fresh power of alpha, brought
+    down to `field` coefficient by coefficient.  The oracle for
+    minimal_polynomial."""
+    rs = root_system(field, n)
+    E = rs.ext
+    prod = Polynomial(E, (1,))
+    for i in sorted(coset):
+        prod = prod * Polynomial(E, (E.neg(E.pow(rs.alpha, i)), 1))
+    down = [rs.lift(c) for c in prod.coeffs]
+    assert None not in down, "coefficient escaped the base field"
+    return Polynomial(field, tuple(down))
+
+
+def is_least_primitive_root(field: Field, n: int, alpha: int) -> bool:
+    """Whether alpha, in root_system(field, n)'s extension, has order exactly
+    n and is the least of the generators alpha^k (k a unit mod n) of the
+    order-n subgroup, each taken by its own power: the oracle for
+    root_system's alpha."""
+    E = root_system(field, n).ext
+    return (E.pow(alpha, n) == 1
+            and all(E.pow(alpha, n // r) != 1 for r in prime_factors(n))
+            and alpha == min(E.pow(alpha, k) for k in units(n)))

@@ -22,7 +22,9 @@ from cycperm.algebra import (
     x_pow_minus_one,
     z_parameter,
 )
+from cycperm import algebra
 from cycperm.codes import cyclic_code, cyclotomic_cosets, enumerate_cyclic_codes, is_shift_invariant
+from oracles import coset_polynomial_by_roots, is_least_primitive_root
 
 
 def test_is_prime_small():
@@ -340,6 +342,50 @@ def test_root_system_deterministic_alpha():
     rs2 = root_system(make_field(2), 9)
     assert rs1.alpha == rs2.alpha
     assert rs1.ext.element_order(rs1.alpha) == 9
+
+
+@pytest.mark.parametrize("q_spec,n", [((2, 1), 7), ((3, 2), 8), ((11, 1), 19), ((13, 1), 23),
+                                      ((2, 2), 25), ((5, 1), 1)])
+def test_power_table_rows_are_the_digits_of_alpha_powers(q_spec, n):
+    F = make_field(*q_spec)
+    rs = root_system(F, n)
+    E = rs.ext
+    assert rs.digits.shape == (n, E.degree) and not rs.digits.flags.writeable
+    assert rs.powers[1 % n] == rs.alpha
+    for j in range(n):
+        assert rs.powers[j] == E.pow(rs.alpha, j)
+        assert rs.digits[j].tolist() == E._digits(rs.powers[j])
+    assert E.pow(rs.alpha, n) == 1 and len(set(rs.powers)) == n    # alpha has order n
+    assert hash(rs) == hash(root_system(F, n))
+
+
+def test_coset_polynomials_need_no_splitting_field_product(monkeypatch):
+    # once the root system is built, a coset's polynomial is read off the
+    # digit table with no _mulmod call
+    from cycperm.algebra import _coset_polynomial
+    F = make_field(13)
+    root_system(F, 23)
+    _coset_polynomial.cache_clear()
+
+    def no_product(*args):
+        raise AssertionError("_mulmod called")
+
+    monkeypatch.setattr(algebra, "_mulmod", no_product)
+    coset = cyclotomic_cosets(23, 13)[1]
+    assert minimal_polynomial(F, 23, coset).degree == 11
+
+
+@pytest.mark.parametrize("q_spec,n", [((11, 1), 19), ((11, 1), 37), ((13, 1), 17), ((13, 1), 23),
+                                      ((13, 1), 29), ((2, 1), 47), ((2, 1), 73), ((2, 2), 25),
+                                      ((2, 2), 29)])
+def test_minimal_polynomials_match_the_product_over_roots(q_spec, n):
+    # splitting fields past the golden file's 2^24 elements: every coset's
+    # polynomial against the product of its linear factors, and alpha
+    # against its own powers
+    F = make_field(*q_spec)
+    assert is_least_primitive_root(F, n, root_system(F, n).alpha)
+    for coset in cyclotomic_cosets(n, F.order):
+        assert minimal_polynomial(F, n, coset) == coset_polynomial_by_roots(F, n, coset), coset
 
 
 # --- golden values: moduli, alphas and minimal polynomials --------------------

@@ -488,6 +488,19 @@ def test_gl42_witness_group_is_built_once():
                              "of a 4-dimensional binary space realizes it")
 
 
+def test_gl42_rows_are_numbered_by_discrete_logs():
+    # alpha^i is vector i: the Singer cycle is i -> i + 1, the Frobenius map
+    # i -> 2i, and the transvection's row matches logs taken by fresh powers
+    from cycperm.algebra import root_system
+    rows, order = autgroups._gl42_group()
+    rs = root_system(GF2, 15)
+    dlog = {rs.ext.pow(rs.alpha, i): i for i in range(15)}
+    assert rows[0] == tuple((i + 1) % 15 for i in range(15))
+    assert rows[1] == tuple(2 * i % 15 for i in range(15))
+    assert rows[2] == tuple(dlog[v ^ ((v & 1) << 1)] for v in sorted(dlog, key=dlog.get))
+    assert order == 20160
+
+
 def test_projective_parameters():
     assert projective_parameters(15, 2) == [(4, 2)]
     assert projective_parameters(7, 2) == [(3, 2)]
