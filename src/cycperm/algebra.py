@@ -271,11 +271,26 @@ class Field:
         return k
 
 
+def _has_root(coeffs: Sequence[int], p: int) -> bool:
+    """Whether the polynomial with these coefficients (little-endian) over
+    GF(p) vanishes at some point of GF(p), by Horner's rule at each."""
+    for x in range(p):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * x + c) % p
+        if v == 0:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def _lowest_irreducible(p: int, s: int) -> tuple[int, ...]:
     """Monic irreducible of degree s over GF(p) whose non-leading coefficient
     vector, read as a base-p integer, is smallest.  Deterministic so that two
-    runs always agree on field encodings."""
+    runs always agree on field encodings.  At s >= 2 a candidate with a
+    root in GF(p) has a linear factor, so it is rejected before its Rabin
+    test (_has_root); the first candidate that passes both is the first
+    irreducible one, as without the filter."""
     for low in range(p ** s):
         coeffs = []
         v = low
@@ -283,7 +298,7 @@ def _lowest_irreducible(p: int, s: int) -> tuple[int, ...]:
             v, d = divmod(v, p)
             coeffs.append(d)
         coeffs.append(1)
-        if _is_irreducible(coeffs, p):
+        if (s == 1 or not _has_root(coeffs, p)) and _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible of degree {s} over GF({p})")  # unreachable
 

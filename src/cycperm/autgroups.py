@@ -370,7 +370,24 @@ def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | Non
     d, and min_weight_words needs it.  With a target the coordinates are
     placed in natural order with increasing images, and no coset is
     skipped, so the first leaf that passes maps_onto is the least witness;
-    the node budget is infinite by default."""
+    the node budget is infinite by default.
+
+    Without a target, an automorphism g found below the identity path at
+    depth d (in the subtree of a child b_d -> j, j != b_d) is added with
+    the fact that the chain's level d + 1 holds all of Aut's stabilizer of
+    b_0..b_d (StabilizerChain.add with certified = d + 1).  Proof: the
+    child b_d -> b_d is searched before any other child of the identity
+    path at depth d, and is never pruned (the identity keeps every
+    statistic), so by the induction of backtrack_full_group the found
+    stabilizer of b_0..b_d, which is the chain's level d + 1 since the
+    chain's base is the coordinate order, is then all of Aut's, and stays
+    so, as the chain only grows inside Aut.  g and the chain's group lie in
+    Aut, so level d + 1 holds every element of <the chain's group, g> that
+    fixes b_0..b_d.  The completion then marks
+    level d's Schreier generators as checked without sifting them, and a
+    Schreier generator of a level i < d that gets past level d is the
+    identity and is not sifted further; the chain is the one the plain
+    algorithm builds from the same elements."""
     n, q = code.n, code.field.order
     words, dual, d = _word_family(code)
     image, words2 = (code if target is None else target), words
@@ -433,13 +450,16 @@ def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | Non
         chain.add(g.images)
     nodes = 0
 
-    def descend(depth: int, fixed: bool) -> tuple[int, ...] | None:
+    def descend(depth: int, fixed: bool, certified: int | None) -> tuple[int, ...] | None:
         """Search below the placed prefix; fixed says it is the identity on
-        order[:depth].  The leaf accepted below, if any: an automorphism
-        added to the chain, or the witness."""
+        order[:depth], and certified names the chain level known to hold
+        all of Aut's stabilizer of order[:certified] (None on the identity
+        path).  The leaf accepted below, if any: an automorphism added to
+        the chain, or the witness."""
         nonlocal nodes
         if depth == n:
-            ok = maps_onto(code, image, [img])[0] and (target is not None or chain.add(tuple(img)))
+            ok = maps_onto(code, image, [img])[0] \
+                and (target is not None or chain.add(tuple(img), certified))
             return tuple(img) if ok else None
         pos = order[depth]
         assigned = order[:depth]
@@ -466,7 +486,8 @@ def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | Non
             for si, term in sup_at[pos]:
                 cnt[si] += 1
                 ikey[si] += term[j]
-            hit = descend(depth + 1, fixed and j == pos)
+            hit = descend(depth + 1, fixed and j == pos,
+                          depth + 1 if fixed and j != pos else certified)
             for si, term in sup_at[pos]:
                 cnt[si] -= 1
                 ikey[si] -= term[j]
@@ -476,7 +497,7 @@ def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | Non
                 return hit
         return None
 
-    found = descend(0, target is None)
+    found = descend(0, target is None, None)
     return chain, found, nodes
 
 

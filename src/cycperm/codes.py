@@ -54,9 +54,8 @@ from .algebra import (
     make_field,
     minimal_polynomial,
     multiplication_matrices,
-    poly_divmod,
     poly_mod,
-    x_pow_minus_one,
+    root_system,
 )
 from .perm import Permutation, _row_chunks
 
@@ -203,16 +202,19 @@ class LinearCode:
     def parity_check(self) -> np.ndarray:
         """A parity-check matrix H, read-only (n-k, n), whose rows are the
         dual's basis read off the RREF: for each non-pivot column f, the
-        word with 1 at f and minus column f of G at the pivots."""
-        F, n = self.field, self.n
-        rows = []
-        for f in (j for j in range(n) if j not in self.pivots):
-            v = [0] * n
-            v[f] = 1
-            for i, p in enumerate(self.pivots):
-                v[p] = F.neg(self.matrix[i][f])
-            rows.append(v)
-        H = np.array(rows, dtype=np.int64).reshape(n - self.k, n)
+        word with 1 at f and minus column f of G at the pivots.  So
+        H[:, free] = I and H[:, pivots] = -G[:, free]^T, negated entrywise
+        mod p over GF(p) and through the difference table's row 0 - a
+        over GF(p^s)."""
+        n, k = self.n, self.k
+        G = np.array(self.matrix, dtype=np.int64).reshape(k, n)
+        free = np.ones(n, dtype=bool)
+        free[list(self.pivots)] = False
+        _, _, sub = _tables(self.field)
+        cols = G[:, free].T
+        H = np.zeros((n - k, n), dtype=np.int64)
+        H[:, free] = np.eye(n - k, dtype=np.int64)
+        H[:, list(self.pivots)] = -cols % self.field.characteristic if sub is None else sub[0][cols]
         H.flags.writeable = False
         return H
 
@@ -427,39 +429,44 @@ class CyclicCode:
     @cached_property
     def idempotent(self) -> Polynomial:
         """The unique e with e^2 = e mod x^n - 1 generating the code,
-        computed once per code.
+        computed once per code, by the inverse discrete Fourier transform.
 
-        CRT over the coset factorization: e = 1 mod every factor kept by the
-        code (cosets outside the defining set) and e = 0 mod every
-        annihilated factor.  The zero code yields the zero polynomial.
+        e takes the value 0 at alpha^i for i in the defining set Z and 1 at
+        every other n-th root of unity: its values are 0 and 1, so e^2 = e,
+        and its zeros are exactly Z, so it generates the code.  The inverse
+        transform gives e_j = n^-1 sum_(i not in Z) alpha^(-ij), n being a
+        unit mod p.  As alpha^n = 1 only -ij mod n matters, so
+        e_j = sum_t N(j, t) alpha^t with N(j, t) = n^-1 #{i not in Z :
+        -ij = t mod n}, kept mod p.  The digits of every coefficient are one
+        product of N with root_system's digit table, exact by the linearity
+        proved there, and each is brought down to the base field, where the
+        Frobenius closure of Z puts it.  The zero code yields the zero
+        polynomial.
+
+        The idempotent law is checked in digits: multiplication by c is the
+        GF(p)-linear map multiplication_matrices[c], so the digits of
+        coefficient k of e^2 mod x^n - 1 are the sum over i of the digits
+        of e_i times the matrix of e_(k - i mod n), mod p.
         """
         F, n = self.field, self.n
-        if self.k == 0:
-            return Polynomial(F, ())
-        xn1 = x_pow_minus_one(F, n)
-        g = self.generator_poly          # product over defining-set cosets
-        h, rem = poly_divmod(xn1, g)     # kept part
-        if not rem.is_zero():
-            raise RuntimeError("generator does not divide x^n - 1")
-        if g.degree <= 0:
-            return Polynomial(F, (1,))
-        # e = a*g where a*g = 1 mod h: extended euclid on (g, h)
-        r0, r1 = g, h
-        s0 = Polynomial(F, (1,))
-        s1 = Polynomial(F, ())
-        while not r1.is_zero():
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        # r0 = gcd = s0*g + t*h, a unit constant since gcd(g, h) = 1
-        if r0.degree != 0:
-            raise RuntimeError("x^n - 1 is not squarefree; gcd(n, q) must be 1")
-        c = F.inv(r0.coeffs[0])
-        e = poly_mod(s0.scale(c) * g, xn1)
-        check = poly_mod(e * e, xn1)
-        if check.coeffs != e.coeffs:
+        rs = root_system(F, n)
+        p = F.characteristic
+        kept = np.array(sorted(set(range(n)) - self.defining_set), dtype=np.int64)
+        t = -np.outer(np.arange(n), kept) % n
+        cells = (np.arange(n)[:, None] * n + t).ravel()
+        counts = np.bincount(cells, minlength=n * n).reshape(n, n) * pow(n, -1, p) % p
+        coeffs = []
+        for row in (counts @ rs.digits % p).tolist():
+            v = rs.lift(rs.ext._encode(row))
+            if v is None:
+                raise RuntimeError("coefficient escaped the base field")  # closure says impossible
+            coeffs.append(v)
+        M = multiplication_matrices(F)
+        e = np.array(coeffs, dtype=np.intp)
+        gap = (np.arange(n)[:, None] - np.arange(n)) % n         # gap[k, i] = k - i mod n
+        if (np.einsum("is,kist->kt", M[e, 0], M[e[gap]]) % p != M[e, 0]).any():
             raise RuntimeError("idempotent law failed")
-        return e
+        return Polynomial(F, tuple(coeffs))
 
     def cosets(self) -> list[tuple[int, ...]]:
         """The cyclotomic cosets whose union is the defining set, sorted by

@@ -94,6 +94,11 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([a[i] for i in b])
 
 
+def _compose3(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
+    """a after b after c in one pass: (a b c)(i) = a(b(c(i)))."""
+    return tuple([a[b[i]] for i in c])
+
+
 def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(a)
     for i, v in enumerate(a):
@@ -224,13 +229,39 @@ class StabilizerChain:
     exceeds the order of the group: a bounded build stops as soon as the
     product passes the bound (PermGroup.from_rows).
 
-    The Schreier generator of an orbit point x and a generator s is
-    u_(s x)^-1 s u_x.  When the orbit reached s x first through x and s, the
-    transversal element made there is u_(s x) = s u_x, so that Schreier
-    generator is the identity: the pair is marked as checked when the
-    element is made (a tree edge of the orbit's Schreier tree) and is never
-    sifted.  Only identities are skipped, so the Schreier generators that
-    are sifted, their order and the first non-trivial residue are those of
+    The chain skips work whose outcome it can prove, and every skip leaves
+    the base, orbits, transversals and strong generators exactly as the
+    plain algorithm makes them, because each skipped step would have
+    composed with the identity or sifted an element to the identity:
+    - Tree edges.  The Schreier generator of an orbit point x and a
+      generator s is u_(s x)^-1 s u_x.  When the orbit reached s x first
+      through x and s, the transversal element made there is
+      u_(s x) = s u_x, so that Schreier generator is the identity: the pair
+      is marked as checked when the element is made (a tree edge of the
+      orbit's Schreier tree) and is never sifted.
+    - Fixed base points.  A sift passes over a level whose base point the
+      element fixes: the transversal element there is u_(base[i]), the
+      identity, so the strip would leave the element as it is.  A Schreier
+      generator is built with one composition when u_(s x) is the
+      identity (s x is the base point), and with none when u_x is too:
+      it is s.  (A pair (base point, s) with s moving the base point is
+      always a tree edge: a strong generator is inserted at levels whose
+      base points it fixes, and at the last one it moves the base point
+      out of the orbit.)
+    - Certified levels.  add(g, certified=c) takes the caller's word that
+      level c already holds every element of G = <the chain's group, g>
+      that fixes base[:c].  Every element the completion makes lies in G.
+      A residue that passes level c - 1 fixes base[:c], so it lies in level
+      c's group, which the levels from c on describe completely: sifting it
+      on would end in the identity, so it is taken as a member there.
+      Hence no element is ever inserted at a level >= c, those levels stay
+      as they are, and the argument holds for the whole completion.  In
+      particular every Schreier generator of level c - 1 fixes base[:c]
+      and would sift to the identity, so that level's pairs are marked as
+      checked without building them.  autgroups._search proves the fact
+      for every automorphism it adds below its identity path.
+    Only identities are skipped, so the Schreier generators whose residue
+    is not the identity, their order and the first of them are those of
     the plain algorithm, and so is the chain.
 
     The levels of a given base prefix are opened first, so level i is the
@@ -258,37 +289,50 @@ class StabilizerChain:
             out *= len(orb)
         return out
 
-    def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
-        """Strip g by the transversals from level start on: the residue and
-        the level where it dropped out (len(base) when it passed them all).
-        g is in the group of level start iff the residue is the identity."""
-        for i in range(start, len(self.base)):
-            ui = self.inv[i].get(g[self.base[i]])
-            if ui is None:
-                return g, i
-            g = _compose(ui, g)
-        return g, len(self.base)
+    def sift(self, g: tuple[int, ...], start: int = 0,
+             stop: int | None = None) -> tuple[tuple[int, ...], int]:
+        """Strip g by the transversals of levels start..stop - 1 (to the
+        last level by default): the residue and the level where it dropped
+        out (stop when it passed them all).  A level whose base point g
+        fixes is passed over, as its transversal element there is the
+        identity.  g is in the group of level start iff the residue of the
+        sift to the last level is the identity."""
+        base, inv = self.base, self.inv
+        stop = len(base) if stop is None else stop
+        for i in range(start, stop):
+            b = base[i]
+            x = g[b]
+            if x != b:
+                ui = inv[i].get(x)
+                if ui is None:
+                    return g, i
+                g = _compose(ui, g)
+        return g, stop
 
     def __contains__(self, g: tuple[int, ...]) -> bool:
         return self.sift(g)[0] == self.identity
 
-    def add(self, g: tuple[int, ...]) -> bool:
+    def add(self, g: tuple[int, ...], certified: int | None = None) -> bool:
         """Extend the group by g and complete the chain again; False when g
-        is already a member."""
-        return self._add(g, None)
+        is already a member.  certified = c states that level c already
+        holds every element of <the chain's group, g> that fixes base[:c];
+        the completion then sifts no element past level c - 1 (see the
+        class docstring)."""
+        return self._add(g, None, certified)
 
-    def _add(self, g: tuple[int, ...], bound: int | None) -> bool:
+    def _add(self, g: tuple[int, ...], bound: int | None, certified: int | None = None) -> bool:
         """add; with a bound, raises ClosureBoundExceeded (reached: the orbit
         product so far, a lower bound on the order) as soon as the product of
         the orbit lengths passes it, leaving the chain incomplete."""
-        h, j = self.sift(g)
-        if h == self.identity:
+        found = self._residue(g, 0, certified)
+        if found is None:
             return False
+        h, j = found
         self._insert(h, 0, j, bound)
         level = j
         # the levels after `level` form a complete chain of their group
         while level >= 0:
-            found = self._schreier_residue(level)
+            found = self._schreier_residue(level, certified)
             if found is None:
                 level -= 1
             else:
@@ -296,6 +340,16 @@ class StabilizerChain:
                 self._insert(h, level + 1, j, bound)
                 level = j
         return True
+
+    def _residue(self, g: tuple[int, ...], start: int,
+                 certified: int | None) -> tuple[tuple[int, ...], int] | None:
+        """g's residue and drop-out level from level start on, or None when
+        g lies in that level's group; with certified = c, a residue that
+        passes level c - 1 lies in level c's group."""
+        h, j = self.sift(g, start, certified)
+        if certified is None:
+            return None if h == self.identity else (h, j)
+        return None if j == certified else (h, j)
 
     def _insert(self, h: tuple[int, ...], first: int, last: int, bound: int | None) -> None:
         """Add h, which fixes base[:last], as a strong generator of levels
@@ -329,21 +383,34 @@ class StabilizerChain:
         self.inv.append({b: self.identity})
         self.checked.append(set())
 
-    def _schreier_residue(self, level: int) -> tuple[tuple[int, ...], int] | None:
+    def _schreier_residue(self, level: int,
+                          certified: int | None) -> tuple[tuple[int, ...], int] | None:
         """The first Schreier generator u_(s x)^-1 s u_x of the level that
         does not sift to the identity through the levels below it, as its
-        residue and drop-out level; None when there is none."""
+        residue and drop-out level; None when there is none.  At level
+        certified - 1 there is none, and every pair is marked as checked."""
         trans, inv, checked = self.trans[level], self.inv[level], self.checked[level]
-        for x in self.orbit[level]:
+        orbit, gens = self.orbit[level], self.gens[level]
+        if certified is not None and level + 1 >= certified:
+            checked.update((x, si) for x in orbit for si in range(len(gens)))
+            return None
+        b = self.base[level]
+        for x in orbit:
             u = trans[x]
-            for si, s in enumerate(self.gens[level]):
+            for si, s in enumerate(gens):
                 if (x, si) in checked:
                     continue
                 checked.add((x, si))
-                w = inv[s[x]]
-                h, j = self.sift(tuple([w[s[i]] for i in u]), level + 1)
-                if h != self.identity:
-                    return h, j
+                y = s[x]
+                if y != b:
+                    schreier = _compose3(inv[y], s, u)
+                elif x != b:
+                    schreier = _compose(s, u)       # u_(s x) is the identity
+                else:
+                    schreier = s                    # so is u_x
+                found = self._residue(schreier, level + 1, certified)
+                if found is not None:
+                    return found
         return None
 
     def products(self) -> np.ndarray:

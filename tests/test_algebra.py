@@ -24,7 +24,7 @@ from cycperm.algebra import (
 )
 from cycperm import algebra
 from cycperm.codes import cyclic_code, cyclotomic_cosets, enumerate_cyclic_codes, is_shift_invariant
-from oracles import coset_polynomial_by_roots, is_least_primitive_root
+from oracles import coset_polynomial_by_roots, is_least_primitive_root, lowest_irreducible_unfiltered
 
 
 def test_is_prime_small():
@@ -96,6 +96,25 @@ def test_make_field_canonical_moduli():
     assert make_field(2, 3).modulus == (1, 1, 0, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(2, 6).modulus == (1, 1, 0, 0, 0, 0, 1)
+
+
+def test_lowest_irreducible_is_the_unfiltered_search(monkeypatch):
+    # the candidates with a root in GF(p) are rejected before their Rabin
+    # test, and the modulus chosen is the one the unfiltered search takes;
+    # at GF(13^11) the search runs 2 Rabin tests instead of 20
+    for p in (2, 3, 5, 7, 11, 13):
+        for s in range(1, 13):
+            assert algebra._lowest_irreducible(p, s) == lowest_irreducible_unfiltered(p, s), (p, s)
+    modulus = make_field(13, 11).modulus
+    tests = []
+    rabin = algebra._is_irreducible
+
+    def counted(coeffs, p):
+        tests.append(tuple(coeffs))
+        return rabin(coeffs, p)
+    monkeypatch.setattr(algebra, "_is_irreducible", counted)
+    assert algebra._lowest_irreducible.__wrapped__(13, 11) == modulus
+    assert len(tests) == 2 and not any(algebra._has_root(c, 13) for c in tests)
 
 
 def test_gf9_arithmetic():

@@ -43,7 +43,7 @@ from cycperm.perm import (
     group_closure,
     orbits,
 )
-from oracles import block_system_through, minimal_blocks_by_closure
+from oracles import _ReferenceChain, block_system_through, chain_state, minimal_blocks_by_closure
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -366,6 +366,39 @@ def test_seeded_search_matches_the_empty_start():
     swap = Permutation((1, 0) + tuple(range(2, 7)))
     with pytest.raises(ValueError, match=r"seed .*\(0 1\).* does not fix the code"):
         backtrack_full_group(HAMMING7.linear, seeds=[Permutation.shift(7), swap])
+
+
+def test_search_chain_equals_the_plain_schreier_sims(monkeypatch):
+    # the search adds each automorphism found below its identity path with
+    # the levels it has certified, and the chain's sifts pass over fixed
+    # base points; replaying the seeds and the leaf additions, in order,
+    # into the plain algorithm on the same base gives the same base, orbits,
+    # transversals and strong generators, and the same answer to every add;
+    # 92 of the adds that extend the chain come with certified levels
+    adds = []
+    add = perm.StabilizerChain.add
+
+    def logged(self, g, certified=None):
+        added = add(self, g, certified)
+        adds.append((self, g, certified, added))
+        return added
+    monkeypatch.setattr(perm.StabilizerChain, "add", logged)
+    searches = certified_adds = 0
+    for q, n in ((2, 7), (2, 9), (2, 15), (3, 8), (3, 13), (4, 9)):
+        for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+            lin = code.linear
+            if lin.k == 0 or is_elementary(lin):
+                continue
+            adds.clear()
+            chain, _, _ = autgroups._search(lin, seeds=known_cyclic_subgroup(code)[0])
+            assert all(owner is chain for owner, *_ in adds)
+            ref = _ReferenceChain(n, chain.base)
+            for _, g, certified, added in adds:
+                assert ref.add(g) == added, (q, n, sorted(code.defining_set))
+                certified_adds += added and certified is not None
+            assert chain_state(chain) == chain_state(ref), (q, n, sorted(code.defining_set))
+            searches += 1
+    assert searches == 120 and certified_adds == 92
 
 
 @pytest.mark.parametrize("code, budget", [

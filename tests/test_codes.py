@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycperm import codes
-from cycperm.algebra import Polynomial, make_field, x_pow_minus_one, poly_mod
+from cycperm.algebra import Polynomial, make_field, poly_mod, prime_power, x_pow_minus_one
 from cycperm.codes import (
     CyclicCode,
     LinearCode,
@@ -33,6 +34,7 @@ from cycperm.codes import (
 from cycperm.codes import _eliminate, _level_weight, _level_words, _rank_step
 from cycperm.perm import Permutation
 from cycperm.verification import BATTERY_DISTANCE_BUDGET
+from oracles import idempotent_by_euclid, parity_check_by_loop
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -399,6 +401,47 @@ def test_idempotent_law_all_small_codes():
             vec = list(e.coeffs) + [0] * (n - len(e.coeffs))
             rows = [vec[-s:] + vec[:-s] for s in range(n)]
             assert LinearCode.from_rows(F, n, rows) == c.linear
+
+
+def test_idempotent_is_the_euclid_crt():
+    # the inverse transform gives the idempotent the extended Euclid gives,
+    # on every cyclic code of these lengths and fields, the zero code and
+    # the whole space included
+    codes_seen = 0
+    for q, n in ((2, 7), (2, 9), (2, 15), (2, 21), (3, 8), (3, 13), (4, 9), (4, 15),
+                 (5, 12), (8, 9)):
+        for c in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
+            assert c.idempotent == idempotent_by_euclid(c), c
+            codes_seen += 1
+    assert codes_seen == 1008
+
+
+def test_idempotent_law_failure_raises(monkeypatch):
+    # coefficients brought down wrongly to all ones: over GF(3) at n = 8,
+    # J = 1 + x + ... + x^7 has J^2 = 8 J = 2 J != J, and the law check
+    # raises
+    real = codes.root_system
+    monkeypatch.setattr(codes, "root_system",
+                        lambda F, n: dataclasses.replace(real(F, n), lift=lambda v: 1))
+    with pytest.raises(RuntimeError, match="idempotent law failed"):
+        cyclic_code(8, GF3, {1, 3}).idempotent
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, GF8], ids=repr)
+def test_parity_check_is_the_row_by_row_build(field):
+    # H[:, free] = I and H[:, pivots] = -G[:, free]^T, as the row-by-row
+    # build makes it, read-only int64, from k = 0 to k = n
+    rng = random.Random(field.order)
+    for n in (1, 5, 9):
+        codes = [LinearCode.from_rows(field, n, []), LinearCode.from_rows(field, n, np.eye(n, dtype=int))]
+        for _ in range(6):
+            rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            codes.append(LinearCode.from_rows(field, n, rows))
+        for code in codes:
+            H = code.parity_check
+            assert H.dtype == np.int64 and not H.flags.writeable
+            assert H.shape == (n - code.k, n)
+            assert np.array_equal(H, parity_check_by_loop(code)), code
 
 
 def test_is_elementary():

@@ -29,7 +29,7 @@ from cycperm.perm import (
     sylow_ascend,
     sylow_through_shift,
 )
-from oracles import block_system_through, hset_brute
+from oracles import _ReferenceChain, block_system_through, chain_state, hset_brute
 
 
 def test_permutation_basics():
@@ -175,84 +175,6 @@ def test_chain_agrees_with_sympy():
             assert set(chain.orbit[i]) == ref.pointwise_stabilizer(prefix[:i]).orbit(b), (gens, prefix)
 
 
-class _ReferenceChain:
-    """The plain deterministic Schreier-Sims, as the library ran it before
-    tree edges were skipped: every Schreier generator is built by two
-    compositions and sifted, and nothing stops early.  The library's chain
-    must equal it level by level."""
-
-    def __init__(self, n, prefix=()):
-        self.identity = tuple(range(n))
-        self.base, self.gens, self.orbit, self.trans, self.inv, self.checked = [], [], [], [], [], []
-        for b in prefix:
-            self._open(b)
-
-    def sift(self, g, start=0):
-        for i in range(start, len(self.base)):
-            ui = self.inv[i].get(g[self.base[i]])
-            if ui is None:
-                return g, i
-            g = tuple(ui[x] for x in g)
-        return g, len(self.base)
-
-    def add(self, g):
-        h, j = self.sift(g)
-        if h == self.identity:
-            return False
-        self._insert(h, 0, j)
-        level = j
-        while level >= 0:
-            found = self._schreier_residue(level)
-            if found is None:
-                level -= 1
-            else:
-                h, j = found
-                self._insert(h, level + 1, j)
-                level = j
-        return True
-
-    def _insert(self, h, first, last):
-        if last == len(self.base):
-            self._open(next(i for i, v in enumerate(h) if v != i))
-        for level in range(first, last + 1):
-            self.gens[level].append(h)
-            orbit, trans, inv = self.orbit[level], self.trans[level], self.inv[level]
-            for x in orbit:
-                u = trans[x]
-                for s in self.gens[level]:
-                    y = s[x]
-                    if y not in trans:
-                        trans[y] = v = tuple(s[i] for i in u)
-                        inv[y] = tuple(sorted(range(len(v)), key=v.__getitem__))
-                        orbit.append(y)
-
-    def _open(self, b):
-        self.base.append(b)
-        self.gens.append([])
-        self.orbit.append([b])
-        self.trans.append({b: self.identity})
-        self.inv.append({b: self.identity})
-        self.checked.append(set())
-
-    def _schreier_residue(self, level):
-        trans, inv, checked = self.trans[level], self.inv[level], self.checked[level]
-        for x in self.orbit[level]:
-            u = trans[x]
-            for si, s in enumerate(self.gens[level]):
-                if (x, si) in checked:
-                    continue
-                checked.add((x, si))
-                su = tuple(s[i] for i in u)
-                h, j = self.sift(tuple(inv[s[x]][i] for i in su), level + 1)
-                if h != self.identity:
-                    return h, j
-        return None
-
-
-def _chain_state(chain) -> tuple:
-    return chain.base, chain.orbit, chain.trans, chain.inv, chain.gens
-
-
 def _chain_cases():
     """(degree, generators, base prefix): the seeded groups, with and
     without their prefix; the discovered groups of the binary cyclic codes of
@@ -283,7 +205,7 @@ def test_chain_equals_the_plain_schreier_sims():
         chain, ref = perm.StabilizerChain(n, prefix), _ReferenceChain(n, prefix)
         for g in gens:
             assert chain.add(g.images) == ref.add(g.images), (n, gens, prefix)
-        assert _chain_state(chain) == _chain_state(ref), (n, gens, prefix)
+        assert chain_state(chain) == chain_state(ref), (n, gens, prefix)
         cases += 1
     assert cases == 120 + 8 + 16 + 2 * (2 + 4 + 2)
 
@@ -305,7 +227,7 @@ def test_from_rows_bound_is_the_order_test():
             ref = _ReferenceChain(n)
             for g in G.generators:
                 ref.add(g.images)
-            assert _chain_state(G.__dict__["_chain"]) == _chain_state(ref), (n, gens, b)
+            assert chain_state(G.__dict__["_chain"]) == chain_state(ref), (n, gens, b)
             assert G.order() == order
 
 
@@ -325,7 +247,7 @@ def test_from_rows_keeps_the_rows_that_extend_its_chain():
         fresh = perm.StabilizerChain(n)
         for g in G.generators:
             fresh.add(g.images)
-        assert _chain_state(G._chain) == _chain_state(fresh) == _chain_state(ref)
+        assert chain_state(G._chain) == chain_state(fresh) == chain_state(ref)
         cases += 1
     assert cases == 160
 
@@ -360,9 +282,9 @@ def test_bounded_chain_stops_before_the_full_chain(monkeypatch):
     sifts = []
     sift = perm.StabilizerChain.sift
 
-    def counted(self, g, start=0):
+    def counted(self, g, start=0, stop=None):
         sifts.append(start)
-        return sift(self, g, start)
+        return sift(self, g, start, stop)
     monkeypatch.setattr(perm.StabilizerChain, "sift", counted)
     groups = [known_cyclic_subgroup(c)[0] for c in enumerate_cyclic_codes(27, make_field(2))]
     big = [gens for gens in groups
