@@ -203,9 +203,8 @@ class LinearCode:
         """A parity-check matrix H, read-only (n-k, n), whose rows are the
         dual's basis read off the RREF: for each non-pivot column f, the
         word with 1 at f and minus column f of G at the pivots.  So
-        H[:, free] = I and H[:, pivots] = -G[:, free]^T, negated entrywise
-        mod p over GF(p) and through the difference table's row 0 - a
-        over GF(p^s)."""
+        H[:, free] = I and H[:, pivots] = -G[:, free]^T, negated mod p over
+        GF(p) and by row 0 of the difference table, 0 - a, over GF(p^s)."""
         n, k = self.n, self.k
         G = np.array(self.matrix, dtype=np.int64).reshape(k, n)
         free = np.ones(n, dtype=bool)

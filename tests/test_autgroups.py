@@ -387,7 +387,7 @@ def test_search_chain_equals_the_plain_schreier_sims(monkeypatch):
     for q, n in ((2, 7), (2, 9), (2, 15), (3, 8), (3, 13), (4, 9)):
         for code in enumerate_cyclic_codes(n, make_field(*prime_power(q))):
             lin = code.linear
-            if lin.k == 0 or is_elementary(lin):
+            if is_elementary(lin):
                 continue
             adds.clear()
             chain, _, _ = autgroups._search(lin, seeds=known_cyclic_subgroup(code)[0])
