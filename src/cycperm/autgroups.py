@@ -427,19 +427,33 @@ def _search(code: LinearCode, node_budget: float = inf, target: LinearCode | Non
             sup_at[i].append((si, terms[w[i]]))
 
     # greedy coordinate order without a target: most-constrained next
-    # (supports nearly covered); inside[si] counts the chosen points of word si
+    # (supports nearly covered); inside[si] counts the chosen points of word
+    # si, and near[x] and full[x] count the words on x with all but one
+    # point chosen and with some but fewer chosen, kept up to date as each
+    # point is chosen
     sizes = [len(S) for S in W]
     inside = [0] * len(W)
+    near, full = [0] * n, [0] * n
+
+    def count(si: int, sign: int) -> None:
+        c = inside[si]
+        tally = near if c == sizes[si] - 1 else full if 0 < c < sizes[si] - 1 else None
+        if tally is not None:
+            for y in W[si]:
+                tally[y] += sign
+
+    for si in range(len(W)):
+        count(si, 1)
     order: list[int] = [] if target is None else list(range(n))
-    while len(order) < n:
-        def gain(x: int) -> tuple[int, int, int]:
-            near = sum(1 for si, _ in sup_at[x] if inside[si] == sizes[si] - 1)
-            full = sum(1 for si, _ in sup_at[x] if 0 < inside[si] < sizes[si] - 1)
-            return (near, full, deg[x])
-        nxt = max((x for x in range(n) if x not in order), key=lambda x: (gain(x), -x))
+    free = set(range(n)) - set(order)
+    while free:
+        nxt = max(free, key=lambda x: (near[x], full[x], deg[x], -x))
         order.append(nxt)
+        free.discard(nxt)
         for si, _ in sup_at[nxt]:
+            count(si, -1)
             inside[si] += 1
+            count(si, 1)
 
     img = [-1] * n
     used = [False] * n

@@ -218,6 +218,12 @@ class LinearCode:
         return H
 
     @cached_property
+    def _shift_invariant(self) -> bool:
+        """Whether the cyclic shift maps the code onto itself, tested once
+        per code by maps_onto (is_shift_invariant reads it)."""
+        return bool(maps_onto(self, self, [Permutation.shift(self.n).images])[0])
+
+    @cached_property
     def _distances(self) -> dict[int, "DistanceResult"]:
         """min_distance's results, by budget."""
         return {}
@@ -391,7 +397,7 @@ def fixed_by(code: LinearCode, sigmas: Sequence[Permutation]) -> np.ndarray:
 
 
 def is_shift_invariant(code: LinearCode) -> bool:
-    return bool(maps_onto(code, code, [Permutation.shift(code.n).images])[0])
+    return code._shift_invariant
 
 
 @dataclass(frozen=True)
@@ -619,8 +625,11 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     keeps the least weight.  G is in RREF, so a codeword restricted to the
     pivot columns is its message, of weight t; _level_weight splits each
     word into a head and a tail and counts the n - k non-pivot columns
-    where -head and tail differ, one comparison per column.  Level 1 is the
-    rows of G, already in best.
+    where -head and tail differ, one comparison per column, in blocks of at
+    most 2^16 head-tail pairs, or 2^13 where a block spans the heads of
+    several positions: the sizes that ran fastest with caches flushed
+    before each level, as the benchmark flushes them between requests.
+    Level 1 is the rows of G, already in best.
 
     Theorem (information sets).  After levels 1..t, every codeword with at
     most t nonzeros on the pivots has been seen up to a scalar, so every
@@ -744,8 +753,10 @@ def _min_distance(code: LinearCode, budget: int) -> DistanceResult:
 
 # The cost of one elimination operation of a B subset in compared
 # coordinates of a Z word, the ratio of their times: the median over the
-# parameter table's codes that tools/calibrate_distance.py prints, 9.1-9.9
-# in five runs on a 2-core x86-64 (ratios per code from 2 to 40)
+# parameter table's codes that tools/calibrate_distance.py prints, 9.6-10.6
+# in four runs on a 2-core x86-64 (ratios per code from 5 to 40; 8.5-9.7
+# before the Z-levels lost their per-position loops, whose words cost 0.15
+# to 0.96 ns per coordinate against 0.12 to 0.37 now)
 _ELIMINATION_OP_COST = 10
 
 
@@ -804,6 +815,13 @@ def _level_words(code: LinearCode, t: int) -> Iterator[np.ndarray]:
         yield code._encode(digits[msgs].reshape(len(msgs), -1))
 
 
+# The most head-tail pairs _level_weight compares in one block: a run of
+# heads that spans positions takes at most _SPAN_PAIRS, and one that stays
+# at one position, or a single head, at most _BLOCK_PAIRS (see its docstring)
+_SPAN_PAIRS = 1 << 13
+_BLOCK_PAIRS = 1 << 16
+
+
 def _level_weight(code: LinearCode, t: int) -> int:
     """Z-level t: the least weight of its codewords, the sums of t rows of G
     at distinct positions with nonzero coefficients, the first one 1.
@@ -815,12 +833,25 @@ def _level_weight(code: LinearCode, t: int) -> int:
     coordinate of head + tail is zero exactly when the tail's entry there
     equals that of -head, so the weight is t plus the number of non-pivot
     columns where -head and tail differ: one comparison per column, no
-    product.  The partial sums are built one position at a time from
-    scaled_rows over GF(p), then read as field elements (for s > 1 two
-    entries are equal when all s digits are).  The -heads are sorted by
-    last position and the tails by first, so each group of heads pairs
-    with a suffix of the tails; they are compared in blocks of at most
-    2^16 words, and a is chosen to list the fewest heads and tails."""
+    product.  The partial sums are built from scaled_rows over GF(p) by
+    _extend, one gather per term, then read as field elements (for s > 1
+    two entries are equal when all s digits are); a is chosen to list the
+    fewest heads and tails.
+
+    The -heads are sorted by last position and the tails by first, so the
+    heads ending at j pair with the suffix of tails that start after j.
+    One loop walks runs of consecutive heads, each compared with the suffix
+    of its first head, which holds the suffix of every later one.  A run
+    that would reach _SPAN_PAIRS pairs before its first head's position
+    ends stays at that position and grows to at most _BLOCK_PAIRS pairs
+    (one head against at most _BLOCK_PAIRS tails at a time); any other run
+    spans positions and stops at _SPAN_PAIRS pairs, and its pairs whose
+    tail starts at or before the head's last position are masked out.  The
+    two caps were measured with caches flushed before each level, as the
+    benchmark flushes them around every request (tools/time_levels.py):
+    small blocks of many short positions stay in cache, while a long
+    position, such as those of the 62.3M-word GF(13) [29,15] level 5, runs
+    faster in large blocks."""
     F, n, k = code.field, code.n, code.k
     p, q = F.characteristic, F.order
     scaled = code.scaled_rows
@@ -831,40 +862,56 @@ def _level_weight(code: LinearCode, t: int) -> int:
     last, first = np.array([-1]), np.array([k])
     for i in range(1, a + 1):       # the i-th term sits at i - 1 .. k - 1 - (t - i)
         terms = negated[:, 1:2] if i == 1 else negated[:, 1:]
-        heads, last = _extend(heads, last, terms, range(i - 1, k - t + i), p, after=True)
+        heads, last = _extend(heads, last, terms, np.arange(i - 1, k - t + i), p, after=True)
     for i in range(1, t - a + 1):   # the i-th last term sits at t - i .. k - i
-        tails, first = _extend(tails, first, scaled[:, 1:], range(t - i, k - i + 1), p, after=False)
+        tails, first = _extend(tails, first, scaled[:, 1:], np.arange(t - i, k - i + 1), p,
+                               after=False)
     heads = _elements(F, heads).T.copy()      # one row per coordinate
     tails = _elements(F, tails).T.copy()
-    chunk = 1 << 16
-    best = n - k
-    starts = np.searchsorted(last, np.arange(k + 1))
-    for j in range(k):              # the heads ending at j, the tails after j
-        after = int(np.searchsorted(first, j, "right"))
-        rows, stop = max(1, chunk // max(1, len(first) - after)), starts[j + 1]
-        for h in range(starts[j], stop, rows):
-            for u in range(after, len(first), chunk):
-                differ = heads[:, h:min(h + rows, stop), None] != tails[:, None, u:u + chunk]
-                best = min(best, int(differ.sum(axis=0, dtype=np.min_scalar_type(n)).min()))
+    dtype = np.min_scalar_type(n)
+    ends = np.searchsorted(last, np.arange(k), "right").tolist()     # heads ending at <= j
+    after = np.searchsorted(first, np.arange(k), "right").tolist()   # tails starting <= j
+    best, h, total = n - k, 0, len(last)
+    while h < total:
+        j = int(last[h])
+        u, width, stop = after[j], len(first) - after[j], ends[j]
+        end = h + max(1, _SPAN_PAIRS // width)
+        spans = end > stop and stop < total
+        end = min(end, total) if spans else min(h + max(1, _BLOCK_PAIRS // width), stop)
+        for v in range(u, len(first), _BLOCK_PAIRS):
+            w = min(v + _BLOCK_PAIRS, len(first))
+            differ = (heads[:, h:end, None] != tails[:, None, v:w]).sum(axis=0, dtype=dtype)
+            if spans:
+                differ[first[v:w] <= last[h:end, None]] = n
+            best = min(best, int(differ.min()))
+        h = end
     return t + best
 
 
-def _extend(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray, positions: Iterable[int],
+def _extend(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray, positions: np.ndarray,
             p: int, after: bool) -> tuple[np.ndarray, np.ndarray]:
     """Partial sums one term longer: for each position j, every sum whose
     key is below j (`after`: j comes after its last position) or above j
     (j comes before its first), plus each row of terms[j].  The sums are
     digit rows over GF(p) sorted by key; the result is keyed and sorted by
-    j."""
-    out, out_keys = [], []
-    for j in positions:
-        cut = np.searchsorted(keys, j, "left" if after else "right")
-        part = sums[:cut] if after else sums[cut:]
-        grown = part[None] + terms[j][:, None]
-        grown %= p
-        out.append(grown.reshape(-1, sums.shape[1]))
-        out_keys.append(np.full(len(out[-1]), j))
-    return np.concatenate(out), np.concatenate(out_keys)
+    j, and within j by row of terms[j].  All positions take one gather:
+    the block of (j, row c) holds the sums[:cut_j] (`after`) or
+    sums[cut_j:], so its i-th entry is sum number i, or cut_j + i.  Both
+    digits are below p, and the unsigned type holds their sum, so a
+    subtraction that wraps reduces it mod p without a division."""
+    r = terms.shape[1]
+    cuts = keys.searchsorted(positions, "left" if after else "right")
+    sizes = (cuts if after else len(keys) - cuts).repeat(r)         # per block (j, c)
+    block = np.arange(len(sizes)).repeat(sizes)
+    offset = sizes - sizes.cumsum()         # minus the output index of the block's start
+    if not after:
+        offset += cuts.repeat(r)
+    src = offset[block]
+    src += np.arange(len(block))
+    out = sums[src]
+    out += terms[positions].reshape(-1, sums.shape[1])[block]
+    np.minimum(out, out - p, out=out)       # mod p: below p, out - p wraps above out
+    return out, positions[block // r]
 
 
 def _first_rows(blocks: Iterable[np.ndarray], rows: int) -> Iterator[np.ndarray]:

@@ -1,5 +1,7 @@
 """Exhaustive S_n oracles, direct constructions and the plain versions of
 optimised routines, shared by the tests."""
+from math import comb
+
 import numpy as np
 
 from cycperm.algebra import (
@@ -13,6 +15,7 @@ from cycperm.algebra import (
     units,
     x_pow_minus_one,
 )
+from cycperm.codes import _elements
 from cycperm.perm import BlockSystem, PermGroup, Permutation, conjugation_scan
 
 
@@ -223,3 +226,55 @@ def lowest_irreducible_unfiltered(p: int, s: int) -> tuple[int, ...]:
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError(f"no irreducible of degree {s} over GF({p})")
+
+
+def level_weight_by_position(code, t: int) -> int:
+    """Z-level t of a LinearCode, the least weight of the sums of t rows of
+    G at distinct positions with nonzero coefficients, the first one 1,
+    from heads and tails built and compared one position at a time: the
+    partial sums of each position in their own numpy round, and the heads
+    that end at each position j against the tails that start after it, in
+    blocks of at most 2^16 words.  The oracle for codes._level_weight."""
+    F, n, k = code.field, code.n, code.k
+    p, q = F.characteristic, F.order
+    scaled = code.scaled_rows
+    a = min(range(1, t + 1), key=lambda a: comb(k - t + a, a) * (q - 1) ** (a - 1)
+            + comb(k - a, t - a) * (q - 1) ** (t - a))
+    negated = (p - scaled) % p
+    heads = tails = np.zeros((1, scaled.shape[2]), dtype=scaled.dtype)
+    last, first = np.array([-1]), np.array([k])
+    for i in range(1, a + 1):       # the i-th term sits at i - 1 .. k - 1 - (t - i)
+        terms = negated[:, 1:2] if i == 1 else negated[:, 1:]
+        heads, last = _extend_by_position(heads, last, terms, range(i - 1, k - t + i), p, True)
+    for i in range(1, t - a + 1):   # the i-th last term sits at t - i .. k - i
+        tails, first = _extend_by_position(tails, first, scaled[:, 1:], range(t - i, k - i + 1),
+                                           p, False)
+    heads = _elements(F, heads).T.copy()      # one row per coordinate
+    tails = _elements(F, tails).T.copy()
+    chunk = 1 << 16
+    best = n - k
+    starts = np.searchsorted(last, np.arange(k + 1))
+    for j in range(k):              # the heads ending at j, the tails after j
+        after = int(np.searchsorted(first, j, "right"))
+        rows, stop = max(1, chunk // max(1, len(first) - after)), starts[j + 1]
+        for h in range(starts[j], stop, rows):
+            for u in range(after, len(first), chunk):
+                differ = heads[:, h:min(h + rows, stop), None] != tails[:, None, u:u + chunk]
+                best = min(best, int(differ.sum(axis=0, dtype=np.min_scalar_type(n)).min()))
+    return t + best
+
+
+def _extend_by_position(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray, positions,
+                        p: int, after: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums one term longer, one numpy round per position j: every
+    sum whose key is below j (`after`) or above j, plus each row of
+    terms[j], keyed and sorted by j."""
+    out, out_keys = [], []
+    for j in positions:
+        cut = np.searchsorted(keys, j, "left" if after else "right")
+        part = sums[:cut] if after else sums[cut:]
+        grown = part[None] + terms[j][:, None]
+        grown %= p
+        out.append(grown.reshape(-1, sums.shape[1]))
+        out_keys.append(np.full(len(out[-1]), j))
+    return np.concatenate(out), np.concatenate(out_keys)

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from functools import lru_cache
 from math import comb, gcd
 
 import numpy as np
@@ -34,7 +35,7 @@ from cycperm.codes import (
 from cycperm.codes import _eliminate, _level_weight, _level_words, _rank_step
 from cycperm.perm import Permutation
 from cycperm.verification import BATTERY_DISTANCE_BUDGET
-from oracles import idempotent_by_euclid, parity_check_by_loop
+from oracles import idempotent_by_euclid, level_weight_by_position, parity_check_by_loop
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -608,23 +609,47 @@ def _encoded_level_weight(code: LinearCode, t: int) -> int:
     return min(int(np.count_nonzero(block, axis=1).min()) for block in _level_words(code, t))
 
 
-def test_level_weight_matches_encoded_words():
-    # every level of at most 50,000 words, on cyclic codes and on their
-    # images under (0 1), whose RREFs are not those of a cyclic code
-    levels = set()
+@lru_cache(maxsize=None)
+def _level_cases() -> tuple:
+    """(code, t, q, words, weight) for every Z-level of at most 50,000
+    words, on cyclic codes and on their images under (0 1), whose RREFs are
+    not those of a cyclic code; the weight by _encoded_level_weight."""
+    cases = []
     for field, n in [(GF2, 15), (GF3, 13), (GF4, 9), (GF8, 7), (GF9, 10), (GF13, 17)]:
         q = field.order
         for c in enumerate_cyclic_codes(n, field):
             if c.k in (0, n):
                 continue
             for lin in (c.linear, permute_code(c.linear, _swap01(n))):
-                k = lin.k
-                for t in range(1, k + 1):
-                    if comb(k, t) * (q - 1) ** (t - 1) <= 50_000:
-                        assert _level_weight(lin, t) == _encoded_level_weight(lin, t), (lin, t)
-                        levels.add((q, 2 * t > k, t == k))
+                for t in range(1, lin.k + 1):
+                    words = comb(lin.k, t) * (q - 1) ** (t - 1)
+                    if words <= 50_000:
+                        cases.append((lin, t, q, words, _encoded_level_weight(lin, t)))
+    return tuple(cases)
+
+
+def test_level_weight_matches_encoded_words():
+    levels = set()
+    for lin, t, q, _, weight in _level_cases():
+        assert _level_weight(lin, t) == weight, (lin, t)
+        levels.add((q, 2 * t > lin.k, t == lin.k))
     assert {(q, True, True) for q in (2, 3, 4, 8, 9, 13)} <= levels
     assert {(q, True, False) for q in (2, 3, 4, 8, 9, 13)} <= levels
+
+
+def test_level_weight_in_small_blocks(monkeypatch):
+    # blocks of 97 pairs on every level, and of 5 on the levels of at most
+    # 2,000 words: in both, runs span positions (2,554 and 818 of them), a
+    # position is split over several runs, and the tails of one head over
+    # several blocks
+    for lin, t, _, _, weight in _level_cases():
+        assert level_weight_by_position(lin, t) == weight, (lin, t)
+    for pairs, most in ((97, 50_000), (5, 2_000)):
+        monkeypatch.setattr(codes, "_SPAN_PAIRS", pairs)
+        monkeypatch.setattr(codes, "_BLOCK_PAIRS", pairs)
+        for lin, t, _, words, weight in _level_cases():
+            if words <= most:
+                assert _level_weight(lin, t) == weight, (lin, t, pairs)
 
 
 def _rank_steps_alone(code: LinearCode) -> int:
