@@ -753,10 +753,11 @@ def _min_distance(code: LinearCode, budget: int) -> DistanceResult:
 
 # The cost of one elimination operation of a B subset in compared
 # coordinates of a Z word, the ratio of their times: the median over the
-# parameter table's codes that tools/calibrate_distance.py prints, 9.6-10.6
-# in four runs on a 2-core x86-64 (ratios per code from 5 to 40; 8.5-9.7
-# before the Z-levels lost their per-position loops, whose words cost 0.15
-# to 0.96 ns per coordinate against 0.12 to 0.37 now)
+# parameter table's codes that tools/calibrate_distance.py prints, 9.6-11.3
+# in eight runs on a 2-core x86-64 (ratios per code from 5 to 40).  It was
+# 7.8-9.7 while the Z-levels looped over positions, at 0.15-0.96 ns per
+# compared coordinate against 0.12-0.40 now; 10 is kept, since another
+# value could move the partial intervals
 _ELIMINATION_OP_COST = 10
 
 

@@ -11,9 +11,9 @@ records the levels min_distance takes at the workload's budget, and times
 each distinct (q, n, k, level) on the first code that takes it, REPEAT
 times two ways: warm, after one untimed call, and cold, after a pass over
 an 8 MB array before every call, as the benchmark's worker makes between
-requests (perfbench/worker.py, speed_probe).  It prints the words of each
-level with the median ms and ns per word of both ways, then the totals
-over the workload's levels.
+requests (perfbench/worker.py, speed_probe).  It prints, for each level,
+the number of workload codes that take it, its words, and the median ms
+and ns per word of both ways, then the totals over the workload's levels.
 """
 from __future__ import annotations
 
