@@ -99,13 +99,19 @@ def multipliers_onto(c1: CyclicCode, c2: CyclicCode) -> list[int]:
     """The units a of Z_n, ascending, whose multiplier M_a: i -> a i maps c1
     onto c2, that is those with a . D(c2) = D(c1).
 
-    The answer is read off the defining sets and checked, for every unit,
-    against one maps_onto batch of the matrix test; a RuntimeError names
-    each unit on which the two disagree, in either direction.
+    The answer is read off the defining sets: a unit permutes Z_n, so
+    a . D(c2) = D(c1) iff |D(c1)| = |D(c2)| and a . D(c2) lies inside D(c1),
+    one gather of D(c1)'s indicator for all units at once.  It is checked,
+    for every unit, against one maps_onto batch of the matrix test; a
+    RuntimeError names each unit on which the two disagree, in either
+    direction.
     """
     n, ds1, ds2 = c1.n, c1.defining_set, c2.defining_set
     candidates = units(n)
-    by_set = [frozenset(a * i % n for i in ds2) == ds1 for a in candidates]
+    inside1 = np.zeros(n, dtype=bool)
+    inside1[list(ds1)] = True
+    d2 = np.array(sorted(ds2), dtype=np.int64)
+    by_set = (len(ds1) == len(d2)) & inside1[np.outer(candidates, d2) % n].all(axis=1)
     by_matrix = maps_onto(c1.linear, c2.linear, np.outer(candidates, range(n)) % n)
     wrong = [f"multiplier {a} failed the {'matrix' if hit else 'defining-set'} test"
              for a, hit, fixed in zip(candidates, by_set, by_matrix) if hit != fixed]

@@ -20,22 +20,24 @@ maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once:
 one stacked product for a small batch, a reduction over the survivors for
 a large one), which every witness scan and every leaf of the search calls,
 and the one message-to-codeword product behind codeword_chunks, the level
-listing _level_words and fixed_by.  The Brouwer-Zimmermann levels of
+listing _level_words and reencodes_onto.  The Brouwer-Zimmermann levels of
 min_distance need no product: they add scaled rows of G digit by digit and
 compare partial sums on the non-pivot columns.  min_weight_words lists one
 minimum-weight word per support from the levels, given the exact distance,
 with the window theorem of _has_windows that also gives min_distance its
-cyclic bound.  permute_code is the public transform and the independent
-check of every reported witness; fixed_by checks a batch of reported
-automorphism generators from G alone, by re-encoding each permuted row from
-its values on the pivots.
+cyclic bound.  permute_code is the public transform.  Every map the library
+reports, a witness of equivalence or an automorphism generator, is checked
+again by reencodes_onto, which reads G1 and G2 alone, never H: it
+re-encodes each permuted row of G1 from its values on the pivots of C2 and
+runs no elimination.  fixed_by is its case C2 = C1.
 
-Every Gaussian elimination is one routine, _eliminate, run on a batch of
-matrices over GF(q) at once: the RREF that identifies a code (from_rows,
-permute_code, dual) is a batch of one, and each rank step of min_distance
-is a batch of column subsets.  A cyclic code needs none: CyclicCode.linear
-writes its RREF in closed form.  GF(p) multiplies mod p; GF(p^s) looks
-products and differences up in q x q tables.
+Two routines eliminate over GF(q).  rref, one Gauss-Jordan pass over a
+single matrix, gives the RREF that identifies a code (from_rows,
+permute_code, dual).  _eliminate, a forward pass over a batch of matrices
+at once, runs each rank step of min_distance on a batch of column subsets.
+A cyclic code needs neither: CyclicCode.linear writes its RREF in closed
+form.  GF(p) multiplies mod p; GF(p^s) looks products and differences up in
+q x q tables.
 """
 from __future__ import annotations
 
@@ -130,7 +132,8 @@ def _eliminate(M: np.ndarray, field: Field) -> tuple[np.ndarray, np.ndarray]:
     row i is scaled so that its first nonzero entry, its pivot, is 1, and
     its pivot column is cleared in the rows below it.  Returns the reduced
     copy of M and the (B, r) pivot columns, -1 for a row that is zero when
-    its turn comes, that is a row dependent on the rows above it.
+    its turn comes, that is a row dependent on the rows above it.  The rank
+    steps of min_distance run it on batches of column subsets.
 
     Each pivot column is zero in every later row, so the first nonzero of
     a row is never in a column already used.  A zero row is scaled by
@@ -156,18 +159,42 @@ def _eliminate(M: np.ndarray, field: Field) -> tuple[np.ndarray, np.ndarray]:
 def rref(rows: Sequence[Sequence[int]] | np.ndarray, field: Field) -> tuple[tuple[int, ...], ...]:
     """Reduced row-echelon form over `field`; zero rows dropped.  The result is
     the unique canonical basis of the row space, so it doubles as a code id.
-    It is _eliminate on a batch of one, with the nonzero rows sorted by
-    pivot and each pivot column then cleared in the rows above."""
+
+    One Gauss-Jordan pass over the rows in their given order: a row that is
+    not zero when its turn comes is scaled, only when its first nonzero
+    entry, its lead, is not 1 already, and its lead column is cleared in
+    the other rows where it is nonzero; the rows kept are then sorted by
+    lead column.  A row's lead never moves after its turn: a later lead
+    column left of it is zero in that row, since its lead is its first
+    nonzero, and one right of it is cleared with a row that is zero up to
+    there, and zero in this row's lead column too, which was cleared
+    earlier.  So each lead column ends as a unit column, and the sorted
+    rows are the RREF."""
     M = np.asarray(rows)
     if not M.size:
         return ()
-    R, pivots = _eliminate(M[None], field)
-    order = np.argsort(pivots[0])
-    order = order[pivots[0, order] >= 0]
-    R, cols = R[0, order], pivots[0, order]
-    for i in range(len(cols) - 1, 0, -1):
-        _subtract(R[:i], R[:i, cols[i], None], R[i], field)
-    return tuple(map(tuple, R.tolist()))
+    inv, mul, _ = _tables(field)
+    R = M.astype(inv.dtype)
+    leads = {}                                      # lead column -> row
+    for i, row in enumerate(R):
+        nonzero = row.nonzero()[0]
+        if not nonzero.size:
+            continue
+        c = nonzero[0]
+        if row[c] != 1:
+            if mul is None:
+                row *= inv[row[c]]
+                row %= field.characteristic
+            else:
+                row[...] = mul[inv[row[c]], row]
+        hit = R[:, c].nonzero()[0]
+        if hit.size > 1:
+            hit = hit[hit != i]
+            block = R[hit]
+            _subtract(block, block[:, c, None], row, field)
+            R[hit] = block
+        leads[c] = i
+    return tuple(map(tuple, R[[leads[c] for c in sorted(leads)]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -190,6 +217,13 @@ class LinearCode:
         return len(self.matrix)
 
     @cached_property
+    def generator(self) -> np.ndarray:
+        """The RREF generator matrix G, read-only (k, n) int64."""
+        G = np.array(self.matrix, dtype=np.int64).reshape(self.k, self.n)
+        G.flags.writeable = False
+        return G
+
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
         """The pivot column of each row of the RREF."""
         return tuple(next(j for j, v in enumerate(row) if v) for row in self.matrix)
@@ -206,7 +240,7 @@ class LinearCode:
         H[:, free] = I and H[:, pivots] = -G[:, free]^T, negated mod p over
         GF(p) and by row 0 of the difference table, 0 - a, over GF(p^s)."""
         n, k = self.n, self.k
-        G = np.array(self.matrix, dtype=np.int64).reshape(k, n)
+        G = self.generator
         free = np.ones(n, dtype=bool)
         free[list(self.pivots)] = False
         _, _, sub = _tables(self.field)
@@ -258,7 +292,7 @@ class LinearCode:
         the s x s block of multiplication by it, so digits(m G) =
         digits(m) @ expanded_generator mod p.  Rows 0, s, 2s, ... are the
         digit vectors of the rows of G."""
-        return _expand(self.field, np.array(self.matrix, dtype=np.int64).reshape(self.k, self.n))
+        return _expand(self.field, self.generator)
 
     @cached_property
     def scaled_rows(self) -> np.ndarray:
@@ -371,29 +405,40 @@ def maps_onto(c1: LinearCode, c2: LinearCode,
 def permute_code(code: LinearCode, sigma: Permutation) -> LinearCode:
     if sigma.degree != code.n:
         raise ValueError(f"permutation degree {sigma.degree} != code length {code.n}")
-    M = np.array(code.matrix, dtype=np.int64).reshape(code.k, code.n)
-    return LinearCode(code.field, code.n, rref(M[:, list(sigma.inverse().images)], code.field))
+    return LinearCode(code.field, code.n,
+                      rref(code.generator[:, list(sigma.inverse().images)], code.field))
+
+
+def reencodes_onto(c1: LinearCode, c2: LinearCode, sigmas: Sequence[Permutation]) -> np.ndarray:
+    """Entry b says whether sigmas[b] maps c1 onto c2, as
+    permute_code(c1, sigmas[b]) == c2 does for two codes over one field.  It
+    reads G1 and G2 alone, never H, so it checks the findings of maps_onto,
+    whose test is G1 H2[:, sigma]^T = 0, independently.  Each row of G1,
+    with its columns permuted by sigmas[b]^-1, is re-encoded from its values
+    on the pivot columns of c2 (G2 is in RREF, so a word lies in c2 iff it
+    is the encoding of its values there) and compared with itself.  With
+    k1 = k2, which is tested first, sigmas[b] maps c1 onto c2 iff every
+    permuted row lies in c2, since the permuted rows span a code of
+    dimension k1."""
+    k, n = c1.k, c1.n
+    if c2.n != n or any(s.degree != n for s in sigmas):
+        raise ValueError(f"permutation degrees and code lengths {n}, {c2.n} must agree")
+    if k != c2.k:
+        return np.zeros(len(sigmas), dtype=bool)
+    if not (k and len(sigmas)):
+        return np.ones(len(sigmas), dtype=bool)
+    inverses = np.array([s.inverse().images for s in sigmas], dtype=np.int64)
+    rows = c1.generator[:, inverses].transpose(1, 0, 2).reshape(-1, n)     # (B*k, n)
+    digits = multiplication_matrices(c1.field)[:, 0]               # row v: digits of v
+    messages = digits[rows[:, list(c2.pivots)]].reshape(len(rows), -1)
+    same = (c2._encode(messages) == rows).all(axis=1)
+    return same.reshape(len(sigmas), k).all(axis=1)
 
 
 def fixed_by(code: LinearCode, sigmas: Sequence[Permutation]) -> np.ndarray:
-    """Entry b says whether sigmas[b] maps the code onto itself, as
-    permute_code(code, sigmas[b]) == code does.  It reads G alone, never H,
-    so it checks the findings of maps_onto, whose test is G H^T = 0,
-    independently.  Each row of G, with its columns permuted by
-    sigmas[b]^-1, is re-encoded from its values on the pivot columns (G is
-    in RREF, so a codeword is the encoding of its values there) and
-    compared with itself: sigmas[b] fixes the code iff every permuted row
-    lies in it, since the permuted rows span a code of the same dimension."""
-    k, n = code.k, code.n
-    if not (k and len(sigmas)):
-        return np.ones(len(sigmas), dtype=bool)
-    G = np.array(code.matrix, dtype=np.int64)
-    inverses = np.array([s.inverse().images for s in sigmas], dtype=np.int64)
-    rows = G[:, inverses].transpose(1, 0, 2).reshape(-1, n)        # (B*k, n)
-    digits = multiplication_matrices(code.field)[:, 0]             # row v: digits of v
-    messages = digits[rows[:, list(code.pivots)]].reshape(len(rows), -1)
-    same = (code._encode(messages) == rows).all(axis=1)
-    return same.reshape(len(sigmas), k).all(axis=1)
+    """Entry b says whether sigmas[b] maps the code onto itself:
+    reencodes_onto with the code as its own target."""
+    return reencodes_onto(code, code, sigmas)
 
 
 def is_shift_invariant(code: LinearCode) -> bool:

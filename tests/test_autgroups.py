@@ -630,8 +630,8 @@ def test_report_invariants():
 
 
 def test_multipliers_onto_matches_permute_code():
-    # every same-dimension pair: the units a with M_a mapping c1 onto c2,
-    # by the defining sets, are those permute_code finds
+    # every pair, of one dimension or not: the units a with M_a mapping c1
+    # onto c2, by the defining sets, are those permute_code finds
     from cycperm.algebra import units
     from cycperm.autgroups import multipliers_onto
     for q, n in ((GF2, 15), (make_field(3), 8), (make_field(2, 2), 9)):
@@ -640,9 +640,8 @@ def test_multipliers_onto_matches_permute_code():
                   for c in codes for a in units(n)}
         for c1 in codes:
             for c2 in codes:
-                if c1.k == c2.k:
-                    expect = [a for a in units(n) if images[c1, a] == c2.linear]
-                    assert multipliers_onto(c1, c2) == expect
+                expect = [a for a in units(n) if images[c1, a] == c2.linear]
+                assert multipliers_onto(c1, c2) == expect
 
 
 def test_multiplier_scan_checks_every_unit(monkeypatch):

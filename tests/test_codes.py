@@ -29,6 +29,7 @@ from cycperm.codes import (
     maps_onto,
     min_distance,
     permute_code,
+    reencodes_onto,
     rref,
     weight_profile,
 )
@@ -112,12 +113,15 @@ def _combination(field, rng, rows):
     return out
 
 
-@pytest.mark.parametrize("field", [GF2, GF3, GF4, GF8, GF9, GF13, make_field(257),
-                                   make_field(65537)], ids=repr)
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, make_field(5), GF8, GF9, GF11, GF13,
+                                   make_field(257), make_field(65537)], ids=repr)
 def test_rref_matches_python_oracle(field):
+    # rref's one pass scales a row only when its lead is not 1: over every
+    # field but GF(2) some drawn rows have leads other than 1
     rng = random.Random(field.order)
     q = field.order
     assert rref([], field) == _python_rref([], field) == ()
+    leads = Counter()
     # a single row, square, wide, and more rows than columns
     for r, c in [(1, 6), (4, 4), (5, 9), (9, 4), (7, 12)]:
         for _ in range(8):
@@ -130,6 +134,8 @@ def test_rref_matches_python_oracle(field):
             if r > 2:
                 rows[-1] = _combination(field, rng, rows[:2])      # a dependent row
             assert rref(rows, field) == _python_rref(rows, field), rows
+            leads.update(next((v for v in row if v), 0) for row in rows)
+    assert leads[0] and (q == 2 or set(leads) - {0, 1})
 
 
 @pytest.mark.parametrize("code", [
@@ -269,6 +275,8 @@ def test_maps_onto_agrees_with_permute_code(field, n):
         sigmas = shuffled + affine
         mask = maps_onto(c1, c2, [g.images for g in sigmas])
         assert mask.tolist() == [permute_code(c1, g) == c2 for g in sigmas]
+        # the re-encoding check, which reads no parity check, decides the same
+        assert reencodes_onto(c1, c2, sigmas).tolist() == mask.tolist()
         for i, g in enumerate(shuffled):
             assert maps_onto(c1, c2, [g.images])[0] == mask[i]
 
@@ -281,6 +289,9 @@ def test_maps_onto_empty_batch():
         out = maps_onto(lin, lin, empty)
         assert out.dtype == bool and out.shape == (0,)
     assert fixed_by(lin, []).shape == (0,)
+    assert reencodes_onto(lin, lin, []).shape == (0,)
+    with pytest.raises(ValueError):
+        reencodes_onto(lin, lin, [Permutation.identity(6)])
 
 
 @pytest.mark.parametrize("field, n", [(GF2, 15), (GF3, 13), (GF4, 9), (GF8, 7), (GF11, 10)])
@@ -548,7 +559,9 @@ def test_fixed_by_agrees_with_permute_code(field, n):
     # among them, its image under (0 1), which is not shift-invariant, and
     # its image under a random permutation, whose pivots are often not
     # 0..k-1; under the identity, the shift, every multiplier, a
-    # transposition and 20 random permutations
+    # transposition and 20 random permutations.  The re-encoding check
+    # from the code onto each image, and onto a code of another dimension,
+    # decides as permute_code does
     rng = random.Random(n)
     def shuffled() -> Permutation:
         images = list(range(n))
@@ -557,6 +570,8 @@ def test_fixed_by_agrees_with_permute_code(field, n):
     sigmas = [Permutation.identity(n), Permutation.shift(n), _swap01(n)]
     sigmas += [Permutation.multiplier(n, a) for a in range(2, n) if gcd(a, n) == 1]
     dims, moved_pivots = set(), 0
+    cyclic = [c.linear for c in enumerate_cyclic_codes(n, field)]
+    other_dimension = {c.k: next(d for d in cyclic if d.k != c.k) for c in cyclic}
     for code in enumerate_cyclic_codes(n, field):
         lin = code.linear
         dims.add(lin.k)
@@ -565,6 +580,10 @@ def test_fixed_by_agrees_with_permute_code(field, n):
             tests = sigmas + [shuffled() for _ in range(20)]
             assert fixed_by(image, tests).tolist() == [permute_code(image, g) == image for g in tests]
             assert fixed_by(image, []).shape == (0,)
+            assert reencodes_onto(lin, image, tests).tolist() \
+                == [permute_code(lin, g) == image for g in tests]
+            other = other_dimension[lin.k]
+            assert reencodes_onto(lin, other, tests).tolist() == [False] * len(tests)
     assert {0, n} <= dims and moved_pivots >= 5
 
 

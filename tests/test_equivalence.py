@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import factorial
 
 import numpy as np
@@ -946,3 +947,20 @@ def test_witness_scan_of_one_row_and_of_none():
     assert witness_scan(c1, c2, np.empty((0, 7), dtype=np.int64)) is None
     assert brute_equivalence(c1, c2) == witness_scan(c1, c2, np.array(
         [brute_equivalence(c1, c2).images]))
+
+
+def test_witness_scan_raises_when_the_two_tests_disagree(monkeypatch):
+    # the first row that maps_onto passes is checked by re-encoding: when it
+    # does not map c1 onto c2 the RuntimeError names it, even when a true
+    # witness follows it in the block
+    c1 = cyclic_code(7, GF2, {1, 2, 4}).linear
+    tau = Permutation.affine(7, 3, 1)
+    c2 = permute_code(c1, tau)
+    wrong = Permutation((1, 0, 2, 3, 4, 5, 6))
+    assert permute_code(c1, wrong) != c2 == permute_code(c1, tau)
+    monkeypatch.setattr(equivalence, "maps_onto",
+                        lambda a, b, images: np.ones(len(images), dtype=bool))
+    for rows in ([wrong.images], [wrong.images, tau.images]):
+        with pytest.raises(RuntimeError, match=r"disagree on " + re.escape(repr(wrong))):
+            witness_scan(c1, c2, np.array(rows))
+    assert witness_scan(c1, c2, np.array([tau.images, wrong.images])) == tau

@@ -14,7 +14,7 @@ Kaloujnine's W_T fixes (HP decides them by the D scan) and of the rest.
 Whether W_T fixes a code is tested outside the timed call, on codes of
 their own; each timed pair's codes are built fresh, so its time includes
 their generator and parity matrices.  A complete verdict on a distinct pair
-is a certified answer: a witness confirmed by permute_code inside a set
+is a certified answer: a witness confirmed by re-encoding inside a set
 proved to hold one whenever one exists, or an inequivalence proved the same
 way.
 """
