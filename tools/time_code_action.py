@@ -54,6 +54,7 @@ from cycperm.codes import (  # noqa: E402
     LinearCode,
     cyclic_code,
     maps_onto,
+    permute_code,
     reencodes_onto,
     rref,
 )
@@ -121,8 +122,8 @@ def single_maps():
     qc, qc_image, _ = interleaved_qc()
     for name, code in (("GF(2) [27,24] witness", gf2), ("GF(4) [9,4] witness", gf4)):
         sigma = Permutation.affine(code.n, 2, 1)
-        permuted = np.array(code.matrix)[:, list(sigma.inverse().images)]
-        yield name, code, LinearCode(code.field, code.n, rref(permuted, code.field)), sigma, permuted
+        permuted = code.generator[:, list(sigma.inverse().images)]
+        yield name, code, permute_code(code, sigma), sigma, permuted
     yield ("Hamming [15,11] M_2 and dual", hamming, hamming, Permutation.multiplier(15, 2),
            hamming.parity_check)
     yield "GF(3) qc n=15 rows", qc, qc_image, Permutation.affine(15, 2, 1), \
