@@ -132,9 +132,12 @@ def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
     return r
 
 
-def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
+@lru_cache(maxsize=None)
+def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Rabin test for a monic polynomial over Z_p: f of degree s is irreducible
-    iff x^(p^s) = x mod f and gcd(f, x^(p^(s/r)) - x) = 1 for every prime r | s."""
+    iff x^(p^s) = x mod f and gcd(f, x^(p^(s/r)) - x) = 1 for every prime r | s.
+    Kept per coefficient tuple, so the modulus make_field finds with it is a
+    cache hit when Field checks it again."""
     s = len(coeffs) - 1
     if s < 1:
         return False
@@ -297,9 +300,9 @@ def _lowest_irreducible(p: int, s: int) -> tuple[int, ...]:
         for _ in range(s):
             v, d = divmod(v, p)
             coeffs.append(d)
-        coeffs.append(1)
+        coeffs = (*coeffs, 1)
         if (s == 1 or not _has_root(coeffs, p)) and _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+            return coeffs
     raise RuntimeError(f"no irreducible of degree {s} over GF({p})")  # unreachable
 
 

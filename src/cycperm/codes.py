@@ -19,10 +19,15 @@ p, and s = 1 is plain prime-field arithmetic.  On that rest the batched test
 maps_onto (does sigma map C1 onto C2, for a whole array of sigmas at once:
 one stacked product for a small batch, a reduction over the survivors for
 a large one), which every witness scan and every leaf of the search calls,
-and the one message-to-codeword product behind codeword_chunks, the level
-listing _level_words and reencodes_onto.  The Brouwer-Zimmermann levels of
-min_distance need no product: they add scaled rows of G digit by digit and
-compare partial sums on the non-pivot columns.  min_weight_words lists one
+and the one message-to-codeword product behind the level listing
+_level_words and reencodes_onto.  The library walks codewords two ways,
+both by Z-levels (messages of weight t, first nonzero entry 1), and never
+lists all q^k words: _level_words encodes actual words, for
+min_weight_words, and _level_blocks counts, for every head-tail pair of a
+level, the non-pivot columns where its word is nonzero, with no product:
+it adds scaled rows of G digit by digit and compares partial sums.
+min_distance takes the least count of each level, and weight_profile
+counts every level's words by weight.  min_weight_words lists one
 minimum-weight word per support from the levels, given the exact distance,
 with the window theorem of _has_windows that also gives min_distance its
 cyclic bound.  permute_code is the public transform.  Every map the library
@@ -264,18 +269,6 @@ class LinearCode:
 
     def codeword_count(self) -> int:
         return self.field.order ** self.k
-
-    def codeword_chunks(self, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-        """All q^k codewords as (B, n) int arrays of field elements, in blocks.
-        Message number m is the vector in GF(p)^(k*s) of the base-p digits of
-        m, and _encode gives its codeword."""
-        F, k = self.field, self.k
-        p, s = F.characteristic, F.degree
-        place = p ** np.arange(k * s, dtype=np.int64)
-        total = F.order ** k
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            yield self._encode(idx[:, None] // place % p)
 
     def _encode(self, digits: np.ndarray) -> np.ndarray:
         """The codewords, as (B, n) field elements, of the messages whose
@@ -591,15 +584,16 @@ def enumerate_cyclic_codes(n: int, field: Field) -> list[CyclicCode]:
 def is_elementary(code: LinearCode) -> bool:
     """Zero code, full space, repetition code, or its dual (the sum-zero code).
     These are exactly the cyclic codes with permutation group S_n."""
-    n, k, F = code.n, code.k, code.field
+    n, k = code.n, code.k
     if k in (0, n):
         return True
     if k == 1:
         return all(v == code.matrix[0][0] for v in code.matrix[0]) and code.matrix[0][0] != 0
-    if k == n - 1:
-        return code == LinearCode.from_rows(
-            F, n, [[1 if j == i else (F.neg(1) if j == n - 1 else 0) for j in range(n)]
-                   for i in range(n - 1)])
+    if k == n - 1:      # the sum-zero code's RREF: rows e_i - e_(n-1)
+        minus_one = code.field.neg(1)
+        return code.matrix == tuple(
+            tuple(1 if j == i else (minus_one if j == n - 1 else 0) for j in range(n))
+            for i in range(n - 1))
     return False
 
 
@@ -617,20 +611,28 @@ class WeightProfile:
 
 
 def weight_profile(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> WeightProfile:
-    """Exhaustive weight distribution, enumerated on the smaller side.  When
-    n - k < k the dual's distribution B is enumerated and the MacWilliams
-    identity (MacWilliams-Sloane, ch. 5) gives the code's in exact integers:
-    A_w = q^-(n-k) sum_j B_j K_w(j), with the Krawtchouk value
-    K_w(j) = sum_i (-1)^i (q-1)^(w-i) C(j, i) C(n-j, w-i).  Raises when the
-    side enumerated has more than `budget` words; callers that can live with
-    partial data should use min_distance instead."""
+    """Exhaustive weight distribution, counted on the smaller side from its
+    Z-levels.  A word and its scalar multiples have one weight, so the side
+    of dimension k has one zero word and q - 1 times as many words of each
+    weight as levels 1..k hold: level t adds each block of _level_blocks,
+    counted by entry, at weight t plus the entry, the masked sentinel
+    n - k + 1 left out.  When n - k < k the dual's distribution B is
+    counted and the MacWilliams identity (MacWilliams-Sloane, ch. 5) gives
+    the code's in exact integers: A_w = q^-(n-k) sum_j B_j K_w(j), with the
+    Krawtchouk value K_w(j) = sum_i (-1)^i (q-1)^(w-i) C(j, i) C(n-j, w-i).
+    Raises when the side counted has more than `budget` words; callers
+    that can live with partial data should use min_distance instead."""
     n, q = code.n, code.field.order
     side = code.dual() if n - code.k < code.k else code
     if side.codeword_count() > budget:
         raise ValueError(f"weight profile needs {side.codeword_count()} enumerations, budget {budget}")
+    free = n - side.k
     counts = np.zeros(n + 1, dtype=np.int64)
-    for block in side.codeword_chunks():
-        counts += np.bincount((block != 0).sum(axis=1), minlength=n + 1)
+    for t in range(1, side.k + 1):
+        for block in _level_blocks(side, t):
+            counts[t:t + free + 1] += np.bincount(block.ravel(), minlength=free + 2)[:free + 1]
+    counts *= q - 1
+    counts[0] = 1
     if side is code:
         return WeightProfile(tuple(int(c) for c in counts), True)
     dual = [(j, int(b)) for j, b in enumerate(counts) if b]
@@ -668,12 +670,13 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> Dis
     Codes, 2006; Grassl 2006) takes every codeword whose message has weight
     exactly t and first nonzero entry 1, C(k, t) (q-1)^(t-1) words, and
     keeps the least weight.  G is in RREF, so a codeword restricted to the
-    pivot columns is its message, of weight t; _level_weight splits each
-    word into a head and a tail and counts the n - k non-pivot columns
-    where -head and tail differ, one comparison per column, in blocks of at
-    most 2^16 head-tail pairs, or 2^13 where a block spans the heads of
-    several positions: the sizes that ran fastest with caches flushed
-    before each level, as the benchmark flushes them between requests.
+    pivot columns is its message, of weight t; _level_blocks, which the
+    weight profiles walk too, splits each word into a head and a tail and
+    counts the n - k non-pivot columns where -head and tail differ, one
+    comparison per column, in blocks of at most 2^16 head-tail pairs, or
+    2^13 where a block spans the heads of several positions: the sizes that
+    ran fastest with caches flushed before each level, as the benchmark
+    flushes them between requests.
     Level 1 is the rows of G, already in best.
 
     Theorem (information sets).  After levels 1..t, every codeword with at
@@ -861,43 +864,72 @@ def _level_words(code: LinearCode, t: int) -> Iterator[np.ndarray]:
         yield code._encode(digits[msgs].reshape(len(msgs), -1))
 
 
-# The most head-tail pairs _level_weight compares in one block: a run of
-# heads that spans positions takes at most _SPAN_PAIRS, and one that stays
-# at one position, or a single head, at most _BLOCK_PAIRS (see its docstring)
+# The most head-tail pairs _level_blocks puts in one block: a run of heads
+# that spans positions takes at most _SPAN_PAIRS, and one that stays at one
+# position, or a single head, at most _BLOCK_PAIRS (see its docstring)
 _SPAN_PAIRS = 1 << 13
 _BLOCK_PAIRS = 1 << 16
 
 
 def _level_weight(code: LinearCode, t: int) -> int:
-    """Z-level t: the least weight of its codewords, the sums of t rows of G
-    at distinct positions with nonzero coefficients, the first one 1.
+    """Z-level t: the least weight of its codewords, t plus the least entry
+    of its blocks (_level_blocks).  Every block holds a pair of the run's
+    first head, which is not masked, so the sentinel is never the least."""
+    return t + min(int(block.min()) for block in _level_blocks(code, t))
+
+
+def _level_blocks(code: LinearCode, t: int) -> Iterator[np.ndarray]:
+    """Z-level t in blocks of head-tail pairs: its codewords are the sums
+    of t rows of G at distinct positions with nonzero coefficients, the
+    first one 1, and each block is a (heads, tails) array that holds, for
+    every pair, the number of non-pivot columns where the pair's word is
+    nonzero, or the sentinel n - k + 1 for a masked pair.  A word's weight
+    is t plus its entry.
 
     G is in RREF, so such a word equals its message on the pivot columns
     and has exactly t nonzeros there; only the n - k non-pivot columns
     (scaled_rows) are compared.  Each word is a head, its first a terms,
     plus a tail, its other t - a terms, all at later positions.  A
     coordinate of head + tail is zero exactly when the tail's entry there
-    equals that of -head, so the weight is t plus the number of non-pivot
-    columns where -head and tail differ: one comparison per column, no
-    product.  The partial sums are built from scaled_rows over GF(p) by
-    _extend, one gather per term, then read as field elements (for s > 1
-    two entries are equal when all s digits are); a is chosen to list the
-    fewest heads and tails.
+    equals that of -head, so the entry is the number of non-pivot columns
+    where -head and tail differ: one comparison per column, no product.
+    The partial sums are built from scaled_rows over GF(p) by _extend, one
+    gather per term, then read as field elements (for s > 1 two entries are
+    equal when all s digits are); a is chosen to list the fewest heads and
+    tails.
 
     The -heads are sorted by last position and the tails by first, so the
     heads ending at j pair with the suffix of tails that start after j.
     One loop walks runs of consecutive heads, each compared with the suffix
-    of its first head, which holds the suffix of every later one.  A run
-    that would reach _SPAN_PAIRS pairs before its first head's position
-    ends stays at that position and grows to at most _BLOCK_PAIRS pairs
-    (one head against at most _BLOCK_PAIRS tails at a time); any other run
-    spans positions and stops at _SPAN_PAIRS pairs, and its pairs whose
-    tail starts at or before the head's last position are masked out.  The
-    two caps were measured with caches flushed before each level, as the
-    benchmark flushes them around every request (tools/time_levels.py):
-    small blocks of many short positions stay in cache, while a long
-    position, such as those of the 62.3M-word GF(13) [29,15] level 5, runs
-    faster in large blocks."""
+    of its first head, in blocks of at most _BLOCK_PAIRS tails.  A run that
+    would reach _SPAN_PAIRS pairs before its first head's position ends
+    stays at that position and grows to at most _BLOCK_PAIRS pairs (one
+    head against at most _BLOCK_PAIRS tails at a time); any other run spans
+    positions and stops at _SPAN_PAIRS pairs, and its pairs whose tail
+    starts at or before the head's last position are masked.  The two caps
+    were measured with caches flushed before each level, as the benchmark
+    flushes them around every request (tools/time_levels.py): small blocks
+    of many short positions stay in cache, while a long position, such as
+    those of the 62.3M-word GF(13) [29,15] level 5, runs faster in large
+    blocks.
+
+    Theorem: call a pair valid when its tail starts after its head's last
+    position.  The valid pairs are the words of level t, and each valid
+    pair is an entry of exactly one block, once, and not masked.
+    - Words and valid pairs.  A word splits into its a terms of least
+      position, a head whose first coefficient is 1, and its other t - a
+      terms, a tail that starts after the head's last position; a valid
+      pair is a word.  _extend lists every head and every tail once: each
+      increasing run of positions in the ranges that a word's terms can
+      take, with each choice of coefficients.
+    - Valid pairs and block entries.  The runs partition the heads, each
+      starting where the last one ended.  Let head i lie in the run of
+      first head h, whose last position is j.  The heads are sorted by last
+      position, so head i's is at least j, and every tail that starts
+      after it lies in the run's suffix, the tails that start after j,
+      which the run's blocks partition.  So (i, tail) is in exactly one
+      block, once.  A run at one position has only valid pairs, and a
+      spanning run masks exactly the pairs that are not valid."""
     F, n, k = code.field, code.n, code.k
     p, q = F.characteristic, F.order
     scaled = code.scaled_rows
@@ -917,7 +949,7 @@ def _level_weight(code: LinearCode, t: int) -> int:
     dtype = np.min_scalar_type(n)
     ends = np.searchsorted(last, np.arange(k), "right").tolist()     # heads ending at <= j
     after = np.searchsorted(first, np.arange(k), "right").tolist()   # tails starting <= j
-    best, h, total = n - k, 0, len(last)
+    h, total = 0, len(last)
     while h < total:
         j = int(last[h])
         u, width, stop = after[j], len(first) - after[j], ends[j]
@@ -928,10 +960,9 @@ def _level_weight(code: LinearCode, t: int) -> int:
             w = min(v + _BLOCK_PAIRS, len(first))
             differ = (heads[:, h:end, None] != tails[:, None, v:w]).sum(axis=0, dtype=dtype)
             if spans:
-                differ[first[v:w] <= last[h:end, None]] = n
-            best = min(best, int(differ.min()))
+                differ[first[v:w] <= last[h:end, None]] = n - k + 1
+            yield differ
         h = end
-    return t + best
 
 
 def _extend(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray, positions: np.ndarray,

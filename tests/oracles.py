@@ -222,9 +222,9 @@ def lowest_irreducible_unfiltered(p: int, s: int) -> tuple[int, ...]:
     Rabin test, with no candidate rejected before it.  The oracle for
     algebra._lowest_irreducible."""
     for low in range(p ** s):
-        coeffs = [low // p ** i % p for i in range(s)] + [1]
+        coeffs = tuple(low // p ** i % p for i in range(s)) + (1,)
         if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+            return coeffs
     raise AssertionError(f"no irreducible of degree {s} over GF({p})")
 
 
@@ -278,3 +278,33 @@ def _extend_by_position(sums: np.ndarray, keys: np.ndarray, terms: np.ndarray, p
         out.append(grown.reshape(-1, sums.shape[1]))
         out_keys.append(np.full(len(out[-1]), j))
     return np.concatenate(out), np.concatenate(out_keys)
+
+
+def codeword_chunks(code, chunk: int = 1 << 16):
+    """All q^k codewords of a LinearCode as (B, n) arrays of field elements,
+    in blocks: message number m is the vector in GF(p)^(k*s) of the base-p
+    digits of m, and LinearCode._encode gives its codeword.  The full pass
+    that the Z-levels of weight_profile, min_distance and min_weight_words
+    are checked against."""
+    F, k = code.field, code.k
+    p, s = F.characteristic, F.degree
+    place = p ** np.arange(k * s, dtype=np.int64)
+    total = F.order ** k
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield code._encode(idx[:, None] // place % p)
+
+
+def enumerated_profile(code) -> tuple[int, ...]:
+    """The weight distribution of a LinearCode from the full pass
+    (codeword_chunks): the oracle for codes.weight_profile."""
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for block in codeword_chunks(code):
+        counts += np.bincount((block != 0).sum(axis=1), minlength=code.n + 1)
+    return tuple(int(c) for c in counts)
+
+
+def enumerated_distance(code) -> int:
+    """The least weight of a nonzero codeword of a nonzero LinearCode, from
+    the full pass: the oracle for codes.min_distance."""
+    return next(w for w, c in enumerate(enumerated_profile(code)) if w and c)

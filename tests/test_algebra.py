@@ -117,6 +117,23 @@ def test_lowest_irreducible_is_the_unfiltered_search(monkeypatch):
     assert len(tests) == 2 and not any(algebra._has_root(c, 13) for c in tests)
 
 
+def test_make_field_runs_the_rabin_test_once_per_modulus(monkeypatch):
+    # Field checks the modulus make_field has just found with the Rabin
+    # test, and the second test is a cache hit: a cold GF(13^11) takes
+    # three _powmod calls, one for the rejected candidate and two for the
+    # modulus, not five.  A modulus a user supplies is still checked
+    algebra._lowest_irreducible.cache_clear()
+    algebra._is_irreducible.cache_clear()
+    calls = []
+    powmod = algebra._powmod
+    monkeypatch.setattr(algebra, "_powmod", lambda *args: calls.append(args) or powmod(*args))
+    field = make_field.__wrapped__(13, 11)
+    assert field == make_field(13, 11) and len(calls) == 3
+    with pytest.raises(ValueError, match="reducible"):
+        Field(13, 2, (1, 0, 1))             # x^2 + 1 = (x - 5)(x + 5) over GF(13)
+    assert Field(13, 11, field.modulus) == field
+
+
 def test_gf9_arithmetic():
     F = make_field(3, 2)       # x^2 = -1
     x = 3                      # digits (0,1)

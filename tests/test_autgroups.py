@@ -43,7 +43,13 @@ from cycperm.perm import (
     group_closure,
     orbits,
 )
-from oracles import _ReferenceChain, block_system_through, chain_state, minimal_blocks_by_closure
+from oracles import (
+    _ReferenceChain,
+    block_system_through,
+    chain_state,
+    codeword_chunks,
+    minimal_blocks_by_closure,
+)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -665,7 +671,7 @@ def _min_weight_words(code):
     # the oracle: one minimum-weight word per support, from a pass over all
     # q^k codewords, rows sorted by support
     best, rows = code.n + 1, []
-    for chunk in code.codeword_chunks():
+    for chunk in codeword_chunks(code):
         w = (chunk != 0).sum(axis=1)
         w[w == 0] = code.n + 1
         low = int(w.min())
@@ -713,10 +719,17 @@ def test_window_listing_matches_the_full_pass():
 
 def test_backtrack_lists_no_codeword_pass(monkeypatch):
     # the GF(4) [11,1] repetition code: its dual's 55 weight-2 words come
-    # from the levels, not from the 4^10 codewords a full pass would list
-    def never(self, chunk=1 << 16):
-        raise AssertionError("full codeword pass")
-    monkeypatch.setattr(LinearCode, "codeword_chunks", never)
+    # from the levels, not from the 4^10 codewords a full pass would list.
+    # The library has no full pass: the one product that encodes messages
+    # encodes the dual's 10 words of level 1 here, whose shifts give the
+    # 55 supports, and nothing else
+    assert not hasattr(LinearCode, "codeword_chunks")
+    encoded = []
+    encode = LinearCode._encode
+    monkeypatch.setattr(LinearCode, "_encode",
+                        lambda self, digits: encoded.append((self.k, len(digits)))
+                        or encode(self, digits))
     rep = cyclic_code(11, make_field(2, 2), set(range(1, 11)))
     res = backtrack_full_group(rep.linear)
     assert (res.order, res.nodes) == (factorial(11), 76)
+    assert encoded == [(10, 10)]

@@ -36,7 +36,14 @@ from cycperm.codes import (
 from cycperm.codes import _eliminate, _level_weight, _level_words, _rank_step
 from cycperm.perm import Permutation
 from cycperm.verification import BATTERY_DISTANCE_BUDGET
-from oracles import idempotent_by_euclid, level_weight_by_position, parity_check_by_loop
+from oracles import (
+    codeword_chunks,
+    enumerated_distance,
+    enumerated_profile,
+    idempotent_by_euclid,
+    level_weight_by_position,
+    parity_check_by_loop,
+)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -352,7 +359,7 @@ def test_codeword_chunks_match_product_reference(field, n):
     small = [c.linear for c in enumerate_cyclic_codes(n, field) if field.order ** c.k <= 600]
     rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(3)]
     for code in rng.sample(small, 5) + [LinearCode.from_rows(field, n, rows)]:
-        got = Counter(tuple(w.tolist()) for block in code.codeword_chunks(chunk=100)
+        got = Counter(tuple(w.tolist()) for block in codeword_chunks(code, chunk=100)
                       for w in block)
         want = Counter()
         for msg in itertools.product(field.elements(), repeat=code.k):
@@ -463,6 +470,18 @@ def test_is_elementary():
     assert is_elementary(cyclic_code(9, GF2, set(range(9))).linear)
     assert not is_elementary(HAMMING7.linear)
     assert not is_elementary(cyclic_code(9, GF2, {3, 6}).linear)
+    # at k = n - 1 the RREF is compared with the sum-zero code's rows
+    # e_i - e_(n-1), which is the code built from them
+    seen = 0
+    for field, n in ((GF2, 9), (GF3, 8), (GF4, 9), (make_field(5), 6), (GF13, 12)):
+        rows = [[1 if j == i else (field.neg(1) if j == n - 1 else 0) for j in range(n)]
+                for i in range(n - 1)]
+        sum_zero = LinearCode.from_rows(field, n, rows)
+        for c in enumerate_cyclic_codes(n, field):
+            if c.k == n - 1:
+                assert is_elementary(c.linear) == (c.linear == sum_zero), c
+                seen += c.linear != sum_zero
+    assert seen
 
 
 def test_weight_profile_hamming():
@@ -481,32 +500,26 @@ def test_weight_profile_budget():
         weight_profile(golay.linear, budget=1000)
 
 
-def _enumerated_profile(code: LinearCode) -> tuple[int, ...]:
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for block in code.codeword_chunks():
-        counts += np.bincount((block != 0).sum(axis=1), minlength=code.n + 1)
-    return tuple(int(c) for c in counts)
-
-
 def test_weight_profile_by_macwilliams_matches_enumeration():
     # 88 codes; the 39 with n - k < k take the dual's profile and transform it
     through_dual = 0
     for spec, n in (((2, 1), 15), ((3, 1), 8), ((2, 2), 7), ((5, 1), 6)):
         for code in enumerate_cyclic_codes(n, make_field(*spec)):
             through_dual += code.n - code.k < code.k
-            assert weight_profile(code.linear).counts == _enumerated_profile(code.linear), code
+            assert weight_profile(code.linear).counts == enumerated_profile(code.linear), code
     assert through_dual == 39
 
 
 def test_weight_profile_enumerates_the_smaller_side(monkeypatch):
-    # the [25,24] even-weight code has 2^24 words and a [25,1] dual
+    # the [25,24] even-weight code has 2^24 words and a [25,1] dual: the
+    # profile walks the dual's one Z-level, and the code's are never built
     code = cyclic_code(25, GF2, {0}).linear
-    enumerated = []
-    chunks = LinearCode.codeword_chunks
-    monkeypatch.setattr(LinearCode, "codeword_chunks",
-                        lambda self, *a: enumerated.append(self.k) or chunks(self, *a))
+    walked = []
+    blocks = codes._level_blocks
+    monkeypatch.setattr(codes, "_level_blocks",
+                        lambda side, t: walked.append((side.k, t)) or blocks(side, t))
     wp = weight_profile(code, budget=2)
-    assert enumerated == [1]
+    assert walked == [(1, 1)]
     assert wp.counts == tuple(comb(25, w) if w % 2 == 0 else 0 for w in range(26))
 
 
@@ -597,7 +610,7 @@ def test_min_distance_rank_scan_matches_enumeration():
         for c in enumerate_cyclic_codes(n, field):
             if c.k in (0, n) or field.order ** c.k > 1 << 16:
                 continue
-            d = weight_profile(c.linear).min_weight
+            d = enumerated_distance(c.linear)
             assert min_distance(c.linear).value == d
             moved = permute_code(c.linear, _swap01(n))
             moved_noncyclic += not is_shift_invariant(moved)
@@ -767,7 +780,7 @@ def test_rank_step_dependence_at_large_prime():
 def test_min_distance_partial_interval_bounds(code):
     lin = code if isinstance(code, LinearCode) else code.linear
     n, k, q = lin.n, lin.k, lin.field.order
-    d = weight_profile(lin).min_weight
+    d = enumerated_distance(lin)
     cyclic = is_shift_invariant(lin)
     # the lower bounds a run can have completed within a budget: the window
     # (or information-set) bound of level t, or the rank bound of step w

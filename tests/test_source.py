@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cycperm"
@@ -78,6 +79,26 @@ def test_every_traced_function_is_bound():
     unbound = [f"{mod}.{fn}" for mod, fns in traced.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"cycperm.{mod}"), fn, None))]
     assert traced and unbound == []
+
+
+def test_every_tool_import_resolves():
+    # the measurement scripts under tools/ import library names directly;
+    # a change that drops or renames one must fail here, not in someone's
+    # measurement run.  A name resolves as an attribute of its module or
+    # as a submodule of the package
+    tools = PACKAGE.parent.parent / "tools"
+    imports, missing = 0, []
+    for path in sorted(tools.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "cycperm":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imports += 1
+                    if not hasattr(module, alias.name) and importlib.util.find_spec(
+                            f"{node.module}.{alias.name}") is None:
+                        missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+    assert imports and missing == []
 
 
 def test_chains_are_grown_and_stored_by_permgroup_alone():

@@ -8,8 +8,9 @@ one dimension k, 0 < k < n, with q^min(k, n-k) <= PROFILE_BOUND (so each
 weight profile enumerates at most 2^18 words), draws PAIRS of them with
 random.Random(SEED) (all of them when there are fewer), and decides each
 pair with the HP strategy.  Per family it prints the pairs drawn, the
-verdict tally, how many verdicts are complete, and the total time of the
-decisions, then the count and time of the pairs whose first code
+verdict tally, how many verdicts are complete, how many of them the weight
+profiles decided (evidence "weight profiles differ"), and the total time of
+the decisions, then the count and time of the pairs whose first code
 Kaloujnine's W_T fixes (HP decides them by the D scan) and of the rest.
 Whether W_T fixes a code is tested outside the timed call, on codes of
 their own; each timed pair's codes are built fresh, so its time includes
@@ -39,6 +40,7 @@ PROFILE_BOUND = 2 ** 18
 PAIRS = 40
 SEED = 0
 STATUSES = ("equivalent", "inequivalent", "inconclusive")
+PROFILE_EVIDENCE = "weight profiles differ"
 
 
 def same_dimension_pairs(q: int, n: int) -> list[tuple[frozenset, frozenset]]:
@@ -67,7 +69,7 @@ def main() -> int:
         pairs = same_dimension_pairs(q, n)
         drawn = rng.sample(pairs, min(PAIRS, len(pairs)))
         tally = dict.fromkeys(STATUSES, 0)
-        complete = 0
+        complete = profiles = 0
         sides = {True: [0, 0.0], False: [0, 0.0]}       # W_T fixes C1: [pairs, s]
         for d1, d2 in drawn:
             side = sides[wt_fixed(field, n, d1)]
@@ -77,9 +79,11 @@ def main() -> int:
             side[0] += 1
             tally[verdict.status] += 1
             complete += verdict.complete
+            profiles += verdict.evidence == PROFILE_EVIDENCE
         counts = ", ".join(f"{tally[s]} {s}" for s in STATUSES)
         print(f"GF({q}) n = {n}: {len(drawn)} of {len(pairs)} pairs; {counts}; "
-              f"{complete} complete; {sides[True][1] + sides[False][1]:.3f} s; "
+              f"{complete} complete, {profiles} by weight profiles; "
+              f"{sides[True][1] + sides[False][1]:.3f} s; "
               f"W_T fixes C1: {sides[True][0]} pairs, {sides[True][1]:.3f} s; "
               f"not: {sides[False][0]} pairs, {sides[False][1]:.3f} s")
     return 0
