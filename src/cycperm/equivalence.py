@@ -13,7 +13,8 @@ and Q_1^m (q_group) are built from the same closed-form generators, never
 by listing maps.  The closed-form sets of the paper (the affine set, the
 geometric-series map family) are kept as independent checks of the coset
 construction.  The MULTIPLIER strategy takes its witness from
-autgroups.multipliers_onto, the one multiplier test.  The BRUTE strategy
+autgroups.multipliers_onto, the one multiplier test, through witness_scan's
+re-encoding check, as every strategy does.  The BRUTE strategy
 covers small lengths for validation with the automorphism search of
 autgroups run against the second code: an exhaustive search that prunes
 only maps that cannot send the one code onto the other, and gives the
@@ -241,7 +242,7 @@ def build_sylow_descriptor(code: CyclicCode) -> PermGroup:
       p-group, and its index |M|/|M_p| in G is prime to p, since N meet M
       is a p-group and so lies in M_p.  So N M_p = P is Sylow in G.
     - P contains T, so P lies in W_T, the only Sylow p-subgroup of S_n
-      through T (perm.sylow_through_shift), and P <= G meet W_T, a
+      through T (perm.kaloujnine_generators), and P <= G meet W_T, a
       p-subgroup of G; as P is Sylow in G, the two are equal.
     On codes W_T fixes, P is still a p-subgroup of Aut(C1) through T, and
     decide_equivalence has already decided them by the digit scalings.
@@ -444,9 +445,7 @@ def tableau_verdict(c1: CyclicCode, c2: CyclicCode, p: int, r: int,
     - H(W_T) = N(W_T).  If sigma^-1 T sigma is in W_T, it is an n-cycle in
       the two Sylow p-subgroups W_T and sigma^-1 W_T sigma.  An n-cycle
       lies in exactly one Sylow p-subgroup of S_n, by the counting in
-      perm.sylow_through_shift: each n-cycle, a p-element, lies in at least
-      one; there are n!/(p^L (p-1)^r) of them, each holds (p-1)^r p^(L-r)
-      n-cycles, and the product is (n-1)!, all the n-cycles.  So
+      perm.kaloujnine_generators.  So
       sigma^-1 W_T sigma = W_T.  Conversely a normalizing sigma sends T
       into W_T.
     - N(W_T) = W_T D, with W_T normal: D normalizes W_T and meets it only in
@@ -483,7 +482,9 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
 
     MULTIPLIER takes the least unit a whose map x -> ax sends the first code
     onto the second (autgroups.multipliers_onto, which checks the defining
-    sets against the matrix test for every unit); without one it is
+    sets against the matrix test for every unit), passing the hits in
+    ascending order through witness_scan, whose re-encoding check confirms
+    the map; without one it is
     complete exactly when multiplier equivalence is known to decide the
     length.  HP at a length n = p^r compares the dimensions, then tests
     W_T: when W_T fixes the first code it scans the digit scalings and is
@@ -522,9 +523,11 @@ def decide_equivalence(c1: CyclicCode, c2: CyclicCode,
 
     if strategy == "MULTIPLIER":
         hits = multipliers_onto(c1, c2)
-        if hits:
+        # every hit passed maps_onto, so the scan returns hits[0]'s map
+        sigma = witness_scan(c1.linear, c2.linear, np.outer(hits, range(n)) % n)
+        if sigma is not None:
             return EquivalenceVerdict(
-                "equivalent", Permutation.multiplier(n, hits[0]), strategy, True,
+                "equivalent", sigma, strategy, True,
                 f"multiplier by {hits[0]} maps the first code onto the second")
         if palfy_multiplier_complete(n):
             return EquivalenceVerdict(

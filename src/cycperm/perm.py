@@ -10,31 +10,26 @@ PermGroup is grown by one constructor, PermGroup.from_rows: it feeds
 candidate image rows to one chain in their order, keeps as generators only
 the rows that extend it, and keeps the chain, which is the one its
 generators build, as a row already in the group leaves the chain unchanged.
-So a group cut out of a listing (sylow_through_shift), closed from a set of
-rows (quasicyclic) or given by generators (PermGroup._chain) is built the
-same way, and nothing else writes a group's chain.  PermGroup._array is the
-one listing, the image rows of every element made once from the chain's
-transversals after the order is checked against CLOSURE_BOUND, and it is
-used only where a set is the answer.  The chain is built no further than a
-question needs: from_rows stops reading rows at a known order; while the
-chain grows, each level's orbit is an orbit of a subgroup of that level's
-stabilizer, so the product of the orbit lengths is a lower bound on the
-order, and from_rows gives up (ClosureBoundExceeded) as soon as it passes
-a bound (quasicyclic.qc_sylow sets CLOSURE_BOUND); and a Schreier
-generator along an edge of an orbit's Schreier tree is the identity by
-construction, so it is never sifted.  None of these changes the chain
-that completes.  A StabilizerChain can open the levels of a given base
-prefix first, so that its level i is the stabilizer of the prefix's first
-i points: the automorphism search (autgroups.backtrack_full_group) grows
-the group it finds on the chain whose base is its own coordinate order.
-At degree n = l p^r with l < p, the Sylow p-subgroup through the shift
-power T^l is G meet W, with W Kaloujnine's group of triangular maps on
-each cycle of T^l, the only Sylow p-subgroup of S_n containing T^l
-(sylow_through_shift).  For l > p that meet is only a p-subgroup through
-T^l, and the normalizer ascent (sylow_ascend) completes it.  Both take
-and return PermGroups.  W_T itself is generated by its level maps
-(kaloujnine_generators), and its normalizer in S_n is W_T D, with D the
-digit scalings (digit_scalings).
+So a p-group grown from its rows at a known order (quasicyclic.qc_sylow), a
+group closed from a set of rows (quasicyclic) or one given by generators
+(PermGroup._chain) is built the same way, and nothing else writes a
+group's chain.  PermGroup._array is the one listing, the image rows of
+every element made once from the chain's transversals after the order is
+checked against CLOSURE_BOUND, and it is used only where a set is the
+answer.  The chain is built no further than a question needs: from_rows
+stops reading rows at a known order, and a Schreier generator along an
+edge of an orbit's Schreier tree is the identity by construction, so it is
+never sifted.  Neither changes the chain that completes.  A
+StabilizerChain can open the levels of a given base prefix first, so that
+its level i is the stabilizer of the prefix's first i points: the
+automorphism search (autgroups.backtrack_full_group) grows the group it
+finds on the chain whose base is its own coordinate order.  The normalizer
+ascent (sylow_ascend) completes a p-subgroup of a listed group to a Sylow
+p-subgroup of it; it takes and returns PermGroups.  Kaloujnine's group W_T
+of triangular maps is the only Sylow p-subgroup of S_(p^r) through the
+shift T; it is generated by its level maps (kaloujnine_generators, whose
+docstring counts the Sylow subgroups to show it is the only one), and its
+normalizer in S_n is W_T D, with D the digit scalings (digit_scalings).
 
 The conjugation set {sigma : sigma^-1 g sigma in P} is built at every degree
 from centralizer cosets: the solutions of sigma^-1 g sigma = rho are the
@@ -223,12 +218,6 @@ class StabilizerChain:
     elements, so the order is the product of the orbit lengths and
     membership is a sift through the levels.  Elements are image tuples.
 
-    While the chain is being completed, the generators of level i all lie in
-    the pointwise stabilizer of base[:i], so orbit[i] is part of that
-    stabilizer's orbit of base[i], and the product of the orbit lengths never
-    exceeds the order of the group: a bounded build stops as soon as the
-    product passes the bound (PermGroup.from_rows).
-
     The chain skips work whose outcome it can prove, and every skip leaves
     the base, orbits, transversals and strong generators exactly as the
     plain algorithm makes them, because each skipped step would have
@@ -318,17 +307,11 @@ class StabilizerChain:
         holds every element of <the chain's group, g> that fixes base[:c];
         the completion then sifts no element past level c - 1 (see the
         class docstring)."""
-        return self._add(g, None, certified)
-
-    def _add(self, g: tuple[int, ...], bound: int | None, certified: int | None = None) -> bool:
-        """add; with a bound, raises ClosureBoundExceeded (reached: the orbit
-        product so far, a lower bound on the order) as soon as the product of
-        the orbit lengths passes it, leaving the chain incomplete."""
         found = self._residue(g, 0, certified)
         if found is None:
             return False
         h, j = found
-        self._insert(h, 0, j, bound)
+        self._insert(h, 0, j)
         level = j
         # the levels after `level` form a complete chain of their group
         while level >= 0:
@@ -337,7 +320,7 @@ class StabilizerChain:
                 level -= 1
             else:
                 h, j = found
-                self._insert(h, level + 1, j, bound)
+                self._insert(h, level + 1, j)
                 level = j
         return True
 
@@ -351,10 +334,9 @@ class StabilizerChain:
             return None if h == self.identity else (h, j)
         return None if j == certified else (h, j)
 
-    def _insert(self, h: tuple[int, ...], first: int, last: int, bound: int | None) -> None:
+    def _insert(self, h: tuple[int, ...], first: int, last: int) -> None:
         """Add h, which fixes base[:last], as a strong generator of levels
-        first..last, opening level last when h fixes every base point; then
-        check the orbit product against the bound."""
+        first..last, opening level last when h fixes every base point."""
         if last == len(self.base):
             self._open(next(i for i, v in enumerate(h) if v != i))
         for level in range(first, last + 1):
@@ -371,8 +353,6 @@ class StabilizerChain:
                         inv[y] = _invert(v)
                         orbit.append(y)
                         checked.add((x, si))     # u_y^-1 s u_x is the identity
-        if bound is not None and self.order() > bound:
-            raise ClosureBoundExceeded(bound, self.order())
 
     def _open(self, b: int) -> None:
         """Open a level with base point b and no generators yet."""
@@ -458,19 +438,18 @@ class PermGroup:
         return PermGroup(n, ())
 
     @staticmethod
-    def from_rows(n: int, rows: Iterable[Sequence[int]], order: int | None = None,
-                  bound: int | None = None) -> "PermGroup":
+    def from_rows(n: int, rows: Iterable[Sequence[int]], order: int | None = None) -> "PermGroup":
         """The group generated by the image rows, grown on one stabilizer
         chain in their order.  Its generators are the rows that extend the
         chain, and it keeps that chain: a row already in the group leaves it
         unchanged, so it is the chain _chain builds from those generators.
-        No row is read once the order reaches `order`; with a bound,
-        ClosureBoundExceeded is raised as soon as the product of the orbit
-        lengths, a lower bound on the order (StabilizerChain), passes it."""
+        No row is read once the order reaches `order`, which the caller
+        knows, as for a p-group whose order a product formula gives
+        (quasicyclic.qc_sylow)."""
         chain, gens = StabilizerChain(n), []
         for images in rows:
             images = tuple(images)
-            if chain._add(images, bound):
+            if chain.add(images):
                 gens.append(Permutation(images))
             if chain.order() == order:
                 break
@@ -905,46 +884,6 @@ def sylow_ascend(ambient: PermGroup, p: int, seed: PermGroup) -> PermGroup:
     return cur
 
 
-def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
-    """G meet W for a group G of degree n = l p^r that contains T^l, where W
-    is the product of Kaloujnine's triangular groups on the l cycles of T^l:
-    sigma is in W when it keeps every residue class mod l and, on the
-    positions k = x // l, sigma(k + p^j) = sigma(k) + p^j mod p^(j+1) for all
-    k and all j < r.
-
-    At l = 1, W = W_T is Kaloujnine's group of triangular maps (Kaloujnine
-    1948): digit j of sigma(x) in base p is x_j plus a function of the lower
-    digits of x.  It is a Sylow p-subgroup of S_n containing T, and the only
-    one: there are n!/(|W_T| (p-1)^r) Sylow p-subgroups, each holds (p-1)^r
-    p^(sum_(j<r) (p^j - 1)) n-cycles, and the product is all (n-1)! of them.
-    For l < p the orbits of a p-subgroup through T^l are the cycles of T^l
-    (an orbit joining c of them has size c p^r, a power of p only for c = 1,
-    since c <= l < p), and on each cycle it acts inside that cycle's W_T; so
-    W is again the only Sylow p-subgroup of S_n through T^l.  A Sylow
-    p-subgroup of G through T^l then lies in W, and G meet W is a p-group,
-    so the two are equal.  For l > p, G meet W is a p-subgroup of
-    G through T^l that need not be Sylow.  One numpy filter over the image
-    rows of G finds it, and PermGroup.from_rows grows it from those rows in
-    image order, up to their number as its order.
-    """
-    n = group.degree
-    if l < 1 or n % l:
-        raise ValueError(f"index {l} does not divide the degree {n}")
-    p, r = prime_power(n // l)
-    if Permutation.power_shift(n, l) not in group:
-        raise ValueError("the group must contain the shift power T^l")
-    A = group._array
-    x = np.arange(n)
-    A = A[(A % l == x % l).all(axis=1)]
-    pos = (A // l).astype(np.int32)
-    for j in range(r):
-        pj = p ** j
-        low = pos % (p * pj)
-        keep = (low[:, (x + pj * l) % n] == (low + pj) % (p * pj)).all(axis=1)
-        A, pos = A[keep], pos[keep]
-    return PermGroup.from_rows(n, A[np.lexsort(A.T[::-1])].tolist(), order=len(A))
-
-
 @lru_cache(maxsize=None)
 def kaloujnine_generators(p: int, r: int) -> np.ndarray:
     """The level maps of Kaloujnine's tableau group W_T on Z mod p^r, as a
@@ -956,7 +895,14 @@ def kaloujnine_generators(p: int, r: int) -> np.ndarray:
     x_j plus a function of x mod p^j, is the product of these levels, and
     level j is (Z_p)^(p^j) generated by its p^j maps; so they generate W_T,
     of order p^L.  W_T holds T: digit j of x + 1 is x_j plus the carry out
-    of x mod p^j."""
+    of x mod p^j.
+
+    W_T (Kaloujnine 1948) is a Sylow p-subgroup of S_n, n = p^r, since
+    v_p(n!) = L by Legendre's formula, and it is the only one through T:
+    there are n!/(p^L (p-1)^r) Sylow p-subgroups, n! over the order of the
+    normalizer W_T D (digit_scalings), each holds (p-1)^r p^(L-r) n-cycles,
+    and the product is all (n-1)! of them, while each n-cycle, a
+    p-element, lies in at least one."""
     n = p ** r
     x = np.arange(n)
     rows = []

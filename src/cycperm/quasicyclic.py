@@ -6,23 +6,22 @@ and any equivalence witness between two such codes can be pushed into
 H'(P) = {sigma : sigma^-1 T^l sigma in P} for a Sylow p-subgroup P of the
 automorphism group containing T^l (lengths n = p^r*l, gcd(p,l) = gcd(p,q) = 1).
 
-At co-index m = p with l < p, P is read off W = <sigma_0, ..., sigma_(l-1)>,
-of order p^l, the only Sylow p-subgroup of S_n through T^l: its rows that
-fix the code are Aut(C) meet W, found by one code-action batch, with no
-ambient group built (qc_sylow).  Elsewhere P is cut out of the discovered
-group by the filter that gives the cyclic P (perm.sylow_through_shift, here
-with W_T on each cycle of T^l): for l < p it is the Sylow subgroup through
-T^l, and for l > p the normalizer ascent completes it.  The discovered
-group grows from T^l and the rows of Q = <sigma_i, T> and AG(n) that fix the
-code (PermGroup.from_rows, which keeps only the rows that extend it), and Q
-is listed in closed form, its l m^l members T^j w with w in <sigma_i>
-(_q_rows).  H'(P) is the union of the cosets C(T^l) sigma_rho over the rho
-in P with the cycle type of T^l, exact at every length.  The search over it
-is the decision HP makes at l = 1 (equivalence.restricted_set_verdict): one
+P is Sylow in the group G that the structured families discover, the
+members of Q = <sigma_i, T> and of the affine group AG(n) that fix the
+code, and G is never built (qc_sylow).  P is S_C Y: S_C holds the members
+of S = <sigma_0, ..., sigma_(l-1)> that fix the code, listed in closed
+form (_w_rows), and Y is a Sylow p-subgroup of AG_C, the affine maps that
+fix it.  For l < p, Y is V_C, the fixing members of the p-group V = AG(n)
+meet W in closed form (_affine_rows), and P is G meet W, W being the only
+Sylow p-subgroup of S_n through T^l; for l > p the normalizer ascent
+(perm.sylow_ascend) grows Y from V_C inside AG_C, at most n phi(n) rows.
+H'(P) is the union of the cosets C(T^l) sigma_rho over the rho in P with
+the cycle type of T^l, exact at every length.  The search over it is the
+decision HP makes at l = 1 (equivalence.restricted_set_verdict): one
 member of each coset <T^l> sigma, in sorted image rows, and a complete
 verdict exactly when |P| is the p-part of n!; as for HP, the weight
-profiles are compared only when it finds no witness.  H'(P) is not known to
-be a group, so nothing here assumes closure: reports take the group the
+profiles are compared only when it finds no witness.  H'(P) is not known
+to be a group, so nothing here assumes closure: reports take the group the
 cosets generate, grown by PermGroup.from_rows.
 """
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .equivalence import (
 from .perm import (
     CLOSURE_BOUND,
     BlockSystem,
-    ClosureBoundExceeded,
     PermGroup,
     Permutation,
     centralizer_generators,
@@ -55,7 +53,6 @@ from .perm import (
     conjugation_cosets,
     minimal_blocks,
     sylow_ascend,
-    sylow_through_shift,
 )
 
 
@@ -155,58 +152,65 @@ def _qc_prime_power(code: QuasiCyclicCode) -> tuple[int, int]:
 
 
 def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
-    """A Sylow p-subgroup P through T^l of the part of the automorphism group
-    discoverable from the structured families, co-index m = n/l = p^r.
+    """A Sylow p-subgroup P through T^l of the group G discovered from the
+    structured families, co-index m = n/l = p^r: G is generated by Q_C and
+    AG_C, the members of Q = <sigma_0, ..., sigma_(l-1), T> and of the
+    affine group AG(n) that fix the code.  G is never built.
 
-    At r = 1 with l < p and l m^l <= CLOSURE_BOUND, P is read off W =
-    <sigma_0, ..., sigma_(l-1)>, Kaloujnine's triangular group on each cycle
-    of T^l (at r = 1 the group of a p-cycle is the cycle's own cyclic group),
-    of order p^l: P is the set of W's rows that one code-action batch finds
-    fixing the code (_w_rows), grown by PermGroup.from_rows in their
-    lexicographic order, which is the order they are listed in.  This is the
-    P of the general path below.  There G meet W is Sylow in G, since W is
-    the only Sylow p-subgroup of S_n through T^l when l < p
-    (perm.sylow_through_shift), so the ascent adds nothing; and W lies in
-    Q = <sigma_i, T>, which is listed under this bound, so every row of W
-    that fixes the code is among G's generating rows and G meet W =
-    Aut(C) meet W, the rows listed here.  Only where the general path would
-    give up on G past CLOSURE_BOUND (P = <T^l>) does this P differ: it is
-    still Aut(C) meet W.
+    S = <sigma_i> has the m^l members _w_rows lists, and V = AG(n) meet W
+    the p^(2r-1) maps x -> a x + l c with a = 1 mod lp (_affine_rows), W
+    being the product of Kaloujnine's triangular groups on the cycles of
+    T^l.  One maps_onto batch over S and V gives S_C and V_C, their members
+    that fix the code.  P = S_C Y, with Y a Sylow p-subgroup of AG_C: Y =
+    V_C at l < p, and at l > p the normalizer ascent (perm.sylow_ascend)
+    from V_C inside AG_C, which one more batch lists (at most n phi(n)
+    rows).  PermGroup.from_rows grows P from S_C's rows, then V_C's rows
+    or Y's generators, up to its order |S_C| |Y| / m.  When l m^l passes
+    CLOSURE_BOUND, the m rows of <T^l> stand for S, and P = Y.
 
-    Elsewhere (r >= 2, l > p, or Q past CLOSURE_BOUND) P is cut out of the
-    discovered group G (_qc_ambient) as G meet W, with W the product of
-    Kaloujnine's triangular groups on the cycles of T^l
-    (perm.sylow_through_shift), which is the Sylow subgroup through T^l when
-    l < p; for l > p the Sylow subgroup through T^l is not unique, and the
-    normalizer ascent (perm.sylow_ascend) completes the meet to one."""
+    P is Sylow in G:
+    - Q = <T> S, and S is Q's normal Sylow p-subgroup, since gcd(l, p) = 1:
+      T sigma_i T^-1 = sigma_(i+1), and <T> meets S in <T^l>, so |Q| =
+      l m^l.  AG(n) normalizes S (tau sigma_i tau^-1 = sigma_j^a for tau:
+      x -> a x + b) and <T>.  So G = Q_C AG_C with Q_C normal, and
+      S_C = S meet Aut C, the normal Sylow p-subgroup of Q_C, is normal in G.
+    - Q meets AG(n) in <T>.  So Q_C meet AG_C = <T> meet Aut C, whose
+      p-part is <T^l>, and |G|_p = |S_C| |AG_C|_p / p^r.
+    - Every Sylow p-subgroup Y of AG_C contains <T^l>, a normal p-subgroup
+      of AG(n) (tau T^l tau^-1 = T^(la)), and S_C meet Y lies in S meet
+      AG(n) = <T^l>.  So S_C Y, a group as S_C is normal, has order
+      |S_C| |Y| / p^r = |G|_p: it is Sylow in G and contains T^l.
+    - At l < p, |AG(n)|_p = p^(2r-1) = |V|, as |AG(n)| = n phi(n) and
+      phi(l) < p, and V is normal in AG(n).  So V_C is the only Sylow
+      p-subgroup of AG_C.  S_C V_C lies in W, and G meet W is a p-group
+      that contains it, so P = G meet W.  At r = 1, V = <T^l> lies in S,
+      and P is S_C, grown from its own rows in lexicographic order.
+    - At l > p, any two Sylow p-subgroups of G through T^l are conjugate by
+      some g in G <= Aut(C), and H'(P^g) = H'(P) g: the size of H'(P), the
+      verdict's status and completeness do not depend on which one P is;
+      only the first witness can."""
     p, r = _qc_prime_power(code)
     n, l, lin = code.n, code.index, code.linear
-    if r == 1 and l < p and l * p ** l <= CLOSURE_BOUND:
-        rows = _w_rows(n, l)
-        rows = rows[maps_onto(lin, lin, rows)]
-        return PermGroup.from_rows(n, rows.tolist(), order=len(rows))
-    ambient = _qc_ambient(code)
-    return sylow_ascend(ambient, p, sylow_through_shift(ambient, l))
+    m = p ** r
+    s = _w_rows(n, l) if l * m ** l <= CLOSURE_BOUND else _affine_rows(n, [1], range(0, n, l))
+    v = _affine_rows(n, range(1, n, l * p), range(0, n, l))
+    fixed = maps_onto(lin, lin, np.concatenate([s, v]))
+    s_c, v_c = s[fixed[:len(s)]].tolist(), v[fixed[len(s):]].tolist()
+    y, order = v_c, len(v_c)
+    if l > p:
+        ag = _affine_rows(n, units(n), range(n))
+        Y = sylow_ascend(PermGroup.from_rows(n, ag[maps_onto(lin, lin, ag)].tolist()), p,
+                         PermGroup.from_rows(n, v_c, order=len(v_c)))
+        y, order = [g.images for g in Y.generators], Y.order()
+    return PermGroup.from_rows(n, s_c + y, order=len(s_c) * order // m)
 
 
-def _qc_ambient(code: QuasiCyclicCode) -> PermGroup:
-    """The discovered group G of qc_sylow's general path: the group that
-    T^l and the elements of Q = <sigma_i, T> and of AG(n) fixing the code
-    generate, found by one code-action test over the image rows of both (of
-    AG(n) alone when Q is larger than CLOSURE_BOUND), or <T^l> alone when G
-    is larger than CLOSURE_BOUND.  It grows from T^l and the fixing rows
-    (PermGroup.from_rows), keeping only the rows that extend it."""
-    n, l, lin = code.n, code.index, code.linear
+def _affine_rows(n: int, a, b) -> np.ndarray:
+    """The maps x -> a x + b mod n for each a in `a` and each b in `b`,
+    a-major, as image rows in the smallest unsigned dtype."""
     x = np.arange(n)
-    rows = ((np.array(units(n))[:, None, None] * x + x[:, None]) % n).reshape(-1, n)  # a x + b
-    rows = rows.astype(np.min_scalar_type(n))
-    if l * (n // l) ** l <= CLOSURE_BOUND:
-        rows = np.concatenate([_q_rows(n, l), rows])
-    rows = [Permutation.power_shift(n, l).images] + rows[maps_onto(lin, lin, rows)].tolist()
-    try:
-        return PermGroup.from_rows(n, rows, bound=CLOSURE_BOUND)
-    except ClosureBoundExceeded:
-        return PermGroup.from_rows(n, rows[:1])
+    rows = (np.array(a)[:, None, None] * x + np.array(b)[:, None]) % n
+    return rows.reshape(-1, n).astype(np.min_scalar_type(n))
 
 
 def _w_rows(n: int, l: int) -> np.ndarray:
@@ -221,19 +225,6 @@ def _w_rows(n: int, l: int) -> np.ndarray:
     step = (x % l + (x // l + np.arange(m)[:, None]) % m * l).astype(dtype)
     e = np.indices((m,) * l, dtype=dtype).reshape(l, -1).T     # e_i, the steps on cycle i
     return step[e[:, x % l], x]
-
-
-def _q_rows(n: int, l: int) -> np.ndarray:
-    """The l m^l members T^j w of Q = <sigma_i, T> as image rows in the
-    smallest unsigned dtype, j < l and w in S (_w_rows), j-major, so the
-    first m^l rows are S.  These are all of Q, each once: T sigma_i T^-1 =
-    sigma_(i+1), indices mod l, so T normalizes S, which is abelian of order
-    m^l, and Q = <T> S has order |<T>| |S| / |<T> meet S|.  T^j lies in S
-    exactly when it keeps every residue class mod l, that is when l divides
-    j, so <T> meets S in <T^l>, of order m, and |Q| = n m^l / m = l m^l.
-    The row of T^j w is w(x) + j mod n."""
-    dtype, x = np.min_scalar_type(n), np.arange(n)
-    return ((x + np.arange(l)[:, None]) % n).astype(dtype)[:, _w_rows(n, l)].reshape(-1, n)
 
 
 def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,

@@ -11,12 +11,21 @@ from cycperm.algebra import (
     poly_divmod,
     poly_mod,
     prime_factors,
+    prime_power,
     root_system,
     units,
     x_pow_minus_one,
 )
-from cycperm.codes import _elements
-from cycperm.perm import BlockSystem, PermGroup, Permutation, conjugation_scan
+from cycperm.codes import _elements, maps_onto
+from cycperm.perm import (
+    CLOSURE_BOUND,
+    BlockSystem,
+    PermGroup,
+    Permutation,
+    conjugation_scan,
+    sylow_ascend,
+)
+from cycperm.quasicyclic import _w_rows
 
 
 def hset_brute(target: Permutation, P: PermGroup) -> frozenset[Permutation]:
@@ -308,3 +317,81 @@ def enumerated_distance(code) -> int:
     """The least weight of a nonzero codeword of a nonzero LinearCode, from
     the full pass: the oracle for codes.min_distance."""
     return next(w for w, c in enumerate(enumerated_profile(code)) if w and c)
+
+
+def sylow_through_shift(group: PermGroup, l: int = 1) -> PermGroup:
+    """G meet W for a group G of degree n = l p^r that contains T^l, where W
+    is the product of Kaloujnine's triangular groups on the l cycles of T^l:
+    sigma is in W when it keeps every residue class mod l and, on the
+    positions k = x // l, sigma(k + p^j) = sigma(k) + p^j mod p^(j+1) for all
+    k and all j < r.
+
+    At l = 1, W = W_T is Kaloujnine's group of triangular maps: digit j of
+    sigma(x) in base p is x_j plus a function of the lower digits of x, and
+    it is the only Sylow p-subgroup of S_n containing T
+    (perm.kaloujnine_generators).  For l < p the orbits of a p-subgroup through T^l are the cycles of T^l
+    (an orbit joining c of them has size c p^r, a power of p only for c = 1,
+    since c <= l < p), and on each cycle it acts inside that cycle's W_T; so
+    W is again the only Sylow p-subgroup of S_n through T^l.  A Sylow
+    p-subgroup of G through T^l then lies in W, and G meet W is a p-group,
+    so the two are equal.  For l > p, G meet W is a p-subgroup of
+    G through T^l that need not be Sylow.  One numpy filter over the image
+    rows of G finds it, and PermGroup.from_rows grows it from those rows in
+    image order, up to their number as its order.  With the discovered group
+    of qc_ambient it is the oracle for quasicyclic.qc_sylow.
+    """
+    n = group.degree
+    if l < 1 or n % l:
+        raise ValueError(f"index {l} does not divide the degree {n}")
+    p, r = prime_power(n // l)
+    if Permutation.power_shift(n, l) not in group:
+        raise ValueError("the group must contain the shift power T^l")
+    A = group._array
+    x = np.arange(n)
+    A = A[(A % l == x % l).all(axis=1)]
+    pos = (A // l).astype(np.int32)
+    for j in range(r):
+        pj = p ** j
+        low = pos % (p * pj)
+        keep = (low[:, (x + pj * l) % n] == (low + pj) % (p * pj)).all(axis=1)
+        A, pos = A[keep], pos[keep]
+    return PermGroup.from_rows(n, A[np.lexsort(A.T[::-1])].tolist(), order=len(A))
+
+
+def q_rows(n: int, l: int) -> np.ndarray:
+    """The l m^l members T^j w of Q = <sigma_i, T> as image rows in the
+    smallest unsigned dtype, j < l and w in S = <sigma_i> (quasicyclic._w_rows),
+    j-major, so the first m^l rows are S.  These are all of Q, each once:
+    T sigma_i T^-1 = sigma_(i+1), indices mod l, so T normalizes S, which is
+    abelian of order m^l, and Q = <T> S has order |<T>| |S| / |<T> meet S|.
+    T^j lies in S exactly when it keeps every residue class mod l, that is
+    when l divides j, so <T> meets S in <T^l>, of order m, and
+    |Q| = n m^l / m = l m^l.  The row of T^j w is w(x) + j mod n."""
+    dtype, x = np.min_scalar_type(n), np.arange(n)
+    return ((x + np.arange(l)[:, None]) % n).astype(dtype)[:, _w_rows(n, l)].reshape(-1, n)
+
+
+def qc_ambient(code) -> PermGroup:
+    """The discovered group G of a quasi-cyclic code, built: the group that
+    T^l and the members of Q = <sigma_i, T> and of AG(n) fixing the code
+    generate, found by one code-action test over the image rows of both (of
+    AG(n) alone when l m^l passes CLOSURE_BOUND), or <T^l> alone when G is
+    larger than CLOSURE_BOUND.  G grows from T^l and the fixing rows with no
+    bound, and its order is compared with CLOSURE_BOUND after."""
+    n, l, lin = code.n, code.index, code.linear
+    x = np.arange(n)
+    rows = ((np.array(units(n))[:, None, None] * x + x[:, None]) % n).reshape(-1, n)  # a x + b
+    rows = rows.astype(np.min_scalar_type(n))
+    if l * (n // l) ** l <= CLOSURE_BOUND:
+        rows = np.concatenate([q_rows(n, l), rows])
+    rows = [Permutation.power_shift(n, l).images] + rows[maps_onto(lin, lin, rows)].tolist()
+    G = PermGroup.from_rows(n, rows)
+    return G if G.order() <= CLOSURE_BOUND else PermGroup.from_rows(n, rows[:1])
+
+
+def qc_sylow_by_ambient(code) -> PermGroup:
+    """A Sylow p-subgroup through T^l of the discovered group, cut out of it
+    as G meet W (sylow_through_shift) and completed by the normalizer
+    ascent: the oracle for quasicyclic.qc_sylow, which never builds G."""
+    G = qc_ambient(code)
+    return sylow_ascend(G, prime_power(code.co_index)[0], sylow_through_shift(G, code.index))

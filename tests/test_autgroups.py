@@ -194,7 +194,7 @@ def test_gk_family_is_certified_once_per_length_and_field(monkeypatch):
     builds, tests = [], []
     real_build, real_test = PermGroup.from_rows, autgroups.maps_onto
     monkeypatch.setattr(PermGroup, "from_rows", staticmethod(
-        lambda n, rows, order=None, bound=None: builds.append(n) or real_build(n, rows, order, bound)))
+        lambda n, rows, order=None: builds.append(n) or real_build(n, rows, order)))
     monkeypatch.setattr(autgroups, "maps_onto",
                         lambda c1, c2, images: tests.append(c1) or real_test(c1, c2, images))
     autgroups._gk_group.cache_clear()

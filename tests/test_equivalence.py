@@ -48,9 +48,8 @@ from cycperm.perm import (
     group_closure,
     normalizer_in_symmetric,
     sylow_ascend,
-    sylow_through_shift,
 )
-from oracles import hset_brute
+from oracles import hset_brute, sylow_through_shift
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -632,16 +631,15 @@ def test_hp_runs_the_wt_test_before_the_weight_profiles(monkeypatch):
 
 
 def test_gr_formula_descriptor_cuts_no_sylow_subgroup(monkeypatch):
-    # P is named by its generators, so building it lists no group and cuts
-    # no Sylow subgroup out of one, and its chain is built only when a caller
-    # asks for it.  The three codes the closed forms once named keep pinned
+    # P is named by its generators, so building it lists no group, which
+    # cutting a Sylow subgroup out of one would need, and its chain is built
+    # only when a caller asks for it.  The three codes the closed forms once named keep pinned
     # orders: <T> at a prime length, Q_1^4 at GF(2) n = 25, and Q_1^2 with
     # M_4 at GF(2) n = 27, which holds the GR formula's <T, M_4>
     def never(*args, **kwargs):
         raise AssertionError("the descriptor listed a group or cut a Sylow subgroup")
 
     monkeypatch.setattr(perm.StabilizerChain, "products", never)
-    monkeypatch.setattr(perm, "sylow_through_shift", never)
     cases = [(7, {1, 2, 4}, 1, 7), (25, {0}, 6, 5 ** 6),
              (27, {0, 3, 6, 12, 24, 21, 15}, 6, 3 ** 6)]
     for n, ds, exponent, order in cases:
@@ -714,10 +712,10 @@ def test_predicate_p_keeps_the_chain_it_was_cut_with(monkeypatch):
     built = []
     real_build = PermGroup.from_rows
 
-    def counted(n, rows, order=None, bound=None):
+    def counted(n, rows, order=None):
         rows = [tuple(r) for r in rows]
         built.append(rows)
-        return real_build(n, rows, order, bound)
+        return real_build(n, rows, order)
 
     monkeypatch.setattr(PermGroup, "from_rows", staticmethod(counted))
     P.order()
@@ -964,3 +962,15 @@ def test_witness_scan_raises_when_the_two_tests_disagree(monkeypatch):
         with pytest.raises(RuntimeError, match=r"disagree on " + re.escape(repr(wrong))):
             witness_scan(c1, c2, np.array(rows))
     assert witness_scan(c1, c2, np.array([tau.images, wrong.images])) == tau
+
+
+def test_multiplier_witness_is_checked_by_re_encoding(monkeypatch):
+    # MULTIPLIER's map passes witness_scan like every reported map: when the
+    # re-encoding check rejects every row, the RuntimeError names the map of
+    # the least multiplier hit, M_5 on the GF(3) octave pair
+    x, z = cyclic_code(8, GF3, {1, 3}), cyclic_code(8, GF3, {5, 7})
+    monkeypatch.setattr(equivalence, "reencodes_onto",
+                        lambda c1, c2, sigmas: np.zeros(len(sigmas), dtype=bool))
+    with pytest.raises(RuntimeError,
+                       match=r"disagree on " + re.escape(repr(Permutation.multiplier(8, 5)))):
+        decide_equivalence(x, z, "MULTIPLIER")

@@ -27,9 +27,14 @@ from cycperm.perm import (
     orbits,
     shift_coset_leaders,
     sylow_ascend,
+)
+from oracles import (
+    _ReferenceChain,
+    block_system_through,
+    chain_state,
+    hset_brute,
     sylow_through_shift,
 )
-from oracles import _ReferenceChain, block_system_through, chain_state, hset_brute
 
 
 def test_permutation_basics():
@@ -210,27 +215,6 @@ def test_chain_equals_the_plain_schreier_sims():
     assert cases == 120 + 8 + 16 + 2 * (2 + 4 + 2)
 
 
-def test_from_rows_bound_is_the_order_test():
-    # from_rows(bound=b) raises exactly when the order passes b, at b = 1,
-    # |G| - 1, |G| and |G| + 1 (bounds are positive); the group it builds
-    # under the bound keeps the chain the plain algorithm builds from its
-    # generators
-    for n, gens, _ in _chain_cases():
-        rows = [g.images for g in gens]
-        order = PermGroup.from_rows(n, rows).order()
-        for b in sorted({1, order - 1, order, order + 1} - {0}):
-            if order > b:
-                with pytest.raises(ClosureBoundExceeded):
-                    PermGroup.from_rows(n, rows, bound=b)
-                continue
-            G = PermGroup.from_rows(n, rows, bound=b)
-            ref = _ReferenceChain(n)
-            for g in G.generators:
-                ref.add(g.images)
-            assert chain_state(G.__dict__["_chain"]) == chain_state(ref), (n, gens, b)
-            assert G.order() == order
-
-
 def test_from_rows_keeps_the_rows_that_extend_its_chain():
     # rows in order, with identities, repeats and products of earlier rows
     # mixed in: the generators are exactly the rows outside the group of the
@@ -252,7 +236,7 @@ def test_from_rows_keeps_the_rows_that_extend_its_chain():
     assert cases == 160
 
 
-def test_from_rows_stops_at_the_order_and_gives_up_past_the_bound():
+def test_from_rows_stops_at_the_order():
     T, M = Permutation.shift(9), Permutation.multiplier(9, 2)
     read = []
 
@@ -264,41 +248,6 @@ def test_from_rows_stops_at_the_order_and_gives_up_past_the_bound():
     assert PermGroup.from_rows(9, rows(), order=9).generators == (T,) and read == [T]
     read.clear()
     assert PermGroup.from_rows(9, rows(), order=54).generators == (T, M) and read == [T, M]
-    assert PermGroup.from_rows(9, [T.images, M.images], bound=54).order() == 54
-    with pytest.raises(ClosureBoundExceeded) as exc:
-        PermGroup.from_rows(9, [T.images, M.images], bound=53)
-    assert exc.value.bound == 53 and exc.value.reached > 53
-
-
-def test_bounded_chain_stops_before_the_full_chain(monkeypatch):
-    # the discovered group of a binary cyclic code of length 27 has order
-    # 12,754,584; from_rows gives up on it under a bound of 50,000 with
-    # fewer than half the sifts the full chain takes, and under
-    # CLOSURE_BOUND, the bound qc_sylow grows its ambient group under, with
-    # fewer than the full chain takes
-    from cycperm.algebra import make_field
-    from cycperm.autgroups import known_cyclic_subgroup
-    from cycperm.codes import enumerate_cyclic_codes
-    sifts = []
-    sift = perm.StabilizerChain.sift
-
-    def counted(self, g, start=0, stop=None):
-        sifts.append(start)
-        return sift(self, g, start, stop)
-    monkeypatch.setattr(perm.StabilizerChain, "sift", counted)
-    groups = [known_cyclic_subgroup(c)[0] for c in enumerate_cyclic_codes(27, make_field(2))]
-    big = [gens for gens in groups
-           if PermGroup.from_generators(27, gens).order() == 12_754_584]
-    assert big
-    for gens in big:
-        sifts.clear()
-        assert PermGroup.from_generators(27, gens).order() == 12_754_584
-        full = len(sifts)
-        for bound, share in ((50_000, 1 / 2), (perm.CLOSURE_BOUND, 1)):
-            sifts.clear()
-            with pytest.raises(ClosureBoundExceeded):
-                PermGroup.from_rows(27, [g.images for g in gens], bound=bound)
-            assert 0 < len(sifts) < full * share, (bound, len(sifts), full)
 
 
 def test_permgroup_api():

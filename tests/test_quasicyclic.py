@@ -30,7 +30,6 @@ from cycperm.perm import (
     conjugation_set,
     normalizer_in_symmetric,
     sylow_ascend,
-    sylow_through_shift,
 )
 from cycperm.quasicyclic import (
     HPrimeReport,
@@ -41,10 +40,18 @@ from cycperm.quasicyclic import (
     qc_sylow,
     sigma_cycles,
 )
-from oracles import hset_brute, minimal_blocks_by_closure
+from oracles import (
+    hset_brute,
+    minimal_blocks_by_closure,
+    q_rows,
+    qc_ambient,
+    qc_sylow_by_ambient,
+    sylow_through_shift,
+)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
+GF4 = make_field(2, 2)
 
 
 def interleave(a: LinearCode, b: LinearCode) -> LinearCode:
@@ -273,13 +280,14 @@ def _random_qc(rng: random.Random, field, n: int, l: int) -> QuasiCyclicCode:
 
 
 def test_qc_sylow_matches_ascent_from_the_shift_power():
-    # the ambient group rebuilt as qc_sylow builds it, with permute_code as
-    # the code-action test: qc_sylow equals the Sylow ascent from <T^l>,
-    # where G meet W is already Sylow (l < p) and where the ascent completes
-    # it (l > p)
+    # the discovered group G built from every member of Q and AG(n), with
+    # permute_code as the code-action test: qc_sylow, which never builds G,
+    # equals the Sylow ascent from <T^l> in G, at l < p (r = 1 and r >= 2,
+    # where G meet W is the one Sylow p-subgroup through T^l) and at l > p
     rng = random.Random(1948)
     shapes = [(GF2, 10, 2, 5), (GF2, 14, 2, 7), (GF2, 15, 3, 5),
-              (GF3, 6, 3, 2), (GF3, 12, 3, 2), (GF2, 12, 4, 3), (GF2, 15, 5, 3)]
+              (GF3, 6, 3, 2), (GF3, 12, 3, 2), (GF2, 12, 4, 3), (GF2, 15, 5, 3),
+              (GF2, 18, 2, 3), (GF4, 18, 2, 3), (GF2, 9, 1, 3)]
     for field, n, l, p in shapes:
         tl = Permutation.power_shift(n, l)
         family = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])
@@ -295,12 +303,12 @@ def test_qc_sylow_matches_ascent_from_the_shift_power():
 
 
 def test_q_is_listed_in_closed_form():
-    # the rows T^j w of qc_sylow are Q = <sigma_i, T> as its chain lists it,
-    # l m^l of them, in the smallest unsigned dtype; the first m^l are
-    # S = <sigma_i> (_w_rows), in lexicographic order
+    # the rows T^j w of the oracle's Q = <sigma_i, T> are Q as its chain
+    # lists it, l m^l of them, in the smallest unsigned dtype; the first m^l
+    # are S = <sigma_i> (_w_rows), in lexicographic order
     for n, l in ((10, 2), (15, 3), (14, 2), (6, 3), (12, 3), (12, 4), (15, 5), (20, 4),
                  (18, 2), (21, 3), (9, 1), (25, 1)):
-        rows = quasicyclic._q_rows(n, l)
+        rows = q_rows(n, l)
         Q = PermGroup.from_generators(n, sigma_cycles(n, l) + [Permutation.shift(n)])
         assert rows.shape == (l * (n // l) ** l, n) and rows.dtype == np.min_scalar_type(n)
         assert Q.order() == len(rows)
@@ -323,13 +331,13 @@ def _co_index_p_codes() -> list[QuasiCyclicCode]:
 
 
 def test_qc_sylow_at_co_index_p_is_the_meet_with_w_of_the_ambient_group():
-    # the oracle: the general path's ambient group G (_qc_ambient), cut by
-    # sylow_through_shift; P read off W's fixing rows is G meet W as an
-    # element set, with the same generators, and it is Sylow in G
+    # the oracle: the discovered group G (qc_ambient), cut by
+    # sylow_through_shift; at co-index p, P = S_C is G meet W as an element
+    # set, with the same generators, and it is Sylow in G
     for code in _co_index_p_codes():
         p, r = prime_power(code.co_index)
         assert r == 1 and code.index < p
-        ambient = quasicyclic._qc_ambient(code)
+        ambient = qc_ambient(code)
         reference = sylow_through_shift(ambient, code.index)
         P = qc_sylow(code)
         assert P.elements() == reference.elements(), code
@@ -337,23 +345,60 @@ def test_qc_sylow_at_co_index_p_is_the_meet_with_w_of_the_ambient_group():
         assert P.order() == p_part(ambient.order(), p), code
 
 
-def test_qc_sylow_at_co_index_p_builds_no_ambient_group(monkeypatch):
-    # no ambient chain, listing, meet or ascent: each raises, and P still
-    # comes out; the general path (r >= 2, or l > p) reaches them
-    def never(*args):
-        raise AssertionError("an ambient group was built")
+def test_qc_sylow_against_the_ambient_oracle():
+    # the oracle builds the discovered group G with no bound on its chain
+    # and cuts P out of it (qc_sylow_by_ambient).  At l < p, r >= 2
+    # included, qc_sylow's S_C V_C is G meet W as a group; at l > p, where
+    # Sylow p-subgroups through T^l need not be unique, S_C Y has the order
+    # of the oracle's ascent
+    rng = random.Random(39)
+    shapes = [(GF2, 18, 2), (GF4, 18, 2), (GF2, 27, 1), (GF2, 50, 2), (GF2, 20, 4),
+              (GF3, 12, 3), (GF2, 15, 5), (GF3, 20, 5), (GF3, 28, 7)]
+    for field, n, l in shapes:
+        p, r = prime_power(n // l)
+        for _ in range(3):
+            code = _random_qc(rng, field, n, l)
+            P, reference = qc_sylow(code), qc_sylow_by_ambient(code)
+            if l < p:
+                assert P == reference, code
+            else:
+                assert P.order() == reference.order(), code
 
-    monkeypatch.setattr(quasicyclic, "sylow_ascend", never)
-    monkeypatch.setattr(quasicyclic, "sylow_through_shift", never)
-    monkeypatch.setattr(quasicyclic, "_qc_ambient", never)
-    monkeypatch.setattr(perm.StabilizerChain, "products", never)
-    for code in _co_index_p_codes():
-        assert Permutation.power_shift(code.n, code.index) in qc_sylow(code)
-    assert qc_sylow(REP_PAR).order() == 25
+
+def test_qc_sylow_at_co_index_p_builds_no_ambient_group(monkeypatch):
+    # no group is listed but AG_C, the affine maps that fix the code, and
+    # only at l > p, where the normalizer ascent runs in it: at l < p,
+    # r >= 2 included, no ascent runs and nothing is listed, and P still
+    # comes out
+    depth, ascents = [0], []
+    real_products, real_ascend = perm.StabilizerChain.products, quasicyclic.sylow_ascend
+
+    def products(chain):
+        assert depth[0], "a group was listed outside the ascent"
+        return real_products(chain)
+
+    def ascend(G, p, seed):
+        ascents.append(G)
+        depth[0] += 1
+        try:
+            return real_ascend(G, p, seed)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(perm.StabilizerChain, "products", products)
+    monkeypatch.setattr(quasicyclic, "sylow_ascend", ascend)
     rng = random.Random(31)
+    below = _co_index_p_codes() + [_random_qc(rng, field, n, l) for field, n, l in
+                                   ((GF2, 18, 2), (GF2, 27, 1), (GF4, 18, 2))]
+    for code in below:
+        assert Permutation.power_shift(code.n, code.index) in qc_sylow(code)
+    assert qc_sylow(REP_PAR).order() == 25 and ascents == []
     for field, n, l in ((GF3, 12, 3), (GF2, 15, 5)):
-        with pytest.raises(AssertionError, match="ambient"):
-            qc_sylow(_random_qc(rng, field, n, l))
+        code = _random_qc(rng, field, n, l)
+        ascents.clear()
+        qc_sylow(code)
+        fixing = [g for g in ag_set(n) if permute_code(code.linear, g) == code.linear]
+        assert ascents == [PermGroup.from_generators(n, fixing)], code
 
 
 # --- golden values: the quasi-cyclic path -------------------------------------------
@@ -389,9 +434,9 @@ def _gf3_interleavings() -> list[QuasiCyclicCode]:
 
 def _qc_golden_text() -> str:
     """Per code of the catalogue, one line: the code and the planted map,
-    the order of qc_sylow's ambient group (the group it ascends in; null at
-    co-index p with l < p, where P is read off W and no ambient group is
-    built), P's order and sorted generators, |H'(P)|, the
+    the order of AG_C, the affine maps fixing the code, which qc_sylow's
+    normalizer ascent runs in (null at l < p, where Y = V_C and no ascent
+    runs), P's order and sorted generators, |H'(P)|, the
     imprimitivity_report JSON, and the STRUCTURED verdict against the
     planted image."""
     lines = []
