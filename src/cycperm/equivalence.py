@@ -46,7 +46,7 @@ verdict are shared the same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial, gcd
 from typing import TYPE_CHECKING
@@ -379,8 +379,8 @@ def brute_verdict(c1: LinearCode, c2: LinearCode) -> EquivalenceVerdict:
 
 def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
                            c2: CyclicCode | QuasiCyclicCode,
-                           P: PermGroup, l: int, strategy: str,
-                           source: str) -> EquivalenceVerdict:
+                           P: PermGroup, l: int, strategy: str, source: str,
+                           fallback: PermGroup | None = None) -> EquivalenceVerdict:
     """The verdict of H'(P) = {sigma : sigma^-1 T^l sigma in P}, which is
     H(P) at l = 1, for two codes of length n = l p^r fixed by T^l and a
     p-subgroup P of Aut(C1) through T^l; `source` names where P came from.
@@ -397,8 +397,11 @@ def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
     and sigma tau, which also maps C1 onto C2, is in H'(P).  At l = 1,
     Legendre's formula gives v_p((p^r)!) = (p^r - 1)/(p - 1), the ceiling
     on the exponent of P.  When the leaders would take more than
-    CLOSURE_BOUND rows, nothing is scanned and the verdict is
-    "inconclusive", with the count reached in its evidence.
+    CLOSURE_BOUND rows, H'(P) is not scanned, and the verdict is
+    "inconclusive", with the count reached in its evidence, unless
+    `fallback`, a subgroup of P through T^l, is given and H'(fallback),
+    which lies in H'(P), holds a witness: then the verdict is fallback's,
+    its evidence naming the P it stands in for.
     """
     n = P.degree
     p, _ = prime_power(n // l)
@@ -407,6 +410,10 @@ def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
     try:
         leaders, size = shift_coset_leaders(P, l)
     except ClosureBoundExceeded as exc:
+        inner = fallback and restricted_set_verdict(c1, c2, fallback, l, strategy, source)
+        if inner and inner.witness is not None:
+            return replace(inner, evidence=f"{inner.evidence} (a subgroup of the P of Sylow "
+                                           f"exponent {s}, whose {name} passes CLOSURE_BOUND)")
         return EquivalenceVerdict(
             "inconclusive", None, strategy, False,
             f"{name} from {source}, Sylow exponent {s}, not scanned: listing it reached "

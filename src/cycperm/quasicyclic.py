@@ -15,6 +15,7 @@ fix it.  For l < p, Y is V_C, the fixing members of the p-group V = AG(n)
 meet W in closed form (_affine_rows), and P is G meet W, W being the only
 Sylow p-subgroup of S_n through T^l; for l > p the normalizer ascent
 (perm.sylow_ascend) grows Y from V_C inside AG_C, at most n phi(n) rows.
+A P past CLOSURE_BOUND gives way to <T^l>.
 H'(P) is the union of the cosets C(T^l) sigma_rho over the rho in P with
 the cycle type of T^l, exact at every length.  The search over it is the
 decision HP makes at l = 1 (equivalence.restricted_set_verdict): one
@@ -160,13 +161,17 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     S = <sigma_i> has the m^l members _w_rows lists, and V = AG(n) meet W
     the p^(2r-1) maps x -> a x + l c with a = 1 mod lp (_affine_rows), W
     being the product of Kaloujnine's triangular groups on the cycles of
-    T^l.  One maps_onto batch over S and V gives S_C and V_C, their members
-    that fix the code.  P = S_C Y, with Y a Sylow p-subgroup of AG_C: Y =
-    V_C at l < p, and at l > p the normalizer ascent (perm.sylow_ascend)
-    from V_C inside AG_C, which one more batch lists (at most n phi(n)
-    rows).  PermGroup.from_rows grows P from S_C's rows, then V_C's rows
-    or Y's generators, up to its order |S_C| |Y| / m.  When l m^l passes
-    CLOSURE_BOUND, the m rows of <T^l> stand for S, and P = Y.
+    T^l.  S_C and V_C are their members that fix the code, and P = S_C Y,
+    with Y a Sylow p-subgroup of AG_C.  At l < p, Y = V_C: one maps_onto
+    batch tests S and the maps of V with a != 1, the others being <T^l>,
+    which lies in S and fixes the code.  At l > p the batch tests S and
+    AG(n), which gives AG_C (at most n phi(n) rows), V_C is read off its
+    rows, and the normalizer ascent (perm.sylow_ascend) grows Y from V_C
+    inside AG_C.  PermGroup.from_rows grows P from S_C's rows, then V_C's
+    rows or Y's generators, up to its order |S_C| |Y| / m.  When l m^l
+    passes CLOSURE_BOUND, the m rows of <T^l> stand for S, and P = Y.  When
+    |P| passes CLOSURE_BOUND, P is <T^l>, as it was when the discovered
+    group G passed it (|G| >= |P|): the report and the scan list P.
 
     P is Sylow in G:
     - Q = <T> S, and S is Q's normal Sylow p-subgroup, since gcd(l, p) = 1:
@@ -189,19 +194,22 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
       some g in G <= Aut(C), and H'(P^g) = H'(P) g: the size of H'(P), the
       verdict's status and completeness do not depend on which one P is;
       only the first witness can."""
-    p, r = _qc_prime_power(code)
-    n, l, lin = code.n, code.index, code.linear
-    m = p ** r
+    p, _ = _qc_prime_power(code)
+    n, l, lin, m = code.n, code.index, code.linear, code.co_index
     s = _w_rows(n, l) if l * m ** l <= CLOSURE_BOUND else _affine_rows(n, [1], range(0, n, l))
-    v = _affine_rows(n, range(1, n, l * p), range(0, n, l))
-    fixed = maps_onto(lin, lin, np.concatenate([s, v]))
-    s_c, v_c = s[fixed[:len(s)]].tolist(), v[fixed[len(s):]].tolist()
-    y, order = v_c, len(v_c)
+    # AG(n) at l > p; else V's maps with a != 1, none at r = 1
+    rest = (_affine_rows(n, units(n), range(n)) if l > p else s[:0] if n == l * p
+            else _affine_rows(n, range(1 + l * p, n, l * p), range(0, n, l)))
+    fixed = maps_onto(lin, lin, np.concatenate([s, rest]))
+    s_c, rest = s[fixed[:len(s)]].tolist(), rest[fixed[len(s):]]
+    y, order = rest.tolist(), m + len(rest)
     if l > p:
-        ag = _affine_rows(n, units(n), range(n))
-        Y = sylow_ascend(PermGroup.from_rows(n, ag[maps_onto(lin, lin, ag)].tolist()), p,
-                         PermGroup.from_rows(n, v_c, order=len(v_c)))
+        a = (rest[:, 1].astype(int) - rest[:, 0]) % (l * p)      # row x -> a x + b: b = row[0]
+        v_c = rest[(a == 1) & (rest[:, 0] % l == 0)].tolist()
+        Y = sylow_ascend(PermGroup.from_rows(n, y), p, PermGroup.from_rows(n, v_c, order=len(v_c)))
         y, order = [g.images for g in Y.generators], Y.order()
+    if len(s_c) * order // m > CLOSURE_BOUND:
+        return PermGroup(n, (Permutation.power_shift(n, l),))
     return PermGroup.from_rows(n, s_c + y, order=len(s_c) * order // m)
 
 
@@ -237,7 +245,9 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     when |P| is the p-part of n!: P is then a Sylow subgroup of the full
     automorphism group, and H'(P) holds a witness whenever one exists.  A
     smaller P is a Sylow subgroup only of the discovered part, and H'(P) may
-    miss every witness.  BRUTE searches all of S_n for n <= 10
+    miss every witness.  When H'(P) has too many cosets to list, its part
+    H'(<T^l>) is scanned instead, and a witness found there is the verdict.
+    BRUTE searches all of S_n for n <= 10
     (brute_equivalence) and is complete.  Differing dimensions short-circuit
     either way.  BRUTE compares the weight profiles before its search;
     STRUCTURED scans first and compares them only when the scan finds no
@@ -255,7 +265,8 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     if c1.k != c2.k:
         return invariant_separation(c1, c2, strategy)
     verdict = restricted_set_verdict(c1, c2, qc_sylow(c1), c1.index, strategy,
-                                     "the structured families")
+                                     "the structured families",
+                                     PermGroup(c1.n, (Permutation.power_shift(c1.n, c1.index),)))
     return profiles_after_scan(c1, c2, verdict)
 
 
@@ -309,15 +320,13 @@ def imprimitivity_report(code: QuasiCyclicCode) -> HPrimeReport:
     T^l, so its block systems are residue partitions mod divisors of n, read
     off its generators (perm.minimal_blocks).
     """
-    p, r = _qc_prime_power(code)
-    n, l = code.n, code.index
+    n, l, m = code.n, code.index, code.co_index
     P = qc_sylow(code)
     tl = Permutation.power_shift(n, l)
     cosets = conjugation_cosets(tl, P)
     discovered = centralizer_order(tl) * len(cosets)
     closure = PermGroup.from_rows(n, [g.images for g in centralizer_generators(tl)]
                                   + cosets.tolist())
-    m = p ** r
     bound = factorial(n - m)
     shift_odd = Permutation.shift(n).parity() == 1
     systems = tuple(minimal_blocks(closure))

@@ -441,11 +441,11 @@ def _qc_golden_text() -> str:
     planted image."""
     lines = []
     for code, tau in _qc_catalogue():
-        ambient = []
+        ag_c = []
         with pytest.MonkeyPatch.context() as mp:
             real = quasicyclic.sylow_ascend
             mp.setattr(quasicyclic, "sylow_ascend",
-                       lambda G, p, seed: ambient.append(G.order()) or real(G, p, seed))
+                       lambda G, p, seed: ag_c.append(G.order()) or real(G, p, seed))
             P = qc_sylow(code)
         tl = Permutation.power_shift(code.n, code.index)
         image = QuasiCyclicCode(permute_code(code.linear, tau), code.index)
@@ -453,7 +453,7 @@ def _qc_golden_text() -> str:
         lines.append(json.dumps({
             "q": code.field.order, "n": code.n, "index": code.index,
             "rows": [list(r) for r in code.linear.matrix], "planted": list(tau.images),
-            "ambient": ambient[0] if ambient else None, "p_order": P.order(),
+            "ag_c": ag_c[0] if ag_c else None, "p_order": P.order(),
             "p_generators": sorted(list(g.images) for g in P.generators),
             "h_prime": centralizer_order(tl) * len(conjugation_cosets(tl, P)),
             "report": imprimitivity_report(code).to_json(),
@@ -666,6 +666,42 @@ def test_past_the_closure_bound_qc_answers_inconclusive(n, l, conclusion, p_orde
     verdict = qc_equivalence_search(qc, qc)
     assert (verdict.status, verdict.complete, verdict.witness) == ("inconclusive", False, None)
     assert f"past CLOSURE_BOUND = {CLOSURE_BOUND}" in verdict.evidence
+
+
+def test_qc_sylow_past_the_closure_bound_is_the_shift_power(tmp_path, capsys):
+    # the GF(3) full space at n = 96, l = 3 (m = 32): S_C is all 32^3 rows
+    # of S and AG_C has 2-part 2^10, so S_C Y would have order 2^20, past
+    # CLOSURE_BOUND, and the report and the scan could not list it; P is
+    # <T^3>, as when the discovered group passed the bound
+    full = QuasiCyclicCode(full_space(GF3, 96), 3)
+    tl = Permutation.power_shift(96, 3)
+    assert qc_sylow(full) == PermGroup.from_generators(96, [tl])
+    path = tmp_path / "qc.json"
+    path.write_text(json.dumps({**code_to_spec(full.linear), "index": 3}))
+    assert cli.main(["qc", "--in", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert (report["p_order"], report["discovered"]) == (32, 3_145_728)
+    verdict = qc_equivalence_search(full, full)
+    assert (verdict.status, verdict.complete) == ("equivalent", False)
+
+
+def test_structured_scans_h_prime_of_the_shift_power_past_the_bound():
+    # three copies of the binary [25,1] repetition code at n = 75, l = 3: P
+    # has order 5^7, and H'(P)'s 150,000,000 coset leaders pass
+    # CLOSURE_BOUND; H'(<T^3>), which lies in H'(P), is scanned instead and
+    # holds the witness against the image under x -> -x + 1
+    code = QuasiCyclicCode(_interleaving((cyclic_code(25, GF2, set(range(1, 25))).linear,) * 3), 3)
+    image = QuasiCyclicCode(permute_code(code.linear, Permutation.affine(75, 74, 1)), 3)
+    shift = PermGroup.from_generators(75, [Permutation.power_shift(75, 3)])
+    assert qc_sylow(code).order() == 5 ** 7
+    verdict = qc_equivalence_search(code, image)
+    inner = equivalence.restricted_set_verdict(code, image, shift, 3, "STRUCTURED",
+                                               "the structured families")
+    assert (verdict.status, verdict.complete) == ("equivalent", False)
+    assert verdict.witness == inner.witness
+    assert permute_code(code.linear, verdict.witness) == image.linear
+    assert verdict.evidence == (f"{inner.evidence} (a subgroup of the P of Sylow exponent 7, "
+                                f"whose H'(P) passes CLOSURE_BOUND)")
 
 
 def test_qc_equivalence_hypothesis_errors():
