@@ -70,6 +70,7 @@ from .perm import (
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
+    affine_p_rows,
     conjugation_set,
     digit_scalings,
     kaloujnine_generators,
@@ -213,9 +214,11 @@ def build_sylow_descriptor(code: CyclicCode) -> PermGroup:
 
         P = <T, the rows below that fix the code>,
 
-    the rows being the multipliers M_a with a = 1 mod p, a != 1, and at
-    r >= 2 the maps f_j: x -> x + p^(r-1) x^j for 2 <= j <= p - 1
-    (power_map_rows), all tested in one maps_onto batch.  Every row is
+    the rows being the multipliers M_a with a = 1 mod p, a != 1, which are
+    perm.affine_p_rows at l = 1 (the units of p-power order mod p^r are
+    those = 1 mod p, all odd ones at p = 2), and at r >= 2 the maps
+    f_j: x -> x + p^(r-1) x^j for 2 <= j <= p - 1 (power_map_rows), all
+    tested in one maps_onto batch.  Every row is
     triangular (an affine map x -> ax + b is in W_T exactly when
     a = 1 mod p, and f_j changes only the top digit, by a function of
     x mod p), so P is a p-subgroup of Aut(C1) through T inside W_T.
@@ -249,7 +252,7 @@ def build_sylow_descriptor(code: CyclicCode) -> PermGroup:
     """
     n = code.n
     p, r = prime_power(n)
-    rows = np.outer(range(1 + p, n, p), range(n)) % n
+    rows = affine_p_rows(n, 1)[0]
     if r >= 2:
         rows = np.concatenate([rows, power_map_rows(p, r)])
     fixing = rows[maps_onto(code.linear, code.linear, rows)]
@@ -379,8 +382,7 @@ def brute_verdict(c1: LinearCode, c2: LinearCode) -> EquivalenceVerdict:
 
 def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
                            c2: CyclicCode | QuasiCyclicCode,
-                           P: PermGroup, l: int, strategy: str, source: str,
-                           fallback: PermGroup | None = None) -> EquivalenceVerdict:
+                           P: PermGroup, l: int, strategy: str, source: str) -> EquivalenceVerdict:
     """The verdict of H'(P) = {sigma : sigma^-1 T^l sigma in P}, which is
     H(P) at l = 1, for two codes of length n = l p^r fixed by T^l and a
     p-subgroup P of Aut(C1) through T^l; `source` names where P came from.
@@ -398,10 +400,11 @@ def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
     Legendre's formula gives v_p((p^r)!) = (p^r - 1)/(p - 1), the ceiling
     on the exponent of P.  When the leaders would take more than
     CLOSURE_BOUND rows, H'(P) is not scanned, and the verdict is
-    "inconclusive", with the count reached in its evidence, unless
-    `fallback`, a subgroup of P through T^l, is given and H'(fallback),
-    which lies in H'(P), holds a witness: then the verdict is fallback's,
-    its evidence naming the P it stands in for.
+    "inconclusive", with the count reached in its evidence, unless P is
+    larger than <T^l>, its subgroup of order n/l, and H'(<T^l>), which lies
+    in H'(P), holds a witness: then the verdict is that of <T^l>, its
+    evidence naming the P it stands in for.  <T^l> is never larger than
+    n/l, so that inner call does not fall back again.
     """
     n = P.degree
     p, _ = prime_power(n // l)
@@ -410,7 +413,8 @@ def restricted_set_verdict(c1: CyclicCode | QuasiCyclicCode,
     try:
         leaders, size = shift_coset_leaders(P, l)
     except ClosureBoundExceeded as exc:
-        inner = fallback and restricted_set_verdict(c1, c2, fallback, l, strategy, source)
+        inner = P.order() > n // l and restricted_set_verdict(
+            c1, c2, PermGroup(n, (Permutation.power_shift(n, l),)), l, strategy, source)
         if inner and inner.witness is not None:
             return replace(inner, evidence=f"{inner.evidence} (a subgroup of the P of Sylow "
                                            f"exponent {s}, whose {name} passes CLOSURE_BOUND)")

@@ -25,7 +25,15 @@ its level i is the stabilizer of the prefix's first i points: the
 automorphism search (autgroups.backtrack_full_group) grows the group it
 finds on the chain whose base is its own coordinate order.  The normalizer
 ascent (sylow_ascend) completes a p-subgroup of a listed group to a Sylow
-p-subgroup of it; it takes and returns PermGroups.  Kaloujnine's group W_T
+p-subgroup of it; it takes and returns PermGroups.  No library path runs
+it: it is the tests' reference for the Sylow subgroups built in closed
+form, and it stays in this module because the benchmark's tracing
+(perfbench/tracing.py) wraps it by name.  Those closed forms read affine
+maps off affine_p_rows, the affine p-elements of Z mod n that fix a
+residue class mod l, one per coset of <T^l>: the Sylow subgroup of a
+quasi-cyclic code's affine automorphisms (quasicyclic.qc_sylow) and, at
+l = 1, the multipliers of HP's Sylow descriptor
+(equivalence.build_sylow_descriptor).  Kaloujnine's group W_T
 of triangular maps is the only Sylow p-subgroup of S_(p^r) through the
 shift T; it is generated by its level maps (kaloujnine_generators, whose
 docstring counts the Sylow subgroups to show it is the only one), and its
@@ -70,7 +78,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import p_part, prime_power
+from .algebra import p_part, prime_power, units
 
 CLOSURE_BOUND = 1_000_000
 BRUTE_DEGREE_BOUND = 10
@@ -914,6 +922,35 @@ def kaloujnine_generators(p: int, r: int) -> np.ndarray:
     out = np.array(rows, dtype=np.int64).reshape(-1, n)
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def affine_p_rows(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The affine p-elements of Z mod n that fix a residue class mod l, one
+    per coset of <T^l>, n = l p^r with gcd(l, p) = 1: a read-only (R, n)
+    array of image rows in the smallest unsigned dtype, and a read-only
+    (R, l) boolean array saying which classes c mod l each row fixes, both
+    built once per (n, l) and shared by every caller.
+
+    Row (a, b) is x -> a x + b for each unit a != 1 of p-power order mod n,
+    ascending, and each b < l that is a multiple of gcd(a - 1, l),
+    ascending; it fixes the class c when (a - 1) c + b = 0 mod l, which
+    has a solution c exactly when gcd(a - 1, l) divides b.  The units form
+    an abelian group of order phi(n), so a has p-power order exactly when
+    a^e = 1 mod n, e being the p-part of phi(n).  The map x -> a x + b + l j
+    is T^(l j) applied after x -> a x + b, so the rows are one per coset of
+    <T^l> of the maps with a != 1 that fix some class; those with a = 1,
+    x -> x + b with l dividing b, are <T^l> itself.  At l = 1 every row fixes the one class, b is
+    0, and the rows are the multipliers M_a of p-power order: a = 1 mod p
+    for odd p, every odd a for p = 2."""
+    p, _ = prime_power(n // l)
+    e = p_part(len(units(n)), p)
+    rows = np.array([[(a * x + b) % n for x in range(n)]
+                     for a in units(n) if a != 1 and pow(a, e, n) == 1
+                     for b in range(0, l, gcd(a - 1, l))], dtype=np.min_scalar_type(n)).reshape(-1, n)
+    fixes = rows[:, :l] % l == np.arange(l)           # x -> a x + b keeps c's class mod l
+    rows.flags.writeable = fixes.flags.writeable = False
+    return rows, fixes
 
 
 @lru_cache(maxsize=None)

@@ -11,11 +11,15 @@ members of Q = <sigma_i, T> and of the affine group AG(n) that fix the
 code, and G is never built (qc_sylow).  P is S_C Y: S_C holds the members
 of S = <sigma_0, ..., sigma_(l-1)> that fix the code, listed in closed
 form (_w_rows), and Y is a Sylow p-subgroup of AG_C, the affine maps that
-fix it.  For l < p, Y is V_C, the fixing members of the p-group V = AG(n)
-meet W in closed form (_affine_rows), and P is G meet W, W being the only
-Sylow p-subgroup of S_n through T^l; for l > p the normalizer ascent
-(perm.sylow_ascend) grows Y from V_C inside AG_C, at most n phi(n) rows.
-A P past CLOSURE_BOUND gives way to <T^l>.
+fix it.  Y is the stabilizer in AG_C of one residue class mod l, read off
+the affine p-elements that fix a class, one per coset of <T^l>
+(perm.affine_p_rows), which the same code-action batch tests with S: as p
+does not divide l, every p-subgroup of AG_C fixes some class, so the
+largest stabilizer is Sylow.  For l < p every such row fixes every class,
+Y is V_C, the fixing members of the p-group V = AG(n) meet W, and P is G
+meet W, W being the only Sylow p-subgroup of S_n through T^l; at r = 1
+and l < p there is no such row and P is S_C.  No normalizer ascent runs
+and no group is listed.  A P past CLOSURE_BOUND gives way to <T^l>.
 H'(P) is the union of the cosets C(T^l) sigma_rho over the rho in P with
 the cycle type of T^l, exact at every length.  The search over it is the
 decision HP makes at l = 1 (equivalence.restricted_set_verdict): one
@@ -49,11 +53,11 @@ from .perm import (
     BlockSystem,
     PermGroup,
     Permutation,
+    affine_p_rows,
     centralizer_generators,
     centralizer_order,
     conjugation_cosets,
     minimal_blocks,
-    sylow_ascend,
 )
 
 
@@ -158,20 +162,18 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
     AG_C, the members of Q = <sigma_0, ..., sigma_(l-1), T> and of the
     affine group AG(n) that fix the code.  G is never built.
 
-    S = <sigma_i> has the m^l members _w_rows lists, and V = AG(n) meet W
-    the p^(2r-1) maps x -> a x + l c with a = 1 mod lp (_affine_rows), W
-    being the product of Kaloujnine's triangular groups on the cycles of
-    T^l.  S_C and V_C are their members that fix the code, and P = S_C Y,
-    with Y a Sylow p-subgroup of AG_C.  At l < p, Y = V_C: one maps_onto
-    batch tests S and the maps of V with a != 1, the others being <T^l>,
-    which lies in S and fixes the code.  At l > p the batch tests S and
-    AG(n), which gives AG_C (at most n phi(n) rows), V_C is read off its
-    rows, and the normalizer ascent (perm.sylow_ascend) grows Y from V_C
-    inside AG_C.  PermGroup.from_rows grows P from S_C's rows, then V_C's
-    rows or Y's generators, up to its order |S_C| |Y| / m.  When l m^l
-    passes CLOSURE_BOUND, the m rows of <T^l> stand for S, and P = Y.  When
-    |P| passes CLOSURE_BOUND, P is <T^l>, as it was when the discovered
-    group G passed it (|G| >= |P|): the report and the scan list P.
+    S = <sigma_i> has the m^l members _w_rows lists, and perm.affine_p_rows
+    the maps x -> a x + b with a != 1 of p-power order mod n that fix some
+    residue class mod l, one per coset of <T^l>, with the classes each
+    fixes.  One maps_onto batch tests both.  S_C is the members of S that
+    fix the code; c* is the least class fixed by the most fixing rows, and
+    Y, the stabilizer of c* in AG_C, is generated by <T^l> and the fixing
+    rows that fix c*, and has order m (1 + their number).
+    PermGroup.from_rows grows P from S_C's rows, then Y's, up to its order
+    |S_C| |Y| / m.  When l m^l passes CLOSURE_BOUND, the m rows of <T^l>
+    stand for S, and P = Y.  When |P| passes CLOSURE_BOUND, P is <T^l>, as
+    it was when the discovered group G passed it (|G| >= |P|): the report
+    and the scan list P.
 
     P is Sylow in G:
     - Q = <T> S, and S is Q's normal Sylow p-subgroup, since gcd(l, p) = 1:
@@ -185,40 +187,50 @@ def qc_sylow(code: QuasiCyclicCode) -> PermGroup:
       of AG(n) (tau T^l tau^-1 = T^(la)), and S_C meet Y lies in S meet
       AG(n) = <T^l>.  So S_C Y, a group as S_C is normal, has order
       |S_C| |Y| / p^r = |G|_p: it is Sylow in G and contains T^l.
-    - At l < p, |AG(n)|_p = p^(2r-1) = |V|, as |AG(n)| = n phi(n) and
-      phi(l) < p, and V is normal in AG(n).  So V_C is the only Sylow
-      p-subgroup of AG_C.  S_C V_C lies in W, and G meet W is a p-group
-      that contains it, so P = G meet W.  At r = 1, V = <T^l> lies in S,
-      and P is S_C, grown from its own rows in lexicographic order.
+    - Y is Sylow in AG_C.  For a class c mod l, Stab(c) = {x -> a x + b in
+      AG_C : a has p-power order, (a - 1) c + b = 0 mod l} is a subgroup:
+      the units of p-power order form a subgroup, and maps that fix c
+      compose to one.  Its members are p-elements.  Under
+      Z_n = Z_l x Z_(p^r), x -> a x + b acts on Z_l as y -> a (y - c) + c,
+      as it fixes c, so its order there divides ord(a); on Z_(p^r) its
+      ord(a)-th power is a translation, so its order divides ord(a) p^r.
+      Conversely a p-subgroup of AG_C permutes the l classes in orbits of
+      p-power size, and as p does not divide l one orbit is a single class
+      c: the subgroup lies in Stab(c), its members' a having p-power order.
+      So the Sylow p-subgroups of AG_C are the largest Stab(c).  A member
+      x -> a x + b of Stab(c) is T^(b - b') after x -> a x + b', with
+      b' = b mod l a multiple of gcd(a - 1, l), and l divides b - b': it
+      lies in <T^l> when a = 1, as then b' = 0, and else in the coset of a
+      fixing row that fixes c.  So |Stab(c)| = m (1 + the number of fixing
+      rows that fix c), largest at c*.
+    - At l < p, a row's a has p-power order mod l, where the units number
+      phi(l) < p, and mod p^r, so a = 1 mod lp; then gcd(a - 1, l) = l and
+      b = 0, so every row fixes every class, and Y is V_C, the members
+      fixing the code of V = AG(n) meet W = {x -> a x + l c : a = 1 mod lp},
+      W being the product of Kaloujnine's triangular groups on the cycles of
+      T^l.  V_C is in fact the only Sylow p-subgroup of AG_C: |AG(n)|_p =
+      p^(2r-1) = |V|, as |AG(n)| = n phi(n), and V is normal in AG(n).
+      S_C V_C lies in W, and G meet W is a p-group that contains it, so
+      P = G meet W.  At r = 1, a = 1 mod lp and a < n = lp leave no row:
+      Y = <T^l> lies in S, and P is S_C, grown from its own rows in
+      lexicographic order.
     - At l > p, any two Sylow p-subgroups of G through T^l are conjugate by
       some g in G <= Aut(C), and H'(P^g) = H'(P) g: the size of H'(P), the
       verdict's status and completeness do not depend on which one P is;
       only the first witness can."""
-    p, _ = _qc_prime_power(code)
+    _qc_prime_power(code)
     n, l, lin, m = code.n, code.index, code.linear, code.co_index
-    s = _w_rows(n, l) if l * m ** l <= CLOSURE_BOUND else _affine_rows(n, [1], range(0, n, l))
-    # AG(n) at l > p; else V's maps with a != 1, none at r = 1
-    rest = (_affine_rows(n, units(n), range(n)) if l > p else s[:0] if n == l * p
-            else _affine_rows(n, range(1 + l * p, n, l * p), range(0, n, l)))
-    fixed = maps_onto(lin, lin, np.concatenate([s, rest]))
-    s_c, rest = s[fixed[:len(s)]].tolist(), rest[fixed[len(s):]]
-    y, order = rest.tolist(), m + len(rest)
-    if l > p:
-        a = (rest[:, 1].astype(int) - rest[:, 0]) % (l * p)      # row x -> a x + b: b = row[0]
-        v_c = rest[(a == 1) & (rest[:, 0] % l == 0)].tolist()
-        Y = sylow_ascend(PermGroup.from_rows(n, y), p, PermGroup.from_rows(n, v_c, order=len(v_c)))
-        y, order = [g.images for g in Y.generators], Y.order()
-    if len(s_c) * order // m > CLOSURE_BOUND:
+    s = (_w_rows(n, l) if l * m ** l <= CLOSURE_BOUND       # else the m rows of <T^l>
+         else ((np.arange(n) + np.arange(0, n, l)[:, None]) % n).astype(np.min_scalar_type(n)))
+    rows, fixes = affine_p_rows(n, l)
+    fixed = maps_onto(lin, lin, np.concatenate([s, rows]))
+    s_c, fixes = s[fixed[:len(s)]].tolist(), fixes & fixed[len(s):, None]
+    c = fixes.sum(axis=0).argmax()      # the least class the most fixing rows fix
+    y = rows[fixes[:, c]].tolist()
+    order = len(s_c) * (1 + len(y))
+    if order > CLOSURE_BOUND:
         return PermGroup(n, (Permutation.power_shift(n, l),))
-    return PermGroup.from_rows(n, s_c + y, order=len(s_c) * order // m)
-
-
-def _affine_rows(n: int, a, b) -> np.ndarray:
-    """The maps x -> a x + b mod n for each a in `a` and each b in `b`,
-    a-major, as image rows in the smallest unsigned dtype."""
-    x = np.arange(n)
-    rows = (np.array(a)[:, None, None] * x + np.array(b)[:, None]) % n
-    return rows.reshape(-1, n).astype(np.min_scalar_type(n))
+    return PermGroup.from_rows(n, s_c + y, order=order)
 
 
 def _w_rows(n: int, l: int) -> np.ndarray:
@@ -265,8 +277,7 @@ def qc_equivalence_search(c1: QuasiCyclicCode, c2: QuasiCyclicCode,
     if c1.k != c2.k:
         return invariant_separation(c1, c2, strategy)
     verdict = restricted_set_verdict(c1, c2, qc_sylow(c1), c1.index, strategy,
-                                     "the structured families",
-                                     PermGroup(c1.n, (Permutation.power_shift(c1.n, c1.index),)))
+                                     "the structured families")
     return profiles_after_scan(c1, c2, verdict)
 
 

@@ -361,6 +361,23 @@ def test_hp_past_the_closure_bound_is_inconclusive(monkeypatch):
     assert "reached 25 rows, past CLOSURE_BOUND = 20" in v.evidence
 
 
+def test_hp_past_the_closure_bound_scans_h_of_the_shift(monkeypatch):
+    # W_T does not fix the GF(3) [8,6] code with defining set {1, 3}, and
+    # its P has order 16 > n; under a bound of 12 listing P passes it, so
+    # HP scans H(<T>), which lies in H(P), and keeps the witness found there
+    # against the image under M_5
+    x, y = cyclic_code(8, GF3, {1, 3}), cyclic_code(8, GF3, {5, 7})
+    assert build_sylow_descriptor(x).order() == 16
+    monkeypatch.setattr(perm, "CLOSURE_BOUND", 12)
+    v = decide_equivalence(x, y, "HP")
+    shift = PermGroup.from_generators(8, [Permutation.shift(8)])
+    inner = equivalence.restricted_set_verdict(x, y, shift, 1, "HP", HP_SOURCE)
+    assert (v.status, v.complete) == ("equivalent", False) and v.witness == inner.witness
+    assert permute_code(x.linear, v.witness) == y.linear
+    assert v.evidence == (f"{inner.evidence} (a subgroup of the P of Sylow exponent 4, "
+                          "whose H(P) passes CLOSURE_BOUND)")
+
+
 def test_dimension_separation_is_complete():
     v = decide_equivalence(NINE_FULL, cyclic_code(9, GF2, {0, 1, 2, 4, 8, 7, 5}), "HP")
     assert v.status == "inequivalent" and v.complete

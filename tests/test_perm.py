@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from cycperm import perm
+from cycperm.algebra import multiplicative_order, p_part, prime_power, units
 from cycperm.perm import (
     BRUTE_DEGREE_BOUND,
     ClosureBoundExceeded,
     PermGroup,
     Permutation,
+    affine_p_rows,
     block_system_valid,
     centralizer_generators,
     centralizer_order,
@@ -740,6 +742,39 @@ def test_shift_power_sylow_matches_ascent():
             drawn += 1
             assert sylow_through_shift(G, l).elements() == \
                 sylow_ascend(G, p, PermGroup.from_generators(n, [Tl])).elements(), gens
+
+
+@pytest.mark.parametrize("n, l", [(6, 3), (12, 3), (12, 4), (20, 5), (28, 7), (40, 5), (63, 7),
+                                  (10, 2), (18, 2), (9, 1), (25, 1), (27, 1), (8, 1), (16, 1)])
+def test_affine_p_rows_are_the_p_elements_that_fix_a_class(n, l):
+    # each row is a bijection x -> a x + b with a != 1 of p-power order and
+    # b < l a multiple of gcd(a - 1, l), and a p-element; with the classes
+    # it fixes, the rows are every such (a, b), a then b ascending, built
+    # once per (n, l) and shared read-only
+    p, _ = prime_power(n // l)
+    rows, fixes = affine_p_rows(n, l)
+    assert rows.dtype == np.min_scalar_type(n) and fixes.shape == (len(rows), l)
+    pairs = []
+    for row, fixed in zip(rows.tolist(), fixes.tolist()):
+        b, a = row[0], (row[1] - row[0]) % n
+        assert row == [(a * x + b) % n for x in range(n)] and sorted(row) == list(range(n))
+        order = multiplicative_order(a, n)
+        assert a != 1 and p_part(order, p) == order
+        assert b < l and b % math.gcd(a - 1, l) == 0
+        assert fixed == [((a - 1) * c + b) % l == 0 for c in range(l)] and any(fixed)
+        order = Permutation(tuple(row)).order()
+        assert p_part(order, p) == order
+        pairs.append((a, b))
+    assert pairs == [(a, b) for a in units(n) if a != 1
+                     and p_part(multiplicative_order(a, n), p) == multiplicative_order(a, n)
+                     for b in range(l) if any(((a - 1) * c + b) % l == 0 for c in range(l))]
+    if l == 1:
+        # the multipliers M_a, a = 1 mod p, a != 1, that the Sylow
+        # descriptor of HP tested before it read them from this family
+        assert rows.tolist() == (np.outer(range(1 + p, n, p), range(n)) % n).tolist()
+    cached = affine_p_rows(n, l)
+    assert cached[0] is rows and cached[1] is fixes
+    assert not rows.flags.writeable and not fixes.flags.writeable
 
 
 @pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)])

@@ -348,12 +348,12 @@ def test_qc_sylow_at_co_index_p_is_the_meet_with_w_of_the_ambient_group():
 def test_qc_sylow_against_the_ambient_oracle():
     # the oracle builds the discovered group G with no bound on its chain
     # and cuts P out of it (qc_sylow_by_ambient).  At l < p, r >= 2
-    # included, qc_sylow's S_C V_C is G meet W as a group; at l > p, where
-    # Sylow p-subgroups through T^l need not be unique, S_C Y has the order
-    # of the oracle's ascent
+    # included, qc_sylow's S_C Y is G meet W as a group; at l > p, r = 1
+    # and r >= 2, where Sylow p-subgroups through T^l need not be unique,
+    # S_C Y has the order of the oracle's ascent
     rng = random.Random(39)
     shapes = [(GF2, 18, 2), (GF4, 18, 2), (GF2, 27, 1), (GF2, 50, 2), (GF2, 20, 4),
-              (GF3, 12, 3), (GF2, 15, 5), (GF3, 20, 5), (GF3, 28, 7)]
+              (GF3, 12, 3), (GF2, 15, 5), (GF3, 20, 5), (GF3, 28, 7), (GF3, 6, 3), (GF2, 12, 4)]
     for field, n, l in shapes:
         p = prime_power(n // l)[0]
         for _ in range(3):
@@ -366,39 +366,23 @@ def test_qc_sylow_against_the_ambient_oracle():
 
 
 def test_qc_sylow_at_co_index_p_builds_no_ambient_group(monkeypatch):
-    # no group is listed but AG_C, the affine maps that fix the code, and
-    # only at l > p, where the normalizer ascent runs in it: at l < p,
-    # r >= 2 included, no ascent runs and nothing is listed, and P still
-    # comes out
-    depth, ascents = [0], []
-    real_products, real_ascend = perm.StabilizerChain.products, quasicyclic.sylow_ascend
+    # qc_sylow grows P from rows at a known order, S_C's and the affine
+    # p-rows' that fix one class mod l (perm.affine_p_rows): at every
+    # co-index, l < p and l > p, r = 1 and r >= 2, it runs no normalizer
+    # ascent and lists no group, and P, through T^l, still comes out
+    def refuse(*args):
+        raise AssertionError("qc_sylow ran the ascent or listed a group")
 
-    def products(chain):
-        assert depth[0], "a group was listed outside the ascent"
-        return real_products(chain)
-
-    def ascend(G, p, seed):
-        ascents.append(G)
-        depth[0] += 1
-        try:
-            return real_ascend(G, p, seed)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(perm.StabilizerChain, "products", products)
-    monkeypatch.setattr(quasicyclic, "sylow_ascend", ascend)
+    monkeypatch.setattr(perm.StabilizerChain, "products", refuse)
+    monkeypatch.setattr(perm, "sylow_ascend", refuse)
     rng = random.Random(31)
-    below = _co_index_p_codes() + [_random_qc(rng, field, n, l) for field, n, l in
-                                   ((GF2, 18, 2), (GF2, 27, 1), (GF4, 18, 2))]
-    for code in below:
-        assert Permutation.power_shift(code.n, code.index) in qc_sylow(code)
-    assert qc_sylow(REP_PAR).order() == 25 and ascents == []
-    for field, n, l in ((GF3, 12, 3), (GF2, 15, 5)):
-        code = _random_qc(rng, field, n, l)
-        ascents.clear()
-        qc_sylow(code)
-        fixing = [g for g in ag_set(n) if permute_code(code.linear, g) == code.linear]
-        assert ascents == [PermGroup.from_generators(n, fixing)], code
+    codes = _co_index_p_codes() + [_random_qc(rng, field, n, l) for field, n, l in
+                                   ((GF2, 18, 2), (GF2, 27, 1), (GF4, 18, 2), (GF3, 6, 3),
+                                    (GF2, 12, 4), (GF2, 15, 5), (GF3, 12, 3), (GF3, 20, 5),
+                                    (GF3, 28, 7), (GF2, 63, 7))]
+    for code in codes:
+        assert Permutation.power_shift(code.n, code.index) in qc_sylow(code), code
+    assert qc_sylow(REP_PAR).order() == 25
 
 
 # --- golden values: the quasi-cyclic path -------------------------------------------
@@ -434,26 +418,18 @@ def _gf3_interleavings() -> list[QuasiCyclicCode]:
 
 def _qc_golden_text() -> str:
     """Per code of the catalogue, one line: the code and the planted map,
-    the order of AG_C, the affine maps fixing the code, which qc_sylow's
-    normalizer ascent runs in (null at l < p, where Y = V_C and no ascent
-    runs), P's order and sorted generators, |H'(P)|, the
-    imprimitivity_report JSON, and the STRUCTURED verdict against the
-    planted image."""
+    P's order and sorted generators, |H'(P)|, the imprimitivity_report
+    JSON, and the STRUCTURED verdict against the planted image."""
     lines = []
     for code, tau in _qc_catalogue():
-        ag_c = []
-        with pytest.MonkeyPatch.context() as mp:
-            real = quasicyclic.sylow_ascend
-            mp.setattr(quasicyclic, "sylow_ascend",
-                       lambda G, p, seed: ag_c.append(G.order()) or real(G, p, seed))
-            P = qc_sylow(code)
+        P = qc_sylow(code)
         tl = Permutation.power_shift(code.n, code.index)
         image = QuasiCyclicCode(permute_code(code.linear, tau), code.index)
         verdict = qc_equivalence_search(code, image, "STRUCTURED")
         lines.append(json.dumps({
             "q": code.field.order, "n": code.n, "index": code.index,
             "rows": [list(r) for r in code.linear.matrix], "planted": list(tau.images),
-            "ag_c": ag_c[0] if ag_c else None, "p_order": P.order(),
+            "p_order": P.order(),
             "p_generators": sorted(list(g.images) for g in P.generators),
             "h_prime": centralizer_order(tl) * len(conjugation_cosets(tl, P)),
             "report": imprimitivity_report(code).to_json(),

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cycperm"
@@ -81,24 +82,64 @@ def test_every_traced_function_is_bound():
     assert traced and unbound == []
 
 
+def _module_attributes(tree: ast.Module, modules: set[str]):
+    """(line, module, attribute) of every attribute a tool reads or assigns
+    on a module it imported: module.name, and getattr or setattr(module, x)
+    with x a string or a loop variable over a module-level tuple or list of
+    strings."""
+    strings = {target.id: [e.value for e in node.value.elts]
+               for node in tree.body if isinstance(node, ast.Assign)
+               and isinstance(node.value, (ast.Tuple, ast.List))
+               and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                       for e in node.value.elts)
+               for target in node.targets if isinstance(target, ast.Name)}
+    loops = {node.target.id: strings[node.iter.id] for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.comprehension))
+             and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, ast.Name) and node.iter.id in strings}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            yield node.lineno, node.value.id, node.attr
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "setattr") \
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in modules:
+            name = node.args[1]
+            if isinstance(name, ast.Constant):
+                yield node.lineno, node.args[0].id, name.value
+            elif isinstance(name, ast.Name):
+                yield from ((node.lineno, node.args[0].id, n) for n in loops.get(name.id, ()))
+
+
 def test_every_tool_import_resolves():
-    # the measurement scripts under tools/ import library names directly;
-    # a change that drops or renames one must fail here, not in someone's
+    # the measurement scripts under tools/ import library names directly,
+    # and some read or patch attributes of a library module they import; a
+    # change that drops or renames one must fail here, not in someone's
     # measurement run.  A name resolves as an attribute of its module or
     # as a submodule of the package
     tools = PACKAGE.parent.parent / "tools"
-    imports, missing = 0, []
+    imports, attributes, missing = 0, 0, []
     for path in sorted(tools.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module \
                     and node.module.split(".")[0] == "cycperm":
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     imports += 1
-                    if not hasattr(module, alias.name) and importlib.util.find_spec(
-                            f"{node.module}.{alias.name}") is None:
-                        missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
-    assert imports and missing == []
+                    name = f"{node.module}.{alias.name}"
+                    target = getattr(module, alias.name, None)
+                    if target is None and importlib.util.find_spec(name) is not None:
+                        target = importlib.import_module(name)
+                    if target is None:
+                        missing.append(f"{path.name}:{node.lineno} {name}")
+                    elif inspect.ismodule(target):
+                        modules[alias.asname or alias.name] = target
+        for line, name, attr in _module_attributes(tree, set(modules)):
+            attributes += 1
+            if not hasattr(modules[name], attr):
+                missing.append(f"{path.name}:{line} {modules[name].__name__}.{attr}")
+    assert imports and attributes and missing == []
 
 
 def test_chains_are_grown_and_stored_by_permgroup_alone():
